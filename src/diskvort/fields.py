@@ -17,9 +17,13 @@ derivative zero at r = 1.  That makes the diagonal maps exact:
   norm_at(omega, m) == norm_at(psi, m+1) holds to the last bit.
 
 Grid work uses a Gauss-Legendre radial rule times a uniform angular
-rule.  ``from_grid`` is the discrete orthogonal decomposition into the
-eigen-span, the harmonic span (low-degree harmonic polynomials), and a
-reported remainder; nothing is dropped silently.
+rule.  The transform is a dense radial matrix per angular wavenumber
+followed by an angular DFT, so ``PolarGrid`` stores the radial profiles
+stacked per (kind, what) and synthesizes any set of fields with one
+batched radial matmul and one angular matmul.  ``from_grid`` is the
+discrete orthogonal decomposition into the eigen-span, the harmonic
+span (low-degree harmonic polynomials), and a reported remainder;
+nothing is dropped silently.
 """
 
 from __future__ import annotations
@@ -244,9 +248,27 @@ class PolarGrid:
     """Gauss-Legendre (radial) x uniform (angular) tensor grid for one table.
 
     The angular count must beat the quadratic-nonlinearity aliasing bound
-    max(2K+2, 3K+1).  Basis profiles and their radial derivatives are
-    cached per angular wavenumber at construction.
+    max(2K+2, 3K+1).
+
+    The transforms work on coefficient blocks, arrays (..., 2, K+1, J)
+    indexed by (parity, k, j-1) with parity 0 = cos, 1 = sin; the k = 0
+    sine row is identically zero.  ``perm[p, k, j-1]`` is the position of
+    mode (k, j, parity p) in the eigenvalue-sorted table (``len(table)``,
+    a zero pad slot, for the k = 0 sine row).  Built once here:
+
+    * ``prof[i]``, shape (K+1, J, n_radial): the radial profiles of the
+      (kind, what) pair ``PROFILES[i]``;
+    * ``harm``, shape (K+1, n_radial): the unit harmonic profiles
+      h_k(r) = c_k r^k;
+    * ``trig``, shape (2(K+1), n_angular): rows cos(k theta), k = 0..K,
+      then sin(k theta).
+
+    Synthesis of any set of fields is one batched radial matmul plus one
+    angular matmul; d/dtheta acts on the blocks first (cos and sin rows
+    swap, scaled by +-k).  Analysis is the transpose.
     """
+
+    PROFILES = (("stream", "d_r"), ("stream", "value"), ("vorticity", "d_r"), ("vorticity", "value"))
 
     def __init__(self, table: EigenTable, n_radial: int | None = None, n_angular: int | None = None):
         K, J = table.K, table.J
@@ -270,36 +292,89 @@ class PolarGrid:
         self.theta = 2.0 * np.pi * np.arange(self.n_angular) / self.n_angular
         self.wtheta = 2.0 * np.pi / self.n_angular
 
-        # positions grouped by (k, parity); row order = increasing j
-        groups: dict[tuple[int, str], list[int]] = {}
+        self.perm = np.full((2, K + 1, J), len(table), dtype=np.intp)
         for i, m in enumerate(table.modes):
-            groups.setdefault((m.k, m.parity), []).append(i)
-        for pos in groups.values():
-            pos.sort(key=lambda i: table.modes[i].j)
-        self.groups = {key: np.array(pos) for key, pos in groups.items()}
+            self.perm[0 if m.parity == "cos" else 1, m.k, m.j - 1] = i
 
-        self._cos = {k: np.cos(k * self.theta) for k in range(K + 1)}
-        self._sin = {k: np.sin(k * self.theta) for k in range(K + 1)}
+        k = np.arange(K + 1)
+        # d/dtheta of a cos row is -k times the sin row and vice versa
+        self._d_theta = np.stack([k, -k])[:, :, None].astype(float)
+        kt = np.outer(k, self.theta)
+        self.trig = np.concatenate([np.cos(kt), np.sin(kt)])
+        self._trig_w = (self.trig * self.wtheta).T
+        # the angular quadrature of trig^2: pi, or 2 pi for k = 0 cos, 0 for k = 0 sin
+        self._trig_norm = (self.trig**2).sum(axis=1).reshape(2, K + 1) * self.wtheta
+        self._wr_r = self.wr * self.r
 
-        # radial profile stacks, shape (J, n_radial) per wavenumber
         r = self.r
-        self._prof: dict[tuple[int, str, str], np.ndarray] = {}
-        for k in range(K + 1):
-            pos = self.groups[(k, "cos")]
-            alpha = table.alpha[pos]
-            cnorm = table.norm[pos]
-            jk_at_1 = np.array([bessel_j(k, a) for a in alpha])
-            jval = np.stack([bessel_j(k, a * r) for a in alpha])
-            jder = np.stack([a * bessel_j(k, a * r, derivative=True) for a in alpha])
-            rk = r**k
-            rkm1 = r ** (k - 1) if k >= 1 else np.zeros_like(r)
-            cn = cnorm[:, None]
-            self._prof[(k, "vorticity", "value")] = cn * jval
-            self._prof[(k, "vorticity", "d_r")] = cn * jder
-            self._prof[(k, "stream", "value")] = cn * (jval - jk_at_1[:, None] * rk)
-            self._prof[(k, "stream", "d_r")] = cn * (
-                jder - k * jk_at_1[:, None] * rkm1
-            )
+        self.harm = np.stack([_harm_const(kk) * r**kk for kk in k])
+        self.prof = np.empty((len(self.PROFILES), K + 1, J, self.n_radial))
+        for kk in k:
+            alpha = table.alpha[self.perm[0, kk]][:, None]
+            cn = table.norm[self.perm[0, kk]][:, None]
+            jk_at_1 = bessel_j(kk, alpha)
+            jval = bessel_j(kk, alpha * r)
+            jder = alpha * bessel_j(kk, alpha * r, derivative=True)
+            rkm1 = r ** (kk - 1) if kk >= 1 else np.zeros_like(r)
+            self.prof[0, kk] = cn * (jder - kk * jk_at_1 * rkm1)
+            self.prof[1, kk] = cn * (jval - jk_at_1 * r**kk)
+            self.prof[2, kk] = cn * jder
+            self.prof[3, kk] = cn * jval
+
+    def to_blocks(self, coeffs) -> np.ndarray:
+        """Eigenvalue-sorted coefficients (..., n) as blocks (..., 2, K+1, J)."""
+        c = np.asarray(coeffs, dtype=float)
+        padded = np.concatenate([c, np.zeros(c.shape[:-1] + (1,))], axis=-1)
+        return padded[..., self.perm]
+
+    def from_blocks(self, blocks) -> np.ndarray:
+        """Inverse of ``to_blocks``; the k = 0 sine row is dropped."""
+        blocks = np.asarray(blocks, dtype=float)
+        out = np.zeros(blocks.shape[:-3] + (len(self.table) + 1,))
+        out[..., self.perm] = blocks
+        return out[..., :-1]
+
+    def synthesize(self, blocks, fields) -> np.ndarray:
+        """Grid samples, shape (F, n_radial, n_angular), of F fields.
+
+        ``blocks`` has shape (F, 2, K+1, J); ``fields`` names each
+        field's (kind, what), what in value | d_r | d_theta.
+        """
+        blocks = np.array(blocks, dtype=float)
+        idx = []
+        for f, (kind, what) in enumerate(fields):
+            if what not in ("value", "d_r", "d_theta"):
+                raise ValueError(f"what must be value|d_r|d_theta, got {what!r}")
+            if what == "d_theta":
+                blocks[f] = self._d_theta * blocks[f, ::-1]
+            idx.append(self.PROFILES.index((kind, "d_r" if what == "d_r" else "value")))
+        # consecutive profiles are a view of the stack, so the usual
+        # requests (one field, or the advection's four) copy nothing
+        if idx == list(range(idx[0], idx[0] + len(idx))):
+            prof = self.prof[idx[0] : idx[0] + len(idx)]
+        else:
+            prof = self.prof[idx]
+        radial = np.matmul(blocks.transpose(0, 2, 1, 3), prof)  # (F, K+1, 2, n_radial)
+        radial = radial.transpose(0, 3, 2, 1).reshape(-1, self.trig.shape[0])
+        return (radial @ self.trig).reshape(len(idx), self.n_radial, self.n_angular)
+
+    def analyze(self, values) -> tuple[np.ndarray, np.ndarray]:
+        """Quadrature projection of samples (n_radial, n_angular): the
+        eigen-span blocks (2, K+1, J) and the harmonic moments (2, K+1)
+        against the unit harmonics h_k {cos, sin}(k theta)."""
+        K = self.table.K
+        signal = (np.asarray(values) @ self._trig_w) * self._wr_r[:, None]
+        signal = signal.reshape(self.n_radial, 2, K + 1).transpose(2, 0, 1)  # (K+1, n_r, 2)
+        blocks = np.matmul(self.prof[3], signal).transpose(2, 0, 1)
+        moments = np.matmul(self.harm[:, None, :], signal)[:, 0, :].T.copy()
+        moments[1, 0] = 0.0  # there is no sin(0 theta) harmonic
+        return blocks, moments
+
+    def project_radial(self, profiles) -> np.ndarray:
+        """Eigen-span blocks (2, K+1, J) of the functions
+        profiles[k](r) {cos, sin}(k theta), by the grid quadrature."""
+        radial = np.einsum("kjr,kr->kj", self.prof[3], self._wr_r * np.asarray(profiles))
+        return self._trig_norm[:, :, None] * radial
 
     def node_polar(self):
         """Meshgrid arrays (n_radial, n_angular) of r and theta."""
@@ -351,23 +426,8 @@ def to_grid(field: SpectralField, grid: PolarGrid, what: str = "value") -> GridF
     """Pointwise samples of the field or its exact analytic derivative."""
     if grid.table is not field.table:
         raise ValueError("grid was built for a different table")
-    if what not in ("value", "d_r", "d_theta"):
-        raise ValueError(f"what must be value|d_r|d_theta, got {what!r}")
-    out = np.zeros((grid.n_radial, grid.n_angular))
-    for (k, parity), pos in grid.groups.items():
-        g = field.coeffs[pos]
-        if not np.any(g):
-            continue
-        prof_what = "value" if what == "d_theta" else what
-        radial = g @ grid._prof[(k, field.kind, prof_what)]
-        if what == "d_theta":
-            if k == 0:
-                continue
-            ang = -k * grid._sin[k] if parity == "cos" else k * grid._cos[k]
-        else:
-            ang = grid._cos[k] if parity == "cos" else grid._sin[k]
-        out += np.outer(radial, ang)
-    return GridField(grid, out)
+    blocks = grid.to_blocks(field.coeffs)[None]
+    return GridField(grid, grid.synthesize(blocks, [(field.kind, what)])[0])
 
 
 def from_grid(values: GridField, table: EigenTable):
@@ -380,33 +440,12 @@ def from_grid(values: GridField, table: EigenTable):
     grid = values.grid
     if grid.table is not table:
         raise ValueError("grid was built for a different table")
-    v = values.values
-    wtheta = grid.wtheta
-    wr_r = grid.wr * grid.r
-
-    coeffs = np.zeros(len(table))
-    K = table.K
-    a = np.zeros(K + 1)
-    b = np.zeros(K + 1)
-    for k in range(K + 1):
-        for parity in ("cos",) if k == 0 else ("cos", "sin"):
-            ang = grid._cos[k] if parity == "cos" else grid._sin[k]
-            radial_signal = v @ (ang * wtheta)  # (n_radial,)
-            pos = grid.groups[(k, parity)]
-            prof = grid._prof[(k, "vorticity", "value")]
-            coeffs[pos] = prof @ (wr_r * radial_signal)
-            hk = _harm_const(k) * grid.r**k
-            moment = float(np.dot(wr_r * hk, radial_signal))
-            if parity == "cos":
-                a[k] = moment
-            else:
-                b[k] = moment
-
-    spectral = SpectralField(table, coeffs, "vorticity")
-    harmonic = HarmonicExpansion(a, b)
+    blocks, moments = grid.analyze(values.values)
+    spectral = SpectralField(table, grid.from_blocks(blocks), "vorticity")
+    harmonic = HarmonicExpansion(moments[0], moments[1])
     rr, tt = grid.node_polar()
-    rec = to_grid(spectral, grid).values + harmonic.eval(rr, tt)
-    residual = float(np.sqrt(max(grid.integrate((v - rec) ** 2), 0.0)))
+    rec = grid.synthesize(blocks[None], [("vorticity", "value")])[0] + harmonic.eval(rr, tt)
+    residual = float(np.sqrt(max(grid.integrate((values.values - rec) ** 2), 0.0)))
     return spectral, harmonic, residual
 
 

@@ -6,13 +6,15 @@ the polar Jacobian
     Lambda = u . grad omega = (1/r)(d_r psi d_theta omega
                                     - d_theta psi d_r omega),
 
-sampled pseudo-spectrally and decomposed by ``from_grid`` into the
-admissible part (consumed by the parabolic track) and the harmonic
-moments (consumed by the elliptic correction).  Because the stream
-dictionary is clamped at the boundary, u.n = 0 holds exactly and the
-classical identities survive discretization: radial fields are steady,
-the pairing with the stream vanishes, and the disk mean of Lambda is
-zero.
+sampled pseudo-spectrally: one batched synthesis of the four derivative
+fields, their product on the grid, and one analysis into the admissible
+part (consumed by the parabolic track) and the harmonic moments
+(consumed by the elliptic correction).  The same samples give the
+largest speed |u| = |grad psi|, so the CFL guard needs no transform of
+its own.  Because the stream dictionary is clamped at the boundary,
+u.n = 0 holds exactly and the classical identities survive
+discretization: radial fields are steady, the pairing with the stream
+vanishes, and the disk mean of Lambda is zero.
 
 The elliptic correction inverts nu times the negative Laplacian on the
 harmonic moments: for each component a r^k trig(k theta) of h, the
@@ -23,7 +25,11 @@ stream correction
 satisfies Delta psi_B = h/nu with psi_B = 0 on the boundary (k = 0:
 (a/nu)(r^2-1)/4), and omega_B is its admissible projection.  The sign
 makes the harmonic moments of nu Delta omega_B equal +h, which is what
-keeping the total vorticity admissible demands.
+keeping the total vorticity admissible demands.  The map h -> omega_B
+is linear and block-diagonal in (k, parity): ``elliptic_map`` computes
+its (2, K+1, J) blocks once by the grid quadrature, and
+``elliptic_correction`` keeps the grid-sampled solve that also returns
+psi_B.
 """
 
 from __future__ import annotations
@@ -40,7 +46,6 @@ from .fields import (
     _harm_const,
     biot_savart,
     from_grid,
-    to_grid,
 )
 
 __all__ = [
@@ -48,18 +53,33 @@ __all__ = [
     "advection",
     "velocity_max",
     "elliptic_correction",
+    "elliptic_map",
     "elliptic_stream_values",
-    "advection_time_derivative",
 ]
+
+# (kind, what) of d_r psi, d_theta psi, d_r omega, d_theta omega
+_JACOBIAN_FIELDS = (
+    ("stream", "d_r"),
+    ("stream", "d_theta"),
+    ("vorticity", "d_r"),
+    ("vorticity", "d_theta"),
+)
 
 
 @dataclass
 class AdvectionResult:
-    """Bergman split of the advection term plus its raw grid norm."""
+    """Bergman split of the advection term, its raw grid norm, and the
+    largest grid speed of the advecting velocity."""
 
     projected: SpectralField
     harmonic: HarmonicExpansion
     raw_l2_norm: float
+    umax: float
+
+
+def _speed_max(dpsi_r: np.ndarray, dpsi_t: np.ndarray, grid: PolarGrid) -> float:
+    # u_r = -d_theta psi / r, u_theta = d_r psi
+    return float(np.sqrt(np.max((dpsi_t / grid.r[:, None]) ** 2 + dpsi_r**2)))
 
 
 def advection(omega: SpectralField, grid: PolarGrid) -> AdvectionResult:
@@ -68,27 +88,25 @@ def advection(omega: SpectralField, grid: PolarGrid) -> AdvectionResult:
         raise ValueError("advection expects a vorticity field")
     if grid.table is not omega.table:
         raise ValueError("grid was built for a different table")
-    psi = biot_savart(omega)
-    dpsi_r = to_grid(psi, grid, "d_r").values
-    dpsi_t = to_grid(psi, grid, "d_theta").values
-    dom_r = to_grid(omega, grid, "d_r").values
-    dom_t = to_grid(omega, grid, "d_theta").values
-    rr = grid.r[:, None]
-    lam_vals = (dpsi_r * dom_t - dpsi_t * dom_r) / rr
+    w = grid.to_blocks(omega.coeffs)
+    psi = grid.to_blocks(biot_savart(omega).coeffs)
+    dpsi_r, dpsi_t, dom_r, dom_t = grid.synthesize(np.stack([psi, psi, w, w]), _JACOBIAN_FIELDS)
+    lam_vals = (dpsi_r * dom_t - dpsi_t * dom_r) / grid.r[:, None]
     raw = float(np.sqrt(max(grid.integrate(lam_vals**2), 0.0)))
-    projected, harmonic, _ = from_grid(GridField(grid, lam_vals), omega.table)
-    return AdvectionResult(projected=projected, harmonic=harmonic, raw_l2_norm=raw)
+    blocks, moments = grid.analyze(lam_vals)
+    return AdvectionResult(
+        projected=SpectralField(omega.table, grid.from_blocks(blocks), "vorticity"),
+        harmonic=HarmonicExpansion(moments[0], moments[1]),
+        raw_l2_norm=raw,
+        umax=_speed_max(dpsi_r, dpsi_t, grid),
+    )
 
 
 def velocity_max(omega: SpectralField, grid: PolarGrid) -> float:
     """Max pointwise speed of the Biot-Savart velocity on the grid."""
-    psi = biot_savart(omega)
-    dpsi_r = to_grid(psi, grid, "d_r").values
-    dpsi_t = to_grid(psi, grid, "d_theta").values
-    rr = grid.r[:, None]
-    u_r = -dpsi_t / rr
-    u_t = dpsi_r
-    return float(np.sqrt(np.max(u_r**2 + u_t**2)))
+    psi = grid.to_blocks(biot_savart(omega).coeffs)
+    dpsi_r, dpsi_t = grid.synthesize(np.stack([psi, psi]), _JACOBIAN_FIELDS[:2])
+    return _speed_max(dpsi_r, dpsi_t, grid)
 
 
 def elliptic_stream_values(
@@ -143,12 +161,11 @@ def elliptic_correction(
     return omega_b, psi_b
 
 
-def advection_time_derivative(
-    current: AdvectionResult, previous: AdvectionResult, dt: float
-) -> HarmonicExpansion:
-    """Backward difference of the harmonic moments between two steps."""
-    if not (dt > 0.0):
-        raise ValueError(f"dt must be positive, got {dt}")
-    if current.harmonic.degree != previous.harmonic.degree:
-        raise ValueError("harmonic expansions live on different bases")
-    return (current.harmonic - previous.harmonic) * (1.0 / dt)
+def elliptic_map(grid: PolarGrid) -> np.ndarray:
+    """Blocks E (2, K+1, J) of the elliptic correction: omega_B has
+    blocks E[p, k, :] * h[p, k] / nu for the moments h[0] = h.a,
+    h[1] = h.b.  Each column is the quadrature projection of the
+    closed-form psi_B of one unit harmonic, as ``elliptic_correction``
+    computes it on the grid."""
+    k = np.arange(grid.table.K + 1)[:, None]
+    return grid.project_radial(grid.harm * (grid.r**2 - 1.0) / (4.0 * k + 4.0))

@@ -6,18 +6,23 @@ omega_0 evolves by an exponential (ETD2RK) step with forcing
     F = -P Lambda - d/dt omega_B,
 
 the linear factor handled exactly mode-wise.  The elliptic track
-omega_B is slaved to the harmonic moments of the advection term through
-the closed-form correction, refreshed once per accepted step from the
-current Lambda (one-step lag), with its time derivative realized as a
-backward difference of the moments; the difference commutes with the
-correction map by linearity.  The first step uses d/dt omega_B = 0 and
-the initial state absorbs the instantaneous correction, so the total
-initial vorticity equals the requested one.
+omega_B is slaved to the harmonic moments h of the advection term,
+refreshed once per accepted step from the current Lambda (one-step
+lag).  Since omega_B = E h / nu for the fixed block map E built in
+``prepare`` (``nonlinear.elliptic_map``), its time derivative is the
+backward difference (omega_B,n - omega_B,n-1)/dt, the correction of
+the backward difference of the moments.  The first step uses
+d/dt omega_B = 0 and the initial state absorbs the instantaneous
+correction, so the total initial vorticity equals the requested one.
 
-Every object in the loop lives in the eigen-span, so the harmonic
-moments of the total vorticity are conserved structurally; the solver
-still measures them each step and aborts loudly if they ever exceed
-10x the configured tolerance.
+A step costs two advection calls, each one batched synthesis of four
+derivative fields and one analysis; the CFL guard reads |u|max off the
+first of them.  Every object in the loop lives in the eigen-span, so
+the harmonic moments of the total vorticity are conserved structurally;
+the solver still measures them each step, as max |M c| for the
+quadrature moment map M built in ``prepare``, and aborts loudly if they
+ever exceed 10x the configured tolerance.  A state whose speed, moments
+or new coefficients are not finite aborts too.
 """
 
 from __future__ import annotations
@@ -27,21 +32,8 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .fields import (
-    HarmonicExpansion,
-    PolarGrid,
-    SpectralField,
-    from_grid,
-    norm_at,
-    to_grid,
-)
-from .nonlinear import (
-    AdvectionResult,
-    advection,
-    advection_time_derivative,
-    elliptic_correction,
-    velocity_max,
-)
+from .fields import HarmonicExpansion, PolarGrid, SpectralField, norm_at
+from .nonlinear import advection, elliptic_map
 from .semigroup import Trajectory, duhamel_step, phi1, phi2
 from .spectrum import EigenTable, ModeIndex, build_table
 
@@ -52,6 +44,7 @@ __all__ = [
     "RunContext",
     "CFLViolation",
     "MomentDriftError",
+    "NonFiniteState",
     "prepare",
     "initial_state",
     "step",
@@ -69,6 +62,11 @@ class CFLViolation(RuntimeError):
 class MomentDriftError(RuntimeError):
     """The total vorticity grew harmonic moments beyond 10x tolerance;
     the state is corrupt and the run aborts."""
+
+
+class NonFiniteState(RuntimeError):
+    """The state, its speed or its harmonic moments are NaN or infinite;
+    no comparison against a bound can catch that, so the run aborts."""
 
 
 @dataclass(frozen=True)
@@ -147,7 +145,9 @@ class SolverState:
     time: float
     omega0: SpectralField
     omega_B: SpectralField
-    prev_advection: Optional[AdvectionResult] = None
+    # False until a step has refreshed omega_B from the dynamics; the
+    # first step takes d/dt omega_B = 0
+    started: bool = False
 
     def total(self) -> SpectralField:
         return self.omega0 + self.omega_B
@@ -173,6 +173,8 @@ class RunContext:
     phi1_dt: np.ndarray
     phi2_dt: np.ndarray
     sqrt_lam_max: float
+    elliptic_map: np.ndarray  # (2, K+1, J): omega_B blocks per unit moment, nu = 1
+    moment_map: np.ndarray  # (2, K+1, J): harmonic moments of each basis function
 
 
 def prepare(cfg: RunConfig) -> RunContext:
@@ -189,6 +191,8 @@ def prepare(cfg: RunConfig) -> RunContext:
         phi1_dt=cfg.dt * phi1(z),
         phi2_dt=cfg.dt * phi2(z),
         sqrt_lam_max=float(np.sqrt(table.lambda_max)),
+        elliptic_map=elliptic_map(grid),
+        moment_map=grid.project_radial(grid.harm),
     )
 
 
@@ -204,6 +208,12 @@ def _initial_field(cfg: RunConfig, table: EigenTable) -> SpectralField:
     return f * (1.0 / norm_at(f, 0))
 
 
+def _omega_b(h: HarmonicExpansion, nu: float, ctx: RunContext) -> SpectralField:
+    """The elliptic correction E h / nu for the moments h."""
+    blocks = ctx.elliptic_map * (np.stack([h.a, h.b]) / nu)[:, :, None]
+    return SpectralField(ctx.table, ctx.grid.from_blocks(blocks), "vorticity")
+
+
 def initial_state(cfg: RunConfig, ctx: Optional[RunContext] = None) -> SolverState:
     """Split the requested initial vorticity into the two tracks.
 
@@ -214,76 +224,73 @@ def initial_state(cfg: RunConfig, ctx: Optional[RunContext] = None) -> SolverSta
     if ctx is None:
         ctx = prepare(cfg)
     omega_i = _initial_field(cfg, ctx.table)
-    adv = advection(omega_i, ctx.grid)
-    omega_b, _ = elliptic_correction(adv.harmonic, cfg.nu, ctx.grid)
-    return SolverState(
-        time=0.0,
-        omega0=omega_i - omega_b,
-        omega_B=omega_b,
-        prev_advection=None,
-    )
+    omega_b = _omega_b(advection(omega_i, ctx.grid).harmonic, cfg.nu, ctx)
+    return SolverState(time=0.0, omega0=omega_i - omega_b, omega_B=omega_b)
 
 
-def measure_moment_drift(omega: SpectralField, grid: PolarGrid) -> float:
-    """Max harmonic moment of the sampled field, by quadrature."""
-    _, harm, _ = from_grid(to_grid(omega, grid), omega.table)
-    stack = np.concatenate([harm.a, harm.b])
-    return float(np.max(np.abs(stack)))
+def measure_moment_drift(omega: SpectralField, ctx: RunContext) -> float:
+    """Max harmonic moment of the field by grid quadrature, as max |M c|."""
+    moments = np.sum(ctx.moment_map * ctx.grid.to_blocks(omega.coeffs), axis=-1)
+    return float(np.max(np.abs(moments)))
 
 
 def step(state: SolverState, cfg: RunConfig, ctx: Optional[RunContext] = None) -> SolverState:
     """One accepted ETD2RK step of the coupled system."""
     if ctx is None:
         ctx = prepare(cfg)
-    grid, table = ctx.grid, ctx.table
+    table = ctx.table
     omega = state.total()
 
-    umax = velocity_max(omega, grid)
-    if cfg.dt * umax * ctx.sqrt_lam_max > cfg.cfl:
+    adv = advection(omega, ctx.grid)
+    courant = cfg.dt * adv.umax * ctx.sqrt_lam_max
+    drift = measure_moment_drift(omega, ctx)
+    if not (np.isfinite(courant) and np.isfinite(drift)):
+        raise NonFiniteState(
+            f"refusing step at t={state.time:.6g}: |u|max = {adv.umax:.3g}, "
+            f"harmonic moments = {drift:.3g}"
+        )
+    if courant > cfg.cfl:
         raise CFLViolation(
             f"refusing step at t={state.time:.6g}: dt*|u|*sqrt(lam_max) = "
-            f"{cfg.dt * umax * ctx.sqrt_lam_max:.3g} exceeds {cfg.cfl}"
+            f"{courant:.3g} exceeds {cfg.cfl}"
         )
-
-    drift = measure_moment_drift(omega, grid)
     if drift > 10.0 * cfg.moment_tol:
         raise MomentDriftError(
             f"harmonic moments reached {drift:.3e} at t={state.time:.6g} "
             f"(tolerance {cfg.moment_tol:.1e}); state no longer admissible"
         )
 
-    adv = advection(omega, grid)
-    omega_b_new, _ = elliptic_correction(adv.harmonic, cfg.nu, grid)
-
-    if state.prev_advection is None:
-        td = HarmonicExpansion.zeros(table.K)
+    omega_b_new = _omega_b(adv.harmonic, cfg.nu, ctx)
+    if state.started:
+        domega_b_dt = (omega_b_new.coeffs - state.omega_B.coeffs) / cfg.dt
     else:
-        td = advection_time_derivative(adv, state.prev_advection, cfg.dt)
-    domega_b_dt, _ = elliptic_correction(td, cfg.nu, grid)
+        domega_b_dt = 0.0
 
-    f0 = -adv.projected.coeffs - domega_b_dt.coeffs
+    f0 = -adv.projected.coeffs - domega_b_dt
     predictor = ctx.exp_factor * state.omega0.coeffs + ctx.phi1_dt * f0
     pred_total = SpectralField(table, predictor + omega_b_new.coeffs, "vorticity")
-    adv1 = advection(pred_total, grid)
-    f1 = -adv1.projected.coeffs - domega_b_dt.coeffs
+    adv1 = advection(pred_total, ctx.grid)
+    f1 = -adv1.projected.coeffs - domega_b_dt
     new0 = predictor + ctx.phi2_dt * (f1 - f0)
+    if not (np.all(np.isfinite(new0)) and np.all(np.isfinite(omega_b_new.coeffs))):
+        raise NonFiniteState(f"step from t={state.time:.6g} produced non-finite coefficients")
 
     return SolverState(
         time=state.time + cfg.dt,
         omega0=SpectralField(table, new0, "vorticity"),
         omega_B=omega_b_new,
-        prev_advection=adv,
+        started=True,
     )
 
 
-def _diagnostics(state: SolverState, grid: PolarGrid) -> DiagnosticsRow:
+def _diagnostics(state: SolverState, ctx: RunContext) -> DiagnosticsRow:
     omega = state.total()
     return DiagnosticsRow(
         t=state.time,
         energy=norm_at(omega, -1),
         enstrophy=norm_at(omega, 0),
         palinstrophy_norm=norm_at(omega, 1),
-        moment_drift=measure_moment_drift(omega, grid),
+        moment_drift=measure_moment_drift(omega, ctx),
         correction_norm=norm_at(state.omega_B, 0),
     )
 
@@ -296,13 +303,13 @@ def run(cfg: RunConfig, ctx: Optional[RunContext] = None) -> Trajectory:
     n_steps = int(round(cfg.t_final / cfg.dt))
     times = [state.time]
     states = [state.total()]
-    rows = [_diagnostics(state, ctx.grid)]
+    rows = [_diagnostics(state, ctx)]
     for i in range(1, n_steps + 1):
         state = step(state, cfg, ctx)
         if i % cfg.output_every == 0 or i == n_steps:
             times.append(state.time)
             states.append(state.total())
-            rows.append(_diagnostics(state, ctx.grid))
+            rows.append(_diagnostics(state, ctx))
     return Trajectory(times=np.array(times), states=tuple(states), diagnostics=tuple(rows))
 
 
@@ -328,7 +335,7 @@ def stokes_run(
             energy=norm_at(w, -1),
             enstrophy=norm_at(w, 0),
             palinstrophy_norm=norm_at(w, 1),
-            moment_drift=measure_moment_drift(w, ctx.grid),
+            moment_drift=measure_moment_drift(w, ctx),
             correction_norm=0.0,
         )
 

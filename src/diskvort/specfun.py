@@ -10,6 +10,8 @@ contracts are deliberately narrow and loudly validated:
   interlacing with the zeros of J_{k-1} (McMahon estimates seed order 0)
   and polished to full double precision.  A bracket that fails to change
   sign raises instead of silently returning garbage.
+  ``bessel_j_zero_rows`` returns the leading zeros of every order up to
+  a maximum, computing each order's row once.
 * ``gauss_legendre``: an n-point rule on (a, b) with positive weights.
 """
 
@@ -31,6 +33,7 @@ __all__ = [
     "bessel_j",
     "bessel_y",
     "bessel_j_zero",
+    "bessel_j_zero_rows",
     "gauss_legendre",
 ]
 
@@ -132,6 +135,22 @@ def bessel_j_zero(order: int, j: int) -> float:
     if not isinstance(j, (int, np.integer)) or j < 1:
         raise ValueError(f"zero index must be a positive integer, got {j!r}")
     return _zero_row(order, int(j))[j - 1]
+
+
+def bessel_j_zero_rows(max_order: int, count: int) -> np.ndarray:
+    """First ``count`` positive zeros of J_0 .. J_max_order, one row per
+    order, shape (max_order + 1, count).
+
+    The interlacing recursion asks order o-1 for one zero more than
+    order o, so rows of length count + max_order - o, built from order 0
+    up, compute each order once.  A row's leading zeros do not depend on
+    its length, so every entry equals ``bessel_j_zero`` bit for bit.
+    """
+    max_order = _check_order(max_order)
+    if not isinstance(count, (int, np.integer)) or count < 1:
+        raise ValueError(f"zero count must be a positive integer, got {count!r}")
+    count = int(count)
+    return np.array([_zero_row(o, count + max_order - o)[:count] for o in range(max_order + 1)])
 
 
 @dataclass(frozen=True)

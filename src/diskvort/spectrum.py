@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import bessel_j, bessel_j_zero, gauss_legendre
+from .specfun import bessel_j, bessel_j_zero_rows, gauss_legendre
 
 __all__ = [
     "ModeIndex",
@@ -146,10 +146,11 @@ def build_table(K: int, J: int) -> EigenTable:
         raise ValueError(f"K must be a nonnegative integer, got {K!r}")
     if not isinstance(J, (int, np.integer)) or J < 1:
         raise ValueError(f"J must be a positive integer, got {J!r}")
+    zeros = bessel_j_zero_rows(K + 1, J)
     rows = []
     for k in range(K + 1):
         for j in range(1, J + 1):
-            a = bessel_j_zero(k + 1, j)
+            a = float(zeros[k + 1, j - 1])
             lam = a * a
             c = _norm_const(k, a)
             parities = ("cos",) if k == 0 else _PARITIES

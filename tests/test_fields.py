@@ -24,6 +24,7 @@ from diskvort.fields import (
 )
 from diskvort.specfun import bessel_j
 from diskvort.spectrum import ModeIndex, build_table, eigenfunction_eval
+from transform_oracle import from_grid_groups, to_grid_groups
 
 
 @pytest.fixture(scope="module")
@@ -209,6 +210,50 @@ def test_round_trip_identity(table, grid):
     np.testing.assert_allclose(spec.coeffs, f.coeffs, atol=1e-10)
     assert harm.norm_l2() < 1e-10
     assert residual < 1e-10
+
+
+@settings(max_examples=25, deadline=None)
+@given(K=st.integers(0, 6), J=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_round_trip_random_sizes(K, J, seed):
+    # 16 radial nodes over the default make the Gauss rule exact to
+    # roundoff for these sizes, so the bound tests the transform pair,
+    # not the default grid's quadrature error (up to 3e-10 at K=0, J=4)
+    small = build_table(K, J)
+    f = random_field(small, seed)
+    grid = PolarGrid(small, n_radial=2 * J + K + 24)
+    spec, harm, residual = from_grid(to_grid(f, grid), small)
+    scale = np.max(np.abs(f.coeffs))
+    np.testing.assert_allclose(spec.coeffs, f.coeffs, rtol=0, atol=1e-12 * scale)
+    assert harm.norm_l2() <= 1e-12 * scale
+    assert residual <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("KJ", [(0, 1), (1, 3), (5, 5), (8, 8)])
+def test_batched_transforms_match_group_oracle(KJ):
+    small = build_table(*KJ)
+    g = PolarGrid(small)
+    for kind in ("vorticity", "stream"):
+        f = random_field(small, 7, kind)
+        for what in ("value", "d_r", "d_theta"):
+            want = to_grid_groups(f, g, what)
+            got = to_grid(f, g, what).values
+            assert np.max(np.abs(got - want)) <= 1e-14 * max(np.max(np.abs(want)), 1.0)
+    v = np.random.default_rng(8).standard_normal((g.n_radial, g.n_angular))
+    spec, harm, _ = from_grid(GridField(g, v), small)
+    want_spec, want_harm = from_grid_groups(v, g, small)
+    np.testing.assert_allclose(spec.coeffs, want_spec.coeffs, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(harm.a, want_harm.a, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(harm.b, want_harm.b, rtol=0, atol=1e-14)
+
+
+def test_block_layout_round_trip(table, grid):
+    c = random_field(table, 4).coeffs
+    blocks = grid.to_blocks(c)
+    assert blocks.shape == (2, table.K + 1, table.J)
+    assert np.all(blocks[1, 0] == 0.0)
+    for i, m in enumerate(table.modes):
+        assert blocks[0 if m.parity == "cos" else 1, m.k, m.j - 1] == c[i]
+    np.testing.assert_array_equal(grid.from_blocks(blocks), c)
 
 
 def test_from_grid_pure_mode(table, grid):

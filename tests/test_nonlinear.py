@@ -15,12 +15,13 @@ from diskvort.fields import (
 )
 from diskvort.nonlinear import (
     advection,
-    advection_time_derivative,
     elliptic_correction,
+    elliptic_map,
     elliptic_stream_values,
     velocity_max,
 )
 from diskvort.spectrum import ModeIndex, build_table
+from transform_oracle import advection_time_derivative, from_grid_groups, to_grid_groups
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +53,13 @@ def advection_values(omega, grid):
     dpsi_t = to_grid(psi, grid, "d_theta").values
     dom_r = to_grid(omega, grid, "d_r").values
     dom_t = to_grid(omega, grid, "d_theta").values
+    return (dpsi_r * dom_t - dpsi_t * dom_r) / grid.r[:, None]
+
+
+def advection_values_oracle(omega, grid):
+    psi = biot_savart(omega)
+    dpsi_r, dpsi_t = to_grid_groups(psi, grid, "d_r"), to_grid_groups(psi, grid, "d_theta")
+    dom_r, dom_t = to_grid_groups(omega, grid, "d_r"), to_grid_groups(omega, grid, "d_theta")
     return (dpsi_r * dom_t - dpsi_t * dom_r) / grid.r[:, None]
 
 
@@ -124,6 +132,21 @@ def test_advection_validation(table, grid):
 def test_velocity_max_positive(table, grid):
     omega = random_v0_field(table, 33)
     assert velocity_max(omega, grid) > 0.0
+
+
+def test_advection_umax_is_velocity_max(table, grid):
+    for seed in range(5):
+        omega = random_v0_field(table, 40 + seed)
+        assert advection(omega, grid).umax == velocity_max(omega, grid)
+
+
+def test_advection_matches_group_oracle(table, grid):
+    omega = random_v0_field(table, 23)
+    res = advection(omega, grid)
+    want, want_harm = from_grid_groups(advection_values_oracle(omega, grid), grid, table)
+    np.testing.assert_allclose(res.projected.coeffs, want.coeffs, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(res.harmonic.a, want_harm.a, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(res.harmonic.b, want_harm.b, rtol=0, atol=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +235,33 @@ def test_elliptic_linearity(table, grid):
     np.testing.assert_allclose(
         wsum.coeffs, w1.coeffs + 2.0 * w2.coeffs, atol=1e-14
     )
+
+
+def test_elliptic_map_matches_grid_sampled_correction(table, grid):
+    rng = np.random.default_rng(6)
+    emap = elliptic_map(grid)
+    assert emap.shape == (2, table.K + 1, table.J)
+    for nu in (0.1, 0.7):
+        h = HarmonicExpansion(rng.standard_normal(table.K + 1), np.r_[0.0, rng.standard_normal(table.K)])
+        want, _ = elliptic_correction(h, nu, grid)
+        got = grid.from_blocks(emap * (np.stack([h.a, h.b]) / nu)[:, :, None])
+        np.testing.assert_allclose(got, want.coeffs, rtol=0, atol=1e-14 * np.max(np.abs(want.coeffs)))
+
+
+def test_omega_b_difference_is_correction_of_moment_difference(table, grid):
+    # the solver differences omega_B = E h / nu between steps; by
+    # linearity that is the correction of the backward-differenced moments
+    nu, dt = 0.3, 0.01
+    res0 = advection(random_v0_field(table, 50), grid)
+    res1 = advection(random_v0_field(table, 51), grid)
+    emap = elliptic_map(grid)
+
+    def omega_b(h):
+        return grid.from_blocks(emap * (np.stack([h.a, h.b]) / nu)[:, :, None])
+
+    got = (omega_b(res1.harmonic) - omega_b(res0.harmonic)) / dt
+    want, _ = elliptic_correction(advection_time_derivative(res1, res0, dt), nu, grid)
+    np.testing.assert_allclose(got, want.coeffs, rtol=0, atol=1e-11 * np.max(np.abs(want.coeffs)))
 
 
 def test_elliptic_validation(table, grid):

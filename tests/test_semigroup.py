@@ -1,5 +1,6 @@
 """Exact propagation, ETD stepping, and decay-rate fitting."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -48,6 +49,21 @@ def test_phi_known_value():
     assert phi1(1.0) == pytest.approx(np.e - 1.0, rel=1e-14)
     assert phi2(1.0) == pytest.approx(np.e - 2.0, rel=1e-14)
     assert phi1(-50.0) == pytest.approx((np.exp(-50.0) - 1.0) / -50.0, rel=1e-13)
+
+
+def test_phi2_matches_mpmath():
+    z = -np.logspace(-8, 2, 301)
+    got = phi2(z)
+    with mpmath.workdps(40):
+        want = np.array(
+            [float((mpmath.expm1(mpmath.mpf(x)) - mpmath.mpf(x)) / mpmath.mpf(x) ** 2) for x in z]
+        )
+    assert np.max(np.abs(got - want) / want) <= 1e-14
+    # either side of the series cut
+    for x in (-0.4999999, -0.5, -0.5000001, 0.4999999, 0.5000001):
+        with mpmath.workdps(40):
+            ref = float((mpmath.expm1(mpmath.mpf(x)) - mpmath.mpf(x)) / mpmath.mpf(x) ** 2)
+        assert phi2(x) == pytest.approx(ref, rel=1e-14)
 
 
 def test_phi_vectorized():

@@ -8,14 +8,18 @@ from diskvort.semigroup import fit_decay_rate, propagate
 from diskvort.solver import (
     CFLViolation,
     MomentDriftError,
+    NonFiniteState,
     RunConfig,
+    SolverState,
     initial_state,
+    measure_moment_drift,
     prepare,
     run,
     step,
     stokes_run,
 )
 from diskvort.spectrum import ModeIndex
+from transform_oracle import quadrature_drift
 
 
 def small_cfg(**kw):
@@ -66,7 +70,7 @@ def test_initial_total_matches_requested():
     c = rng.standard_normal(len(ctx.table)) / ctx.table.lam
     want = c / np.sqrt(np.sum(c**2))
     np.testing.assert_allclose(state.total().coeffs, want, atol=1e-14)
-    assert state.prev_advection is None
+    assert not state.started
     assert state.time == 0.0
 
 
@@ -142,6 +146,46 @@ def test_moment_abort_with_tiny_tolerance():
     cfg = small_cfg(moment_tol=1e-18)
     with pytest.raises(MomentDriftError):
         run(cfg)
+
+
+def test_moment_map_drift_equals_quadrature_drift():
+    # on a radial grid this coarse the basis functions carry quadrature
+    # moments of order 1e-2, so max |M c| is compared on numbers that are
+    # not roundoff; on the default grid both sides are roundoff
+    rng = np.random.default_rng(2)
+    coarse = prepare(small_cfg(n_radial=6))
+    for _ in range(3):
+        omega = SpectralField(coarse.table, rng.standard_normal(len(coarse.table)), "vorticity")
+        want = quadrature_drift(omega, coarse.grid)
+        assert want > 1e-3
+        assert measure_moment_drift(omega, coarse) == pytest.approx(want, rel=1e-12)
+    cfg = small_cfg()
+    ctx = prepare(cfg)
+    state = initial_state(cfg, ctx)
+    for _ in range(5):
+        state = step(state, cfg, ctx)
+    omega = state.total()
+    assert measure_moment_drift(omega, ctx) == pytest.approx(quadrature_drift(omega, ctx.grid), abs=1e-15)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_state_aborts(bad):
+    cfg = small_cfg()
+    ctx = prepare(cfg)
+    state = initial_state(cfg, ctx)
+    c = np.full(len(ctx.table), bad)
+    broken = SolverState(
+        time=state.time,
+        omega0=SpectralField(ctx.table, c, "vorticity"),
+        omega_B=state.omega_B,
+    )
+    one_bad = state.omega0.copy()
+    one_bad.coeffs[3] = bad
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NonFiniteState):
+            step(broken, cfg, ctx)
+        with pytest.raises(NonFiniteState):
+            step(SolverState(state.time, one_bad, state.omega_B, started=True), cfg, ctx)
 
 
 def test_run_deterministic():

@@ -13,6 +13,7 @@ from diskvort.specfun import (
     MAX_ORDER,
     bessel_j,
     bessel_j_zero,
+    bessel_j_zero_rows,
     bessel_y,
     gauss_legendre,
 )
@@ -127,6 +128,18 @@ def test_zero_ordering_and_interlacing():
         nxt = [bessel_j_zero(order + 1, j) for j in range(1, 8)]
         for j in range(7):
             assert zs[j] < nxt[j] < zs[j + 1]
+
+
+def test_zero_rows_equal_per_zero_requests():
+    rows = bessel_j_zero_rows(5, 7)
+    assert rows.shape == (6, 7)
+    for order in range(6):
+        for j in range(1, 8):
+            assert rows[order, j - 1] == bessel_j_zero(order, j)
+    with pytest.raises(ValueError):
+        bessel_j_zero_rows(3, 0)
+    with pytest.raises(ValueError):
+        bessel_j_zero_rows(MAX_ORDER + 1, 2)
 
 
 def test_first_zero_pins():

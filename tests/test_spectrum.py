@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from diskvort.specfun import bessel_j_zero
 from diskvort.spectrum import (
     EigenTable,
     ModeIndex,
@@ -47,6 +48,15 @@ def test_eigenvalues_sorted_with_parity_ties(table):
         a, b = table.modes[i], table.modes[i + 1]
         if table.lam[i] == table.lam[i + 1] and (a.k, a.j) == (b.k, b.j):
             assert (a.parity, b.parity) == ("cos", "sin")
+
+
+def test_large_table_zeros_bit_identical_to_per_zero_requests():
+    # build_table reads every order's zeros off one triangle of rows; the
+    # per-zero requests recurse through different cache rows
+    big = build_table(32, 24)
+    want = np.array([bessel_j_zero(m.k + 1, m.j) for m in big.modes])
+    assert np.array_equal(big.alpha, want)
+    assert np.array_equal(big.lam, want * want)
 
 
 def test_eigenvalues_match_bessel_zeros(table):

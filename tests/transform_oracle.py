@@ -1,0 +1,83 @@
+"""Reference transforms kept for the tests: one (k, parity) group at a time.
+
+These are the grid transforms as the package computed them before the
+batched layer in ``PolarGrid``: per group, a radial profile stack built
+from the table with scipy's Bessel functions, then an outer product
+with cos/sin (k theta).  They read only the public grid nodes and
+weights, so they check the batched layer's layout and tables
+independently.  Also here: the backward difference of harmonic moments
+that the solver used for d/dt omega_B before it differenced omega_B
+itself.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from scipy import special
+
+from diskvort.fields import HarmonicExpansion, SpectralField, _harm_const
+
+
+def _groups(table):
+    groups: dict[tuple[int, str], list[int]] = {}
+    for i, m in enumerate(table.modes):
+        groups.setdefault((m.k, m.parity), []).append(i)
+    return {key: sorted(pos, key=lambda i: table.modes[i].j) for key, pos in groups.items()}
+
+
+def _profile(table, pos, k, r, kind, what):
+    alpha = table.alpha[pos][:, None]
+    cn = table.norm[pos][:, None]
+    jk_at_1 = special.jv(k, alpha)
+    if what == "d_r":
+        rkm1 = r ** (k - 1) if k >= 1 else np.zeros_like(r)
+        prof = alpha * special.jvp(k, alpha * r, 1)
+        lift = k * jk_at_1 * rkm1
+    else:
+        prof = special.jv(k, alpha * r)
+        lift = jk_at_1 * r**k
+    return cn * (prof - lift if kind == "stream" else prof)
+
+
+def to_grid_groups(field: SpectralField, grid, what: str = "value") -> np.ndarray:
+    """Samples of ``field`` (or d_r, d_theta) on the grid, group by group."""
+    table = field.table
+    out = np.zeros((grid.n_radial, grid.n_angular))
+    for (k, parity), pos in _groups(table).items():
+        radial = field.coeffs[pos] @ _profile(table, pos, k, grid.r, field.kind, "d_r" if what == "d_r" else "value")
+        if what == "d_theta":
+            ang = -k * np.sin(k * grid.theta) if parity == "cos" else k * np.cos(k * grid.theta)
+        else:
+            ang = np.cos(k * grid.theta) if parity == "cos" else np.sin(k * grid.theta)
+        out += np.outer(radial, ang)
+    return out
+
+
+def from_grid_groups(values: np.ndarray, grid, table):
+    """Eigen-span coefficients and harmonic moments of grid samples."""
+    wr_r = grid.wr * grid.r
+    coeffs = np.zeros(len(table))
+    a = np.zeros(table.K + 1)
+    b = np.zeros(table.K + 1)
+    for (k, parity), pos in _groups(table).items():
+        ang = np.cos(k * grid.theta) if parity == "cos" else np.sin(k * grid.theta)
+        radial_signal = values @ (ang * grid.wtheta)
+        coeffs[pos] = _profile(table, pos, k, grid.r, "vorticity", "value") @ (wr_r * radial_signal)
+        moment = float(np.dot(wr_r * _harm_const(k) * grid.r**k, radial_signal))
+        (a if parity == "cos" else b)[k] = moment
+    return SpectralField(table, coeffs, "vorticity"), HarmonicExpansion(a, b)
+
+
+def quadrature_drift(omega: SpectralField, grid) -> float:
+    """Largest harmonic moment of the sampled field, by grid quadrature."""
+    _, harm = from_grid_groups(to_grid_groups(omega, grid), grid, omega.table)
+    return float(np.max(np.abs(np.concatenate([harm.a, harm.b]))))
+
+
+def advection_time_derivative(current, previous, dt: float) -> HarmonicExpansion:
+    """Backward difference of the harmonic moments of two advection results."""
+    if not (dt > 0.0):
+        raise ValueError(f"dt must be positive, got {dt}")
+    if current.harmonic.degree != previous.harmonic.degree:
+        raise ValueError("harmonic expansions live on different bases")
+    return (current.harmonic - previous.harmonic) * (1.0 / dt)
