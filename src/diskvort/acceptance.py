@@ -38,7 +38,7 @@ from .pressure import momentum_residual, recover_pressure
 from .semigroup import fit_decay_rate
 from .solver import RunConfig, prepare, run, stokes_run
 from .specfun import bessel_j
-from .spectrum import ModeIndex, build_table, membership_residuals
+from .spectrum import ModeIndex, build_table, membership_residuals, radial_profiles
 
 __all__ = ["CheckResult", "ALL_CHECKS", "run_all", "lambda_fundamental"]
 
@@ -110,16 +110,10 @@ def _stream_at_points(psi: SpectralField, pts: np.ndarray) -> np.ndarray:
     table = psi.table
     r = np.hypot(pts[:, 0], pts[:, 1])
     th = np.arctan2(pts[:, 1], pts[:, 0])
-    out = np.zeros(pts.shape[0])
-    for i, m in enumerate(table.modes):
-        t = float(psi.coeffs[i])
-        if t == 0.0:
-            continue
-        a = float(table.alpha[i])
-        rad = table.norm[i] * (bessel_j(m.k, a * r) - bessel_j(m.k, a) * r**m.k)
-        ang = np.cos(m.k * th) if m.parity == "cos" else np.sin(m.k * th)
-        out += t * rad * ang
-    return out
+    prof, _ = radial_profiles(table, r)
+    radial = np.einsum("pkj,kjn->pkn", table.to_blocks(psi.coeffs), prof[0, 1])
+    kth = np.outer(np.arange(table.K + 1), th)
+    return np.sum(radial * np.stack([np.cos(kth), np.sin(kth)]), axis=(0, 1))
 
 
 @lru_cache(maxsize=1)

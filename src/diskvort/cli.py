@@ -397,11 +397,7 @@ def _cmd_pressure(args) -> int:
     resid = momentum_residual(traj, index, cfg.nu, ctx.grid, n_aux=args.n_aux)
     p = recover_pressure(traj.states[-1], cfg.nu, ctx.grid, n_aux=args.n_aux)
     files = ["pressure.csv", "report.json"]
-    with open(outdir / "pressure.csv", "w", newline="") as f:
-        f.write("r,theta,p\n")
-        for i, r in enumerate(ctx.grid.r):
-            for m, th in enumerate(ctx.grid.theta):
-                f.write(f"{r:.17g},{th:.17g},{p.values[i, m]:.17g}\n")
+    p.to_csv(outdir / "pressure.csv")
     report = {
         "momentum_residual": resid,
         "residual_time": float(traj.times[index]),

@@ -31,11 +31,12 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 
 import numpy as np
 
-from .specfun import bessel_j, gauss_legendre
-from .spectrum import EigenTable, ModeIndex
+from .specfun import gauss_legendre
+from .spectrum import PROFILE_ORDERS, EigenTable, ModeIndex, _harm_const, radial_profiles
 
 __all__ = [
     "SpectralField",
@@ -52,6 +53,10 @@ __all__ = [
     "newtonian_potential",
     "greens_potential",
     "q1_split",
+    "boundary_trace",
+    "trig_table",
+    "d_theta_rows",
+    "synthesize_rows",
 ]
 
 _KINDS = ("vorticity", "stream")
@@ -162,12 +167,6 @@ def laplacian(psi: SpectralField) -> SpectralField:
 # harmonic expansions
 
 
-def _harm_const(k: int) -> float:
-    if k == 0:
-        return 1.0 / np.sqrt(np.pi)
-    return np.sqrt((2.0 * k + 2.0) / np.pi)
-
-
 @dataclass
 class HarmonicExpansion:
     """Low-degree harmonic polynomial in the L^2-orthonormal basis
@@ -244,17 +243,45 @@ class HarmonicExpansion:
 # grids
 
 
+def trig_table(kmax: int, theta) -> np.ndarray:
+    """Rows cos(k theta), k = 0..kmax, then sin(k theta): (2(kmax+1), n)."""
+    kt = np.outer(np.arange(kmax + 1), theta)
+    return np.concatenate([np.cos(kt), np.sin(kt)])
+
+
+@lru_cache(maxsize=None)
+def _d_theta_factor(n_k: int) -> np.ndarray:
+    k = np.arange(n_k)
+    factor = np.stack([k, -k])[:, :, None].astype(float)
+    factor.flags.writeable = False  # shared by every caller
+    return factor
+
+
+def d_theta_rows(c) -> np.ndarray:
+    """d/dtheta of cos/sin rows c (..., 2, n_k, m) of wavenumbers
+    0..n_k-1: the cos and sin rows swap, scaled by +-k."""
+    return _d_theta_factor(c.shape[-2]) * c[..., ::-1, :, :]
+
+
+def synthesize_rows(rows, trig) -> np.ndarray:
+    """Samples (..., n_r, n_theta) of cos/sin rows (..., 2, n_k, n_r);
+    ``trig`` is a ``trig_table`` with at least n_k wavenumbers."""
+    n_k, n_r = rows.shape[-2:]
+    if trig.shape[0] != 2 * n_k:
+        trig = trig.reshape(2, -1, trig.shape[-1])[:, :n_k].reshape(2 * n_k, -1)
+    flat = rows.swapaxes(-1, -2).swapaxes(-2, -3).reshape(-1, 2 * n_k)
+    return (flat @ trig).reshape(rows.shape[:-3] + (n_r, trig.shape[-1]))
+
+
 class PolarGrid:
     """Gauss-Legendre (radial) x uniform (angular) tensor grid for one table.
 
     The angular count must beat the quadratic-nonlinearity aliasing bound
     max(2K+2, 3K+1).
 
-    The transforms work on coefficient blocks, arrays (..., 2, K+1, J)
-    indexed by (parity, k, j-1) with parity 0 = cos, 1 = sin; the k = 0
-    sine row is identically zero.  ``perm[p, k, j-1]`` is the position of
-    mode (k, j, parity p) in the eigenvalue-sorted table (``len(table)``,
-    a zero pad slot, for the k = 0 sine row).  Built once here:
+    The transforms work on the table's coefficient blocks (2, K+1, J),
+    ``EigenTable.to_blocks``.  Built once here, the profiles from
+    ``spectrum.radial_profiles``:
 
     * ``prof[i]``, shape (K+1, J, n_radial): the radial profiles of the
       (kind, what) pair ``PROFILES[i]``;
@@ -268,7 +295,8 @@ class PolarGrid:
     swap, scaled by +-k).  Analysis is the transpose.
     """
 
-    PROFILES = (("stream", "d_r"), ("stream", "value"), ("vorticity", "d_r"), ("vorticity", "value"))
+    # the value and d_r rows of ``radial_profiles``, in its order
+    PROFILES = tuple((kind, what) for what in PROFILE_ORDERS[:2] for kind in _KINDS)
 
     def __init__(self, table: EigenTable, n_radial: int | None = None, n_angular: int | None = None):
         K, J = table.K, table.J
@@ -292,47 +320,16 @@ class PolarGrid:
         self.theta = 2.0 * np.pi * np.arange(self.n_angular) / self.n_angular
         self.wtheta = 2.0 * np.pi / self.n_angular
 
-        self.perm = np.full((2, K + 1, J), len(table), dtype=np.intp)
-        for i, m in enumerate(table.modes):
-            self.perm[0 if m.parity == "cos" else 1, m.k, m.j - 1] = i
-
-        k = np.arange(K + 1)
-        # d/dtheta of a cos row is -k times the sin row and vice versa
-        self._d_theta = np.stack([k, -k])[:, :, None].astype(float)
-        kt = np.outer(k, self.theta)
-        self.trig = np.concatenate([np.cos(kt), np.sin(kt)])
+        self.trig = trig_table(K, self.theta)
         self._trig_w = (self.trig * self.wtheta).T
         # the angular quadrature of trig^2: pi, or 2 pi for k = 0 cos, 0 for k = 0 sin
         self._trig_norm = (self.trig**2).sum(axis=1).reshape(2, K + 1) * self.wtheta
         self._wr_r = self.wr * self.r
 
-        r = self.r
-        self.harm = np.stack([_harm_const(kk) * r**kk for kk in k])
-        self.prof = np.empty((len(self.PROFILES), K + 1, J, self.n_radial))
-        for kk in k:
-            alpha = table.alpha[self.perm[0, kk]][:, None]
-            cn = table.norm[self.perm[0, kk]][:, None]
-            jk_at_1 = bessel_j(kk, alpha)
-            jval = bessel_j(kk, alpha * r)
-            jder = alpha * bessel_j(kk, alpha * r, derivative=True)
-            rkm1 = r ** (kk - 1) if kk >= 1 else np.zeros_like(r)
-            self.prof[0, kk] = cn * (jder - kk * jk_at_1 * rkm1)
-            self.prof[1, kk] = cn * (jval - jk_at_1 * r**kk)
-            self.prof[2, kk] = cn * jder
-            self.prof[3, kk] = cn * jval
-
-    def to_blocks(self, coeffs) -> np.ndarray:
-        """Eigenvalue-sorted coefficients (..., n) as blocks (..., 2, K+1, J)."""
-        c = np.asarray(coeffs, dtype=float)
-        padded = np.concatenate([c, np.zeros(c.shape[:-1] + (1,))], axis=-1)
-        return padded[..., self.perm]
-
-    def from_blocks(self, blocks) -> np.ndarray:
-        """Inverse of ``to_blocks``; the k = 0 sine row is dropped."""
-        blocks = np.asarray(blocks, dtype=float)
-        out = np.zeros(blocks.shape[:-3] + (len(self.table) + 1,))
-        out[..., self.perm] = blocks
-        return out[..., :-1]
+        # a view of the value and d_r rows of radial_profiles, not a copy
+        prof, harm = radial_profiles(table, self.r)
+        self.prof = prof[:2].reshape((len(self.PROFILES),) + prof.shape[2:])
+        self.harm = harm[0]
 
     def synthesize(self, blocks, fields) -> np.ndarray:
         """Grid samples, shape (F, n_radial, n_angular), of F fields.
@@ -346,7 +343,7 @@ class PolarGrid:
             if what not in ("value", "d_r", "d_theta"):
                 raise ValueError(f"what must be value|d_r|d_theta, got {what!r}")
             if what == "d_theta":
-                blocks[f] = self._d_theta * blocks[f, ::-1]
+                blocks[f] = d_theta_rows(blocks[f])
             idx.append(self.PROFILES.index((kind, "d_r" if what == "d_r" else "value")))
         # consecutive profiles are a view of the stack, so the usual
         # requests (one field, or the advection's four) copy nothing
@@ -355,8 +352,7 @@ class PolarGrid:
         else:
             prof = self.prof[idx]
         radial = np.matmul(blocks.transpose(0, 2, 1, 3), prof)  # (F, K+1, 2, n_radial)
-        radial = radial.transpose(0, 3, 2, 1).reshape(-1, self.trig.shape[0])
-        return (radial @ self.trig).reshape(len(idx), self.n_radial, self.n_angular)
+        return synthesize_rows(radial.transpose(0, 2, 1, 3), self.trig)
 
     def analyze(self, values) -> tuple[np.ndarray, np.ndarray]:
         """Quadrature projection of samples (n_radial, n_angular): the
@@ -365,7 +361,7 @@ class PolarGrid:
         K = self.table.K
         signal = (np.asarray(values) @ self._trig_w) * self._wr_r[:, None]
         signal = signal.reshape(self.n_radial, 2, K + 1).transpose(2, 0, 1)  # (K+1, n_r, 2)
-        blocks = np.matmul(self.prof[3], signal).transpose(2, 0, 1)
+        blocks = np.matmul(self.prof[0], signal).transpose(2, 0, 1)  # vorticity values
         moments = np.matmul(self.harm[:, None, :], signal)[:, 0, :].T.copy()
         moments[1, 0] = 0.0  # there is no sin(0 theta) harmonic
         return blocks, moments
@@ -373,7 +369,7 @@ class PolarGrid:
     def project_radial(self, profiles) -> np.ndarray:
         """Eigen-span blocks (2, K+1, J) of the functions
         profiles[k](r) {cos, sin}(k theta), by the grid quadrature."""
-        radial = np.einsum("kjr,kr->kj", self.prof[3], self._wr_r * np.asarray(profiles))
+        radial = np.einsum("kjr,kr->kj", self.prof[0], self._wr_r * np.asarray(profiles))
         return self._trig_norm[:, :, None] * radial
 
     def node_polar(self):
@@ -393,10 +389,15 @@ class PolarGrid:
 
 @dataclass
 class GridField:
-    """Sampled values over a PolarGrid, row = radial node, column = angle."""
+    """Sampled values over a PolarGrid, row = radial node, column = angle.
+
+    ``to_csv`` writes one ``r,theta,<csv_column>`` row per node; a
+    subclass names its own column.
+    """
 
     grid: PolarGrid
     values: np.ndarray
+    csv_column = "value"
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -408,7 +409,7 @@ class GridField:
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as f:
-            f.write("r,theta,value\n")
+            f.write(f"r,theta,{self.csv_column}\n")
             for i, r in enumerate(self.grid.r):
                 for m, t in enumerate(self.grid.theta):
                     f.write(f"{r:.17g},{t:.17g},{self.values[i, m]:.17g}\n")
@@ -426,7 +427,7 @@ def to_grid(field: SpectralField, grid: PolarGrid, what: str = "value") -> GridF
     """Pointwise samples of the field or its exact analytic derivative."""
     if grid.table is not field.table:
         raise ValueError("grid was built for a different table")
-    blocks = grid.to_blocks(field.coeffs)[None]
+    blocks = field.table.to_blocks(field.coeffs)[None]
     return GridField(grid, grid.synthesize(blocks, [(field.kind, what)])[0])
 
 
@@ -441,7 +442,7 @@ def from_grid(values: GridField, table: EigenTable):
     if grid.table is not table:
         raise ValueError("grid was built for a different table")
     blocks, moments = grid.analyze(values.values)
-    spectral = SpectralField(table, grid.from_blocks(blocks), "vorticity")
+    spectral = SpectralField(table, table.from_blocks(blocks), "vorticity")
     harmonic = HarmonicExpansion(moments[0], moments[1])
     rr, tt = grid.node_polar()
     rec = grid.synthesize(blocks[None], [("vorticity", "value")])[0] + harmonic.eval(rr, tt)
@@ -468,16 +469,16 @@ class CompositeField:
 
     def eval_boundary(self, theta) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
-        table = self.spectral.table
         out = self.harmonic.eval(np.ones_like(theta), theta)
-        for i, m in enumerate(table.modes):
-            c = self.spectral.coeffs[i]
-            if c == 0.0:
-                continue
-            trace = c * table.norm[i] * bessel_j(m.k, table.alpha[i])
-            ang = np.cos(m.k * theta) if m.parity == "cos" else np.sin(m.k * theta)
-            out = out + trace * ang
-        return out
+        trig = trig_table(self.spectral.table.K, theta.ravel())
+        return out + (boundary_trace(self.spectral).ravel() @ trig).reshape(theta.shape)
+
+
+def boundary_trace(field: SpectralField) -> np.ndarray:
+    """Cos/sin coefficients (2, K+1) of a vorticity field at r = 1."""
+    table = field.table
+    prof, _ = radial_profiles(table, np.ones(1))
+    return np.sum(table.to_blocks(field.coeffs) * prof[0, 0, :, :, 0], axis=-1)
 
 
 def q1_split(omega: SpectralField, harmonic: HarmonicExpansion | None = None):
@@ -499,21 +500,10 @@ def q1_split(omega: SpectralField, harmonic: HarmonicExpansion | None = None):
         raise ValueError(
             f"harmonic degree {harmonic.degree} exceeds table angular bound {K}"
         )
-    ta = np.zeros(K + 1)
-    tb = np.zeros(K + 1)
-    for i, m in enumerate(table.modes):
-        c = omega.coeffs[i]
-        if c == 0.0:
-            continue
-        trace = c * table.norm[i] * bessel_j(m.k, table.alpha[i])
-        if m.parity == "cos":
-            ta[m.k] += trace
-        else:
-            tb[m.k] += trace
-    ext_a = np.array([ta[k] / _harm_const(k) for k in range(K + 1)])
-    ext_b = np.array([tb[k] / _harm_const(k) for k in range(K + 1)])
-    ext_b[0] = 0.0
-    trace_ext = HarmonicExpansion(ext_a, ext_b)
+    # the harmonic polynomial with this trace has unit-harmonic
+    # coefficients trace / c_k (c_k r^k = c_k at r = 1)
+    ext = boundary_trace(omega) / np.array([_harm_const(k) for k in range(K + 1)])
+    trace_ext = HarmonicExpansion(ext[0], ext[1])
     extension = trace_ext + harmonic
     dirichlet = CompositeField(omega.copy(), harmonic - extension)
     return dirichlet, extension

@@ -57,12 +57,13 @@ __all__ = [
     "elliptic_stream_values",
 ]
 
-# (kind, what) of d_r psi, d_theta psi, d_r omega, d_theta omega
+# (kind, what) of d_theta omega, d_theta psi, d_r omega, d_r psi, in the
+# order of PolarGrid.PROFILES, so that the synthesis copies no profiles
 _JACOBIAN_FIELDS = (
-    ("stream", "d_r"),
+    ("vorticity", "d_theta"),
     ("stream", "d_theta"),
     ("vorticity", "d_r"),
-    ("vorticity", "d_theta"),
+    ("stream", "d_r"),
 )
 
 
@@ -88,14 +89,14 @@ def advection(omega: SpectralField, grid: PolarGrid) -> AdvectionResult:
         raise ValueError("advection expects a vorticity field")
     if grid.table is not omega.table:
         raise ValueError("grid was built for a different table")
-    w = grid.to_blocks(omega.coeffs)
-    psi = grid.to_blocks(biot_savart(omega).coeffs)
-    dpsi_r, dpsi_t, dom_r, dom_t = grid.synthesize(np.stack([psi, psi, w, w]), _JACOBIAN_FIELDS)
+    w = omega.table.to_blocks(omega.coeffs)
+    psi = omega.table.to_blocks(biot_savart(omega).coeffs)
+    dom_t, dpsi_t, dom_r, dpsi_r = grid.synthesize(np.stack([w, psi, w, psi]), _JACOBIAN_FIELDS)
     lam_vals = (dpsi_r * dom_t - dpsi_t * dom_r) / grid.r[:, None]
     raw = float(np.sqrt(max(grid.integrate(lam_vals**2), 0.0)))
     blocks, moments = grid.analyze(lam_vals)
     return AdvectionResult(
-        projected=SpectralField(omega.table, grid.from_blocks(blocks), "vorticity"),
+        projected=SpectralField(omega.table, omega.table.from_blocks(blocks), "vorticity"),
         harmonic=HarmonicExpansion(moments[0], moments[1]),
         raw_l2_norm=raw,
         umax=_speed_max(dpsi_r, dpsi_t, grid),
@@ -104,8 +105,8 @@ def advection(omega: SpectralField, grid: PolarGrid) -> AdvectionResult:
 
 def velocity_max(omega: SpectralField, grid: PolarGrid) -> float:
     """Max pointwise speed of the Biot-Savart velocity on the grid."""
-    psi = grid.to_blocks(biot_savart(omega).coeffs)
-    dpsi_r, dpsi_t = grid.synthesize(np.stack([psi, psi]), _JACOBIAN_FIELDS[:2])
+    psi = omega.table.to_blocks(biot_savart(omega).coeffs)
+    dpsi_t, dpsi_r = grid.synthesize(np.stack([psi, psi]), _JACOBIAN_FIELDS[1::2])
     return _speed_max(dpsi_r, dpsi_t, grid)
 
 

@@ -9,16 +9,24 @@ where Phi[u] is the H^1-mean solution of the variational problem
     (grad Phi, grad theta) = -((u.grad)u, grad theta)   for all theta,
 
 and H* is the harmonic-conjugate map on the zero-mean harmonic part of
-the vorticity trace extension.  The variational problem splits into
-independent radial two-point problems per angular Fourier mode; each is
-solved with piecewise-linear elements on a uniform auxiliary radial
-grid (second order), with the convective field evaluated analytically
-at the element quadrature points from the spectral representation --
-no numerical differentiation of sampled data anywhere.
+the vorticity trace extension.
 
-The convective term has angular band twice the table's, so all pressure
-work uses its own angular sampling (4K+4 angles) and only the final
-fields are evaluated back on the caller's grid.
+All work runs on the shared Bessel-Fourier layer.  A field is a stack
+of cos/sin rows (2, n_k, n_r), one radial function per angular
+wavenumber: the table's coefficient blocks times the closed-form
+profiles of ``spectrum.radial_profiles`` (value, d_r and d_rr, so no
+sampled data is differentiated anywhere), d/dtheta is the row swap
+``fields.d_theta_rows``, and samples are one matmul with a cos/sin
+table.  The convective term has angular band 2K, so it is sampled at
+4K+4 angles, where the transposed table splits it back into rows
+exactly.
+
+The variational problem splits into independent radial two-point
+problems, one per row, solved with piecewise-linear elements on a
+uniform auxiliary radial grid (second order).  The tridiagonal systems
+of all wavenumbers are assembled at once from element sums and solved
+as one banded system.  Only the final fields are evaluated back on the
+caller's grid.
 """
 
 from __future__ import annotations
@@ -26,16 +34,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 from .fields import (
     GridField,
     HarmonicExpansion,
     PolarGrid,
     SpectralField,
+    biot_savart,
+    d_theta_rows,
     q1_split,
+    synthesize_rows,
+    trig_table,
 )
 from .semigroup import Trajectory
-from .specfun import bessel_j
+from .spectrum import radial_profiles
 
 __all__ = [
     "PressureField",
@@ -60,115 +73,50 @@ def harmonic_conjugate(h: HarmonicExpansion) -> HarmonicExpansion:
 
 
 # ---------------------------------------------------------------------------
-# spectral evaluation helpers (arbitrary radii, closed-form derivatives)
+# rows of the velocity and the convective term
 
 
-def _bessel_d2(k: int, x: np.ndarray) -> np.ndarray:
-    # from the Bessel equation: J'' = -J'/x + (k^2/x^2 - 1) J
-    return -bessel_j(k, x, derivative=True) / x + (k * k / (x * x) - 1.0) * bessel_j(k, x)
+def _dealiased_trig(K: int) -> np.ndarray:
+    """Cos/sin table of wavenumbers 0..2K at 4K+4 uniform angles."""
+    n = 4 * K + 4
+    return trig_table(2 * K, 2.0 * np.pi * np.arange(n) / n)
 
 
-def _radial_profiles(table, k: int, pos: np.ndarray, r: np.ndarray, kind: str):
-    """Stacked profile derivative orders (0, 1, 2), each (len(pos), len(r))."""
-    alpha = table.alpha[pos]
-    cn = table.norm[pos][:, None]
-    jv = np.stack([bessel_j(k, a * r) for a in alpha])
-    jd = np.stack([a * bessel_j(k, a * r, derivative=True) for a in alpha])
-    jdd = np.stack([a * a * _bessel_d2(k, a * r) for a in alpha])
-    if kind == "vorticity":
-        return cn * jv, cn * jd, cn * jdd
-    j1 = np.array([bessel_j(k, a) for a in alpha])[:, None]
-    rk = r**k
-    rkm1 = k * r ** (k - 1) if k >= 1 else np.zeros_like(r)
-    rkm2 = k * (k - 1) * r ** (k - 2) if k >= 2 else np.zeros_like(r)
-    return (
-        cn * (jv - j1 * rk),
-        cn * (jd - j1 * rkm1),
-        cn * (jdd - j1 * rkm2),
-    )
+def _rows(blocks, prof) -> np.ndarray:
+    """Rows (..., 2, K+1, n_r) of coefficient blocks (..., 2, K+1, J)
+    against radial profiles (..., K+1, J, n_r)."""
+    return np.matmul(np.swapaxes(blocks, -3, -2), prof).swapaxes(-3, -2)
 
 
-class _ModeTables:
-    """Per-(k, parity) radial Fourier profiles of a field at given radii."""
-
-    def __init__(self, field: SpectralField, r: np.ndarray, kind: str):
-        table = field.table
-        self.K = table.K
-        self.r = r
-        # s[parity][k] = (d0, d1, d2) arrays over r
-        self.c = {}
-        self.s = {}
-        groups: dict[tuple[int, str], list[int]] = {}
-        for i, m in enumerate(table.modes):
-            groups.setdefault((m.k, m.parity), []).append(i)
-        for (k, parity), pos in groups.items():
-            pos = np.array(sorted(pos, key=lambda i: table.modes[i].j))
-            d0, d1, d2 = _radial_profiles(table, k, pos, r, kind)
-            g = field.coeffs[pos]
-            dest = self.c if parity == "cos" else self.s
-            dest[k] = (g @ d0, g @ d1, g @ d2)
-
-    def radial(self, parity: str, k: int, order: int) -> np.ndarray:
-        dest = self.c if parity == "cos" else self.s
-        if k not in dest:
-            return np.zeros_like(self.r)
-        return dest[k][order]
+def _split_rows(values, trig) -> np.ndarray:
+    """Cos/sin rows (..., 2, n_k, n_r) of samples (..., n_r, n) at the n
+    uniform angles of ``trig``: the transpose of ``synthesize_rows``."""
+    n_k = trig.shape[0] // 2
+    weight = np.where(np.arange(n_k) == 0, 1.0, 2.0) / trig.shape[1]
+    rows = (values @ trig.T).reshape(values.shape[:-1] + (2, n_k))
+    return np.moveaxis(rows * weight, -3, -1)
 
 
-def _velocity_terms(psi_tables: _ModeTables, r: np.ndarray, theta: np.ndarray):
-    """u and its first derivatives on the (r, theta) tensor grid.
+def _velocity(psi_rows, r, trig) -> np.ndarray:
+    """Samples (..., 6, n_r, n) of u_r, u_theta, d_r u_r, d_theta u_r,
+    d_r u_theta and d_theta u_theta from the stream rows (..., 3, 2,
+    n_k, n_r) of psi, d_r psi and d_rr psi.
 
-    Returns dict with u_r, u_t, du_r_dr, du_r_dt, du_t_dr, du_t_dt.
+    u_r = -(1/r) d_theta psi and u_theta = d_r psi.
     """
-    K = psi_tables.K
-    shape = (r.size, theta.size)
-    out = {key: np.zeros(shape) for key in
-           ("u_r", "u_t", "du_r_dr", "du_r_dt", "du_t_dr", "du_t_dt")}
-    rc = r[:, None]
-    for k in range(K + 1):
-        cosk = np.cos(k * theta)[None, :]
-        sink = np.sin(k * theta)[None, :]
-        Sc0 = psi_tables.radial("cos", k, 0)[:, None]
-        Sc1 = psi_tables.radial("cos", k, 1)[:, None]
-        Sc2 = psi_tables.radial("cos", k, 2)[:, None]
-        Ss0 = psi_tables.radial("sin", k, 0)[:, None]
-        Ss1 = psi_tables.radial("sin", k, 1)[:, None]
-        Ss2 = psi_tables.radial("sin", k, 2)[:, None]
-        # psi = Sc cos + Ss sin; u_t = psi_r; u_r = -(1/r) psi_theta
-        out["u_t"] += Sc1 * cosk + Ss1 * sink
-        out["du_t_dr"] += Sc2 * cosk + Ss2 * sink
-        out["du_t_dt"] += k * (-Sc1 * sink + Ss1 * cosk)
-        if k >= 1:
-            psi_t = k * (-Sc0 * sink + Ss0 * cosk)
-            psi_rt = k * (-Sc1 * sink + Ss1 * cosk)
-            psi_tt = -k * k * (Sc0 * cosk + Ss0 * sink)
-            out["u_r"] += -psi_t / rc
-            out["du_r_dr"] += psi_t / rc**2 - psi_rt / rc
-            out["du_r_dt"] += -psi_tt / rc
-    return out
+    s0, s1, s2 = np.moveaxis(psi_rows, -4, 0)
+    t0, t1 = d_theta_rows(s0), d_theta_rows(s1)
+    rows = np.stack([-t0 / r, s1, t0 / r**2 - t1 / r, -d_theta_rows(t0) / r, s2, t1], axis=-4)
+    return synthesize_rows(rows, trig)
 
 
-def _convective_field(psi_tables: _ModeTables, r: np.ndarray, theta: np.ndarray):
-    """(u.grad)u components F_r, F_theta on the tensor grid."""
-    v = _velocity_terms(psi_tables, r, theta)
+def _convective(u, r) -> tuple[np.ndarray, np.ndarray]:
+    """(u.grad)u components F_r, F_theta from the samples of ``_velocity``."""
+    u_r, u_t, dur_dr, dur_dt, dut_dr, dut_dt = u
     rc = r[:, None]
-    u_r, u_t = v["u_r"], v["u_t"]
-    F_r = u_r * v["du_r_dr"] + (u_t / rc) * v["du_r_dt"] - u_t**2 / rc
-    F_t = u_r * v["du_t_dr"] + (u_t / rc) * v["du_t_dt"] + u_r * u_t / rc
+    F_r = u_r * dur_dr + (u_t / rc) * dur_dt - u_t**2 / rc
+    F_t = u_r * dut_dr + (u_t / rc) * dut_dt + u_r * u_t / rc
     return F_r, F_t
-
-
-def _fourier_split(values: np.ndarray, theta: np.ndarray, kmax: int):
-    """Cos/sin coefficient tables (kmax+1, n_r) from uniform-theta samples."""
-    M = theta.size
-    cos_c = np.empty((kmax + 1, values.shape[0]))
-    sin_c = np.zeros((kmax + 1, values.shape[0]))
-    for k in range(kmax + 1):
-        w = 1.0 / M if k == 0 else 2.0 / M
-        cos_c[k] = w * (values @ np.cos(k * theta))
-        if k >= 1:
-            sin_c[k] = w * (values @ np.sin(k * theta))
-    return cos_c, sin_c
 
 
 # ---------------------------------------------------------------------------
@@ -193,129 +141,90 @@ class _RadialMesh:
         return cls(nodes=nodes, qpts=qpts, qw=qw, mids=mids)
 
 
-def _hat_values(mesh: _RadialMesh):
-    """P1 basis values and derivatives at the quadrature points.
+def _solve_radial(mesh: _RadialMesh, f_r: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Nodal values T (2, n_k, n_nodes) of one radial Neumann problem per
+    cos/sin row of wavenumber k.
 
-    Returns (idx_left, vals_left, vals_right, deriv) per quadrature
-    point: on element e, hat_e has value vals_left and slope -1/h, and
-    hat_{e+1} has vals_right and slope +1/h.
+    Weak form with the r-Jacobian, for every P1 hat v:
+
+        int (T' v' + k^2/r^2 T v) r dr = -int f_r v' r dr + int g v dr,
+
+    with f_r and g = d_theta f_theta given at the quadrature points
+    (shape (2, n_k, n_q)); natural BC at r = 1, T(0) pinned to zero
+    (essential for k >= 1, a gauge fixed by the mean later for k = 0).
+    The element sums give every k's tridiagonal matrix at once, and the
+    matrices are solved as one block-diagonal banded system.
     """
     nodes = mesh.nodes
     h = nodes[1] - nodes[0]
     n_el = nodes.size - 1
-    elem = np.repeat(np.arange(n_el), 4)
-    x = mesh.qpts
-    left = nodes[elem]
-    t = (x - left) / h
-    return elem, 1.0 - t, t, 1.0 / h
 
+    def by_element(x):
+        return x.reshape(x.shape[:-1] + (n_el, 4))
 
-def _solve_mode(mesh: _RadialMesh, k: int, f_r_q: np.ndarray, f_t_q: np.ndarray,
-                sign_ft: float) -> np.ndarray:
-    """One radial Neumann problem: values of T at the mesh nodes.
+    r = by_element(mesh.qpts)
+    wr = by_element(mesh.qw) * r
+    v_right = (r - nodes[:-1, None]) / h
+    v_left = 1.0 - v_right
 
-    Weak form with the r-Jacobian: int (T' v' + k^2/r^2 T v) r dr =
-    -int (f_r v' + sign_ft * (k/r) f_t v) r dr, natural BC at r = 1,
-    T(0) pinned for k = 0 (mean fixed later) and essential T(0) = 0 for
-    k >= 1.
-    """
-    nodes = mesh.nodes
-    n = nodes.size
-    elem, vl, vr, slope = _hat_values(mesh)
-    rq, wq = mesh.qpts, mesh.qw
-    wr = wq * rq
+    k2 = (np.arange(f_r.shape[1]) ** 2.0)[:, None]
+    stiff = wr.sum(axis=1) / h**2
+    mass = wr / r**2
+    diag = np.zeros((k2.size, n_el + 1))
+    diag[:, :-1] += stiff + k2 * (mass * v_left**2).sum(axis=1)
+    diag[:, 1:] += stiff + k2 * (mass * v_right**2).sum(axis=1)
+    off = -stiff + k2 * (mass * v_left * v_right).sum(axis=1)
 
-    A = np.zeros((n, n))
-    b = np.zeros(n)
-    mass_like = k * k / rq**2 * wr  # (k^2/r^2) r dr weights
-    stiff = slope * slope * wr
-    rhs_grad = -f_r_q * wr
-    rhs_val = -sign_ft * k / rq * f_t_q * wr
+    grad = (by_element(f_r) * wr).sum(axis=-1) / h
+    gw = by_element(g) * by_element(mesh.qw)
+    b = np.zeros(f_r.shape[:2] + (n_el + 1,))
+    b[..., :-1] += grad + (gw * v_left).sum(axis=-1)
+    b[..., 1:] += -grad + (gw * v_right).sum(axis=-1)
 
-    for e in range(n - 1):
-        sl = slice(4 * e, 4 * e + 4)
-        i, j = e, e + 1
-        s = float(np.sum(stiff[sl]))
-        A[i, i] += s
-        A[j, j] += s
-        A[i, j] -= s
-        A[j, i] -= s
-        mvl, mvr = vl[sl], vr[sl]
-        ml = mass_like[sl]
-        A[i, i] += float(np.sum(ml * mvl * mvl))
-        A[j, j] += float(np.sum(ml * mvr * mvr))
-        cross = float(np.sum(ml * mvl * mvr))
-        A[i, j] += cross
-        A[j, i] += cross
-        g = rhs_grad[sl]
-        b[i] += float(np.sum(g * (-slope)))
-        b[j] += float(np.sum(g * (+slope)))
-        vv = rhs_val[sl]
-        b[i] += float(np.sum(vv * mvl))
-        b[j] += float(np.sum(vv * mvr))
-
-    # pin the origin: essential zero for k >= 1, gauge fix for k = 0
-    A[0, :] = 0.0
-    A[0, 0] = 1.0
-    b[0] = 0.0
+    # pin the origin: row 0 of every block becomes T(0) = 0
+    ab = np.zeros((3,) + diag.shape)
+    ab[0, :, 2:] = off[:, 1:]
+    ab[1] = diag
+    ab[1, :, 0] = 1.0
+    ab[2, :, :-1] = off
+    b[..., 0] = 0.0
     try:
-        return np.linalg.solve(A, b)
+        T = solve_banded((1, 1), ab.reshape(3, -1), b.reshape(2, -1).T)
     except np.linalg.LinAlgError as exc:
-        raise RuntimeError(
-            f"radial pressure solve failed for angular mode {k}: {exc}"
-        ) from exc
+        raise RuntimeError(f"radial pressure solve failed: {exc}") from exc
+    return T.T.reshape(b.shape)
 
 
 @dataclass
 class _PhiTables:
-    """Nodal values of the Phi[u] Fourier modes on the auxiliary mesh."""
+    """Nodal values T (2, 2K+1, n_nodes) of the cos/sin rows of Phi[u]
+    on the auxiliary mesh."""
 
     mesh: _RadialMesh
-    kmax: int
-    Tc: np.ndarray  # (kmax+1, n_nodes)
-    Ts: np.ndarray
+    T: np.ndarray
+
+    @property
+    def Tc(self) -> np.ndarray:
+        return self.T[0]
 
     def eval(self, r: np.ndarray, theta: np.ndarray) -> np.ndarray:
         """Linear interpolation in r, exact trig in theta; tensor output."""
-        vals = np.zeros((r.size, theta.size))
-        for k in range(self.kmax + 1):
-            radc = np.interp(r, self.mesh.nodes, self.Tc[k])
-            vals += radc[:, None] * np.cos(k * theta)[None, :]
-            if k >= 1:
-                rads = np.interp(r, self.mesh.nodes, self.Ts[k])
-                vals += rads[:, None] * np.sin(k * theta)[None, :]
-        return vals
-
-    def dr_at_mids(self) -> tuple[np.ndarray, np.ndarray]:
-        h = self.mesh.nodes[1] - self.mesh.nodes[0]
-        return np.diff(self.Tc, axis=1) / h, np.diff(self.Ts, axis=1) / h
-
-    def at(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        Tc = np.stack([np.interp(r, self.mesh.nodes, row) for row in self.Tc])
-        Ts = np.stack([np.interp(r, self.mesh.nodes, row) for row in self.Ts])
-        return Tc, Ts
+        nodes = self.mesh.nodes
+        e = np.clip(np.searchsorted(nodes, r, side="right") - 1, 0, nodes.size - 2)
+        slope = (self.T[..., e + 1] - self.T[..., e]) / (nodes[e + 1] - nodes[e])
+        rows = slope * (r - nodes[e]) + self.T[..., e]
+        return synthesize_rows(rows, trig_table(self.T.shape[1] - 1, theta))
 
 
 def _phi_tables(omega: SpectralField, n_aux: int) -> _PhiTables:
-    from .fields import biot_savart
-
     table = omega.table
-    kmax = 2 * table.K
     mesh = _RadialMesh.uniform(n_aux)
-    theta = 2.0 * np.pi * np.arange(4 * table.K + 4) / (4 * table.K + 4)
-    psi_tables = _ModeTables(biot_savart(omega), mesh.qpts, "stream")
-    F_r, F_t = _convective_field(psi_tables, mesh.qpts, theta)
-    frc, frs = _fourier_split(F_r, theta, kmax)
-    ftc, fts = _fourier_split(F_t, theta, kmax)
-    n = mesh.nodes.size
-    Tc = np.zeros((kmax + 1, n))
-    Ts = np.zeros((kmax + 1, n))
-    for k in range(kmax + 1):
-        # cos-mode of Phi couples cos(F_r) with sin(F_t), sign -k/r
-        Tc[k] = _solve_mode(mesh, k, frc[k], fts[k], sign_ft=-1.0)
-        if k >= 1:
-            Ts[k] = _solve_mode(mesh, k, frs[k], ftc[k], sign_ft=+1.0)
-    return _PhiTables(mesh=mesh, kmax=kmax, Tc=Tc, Ts=Ts)
+    r = mesh.qpts
+    trig = _dealiased_trig(table.K)
+    prof, _ = radial_profiles(table, r)
+    psi_rows = _rows(table.to_blocks(biot_savart(omega).coeffs), prof[:, 1])
+    F_r, F_t = _split_rows(np.stack(_convective(_velocity(psi_rows, r, trig), r)), trig)
+    return _PhiTables(mesh=mesh, T=_solve_radial(mesh, F_r, d_theta_rows(F_t)))
 
 
 def phi_of_u(omega: SpectralField, grid: PolarGrid, n_aux: int = 256) -> GridField:
@@ -324,44 +233,30 @@ def phi_of_u(omega: SpectralField, grid: PolarGrid, n_aux: int = 256) -> GridFie
         raise ValueError("phi_of_u expects a vorticity field")
     if grid.table is not omega.table:
         raise ValueError("grid was built for a different table")
-    tables = _phi_tables(omega, n_aux)
-    vals = tables.eval(grid.r, grid.theta)
-    gf = GridField(grid, vals)
-    mean = gf.grid.integrate(vals) / np.pi
-    return GridField(grid, vals - mean)
+    vals = _phi_tables(omega, n_aux).eval(grid.r, grid.theta)
+    return GridField(grid, vals - grid.integrate(vals) / np.pi)
 
 
 @dataclass
-class PressureField:
+class PressureField(GridField):
     """Zero-mean pressure samples on a polar grid."""
 
-    grid: PolarGrid
-    values: np.ndarray
     zero_mean: bool = True
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.grid.n_radial, self.grid.n_angular):
-            raise ValueError("pressure value shape does not match grid")
+    csv_column = "p"
 
     def mean(self) -> float:
         return self.grid.integrate(self.values) / np.pi
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            f.write("r,theta,p\n")
-            for i, r in enumerate(self.grid.r):
-                for m, t in enumerate(self.grid.theta):
-                    f.write(f"{r:.17g},{t:.17g},{self.values[i, m]:.17g}\n")
 
-
-def _conjugate_part(omega: SpectralField) -> HarmonicExpansion:
-    """H* of the zero-mean vorticity trace extension."""
+def _conjugate_rows(omega: SpectralField) -> np.ndarray:
+    """Cos/sin coefficients (2, K+1) of H* of the zero-mean vorticity
+    trace extension, against the unit harmonics."""
     _, extension = q1_split(omega)
     zero_mean = extension.copy()
     zero_mean.a[0] = 0.0  # the constant shifts p by a constant; the mean
     # normalization absorbs it, and only the zero-mean part has a conjugate
-    return harmonic_conjugate(zero_mean)
+    conj = harmonic_conjugate(zero_mean)
+    return np.stack([conj.a, conj.b])
 
 
 def recover_pressure(
@@ -371,21 +266,13 @@ def recover_pressure(
     if not (nu > 0.0):
         raise ValueError(f"viscosity must be positive, got {nu}")
     phi = phi_of_u(omega, grid, n_aux)
-    conj = _conjugate_part(omega)
-    rr, tt = grid.node_polar()
-    vals = phi.values + nu * conj.eval(rr, tt)
-    mean = grid.integrate(vals) / np.pi
-    vals = vals - mean
-    return PressureField(grid=grid, values=vals, zero_mean=True)
+    conj = nu * _conjugate_rows(omega)[:, :, None] * grid.harm
+    vals = phi.values + synthesize_rows(conj, grid.trig)
+    return PressureField(grid=grid, values=vals - grid.integrate(vals) / np.pi)
 
 
 # ---------------------------------------------------------------------------
 # momentum residual
-
-
-def _velocity_on(psi_tables: _ModeTables, r: np.ndarray, theta: np.ndarray):
-    v = _velocity_terms(psi_tables, r, theta)
-    return v["u_r"], v["u_t"]
 
 
 def momentum_residual(
@@ -405,83 +292,49 @@ def momentum_residual(
         || d_t u + (u.grad)u - nu Delta u + grad p ||_{L^2}
         / (|| grad p ||_{L^2} + || d_t u ||_{L^2}).
     """
-    from .fields import biot_savart
-
     if not (0 < index < len(trajectory) - 1):
         raise ValueError(
             f"index {index} cannot be centered in a trajectory of length {len(trajectory)}"
         )
     if not (nu > 0.0):
         raise ValueError(f"viscosity must be positive, got {nu}")
-    w_prev = trajectory.states[index - 1]
-    w_cur = trajectory.states[index]
-    w_next = trajectory.states[index + 1]
-    t_prev = trajectory.times[index - 1]
-    t_next = trajectory.times[index + 1]
+    states = trajectory.states[index - 1 : index + 2]
+    span = trajectory.times[index + 1] - trajectory.times[index - 1]
+    w_cur = states[1]
 
     table = w_cur.table
     mesh = _RadialMesh.uniform(n_aux)
-    rmid = mesh.mids
-    theta = 2.0 * np.pi * np.arange(4 * table.K + 4) / (4 * table.K + 4)
+    r = mesh.mids
+    h = mesh.nodes[1] - mesh.nodes[0]
+    trig = _dealiased_trig(table.K)
+    prof, harm = radial_profiles(table, r)
 
-    def u_of(w):
-        return _velocity_on(_ModeTables(biot_savart(w), rmid, "stream"), rmid, theta)
-
-    ur_p, ut_p = u_of(w_prev)
-    ur_n, ut_n = u_of(w_next)
-    span = t_next - t_prev
-    dudt_r = (ur_n - ur_p) / span
-    dudt_t = (ut_n - ut_p) / span
-
-    psi_tables = _ModeTables(biot_savart(w_cur), rmid, "stream")
-    F_r, F_t = _convective_field(psi_tables, rmid, theta)
+    # velocity of the three states from one set of stream profiles
+    psi = table.to_blocks(np.stack([biot_savart(w).coeffs for w in states]))
+    u = _velocity(_rows(psi[:, None], prof[:, 1]), r, trig)
+    dudt_r, dudt_t = (u[2, :2] - u[0, :2]) / span
+    F_r, F_t = _convective(u[1], r)
 
     # nu Delta u = nu grad-perp omega
-    om_tables = _ModeTables(w_cur, rmid, "vorticity")
-    rc = rmid[:, None]
-    lap_r = np.zeros((rmid.size, theta.size))
-    lap_t = np.zeros((rmid.size, theta.size))
-    for k in range(table.K + 1):
-        cosk = np.cos(k * theta)[None, :]
-        sink = np.sin(k * theta)[None, :]
-        Wc0 = om_tables.radial("cos", k, 0)[:, None]
-        Wc1 = om_tables.radial("cos", k, 1)[:, None]
-        Ws0 = om_tables.radial("sin", k, 0)[:, None]
-        Ws1 = om_tables.radial("sin", k, 1)[:, None]
-        lap_t += Wc1 * cosk + Ws1 * sink
-        if k >= 1:
-            om_theta = k * (-Wc0 * sink + Ws0 * cosk)
-            lap_r += -om_theta / rc
+    om0, om1 = _rows(table.to_blocks(w_cur.coeffs), prof[:2, 0])
+    lap_r, lap_t = synthesize_rows(np.stack([-d_theta_rows(om0) / r, om1]), trig)
 
-    # grad p at the midpoints
-    phi = _phi_tables(w_cur, n_aux)
-    dTc, dTs = phi.dr_at_mids()
-    Tc_mid, Ts_mid = phi.at(rmid)
-    conj = _conjugate_part(w_cur)
-    rr = np.broadcast_to(rmid[:, None], (rmid.size, theta.size))
-    tth = np.broadcast_to(theta[None, :], (rmid.size, theta.size))
-    dp_r = nu * conj.eval(rr, tth, "d_r")
-    dp_t = nu * conj.eval(rr, tth, "d_theta")
-    for k in range(phi.kmax + 1):
-        cosk = np.cos(k * theta)[None, :]
-        sink = np.sin(k * theta)[None, :]
-        dp_r += dTc[k][:, None] * cosk
-        dp_t += k * (-Tc_mid[k][:, None] * sink)
-        if k >= 1:
-            dp_r += dTs[k][:, None] * sink
-            dp_t += k * (Ts_mid[k][:, None] * cosk)
-    dp_t_phys = dp_t / rc  # angular gradient component is (1/r) d_theta
+    # grad p at the midpoints: rows of p and d_r p there, with the
+    # conjugate part added to the first K+1 wavenumbers
+    T = _phi_tables(w_cur, n_aux).T
+    p_rows = np.stack([0.5 * (T[..., :-1] + T[..., 1:]), np.diff(T, axis=-1) / h])
+    p_rows[:, :, : table.K + 1] += nu * _conjugate_rows(w_cur)[:, :, None] * harm[:, None]
+    dp_r, dp_t = synthesize_rows(np.stack([p_rows[1], d_theta_rows(p_rows[0]) / r]), trig)
 
     res_r = dudt_r + F_r - nu * lap_r + dp_r
-    res_t = dudt_t + F_t - nu * lap_t + dp_t_phys
+    res_t = dudt_t + F_t - nu * lap_t + dp_t
 
-    h = mesh.nodes[1] - mesh.nodes[0]
-    wq = h * rmid[:, None] * (2.0 * np.pi / theta.size)
+    wq = h * r[:, None] * (2.0 * np.pi / trig.shape[1])
 
     def l2(a, b):
         return float(np.sqrt(np.sum(wq * (a * a + b * b))))
 
-    scale = l2(dp_r, dp_t_phys) + l2(dudt_r, dudt_t)
+    scale = l2(dp_r, dp_t) + l2(dudt_r, dudt_t)
     if scale == 0.0:
         return 0.0
     return l2(res_r, res_t) / scale

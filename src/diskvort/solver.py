@@ -211,7 +211,7 @@ def _initial_field(cfg: RunConfig, table: EigenTable) -> SpectralField:
 def _omega_b(h: HarmonicExpansion, nu: float, ctx: RunContext) -> SpectralField:
     """The elliptic correction E h / nu for the moments h."""
     blocks = ctx.elliptic_map * (np.stack([h.a, h.b]) / nu)[:, :, None]
-    return SpectralField(ctx.table, ctx.grid.from_blocks(blocks), "vorticity")
+    return SpectralField(ctx.table, ctx.table.from_blocks(blocks), "vorticity")
 
 
 def initial_state(cfg: RunConfig, ctx: Optional[RunContext] = None) -> SolverState:
@@ -230,7 +230,7 @@ def initial_state(cfg: RunConfig, ctx: Optional[RunContext] = None) -> SolverSta
 
 def measure_moment_drift(omega: SpectralField, ctx: RunContext) -> float:
     """Max harmonic moment of the field by grid quadrature, as max |M c|."""
-    moments = np.sum(ctx.moment_map * ctx.grid.to_blocks(omega.coeffs), axis=-1)
+    moments = np.sum(ctx.moment_map * ctx.table.to_blocks(omega.coeffs), axis=-1)
     return float(np.max(np.abs(moments)))
 
 

@@ -34,10 +34,13 @@ __all__ = [
     "EigenTable",
     "build_table",
     "eigenfunction_eval",
+    "radial_profiles",
     "membership_residuals",
 ]
 
 _PARITIES = ("cos", "sin")
+# the derivative orders of ``radial_profiles``
+PROFILE_ORDERS = ("value", "d_r", "d_rr")
 
 
 @dataclass(frozen=True)
@@ -73,6 +76,13 @@ class EigenTable:
 
     Ties (the cos/sin pair of one (k, j)) are broken by (k, parity) with
     cos first, so the ordering is deterministic.
+
+    Transforms work on coefficient blocks, arrays (..., 2, K+1, J)
+    indexed by (parity, k, j-1) with parity 0 = cos, 1 = sin; the k = 0
+    sine row is identically zero.  ``perm[p, k, j-1]`` is the position
+    of mode (k, j, parity p) in the sorted table (``len(table)``, a zero
+    pad slot, for the k = 0 sine row); ``to_blocks`` and ``from_blocks``
+    convert between the two layouts.
     """
 
     def __init__(self, K: int, J: int, modes, lam, alpha, norm):
@@ -87,6 +97,9 @@ class EigenTable:
             raise ValueError("inconsistent table arrays")
         if np.any(np.diff(self.lam) < 0):
             raise ValueError("eigenvalues must be sorted ascending")
+        self.perm = np.full((2, self.K + 1, self.J), len(self.modes), dtype=np.intp)
+        for i, m in enumerate(self.modes):
+            self.perm[_PARITIES.index(m.parity), m.k, m.j - 1] = i
 
     def __len__(self) -> int:
         return len(self.modes)
@@ -111,6 +124,19 @@ class EigenTable:
 
     def __contains__(self, mode: ModeIndex) -> bool:
         return mode in self._pos
+
+    def to_blocks(self, coeffs) -> np.ndarray:
+        """Eigenvalue-sorted coefficients (..., n) as blocks (..., 2, K+1, J)."""
+        c = np.asarray(coeffs, dtype=float)
+        padded = np.concatenate([c, np.zeros(c.shape[:-1] + (1,))], axis=-1)
+        return padded[..., self.perm]
+
+    def from_blocks(self, blocks) -> np.ndarray:
+        """Inverse of ``to_blocks``; the k = 0 sine row is dropped."""
+        blocks = np.asarray(blocks, dtype=float)
+        out = np.zeros(blocks.shape[:-3] + (len(self) + 1,))
+        out[..., self.perm] = blocks
+        return out[..., :-1]
 
     def to_json(self) -> str:
         payload = {
@@ -164,6 +190,55 @@ def build_table(K: int, J: int) -> EigenTable:
     return EigenTable(K, J, modes, lam, alpha, norm)
 
 
+def _harm_const(k: int) -> float:
+    """L^2 normalization of the unit harmonic c_k r^k {cos, sin}(k theta)."""
+    if k == 0:
+        return 1.0 / np.sqrt(np.pi)
+    return np.sqrt((2.0 * k + 2.0) / np.pi)
+
+
+def radial_profiles(table: EigenTable, r) -> tuple[np.ndarray, np.ndarray]:
+    """Radial profiles of every basis function at radii ``r`` in (0, 1].
+
+    Returns ``(prof, harm)``.  ``prof`` has shape (3, 2, K+1, J, n_r),
+    indexed by derivative order ``PROFILE_ORDERS``, by kind (0:
+    vorticity c J_k(alpha r); 1: stream, the lifted
+    c [J_k(alpha r) - J_k(alpha) r^k]) and by the block indices (k, j-1)
+    of ``EigenTable.to_blocks``.
+    ``harm`` has shape (2, K+1, n_r): the unit harmonic profiles
+    h_k = c_k r^k and their d_r.
+
+    d_rr comes from the Bessel equation,
+
+        alpha^2 J_k''(alpha r) = -alpha J_k'(alpha r) / r
+                                 + (k^2 / r^2 - alpha^2) J_k(alpha r),
+
+    so every order k costs three vectorized Bessel calls: J_k and J_k'
+    at alpha r, and J_k(alpha) for the lift.
+    """
+    r = np.asarray(r, dtype=float)
+    K, J = table.K, table.J
+    prof = np.empty((3, 2, K + 1, J, r.size))
+    harm = np.empty((2, K + 1, r.size))
+    for k in np.arange(K + 1):
+        alpha = table.alpha[table.perm[0, k]][:, None]
+        cn = table.norm[table.perm[0, k]][:, None]
+        jk_at_1 = bessel_j(k, alpha)
+        jval = bessel_j(k, alpha * r)
+        jder = alpha * bessel_j(k, alpha * r, derivative=True)
+        jdd = -jder / r + (k * k / r**2 - alpha**2) * jval
+        rkm1 = r ** (k - 1) if k >= 1 else np.zeros_like(r)
+        rkm2 = r ** (k - 2) if k >= 2 else np.zeros_like(r)
+        prof[:, 0, k] = cn * jval, cn * jder, cn * jdd
+        prof[:, 1, k] = (
+            cn * (jval - jk_at_1 * r**k),
+            cn * (jder - k * jk_at_1 * rkm1),
+            cn * (jdd - k * (k - 1) * jk_at_1 * rkm2),
+        )
+        harm[:, k] = _harm_const(k) * r**k, _harm_const(k) * k * rkm1
+    return prof, harm
+
+
 def _angular(mode: ModeIndex, theta: np.ndarray) -> np.ndarray:
     if mode.k == 0:
         return np.ones_like(theta)
@@ -199,34 +274,29 @@ def membership_residuals(table: EigenTable, n_radial: int | None = None) -> dict
       couple); zero is membership in the admissible-vorticity space
     * ``orthogonality``: max off-diagonal Gram entry among same-symmetry
       mode pairs (scalar), the cross-symmetry entries vanishing exactly
+
+    The cos and sin modes of one k share their radial profile, so each
+    quantity is computed once per k and copied to both parities.
     """
     if n_radial is None:
         n_radial = int(np.ceil(table.alpha.max())) + 24
     rule = gauss_legendre(n_radial, 0.0, 1.0)
     r, w = rule.nodes, rule.weights
-    wr = w * r
+    prof, harm = radial_profiles(table, r)
+    profiles = prof[0, 0]
+    # angular integral of trig^2: 2 pi for k = 0, pi otherwise
+    ang = np.where(np.arange(table.K + 1) == 0, 2.0 * np.pi, np.pi)[:, None, None]
+    weighted = ang * (profiles * (w * r))
+    gram = weighted @ profiles.transpose(0, 2, 1)
+    diag = np.diagonal(gram, axis1=1, axis2=2)
+    off = np.where(np.eye(table.J, dtype=bool), 0.0, gram)
+    moment = (weighted @ harm[0][:, :, None])[..., 0]
 
-    normalization = np.empty(len(table))
-    harmonic_moment = np.empty(len(table))
-    ortho = 0.0
-    for (k, parity) in {(m.k, m.parity) for m in table.modes}:
-        pos = [i for i, m in enumerate(table.modes) if m.k == k and m.parity == parity]
-        ang = 2.0 * np.pi if k == 0 else np.pi
-        profiles = np.stack(
-            [table.norm[i] * bessel_j(k, table.alpha[i] * r) for i in pos]
-        )
-        gram = ang * (profiles * wr) @ profiles.T
-        normalization[pos] = np.abs(np.diag(gram) - 1.0)
-        off = gram - np.diag(np.diag(gram))
-        if off.size:
-            ortho = max(ortho, float(np.max(np.abs(off))))
-        # unit-norm harmonic r^k trig(k theta): ||.||^2 = ang_h / (2k+2)
-        ang_h = 2.0 * np.pi if k == 0 else np.pi
-        ch = np.sqrt((2.0 * k + 2.0) / ang_h)
-        hvals = ch * r**k
-        harmonic_moment[pos] = np.abs(ang * (profiles * wr) @ hvals)
+    def per_mode(values):
+        return table.from_blocks(np.broadcast_to(values, (2,) + values.shape))
+
     return {
-        "normalization": normalization,
-        "harmonic_moment": harmonic_moment,
-        "orthogonality": ortho,
+        "normalization": per_mode(np.abs(diag - 1.0)),
+        "harmonic_moment": per_mode(np.abs(moment)),
+        "orthogonality": float(np.max(np.abs(off))),
     }

@@ -4,11 +4,14 @@ A traced run (``--trace 1``) looks up every name in ``tracing.TRACED``
 with getattr and rebinds it, and each job checks that it runs in a
 fresh interpreter by reading the size of the Bessel-zero row cache.  A
 refactor that renames or removes one of these breaks the benchmark, not
-the package's own tests, so they are pinned here.
+the package's own tests, so they are pinned here, together with the
+call shapes ``perfbench/jobs.py`` uses for the pressure operation and
+the potential grid.
 """
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -36,3 +39,31 @@ def test_zero_row_cache_info():
 
     info = specfun._zero_row.cache_info()
     assert info.currsize >= 0
+
+
+# (function, positional arguments, keyword arguments) as perfbench/jobs.py calls them
+JOB_CALLS = [
+    ("pressure.momentum_residual", ("traj", "index", "nu", "grid"), {"n_aux": 256}),
+    ("pressure.recover_pressure", ("state", "nu", "grid"), {}),
+    ("fields.PolarGrid", ("table",), {"n_radial": 260, "n_angular": 320}),
+    ("fields.to_grid", ("omega", "grid"), {}),
+    ("fields.newtonian_potential", ("gf", "points"), {}),
+    ("fields.greens_potential", ("gf", "points"), {}),
+    ("spectrum.build_table", (8, 8), {}),
+    ("solver.prepare", ("cfg",), {}),
+    ("solver.run", ("cfg", "ctx"), {}),
+    ("solver.stokes_run", ("cfg",), {"ctx": "ctx"}),
+    ("annulus.AnnulusGeometry", (0.5,), {"n_radial": 600, "n_angular": 768}),
+    ("annulus.bergman_project", ("geom", "band"), {"degree": 4}),
+    ("annulus.newtonian_bs_annulus", ("geom", "unit"), {"degree": 4, "n_boundary": 16}),
+    ("annulus.omega_big", ("geom", "xi"), {"degree": 8}),
+    ("annulus.galerkin_spectra", ("geom",), {"n_poly": 24, "k_max": 4}),
+    ("annulus.annulus_stokes_circulation", ("geom", 1.0, 0.1, 2.0), {"n_out": 160}),
+]
+
+
+@pytest.mark.parametrize("target,args,kwargs", JOB_CALLS, ids=[c[0] for c in JOB_CALLS])
+def test_job_call_shapes_bind(target, args, kwargs):
+    module_name, attr = target.split(".")
+    fn = getattr(importlib.import_module(f"diskvort.{module_name}"), attr)
+    inspect.signature(fn).bind(*args, **kwargs)

@@ -278,6 +278,15 @@ class TestPressureCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["momentum_residual"] < 0.1
         assert (out / "pressure.csv").read_text().startswith("r,theta,p")
+        # the file is PressureField.to_csv of the final state, byte for byte
+        from diskvort.pressure import recover_pressure
+        from diskvort.solver import prepare, run
+
+        run_cfg = load_config(cfg)
+        ctx = prepare(run_cfg)
+        p = recover_pressure(run(run_cfg, ctx).states[-1], run_cfg.nu, ctx.grid)
+        p.to_csv(tmp_path / "direct.csv")
+        assert (out / "pressure.csv").read_bytes() == (tmp_path / "direct.csv").read_bytes()
 
 
 def test_console_entry_point():

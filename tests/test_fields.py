@@ -14,6 +14,7 @@ from diskvort.fields import (
     PolarGrid,
     SpectralField,
     biot_savart,
+    boundary_trace,
     from_grid,
     greens_potential,
     laplacian,
@@ -24,7 +25,7 @@ from diskvort.fields import (
 )
 from diskvort.specfun import bessel_j
 from diskvort.spectrum import ModeIndex, build_table, eigenfunction_eval
-from transform_oracle import from_grid_groups, to_grid_groups
+from transform_oracle import _profile, from_grid_groups, to_grid_groups
 
 
 @pytest.fixture(scope="module")
@@ -246,14 +247,42 @@ def test_batched_transforms_match_group_oracle(KJ):
     np.testing.assert_allclose(harm.b, want_harm.b, rtol=0, atol=1e-14)
 
 
-def test_block_layout_round_trip(table, grid):
+def test_block_layout_round_trip(table):
     c = random_field(table, 4).coeffs
-    blocks = grid.to_blocks(c)
+    blocks = table.to_blocks(c)
     assert blocks.shape == (2, table.K + 1, table.J)
     assert np.all(blocks[1, 0] == 0.0)
+    assert np.all(table.perm[1, 0] == len(table))
     for i, m in enumerate(table.modes):
         assert blocks[0 if m.parity == "cos" else 1, m.k, m.j - 1] == c[i]
-    np.testing.assert_array_equal(grid.from_blocks(blocks), c)
+    np.testing.assert_array_equal(table.from_blocks(blocks), c)
+    stacked = np.stack([c, -c])
+    np.testing.assert_array_equal(table.from_blocks(table.to_blocks(stacked)), stacked)
+
+
+@pytest.mark.parametrize("K,J", [(8, 8), (32, 24)])
+def test_grid_profiles_bit_identical_to_per_group_profiles(K, J):
+    # PolarGrid takes its profiles from spectrum.radial_profiles; the step
+    # loop must see exactly the numbers of the per-group construction
+    big = build_table(K, J)
+    g = PolarGrid(big)
+    for i, (kind, what) in enumerate(g.PROFILES):
+        for k in range(K + 1):
+            want = _profile(big, big.perm[0, k], k, g.r, kind, what)
+            assert np.array_equal(g.prof[i, k], want), (kind, what, k)
+    ck = [1.0 / np.sqrt(np.pi)] + [np.sqrt((2.0 * k + 2.0) / np.pi) for k in range(1, K + 1)]
+    assert np.array_equal(g.harm, np.stack([ck[k] * g.r**k for k in range(K + 1)]))
+
+
+def test_boundary_trace_is_profile_at_one(table):
+    f = random_field(table, 12)
+    theta = np.linspace(0.0, 2.0 * np.pi, 9)
+    want = sum(f.coeffs[i] * eigenfunction_eval(table, i, 1.0, theta) for i in range(len(table)))
+    trace = boundary_trace(f)
+    assert trace.shape == (2, table.K + 1) and trace[1, 0] == 0.0
+    k = np.arange(table.K + 1)[:, None]
+    got = trace[0] @ np.cos(k * theta) + trace[1] @ np.sin(k * theta)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
 
 def test_from_grid_pure_mode(table, grid):

@@ -244,7 +244,7 @@ def test_elliptic_map_matches_grid_sampled_correction(table, grid):
     for nu in (0.1, 0.7):
         h = HarmonicExpansion(rng.standard_normal(table.K + 1), np.r_[0.0, rng.standard_normal(table.K)])
         want, _ = elliptic_correction(h, nu, grid)
-        got = grid.from_blocks(emap * (np.stack([h.a, h.b]) / nu)[:, :, None])
+        got = table.from_blocks(emap * (np.stack([h.a, h.b]) / nu)[:, :, None])
         np.testing.assert_allclose(got, want.coeffs, rtol=0, atol=1e-14 * np.max(np.abs(want.coeffs)))
 
 
@@ -257,7 +257,7 @@ def test_omega_b_difference_is_correction_of_moment_difference(table, grid):
     emap = elliptic_map(grid)
 
     def omega_b(h):
-        return grid.from_blocks(emap * (np.stack([h.a, h.b]) / nu)[:, :, None])
+        return table.from_blocks(emap * (np.stack([h.a, h.b]) / nu)[:, :, None])
 
     got = (omega_b(res1.harmonic) - omega_b(res0.harmonic)) / dt
     want, _ = elliptic_correction(advection_time_derivative(res1, res0, dt), nu, grid)

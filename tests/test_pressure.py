@@ -13,7 +13,9 @@ from diskvort.pressure import (
     phi_of_u,
     recover_pressure,
 )
-from diskvort.pressure import _phi_tables
+from diskvort import pressure
+from diskvort.fields import synthesize_rows
+from diskvort.pressure import _phi_tables, _RadialMesh, _solve_radial, _split_rows
 from diskvort.solver import RunConfig, prepare, run, stokes_run
 from diskvort.specfun import bessel_j
 from diskvort.spectrum import ModeIndex, build_table
@@ -152,6 +154,59 @@ class TestPhiOfU:
         other = PolarGrid(build_table(3, 3))
         with pytest.raises(ValueError, match="different table"):
             phi_of_u(circular_mode(table44), other)
+
+
+# ---------------------------------------------------------------------------
+# radial solves and the angular split
+
+
+def dense_radial_solve(mesh, k, f_r, g):
+    """One row's P1 system assembled element by element and solved densely."""
+    nodes = mesh.nodes
+    h = nodes[1] - nodes[0]
+    A = np.zeros((nodes.size, nodes.size))
+    b = np.zeros(nodes.size)
+    for e in range(nodes.size - 1):
+        q = slice(4 * e, 4 * e + 4)
+        r, w = mesh.qpts[q], mesh.qw[q]
+        hats = ((e, (nodes[e + 1] - r) / h, -1.0 / h), (e + 1, (r - nodes[e]) / h, 1.0 / h))
+        for i, vi, si in hats:
+            b[i] += np.sum(-f_r[q] * si * w * r + g[q] * vi * w)
+            for j, vj, sj in hats:
+                A[i, j] += np.sum((si * sj + k * k / r**2 * vi * vj) * w * r)
+    A[0] = 0.0
+    A[0, 0] = 1.0
+    b[0] = 0.0
+    return np.linalg.solve(A, b)
+
+
+def test_banded_solve_matches_dense_per_row_assembly():
+    mesh = _RadialMesh.uniform(12)
+    rng = np.random.default_rng(3)
+    f_r, g = rng.standard_normal((2, 2, 5, mesh.qpts.size))
+    T = _solve_radial(mesh, f_r, g)
+    assert T.shape == (2, 5, mesh.nodes.size)
+    for p in range(2):
+        for k in range(5):
+            want = dense_radial_solve(mesh, k, f_r[p, k], g[p, k])
+            assert_allclose(T[p, k], want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+
+
+def test_failed_radial_solve_raises(monkeypatch):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr(pressure, "solve_banded", singular)
+    with pytest.raises(RuntimeError, match="radial pressure solve failed"):
+        _phi_tables(circular_mode(build_table(1, 2)), 8)
+
+
+def test_split_rows_inverts_synthesis():
+    K = 3
+    trig = pressure._dealiased_trig(K)
+    rows = np.random.default_rng(4).standard_normal((2, 2 * K + 1, 6))
+    rows[1, 0] = 0.0  # there is no sin(0 theta)
+    assert_allclose(_split_rows(synthesize_rows(rows, trig), trig), rows, rtol=0, atol=1e-13)
 
 
 # ---------------------------------------------------------------------------

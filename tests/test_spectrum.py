@@ -13,6 +13,7 @@ from diskvort.spectrum import (
     build_table,
     eigenfunction_eval,
     membership_residuals,
+    radial_profiles,
 )
 
 mpmath.mp.dps = 30
@@ -144,3 +145,44 @@ def test_json_round_trip(table):
     np.testing.assert_array_equal(back.norm, table.norm)
     payload = json.loads(text)
     assert payload["modes"][0]["lambda"] == table.lam[0]
+
+
+def test_radial_profiles_match_scipy_derivatives(table):
+    # d_r and d_rr of both kinds against scipy's Bessel derivatives; the
+    # d_rr that radial_profiles takes from the Bessel equation
+    from scipy import special
+
+    r = np.linspace(0.05, 1.0, 23)
+    prof, harm = radial_profiles(table, r)
+    assert prof.shape == (3, 2, table.K + 1, table.J, r.size)
+    assert harm.shape == (2, table.K + 1, r.size)
+    for i, m in enumerate(table.modes):
+        k, a, c = m.k, table.alpha[i], table.norm[i]
+        lift = (r**k, k * r ** max(k - 1, 0), k * (k - 1) * r ** max(k - 2, 0))
+        for order in range(3):
+            bessel = c * a**order * special.jvp(k, a * r, order)
+            tol = 1e-13 * a**order
+            np.testing.assert_allclose(prof[order, 0, k, m.j - 1], bessel, rtol=0, atol=tol)
+            stream = bessel - c * special.jv(k, a) * lift[order]
+            np.testing.assert_allclose(prof[order, 1, k, m.j - 1], stream, rtol=0, atol=tol)
+    for k in range(table.K + 1):
+        ck = np.sqrt((2.0 * k + 2.0) / np.pi) if k else 1.0 / np.sqrt(np.pi)
+        np.testing.assert_allclose(harm[0, k], ck * r**k, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(harm[1, k], ck * k * r ** max(k - 1, 0), rtol=1e-15, atol=0)
+
+
+def test_radial_profiles_bessel_calls_per_order(table, monkeypatch):
+    from diskvort import spectrum
+
+    orders = []
+    real = spectrum.bessel_j
+
+    def counting(order, x, derivative=False):
+        orders.append(order)
+        return real(order, x, derivative)
+
+    monkeypatch.setattr(spectrum, "bessel_j", counting)
+    radial_profiles(table, np.linspace(0.1, 1.0, 5))
+    # J_k(alpha r), J_k'(alpha r) and J_k(alpha) for each k, whatever J is
+    assert sorted(orders) == sorted(3 * list(range(table.K + 1)))
+
