@@ -32,7 +32,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import eigh, expm, null_space
 
-from .specfun import bessel_j, bessel_y, gauss_legendre
+from .fields import _log_kernel, trig_table
+from .specfun import gauss_legendre
 
 __all__ = [
     "AnnulusGeometry",
@@ -68,6 +69,10 @@ class AnnulusGeometry:
             raise ValueError(
                 f"inner radius must lie in [0.05, 0.95], got {self.r_inner}"
             )
+        for name in ("n_radial", "n_angular"):
+            count = getattr(self, name)
+            if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {count!r}")
         if self.n_radial < 16 or self.n_angular < 16:
             raise ValueError("quadrature resolution too small (min 16)")
 
@@ -162,6 +167,24 @@ def harmonic_basis(geom: AnnulusGeometry, degree: int):
     return tuple(out)
 
 
+def _harmonic_moments(geom: AnnulusGeometry, basis, values: np.ndarray):
+    """Quadrature moments (h, values) of a (n_radial, n_angular) sample
+    table against each basis element, and the Gram matrix (h_a, h_b).
+
+    Every element is separable, scale r^expo trig(k theta), so both come
+    from one angular ``trig_table`` product and radial power weights.
+    """
+    r, wr = geom.radial_rule()
+    kmax = max(h.k for h in basis)
+    trig = trig_table(kmax, geom.theta())
+    rows = [h.k + (kmax + 1) * (h.parity == "sin") for h in basis]
+    prof = np.array([h.scale * r**h.expo for h in basis])
+    wprof = prof * (wr * r) * (2.0 * np.pi / geom.n_angular)
+    moments = np.sum(wprof * (values @ trig.T)[:, rows].T, axis=1)
+    gram = (wprof @ prof.T) * (trig @ trig.T)[np.ix_(rows, rows)]
+    return moments, gram
+
+
 @dataclass
 class ProjectedField:
     """f minus its least-squares component in the harmonic basis."""
@@ -187,19 +210,7 @@ def bergman_project(geom: AnnulusGeometry, f, degree: int = 8) -> ProjectedField
     degenerate for thin or strongly off-center bases).
     """
     basis = harmonic_basis(geom, degree)
-    r, wr = geom.radial_rule()
-    th = geom.theta()
-    wtheta = 2.0 * np.pi / geom.n_angular
-    w = (wr * r)[:, None] * wtheta
-    tables = [h(r[:, None], th[None, :]) for h in basis]
-    fv = _sample(geom, f)
-    n = len(basis)
-    H = np.empty((n, n))
-    b = np.empty(n)
-    for i in range(n):
-        b[i] = float(np.sum(w * tables[i] * fv))
-        for j in range(i, n):
-            H[i, j] = H[j, i] = float(np.sum(w * tables[i] * tables[j]))
+    b, H = _harmonic_moments(geom, basis, _sample(geom, f))
     cond = float(np.linalg.cond(H))
     if cond > 1e12:
         raise RuntimeError(
@@ -265,15 +276,10 @@ def omega_big(geom: AnnulusGeometry, xi: XiFunction, degree: int = 8) -> Project
 def _trace_fourier(values: np.ndarray, degree: int):
     """Cos/sin trace coefficients (degree+1,) from uniform samples."""
     M = values.size
-    th = 2.0 * np.pi * np.arange(M) / M
-    cos_c = np.empty(degree + 1)
-    sin_c = np.zeros(degree + 1)
-    for k in range(degree + 1):
-        wgt = 1.0 / M if k == 0 else 2.0 / M
-        cos_c[k] = wgt * float(values @ np.cos(k * th))
-        if k >= 1:
-            sin_c[k] = wgt * float(values @ np.sin(k * th))
-    return cos_c, sin_c
+    wgt = np.full(degree + 1, 2.0 / M)
+    wgt[0] = 1.0 / M
+    coeffs = (trig_table(degree, 2.0 * np.pi * np.arange(M) / M) @ values).reshape(2, -1) * wgt
+    return coeffs[0], coeffs[1]
 
 
 @dataclass
@@ -283,28 +289,11 @@ class _HarmonicExtension:
     terms: list  # (k, parity, c_plus, c_minus); k = 0 stores (0, "cos", a, 0)
 
     def __call__(self, r, theta, what: str = "value"):
-        r = np.asarray(r, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        out = np.zeros(np.broadcast(r, theta).shape)
+        out = np.zeros(np.broadcast(np.asarray(r), np.asarray(theta)).shape)
         for k, parity, cp, cm in self.terms:
-            if k == 0:
-                if what == "value":
-                    out = out + cp
-                continue
-            if what == "value":
-                rad = cp * r**k + cm * r ** (-k)
-                ang = np.cos(k * theta) if parity == "cos" else np.sin(k * theta)
-            elif what == "d_r":
-                rad = cp * k * r ** (k - 1) - cm * k * r ** (-k - 1)
-                ang = np.cos(k * theta) if parity == "cos" else np.sin(k * theta)
-            elif what == "d_theta":
-                rad = cp * r**k + cm * r ** (-k)
-                ang = (
-                    -k * np.sin(k * theta) if parity == "cos" else k * np.cos(k * theta)
-                )
-            else:
-                raise ValueError(f"unknown what: {what!r}")
-            out = out + rad * ang
+            out = out + HarmonicElement(k, parity, k, cp)(r, theta, what)
+            if k >= 1:
+                out = out + HarmonicElement(k, parity, -k, cm)(r, theta, what)
         return out
 
 
@@ -409,46 +398,39 @@ def newtonian_bs_annulus(
         raise ValueError(
             f"fd_step must lie in (0, r_inner/8], got {fd_step}"
         )
+    if isinstance(n_boundary, bool) or not isinstance(n_boundary, (int, np.integer)) or n_boundary < 1:
+        raise ValueError(f"n_boundary must be a positive integer, got {n_boundary!r}")
     basis = harmonic_basis(geom, degree)
     fv = _sample(geom, omega)
     norm = math.sqrt(abs(_integrate(geom, fv * fv)))
     if norm == 0.0:
         return BoundaryReport(0.0, 0.0, 0.0)
+    comps, _ = _harmonic_moments(geom, basis, fv)
+    bad = np.flatnonzero(np.abs(comps) > 1e-8 * norm)
+    if bad.size:
+        h = basis[bad[0]]
+        raise ValueError(
+            "omega is not orthogonal to the zero-flux harmonics "
+            f"(component {comps[bad[0]]:.3e} against k={h.k} {h.parity} r^{h.expo})"
+        )
+    # tensor quadrature nodes as points in the plane
     r, wr = geom.radial_rule()
     th = geom.theta()
-    w = (wr * r)[:, None] * (2.0 * np.pi / geom.n_angular)
-    for h in basis:
-        comp = float(np.sum(w * h(r[:, None], th[None, :]) * fv))
-        if abs(comp) > 1e-8 * norm:
-            raise ValueError(
-                "omega is not orthogonal to the zero-flux harmonics "
-                f"(component {comp:.3e} against k={h.k} {h.parity} r^{h.expo})"
-            )
-    # tensor quadrature nodes as points in the plane
-    xs = (r[:, None] * np.cos(th)[None, :]).ravel()
-    ys = (r[:, None] * np.sin(th)[None, :]).ravel()
-    dens = (w * fv).ravel()
+    nodes = np.stack([np.outer(r, np.cos(th)).ravel(), np.outer(r, np.sin(th)).ravel()])
+    dens = ((wr * r)[:, None] * (2.0 * np.pi / geom.n_angular) * fv).ravel()
 
-    def potential(px, py):
-        d2 = (xs - px) ** 2 + (ys - py) ** 2
-        d2 = np.maximum(d2, 1e-280)
-        return float(dens @ (0.5 * np.log(d2))) / (2.0 * np.pi)
-
-    R = geom.r_inner
+    # per angle: the outer point, then the inward normal chain from the
+    # inner circle, R - m fd_step for m = 0..4
     angles = 2.0 * np.pi * np.arange(n_boundary) / n_boundary
-    outer = np.array([potential(np.cos(a), np.sin(a)) for a in angles])
-    inner = np.array([potential(R * np.cos(a), R * np.sin(a)) for a in angles])
-    normal = np.empty(n_boundary)
-    for i, a in enumerate(angles):
-        c, s = np.cos(a), np.sin(a)
-        chain = [potential((R - m * fd_step) * c, (R - m * fd_step) * s) for m in range(5)]
-        normal[i] = max(
-            abs(chain[m + 1] - chain[m]) / fd_step for m in range(4)
-        )
+    radii = np.r_[1.0, geom.r_inner - fd_step * np.arange(5)]
+    unit = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    vals, _ = _log_kernel(nodes, dens, (radii[None, :, None] * unit[:, None, :]).reshape(-1, 2))
+    vals = vals.reshape(n_boundary, radii.size)
+    chain = vals[:, 1:]
     return BoundaryReport(
-        outer_max=float(np.max(np.abs(outer))),
-        inner_stddev=float(np.std(inner)),
-        normal_max=float(np.max(np.abs(normal))),
+        outer_max=float(np.max(np.abs(vals[:, 0]))),
+        inner_stddev=float(np.std(chain[:, 0])),
+        normal_max=float(np.max(np.abs(np.diff(chain, axis=1)))) / fd_step,
     )
 
 

@@ -216,27 +216,22 @@ class HarmonicExpansion:
 
     def eval(self, r, theta, what: str = "value") -> np.ndarray:
         """Pointwise values (or d_r / d_theta) at broadcastable r, theta."""
-        r = np.asarray(r, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        out = np.zeros(np.broadcast(r, theta).shape)
-        for k in range(self.degree + 1):
-            ak, bk = self.a[k], self.b[k]
-            if ak == 0.0 and bk == 0.0:
-                continue
-            c = _harm_const(k)
-            if what == "value":
-                rad = c * r**k
-                ang = ak * np.cos(k * theta) + bk * np.sin(k * theta)
-            elif what == "d_r":
-                rad = c * k * r ** (k - 1) if k >= 1 else np.zeros_like(r)
-                ang = ak * np.cos(k * theta) + bk * np.sin(k * theta)
-            elif what == "d_theta":
-                rad = c * r**k
-                ang = k * (-ak * np.sin(k * theta) + bk * np.cos(k * theta))
-            else:
-                raise ValueError(f"what must be value|d_r|d_theta, got {what!r}")
-            out = out + rad * ang
-        return out
+        if what not in ("value", "d_r", "d_theta"):
+            raise ValueError(f"what must be value|d_r|d_theta, got {what!r}")
+        r, theta = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(theta, dtype=float))
+        k = np.arange(self.degree + 1)[:, None]
+        c = _harm_const(k)
+        rows = np.stack([self.a, self.b])[:, :, None]
+        if what == "d_theta":
+            rows = d_theta_rows(rows)
+        x = r.ravel()
+        if what == "d_r":
+            # k r^(k-1), zero for k = 0 (no r^-1 at the origin)
+            rad = c * k * x ** np.maximum(k - 1, 0)
+        else:
+            rad = c * x**k
+        trig = trig_table(self.degree, theta.ravel()).reshape(2, -1, x.size)
+        return np.sum(rows * rad * trig, axis=(0, 1)).reshape(r.shape)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +497,7 @@ def q1_split(omega: SpectralField, harmonic: HarmonicExpansion | None = None):
         )
     # the harmonic polynomial with this trace has unit-harmonic
     # coefficients trace / c_k (c_k r^k = c_k at r = 1)
-    ext = boundary_trace(omega) / np.array([_harm_const(k) for k in range(K + 1)])
+    ext = boundary_trace(omega) / _harm_const(np.arange(K + 1))
     trace_ext = HarmonicExpansion(ext[0], ext[1])
     extension = trace_ext + harmonic
     dirichlet = CompositeField(omega.copy(), harmonic - extension)
@@ -510,7 +505,48 @@ def q1_split(omega: SpectralField, harmonic: HarmonicExpansion | None = None):
 
 
 # ---------------------------------------------------------------------------
-# Newtonian potential (verification quadrature, not a solver path)
+# log-kernel quadrature (verification, not a solver path)
+
+# (points x nodes) entries per block of the log-kernel sum: 4 MiB of
+# doubles, one point per block on the 600 x 768 annulus rule, so a block
+# is no larger than the node-sized arrays a per-point sum allocates
+_KERNEL_BLOCK = 2**19
+
+
+def _log_kernel(nodes, dens, points, image: bool = False):
+    """(1/2pi) sum_n dens_n ln|x - y_n| at each point x, and the distance
+    from x to its nearest node.
+
+    ``nodes`` (2, n) holds the plane coordinates y_n, ``dens`` the
+    density times the quadrature weights, ``points`` has shape (m, 2).
+    With ``image`` the disk Green function's image term
+    -(1/2) ln(|x|^2 |y|^2 - 2 x.y + 1) joins the kernel.  Points are
+    summed in blocks of at most ``_KERNEL_BLOCK`` kernel entries, in two
+    block buffers allocated once.
+    """
+    step = max(1, _KERNEL_BLOCK // nodes.shape[1])
+    d2_buf = np.empty((min(step, len(points)), nodes.shape[1]))
+    work_buf = np.empty_like(d2_buf)
+    if image:
+        # |x|^2 |y|^2 - 2 x.y + 1 as one product of lifted coordinates
+        lifted = np.stack(
+            [-2.0 * nodes[0], -2.0 * nodes[1], np.sum(nodes**2, axis=0), np.ones(nodes.shape[1])]
+        )
+        points = np.column_stack([points, np.sum(points**2, axis=1), np.ones(len(points))])
+    vals = np.empty(len(points))
+    dmin = np.empty(len(points))
+    for s in range(0, len(points), step):
+        p = points[s : s + step]
+        d2, work = d2_buf[: len(p)], work_buf[: len(p)]
+        np.square(np.subtract(p[:, :1], nodes[0], out=d2), out=d2)
+        d2 += np.square(np.subtract(p[:, 1:2], nodes[1], out=work), out=work)
+        dmin[s : s + step] = np.sqrt(np.min(d2, axis=1))
+        kernel = np.log(np.maximum(d2, 1e-280, out=d2), out=d2)
+        if image:
+            kernel -= np.log(np.matmul(p, lifted, out=work), out=work)
+        kernel *= 0.5
+        vals[s : s + step] = np.vecdot(kernel, dens) / (2.0 * np.pi)
+    return vals, dmin
 
 
 @dataclass
@@ -522,37 +558,37 @@ class NewtonianResult:
     # radial cell to some quadrature node (accuracy degraded)
 
 
+def _grid_potential(omega_samples: GridField, eval_points, image: bool) -> NewtonianResult:
+    """Log-kernel (or Green, with ``image``) potential of grid samples."""
+    pts = np.atleast_2d(np.asarray(eval_points, dtype=float))
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError("eval_points must have shape (n, 2)")
+    if image and np.any(np.sum(pts**2, axis=1) >= 1.0):
+        raise ValueError("greens_potential is defined for interior points only")
+    grid = omega_samples.grid
+    rr, tt = grid.node_polar()
+    nodes = np.stack([(rr * np.cos(tt)).ravel(), (rr * np.sin(tt)).ravel()])
+    wq = (np.outer(grid.wr * grid.r, np.full(grid.n_angular, grid.wtheta))).ravel()
+    vals, dmin = _log_kernel(nodes, wq * omega_samples.values.ravel(), pts, image)
+    gaps = np.diff(grid.r)
+    flags = dmin < (0.5 * float(np.min(gaps)) if gaps.size else 0.25)
+    if np.any(flags):
+        name = "greens_potential" if image else "newtonian_potential"
+        warnings.warn(
+            f"{name}: some evaluation points sit within half a radial cell of "
+            "a quadrature node; those values are degraded",
+            stacklevel=3,
+        )
+    return NewtonianResult(values=vals, near_node=flags)
+
+
 def newtonian_potential(omega_samples: GridField, eval_points) -> NewtonianResult:
     """psi(x) = (1/2pi) int ln|x - y| omega(y) dy by tensor quadrature.
 
     For admissible vorticities (no harmonic moments) this reproduces the
     clamped Biot-Savart stream inside the disk and vanishes outside.
     """
-    grid = omega_samples.grid
-    pts = np.atleast_2d(np.asarray(eval_points, dtype=float))
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError("eval_points must have shape (n, 2)")
-    rr, tt = grid.node_polar()
-    ynodes = np.stack([(rr * np.cos(tt)).ravel(), (rr * np.sin(tt)).ravel()], axis=1)
-    wq = (np.outer(grid.wr * grid.r, np.full(grid.n_angular, grid.wtheta))).ravel()
-    dens = omega_samples.values.ravel()
-    gaps = np.diff(grid.r)
-    guard = 0.5 * float(np.min(gaps)) if gaps.size else 0.25
-    vals = np.empty(pts.shape[0])
-    flags = np.empty(pts.shape[0], dtype=bool)
-    for i, p in enumerate(pts):
-        d2 = np.sum((ynodes - p) ** 2, axis=1)
-        dmin = np.sqrt(float(np.min(d2)))
-        flags[i] = dmin < guard
-        d2 = np.maximum(d2, 1e-280)
-        vals[i] = float(np.dot(wq * dens, 0.5 * np.log(d2))) / (2.0 * np.pi)
-    if np.any(flags):
-        warnings.warn(
-            "newtonian_potential: some evaluation points sit within half a "
-            "radial cell of a quadrature node; those values are degraded",
-            stacklevel=2,
-        )
-    return NewtonianResult(values=vals, near_node=flags)
+    return _grid_potential(omega_samples, eval_points, image=False)
 
 
 def greens_potential(omega_samples: GridField, eval_points) -> NewtonianResult:
@@ -564,34 +600,4 @@ def greens_potential(omega_samples: GridField, eval_points) -> NewtonianResult:
     so for admissible data the result matches the plain Newtonian
     potential.  Points must lie strictly inside the unit disk.
     """
-    grid = omega_samples.grid
-    pts = np.atleast_2d(np.asarray(eval_points, dtype=float))
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError("eval_points must have shape (n, 2)")
-    radii2 = np.sum(pts**2, axis=1)
-    if np.any(radii2 >= 1.0):
-        raise ValueError("greens_potential is defined for interior points only")
-    rr, tt = grid.node_polar()
-    ynodes = np.stack([(rr * np.cos(tt)).ravel(), (rr * np.sin(tt)).ravel()], axis=1)
-    wq = (np.outer(grid.wr * grid.r, np.full(grid.n_angular, grid.wtheta))).ravel()
-    dens = omega_samples.values.ravel()
-    y2 = np.sum(ynodes**2, axis=1)
-    gaps = np.diff(grid.r)
-    guard = 0.5 * float(np.min(gaps)) if gaps.size else 0.25
-    vals = np.empty(pts.shape[0])
-    flags = np.empty(pts.shape[0], dtype=bool)
-    for i, p in enumerate(pts):
-        d2 = np.sum((ynodes - p) ** 2, axis=1)
-        dmin = np.sqrt(float(np.min(d2)))
-        flags[i] = dmin < guard
-        d2 = np.maximum(d2, 1e-280)
-        image = radii2[i] * y2 - 2.0 * (ynodes @ p) + 1.0
-        kernel = 0.5 * (np.log(d2) - np.log(image))
-        vals[i] = float(np.dot(wq * dens, kernel)) / (2.0 * np.pi)
-    if np.any(flags):
-        warnings.warn(
-            "greens_potential: some evaluation points sit within half a "
-            "radial cell of a quadrature node; those values are degraded",
-            stacklevel=2,
-        )
-    return NewtonianResult(values=vals, near_node=flags)
+    return _grid_potential(omega_samples, eval_points, image=True)

@@ -190,11 +190,11 @@ def build_table(K: int, J: int) -> EigenTable:
     return EigenTable(K, J, modes, lam, alpha, norm)
 
 
-def _harm_const(k: int) -> float:
-    """L^2 normalization of the unit harmonic c_k r^k {cos, sin}(k theta)."""
-    if k == 0:
-        return 1.0 / np.sqrt(np.pi)
-    return np.sqrt((2.0 * k + 2.0) / np.pi)
+def _harm_const(k):
+    """L^2 normalization of the unit harmonic c_k r^k {cos, sin}(k theta),
+    elementwise for an array of wavenumbers."""
+    k = np.asarray(k)
+    return np.where(k == 0, 1.0 / np.sqrt(np.pi), np.sqrt((2.0 * k + 2.0) / np.pi))
 
 
 def radial_profiles(table: EigenTable, r) -> tuple[np.ndarray, np.ndarray]:

@@ -108,6 +108,29 @@ class TestGeometry:
         with pytest.raises(ValueError, match="resolution"):
             AnnulusGeometry(0.5, n_radial=4)
 
+    @pytest.mark.parametrize(
+        "build, name",
+        [
+            (lambda g: AnnulusGeometry(R, n_angular=256.5), "n_angular"),
+            (lambda g: AnnulusGeometry(R, n_radial=200.0), "n_radial"),
+            (lambda g: AnnulusGeometry(R, n_radial=True), "n_radial"),
+            (lambda g: newtonian_bs_annulus(g, j_bump, n_boundary=0), "n_boundary"),
+            (lambda g: newtonian_bs_annulus(g, j_bump, n_boundary=-1), "n_boundary"),
+            (lambda g: newtonian_bs_annulus(g, j_bump, n_boundary=2.5), "n_boundary"),
+            (lambda g: newtonian_bs_annulus(g, j_bump, n_boundary=True), "n_boundary"),
+        ],
+    )
+    def test_rejects_counts_that_are_not_integers(self, geom, build, name):
+        with pytest.raises(ValueError, match=name):
+            build(geom)
+
+    def test_accepts_numpy_integer_counts(self):
+        geo = AnnulusGeometry(R, n_radial=np.int64(40), n_angular=np.int32(64))
+        assert geo.theta().size == 64
+        proj = bergman_project(geo, j_bump, degree=4)
+        rep = newtonian_bs_annulus(geo, proj, degree=4, n_boundary=np.int64(8))
+        assert rep == newtonian_bs_annulus(geo, proj, degree=4, n_boundary=8)
+
     def test_quadrature_weights_cover_the_interval(self, geom):
         _, wr = geom.radial_rule()
         assert abs(wr.sum() - (1.0 - R)) < 1e-14

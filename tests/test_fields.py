@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diskvort import fields
 from diskvort.fields import (
     CompositeField,
     GridField,
@@ -25,6 +26,7 @@ from diskvort.fields import (
 )
 from diskvort.specfun import bessel_j
 from diskvort.spectrum import ModeIndex, build_table, eigenfunction_eval
+from potential_oracle import greens_points, newtonian_points
 from transform_oracle import _profile, from_grid_groups, to_grid_groups
 
 
@@ -529,6 +531,40 @@ def test_greens_zero_field(table):
         warnings.simplefilter("ignore")
         res = greens_potential(gf, [(0.3, 0.1), (0.0, 0.0)])
     np.testing.assert_array_equal(res.values, 0.0)
+
+
+# one block of the log-kernel sum on a 60 x 96 grid holds this many points
+BLOCK_60x96 = max(1, fields._KERNEL_BLOCK // (60 * 96))
+
+
+@pytest.mark.parametrize("near", [False, True], ids=["clear", "near"])
+@pytest.mark.parametrize("count", [1, BLOCK_60x96 - 1, BLOCK_60x96, BLOCK_60x96 + 1])
+def test_blocked_potentials_match_per_point_oracle(table, count, near):
+    # counts around one block; with ``near`` the last point, alone in its
+    # block at block + 1, sits on a quadrature node and must be flagged
+    grid = PolarGrid(table, n_radial=60, n_angular=96)
+    gf = to_grid(random_field(table, 5), grid)
+    # radii midway between radial nodes stay clear of the near-node guard
+    rng = np.random.default_rng(count)
+    rad = rng.choice(0.5 * (grid.r[:-1] + grid.r[1:])[:50], count)
+    ang = rng.uniform(0, 2 * np.pi, count)
+    pts = np.stack([rad * np.cos(ang), rad * np.sin(ang)], axis=1)
+    if near:
+        pts[-1] = grid.r[37] * np.cos(grid.theta[11]), grid.r[37] * np.sin(grid.theta[11])
+    for route, oracle in ((newtonian_potential, newtonian_points), (greens_potential, greens_points)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = route(gf, pts)
+        want, flags = oracle(gf, pts)
+        np.testing.assert_array_equal(res.near_node, flags)
+        assert flags.any() == flags[-1] == near
+        assert [w.category for w in caught] == ([UserWarning] if near else [])
+        if route is newtonian_potential:
+            # the same arithmetic per point, so the same numbers
+            np.testing.assert_array_equal(res.values, want)
+        else:
+            # the image term's x.y comes from a matrix product
+            np.testing.assert_allclose(res.values, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
 
 
 # ---------------------------------------------------------------------------
