@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import eigh, expm, null_space
 
-from .fields import _log_kernel, trig_table
+from .fields import _log_kernel, d_theta_rows, trig_table
 from .specfun import gauss_legendre
 
 __all__ = [
@@ -196,10 +196,23 @@ class ProjectedField:
 
     def __call__(self, r, theta, what: str = "value"):
         vals = np.asarray(self.base(r, theta, what), dtype=float)
+        if what not in ("value", "d_r", "d_theta"):
+            raise ValueError(f"unknown what: {what!r}")
+        r, theta = np.asarray(r, dtype=float), np.asarray(theta, dtype=float)
+        kmax = max(h.k for h in self.basis)
+        # one radial factor per (parity, k) row of trig_table
+        rows, x = np.zeros((2, kmax + 1, r.size)), r.ravel()
         for c, h in zip(self.coeffs, self.basis):
-            if c != 0.0:
-                vals = vals - c * h(r, theta, what)
-        return vals
+            rows[int(h.parity == "sin"), h.k] += c * h.scale * (
+                h.expo * x ** (h.expo - 1) if what == "d_r" else x**h.expo
+            )
+        if what == "d_theta":
+            rows = d_theta_rows(rows)
+        rows, trig = rows.reshape(2 * (kmax + 1), -1).T, trig_table(kmax, theta.ravel()).T
+        if r.shape[-1:] == (1,) and theta.size == theta.shape[-1]:
+            # r is constant along theta's only axis: an outer product
+            return vals - (rows @ trig.T).reshape(r.shape[:-1] + theta.shape[-1:])
+        return vals - np.vecdot(rows.reshape(r.shape + (-1,)), trig.reshape(theta.shape + (-1,)))
 
 
 def bergman_project(geom: AnnulusGeometry, f, degree: int = 8) -> ProjectedField:

@@ -283,11 +283,14 @@ class PolarGrid:
     * ``harm``, shape (K+1, n_radial): the unit harmonic profiles
       h_k(r) = c_k r^k;
     * ``trig``, shape (2(K+1), n_angular): rows cos(k theta), k = 0..K,
-      then sin(k theta).
+      then sin(k theta);
+    * ``jacobian_trig``, shape (2, 2(K+1), n_angular): d/dtheta of the
+      ``trig`` rows, then ``trig``, for the advection kernel, whose one
+      angular matmul takes d_theta fields from value profiles.
 
-    Synthesis of any set of fields is one batched radial matmul plus one
-    angular matmul; d/dtheta acts on the blocks first (cos and sin rows
-    swap, scaled by +-k).  Analysis is the transpose.
+    Synthesis is one batched radial matmul plus one angular matmul;
+    d/dtheta acts on the blocks first (cos and sin rows swap, scaled by
+    +-k).  Analysis is the transpose.
     """
 
     # the value and d_r rows of ``radial_profiles``, in its order
@@ -325,29 +328,19 @@ class PolarGrid:
         prof, harm = radial_profiles(table, self.r)
         self.prof = prof[:2].reshape((len(self.PROFILES),) + prof.shape[2:])
         self.harm = harm[0]
+        d_trig = -d_theta_rows(self.trig.reshape(2, K + 1, -1)).reshape(self.trig.shape)
+        self.jacobian_trig = np.stack([d_trig, self.trig])
 
-    def synthesize(self, blocks, fields) -> np.ndarray:
-        """Grid samples, shape (F, n_radial, n_angular), of F fields.
-
-        ``blocks`` has shape (F, 2, K+1, J); ``fields`` names each
-        field's (kind, what), what in value | d_r | d_theta.
-        """
-        blocks = np.array(blocks, dtype=float)
-        idx = []
-        for f, (kind, what) in enumerate(fields):
-            if what not in ("value", "d_r", "d_theta"):
-                raise ValueError(f"what must be value|d_r|d_theta, got {what!r}")
-            if what == "d_theta":
-                blocks[f] = d_theta_rows(blocks[f])
-            idx.append(self.PROFILES.index((kind, "d_r" if what == "d_r" else "value")))
-        # consecutive profiles are a view of the stack, so the usual
-        # requests (one field, or the advection's four) copy nothing
-        if idx == list(range(idx[0], idx[0] + len(idx))):
-            prof = self.prof[idx[0] : idx[0] + len(idx)]
-        else:
-            prof = self.prof[idx]
-        radial = np.matmul(blocks.transpose(0, 2, 1, 3), prof)  # (F, K+1, 2, n_radial)
-        return synthesize_rows(radial.transpose(0, 2, 1, 3), self.trig)
+    def synthesize(self, blocks, kind: str, what: str = "value") -> np.ndarray:
+        """Grid samples (n_radial, n_angular) of one field of the given
+        kind from its blocks (2, K+1, J); what in value | d_r | d_theta."""
+        if what not in ("value", "d_r", "d_theta"):
+            raise ValueError(f"what must be value|d_r|d_theta, got {what!r}")
+        if what == "d_theta":
+            blocks = d_theta_rows(blocks)
+        prof = self.prof[self.PROFILES.index((kind, "d_r" if what == "d_r" else "value"))]
+        radial = np.matmul(np.swapaxes(blocks, 0, 1), prof)  # (K+1, 2, n_radial)
+        return synthesize_rows(radial.swapaxes(0, 1), self.trig)
 
     def analyze(self, values) -> tuple[np.ndarray, np.ndarray]:
         """Quadrature projection of samples (n_radial, n_angular): the
@@ -422,8 +415,7 @@ def to_grid(field: SpectralField, grid: PolarGrid, what: str = "value") -> GridF
     """Pointwise samples of the field or its exact analytic derivative."""
     if grid.table is not field.table:
         raise ValueError("grid was built for a different table")
-    blocks = field.table.to_blocks(field.coeffs)[None]
-    return GridField(grid, grid.synthesize(blocks, [(field.kind, what)])[0])
+    return GridField(grid, grid.synthesize(field.table.to_blocks(field.coeffs), field.kind, what))
 
 
 def from_grid(values: GridField, table: EigenTable):
@@ -440,7 +432,7 @@ def from_grid(values: GridField, table: EigenTable):
     spectral = SpectralField(table, table.from_blocks(blocks), "vorticity")
     harmonic = HarmonicExpansion(moments[0], moments[1])
     rr, tt = grid.node_polar()
-    rec = grid.synthesize(blocks[None], [("vorticity", "value")])[0] + harmonic.eval(rr, tt)
+    rec = grid.synthesize(blocks, "vorticity") + harmonic.eval(rr, tt)
     residual = float(np.sqrt(max(grid.integrate((values.values - rec) ** 2), 0.0)))
     return spectral, harmonic, residual
 

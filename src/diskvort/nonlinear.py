@@ -34,6 +34,7 @@ psi_B.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +45,6 @@ from .fields import (
     PolarGrid,
     SpectralField,
     _harm_const,
-    biot_savart,
     from_grid,
 )
 
@@ -56,15 +56,6 @@ __all__ = [
     "elliptic_map",
     "elliptic_stream_values",
 ]
-
-# (kind, what) of d_theta omega, d_theta psi, d_r omega, d_r psi, in the
-# order of PolarGrid.PROFILES, so that the synthesis copies no profiles
-_JACOBIAN_FIELDS = (
-    ("vorticity", "d_theta"),
-    ("stream", "d_theta"),
-    ("vorticity", "d_r"),
-    ("stream", "d_r"),
-)
 
 
 @dataclass
@@ -78,9 +69,30 @@ class AdvectionResult:
     umax: float
 
 
-def _speed_max(dpsi_r: np.ndarray, dpsi_t: np.ndarray, grid: PolarGrid) -> float:
+def _stream_scale(table) -> np.ndarray:
+    """Blocks (2, 2, K+1, J) of omega and psi per unit omega: 1 and the
+    Biot-Savart scale -1/lambda."""
+    scale = table.to_blocks(-1.0 / table.lam)
+    return np.stack([np.ones_like(scale), scale])
+
+
+def _advect(w, grid: PolarGrid, stream_scale):
+    """The advection kernel on coefficient blocks (2, K+1, J).
+
+    ``stream_scale`` is ``_stream_scale(grid.table)``.  Returns the
+    projected blocks, the harmonic moments (2, K+1), the largest grid
+    speed |u| and the samples of Lambda.
+    """
+    K, n_r, n_t = grid.table.K, grid.n_radial, grid.n_angular
+    # (what, field, K+1, 2, n_r) for what in (value, d_r), field in (omega, psi)
+    radial = np.matmul((w * stream_scale).swapaxes(1, 2), grid.prof.reshape(2, 2, K + 1, -1, n_r))
+    rows = radial.transpose(0, 1, 4, 3, 2).reshape(2, 2 * n_r, 2 * (K + 1))
+    (dom_t, dpsi_t), (dom_r, dpsi_r) = np.matmul(rows, grid.jacobian_trig).reshape(2, 2, n_r, n_t)
+    lam_vals = (dpsi_r * dom_t - dpsi_t * dom_r) / grid.r[:, None]
     # u_r = -d_theta psi / r, u_theta = d_r psi
-    return float(np.sqrt(np.max((dpsi_t / grid.r[:, None]) ** 2 + dpsi_r**2)))
+    umax = math.sqrt(((dpsi_t / grid.r[:, None]) ** 2 + dpsi_r**2).max())
+    projected, moments = grid.analyze(lam_vals)
+    return projected, moments, umax, lam_vals
 
 
 def advection(omega: SpectralField, grid: PolarGrid) -> AdvectionResult:
@@ -89,25 +101,20 @@ def advection(omega: SpectralField, grid: PolarGrid) -> AdvectionResult:
         raise ValueError("advection expects a vorticity field")
     if grid.table is not omega.table:
         raise ValueError("grid was built for a different table")
-    w = omega.table.to_blocks(omega.coeffs)
-    psi = omega.table.to_blocks(biot_savart(omega).coeffs)
-    dom_t, dpsi_t, dom_r, dpsi_r = grid.synthesize(np.stack([w, psi, w, psi]), _JACOBIAN_FIELDS)
-    lam_vals = (dpsi_r * dom_t - dpsi_t * dom_r) / grid.r[:, None]
-    raw = float(np.sqrt(max(grid.integrate(lam_vals**2), 0.0)))
-    blocks, moments = grid.analyze(lam_vals)
+    table = omega.table
+    w = table.to_blocks(omega.coeffs)
+    blocks, moments, umax, lam_vals = _advect(w, grid, _stream_scale(table))
     return AdvectionResult(
-        projected=SpectralField(omega.table, omega.table.from_blocks(blocks), "vorticity"),
+        projected=SpectralField(table, table.from_blocks(blocks), "vorticity"),
         harmonic=HarmonicExpansion(moments[0], moments[1]),
-        raw_l2_norm=raw,
-        umax=_speed_max(dpsi_r, dpsi_t, grid),
+        raw_l2_norm=float(np.sqrt(max(grid.integrate(lam_vals**2), 0.0))),
+        umax=umax,
     )
 
 
 def velocity_max(omega: SpectralField, grid: PolarGrid) -> float:
     """Max pointwise speed of the Biot-Savart velocity on the grid."""
-    psi = omega.table.to_blocks(biot_savart(omega).coeffs)
-    dpsi_t, dpsi_r = grid.synthesize(np.stack([psi, psi]), _JACOBIAN_FIELDS[1::2])
-    return _speed_max(dpsi_r, dpsi_t, grid)
+    return advection(omega, grid).umax
 
 
 def elliptic_stream_values(

@@ -15,25 +15,31 @@ the backward difference of the moments.  The first step uses
 d/dt omega_B = 0 and the initial state absorbs the instantaneous
 correction, so the total initial vorticity equals the requested one.
 
-A step costs two advection calls, each one batched synthesis of four
-derivative fields and one analysis; the CFL guard reads |u|max off the
-first of them.  Every object in the loop lives in the eigen-span, so
-the harmonic moments of the total vorticity are conserved structurally;
-the solver still measures them each step, as max |M c| for the
-quadrature moment map M built in ``prepare``, and aborts loudly if they
-ever exceed 10x the configured tolerance.  A state whose speed, moments
-or new coefficients are not finite aborts too.
+A step works on coefficient blocks (2, K+1, J), converting omega_0 and
+omega_B once on entry and once on exit.  Apart from the advection every
+map in it is a block scale fixed in ``prepare``: the exponential
+factors, Biot-Savart (-1/lambda), E/nu and the moment map.  The
+advection kernel runs twice, each one radial matmul, one angular matmul
+and one analysis matmul; the CFL guard reads |u|max off the first run.
+
+Every object in the loop lives in the eigen-span, so the harmonic
+moments of the total vorticity are conserved structurally; the solver
+still measures them each step, as max |M c| for the quadrature moment
+map M built in ``prepare``, and aborts loudly if they ever exceed 10x
+the configured tolerance.  A state whose speed, moments or new
+coefficients are not finite aborts too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+import math
+from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .fields import HarmonicExpansion, PolarGrid, SpectralField, norm_at
-from .nonlinear import advection, elliptic_map
+from .fields import PolarGrid, SpectralField, norm_at
+from .nonlinear import _advect, _stream_scale, elliptic_map
 from .semigroup import Trajectory, duhamel_step, phi1, phi2
 from .spectrum import EigenTable, ModeIndex, build_table
 
@@ -91,25 +97,28 @@ class RunConfig:
     moment_tol: float = 1e-8
     cfl: float = 0.5
 
+    def __post_init__(self):
+        # numpy scalars stand for the Python numbers they hold
+        for name, value in list(vars(self).items()):
+            if isinstance(value, (np.integer, np.floating)):
+                object.__setattr__(self, name, value.item())
+
     def validate(self) -> list[str]:
         """All violations at once, not just the first."""
         errs = []
-        if not (isinstance(self.nu, (int, float)) and self.nu > 0):
+        real = lambda x: isinstance(x, (int, float)) and not isinstance(x, bool)
+        integer = lambda x: isinstance(x, int) and not isinstance(x, bool)
+        if not (real(self.nu) and self.nu > 0):
             errs.append(f"nu must be > 0, got {self.nu!r}")
-        if not (isinstance(self.K, int) and self.K >= 0):
+        if not (integer(self.K) and self.K >= 0):
             errs.append(f"K must be an integer >= 0, got {self.K!r}")
-        if not (isinstance(self.J, int) and self.J >= 1):
+        if not (integer(self.J) and self.J >= 1):
             errs.append(f"J must be an integer >= 1, got {self.J!r}")
-        if not (isinstance(self.dt, (int, float)) and self.dt > 0):
+        if not (real(self.dt) and self.dt > 0):
             errs.append(f"dt must be > 0, got {self.dt!r}")
-        if not (isinstance(self.t_final, (int, float)) and self.t_final > 0):
+        if not (real(self.t_final) and self.t_final > 0):
             errs.append(f"t_final must be > 0, got {self.t_final!r}")
-        if (
-            isinstance(self.dt, (int, float))
-            and isinstance(self.t_final, (int, float))
-            and self.dt > 0
-            and self.t_final > 0
-        ):
+        if real(self.dt) and real(self.t_final) and self.dt > 0 and self.t_final > 0:
             n = self.t_final / self.dt
             if abs(n - round(n)) > 1e-9 * max(1.0, n):
                 errs.append(
@@ -117,25 +126,29 @@ class RunConfig:
                 )
         if (self.init_modes is None) == (self.init_seed is None):
             errs.append("exactly one of init_modes or init_seed must be set")
-        if self.init_seed is not None and not isinstance(self.init_seed, int):
+        if self.init_seed is not None and not integer(self.init_seed):
             errs.append(f"init_seed must be an integer, got {self.init_seed!r}")
         if self.init_modes is not None:
+            seen = set()
             try:
                 for (k, j, parity), coeff in self.init_modes:
-                    ModeIndex(int(k), int(j), parity)
+                    mode = ModeIndex(int(k), int(j), parity)
                     float(coeff)
-                    if isinstance(self.K, int) and isinstance(self.J, int):
+                    if mode in seen:
+                        errs.append(f"init mode ({k},{j},{parity}) given twice")
+                    seen.add(mode)
+                    if integer(self.K) and integer(self.J):
                         if k > self.K or j > self.J:
                             errs.append(
                                 f"init mode ({k},{j},{parity}) outside table K={self.K} J={self.J}"
                             )
             except (TypeError, ValueError) as e:
                 errs.append(f"malformed init_modes: {e}")
-        if not (isinstance(self.output_every, int) and self.output_every >= 1):
+        if not (integer(self.output_every) and self.output_every >= 1):
             errs.append(f"output_every must be an integer >= 1, got {self.output_every!r}")
-        if not (isinstance(self.moment_tol, (int, float)) and self.moment_tol > 0):
+        if not (real(self.moment_tol) and self.moment_tol > 0):
             errs.append(f"moment_tol must be > 0, got {self.moment_tol!r}")
-        if not (isinstance(self.cfl, (int, float)) and self.cfl > 0):
+        if not (real(self.cfl) and self.cfl > 0):
             errs.append(f"cfl must be > 0, got {self.cfl!r}")
         return errs
 
@@ -165,16 +178,18 @@ class DiagnosticsRow:
 
 @dataclass
 class RunContext:
-    """Precomputed per-run machinery shared by all steps."""
+    """Precomputed per-run machinery shared by all steps; the arrays are
+    coefficient blocks (2, K+1, J), ``EigenTable.to_blocks``."""
 
     table: EigenTable
     grid: PolarGrid
-    exp_factor: np.ndarray
-    phi1_dt: np.ndarray
-    phi2_dt: np.ndarray
+    exp_factor: np.ndarray  # exp(-nu lam dt)
+    phi1_dt: np.ndarray  # dt phi1(-nu lam dt)
+    phi2_dt: np.ndarray  # dt phi2(-nu lam dt)
+    stream_scale: np.ndarray  # (2, 2, K+1, J): 1 and -1/lam, omega and psi per omega
     sqrt_lam_max: float
-    elliptic_map: np.ndarray  # (2, K+1, J): omega_B blocks per unit moment, nu = 1
-    moment_map: np.ndarray  # (2, K+1, J): harmonic moments of each basis function
+    elliptic_map: np.ndarray  # E / nu: omega_B blocks per unit moment
+    moment_map: np.ndarray  # harmonic moments of each basis function
 
 
 def prepare(cfg: RunConfig) -> RunContext:
@@ -187,31 +202,29 @@ def prepare(cfg: RunConfig) -> RunContext:
     return RunContext(
         table=table,
         grid=grid,
-        exp_factor=np.exp(z),
-        phi1_dt=cfg.dt * phi1(z),
-        phi2_dt=cfg.dt * phi2(z),
+        exp_factor=table.to_blocks(np.exp(z)),
+        phi1_dt=table.to_blocks(cfg.dt * phi1(z)),
+        phi2_dt=table.to_blocks(cfg.dt * phi2(z)),
+        stream_scale=_stream_scale(table),
         sqrt_lam_max=float(np.sqrt(table.lambda_max)),
-        elliptic_map=elliptic_map(grid),
+        elliptic_map=elliptic_map(grid) / cfg.nu,
         moment_map=grid.project_radial(grid.harm),
     )
 
 
 def _initial_field(cfg: RunConfig, table: EigenTable) -> SpectralField:
     if cfg.init_modes is not None:
-        f = SpectralField.zeros(table)
-        for (k, j, parity), coeff in cfg.init_modes:
-            f.coeffs[table.position(ModeIndex(int(k), int(j), parity))] = float(coeff)
-        return f
+        modes, coeffs = zip(*cfg.init_modes)
+        k, j, parity = zip(*modes)
+        sin = np.equal(parity, "sin").astype(np.intp)
+        index = table.perm[sin, np.array(k, dtype=np.intp), np.array(j, dtype=np.intp) - 1]
+        c = np.zeros(len(table))
+        c[index] = np.array(coeffs, dtype=float)  # validate rejects repeated modes
+        return SpectralField(table, c, "vorticity")
     rng = np.random.default_rng(cfg.init_seed)
     c = rng.standard_normal(len(table)) / table.lam
     f = SpectralField(table, c, "vorticity")
     return f * (1.0 / norm_at(f, 0))
-
-
-def _omega_b(h: HarmonicExpansion, nu: float, ctx: RunContext) -> SpectralField:
-    """The elliptic correction E h / nu for the moments h."""
-    blocks = ctx.elliptic_map * (np.stack([h.a, h.b]) / nu)[:, :, None]
-    return SpectralField(ctx.table, ctx.table.from_blocks(blocks), "vorticity")
 
 
 def initial_state(cfg: RunConfig, ctx: Optional[RunContext] = None) -> SolverState:
@@ -223,30 +236,37 @@ def initial_state(cfg: RunConfig, ctx: Optional[RunContext] = None) -> SolverSta
     """
     if ctx is None:
         ctx = prepare(cfg)
-    omega_i = _initial_field(cfg, ctx.table)
-    omega_b = _omega_b(advection(omega_i, ctx.grid).harmonic, cfg.nu, ctx)
+    table = ctx.table
+    omega_i = _initial_field(cfg, table)
+    _, h, _, _ = _advect(table.to_blocks(omega_i.coeffs), ctx.grid, ctx.stream_scale)
+    omega_b = SpectralField(table, table.from_blocks(ctx.elliptic_map * h[:, :, None]), "vorticity")
     return SolverState(time=0.0, omega0=omega_i - omega_b, omega_B=omega_b)
+
+
+def _max_moment(blocks: np.ndarray, ctx: RunContext) -> float:
+    return float(np.abs(np.vecdot(ctx.moment_map, blocks)).max())
 
 
 def measure_moment_drift(omega: SpectralField, ctx: RunContext) -> float:
     """Max harmonic moment of the field by grid quadrature, as max |M c|."""
-    moments = np.sum(ctx.moment_map * ctx.table.to_blocks(omega.coeffs), axis=-1)
-    return float(np.max(np.abs(moments)))
+    return _max_moment(ctx.table.to_blocks(omega.coeffs), ctx)
 
 
 def step(state: SolverState, cfg: RunConfig, ctx: Optional[RunContext] = None) -> SolverState:
-    """One accepted ETD2RK step of the coupled system."""
+    """One accepted ETD2RK step of the coupled system, on coefficient blocks."""
     if ctx is None:
         ctx = prepare(cfg)
     table = ctx.table
-    omega = state.total()
+    w0 = table.to_blocks(state.omega0.coeffs)
+    wb = table.to_blocks(state.omega_B.coeffs)
+    w = w0 + wb
 
-    adv = advection(omega, ctx.grid)
-    courant = cfg.dt * adv.umax * ctx.sqrt_lam_max
-    drift = measure_moment_drift(omega, ctx)
-    if not (np.isfinite(courant) and np.isfinite(drift)):
+    projected, moments, umax, _ = _advect(w, ctx.grid, ctx.stream_scale)
+    courant = cfg.dt * umax * ctx.sqrt_lam_max
+    drift = _max_moment(w, ctx)
+    if not (math.isfinite(courant) and math.isfinite(drift)):
         raise NonFiniteState(
-            f"refusing step at t={state.time:.6g}: |u|max = {adv.umax:.3g}, "
+            f"refusing step at t={state.time:.6g}: |u|max = {umax:.3g}, "
             f"harmonic moments = {drift:.3g}"
         )
     if courant > cfg.cfl:
@@ -260,25 +280,19 @@ def step(state: SolverState, cfg: RunConfig, ctx: Optional[RunContext] = None) -
             f"(tolerance {cfg.moment_tol:.1e}); state no longer admissible"
         )
 
-    omega_b_new = _omega_b(adv.harmonic, cfg.nu, ctx)
-    if state.started:
-        domega_b_dt = (omega_b_new.coeffs - state.omega_B.coeffs) / cfg.dt
-    else:
-        domega_b_dt = 0.0
-
-    f0 = -adv.projected.coeffs - domega_b_dt
-    predictor = ctx.exp_factor * state.omega0.coeffs + ctx.phi1_dt * f0
-    pred_total = SpectralField(table, predictor + omega_b_new.coeffs, "vorticity")
-    adv1 = advection(pred_total, ctx.grid)
-    f1 = -adv1.projected.coeffs - domega_b_dt
+    wb_new = ctx.elliptic_map * moments[:, :, None]
+    domega_b_dt = (wb_new - wb) / cfg.dt if state.started else 0.0
+    f0 = -projected - domega_b_dt
+    predictor = ctx.exp_factor * w0 + ctx.phi1_dt * f0
+    f1 = -_advect(predictor + wb_new, ctx.grid, ctx.stream_scale)[0] - domega_b_dt
     new0 = predictor + ctx.phi2_dt * (f1 - f0)
-    if not (np.all(np.isfinite(new0)) and np.all(np.isfinite(omega_b_new.coeffs))):
+    if not (np.isfinite(new0).all() and np.isfinite(wb_new).all()):
         raise NonFiniteState(f"step from t={state.time:.6g} produced non-finite coefficients")
 
     return SolverState(
         time=state.time + cfg.dt,
-        omega0=SpectralField(table, new0, "vorticity"),
-        omega_B=omega_b_new,
+        omega0=SpectralField(table, table.from_blocks(new0), "vorticity"),
+        omega_B=SpectralField(table, table.from_blocks(wb_new), "vorticity"),
         started=True,
     )
 

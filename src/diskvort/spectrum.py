@@ -100,6 +100,9 @@ class EigenTable:
         self.perm = np.full((2, self.K + 1, self.J), len(self.modes), dtype=np.intp)
         for i, m in enumerate(self.modes):
             self.perm[_PARITIES.index(m.parity), m.k, m.j - 1] = i
+        # gather indices of the two layouts; the pad slot reads mode 0, then is zeroed
+        self._gather = np.where(self.perm == len(self.modes), 0, self.perm)
+        self._scatter = np.argsort(self.perm, axis=None, kind="stable")[: len(self.modes)]
 
     def __len__(self) -> int:
         return len(self.modes)
@@ -127,16 +130,14 @@ class EigenTable:
 
     def to_blocks(self, coeffs) -> np.ndarray:
         """Eigenvalue-sorted coefficients (..., n) as blocks (..., 2, K+1, J)."""
-        c = np.asarray(coeffs, dtype=float)
-        padded = np.concatenate([c, np.zeros(c.shape[:-1] + (1,))], axis=-1)
-        return padded[..., self.perm]
+        blocks = np.asarray(coeffs, dtype=float).take(self._gather, axis=-1)
+        blocks[..., 1, 0, :] = 0.0
+        return blocks
 
     def from_blocks(self, blocks) -> np.ndarray:
         """Inverse of ``to_blocks``; the k = 0 sine row is dropped."""
         blocks = np.asarray(blocks, dtype=float)
-        out = np.zeros(blocks.shape[:-3] + (len(self) + 1,))
-        out[..., self.perm] = blocks
-        return out[..., :-1]
+        return blocks.reshape(blocks.shape[:-3] + (-1,)).take(self._scatter, axis=-1)
 
     def to_json(self) -> str:
         payload = {

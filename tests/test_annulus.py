@@ -225,6 +225,27 @@ class TestBergmanProjection:
         rhs = _integrate(geom, _sample(geom, u) * _sample(geom, pv))
         assert abs(lhs - rhs) <= 1e-9
 
+    @pytest.mark.parametrize("what", ["value", "d_r", "d_theta"])
+    def test_separable_evaluation_matches_per_element_sum(self, geom, what):
+        proj = bergman_project(geom, band_field(np.random.default_rng(17)), degree=6)
+        r, _ = geom.radial_rule()
+        th = geom.theta()
+        shapes = [
+            (r[:, None], th[None, :]),  # the tensor grid, an outer product
+            (r[:, None], th),
+            (np.full_like(th, R), th),  # points
+            (0.75, th),
+            (0.8, 1.1),
+            (r[:4, None, None], np.linspace(0.0, 3.0, 6).reshape(1, 3, 2)),
+        ]
+        for rr, tt in shapes:
+            want = np.asarray(proj.base(rr, tt, what), dtype=float)
+            for c, h in zip(proj.coeffs, proj.basis):
+                want = want - c * h(rr, tt, what)
+            got = proj(rr, tt, what)
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
+
 
 class TestZetaPairing:
     def test_constant_field_pairs_to_zero(self, geom, xi):

@@ -67,3 +67,22 @@ def test_job_call_shapes_bind(target, args, kwargs):
     module_name, attr = target.split(".")
     fn = getattr(importlib.import_module(f"diskvort.{module_name}"), attr)
     inspect.signature(fn).bind(*args, **kwargs)
+
+
+def test_run_calls_module_step_once_per_step(monkeypatch):
+    # a traced run reads its per-step layers off the ``solver.step`` spans,
+    # which exist only if ``run`` calls the module-global ``step``
+    from diskvort import solver
+
+    calls = []
+    step = solver.step
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "step", counting)
+    cfg = solver.RunConfig(nu=0.1, K=4, J=4, dt=2e-3, t_final=0.05, init_seed=1, output_every=7)
+    traj = solver.run(cfg, solver.prepare(cfg))
+    assert len(calls) == round(cfg.t_final / cfg.dt) == 25
+    assert traj.times[-1] == pytest.approx(cfg.t_final)

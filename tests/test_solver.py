@@ -5,6 +5,7 @@ import pytest
 
 from diskvort.fields import SpectralField, norm_at
 from diskvort.semigroup import fit_decay_rate, propagate
+from diskvort.solver import _initial_field as solver_initial_field
 from diskvort.solver import (
     CFLViolation,
     MomentDriftError,
@@ -58,6 +59,59 @@ def test_config_rejects_out_of_table_mode():
     assert any("outside table" in e for e in cfg.validate())
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("K", np.int64(4)),
+        ("J", np.int32(4)),
+        ("init_seed", np.int64(3)),
+        ("nu", np.float32(0.1)),
+        ("dt", np.float64(2e-3)),
+        ("output_every", np.uint8(5)),
+        ("n_radial", np.int64(20)),
+        ("cfl", np.float32(0.5)),
+    ],
+)
+def test_config_accepts_numpy_scalars(field, value):
+    cfg = small_cfg(**{field: value})
+    assert cfg.validate() == []
+    assert type(getattr(cfg, field)) is type(value.item())
+    assert getattr(cfg, field) == value.item()
+    prepare(cfg)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("K", True),
+        ("J", True),
+        ("K", np.True_),
+        ("init_seed", True),
+        ("output_every", True),
+        ("nu", True),
+        ("dt", False),
+        ("t_final", True),
+        ("moment_tol", True),
+        ("cfl", np.True_),
+    ],
+)
+def test_config_rejects_bools(field, value):
+    errs = small_cfg(**{field: value}).validate()
+    assert any(e.startswith(field) and repr(value) in e for e in errs), errs
+
+
+@pytest.mark.parametrize(
+    "modes",
+    [
+        (((1, 1, "cos"), 1.0), ((1, 1, "cos"), 0.5)),
+        (((2, 3, "sin"), 1.0), ((0, 1, "cos"), 0.2), ((2.0, 3, "sin"), 0.5)),
+    ],
+)
+def test_config_rejects_duplicate_init_modes(modes):
+    errs = small_cfg(init_modes=modes, init_seed=None).validate()
+    assert any("given twice" in e for e in errs), errs
+
+
 # ---------------------------------------------------------------------------
 # initial split
 
@@ -72,6 +126,46 @@ def test_initial_total_matches_requested():
     np.testing.assert_allclose(state.total().coeffs, want, atol=1e-14)
     assert not state.started
     assert state.time == 0.0
+
+
+def per_mode_field(cfg, table):
+    """The requested initial vorticity assigned one mode at a time."""
+    f = SpectralField.zeros(table)
+    for (k, j, parity), coeff in cfg.init_modes:
+        f.coeffs[table.position(ModeIndex(int(k), int(j), parity))] = float(coeff)
+    return f
+
+
+def unit_enstrophy_modes(K, J, seed):
+    """Every mode of a (K, J) table, amplitudes falling like 1/lambda."""
+    keys = [
+        (k, j, parity)
+        for k in range(K + 1)
+        for j in range(1, J + 1)
+        for parity in (("cos",) if k == 0 else ("cos", "sin"))
+    ]
+    amp = np.array([(np.pi * (j + 0.5 * k + 0.25)) ** -2 for k, j, _ in keys])
+    c = np.random.default_rng(seed).standard_normal(len(keys)) * amp
+    return tuple(zip(keys, (c / np.sqrt(np.sum(c * c))).tolist()))
+
+
+@pytest.mark.parametrize(
+    "K,J,modes",
+    [
+        (4, 4, (((0, 1, "cos"), 1.0),)),
+        (4, 4, (((0, 3, "cos"), -0.25), ((3, 2, "sin"), 0.5), ((1, 4, "sin"), 1e-3))),
+        (8, 8, unit_enstrophy_modes(8, 8, 2024)),
+        (4, 12, (((0, 1, "cos"), 0.4), ((2, 1, "cos"), 0.25))),
+    ],
+    ids=["k0", "sin", "k8-all-modes", "check10"],
+)
+def test_initial_field_matches_per_mode_assignment(K, J, modes):
+    cfg = RunConfig(nu=0.1, K=K, J=J, dt=2e-3, t_final=0.2, init_modes=modes)
+    ctx = prepare(cfg)
+    want = per_mode_field(cfg, ctx.table).coeffs
+    assert np.array_equal(solver_initial_field(cfg, ctx.table).coeffs, want)
+    total = initial_state(cfg, ctx).total().coeffs
+    np.testing.assert_allclose(total, want, rtol=0, atol=1e-15 * np.max(np.abs(want)))
 
 
 def test_initial_correction_nontrivial_for_nonradial():
@@ -186,6 +280,17 @@ def test_non_finite_state_aborts(bad):
             step(broken, cfg, ctx)
         with pytest.raises(NonFiniteState):
             step(SolverState(state.time, one_bad, state.omega_B, started=True), cfg, ctx)
+
+
+def test_run_equals_iterated_steps():
+    cfg = small_cfg(init_modes=(((0, 1, "cos"), 0.4), ((2, 1, "cos"), 0.25)), init_seed=None)
+    ctx = prepare(cfg)
+    traj = run(cfg, ctx)
+    state = initial_state(cfg, ctx)
+    for _ in range(int(round(cfg.t_final / cfg.dt))):
+        state = step(state, cfg, ctx)
+    assert state.time == traj.times[-1]
+    assert np.array_equal(traj.states[-1].coeffs, state.total().coeffs)
 
 
 def test_run_deterministic():
