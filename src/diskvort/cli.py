@@ -210,7 +210,11 @@ def _parse_modes(text: str):
 def _run_config(resolved: dict, check_cfl: bool = True):
     """Build and vet the solver configuration, all problems in one
     report, including the advective stability bound of the requested
-    initial data (refused before any time stepping)."""
+    initial data (refused before any time stepping).
+
+    Returns ``(cfg, ctx)``: the run context the CFL check prepared, for
+    the run to reuse, or None without the check.
+    """
     from .nonlinear import velocity_max
     from .solver import RunConfig, initial_state, prepare
 
@@ -261,6 +265,7 @@ def _run_config(resolved: dict, check_cfl: bool = True):
     problems += cfg.validate()
     if problems:
         raise ConfigError(problems)
+    ctx = None
     if check_cfl:
         ctx = prepare(cfg)
         omega = initial_state(cfg, ctx).total()
@@ -275,12 +280,12 @@ def _run_config(resolved: dict, check_cfl: bool = True):
                         f"(|u|_max = {umax:.3g}, sqrt(lambda_max) = {ctx.sqrt_lam_max:.3g})"
                     ]
                 )
-    return cfg
+    return cfg, ctx
 
 
 def load_config(path, check_cfl: bool = True):
     """Parse, default, and validate a config file into a RunConfig."""
-    return _run_config(_resolve(_parse_file(path)), check_cfl=check_cfl)
+    return _run_config(_resolve(_parse_file(path)), check_cfl=check_cfl)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +311,7 @@ def _write_snapshots(traj, outdir: Path, every: int) -> list[str]:
 
 def _trajectory_pipeline(args, runner, subcommand: str) -> int:
     resolved = _resolve(_parse_file(args.config))
-    cfg = _run_config(resolved, check_cfl=(subcommand == "ns"))
+    cfg, ctx = _run_config(resolved, check_cfl=(subcommand == "ns"))
     outdir = Path(args.outdir)
     man, t0 = _begin(
         subcommand,
@@ -315,7 +320,7 @@ def _trajectory_pipeline(args, runner, subcommand: str) -> int:
         seed=resolved["init"]["seed"],
         config_path=args.config,
     )
-    traj = runner(cfg)
+    traj = runner(cfg, ctx=ctx)
     files = ["trajectory.csv"]
     traj.to_csv(outdir / "trajectory.csv")
     files += _write_snapshots(traj, outdir, resolved["output"]["snapshot_every"])
@@ -379,10 +384,10 @@ def _cmd_biot_savart_check(args) -> int:
 
 def _cmd_pressure(args) -> int:
     from .pressure import momentum_residual, recover_pressure
-    from .solver import prepare, run
+    from .solver import run
 
     resolved = _resolve(_parse_file(args.config))
-    cfg = _run_config(resolved)
+    cfg, ctx = _run_config(resolved)
     if cfg.t_final / cfg.dt / cfg.output_every < 2:
         raise ConfigError(
             ["pressure needs at least 3 output rows to center a time derivative"]
@@ -391,7 +396,6 @@ def _cmd_pressure(args) -> int:
     man, t0 = _begin(
         "pressure", resolved, outdir, seed=resolved["init"]["seed"], config_path=args.config
     )
-    ctx = prepare(cfg)
     traj = run(cfg, ctx)
     index = (len(traj) - 1) // 2
     resid = momentum_residual(traj, index, cfg.nu, ctx.grid, n_aux=args.n_aux)

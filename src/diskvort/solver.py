@@ -107,7 +107,9 @@ class RunConfig:
         """All violations at once, not just the first."""
         errs = []
         real = lambda x: isinstance(x, (int, float)) and not isinstance(x, bool)
-        integer = lambda x: isinstance(x, int) and not isinstance(x, bool)
+        integer = lambda x: isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+        # a mode index may also be a float holding a whole number, like 2.0
+        index = lambda x: integer(x) or (isinstance(x, float) and x.is_integer())
         if not (real(self.nu) and self.nu > 0):
             errs.append(f"nu must be > 0, got {self.nu!r}")
         if not (integer(self.K) and self.K >= 0):
@@ -132,6 +134,9 @@ class RunConfig:
             seen = set()
             try:
                 for (k, j, parity), coeff in self.init_modes:
+                    if not (index(k) and index(j)):
+                        errs.append(f"init mode ({k},{j},{parity}) needs integer k and j")
+                        continue
                     mode = ModeIndex(int(k), int(j), parity)
                     float(coeff)
                     if mode in seen:

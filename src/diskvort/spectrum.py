@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import bessel_j, bessel_j_zero_rows, gauss_legendre
+from .specfun import _bessel_stack, bessel_j, bessel_j_zero_rows, gauss_legendre
 
 __all__ = [
     "ModeIndex",
@@ -62,13 +62,15 @@ class ModeIndex:
             raise ValueError("k = 0 modes are radial; only 'cos' parity exists")
 
 
-def _norm_const(k: int, alpha: float) -> float:
-    jk = bessel_j(k, alpha)
-    base = 1.0 / (np.sqrt(np.pi) * abs(jk)) if k == 0 else np.sqrt(2.0 / np.pi) / abs(jk)
-    probe = bessel_j(k, 0.5 * alpha)
-    if probe < 0.0:
-        return -base
-    return base
+def _norm_consts(alpha: np.ndarray) -> np.ndarray:
+    """Normalization constants c_{k,j}, shape (K+1, J), from the zeros
+    ``alpha[k, j-1]`` = alpha_{k+1,j}: |J_k(alpha)| and the sign probe
+    J_k(alpha/2) of every mode from one Bessel stack."""
+    k = np.arange(alpha.shape[0])
+    jk = _bessel_stack(k, np.stack([alpha, 0.5 * alpha], axis=-1), precise=True)[0]
+    scale = np.where(k == 0, 1.0 / np.sqrt(np.pi), np.sqrt(2.0 / np.pi))[:, None]
+    base = scale / np.abs(jk[..., 0])
+    return np.where(jk[..., 1] < 0.0, -base, base)
 
 
 class EigenTable:
@@ -173,13 +175,14 @@ def build_table(K: int, J: int) -> EigenTable:
         raise ValueError(f"K must be a nonnegative integer, got {K!r}")
     if not isinstance(J, (int, np.integer)) or J < 1:
         raise ValueError(f"J must be a positive integer, got {J!r}")
-    zeros = bessel_j_zero_rows(K + 1, J)
+    alpha = bessel_j_zero_rows(K + 1, J)[1:]
+    norm = _norm_consts(alpha)
     rows = []
     for k in range(K + 1):
         for j in range(1, J + 1):
-            a = float(zeros[k + 1, j - 1])
+            a = float(alpha[k, j - 1])
             lam = a * a
-            c = _norm_const(k, a)
+            c = float(norm[k, j - 1])
             parities = ("cos",) if k == 0 else _PARITIES
             for p in parities:
                 rows.append((lam, k, _PARITIES.index(p), ModeIndex(k, j, p), a, c))
@@ -214,29 +217,31 @@ def radial_profiles(table: EigenTable, r) -> tuple[np.ndarray, np.ndarray]:
         alpha^2 J_k''(alpha r) = -alpha J_k'(alpha r) / r
                                  + (k^2 / r^2 - alpha^2) J_k(alpha r),
 
-    so every order k costs three vectorized Bessel calls: J_k and J_k'
-    at alpha r, and J_k(alpha) for the lift.
+    so all orders come from two calls of the multi-order Bessel stack,
+    J_k and J_k' at alpha r and J_k(alpha) for the lift (its precise
+    variant: the lift's d_r, k c J_k(alpha), is up to ~50 at K = 63 and
+    cancels against the vorticity row at r = 1).
     """
-    r = np.asarray(r, dtype=float)
+    r = np.atleast_1d(np.asarray(r, dtype=float))
     K, J = table.K, table.J
+    k = np.arange(K + 1)[:, None, None]
+    alpha = table.alpha[table.perm[0]][..., None]
+    cn = table.norm[table.perm[0]][..., None]
     prof = np.empty((3, 2, K + 1, J, r.size))
-    harm = np.empty((2, K + 1, r.size))
-    for k in np.arange(K + 1):
-        alpha = table.alpha[table.perm[0, k]][:, None]
-        cn = table.norm[table.perm[0, k]][:, None]
-        jk_at_1 = bessel_j(k, alpha)
-        jval = bessel_j(k, alpha * r)
-        jder = alpha * bessel_j(k, alpha * r, derivative=True)
-        jdd = -jder / r + (k * k / r**2 - alpha**2) * jval
-        rkm1 = r ** (k - 1) if k >= 1 else np.zeros_like(r)
-        rkm2 = r ** (k - 2) if k >= 2 else np.zeros_like(r)
-        prof[:, 0, k] = cn * jval, cn * jder, cn * jdd
-        prof[:, 1, k] = (
-            cn * (jval - jk_at_1 * r**k),
-            cn * (jder - k * jk_at_1 * rkm1),
-            cn * (jdd - k * (k - 1) * jk_at_1 * rkm2),
-        )
-        harm[:, k] = _harm_const(k) * r**k, _harm_const(k) * k * rkm1
+    vort, stream = prof[:, 0], prof[:, 1]
+    vort[0], vort[1] = _bessel_stack(k.ravel(), alpha * r)
+    vort[1] *= alpha
+    vort[2] = -vort[1] / r + (k * k / r**2 - alpha**2) * vort[0]
+    jk_at_1 = _bessel_stack(k.ravel(), alpha, precise=True)[0]
+    # r**i with a Python int i, which numpy computes as r*r at i = 2, not
+    # with pow; rows 0 and 1 stand for r^-2 and r^-1, which k = 0, 1 do not use
+    powers = np.stack(2 * [np.zeros_like(r)] + [r**i for i in range(K + 1)])[:, None]
+    rk, rkm1, rkm2 = powers[2:], powers[1:-1], powers[:-2]
+    for i, lift in enumerate((rk, k * rkm1, k * (k - 1) * rkm2)):
+        stream[i] = vort[i] - jk_at_1 * lift
+    prof *= cn
+    ck = _harm_const(k[:, 0])
+    harm = np.stack([ck * rk[:, 0], ck * k[:, 0] * rkm1[:, 0]])
     return prof, harm
 
 

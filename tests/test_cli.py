@@ -31,6 +31,12 @@ every = 2
 """
 
 
+PRESSURE_RUN = (
+    "[domain]\nK = 2\nJ = 4\n[solver]\nnu = 0.1\ndt = 0.005\nt_final = 0.05\n"
+    "[init]\nmodes = 0 1 cos 0.4 ; 2 1 cos 0.25\n[output]\nevery = 1\n"
+)
+
+
 def write(tmp_path, text, name="run.ini"):
     p = tmp_path / name
     p.write_text(text)
@@ -268,11 +274,7 @@ class TestCheckCommands:
 
 class TestPressureCommand:
     def test_reports_residual(self, tmp_path, capsys):
-        cfg = write(
-            tmp_path,
-            "[domain]\nK = 2\nJ = 4\n[solver]\nnu = 0.1\ndt = 0.005\nt_final = 0.05\n"
-            "[init]\nmodes = 0 1 cos 0.4 ; 2 1 cos 0.25\n[output]\nevery = 1\n",
-        )
+        cfg = write(tmp_path, PRESSURE_RUN)
         out = tmp_path / "out"
         assert dispatch(["pressure", "--config", str(cfg), "--outdir", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
@@ -287,6 +289,24 @@ class TestPressureCommand:
         p = recover_pressure(run(run_cfg, ctx).states[-1], run_cfg.nu, ctx.grid)
         p.to_csv(tmp_path / "direct.csv")
         assert (out / "pressure.csv").read_bytes() == (tmp_path / "direct.csv").read_bytes()
+
+
+@pytest.mark.parametrize("subcommand", ["ns", "stokes", "pressure"])
+def test_one_prepare_per_command(tmp_path, monkeypatch, subcommand):
+    # the context the load-time CFL check builds is the one the run uses
+    import diskvort.solver
+
+    calls = []
+    real = diskvort.solver.prepare
+
+    def counting(cfg):
+        calls.append(cfg)
+        return real(cfg)
+
+    monkeypatch.setattr(diskvort.solver, "prepare", counting)
+    cfg = write(tmp_path, PRESSURE_RUN)
+    assert dispatch([subcommand, "--config", str(cfg), "--outdir", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
 
 
 def test_console_entry_point():

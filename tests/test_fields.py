@@ -265,13 +265,19 @@ def test_block_layout_round_trip(table):
 @pytest.mark.parametrize("K,J", [(8, 8), (32, 24)])
 def test_grid_profiles_bit_identical_to_per_group_profiles(K, J):
     # PolarGrid takes its profiles from spectrum.radial_profiles; the step
-    # loop must see exactly the numbers of the per-group construction
+    # loop must see the numbers of the per-group scipy construction.  The
+    # profiles come from a recurrence, not from scipy's jv/jvp, so they
+    # agree to the oracle's own error plus margin, relative to the max of
+    # each (kind, what, k) row: at (32,24) scipy's jv is up to 2.7e-14 and
+    # its jvp up to 5.7e-14 of a profile's max off mpmath.
+    # test_radial_profiles_match_mpmath gates the profiles at 1e-14.
     big = build_table(K, J)
     g = PolarGrid(big)
     for i, (kind, what) in enumerate(g.PROFILES):
         for k in range(K + 1):
             want = _profile(big, big.perm[0, k], k, g.r, kind, what)
-            assert np.array_equal(g.prof[i, k], want), (kind, what, k)
+            err = np.abs(g.prof[i, k] - want).max()
+            assert err <= 5e-14 * np.abs(want).max(), (kind, what, k)
     ck = [1.0 / np.sqrt(np.pi)] + [np.sqrt((2.0 * k + 2.0) / np.pi) for k in range(1, K + 1)]
     assert np.array_equal(g.harm, np.stack([ck[k] * g.r**k for k in range(K + 1)]))
 

@@ -112,6 +112,22 @@ def test_config_rejects_duplicate_init_modes(modes):
     assert any("given twice" in e for e in errs), errs
 
 
+@pytest.mark.parametrize("mode", [(2.5, 1.7, "cos"), (2, 1.5, "sin"), (2.5, 1, "cos"), ("2", 1, "cos")])
+def test_config_rejects_non_integer_mode_indices(mode):
+    errs = small_cfg(init_modes=((mode, 1.0),), init_seed=None).validate()
+    assert any("needs integer k and j" in e for e in errs), errs
+    with pytest.raises(ValueError, match="needs integer"):
+        prepare(small_cfg(init_modes=((mode, 1.0),), init_seed=None))
+
+
+def test_config_accepts_numpy_integer_mode_indices():
+    modes = (((np.int64(2), np.int32(1), "sin"), 1.0), ((np.uint8(0), np.int64(3), "cos"), 0.5))
+    cfg = small_cfg(init_modes=modes, init_seed=None)
+    assert cfg.validate() == []
+    total = initial_state(cfg).total()
+    np.testing.assert_allclose(total.coeffs, per_mode_field(cfg, total.table).coeffs, atol=1e-14)
+
+
 # ---------------------------------------------------------------------------
 # initial split
 

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import jn_zeros
+from scipy.special import jn_zeros, jv, jvp
 
 from diskvort.specfun import (
     MAX_ORDER,
+    _bessel_stack,
     bessel_j,
     bessel_j_zero,
     bessel_j_zero_rows,
@@ -62,6 +63,31 @@ def test_bessel_domain_validation():
         bessel_y(0, 0.0)
     with pytest.raises(ValueError):
         bessel_y(0, -2.0)
+
+
+def test_bessel_stack_matches_mpmath_near_turning_points():
+    # x within 1e-3 of the order on both sides, where the upward recurrence
+    # (x >= n) hands over to Miller's (x < n); and a small argument
+    n = np.arange(MAX_ORDER + 1)
+    x = np.stack([np.maximum(n - 1e-3, 1e-3), n + 1e-3, np.full(n.size, 3.8e-3)], axis=-1)
+    val, der = _bessel_stack(n, x)
+    for k in range(MAX_ORDER + 1):
+        for i in range(3):
+            xi = mpmath.mpf(x[k, i])
+            jk = mpmath.besselj(k, xi)
+            djk = mpmath.besselj(k - 1, xi) - k / xi * jk
+            assert abs(val[k, i] - float(jk)) <= 1e-14 * np.abs(val[k]).max(), (k, i)
+            assert abs(der[k, i] - float(djk)) <= 1e-14 * np.abs(der[k]).max(), (k, i)
+
+
+def test_bessel_stack_matches_scipy_on_mixed_rows():
+    # rows of repeated and skipped orders, arguments on both sides of each
+    orders = np.array([0, 0, 3, 7, 7, 20])
+    x = np.linspace(0.05, 40.0, 6 * 9).reshape(6, 9)
+    val, der = _bessel_stack(orders, x)
+    for row, k in enumerate(orders):
+        np.testing.assert_allclose(val[row], jv(k, x[row]), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(der[row], jvp(k, x[row]), rtol=0, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------

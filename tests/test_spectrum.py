@@ -6,7 +6,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from diskvort.specfun import bessel_j_zero
+from diskvort.fields import PolarGrid
+from diskvort.pressure import _RadialMesh
+from diskvort.specfun import MAX_ORDER, bessel_j_zero
 from diskvort.spectrum import (
     EigenTable,
     ModeIndex,
@@ -58,6 +60,18 @@ def test_large_table_zeros_bit_identical_to_per_zero_requests():
     want = np.array([bessel_j_zero(m.k + 1, m.j) for m in big.modes])
     assert np.array_equal(big.alpha, want)
     assert np.array_equal(big.lam, want * want)
+
+
+def test_top_order_table_zeros_match_mpmath():
+    # K = MAX_ORDER - 1 needs zeros of J_MAX_ORDER, the largest order the
+    # zero search and the recurrences support
+    big = build_table(MAX_ORDER - 1, 3)
+    for k, j in [(0, 1), (31, 2), (MAX_ORDER - 2, 3), (MAX_ORDER - 1, 1), (MAX_ORDER - 1, 3)]:
+        want = float(mpmath.besseljzero(k + 1, j))
+        assert big.alpha[big.perm[0, k, j - 1]] == pytest.approx(want, rel=1e-13)
+    assert np.all(np.isfinite(big.norm))
+    with pytest.raises(ValueError, match=r"Bessel order must be in \[0, 64\]"):
+        build_table(MAX_ORDER, 1)
 
 
 def test_eigenvalues_match_bessel_zeros(table):
@@ -171,18 +185,73 @@ def test_radial_profiles_match_scipy_derivatives(table):
         np.testing.assert_allclose(harm[1, k], ck * k * r ** max(k - 1, 0), rtol=1e-15, atol=0)
 
 
+def test_radial_profiles_scalar_radius():
+    # a scalar r is one radius: the same numbers and shapes as a 1-element
+    # array, at J = K + 1, where the k and j axes could be confused
+    K, J = 4, 5
+    big = build_table(K, J)
+    prof, harm = radial_profiles(big, 0.7)
+    want_prof, want_harm = radial_profiles(big, np.array([0.7]))
+    assert prof.shape == (3, 2, K + 1, J, 1) and harm.shape == (2, K + 1, 1)
+    np.testing.assert_array_equal(prof, want_prof)
+    np.testing.assert_array_equal(harm, want_harm)
+
+
+def _profile_cases():
+    mesh = _RadialMesh.uniform(256)
+    for K, J in [(0, 1), (4, 12), (8, 8), (32, 24), (63, 2)]:
+        yield f"grid-{K}-{J}", K, J, np.append(1e-3, PolarGrid(build_table(K, J)).r)
+    yield "pressure-qpts", 4, 12, mesh.qpts
+    yield "pressure-mids", 4, 12, mesh.mids
+
+
+@pytest.mark.parametrize("name,K,J,r", list(_profile_cases()), ids=lambda v: v if isinstance(v, str) else "")
+def test_radial_profiles_match_mpmath(name, K, J, r):
+    # value and d_r of both kinds within 1e-14 of each row's max, against
+    # mpmath at 30 digits, on a sample of every order: the first and last
+    # radial index and one more, at the smallest, the largest and two
+    # more radii
+    big = build_table(K, J)
+    prof, _ = radial_profiles(big, r)
+    rng = np.random.default_rng(K * 100 + J + r.size)
+    for k in range(K + 1):
+        for j in sorted({0, J - 1, int(rng.integers(J))}):
+            pos = big.perm[0, k, j]
+            a, c = mpmath.mpf(big.alpha[pos]), mpmath.mpf(big.norm[pos])
+            lift = mpmath.besselj(k, a)
+            for i in sorted({0, r.size - 1, *rng.integers(r.size, size=2).tolist()}):
+                ri = mpmath.mpf(r[i])
+                jk = mpmath.besselj(k, a * ri)
+                djk = mpmath.besselj(k - 1, a * ri) - k / (a * ri) * jk
+                want = {
+                    (0, 0): c * jk,
+                    (1, 0): c * a * djk,
+                    (0, 1): c * (jk - lift * ri**k),
+                    (1, 1): c * (a * djk - k * lift * ri ** (k - 1)),
+                }
+                for (order, kind), w in want.items():
+                    row = prof[order, kind, k, j]
+                    err = abs(row[i] - float(w))
+                    assert err <= 1e-14 * np.abs(row).max(), (name, order, kind, k, j, i)
+
+
 def test_radial_profiles_bessel_calls_per_order(table, monkeypatch):
     from diskvort import spectrum
 
-    orders = []
-    real = spectrum.bessel_j
+    per_order, stacks = [], []
+    real_j, real_stack = spectrum.bessel_j, spectrum._bessel_stack
 
     def counting(order, x, derivative=False):
-        orders.append(order)
-        return real(order, x, derivative)
+        per_order.append(order)
+        return real_j(order, x, derivative)
+
+    def counting_stack(orders, x, **kw):
+        stacks.append(list(orders))
+        return real_stack(orders, x, **kw)
 
     monkeypatch.setattr(spectrum, "bessel_j", counting)
+    monkeypatch.setattr(spectrum, "_bessel_stack", counting_stack)
     radial_profiles(table, np.linspace(0.1, 1.0, 5))
-    # J_k(alpha r), J_k'(alpha r) and J_k(alpha) for each k, whatever J is
-    assert sorted(orders) == sorted(3 * list(range(table.K + 1)))
-
+    # no per-order calls: one stack of all orders at alpha r, one at alpha
+    assert per_order == []
+    assert stacks == 2 * [list(range(table.K + 1))]
