@@ -22,6 +22,7 @@ from .annulus import (
     AnnulusGeometry,
     annulus_stokes_circulation,
     galerkin_spectra,
+    inner_flux,
     omega_big,
     xi_circulation,
 )
@@ -36,7 +37,7 @@ from .fields import (
 )
 from .pressure import momentum_residual, recover_pressure
 from .semigroup import fit_decay_rate
-from .solver import RunConfig, prepare, run, stokes_run
+from .solver import RunConfig, _random_admissible, prepare, run, stokes_run
 from .specfun import bessel_j
 from .spectrum import ModeIndex, build_table, membership_residuals, radial_profiles
 
@@ -97,13 +98,6 @@ def _reference_trajectory():
         output_every=10,
     )
     return run(cfg)
-
-
-def _random_admissible(table, seed):
-    rng = np.random.default_rng(seed)
-    c = rng.standard_normal(len(table)) / table.lam
-    f = SpectralField(table, c, "vorticity")
-    return f * (1.0 / norm_at(f, 0))
 
 
 def _stream_at_points(psi: SpectralField, pts: np.ndarray) -> np.ndarray:
@@ -432,10 +426,7 @@ def check_annulus_flux() -> CheckResult:
     xi = xi_circulation(geom)
     flux_xi = xi.inner_flux()
 
-    om = omega_big(geom, xi, degree=8)
-    th = geom.theta()
-    deriv = om(np.full_like(th, geom.r_inner), th, "d_r")
-    flux_om = float(np.sum(-deriv) * (2 * np.pi / th.size) * geom.r_inner)
+    flux_om = inner_flux(geom, omega_big(geom, xi, degree=8))
 
     circ = annulus_stokes_circulation(geom, 1.0, 0.1, 2.0, n_out=160)
     ok = (

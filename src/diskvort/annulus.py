@@ -9,7 +9,9 @@ discrete versions of each:
   carrying flux -1 through the inner one) and its Bergman projection
   Omega = P xi;
 * the pairing functional zeta, evaluated through the Dirichlet part of
-  the trace split (volume and boundary routes agree);
+  the trace split; its volume and boundary routes agree, which the
+  ``zeta-routes`` row of ``diskvort annulus-verify`` checks on a fixed
+  band field;
 * flux conditions tying the circulation rate to the vorticity flux off
   the inner wall (Lamb), exercised on a linear Stokes evolution.
 
@@ -32,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import eigh, expm, null_space
 
-from .fields import _log_kernel, d_theta_rows, trig_table
+from .fields import _log_kernel, d_theta_rows, split_rows, trig_table, write_csv
 from .specfun import gauss_legendre
 
 __all__ = [
@@ -48,6 +50,7 @@ __all__ = [
     "bergman_project",
     "xi_circulation",
     "omega_big",
+    "inner_flux",
     "q1_dirichlet_split",
     "zeta_pairing",
     "newtonian_bs_annulus",
@@ -237,6 +240,14 @@ def bergman_project(geom: AnnulusGeometry, f, degree: int = 8) -> ProjectedField
 # circulation generator and its projection
 
 
+def inner_flux(geom: AnnulusGeometry, f) -> float:
+    """Flux of f out of the fluid through the inner circle: the
+    quadrature of -d_r f over r = R (the outward normal there is -e_r)."""
+    R = geom.r_inner
+    th = geom.theta()
+    return float(np.sum(-f(np.full_like(th, R), th, "d_r")) * (2.0 * np.pi / th.size) * R)
+
+
 @dataclass(frozen=True)
 class XiFunction:
     """xi = log(r) / 2pi: harmonic, zero outer trace, inner flux -1."""
@@ -260,12 +271,7 @@ class XiFunction:
         return vals
 
     def inner_flux(self) -> float:
-        """Quadrature of the outward-from-fluid normal derivative at r = R."""
-        R = self.geom.r_inner
-        th = self.geom.theta()
-        # n = -e_r on the inner circle
-        integrand = -self(np.full_like(th, R), th, "d_r")
-        return float(np.sum(integrand) * (2.0 * np.pi / th.size) * R)
+        return inner_flux(self.geom, self)
 
 
 def xi_circulation(geom: AnnulusGeometry) -> XiFunction:
@@ -284,15 +290,6 @@ def omega_big(geom: AnnulusGeometry, xi: XiFunction, degree: int = 8) -> Project
 
 # ---------------------------------------------------------------------------
 # Dirichlet trace split and the zeta pairing
-
-
-def _trace_fourier(values: np.ndarray, degree: int):
-    """Cos/sin trace coefficients (degree+1,) from uniform samples."""
-    M = values.size
-    wgt = np.full(degree + 1, 2.0 / M)
-    wgt[0] = 1.0 / M
-    coeffs = (trig_table(degree, 2.0 * np.pi * np.arange(M) / M) @ values).reshape(2, -1) * wgt
-    return coeffs[0], coeffs[1]
 
 
 @dataclass
@@ -335,10 +332,9 @@ def q1_dirichlet_split(geom: AnnulusGeometry, omega, degree: int = 8) -> Q1Split
     """
     R = geom.r_inner
     th = geom.theta()
-    w1 = np.asarray(omega(np.ones_like(th), th, "value"), dtype=float)
-    wR = np.asarray(omega(np.full_like(th, R), th, "value"), dtype=float)
-    c1, s1 = _trace_fourier(w1, degree)
-    cR, sR = _trace_fourier(wR, degree)
+    traces = np.stack([omega(np.full_like(th, rr), th, "value") for rr in (1.0, R)])
+    # (parity, circle, k) for the outer and the inner circle
+    (c1, cR), (s1, sR) = split_rows(traces, trig_table(degree, th)).swapaxes(1, 2)
     terms = [(0, "cos", -c1[0], 0.0)]
     inner_constant = cR[0] - c1[0]
     for k in range(1, degree + 1):
@@ -426,18 +422,13 @@ def newtonian_bs_annulus(
             "omega is not orthogonal to the zero-flux harmonics "
             f"(component {comps[bad[0]]:.3e} against k={h.k} {h.parity} r^{h.expo})"
         )
-    # tensor quadrature nodes as points in the plane
-    r, wr = geom.radial_rule()
-    th = geom.theta()
-    nodes = np.stack([np.outer(r, np.cos(th)).ravel(), np.outer(r, np.sin(th)).ravel()])
-    dens = ((wr * r)[:, None] * (2.0 * np.pi / geom.n_angular) * fv).ravel()
-
     # per angle: the outer point, then the inward normal chain from the
     # inner circle, R - m fd_step for m = 0..4
     angles = 2.0 * np.pi * np.arange(n_boundary) / n_boundary
     radii = np.r_[1.0, geom.r_inner - fd_step * np.arange(5)]
     unit = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    vals, _ = _log_kernel(nodes, dens, (radii[None, :, None] * unit[:, None, :]).reshape(-1, 2))
+    points = (radii[None, :, None] * unit[:, None, :]).reshape(-1, 2)
+    vals, _ = _log_kernel(*geom.radial_rule(), geom.theta(), fv, points)
     vals = vals.reshape(n_boundary, radii.size)
     chain = vals[:, 1:]
     return BoundaryReport(
@@ -548,19 +539,13 @@ def galerkin_spectra(
             return C, N
 
         try:
-            # S: pencil (D, G) on the clamped space
-            C_S, N_S = reduced("S")
-            Gs = N_S.T @ G @ N_S
-            Ds = N_S.T @ D @ N_S
-            vals_S = np.sort(eigh(Ds, Gs, eigvals_only=True))[:n_eigs]
-            operators.append(GalerkinOperator(k, "S", Ds, Gs, C_S))
-
-            # Z: same pencil, weaker constraints
-            C_Z, N_Z = reduced("Z")
-            Gz = N_Z.T @ G @ N_Z
-            Dz = N_Z.T @ D @ N_Z
-            vals_Z = np.sort(eigh(Dz, Gz, eigvals_only=True))[:n_eigs]
-            operators.append(GalerkinOperator(k, "Z", Dz, Gz, C_Z))
+            # S: pencil (D, G) on the clamped space; Z: the same pencil
+            # under the weaker constraints
+            for kind, per in (("S", per_S), ("Z", per_Z)):
+                C, N = reduced(kind)
+                Dr, Gr = N.T @ D @ N, N.T @ G @ N
+                per[k] = np.sort(eigh(Dr, Gr, eigvals_only=True))[:n_eigs]
+                operators.append(GalerkinOperator(k, kind, Dr, Gr, C))
 
             # V: pencil (G, projected mass), solved inverted since the
             # projected mass is only semidefinite up to approximation
@@ -575,13 +560,10 @@ def galerkin_spectra(
             Gv = N_V.T @ G @ N_V
             MPv = N_V.T @ MP @ N_V
             mu = np.sort(eigh(MPv, Gv, eigvals_only=True))
-            vals_V = np.sort(1.0 / mu[mu > 0][-n_eigs:])
+            per_V[k] = np.sort(1.0 / mu[mu > 0][-n_eigs:])
             operators.append(GalerkinOperator(k, "V", Gv, MPv, C_V))
         except np.linalg.LinAlgError as exc:
             raise RuntimeError(f"Galerkin assembly failed at mode {k}: {exc}") from exc
-        per_S[k] = np.asarray(vals_S)
-        per_Z[k] = np.asarray(vals_Z)
-        per_V[k] = np.asarray(vals_V)
     return SpectraResult(
         lambda_S=min(float(v[0]) for v in per_S.values()),
         lambda_V=min(float(v[0]) for v in per_V.values()),
@@ -628,10 +610,7 @@ class CirculationRun:
     burn_in: float
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            f.write("t,gamma,flux\n")
-            for t, g, q in zip(self.times, self.gamma, self.flux):
-                f.write(f"{t:.17g},{g:.17g},{q:.17g}\n")
+        write_csv(path, ("t", "gamma", "flux"), zip(self.times, self.gamma, self.flux))
 
 
 def annulus_stokes_circulation(

@@ -7,11 +7,12 @@ stokes              linear run from a config file
 ns                  nonlinear run from a config file
 biot-savart-check   dual-route stream-function agreement report
 pressure            pressure recovery and momentum defect along a run
-annulus-verify      circulation, flux, and spectra checks on an annulus
+annulus-verify      circulation, flux, zeta-pairing and spectra checks on an annulus
 accept              the full numbered acceptance suite
 
 Exit codes: 0 success, 2 validation error (bad flags or config),
-3 numerical tolerance failure in a check subcommand.
+3 numerical tolerance failure in a check subcommand, 4 a run aborted by
+the solver's guards (CFL bound, harmonic-moment drift, non-finite state).
 
 Config files are flat INI with sections [domain], [solver], [init],
 [output]; unknown sections or keys are rejected, every default is
@@ -29,8 +30,11 @@ echoed into the manifest.  Example::
 Every run writes ``manifest.json`` into the output directory before
 doing any work (status "running") and rewrites it on success (status
 "completed", wall clock, file list), so a crashed run is recognizable
-by its unfinished manifest.  All other emitted files are listed in the
-manifest; numeric CSV fields carry 17 significant digits.
+by its unfinished manifest.  A solver abort rewrites it with status
+"failed" and ``failure`` {type, message}.  Manifests and reports are
+written to a temporary file first, which replaces the old one in one
+rename.  All other emitted files are listed in the manifest; numeric
+CSV fields carry 17 significant digits.
 
 The BLAS thread count is taken from ``--threads`` or the
 ``DISKVORT_THREADS`` environment variable; it must be applied before
@@ -42,6 +46,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import dataclasses
 import json
 import os
@@ -49,7 +54,7 @@ import sys
 import time
 from pathlib import Path
 
-__all__ = ["ConfigError", "RunManifest", "load_config", "dispatch", "main"]
+__all__ = ["ConfigError", "RunManifest", "dispatch", "main"]
 
 _THREAD_VARS = (
     "OMP_NUM_THREADS",
@@ -67,6 +72,10 @@ class ConfigError(ValueError):
         super().__init__("\n".join(self.problems))
 
 
+class _RunAborted(Exception):
+    """A solver abort, already recorded in the run's manifest."""
+
+
 @dataclasses.dataclass
 class RunManifest:
     subcommand: str
@@ -78,12 +87,20 @@ class RunManifest:
     status: str = "running"
     wall_clock_s: float | None = None
     files: list = dataclasses.field(default_factory=list)
+    failure: dict | None = None
 
     def write(self) -> None:
-        path = Path(self.outdir) / "manifest.json"
-        with open(path, "w") as f:
-            json.dump(dataclasses.asdict(self), f, indent=2, sort_keys=True)
-            f.write("\n")
+        _write_json(Path(self.outdir) / "manifest.json", dataclasses.asdict(self))
+
+
+def _write_json(path: Path, payload) -> None:
+    """Indented JSON with sorted keys, written to a temporary file that
+    then replaces ``path`` in one rename."""
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w") as f:
+        json.dump(payload, f, indent=2, sort_keys=True)
+        f.write("\n")
+    os.replace(tmp, path)
 
 
 def _begin(subcommand, parameters, outdir, seed=None, config_path=None):
@@ -101,6 +118,20 @@ def _begin(subcommand, parameters, outdir, seed=None, config_path=None):
     )
     man.write()
     return man, time.monotonic()
+
+
+@contextlib.contextmanager
+def _recording_aborts(man: RunManifest):
+    """Record a solver abort in the manifest as status "failed"."""
+    from .solver import CFLViolation, MomentDriftError, NonFiniteState
+
+    try:
+        yield
+    except (CFLViolation, MomentDriftError, NonFiniteState) as e:
+        man.status = "failed"
+        man.failure = {"type": type(e).__name__, "message": str(e)}
+        man.write()
+        raise _RunAborted(f"{type(e).__name__}: {e}") from e
 
 
 def _finalize(man: RunManifest, t0: float, files) -> None:
@@ -283,16 +314,13 @@ def _run_config(resolved: dict, check_cfl: bool = True):
     return cfg, ctx
 
 
-def load_config(path, check_cfl: bool = True):
-    """Parse, default, and validate a config file into a RunConfig."""
-    return _run_config(_resolve(_parse_file(path)), check_cfl=check_cfl)[0]
-
-
 # ---------------------------------------------------------------------------
 # artifact writers
 
 
 def _write_snapshots(traj, outdir: Path, every: int) -> list[str]:
+    from .fields import write_csv
+
     if every <= 0:
         return []
     snapdir = outdir / "snapshots"
@@ -301,10 +329,8 @@ def _write_snapshots(traj, outdir: Path, every: int) -> list[str]:
     for idx in range(0, len(traj), every):
         state = traj.states[idx]
         name = f"snapshots/state_{idx:06d}.csv"
-        with open(outdir / name, "w", newline="") as f:
-            f.write("k,j,parity,coeff\n")
-            for m, c in zip(state.table.modes, state.coeffs):
-                f.write(f"{m.k},{m.j},{m.parity},{c:.17g}\n")
+        rows = ((m.k, m.j, m.parity, c) for m, c in zip(state.table.modes, state.coeffs))
+        write_csv(outdir / name, ("k", "j", "parity", "coeff"), rows)
         files.append(name)
     return files
 
@@ -320,7 +346,8 @@ def _trajectory_pipeline(args, runner, subcommand: str) -> int:
         seed=resolved["init"]["seed"],
         config_path=args.config,
     )
-    traj = runner(cfg, ctx=ctx)
+    with _recording_aborts(man):
+        traj = runner(cfg, ctx=ctx)
     files = ["trajectory.csv"]
     traj.to_csv(outdir / "trajectory.csv")
     files += _write_snapshots(traj, outdir, resolved["output"]["snapshot_every"])
@@ -373,9 +400,7 @@ def _cmd_biot_savart_check(args) -> int:
         r.name: {"passed": r.passed, "detail": r.detail, "seconds": r.seconds}
         for r in results
     }
-    with open(Path(args.outdir) / "report.json", "w") as f:
-        json.dump(report, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(Path(args.outdir) / "report.json", report)
     _finalize(man, t0, ["report.json"])
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}")
@@ -396,7 +421,8 @@ def _cmd_pressure(args) -> int:
     man, t0 = _begin(
         "pressure", resolved, outdir, seed=resolved["init"]["seed"], config_path=args.config
     )
-    traj = run(cfg, ctx)
+    with _recording_aborts(man):
+        traj = run(cfg, ctx)
     index = (len(traj) - 1) // 2
     resid = momentum_residual(traj, index, cfg.nu, ctx.grid, n_aux=args.n_aux)
     p = recover_pressure(traj.states[-1], cfg.nu, ctx.grid, n_aux=args.n_aux)
@@ -408,9 +434,7 @@ def _cmd_pressure(args) -> int:
         "pressure_time": float(traj.times[-1]),
         "n_aux": args.n_aux,
     }
-    with open(outdir / "report.json", "w") as f:
-        json.dump(report, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(outdir / "report.json", report)
     _finalize(man, t0, files)
     print(
         f"pressure: momentum residual {resid:.6e} at t={traj.times[index]:g}; "
@@ -419,16 +443,26 @@ def _cmd_pressure(args) -> int:
     return 0
 
 
-def _cmd_annulus_verify(args) -> int:
+def _band_field(r, theta, what: str = "value"):
+    """A fixed smooth annulus field of angular band 3,
+    e^r (1 + cos theta - sin 2 theta + cos 3 theta); d_r equals the value."""
     import numpy as np
 
+    if what not in ("value", "d_r"):
+        raise ValueError(f"unknown what: {what!r}")
+    return np.exp(r) * (1.0 + np.cos(theta) - np.sin(2.0 * theta) + np.cos(3.0 * theta))
+
+
+def _cmd_annulus_verify(args) -> int:
     from .acceptance import lambda_fundamental
     from .annulus import (
         AnnulusGeometry,
         annulus_stokes_circulation,
         galerkin_spectra,
+        inner_flux,
         omega_big,
         xi_circulation,
+        zeta_pairing,
     )
 
     man, t0 = _begin(
@@ -438,13 +472,8 @@ def _cmd_annulus_verify(args) -> int:
     )
     geom = AnnulusGeometry(args.r_inner)
     xi = xi_circulation(geom)
-    om = omega_big(geom, xi, degree=8)
-    th = geom.theta()
-    flux_om = float(
-        np.sum(-om(np.full_like(th, geom.r_inner), th, "d_r"))
-        * (2 * np.pi / th.size)
-        * geom.r_inner
-    )
+    flux_om = inner_flux(geom, omega_big(geom, xi, degree=8))
+    zeta_v, zeta_b = (zeta_pairing(geom, xi, _band_field, method=m) for m in ("volume", "boundary"))
     spectra = galerkin_spectra(geom, n_poly=args.n_poly, k_max=args.k_max)
     circ = annulus_stokes_circulation(geom, 1.0, args.nu, args.t_final, n_out=160)
     lam_f = lambda_fundamental()
@@ -452,6 +481,11 @@ def _cmd_annulus_verify(args) -> int:
     checks = [
         ("xi-flux", abs(xi.inner_flux() + 1.0) <= 1e-10, f"{xi.inner_flux():.12f} (= -1 +- 1e-10)"),
         ("projected-flux", abs(flux_om + 1.0) <= 1e-8, f"{flux_om:.10f} (= -1 +- 1e-8)"),
+        (
+            "zeta-routes",
+            abs(zeta_v - zeta_b) <= 1e-6,
+            f"volume {zeta_v:.10f} vs boundary {zeta_b:.10f} (|diff| {abs(zeta_v - zeta_b):.1e} <= 1e-6)",
+        ),
         (
             "spectra-equality",
             abs(spectra.lambda_S - spectra.lambda_V) / spectra.lambda_S <= 1e-6,
@@ -471,9 +505,7 @@ def _cmd_annulus_verify(args) -> int:
     files = ["circulation.csv", "report.json"]
     circ.to_csv(Path(args.outdir) / "circulation.csv")
     report = {name: {"passed": ok, "detail": detail} for name, ok, detail in checks}
-    with open(Path(args.outdir) / "report.json", "w") as f:
-        json.dump(report, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(Path(args.outdir) / "report.json", report)
     _finalize(man, t0, files)
     for name, ok, detail in checks:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
@@ -499,9 +531,7 @@ def _cmd_accept(args) -> int:
         "results": [dataclasses.asdict(r) for r in results],
         "all_passed": all(r.passed for r in results),
     }
-    with open(Path(args.outdir) / "report.json", "w") as f:
-        json.dump(report, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(Path(args.outdir) / "report.json", report)
     _finalize(man, t0, ["report.json"])
     n_fail = sum(not r.passed for r in results)
     print(f"{len(results) - n_fail}/{len(results)} criteria passed")
@@ -595,6 +625,9 @@ def dispatch(argv) -> int:
         for line in e.problems:
             print(f"config error: {line}", file=sys.stderr)
         return 2
+    except _RunAborted as e:
+        print(f"run aborted: {e}", file=sys.stderr)
+        return 4
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

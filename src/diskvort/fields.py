@@ -10,8 +10,8 @@ which satisfies Delta phi_n = -lam_n e_n and has both value and normal
 derivative zero at r = 1.  That makes the diagonal maps exact:
 
 * ``biot_savart``: t_n = -w_n / lam_n solves Delta psi = omega with the
-  clamped boundary conditions,
-* ``laplacian``: multiply by -lam_n, the exact inverse,
+  clamped boundary conditions (its inverse, the Laplacian, is the
+  multiplication by -lam_n),
 * ``norm_at(field, m)``: sqrt(sum lam^m w^2) for vorticity and
   sqrt(sum lam^{m+1} t^2) for streams, so the Biot-Savart isometry
   norm_at(omega, m) == norm_at(psi, m+1) holds to the last bit.
@@ -24,13 +24,15 @@ batched radial matmul and one angular matmul.  ``from_grid`` is the
 discrete orthogonal decomposition into the eigen-span, the harmonic
 span (low-degree harmonic polynomials), and a reported remainder;
 nothing is dropped silently.
+
+``write_csv`` is the one writer of every CSV file the package emits:
+numbers carry 17 significant digits, so a file round-trips every float.
 """
 
 from __future__ import annotations
 
-import json
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -47,7 +49,6 @@ __all__ = [
     "NewtonianResult",
     "norm_at",
     "biot_savart",
-    "laplacian",
     "to_grid",
     "from_grid",
     "newtonian_potential",
@@ -57,6 +58,8 @@ __all__ = [
     "trig_table",
     "d_theta_rows",
     "synthesize_rows",
+    "split_rows",
+    "write_csv",
 ]
 
 _KINDS = ("vorticity", "stream")
@@ -123,22 +126,6 @@ class SpectralField:
     def __neg__(self) -> "SpectralField":
         return SpectralField(self.table, -self.coeffs, self.kind)
 
-    def to_json(self) -> str:
-        rows = [
-            {"k": m.k, "j": m.j, "parity": m.parity, "coeff": self.coeffs[i]}
-            for i, m in enumerate(self.table.modes)
-        ]
-        return json.dumps(rows, indent=1)
-
-    @classmethod
-    def from_json(cls, table: EigenTable, text: str, kind: str = "vorticity"):
-        rows = json.loads(text)
-        c = np.zeros(len(table))
-        for row in rows:
-            m = ModeIndex(row["k"], row["j"], row["parity"])
-            c[table.position(m)] = row["coeff"]
-        return cls(table, c, kind)
-
 
 def norm_at(field: SpectralField, index: int) -> float:
     """Scale-of-spaces norm: level ``index`` of the vorticity chain, or of
@@ -154,13 +141,6 @@ def biot_savart(omega: SpectralField) -> SpectralField:
     if omega.kind != "vorticity":
         raise ValueError("biot_savart expects a vorticity field")
     return SpectralField(omega.table, -omega.coeffs / omega.table.lam, "stream")
-
-
-def laplacian(psi: SpectralField) -> SpectralField:
-    """Exact inverse of biot_savart: coefficients scaled by -lambda."""
-    if psi.kind != "stream":
-        raise ValueError("laplacian expects a stream field")
-    return SpectralField(psi.table, -psi.table.lam * psi.coeffs, "vorticity")
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +246,25 @@ def synthesize_rows(rows, trig) -> np.ndarray:
         trig = trig.reshape(2, -1, trig.shape[-1])[:, :n_k].reshape(2 * n_k, -1)
     flat = rows.swapaxes(-1, -2).swapaxes(-2, -3).reshape(-1, 2 * n_k)
     return (flat @ trig).reshape(rows.shape[:-3] + (n_r, trig.shape[-1]))
+
+
+def split_rows(values, trig) -> np.ndarray:
+    """Cos/sin rows (..., 2, n_k, n_r) of samples (..., n_r, n) at the n
+    uniform angles of ``trig``: the transpose of ``synthesize_rows``,
+    exact for wavenumbers below n/2."""
+    n_k = trig.shape[0] // 2
+    weight = np.where(np.arange(n_k) == 0, 1.0, 2.0) / trig.shape[1]
+    rows = (values @ trig.T).reshape(values.shape[:-1] + (2, n_k))
+    return np.moveaxis(rows * weight, -3, -1)
+
+
+def write_csv(path, header, rows) -> None:
+    """One comma-separated line for ``header`` and for each row; strings
+    are written as they are, numbers with 17 significant digits."""
+    with open(path, "w", newline="") as f:
+        f.write(",".join(header) + "\n")
+        for row in rows:
+            f.write(",".join(v if isinstance(v, str) else f"{v:.17g}" for v in row) + "\n")
 
 
 class PolarGrid:
@@ -396,19 +395,8 @@ class GridField:
             )
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            f.write(f"r,theta,{self.csv_column}\n")
-            for i, r in enumerate(self.grid.r):
-                for m, t in enumerate(self.grid.theta):
-                    f.write(f"{r:.17g},{t:.17g},{self.values[i, m]:.17g}\n")
-
-    @classmethod
-    def from_csv(cls, grid: PolarGrid, path) -> "GridField":
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-        if data.shape[0] != grid.n_radial * grid.n_angular:
-            raise ValueError("csv row count does not match grid size")
-        vals = data[:, 2].reshape(grid.n_radial, grid.n_angular)
-        return cls(grid, vals)
+        rr, tt = self.grid.node_polar()
+        write_csv(path, ("r", "theta", self.csv_column), zip(rr.flat, tt.flat, self.values.flat))
 
 
 def to_grid(field: SpectralField, grid: PolarGrid, what: str = "value") -> GridField:
@@ -505,17 +493,19 @@ def q1_split(omega: SpectralField, harmonic: HarmonicExpansion | None = None):
 _KERNEL_BLOCK = 2**19
 
 
-def _log_kernel(nodes, dens, points, image: bool = False):
-    """(1/2pi) sum_n dens_n ln|x - y_n| at each point x, and the distance
-    from x to its nearest node.
+def _log_kernel(r, wr, theta, values, points, image: bool = False):
+    """(1/2pi) int ln|x - y| f(y) dy at each point x by the tensor rule of
+    radial nodes ``r`` with weights ``wr`` times the uniform angles
+    ``theta``, and the distance from x to its nearest node.
 
-    ``nodes`` (2, n) holds the plane coordinates y_n, ``dens`` the
-    density times the quadrature weights, ``points`` has shape (m, 2).
+    ``values`` (n_r, n_theta) samples f, ``points`` has shape (m, 2).
     With ``image`` the disk Green function's image term
     -(1/2) ln(|x|^2 |y|^2 - 2 x.y + 1) joins the kernel.  Points are
     summed in blocks of at most ``_KERNEL_BLOCK`` kernel entries, in two
     block buffers allocated once.
     """
+    nodes = np.stack([np.outer(r, np.cos(theta)).ravel(), np.outer(r, np.sin(theta)).ravel()])
+    dens = ((wr * r)[:, None] * (2.0 * np.pi / theta.size) * values).ravel()
     step = max(1, _KERNEL_BLOCK // nodes.shape[1])
     d2_buf = np.empty((min(step, len(points)), nodes.shape[1]))
     work_buf = np.empty_like(d2_buf)
@@ -558,10 +548,7 @@ def _grid_potential(omega_samples: GridField, eval_points, image: bool) -> Newto
     if image and np.any(np.sum(pts**2, axis=1) >= 1.0):
         raise ValueError("greens_potential is defined for interior points only")
     grid = omega_samples.grid
-    rr, tt = grid.node_polar()
-    nodes = np.stack([(rr * np.cos(tt)).ravel(), (rr * np.sin(tt)).ravel()])
-    wq = (np.outer(grid.wr * grid.r, np.full(grid.n_angular, grid.wtheta))).ravel()
-    vals, dmin = _log_kernel(nodes, wq * omega_samples.values.ravel(), pts, image)
+    vals, dmin = _log_kernel(grid.r, grid.wr, grid.theta, omega_samples.values, pts, image)
     gaps = np.diff(grid.r)
     flags = dmin < (0.5 * float(np.min(gaps)) if gaps.size else 0.25)
     if np.any(flags):

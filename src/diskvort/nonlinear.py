@@ -27,9 +27,9 @@ satisfies Delta psi_B = h/nu with psi_B = 0 on the boundary (k = 0:
 makes the harmonic moments of nu Delta omega_B equal +h, which is what
 keeping the total vorticity admissible demands.  The map h -> omega_B
 is linear and block-diagonal in (k, parity): ``elliptic_map`` computes
-its (2, K+1, J) blocks once by the grid quadrature, and
-``elliptic_correction`` keeps the grid-sampled solve that also returns
-psi_B.
+its (2, K+1, J) blocks once by the grid quadrature of the psi_B radial
+profiles, and ``elliptic_correction`` applies them to one h and
+synthesizes psi_B on the grid from the same profiles.
 """
 
 from __future__ import annotations
@@ -39,14 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (
-    GridField,
-    HarmonicExpansion,
-    PolarGrid,
-    SpectralField,
-    _harm_const,
-    from_grid,
-)
+from .fields import GridField, HarmonicExpansion, PolarGrid, SpectralField, synthesize_rows
 
 __all__ = [
     "AdvectionResult",
@@ -54,7 +47,6 @@ __all__ = [
     "velocity_max",
     "elliptic_correction",
     "elliptic_map",
-    "elliptic_stream_values",
 ]
 
 
@@ -117,35 +109,11 @@ def velocity_max(omega: SpectralField, grid: PolarGrid) -> float:
     return advection(omega, grid).umax
 
 
-def elliptic_stream_values(
-    h: HarmonicExpansion, nu: float, r, theta, what: str = "value"
-) -> np.ndarray:
-    """Closed-form stream correction psi_B with Delta psi_B = h/nu.
-
-    Component-wise: a r^k trig maps to (a/nu)(r^{k+2}-r^k)/(4k+4) trig,
-    which vanishes at r = 1.  ``what`` selects value or d_r (the
-    elliptic solve needs values; tests probe the derivative too).
-    """
-    if not (nu > 0.0):
-        raise ValueError(f"viscosity must be positive, got {nu}")
-    if what not in ("value", "d_r"):
-        raise ValueError(f"what must be value|d_r, got {what!r}")
-    r = np.asarray(r, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    out = np.zeros(np.broadcast(r, theta).shape)
-    for k in range(h.degree + 1):
-        for coeff, trig in ((h.a[k], np.cos), (h.b[k], np.sin)):
-            if coeff == 0.0:
-                continue
-            amp = coeff * _harm_const(k) / nu  # raw amplitude of a r^k term
-            if what == "value":
-                rad = (r ** (k + 2) - r**k) / (4.0 * k + 4.0)
-            elif k == 0:
-                rad = 0.5 * r
-            else:
-                rad = ((k + 2) * r ** (k + 1) - k * r ** (k - 1)) / (4.0 * k + 4.0)
-            out = out + amp * rad * trig(k * theta)
-    return out
+def _elliptic_profiles(grid: PolarGrid) -> np.ndarray:
+    """Radial profiles (K+1, n_radial) of psi_B per unit harmonic moment
+    and unit nu: h_k(r) (r^2 - 1)/(4k + 4)."""
+    k = np.arange(grid.table.K + 1)[:, None]
+    return grid.harm * (grid.r**2 - 1.0) / (4.0 * k + 4.0)
 
 
 def elliptic_correction(
@@ -153,27 +121,26 @@ def elliptic_correction(
 ) -> tuple[SpectralField, GridField]:
     """Admissible vorticity omega_B whose Laplacian carries moments h/nu.
 
-    Returns (omega_B, psi_B sampled on the grid).  omega_B is the
-    projection of the closed-form stream correction, so its own harmonic
-    moments vanish by construction.
+    Returns (omega_B, psi_B sampled on the grid): omega_B has the blocks
+    of ``elliptic_map`` times h/nu, so its own harmonic moments vanish
+    by construction.
     """
     table = grid.table
     if h.degree > table.K:
         raise ValueError(
             f"harmonic degree {h.degree} exceeds table angular bound {table.K}"
         )
-    rr, tt = grid.node_polar()
-    vals = elliptic_stream_values(h, nu, rr, tt)
-    psi_b = GridField(grid, vals)
-    omega_b, _, _ = from_grid(psi_b, table)
-    return omega_b, psi_b
+    if not (nu > 0.0):
+        raise ValueError(f"viscosity must be positive, got {nu}")
+    amp = np.zeros((2, table.K + 1, 1))
+    amp[:, : h.degree + 1, 0] = np.stack([h.a, h.b]) / nu
+    omega_b = SpectralField(table, table.from_blocks(elliptic_map(grid) * amp), "vorticity")
+    return omega_b, GridField(grid, synthesize_rows(amp * _elliptic_profiles(grid), grid.trig))
 
 
 def elliptic_map(grid: PolarGrid) -> np.ndarray:
     """Blocks E (2, K+1, J) of the elliptic correction: omega_B has
     blocks E[p, k, :] * h[p, k] / nu for the moments h[0] = h.a,
-    h[1] = h.b.  Each column is the quadrature projection of the
-    closed-form psi_B of one unit harmonic, as ``elliptic_correction``
-    computes it on the grid."""
-    k = np.arange(grid.table.K + 1)[:, None]
-    return grid.project_radial(grid.harm * (grid.r**2 - 1.0) / (4.0 * k + 4.0))
+    h[1] = h.b.  Each column is the quadrature projection of the psi_B
+    of one unit harmonic."""
+    return grid.project_radial(_elliptic_profiles(grid))

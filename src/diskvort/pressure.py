@@ -18,7 +18,7 @@ profiles of ``spectrum.radial_profiles`` (value, d_r and d_rr, so no
 sampled data is differentiated anywhere), d/dtheta is the row swap
 ``fields.d_theta_rows``, and samples are one matmul with a cos/sin
 table.  The convective term has angular band 2K, so it is sampled at
-4K+4 angles, where the transposed table splits it back into rows
+4K+4 angles, where ``fields.split_rows`` splits it back into rows
 exactly.
 
 The variational problem splits into independent radial two-point
@@ -44,6 +44,7 @@ from .fields import (
     biot_savart,
     d_theta_rows,
     q1_split,
+    split_rows,
     synthesize_rows,
     trig_table,
 )
@@ -86,15 +87,6 @@ def _rows(blocks, prof) -> np.ndarray:
     """Rows (..., 2, K+1, n_r) of coefficient blocks (..., 2, K+1, J)
     against radial profiles (..., K+1, J, n_r)."""
     return np.matmul(np.swapaxes(blocks, -3, -2), prof).swapaxes(-3, -2)
-
-
-def _split_rows(values, trig) -> np.ndarray:
-    """Cos/sin rows (..., 2, n_k, n_r) of samples (..., n_r, n) at the n
-    uniform angles of ``trig``: the transpose of ``synthesize_rows``."""
-    n_k = trig.shape[0] // 2
-    weight = np.where(np.arange(n_k) == 0, 1.0, 2.0) / trig.shape[1]
-    rows = (values @ trig.T).reshape(values.shape[:-1] + (2, n_k))
-    return np.moveaxis(rows * weight, -3, -1)
 
 
 def _velocity(psi_rows, r, trig) -> np.ndarray:
@@ -223,7 +215,7 @@ def _phi_tables(omega: SpectralField, n_aux: int) -> _PhiTables:
     trig = _dealiased_trig(table.K)
     prof, _ = radial_profiles(table, r)
     psi_rows = _rows(table.to_blocks(biot_savart(omega).coeffs), prof[:, 1])
-    F_r, F_t = _split_rows(np.stack(_convective(_velocity(psi_rows, r, trig), r)), trig)
+    F_r, F_t = split_rows(np.stack(_convective(_velocity(psi_rows, r, trig), r)), trig)
     return _PhiTables(mesh=mesh, T=_solve_radial(mesh, F_r, d_theta_rows(F_t)))
 
 

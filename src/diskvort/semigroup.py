@@ -18,19 +18,18 @@ below 1e-17.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .fields import SpectralField
+from .fields import SpectralField, write_csv
 
 __all__ = [
     "Trajectory",
     "DecayFit",
     "phi1",
     "phi2",
-    "propagate",
     "duhamel_step",
     "fit_decay_rate",
 ]
@@ -67,16 +66,6 @@ def phi2(z):
     zb = z[~small]
     out[~small] = (np.expm1(zb) - zb) / (zb * zb)
     return out if out.ndim else float(out)
-
-
-def propagate(field: SpectralField, nu: float, t: float) -> SpectralField:
-    """Exact heat flow: coefficients scaled by e^{-nu lambda t}."""
-    if not (nu > 0.0):
-        raise ValueError(f"viscosity must be positive, got {nu}")
-    if t < 0.0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    factors = np.exp(-nu * field.table.lam * t)
-    return SpectralField(field.table, factors * field.coeffs, field.kind)
 
 
 def duhamel_step(
@@ -141,19 +130,12 @@ class Trajectory:
         return [(float(t), float(extract(s))) for t, s in zip(self.times, self.states)]
 
     def to_csv(self, path) -> None:
-        import dataclasses
-
-        with open(path, "w", newline="") as f:
-            if self.diagnostics is None:
-                f.write("t\n")
-                for t in self.times:
-                    f.write(f"{t:.17g}\n")
-                return
-            names = [fld.name for fld in dataclasses.fields(self.diagnostics[0])]
-            f.write(",".join(names) + "\n")
-            for row in self.diagnostics:
-                vals = [getattr(row, n) for n in names]
-                f.write(",".join(f"{v:.17g}" for v in vals) + "\n")
+        """The diagnostics rows, or the bare times when there are none."""
+        if self.diagnostics is None:
+            write_csv(path, ("t",), zip(self.times))
+            return
+        names = [fld.name for fld in fields(self.diagnostics[0])]
+        write_csv(path, names, ([getattr(row, n) for n in names] for row in self.diagnostics))
 
 
 @dataclass(frozen=True)

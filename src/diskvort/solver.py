@@ -149,6 +149,10 @@ class RunConfig:
                             )
             except (TypeError, ValueError) as e:
                 errs.append(f"malformed init_modes: {e}")
+        for name in ("n_radial", "n_angular"):
+            count = getattr(self, name)
+            if count is not None and not integer(count):
+                errs.append(f"{name} must be an integer or unset, got {count!r}")
         if not (integer(self.output_every) and self.output_every >= 1):
             errs.append(f"output_every must be an integer >= 1, got {self.output_every!r}")
         if not (real(self.moment_tol) and self.moment_tol > 0):
@@ -226,7 +230,13 @@ def _initial_field(cfg: RunConfig, table: EigenTable) -> SpectralField:
         c = np.zeros(len(table))
         c[index] = np.array(coeffs, dtype=float)  # validate rejects repeated modes
         return SpectralField(table, c, "vorticity")
-    rng = np.random.default_rng(cfg.init_seed)
+    return _random_admissible(table, cfg.init_seed)
+
+
+def _random_admissible(table: EigenTable, seed) -> SpectralField:
+    """Random admissible vorticity: standard normal coefficients over
+    lambda, normalized to unit enstrophy."""
+    rng = np.random.default_rng(seed)
     c = rng.standard_normal(len(table)) / table.lam
     f = SpectralField(table, c, "vorticity")
     return f * (1.0 / norm_at(f, 0))
@@ -302,15 +312,18 @@ def step(state: SolverState, cfg: RunConfig, ctx: Optional[RunContext] = None) -
     )
 
 
-def _diagnostics(state: SolverState, ctx: RunContext) -> DiagnosticsRow:
-    omega = state.total()
+def _diagnostics(
+    t: float, omega: SpectralField, ctx: RunContext, omega_B: Optional[SpectralField] = None
+) -> DiagnosticsRow:
+    """The output row of the total vorticity ``omega`` at time t; a run
+    without an elliptic track has no ``omega_B``."""
     return DiagnosticsRow(
-        t=state.time,
+        t=t,
         energy=norm_at(omega, -1),
         enstrophy=norm_at(omega, 0),
         palinstrophy_norm=norm_at(omega, 1),
         moment_drift=measure_moment_drift(omega, ctx),
-        correction_norm=norm_at(state.omega_B, 0),
+        correction_norm=0.0 if omega_B is None else norm_at(omega_B, 0),
     )
 
 
@@ -322,13 +335,13 @@ def run(cfg: RunConfig, ctx: Optional[RunContext] = None) -> Trajectory:
     n_steps = int(round(cfg.t_final / cfg.dt))
     times = [state.time]
     states = [state.total()]
-    rows = [_diagnostics(state, ctx)]
+    rows = [_diagnostics(state.time, states[-1], ctx, state.omega_B)]
     for i in range(1, n_steps + 1):
         state = step(state, cfg, ctx)
         if i % cfg.output_every == 0 or i == n_steps:
             times.append(state.time)
             states.append(state.total())
-            rows.append(_diagnostics(state, ctx))
+            rows.append(_diagnostics(state.time, states[-1], ctx, state.omega_B))
     return Trajectory(times=np.array(times), states=tuple(states), diagnostics=tuple(rows))
 
 
@@ -348,20 +361,10 @@ def stokes_run(
     else:
         forcing_eval = forcing
 
-    def row(t, w):
-        return DiagnosticsRow(
-            t=t,
-            energy=norm_at(w, -1),
-            enstrophy=norm_at(w, 0),
-            palinstrophy_norm=norm_at(w, 1),
-            moment_drift=measure_moment_drift(w, ctx),
-            correction_norm=0.0,
-        )
-
     n_steps = int(round(cfg.t_final / cfg.dt))
     times = [0.0]
     states = [omega.copy()]
-    rows = [row(0.0, omega)]
+    rows = [_diagnostics(0.0, omega, ctx)]
     t = 0.0
     for i in range(1, n_steps + 1):
         omega = duhamel_step(omega, forcing_eval, cfg.nu, t, cfg.dt, "etd2rk")
@@ -369,5 +372,5 @@ def stokes_run(
         if i % cfg.output_every == 0 or i == n_steps:
             times.append(t)
             states.append(omega.copy())
-            rows.append(row(t, omega))
+            rows.append(_diagnostics(t, omega, ctx))
     return Trajectory(times=np.array(times), states=tuple(states), diagnostics=tuple(rows))

@@ -4,8 +4,8 @@ Everything downstream (eigenvalue tables, grid transforms, quadrature
 projections) sits on the primitives in this module, so their contracts
 are deliberately narrow and loudly validated:
 
-* ``bessel_j`` / ``bessel_y``: cylinder functions of integer order,
-  vectorized over the argument.
+* ``bessel_j``: the cylinder function of integer order, vectorized over
+  the argument.
 * ``_bessel_stack`` (private): J_n and J_n' for many orders at once, row
   i of the argument at order ``orders[i]``.  Where x >= n it runs the
   upward three-term recurrence from ``j0``/``j1``, which is stable
@@ -38,7 +38,6 @@ __all__ = [
     "MAX_ORDER",
     "QuadratureRule",
     "bessel_j",
-    "bessel_y",
     "bessel_j_zero",
     "bessel_j_zero_rows",
     "gauss_legendre",
@@ -53,8 +52,8 @@ def _check_order(order: int) -> int:
     return int(order)
 
 
-def bessel_j(order: int, x, derivative: bool = False):
-    """J_order(x), or J'_order(x) with ``derivative=True``.
+def bessel_j(order: int, x):
+    """J_order(x).
 
     ``x`` may be a scalar or an array; the result follows numpy
     broadcasting.  Non-finite arguments are rejected.
@@ -63,7 +62,7 @@ def bessel_j(order: int, x, derivative: bool = False):
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("bessel_j requires finite arguments")
-    out = _sp.jvp(order, arr, 1) if derivative else _sp.jv(order, arr)
+    out = _sp.jv(order, arr)
     if np.isscalar(x) or arr.ndim == 0:
         return float(out)
     return out
@@ -153,18 +152,6 @@ def _bessel_stack(orders, x, precise: bool = False) -> tuple[np.ndarray, np.ndar
         val[low] = jn
         der[low] = jnm1 - nl / xl * jn
     return val, der
-
-
-def bessel_y(order: int, x, derivative: bool = False):
-    """Y_order(x) for x > 0 (second-kind cylinder function, annulus work)."""
-    order = _check_order(order)
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-        raise ValueError("bessel_y requires finite arguments > 0")
-    out = _sp.yvp(order, arr, 1) if derivative else _sp.yv(order, arr)
-    if np.isscalar(x) or arr.ndim == 0:
-        return float(out)
-    return out
 
 
 def _mcmahon_zero(order: int, j):

@@ -27,13 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import _bessel_stack, bessel_j, bessel_j_zero_rows, gauss_legendre
+from .specfun import _bessel_stack, bessel_j_zero_rows, gauss_legendre
 
 __all__ = [
     "ModeIndex",
     "EigenTable",
     "build_table",
-    "eigenfunction_eval",
     "radial_profiles",
     "membership_residuals",
 ]
@@ -110,10 +109,6 @@ class EigenTable:
         return len(self.modes)
 
     @property
-    def n_modes(self) -> int:
-        return len(self.modes)
-
-    @property
     def lambda_min(self) -> float:
         return float(self.lam[0])
 
@@ -126,9 +121,6 @@ class EigenTable:
             return self._pos[mode]
         except KeyError:
             raise KeyError(f"mode {mode} not in table (K={self.K}, J={self.J})") from None
-
-    def __contains__(self, mode: ModeIndex) -> bool:
-        return mode in self._pos
 
     def to_blocks(self, coeffs) -> np.ndarray:
         """Eigenvalue-sorted coefficients (..., n) as blocks (..., 2, K+1, J)."""
@@ -158,15 +150,6 @@ class EigenTable:
             ],
         }
         return json.dumps(payload, indent=1)
-
-    @classmethod
-    def from_json(cls, text: str) -> "EigenTable":
-        payload = json.loads(text)
-        modes = [ModeIndex(d["k"], d["j"], d["parity"]) for d in payload["modes"]]
-        lam = [d["lambda"] for d in payload["modes"]]
-        alpha = [d["alpha"] for d in payload["modes"]]
-        norm = [d["norm"] for d in payload["modes"]]
-        return cls(payload["K"], payload["J"], modes, lam, alpha, norm)
 
 
 def build_table(K: int, J: int) -> EigenTable:
@@ -243,30 +226,6 @@ def radial_profiles(table: EigenTable, r) -> tuple[np.ndarray, np.ndarray]:
     ck = _harm_const(k[:, 0])
     harm = np.stack([ck * rk[:, 0], ck * k[:, 0] * rkm1[:, 0]])
     return prof, harm
-
-
-def _angular(mode: ModeIndex, theta: np.ndarray) -> np.ndarray:
-    if mode.k == 0:
-        return np.ones_like(theta)
-    arg = mode.k * theta
-    return np.cos(arg) if mode.parity == "cos" else np.sin(arg)
-
-
-def eigenfunction_eval(table: EigenTable, mode, r, theta) -> np.ndarray:
-    """Pointwise values of one eigenfunction; r and theta broadcast."""
-    if isinstance(mode, ModeIndex):
-        n = table.position(mode)
-    else:
-        n = int(mode)
-        if not (0 <= n < len(table)):
-            raise IndexError(f"mode position {n} out of range [0, {len(table)})")
-    m = table.modes[n]
-    r = np.asarray(r, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    if np.any(r < 0.0) or np.any(r > 1.0 + 1e-12):
-        raise ValueError("radial coordinate must lie in [0, 1]")
-    radial = table.norm[n] * bessel_j(m.k, table.alpha[n] * r)
-    return radial * _angular(m, theta)
 
 
 def membership_residuals(table: EigenTable, n_radial: int | None = None) -> dict:

@@ -20,7 +20,7 @@ from diskvort.annulus import (
     _integrate,
     _sample,
 )
-from diskvort.specfun import bessel_j, bessel_y
+from bessel_oracle import bessel_j, bessel_y
 
 R = 0.5
 RTOL_BRENT = 4 * np.finfo(float).eps

@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from diskvort.cli import ConfigError, dispatch, load_config
+from diskvort import cli
+from diskvort.cli import ConfigError, dispatch
 
 
 MINIMAL = "[solver]\nnu = 0.25\n"
@@ -35,6 +36,12 @@ PRESSURE_RUN = (
     "[domain]\nK = 2\nJ = 4\n[solver]\nnu = 0.1\ndt = 0.005\nt_final = 0.05\n"
     "[init]\nmodes = 0 1 cos 0.4 ; 2 1 cos 0.25\n[output]\nevery = 1\n"
 )
+
+
+def load_config(path, check_cfl=True):
+    """Parse, default and validate a config file into a RunConfig, as
+    the run subcommands do."""
+    return cli._run_config(cli._resolve(cli._parse_file(path)), check_cfl=check_cfl)[0]
 
 
 def write(tmp_path, text, name="run.ini"):
@@ -237,6 +244,43 @@ class TestRunArtifacts:
         assert man["status"] == "running"
         assert man["wall_clock_s"] is None
 
+    def test_manifest_replaced_atomically(self, tmp_path, monkeypatch):
+        renames = []
+        real = os.replace
+
+        def spy(src, dst):
+            renames.append((os.path.basename(src), os.path.basename(dst)))
+            with open(src) as f:
+                json.load(f)  # complete before it replaces the manifest
+            real(src, dst)
+
+        monkeypatch.setattr(cli.os, "replace", spy)
+        out = tmp_path / "out"
+        assert dispatch(["spectrum", "--K", "1", "--J", "1", "--outdir", str(out)]) == 0
+        assert renames == 2 * [("manifest.json.tmp", "manifest.json")]
+        assert outdir_files(out) == {"eigenvalues.json", "manifest.json"}
+
+    @pytest.mark.parametrize("subcommand", ["ns", "pressure"])
+    @pytest.mark.parametrize("abort", ["CFLViolation", "MomentDriftError", "NonFiniteState"])
+    def test_solver_abort_recorded_with_exit_4(self, tmp_path, monkeypatch, capsys, subcommand, abort):
+        import diskvort.solver
+
+        error = getattr(diskvort.solver, abort)
+
+        def boom(state, cfg, ctx=None):
+            raise error(f"induced {abort}")
+
+        monkeypatch.setattr(diskvort.solver, "step", boom)
+        cfg = write(tmp_path, PRESSURE_RUN)
+        out = tmp_path / "out"
+        assert dispatch([subcommand, "--config", str(cfg), "--outdir", str(out)]) == 4
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["status"] == "failed"
+        assert man["failure"] == {"type": abort, "message": f"induced {abort}"}
+        assert man["wall_clock_s"] is None and man["files"] == []
+        assert f"{abort}: induced {abort}" in capsys.readouterr().err
+        assert outdir_files(out) == {"manifest.json"}
+
     def test_stokes_runs_without_cfl_guard(self, tmp_path):
         # linear runs take any dt; the advective bound applies to ns only
         cfg = write(
@@ -258,7 +302,8 @@ class TestCheckCommands:
     def test_annulus_verify(self, tmp_path, capsys):
         assert dispatch(["annulus-verify", "--outdir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") == 5
+        assert out.count("PASS") == 6
+        assert "PASS zeta-routes" in out
         assert (tmp_path / "circulation.csv").exists()
 
     def test_accept_subset(self, tmp_path, capsys):

@@ -17,11 +17,15 @@ from diskvort.nonlinear import (
     advection,
     elliptic_correction,
     elliptic_map,
-    elliptic_stream_values,
     velocity_max,
 )
 from diskvort.spectrum import ModeIndex, build_table
-from transform_oracle import advection_time_derivative, from_grid_groups, to_grid_groups
+from transform_oracle import (
+    advection_time_derivative,
+    elliptic_stream_values,
+    from_grid_groups,
+    to_grid_groups,
+)
 
 
 @pytest.fixture(scope="module")
@@ -237,15 +241,36 @@ def test_elliptic_linearity(table, grid):
     )
 
 
+def grid_sampled_correction(h, nu, grid):
+    """omega_B as the projection of the closed-form psi_B sampled on the grid."""
+    rr, tt = grid.node_polar()
+    return from_grid(GridField(grid, elliptic_stream_values(h, nu, rr, tt)), grid.table)[0]
+
+
 def test_elliptic_map_matches_grid_sampled_correction(table, grid):
     rng = np.random.default_rng(6)
     emap = elliptic_map(grid)
     assert emap.shape == (2, table.K + 1, table.J)
     for nu in (0.1, 0.7):
         h = HarmonicExpansion(rng.standard_normal(table.K + 1), np.r_[0.0, rng.standard_normal(table.K)])
-        want, _ = elliptic_correction(h, nu, grid)
+        want = grid_sampled_correction(h, nu, grid)
         got = table.from_blocks(emap * (np.stack([h.a, h.b]) / nu)[:, :, None])
         np.testing.assert_allclose(got, want.coeffs, rtol=0, atol=1e-14 * np.max(np.abs(want.coeffs)))
+
+
+@pytest.mark.parametrize("degree", [0, 2, 5])
+def test_elliptic_correction_matches_closed_form(table, grid, degree):
+    # psi_B on the grid is the closed form; omega_B is its grid projection,
+    # for harmonic degrees below and at the table's K
+    rng = np.random.default_rng(40 + degree)
+    h = HarmonicExpansion(rng.standard_normal(degree + 1), np.r_[0.0, rng.standard_normal(degree)])
+    nu = 0.3
+    omega_b, psi_b = elliptic_correction(h, nu, grid)
+    rr, tt = grid.node_polar()
+    want_psi = elliptic_stream_values(h, nu, rr, tt)
+    np.testing.assert_allclose(psi_b.values, want_psi, rtol=0, atol=1e-14 * np.max(np.abs(want_psi)))
+    want_omega = grid_sampled_correction(h, nu, grid).coeffs
+    np.testing.assert_allclose(omega_b.coeffs, want_omega, rtol=0, atol=1e-14 * np.max(np.abs(want_omega)))
 
 
 def test_omega_b_difference_is_correction_of_moment_difference(table, grid):

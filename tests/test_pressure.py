@@ -14,8 +14,9 @@ from diskvort.pressure import (
     recover_pressure,
 )
 from diskvort import pressure
+from diskvort.fields import split_rows as _split_rows
 from diskvort.fields import synthesize_rows
-from diskvort.pressure import _phi_tables, _RadialMesh, _solve_radial, _split_rows
+from diskvort.pressure import _phi_tables, _RadialMesh, _solve_radial
 from diskvort.solver import RunConfig, prepare, run, stokes_run
 from diskvort.specfun import bessel_j
 from diskvort.spectrum import ModeIndex, build_table

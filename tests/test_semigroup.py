@@ -12,9 +12,9 @@ from diskvort.semigroup import (
     fit_decay_rate,
     phi1,
     phi2,
-    propagate,
 )
 from diskvort.spectrum import ModeIndex, build_table
+from transform_oracle import propagate
 
 
 @pytest.fixture(scope="module")

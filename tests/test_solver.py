@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from diskvort.fields import SpectralField, norm_at
-from diskvort.semigroup import fit_decay_rate, propagate
+from diskvort.semigroup import fit_decay_rate
 from diskvort.solver import _initial_field as solver_initial_field
 from diskvort.solver import (
     CFLViolation,
@@ -20,7 +20,7 @@ from diskvort.solver import (
     stokes_run,
 )
 from diskvort.spectrum import ModeIndex
-from transform_oracle import quadrature_drift
+from transform_oracle import propagate, quadrature_drift
 
 
 def small_cfg(**kw):
@@ -70,6 +70,7 @@ def test_config_rejects_out_of_table_mode():
         ("output_every", np.uint8(5)),
         ("n_radial", np.int64(20)),
         ("cfl", np.float32(0.5)),
+        ("n_angular", np.int32(16)),
     ],
 )
 def test_config_accepts_numpy_scalars(field, value):
@@ -98,6 +99,24 @@ def test_config_accepts_numpy_scalars(field, value):
 def test_config_rejects_bools(field, value):
     errs = small_cfg(**{field: value}).validate()
     assert any(e.startswith(field) and repr(value) in e for e in errs), errs
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("n_radial", 40.5),
+        ("n_angular", 26.7),
+        ("n_radial", 40.0),
+        ("n_radial", True),
+        ("n_angular", np.True_),
+        ("n_angular", "26"),
+    ],
+)
+def test_config_rejects_non_integer_grid_counts(field, value):
+    errs = small_cfg(**{field: value}).validate()
+    assert any(e.startswith(field) and repr(value) in e for e in errs), errs
+    with pytest.raises(ValueError, match=field):
+        prepare(small_cfg(**{field: value}))
 
 
 @pytest.mark.parametrize(

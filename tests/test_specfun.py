@@ -9,13 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import jn_zeros, jv, jvp
 
+from bessel_oracle import bessel_j, bessel_y
 from diskvort.specfun import (
     MAX_ORDER,
     _bessel_stack,
-    bessel_j,
     bessel_j_zero,
     bessel_j_zero_rows,
-    bessel_y,
     gauss_legendre,
 )
 

@@ -7,7 +7,10 @@ with cos/sin (k theta).  They read only the public grid nodes and
 weights, so they check the batched layer's layout and tables
 independently.  Also here: the backward difference of harmonic moments
 that the solver used for d/dt omega_B before it differenced omega_B
-itself.
+itself, and the closed forms and diagonal maps the package no longer
+calls: one eigenfunction at scattered points, the stream correction
+psi_B of the elliptic solve, the spectral Laplacian and the exact heat
+semigroup.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ import numpy as np
 from scipy import special
 
 from diskvort.fields import HarmonicExpansion, SpectralField, _harm_const
+from diskvort.specfun import bessel_j
+from diskvort.spectrum import ModeIndex
 
 
 def _groups(table):
@@ -81,3 +86,74 @@ def advection_time_derivative(current, previous, dt: float) -> HarmonicExpansion
     if current.harmonic.degree != previous.harmonic.degree:
         raise ValueError("harmonic expansions live on different bases")
     return (current.harmonic - previous.harmonic) * (1.0 / dt)
+
+
+def _angular(mode: ModeIndex, theta: np.ndarray) -> np.ndarray:
+    if mode.k == 0:
+        return np.ones_like(theta)
+    arg = mode.k * theta
+    return np.cos(arg) if mode.parity == "cos" else np.sin(arg)
+
+
+def eigenfunction_eval(table, mode, r, theta) -> np.ndarray:
+    """Pointwise values of one eigenfunction; r and theta broadcast."""
+    if isinstance(mode, ModeIndex):
+        n = table.position(mode)
+    else:
+        n = int(mode)
+        if not (0 <= n < len(table)):
+            raise IndexError(f"mode position {n} out of range [0, {len(table)})")
+    m = table.modes[n]
+    r = np.asarray(r, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    if np.any(r < 0.0) or np.any(r > 1.0 + 1e-12):
+        raise ValueError("radial coordinate must lie in [0, 1]")
+    radial = table.norm[n] * bessel_j(m.k, table.alpha[n] * r)
+    return radial * _angular(m, theta)
+
+
+def elliptic_stream_values(
+    h: HarmonicExpansion, nu: float, r, theta, what: str = "value"
+) -> np.ndarray:
+    """Closed-form stream correction psi_B with Delta psi_B = h/nu.
+
+    Component-wise: a r^k trig maps to (a/nu)(r^{k+2}-r^k)/(4k+4) trig,
+    which vanishes at r = 1.  ``what`` selects value or d_r.
+    """
+    if not (nu > 0.0):
+        raise ValueError(f"viscosity must be positive, got {nu}")
+    if what not in ("value", "d_r"):
+        raise ValueError(f"what must be value|d_r, got {what!r}")
+    r = np.asarray(r, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    out = np.zeros(np.broadcast(r, theta).shape)
+    for k in range(h.degree + 1):
+        for coeff, trig in ((h.a[k], np.cos), (h.b[k], np.sin)):
+            if coeff == 0.0:
+                continue
+            amp = coeff * _harm_const(k) / nu  # raw amplitude of a r^k term
+            if what == "value":
+                rad = (r ** (k + 2) - r**k) / (4.0 * k + 4.0)
+            elif k == 0:
+                rad = 0.5 * r
+            else:
+                rad = ((k + 2) * r ** (k + 1) - k * r ** (k - 1)) / (4.0 * k + 4.0)
+            out = out + amp * rad * trig(k * theta)
+    return out
+
+
+def laplacian(psi: SpectralField) -> SpectralField:
+    """Exact inverse of biot_savart: coefficients scaled by -lambda."""
+    if psi.kind != "stream":
+        raise ValueError("laplacian expects a stream field")
+    return SpectralField(psi.table, -psi.table.lam * psi.coeffs, "vorticity")
+
+
+def propagate(field: SpectralField, nu: float, t: float) -> SpectralField:
+    """Exact heat flow: coefficients scaled by e^{-nu lambda t}."""
+    if not (nu > 0.0):
+        raise ValueError(f"viscosity must be positive, got {nu}")
+    if t < 0.0:
+        raise ValueError(f"time must be nonnegative, got {t}")
+    factors = np.exp(-nu * field.table.lam * t)
+    return SpectralField(field.table, factors * field.coeffs, field.kind)
