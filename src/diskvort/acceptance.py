@@ -33,6 +33,7 @@ from .fields import (
     greens_potential,
     newtonian_potential,
     norm_at,
+    synthesize_points,
     to_grid,
 )
 from .pressure import momentum_residual, recover_pressure
@@ -106,8 +107,7 @@ def _stream_at_points(psi: SpectralField, pts: np.ndarray) -> np.ndarray:
     th = np.arctan2(pts[:, 1], pts[:, 0])
     prof, _ = radial_profiles(table, r)
     radial = np.einsum("pkj,kjn->pkn", table.to_blocks(psi.coeffs), prof[0, 1])
-    kth = np.outer(np.arange(table.K + 1), th)
-    return np.sum(radial * np.stack([np.cos(kth), np.sin(kth)]), axis=(0, 1))
+    return synthesize_points(radial, r, th)
 
 
 @lru_cache(maxsize=1)

@@ -23,6 +23,11 @@ below both.
 Scalar fields are passed as callables f(r, theta, what) with what in
 {"value", "d_r", "d_theta"}; r and theta broadcast.  Everything is
 single-annulus: one hole exercises every mechanism.
+
+The projection and the trace split keep their harmonic sums as
+coefficients against ``harmonic_basis`` records (k, parity, expo,
+scale): a ``ProjectedField`` is base - sum, a ``Q1Split`` base + sum,
+both summed by ``fields.synthesize_points``, one radial row per (k, parity).
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import eigh, expm, null_space
 
-from .fields import _log_kernel, d_theta_rows, split_rows, trig_table, write_csv
+from .fields import _log_kernel, d_theta_rows, split_rows, synthesize_points, trig_table, write_csv
 from .specfun import gauss_legendre
 
 __all__ = [
@@ -114,45 +119,26 @@ def _sample(geom: AnnulusGeometry, f, what: str = "value") -> np.ndarray:
 
 @dataclass(frozen=True)
 class HarmonicElement:
-    """One L2-normalized zero-flux harmonic: const or r^(+-k) trig."""
+    """One L2-normalized zero-flux harmonic, scale r^expo {cos,sin}(k theta)."""
 
     k: int
     parity: str  # "cos" | "sin"; k = 0 is the constant, parity "cos"
     expo: int  # +k or -k (0 for the constant)
     scale: float
 
-    def __call__(self, r, theta, what: str = "value"):
-        r = np.asarray(r, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        k, e = self.k, self.expo
-        if what == "value":
-            rad = self.scale * r**e
-            ang = np.cos(k * theta) if self.parity == "cos" else np.sin(k * theta)
-        elif what == "d_r":
-            rad = self.scale * e * r ** (e - 1) if e != 0 else np.zeros_like(r)
-            ang = np.cos(k * theta) if self.parity == "cos" else np.sin(k * theta)
-        elif what == "d_theta":
-            rad = self.scale * r**e
-            ang = (
-                -k * np.sin(k * theta)
-                if self.parity == "cos"
-                else k * np.cos(k * theta)
-            )
-        else:
-            raise ValueError(f"unknown what: {what!r}")
-        return rad * ang
-
 
 def harmonic_basis(geom: AnnulusGeometry, degree: int):
     """Zero-flux harmonics up to angular degree: {1, r^(+-k) trig}.
 
     log r is excluded by construction: it alone carries inner flux.
-    Every element is normalized to unit L2 norm over the annulus.
+    Every element is normalized to unit L2 norm over the annulus.  The
+    degree stays below n_angular / 2, where the angular rule aliases.
     """
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
+    is_int = isinstance(degree, (int, np.integer)) and not isinstance(degree, bool)
+    if not (is_int and 0 <= 2 * degree < geom.n_angular):
+        limit = f"n_angular / 2 = {geom.n_angular / 2:g}"
+        raise ValueError(f"degree must be a nonnegative integer below {limit}, got {degree!r}")
     R = geom.r_inner
-    out = []
 
     def nrm(expo: int, k: int) -> float:
         # int r^(2e) r dr over (R, 1), times the angular factor
@@ -161,13 +147,11 @@ def harmonic_basis(geom: AnnulusGeometry, degree: int):
         ang = 2.0 * math.pi if k == 0 else math.pi
         return 1.0 / math.sqrt(radial * ang)
 
-    out.append(HarmonicElement(0, "cos", 0, nrm(0, 0)))
-    for k in range(1, degree + 1):
-        for expo in (k, -k):
-            s = nrm(expo, k)
-            out.append(HarmonicElement(k, "cos", expo, s))
-            out.append(HarmonicElement(k, "sin", expo, s))
-    return tuple(out)
+    # the constant, then per k the cos and sin of r^k, then of r^-k
+    terms = [(0, "cos", 0)] + [
+        (k, parity, expo) for k in range(1, degree + 1) for expo in (k, -k) for parity in ("cos", "sin")
+    ]
+    return tuple(HarmonicElement(k, parity, expo, nrm(expo, k)) for k, parity, expo in terms)
 
 
 def _harmonic_moments(geom: AnnulusGeometry, basis, values: np.ndarray):
@@ -188,6 +172,22 @@ def _harmonic_moments(geom: AnnulusGeometry, basis, values: np.ndarray):
     return moments, gram
 
 
+def _harmonic_sum(field, r, theta, what: str) -> np.ndarray:
+    """sum_i coeffs[i] basis[i] of a field (or its d_r / d_theta) at (r, theta)."""
+    if what not in ("value", "d_r", "d_theta"):
+        raise ValueError(f"unknown what: {what!r}")
+    x = np.asarray(r, dtype=float).ravel()
+    # one radial factor per (parity, k) row of trig_table
+    rows = np.zeros((2, max(h.k for h in field.basis) + 1, x.size))
+    for c, h in zip(field.coeffs, field.basis):
+        rows[int(h.parity == "sin"), h.k] += c * h.scale * (
+            h.expo * x ** (h.expo - 1) if what == "d_r" else x**h.expo
+        )
+    if what == "d_theta":
+        rows = d_theta_rows(rows)
+    return synthesize_points(rows, r, theta)
+
+
 @dataclass
 class ProjectedField:
     """f minus its least-squares component in the harmonic basis."""
@@ -198,24 +198,7 @@ class ProjectedField:
     condition: float
 
     def __call__(self, r, theta, what: str = "value"):
-        vals = np.asarray(self.base(r, theta, what), dtype=float)
-        if what not in ("value", "d_r", "d_theta"):
-            raise ValueError(f"unknown what: {what!r}")
-        r, theta = np.asarray(r, dtype=float), np.asarray(theta, dtype=float)
-        kmax = max(h.k for h in self.basis)
-        # one radial factor per (parity, k) row of trig_table
-        rows, x = np.zeros((2, kmax + 1, r.size)), r.ravel()
-        for c, h in zip(self.coeffs, self.basis):
-            rows[int(h.parity == "sin"), h.k] += c * h.scale * (
-                h.expo * x ** (h.expo - 1) if what == "d_r" else x**h.expo
-            )
-        if what == "d_theta":
-            rows = d_theta_rows(rows)
-        rows, trig = rows.reshape(2 * (kmax + 1), -1).T, trig_table(kmax, theta.ravel()).T
-        if r.shape[-1:] == (1,) and theta.size == theta.shape[-1]:
-            # r is constant along theta's only axis: an outer product
-            return vals - (rows @ trig.T).reshape(r.shape[:-1] + theta.shape[-1:])
-        return vals - np.vecdot(rows.reshape(r.shape + (-1,)), trig.reshape(theta.shape + (-1,)))
+        return np.asarray(self.base(r, theta, what), dtype=float) - _harmonic_sum(self, r, theta, what)
 
 
 def bergman_project(geom: AnnulusGeometry, f, degree: int = 8) -> ProjectedField:
@@ -293,32 +276,16 @@ def omega_big(geom: AnnulusGeometry, xi: XiFunction, degree: int = 8) -> Project
 
 
 @dataclass
-class _HarmonicExtension:
-    """Sum of a constant and r^(+-k) trig terms matching boundary traces."""
-
-    terms: list  # (k, parity, c_plus, c_minus); k = 0 stores (0, "cos", a, 0)
-
-    def __call__(self, r, theta, what: str = "value"):
-        out = np.zeros(np.broadcast(np.asarray(r), np.asarray(theta)).shape)
-        for k, parity, cp, cm in self.terms:
-            out = out + HarmonicElement(k, parity, k, cp)(r, theta, what)
-            if k >= 1:
-                out = out + HarmonicElement(k, parity, -k, cm)(r, theta, what)
-        return out
-
-
-@dataclass
 class Q1Split:
-    """omega + harmonic extension: zero outer trace, constant inner trace."""
+    """omega plus a harmonic sum: zero outer trace, constant inner trace."""
 
     base: object
-    extension: _HarmonicExtension
+    basis: tuple
+    coeffs: np.ndarray
     inner_constant: float
 
     def __call__(self, r, theta, what: str = "value"):
-        return np.asarray(self.base(r, theta, what), dtype=float) + self.extension(
-            r, theta, what
-        )
+        return np.asarray(self.base(r, theta, what), dtype=float) + _harmonic_sum(self, r, theta, what)
 
 
 def q1_dirichlet_split(geom: AnnulusGeometry, omega, degree: int = 8) -> Q1Split:
@@ -330,21 +297,20 @@ def q1_dirichlet_split(geom: AnnulusGeometry, omega, degree: int = 8) -> Q1Split
     k = 0 only the outer trace can be matched and the inner constant is
     whatever remains.
     """
+    basis = harmonic_basis(geom, degree)
     R = geom.r_inner
     th = geom.theta()
     traces = np.stack([omega(np.full_like(th, rr), th, "value") for rr in (1.0, R)])
-    # (parity, circle, k) for the outer and the inner circle
-    (c1, cR), (s1, sR) = split_rows(traces, trig_table(degree, th)).swapaxes(1, 2)
-    terms = [(0, "cos", -c1[0], 0.0)]
-    inner_constant = cR[0] - c1[0]
-    for k in range(1, degree + 1):
-        A = np.array([[1.0, 1.0], [R**k, R ** (-k)]])
-        for parity, outer, inner in (("cos", c1[k], cR[k]), ("sin", s1[k], sR[k])):
-            if outer == 0.0 and inner == 0.0:
-                continue
-            cp, cm = np.linalg.solve(A, np.array([-outer, -inner]))
-            terms.append((k, parity, cp, cm))
-    return Q1Split(base=omega, extension=_HarmonicExtension(terms), inner_constant=inner_constant)
+    # (parity, k) rows of the outer and the inner trace
+    outer, inner = np.moveaxis(split_rows(traces, trig_table(degree, th)), -1, 0)
+    # c+ + c- = -outer and R^k c+ + R^-k c- = -inner, for every k >= 1
+    up, down = R ** np.arange(1, degree + 1), R ** -np.arange(1, degree + 1)
+    c_plus = (down * outer[:, 1:] - inner[:, 1:]) / (up - down)
+    c_minus = (inner[:, 1:] - up * outer[:, 1:]) / (up - down)
+    # in the order of harmonic_basis
+    coeffs = np.r_[-outer[0, 0], np.stack([c_plus.T, c_minus.T], axis=1).ravel()]
+    coeffs /= np.array([h.scale for h in basis])
+    return Q1Split(base=omega, basis=basis, coeffs=coeffs, inner_constant=inner[0, 0] - outer[0, 0])
 
 
 def zeta_pairing(
@@ -359,18 +325,11 @@ def zeta_pairing(
     """
     split = q1_dirichlet_split(geom, omega, degree)
     if method == "boundary":
-        R = geom.r_inner
         th = geom.theta()
-        vals = split(np.full_like(th, R), th, "value")
-        return float(np.mean(vals))
+        return float(np.mean(split(np.full_like(th, geom.r_inner), th, "value")))
     if method != "volume":
         raise ValueError(f"unknown method: {method!r}")
-    r, wr = geom.radial_rule()
-    th = geom.theta()
-    dq = split(r[:, None], th[None, :], "d_r")
-    xi_r = xi(r, None, "d_r")  # 1 / (2 pi r)
-    wtheta = 2.0 * np.pi / geom.n_angular
-    return -float(np.sum((wr * r * xi_r) @ dq) * wtheta)
+    return -_integrate(geom, _sample(geom, xi, "d_r") * _sample(geom, split, "d_r"))
 
 
 # ---------------------------------------------------------------------------
@@ -442,21 +401,22 @@ def newtonian_bs_annulus(
 # dense Galerkin spectra
 
 
-def _legendre_tables(n_poly: int, R: float, nodes: np.ndarray, max_deriv: int = 2):
-    """Values and derivatives of the mapped Legendre family at the nodes."""
+def _legendre_tables(n_poly: int, R: float):
+    """The Gauss rule (nodes, weights) of 2 n_poly + 16 points on (R, 1),
+    and the values, first and second derivatives of the mapped Legendre
+    family of degree <= n_poly at its nodes and at both ends."""
     from numpy.polynomial import Legendre
 
+    rule = gauss_legendre(2 * n_poly + 16, R, 1.0)
     polys = [Legendre.basis(i, domain=[R, 1.0]) for i in range(n_poly + 1)]
-    tables = []
-    for d in range(max_deriv + 1):
-        tables.append(np.stack([p.deriv(d)(nodes) if d else p(nodes) for p in polys]))
-    ends = {}
-    for point, label in ((R, "R"), (1.0, "1")):
-        for d in range(max_deriv + 2):
-            ends[(label, d)] = np.array(
-                [p.deriv(d)(point) if d else p(point) for p in polys]
-            )
-    return tables, ends
+    derivs = [[p.deriv(d) if d else p for p in polys] for d in range(3)]
+    tables = [np.stack([p(rule.nodes) for p in ps]) for ps in derivs]
+    ends = {
+        (label, d): np.array([p(point) for p in ps])
+        for point, label in ((R, "R"), (1.0, "1"))
+        for d, ps in enumerate(derivs)
+    }
+    return rule.nodes, rule.weights, tables, ends
 
 
 @dataclass
@@ -516,10 +476,7 @@ def galerkin_spectra(
     if n_poly < 6 or k_max < 3:
         raise ValueError("trial space too small (need n_poly >= 6, k_max >= 3)")
     R = geom.r_inner
-    nq = 2 * n_poly + 16
-    rule = gauss_legendre(nq, R, 1.0)
-    rq, wq = rule.nodes, rule.weights
-    (T0, T1, T2), ends = _legendre_tables(n_poly, R, rq)
+    rq, wq, (T0, T1, T2), ends = _legendre_tables(n_poly, R)
     per_S, per_V, per_Z = {}, {}, {}
     operators = []
     for k in range(k_max + 1):
@@ -660,10 +617,7 @@ def annulus_stokes_circulation(
     if n_out < 5:
         raise ValueError("need at least 5 output times")
     R = geom.r_inner
-    nq = 2 * n_poly + 16
-    rule = gauss_legendre(nq, R, 1.0)
-    rq, wq = rule.nodes, rule.weights
-    (T0, T1, T2), ends = _legendre_tables(n_poly, R, rq)
+    rq, wq, (T0, T1, T2), ends = _legendre_tables(n_poly, R)
 
     rows = [ends[("1", 0)]]
     if gamma0 == 0.0:

@@ -365,10 +365,12 @@ def _trajectory_pipeline(args, runner, subcommand: str) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    from .specfun import MAX_ORDER
     from .spectrum import build_table
 
-    if args.K < 0 or args.J < 1:
-        print("error: need K >= 0 and J >= 1", file=sys.stderr)
+    # the table of K needs Bessel zeros up to order K + 1
+    if not 0 <= args.K <= MAX_ORDER - 1 or args.J < 1:
+        print(f"error: need 0 <= --K <= {MAX_ORDER - 1} and --J >= 1", file=sys.stderr)
         return 2
     man, t0 = _begin("spectrum", {"K": args.K, "J": args.J}, args.outdir)
     table = build_table(args.K, args.J)
@@ -411,6 +413,8 @@ def _cmd_pressure(args) -> int:
     from .pressure import momentum_residual, recover_pressure
     from .solver import run
 
+    if args.n_aux < 1:
+        raise ValueError(f"--n-aux must be at least 1, got {args.n_aux}")
     resolved = _resolve(_parse_file(args.config))
     cfg, ctx = _run_config(resolved)
     if cfg.t_final / cfg.dt / cfg.output_every < 2:

@@ -58,6 +58,7 @@ __all__ = [
     "trig_table",
     "d_theta_rows",
     "synthesize_rows",
+    "synthesize_points",
     "split_rows",
     "write_csv",
 ]
@@ -198,20 +199,14 @@ class HarmonicExpansion:
         """Pointwise values (or d_r / d_theta) at broadcastable r, theta."""
         if what not in ("value", "d_r", "d_theta"):
             raise ValueError(f"what must be value|d_r|d_theta, got {what!r}")
-        r, theta = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(theta, dtype=float))
         k = np.arange(self.degree + 1)[:, None]
-        c = _harm_const(k)
-        rows = np.stack([self.a, self.b])[:, :, None]
+        x = np.asarray(r, dtype=float).ravel()
+        # d_r: k r^(k-1), zero for k = 0 (no r^-1 at the origin)
+        rad = _harm_const(k) * (k * x ** np.maximum(k - 1, 0) if what == "d_r" else x**k)
+        rows = np.stack([self.a, self.b])[:, :, None] * rad
         if what == "d_theta":
             rows = d_theta_rows(rows)
-        x = r.ravel()
-        if what == "d_r":
-            # k r^(k-1), zero for k = 0 (no r^-1 at the origin)
-            rad = c * k * x ** np.maximum(k - 1, 0)
-        else:
-            rad = c * x**k
-        trig = trig_table(self.degree, theta.ravel()).reshape(2, -1, x.size)
-        return np.sum(rows * rad * trig, axis=(0, 1)).reshape(r.shape)[()]
+        return synthesize_points(rows, r, theta)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +241,18 @@ def synthesize_rows(rows, trig) -> np.ndarray:
         trig = trig.reshape(2, -1, trig.shape[-1])[:, :n_k].reshape(2 * n_k, -1)
     flat = rows.swapaxes(-1, -2).swapaxes(-2, -3).reshape(-1, 2 * n_k)
     return (flat @ trig).reshape(rows.shape[:-3] + (n_r, trig.shape[-1]))
+
+
+def synthesize_points(rows, r, theta) -> np.ndarray:
+    """Values at broadcast (r, theta) of cos/sin rows (2, n_k, r.size) of
+    radial factors at the points of r: one matmul where r is constant
+    along theta's only axis (a tensor grid), else one ``vecdot``."""
+    r, theta = np.asarray(r, dtype=float), np.asarray(theta, dtype=float)
+    trig = trig_table(rows.shape[1] - 1, theta.ravel())
+    if r.shape[-1:] == (1,) and theta.shape[-1:] == (theta.size,):
+        return synthesize_rows(rows, trig).reshape(np.broadcast_shapes(r.shape, theta.shape))
+    rows = rows.reshape(trig.shape[0], -1).T.reshape(r.shape + (-1,))
+    return np.vecdot(rows, trig.T.reshape(theta.shape + (-1,)))
 
 
 def split_rows(values, trig) -> np.ndarray:
@@ -419,8 +426,7 @@ def from_grid(values: GridField, table: EigenTable):
     blocks, moments = grid.analyze(values.values)
     spectral = SpectralField(table, table.from_blocks(blocks), "vorticity")
     harmonic = HarmonicExpansion(moments[0], moments[1])
-    rr, tt = grid.node_polar()
-    rec = grid.synthesize(blocks, "vorticity") + harmonic.eval(rr, tt)
+    rec = grid.synthesize(blocks, "vorticity") + harmonic.eval(grid.r[:, None], grid.theta)
     residual = float(np.sqrt(max(grid.integrate((values.values - rec) ** 2), 0.0)))
     return spectral, harmonic, residual
 
@@ -437,16 +443,12 @@ class CompositeField:
     harmonic: HarmonicExpansion
 
     def sample(self, grid: PolarGrid, what: str = "value") -> np.ndarray:
-        rr, tt = grid.node_polar()
-        return to_grid(self.spectral, grid, what).values + self.harmonic.eval(
-            rr, tt, what
-        )
+        harmonic = self.harmonic.eval(grid.r[:, None], grid.theta, what)
+        return to_grid(self.spectral, grid, what).values + harmonic
 
     def eval_boundary(self, theta) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        out = self.harmonic.eval(np.ones_like(theta), theta)
-        trig = trig_table(self.spectral.table.K, theta.ravel())
-        return out + (boundary_trace(self.spectral).ravel() @ trig).reshape(theta.shape)
+        trace = boundary_trace(self.spectral)[:, :, None]
+        return self.harmonic.eval(1.0, theta) + synthesize_points(trace, 1.0, theta)
 
 
 def boundary_trace(field: SpectralField) -> np.ndarray:

@@ -124,6 +124,8 @@ class _RadialMesh:
 
     @classmethod
     def uniform(cls, n_elements: int) -> "_RadialMesh":
+        if n_elements < 1:
+            raise ValueError(f"need at least 1 radial element, got {n_elements}")
         nodes = np.linspace(0.0, 1.0, n_elements + 1)
         gx, gw = np.polynomial.legendre.leggauss(4)
         h = nodes[1] - nodes[0]

@@ -1,5 +1,7 @@
 """Multiply connected toolkit: circulation functions, spectra, flux laws."""
 
+import itertools
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -21,6 +23,7 @@ from diskvort.annulus import (
     _sample,
 )
 from bessel_oracle import bessel_j, bessel_y
+from harmonic_oracle import element, element_values
 
 R = 0.5
 RTOL_BRENT = 4 * np.finfo(float).eps
@@ -143,18 +146,41 @@ class TestHarmonicBasis:
         # no flux through the inner circle
         th = geom.theta()
         for h in harmonic_basis(geom, 8):
-            deriv = h(np.full_like(th, R), th, "d_r")
+            deriv = element_values(h, np.full_like(th, R), th, "d_r")
             flux = float(np.sum(-deriv) * (2 * np.pi / th.size) * R)
             assert abs(flux) <= 1e-10
 
     def test_elements_are_unit_normalized(self, geom):
         for h in harmonic_basis(geom, 6):
-            nrm2 = _integrate(geom, _sample(geom, h) ** 2)
+            nrm2 = _integrate(geom, _sample(geom, element(h)) ** 2)
             assert abs(nrm2 - 1.0) < 1e-12
 
     def test_rejects_negative_degree(self, geom):
         with pytest.raises(ValueError, match="nonnegative"):
             harmonic_basis(geom, -1)
+
+    @pytest.mark.parametrize("degree", [8, 9, 7.0, 2.5, True])
+    def test_rejects_degree_the_angular_rule_aliases(self, degree):
+        # with 16 angles wavenumber 8 aliases: the split's outer trace was
+        # 2.0 and the projection failed as "ill-conditioned (cond 3.1e30)"
+        geo = AnnulusGeometry(R, n_radial=32, n_angular=16)
+        xi = xi_circulation(geo)
+        for call in (
+            lambda: harmonic_basis(geo, degree),
+            lambda: bergman_project(geo, j_bump, degree=degree),
+            lambda: q1_dirichlet_split(geo, j_bump, degree=degree),
+            lambda: zeta_pairing(geo, xi, j_bump, degree=degree),
+            lambda: newtonian_bs_annulus(geo, j_bump, degree=degree),
+        ):
+            with pytest.raises(ValueError, match="degree must be a nonnegative integer below"):
+                call()
+
+    def test_split_at_the_largest_degree_the_rule_resolves(self):
+        geo = AnnulusGeometry(R, n_radial=32, n_angular=16)
+        th = geo.theta()
+        split = q1_dirichlet_split(geo, band_field(np.random.default_rng(5), band=7), degree=np.int64(7))
+        assert np.max(np.abs(split(np.ones_like(th), th))) <= 1e-12
+        assert np.std(split(np.full_like(th, R), th)) <= 1e-12
 
 
 class TestXi:
@@ -197,7 +223,7 @@ class TestOmegaBig:
         w = (wr * r)[:, None] * (2 * np.pi / geom.n_angular)
         fv = _sample(geom, om)
         for h in om.basis:
-            comp = float(np.sum(w * h(r[:, None], th[None, :]) * fv))
+            comp = float(np.sum(w * element_values(h, r[:, None], th[None, :]) * fv))
             assert abs(comp) <= 1e-8
 
     def test_differs_from_xi(self, geom, xi):
@@ -227,7 +253,10 @@ class TestBergmanProjection:
 
     @pytest.mark.parametrize("what", ["value", "d_r", "d_theta"])
     def test_separable_evaluation_matches_per_element_sum(self, geom, what):
-        proj = bergman_project(geom, band_field(np.random.default_rng(17)), degree=6)
+        # a projection is base - sum, a Q1 split base + sum of its terms
+        f = band_field(np.random.default_rng(17))
+        proj = bergman_project(geom, f, degree=6)
+        split = q1_dirichlet_split(geom, f, degree=6)
         r, _ = geom.radial_rule()
         th = geom.theta()
         shapes = [
@@ -238,13 +267,18 @@ class TestBergmanProjection:
             (0.8, 1.1),
             (r[:4, None, None], np.linspace(0.0, 3.0, 6).reshape(1, 3, 2)),
         ]
-        for rr, tt in shapes:
-            want = np.asarray(proj.base(rr, tt, what), dtype=float)
-            for c, h in zip(proj.coeffs, proj.basis):
-                want = want - c * h(rr, tt, what)
-            got = proj(rr, tt, what)
+        for (rr, tt), (field, sign) in itertools.product(shapes, ((proj, -1.0), (split, 1.0))):
+            want = np.asarray(field.base(rr, tt, what), dtype=float)
+            size = np.abs(want)
+            for c, h in zip(field.coeffs, field.basis):
+                term = sign * c * element_values(h, rr, tt, what)
+                want, size = want + term, size + np.abs(term)
+            got = field(rr, tt, what)
             assert got.shape == want.shape
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
+            # the split cancels the base's traces, down to rounding on the
+            # inner circle, so its error is measured against its summands
+            scale = np.max(np.abs(want) if field is proj else size)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * scale)
 
 
 class TestZetaPairing:

@@ -188,6 +188,27 @@ class TestSpectrumCommand:
         assert dispatch(["spectrum", "--J", "0", "--outdir", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["spectrum", "--K", "64"], "--K <= 63"),
+        (["spectrum", "--K", "70"], "--K <= 63"),
+        (["spectrum", "--K", "-1"], "--K <= 63"),
+        (["pressure", "--n-aux", "0"], "--n-aux must be at least 1, got 0"),
+        (["pressure", "--n-aux", "-3"], "--n-aux must be at least 1, got -3"),
+    ],
+)
+def test_bad_flag_rejected_before_the_run(tmp_path, capsys, argv, message):
+    # the flag is checked before the manifest is written, not by a
+    # traceback (or numpy's message) after the solve
+    out = tmp_path / "out"
+    if argv[0] == "pressure":
+        argv = argv + ["--config", str(write(tmp_path, PRESSURE_RUN))]
+    assert dispatch(argv + ["--outdir", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
 class TestRunArtifacts:
     def test_manifest_lifecycle_and_no_orphans(self, tmp_path):
         cfg = write(tmp_path, SMALL_RUN)

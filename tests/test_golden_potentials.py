@@ -98,8 +98,8 @@ def mixed_field(r, theta, what="value"):
 def _extension_array(split):
     """(degree+1, 2, 2): (c_plus, c_minus) per wavenumber and parity."""
     out = np.zeros((Q1_DEGREE + 1, 2, 2))
-    for k, parity, cp, cm in split.extension.terms:
-        out[k, 0 if parity == "cos" else 1] = cp, cm
+    for c, h in zip(split.coeffs, split.basis):
+        out[h.k, int(h.parity == "sin"), int(h.expo < 0)] = c * h.scale
     return out
 
 

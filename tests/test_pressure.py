@@ -193,6 +193,12 @@ def test_banded_solve_matches_dense_per_row_assembly():
             assert_allclose(T[p, k], want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_radial_mesh_needs_an_element(n):
+    with pytest.raises(ValueError, match="at least 1 radial element"):
+        _RadialMesh.uniform(n)
+
+
 def test_failed_radial_solve_raises(monkeypatch):
     def singular(*args, **kwargs):
         raise np.linalg.LinAlgError("singular matrix")
