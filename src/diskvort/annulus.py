@@ -90,9 +90,6 @@ class AnnulusGeometry:
     def theta(self) -> np.ndarray:
         return 2.0 * np.pi * np.arange(self.n_angular) / self.n_angular
 
-    def area(self) -> float:
-        return math.pi * (1.0 - self.r_inner**2)
-
 
 @lru_cache(maxsize=32)
 def _radial_rule(r_inner: float, n: int):

@@ -469,12 +469,21 @@ def _cmd_annulus_verify(args) -> int:
         zeta_pairing,
     )
 
+    for flag, value, least in (("--n-poly", args.n_poly, 6), ("--k-max", args.k_max, 3)):
+        if value < least:
+            raise ValueError(f"{flag} must be at least {least}, got {value}")
+    for flag, value in (("--nu", args.nu), ("--t-final", args.t_final)):
+        if not 0.0 < value < float("inf"):
+            raise ValueError(f"{flag} must be positive and finite, got {value}")
+    try:
+        geom = AnnulusGeometry(args.r_inner)
+    except ValueError as e:
+        raise ValueError(f"--r-inner: {e}") from None
     man, t0 = _begin(
         "annulus-verify",
         {"r_inner": args.r_inner, "n_poly": args.n_poly, "k_max": args.k_max},
         args.outdir,
     )
-    geom = AnnulusGeometry(args.r_inner)
     xi = xi_circulation(geom)
     flux_om = inner_flux(geom, omega_big(geom, xi, degree=8))
     zeta_v, zeta_b = (zeta_pairing(geom, xi, _band_field, method=m) for m in ("volume", "boundary"))

@@ -25,6 +25,11 @@ discrete orthogonal decomposition into the eigen-span, the harmonic
 span (low-degree harmonic polynomials), and a reported remainder;
 nothing is dropped silently.
 
+A harmonic part has one layout: cos/sin rows (2, K+1) against the
+L^2-orthonormal unit harmonics c_k r^k {cos, sin}(k theta), whose c_k r^k
+profiles are ``PolarGrid.harm``: the moments of ``from_grid`` and
+``PolarGrid.analyze``, and ``trace_extension``.
+
 ``write_csv`` is the one writer of every CSV file the package emits:
 numbers carry 17 significant digits, so a file round-trips every float.
 """
@@ -42,10 +47,8 @@ from .spectrum import PROFILE_ORDERS, EigenTable, ModeIndex, _harm_const, radial
 
 __all__ = [
     "SpectralField",
-    "HarmonicExpansion",
     "PolarGrid",
     "GridField",
-    "CompositeField",
     "NewtonianResult",
     "norm_at",
     "biot_savart",
@@ -53,8 +56,7 @@ __all__ = [
     "from_grid",
     "newtonian_potential",
     "greens_potential",
-    "q1_split",
-    "boundary_trace",
+    "trace_extension",
     "trig_table",
     "d_theta_rows",
     "synthesize_rows",
@@ -142,71 +144,6 @@ def biot_savart(omega: SpectralField) -> SpectralField:
     if omega.kind != "vorticity":
         raise ValueError("biot_savart expects a vorticity field")
     return SpectralField(omega.table, -omega.coeffs / omega.table.lam, "stream")
-
-
-# ---------------------------------------------------------------------------
-# harmonic expansions
-
-
-@dataclass
-class HarmonicExpansion:
-    """Low-degree harmonic polynomial in the L^2-orthonormal basis
-    h_0 = 1/sqrt(pi), h_k = sqrt((2k+2)/pi) r^k {cos,sin}(k theta)."""
-
-    a: np.ndarray  # cosine coefficients, index = angular degree
-    b: np.ndarray  # sine coefficients; b[0] is structurally zero
-
-    def __post_init__(self):
-        self.a = np.asarray(self.a, dtype=float)
-        self.b = np.asarray(self.b, dtype=float)
-        if self.a.shape != self.b.shape or self.a.ndim != 1 or self.a.size < 1:
-            raise ValueError("coefficient arrays must be equal-length 1-d, size >= 1")
-        if self.b[0] != 0.0:
-            raise ValueError("b[0] must be zero: there is no sin(0*theta) function")
-
-    @classmethod
-    def zeros(cls, degree: int) -> "HarmonicExpansion":
-        return cls(np.zeros(degree + 1), np.zeros(degree + 1))
-
-    @property
-    def degree(self) -> int:
-        return self.a.size - 1
-
-    def copy(self) -> "HarmonicExpansion":
-        return HarmonicExpansion(self.a.copy(), self.b.copy())
-
-    def norm_l2(self) -> float:
-        return float(np.sqrt(np.sum(self.a**2) + np.sum(self.b**2)))
-
-    def __add__(self, other: "HarmonicExpansion") -> "HarmonicExpansion":
-        n = max(self.degree, other.degree) + 1
-        a, b = np.zeros(n), np.zeros(n)
-        a[: self.a.size] += self.a
-        b[: self.b.size] += self.b
-        a[: other.a.size] += other.a
-        b[: other.b.size] += other.b
-        return HarmonicExpansion(a, b)
-
-    def __sub__(self, other: "HarmonicExpansion") -> "HarmonicExpansion":
-        return self + (-1.0) * other
-
-    def __mul__(self, scalar) -> "HarmonicExpansion":
-        return HarmonicExpansion(self.a * float(scalar), self.b * float(scalar))
-
-    __rmul__ = __mul__
-
-    def eval(self, r, theta, what: str = "value") -> np.ndarray:
-        """Pointwise values (or d_r / d_theta) at broadcastable r, theta."""
-        if what not in ("value", "d_r", "d_theta"):
-            raise ValueError(f"what must be value|d_r|d_theta, got {what!r}")
-        k = np.arange(self.degree + 1)[:, None]
-        x = np.asarray(r, dtype=float).ravel()
-        # d_r: k r^(k-1), zero for k = 0 (no r^-1 at the origin)
-        rad = _harm_const(k) * (k * x ** np.maximum(k - 1, 0) if what == "d_r" else x**k)
-        rows = np.stack([self.a, self.b])[:, :, None] * rad
-        if what == "d_theta":
-            rows = d_theta_rows(rows)
-        return synthesize_points(rows, r, theta)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -416,74 +353,36 @@ def to_grid(field: SpectralField, grid: PolarGrid, what: str = "value") -> GridF
 def from_grid(values: GridField, table: EigenTable):
     """Discrete orthogonal decomposition of a sampled function.
 
-    Returns ``(spectral, harmonic, residual)``: the projection onto the
-    eigen-span, the projection onto harmonic polynomials of degree <= K,
-    and the grid L^2 norm of what neither part represents.
+    Returns ``(spectral, moments, residual)``: the projection onto the
+    eigen-span, the cos/sin rows (2, K+1) of the projection onto the
+    unit harmonics, and the grid L^2 norm of what neither part
+    represents.
     """
     grid = values.grid
     if grid.table is not table:
         raise ValueError("grid was built for a different table")
     blocks, moments = grid.analyze(values.values)
     spectral = SpectralField(table, table.from_blocks(blocks), "vorticity")
-    harmonic = HarmonicExpansion(moments[0], moments[1])
-    rec = grid.synthesize(blocks, "vorticity") + harmonic.eval(grid.r[:, None], grid.theta)
+    harmonic = synthesize_rows(moments[:, :, None] * grid.harm, grid.trig)
+    rec = grid.synthesize(blocks, "vorticity") + harmonic
     residual = float(np.sqrt(max(grid.integrate((values.values - rec) ** 2), 0.0)))
-    return spectral, harmonic, residual
+    return spectral, moments, residual
 
 
-# ---------------------------------------------------------------------------
-# composite fields (eigen-span plus harmonic tail)
+def trace_extension(omega: SpectralField) -> np.ndarray:
+    """Cos/sin rows (2, K+1) against the unit harmonics of the harmonic
+    polynomial with the boundary trace of a vorticity field.
 
-
-@dataclass
-class CompositeField:
-    """Sum of an eigen-span field and a harmonic polynomial tail."""
-
-    spectral: SpectralField
-    harmonic: HarmonicExpansion
-
-    def sample(self, grid: PolarGrid, what: str = "value") -> np.ndarray:
-        harmonic = self.harmonic.eval(grid.r[:, None], grid.theta, what)
-        return to_grid(self.spectral, grid, what).values + harmonic
-
-    def eval_boundary(self, theta) -> np.ndarray:
-        trace = boundary_trace(self.spectral)[:, :, None]
-        return self.harmonic.eval(1.0, theta) + synthesize_points(trace, 1.0, theta)
-
-
-def boundary_trace(field: SpectralField) -> np.ndarray:
-    """Cos/sin coefficients (2, K+1) of a vorticity field at r = 1."""
-    table = field.table
-    prof, _ = radial_profiles(table, np.ones(1))
-    return np.sum(table.to_blocks(field.coeffs) * prof[0, 0, :, :, 0], axis=-1)
-
-
-def q1_split(omega: SpectralField, harmonic: HarmonicExpansion | None = None):
-    """Split off the harmonic extension of the boundary trace.
-
-    Returns ``(dirichlet, extension)`` where ``extension`` is the
-    harmonic polynomial matching the input's boundary trace and
-    ``dirichlet = input - extension`` vanishes on the boundary.  The
-    dirichlet part realizes the H^1_0 representative whose Bergman
-    projection is the input's eigen-span part.
+    omega minus this polynomial vanishes on the boundary: it is the
+    H^1_0 representative whose Bergman projection is omega.
     """
     if omega.kind != "vorticity":
-        raise ValueError("q1_split expects a vorticity-tagged field")
+        raise ValueError("trace_extension expects a vorticity field")
     table = omega.table
-    K = table.K
-    if harmonic is None:
-        harmonic = HarmonicExpansion.zeros(K)
-    if harmonic.degree > K:
-        raise ValueError(
-            f"harmonic degree {harmonic.degree} exceeds table angular bound {K}"
-        )
-    # the harmonic polynomial with this trace has unit-harmonic
-    # coefficients trace / c_k (c_k r^k = c_k at r = 1)
-    ext = boundary_trace(omega) / _harm_const(np.arange(K + 1))
-    trace_ext = HarmonicExpansion(ext[0], ext[1])
-    extension = trace_ext + harmonic
-    dirichlet = CompositeField(omega.copy(), harmonic - extension)
-    return dirichlet, extension
+    prof, _ = radial_profiles(table, np.ones(1))
+    trace = np.sum(table.to_blocks(omega.coeffs) * prof[0, 0, :, :, 0], axis=-1)
+    # c_k r^k = c_k at r = 1
+    return trace / _harm_const(np.arange(table.K + 1))
 
 
 # ---------------------------------------------------------------------------

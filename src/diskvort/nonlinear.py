@@ -9,9 +9,10 @@ the polar Jacobian
 sampled pseudo-spectrally: one batched synthesis of the four derivative
 fields, their product on the grid, and one analysis into the admissible
 part (consumed by the parabolic track) and the harmonic moments
-(consumed by the elliptic correction).  The same samples give the
-largest speed |u| = |grad psi|, so the CFL guard needs no transform of
-its own.  Because the stream dictionary is clamped at the boundary,
+(consumed by the elliptic correction): cos/sin rows (2, K+1) against
+the unit harmonics c_k r^k, like every harmonic part in the package.
+The same samples give the largest speed |u| = |grad psi|, so the CFL
+guard needs no transform of its own.  Because the stream dictionary is clamped at the boundary,
 u.n = 0 holds exactly and the classical identities survive
 discretization: radial fields are steady, the pairing with the stream
 vanishes, and the disk mean of Lambda is zero.
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import GridField, HarmonicExpansion, PolarGrid, SpectralField, synthesize_rows
+from .fields import GridField, PolarGrid, SpectralField, synthesize_rows
 
 __all__ = [
     "AdvectionResult",
@@ -56,7 +57,7 @@ class AdvectionResult:
     largest grid speed of the advecting velocity."""
 
     projected: SpectralField
-    harmonic: HarmonicExpansion
+    harmonic: np.ndarray  # cos/sin rows (2, K+1) against the unit harmonics
     raw_l2_norm: float
     umax: float
 
@@ -98,7 +99,7 @@ def advection(omega: SpectralField, grid: PolarGrid) -> AdvectionResult:
     blocks, moments, umax, lam_vals = _advect(w, grid, _stream_scale(table))
     return AdvectionResult(
         projected=SpectralField(table, table.from_blocks(blocks), "vorticity"),
-        harmonic=HarmonicExpansion(moments[0], moments[1]),
+        harmonic=moments,
         raw_l2_norm=float(np.sqrt(max(grid.integrate(lam_vals**2), 0.0))),
         umax=umax,
     )
@@ -117,30 +118,30 @@ def _elliptic_profiles(grid: PolarGrid) -> np.ndarray:
 
 
 def elliptic_correction(
-    h: HarmonicExpansion, nu: float, grid: PolarGrid
+    h: np.ndarray, nu: float, grid: PolarGrid
 ) -> tuple[SpectralField, GridField]:
     """Admissible vorticity omega_B whose Laplacian carries moments h/nu.
 
-    Returns (omega_B, psi_B sampled on the grid): omega_B has the blocks
-    of ``elliptic_map`` times h/nu, so its own harmonic moments vanish
-    by construction.
+    ``h`` holds cos/sin rows (2, n) of wavenumbers 0..n-1 <= K against
+    the unit harmonics.  Returns (omega_B, psi_B sampled on the grid):
+    omega_B has the blocks of ``elliptic_map`` times h/nu, so its own
+    harmonic moments vanish by construction.
     """
     table = grid.table
-    if h.degree > table.K:
-        raise ValueError(
-            f"harmonic degree {h.degree} exceeds table angular bound {table.K}"
-        )
+    h = np.asarray(h, dtype=float)
+    if h.ndim != 2 or h.shape[0] != 2 or not 1 <= h.shape[1] <= table.K + 1:
+        raise ValueError(f"harmonic rows must have shape (2, n <= {table.K + 1}), got {h.shape}")
     if not (nu > 0.0):
         raise ValueError(f"viscosity must be positive, got {nu}")
     amp = np.zeros((2, table.K + 1, 1))
-    amp[:, : h.degree + 1, 0] = np.stack([h.a, h.b]) / nu
+    amp[:, : h.shape[1], 0] = h / nu
     omega_b = SpectralField(table, table.from_blocks(elliptic_map(grid) * amp), "vorticity")
     return omega_b, GridField(grid, synthesize_rows(amp * _elliptic_profiles(grid), grid.trig))
 
 
 def elliptic_map(grid: PolarGrid) -> np.ndarray:
     """Blocks E (2, K+1, J) of the elliptic correction: omega_B has
-    blocks E[p, k, :] * h[p, k] / nu for the moments h[0] = h.a,
-    h[1] = h.b.  Each column is the quadrature projection of the psi_B
+    blocks E[p, k, :] * h[p, k] / nu for the cos/sin moment rows h.
+    Each column is the quadrature projection of the psi_B
     of one unit harmonic."""
     return grid.project_radial(_elliptic_profiles(grid))

@@ -9,7 +9,9 @@ where Phi[u] is the H^1-mean solution of the variational problem
     (grad Phi, grad theta) = -((u.grad)u, grad theta)   for all theta,
 
 and H* is the harmonic-conjugate map on the zero-mean harmonic part of
-the vorticity trace extension.
+the vorticity trace extension.  Both are cos/sin rows (2, K+1) against
+the unit harmonics c_k r^k, the package's one layout of a harmonic
+part, so H* swaps the rows: (a, b) -> (-b, a).
 
 All work runs on the shared Bessel-Fourier layer.  A field is a stack
 of cos/sin rows (2, n_k, n_r), one radial function per angular
@@ -38,14 +40,13 @@ from scipy.linalg import solve_banded
 
 from .fields import (
     GridField,
-    HarmonicExpansion,
     PolarGrid,
     SpectralField,
     biot_savart,
     d_theta_rows,
-    q1_split,
     split_rows,
     synthesize_rows,
+    trace_extension,
     trig_table,
 )
 from .semigroup import Trajectory
@@ -60,17 +61,18 @@ __all__ = [
 ]
 
 
-def harmonic_conjugate(h: HarmonicExpansion) -> HarmonicExpansion:
-    """Rotate each degree: r^k cos -> r^k sin, r^k sin -> -r^k cos.
+def harmonic_conjugate(h: np.ndarray) -> np.ndarray:
+    """Rotate each degree of cos/sin rows (2, n): r^k cos -> r^k sin,
+    r^k sin -> -r^k cos.
 
-    The mean component has no single-valued conjugate; a nonzero h_0
-    coefficient is an error.  Applying the map twice negates the input.
+    The mean component has no single-valued conjugate; a nonzero h[0, 0]
+    is an error.  Applying the map twice negates the input.
     """
-    if h.a[0] != 0.0:
+    if h[0, 0] != 0.0:
         raise ValueError(
-            f"harmonic_conjugate requires zero mean component, got a[0]={h.a[0]}"
+            f"harmonic_conjugate requires zero mean component, got h[0, 0]={h[0, 0]}"
         )
-    return HarmonicExpansion(-h.b.copy(), np.r_[0.0, h.a[1:]])
+    return np.stack([-h[1], h[0]])
 
 
 # ---------------------------------------------------------------------------
@@ -231,26 +233,19 @@ def phi_of_u(omega: SpectralField, grid: PolarGrid, n_aux: int = 256) -> GridFie
     return GridField(grid, vals - grid.integrate(vals) / np.pi)
 
 
-@dataclass
 class PressureField(GridField):
     """Zero-mean pressure samples on a polar grid."""
 
-    zero_mean: bool = True
     csv_column = "p"
-
-    def mean(self) -> float:
-        return self.grid.integrate(self.values) / np.pi
 
 
 def _conjugate_rows(omega: SpectralField) -> np.ndarray:
-    """Cos/sin coefficients (2, K+1) of H* of the zero-mean vorticity
-    trace extension, against the unit harmonics."""
-    _, extension = q1_split(omega)
-    zero_mean = extension.copy()
-    zero_mean.a[0] = 0.0  # the constant shifts p by a constant; the mean
+    """Cos/sin rows (2, K+1) of H* of the zero-mean vorticity trace
+    extension, against the unit harmonics."""
+    extension = trace_extension(omega)
+    extension[0, 0] = 0.0  # the constant shifts p by a constant; the mean
     # normalization absorbs it, and only the zero-mean part has a conjugate
-    conj = harmonic_conjugate(zero_mean)
-    return np.stack([conj.a, conj.b])
+    return harmonic_conjugate(extension)
 
 
 def recover_pressure(

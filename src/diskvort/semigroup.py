@@ -125,10 +125,6 @@ class Trajectory:
     def __len__(self) -> int:
         return self.times.size
 
-    def series(self, extract) -> list[tuple[float, float]]:
-        """(t, extract(state)) pairs, e.g. for decay fitting."""
-        return [(float(t), float(extract(s))) for t, s in zip(self.times, self.states)]
-
     def to_csv(self, path) -> None:
         """The diagnostics rows, or the bare times when there are none."""
         if self.diagnostics is None:

@@ -259,9 +259,6 @@ class QuadratureRule:
     a: float
     b: float
 
-    def integrate(self, values: np.ndarray) -> float:
-        return float(np.dot(self.weights, values))
-
 
 def gauss_legendre(n: int, a: float = 0.0, b: float = 1.0) -> QuadratureRule:
     """n-point Gauss-Legendre rule on (a, b); exact through degree 2n-1."""

@@ -1,11 +1,17 @@
-"""Reference evaluation of one annulus harmonic kept for the tests.
+"""Reference evaluations of harmonic sums kept for the tests, one term
+at a time on the full broadcast shape of (r, theta).
 
-This is ``annulus.HarmonicElement`` as the package evaluated it before
-every harmonic sum went through ``fields.synthesize_points``: the
-element's own radial power times its own cos or sin of k theta, on the
-full broadcast shape of (r, theta).  It reads only the element's
-record (k, parity, expo, scale), so it checks the summed evaluation's
-row layout, its d_theta rows and its broadcasting independently.
+``element_values`` is ``annulus.HarmonicElement`` as the package
+evaluated it before every harmonic sum went through
+``fields.synthesize_points``: the element's own radial power times its
+own cos or sin of k theta.  It reads only the element's record (k,
+parity, expo, scale), so it checks the summed evaluation's row layout,
+its d_theta rows and its broadcasting independently.
+
+``disk_harmonic_values`` evaluates a disk harmonic part given as cos/sin
+rows (2, n) against the unit harmonics h_k = c_k r^k, the way
+``fields.HarmonicExpansion.eval`` did before the rows became the only
+layout.  It spells out c_k itself rather than reading the package's.
 """
 
 from __future__ import annotations
@@ -35,3 +41,29 @@ def element_values(h, r, theta, what: str = "value"):
 def element(h):
     """The element as a field callable f(r, theta, what)."""
     return lambda r, theta, what="value": element_values(h, r, theta, what)
+
+
+def _unit_constant(k: int) -> float:
+    """c_k with c_k r^k {cos,sin}(k theta) of unit L^2 norm on the disk."""
+    return 1.0 / np.sqrt(np.pi) if k == 0 else np.sqrt((2.0 * k + 2.0) / np.pi)
+
+
+def disk_harmonic_values(h, r, theta, what: str = "value"):
+    """sum_k c_k r^k (h[0, k] cos(k theta) + h[1, k] sin(k theta)), or its
+    d_r / d_theta, at broadcast (r, theta)."""
+    if what not in ("value", "d_r", "d_theta"):
+        raise ValueError(f"unknown what: {what!r}")
+    r = np.asarray(r, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    out = np.zeros(np.broadcast_shapes(r.shape, theta.shape))
+    for k in range(np.shape(h)[1]):
+        c = _unit_constant(k)
+        if what == "d_r":
+            rad = c * k * r ** (k - 1) if k > 0 else np.zeros_like(r)
+        else:
+            rad = c * r**k
+        cos, sin = np.cos(k * theta), np.sin(k * theta)
+        if what == "d_theta":
+            cos, sin = -k * sin, k * cos
+        out = out + rad * (h[0][k] * cos + h[1][k] * sin)
+    return out

@@ -196,6 +196,13 @@ class TestSpectrumCommand:
         (["spectrum", "--K", "-1"], "--K <= 63"),
         (["pressure", "--n-aux", "0"], "--n-aux must be at least 1, got 0"),
         (["pressure", "--n-aux", "-3"], "--n-aux must be at least 1, got -3"),
+        (["annulus-verify", "--n-poly", "3"], "--n-poly must be at least 6, got 3"),
+        (["annulus-verify", "--k-max", "2"], "--k-max must be at least 3, got 2"),
+        (["annulus-verify", "--r-inner", "0.99"], "--r-inner: inner radius must lie in"),
+        (["annulus-verify", "--nu", "-1"], "--nu must be positive and finite, got -1.0"),
+        (["annulus-verify", "--t-final", "0"], "--t-final must be positive and finite, got 0.0"),
+        (["annulus-verify", "--nu", "inf"], "--nu must be positive and finite, got inf"),
+        (["annulus-verify", "--t-final", "inf"], "--t-final must be positive and finite, got inf"),
     ],
 )
 def test_bad_flag_rejected_before_the_run(tmp_path, capsys, argv, message):

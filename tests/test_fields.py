@@ -9,21 +9,19 @@ from hypothesis import strategies as st
 
 from diskvort import fields
 from diskvort.fields import (
-    CompositeField,
     GridField,
-    HarmonicExpansion,
     PolarGrid,
     SpectralField,
     biot_savart,
-    boundary_trace,
     from_grid,
     greens_potential,
     newtonian_potential,
     norm_at,
-    q1_split,
     to_grid,
+    trace_extension,
 )
 from bessel_oracle import bessel_j
+from harmonic_oracle import disk_harmonic_values
 from diskvort.spectrum import ModeIndex, build_table
 from potential_oracle import greens_points, newtonian_points
 from transform_oracle import (
@@ -217,7 +215,7 @@ def test_round_trip_identity(table, grid):
     f = random_field(table, 9)
     spec, harm, residual = from_grid(to_grid(f, grid), table)
     np.testing.assert_allclose(spec.coeffs, f.coeffs, atol=1e-10)
-    assert harm.norm_l2() < 1e-10
+    assert np.linalg.norm(harm) < 1e-10
     assert residual < 1e-10
 
 
@@ -233,7 +231,7 @@ def test_round_trip_random_sizes(K, J, seed):
     spec, harm, residual = from_grid(to_grid(f, grid), small)
     scale = np.max(np.abs(f.coeffs))
     np.testing.assert_allclose(spec.coeffs, f.coeffs, rtol=0, atol=1e-12 * scale)
-    assert harm.norm_l2() <= 1e-12 * scale
+    assert np.linalg.norm(harm) <= 1e-12 * scale
     assert residual <= 1e-12 * scale
 
 
@@ -251,8 +249,7 @@ def test_batched_transforms_match_group_oracle(KJ):
     spec, harm, _ = from_grid(GridField(g, v), small)
     want_spec, want_harm = from_grid_groups(v, g, small)
     np.testing.assert_allclose(spec.coeffs, want_spec.coeffs, rtol=0, atol=1e-14)
-    np.testing.assert_allclose(harm.a, want_harm.a, rtol=0, atol=1e-14)
-    np.testing.assert_allclose(harm.b, want_harm.b, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(harm, want_harm, rtol=0, atol=1e-14)
 
 
 def test_block_layout_round_trip(table):
@@ -288,15 +285,18 @@ def test_grid_profiles_bit_identical_to_per_group_profiles(K, J):
     assert np.array_equal(g.harm, np.stack([ck[k] * g.r**k for k in range(K + 1)]))
 
 
+def boundary_values(f, theta):
+    """A vorticity field at r = 1, one eigenfunction at a time."""
+    return sum(f.coeffs[i] * eigenfunction_eval(f.table, i, 1.0, theta) for i in range(len(f.table)))
+
+
 def test_boundary_trace_is_profile_at_one(table):
     f = random_field(table, 12)
     theta = np.linspace(0.0, 2.0 * np.pi, 9)
-    want = sum(f.coeffs[i] * eigenfunction_eval(table, i, 1.0, theta) for i in range(len(table)))
-    trace = boundary_trace(f)
-    assert trace.shape == (2, table.K + 1) and trace[1, 0] == 0.0
-    k = np.arange(table.K + 1)[:, None]
-    got = trace[0] @ np.cos(k * theta) + trace[1] @ np.sin(k * theta)
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+    ext = trace_extension(f)
+    assert ext.shape == (2, table.K + 1) and ext[1, 0] == 0.0
+    got = disk_harmonic_values(ext, 1.0, theta)
+    np.testing.assert_allclose(got, boundary_values(f, theta), rtol=0, atol=1e-13)
 
 
 def test_from_grid_pure_mode(table, grid):
@@ -306,7 +306,7 @@ def test_from_grid_pure_mode(table, grid):
     assert spec.coeffs[n] == pytest.approx(1.0, abs=1e-9)
     rest = np.delete(spec.coeffs, n)
     assert np.max(np.abs(rest)) < 1e-9
-    assert harm.norm_l2() < 1e-9
+    assert np.linalg.norm(harm) < 1e-9
     assert residual < 1e-9
 
 
@@ -315,13 +315,13 @@ def test_from_grid_pure_harmonic(table, grid):
     gf = GridField(grid, rr * np.cos(tt))
     spec, harm, residual = from_grid(gf, table)
     assert np.max(np.abs(spec.coeffs)) < 1e-9
-    rec = harm.eval(rr, tt)
+    rec = disk_harmonic_values(harm, rr, tt)
     np.testing.assert_allclose(rec, gf.values, atol=1e-9)
     assert residual < 1e-9
     # coefficient against h_1^c: (r cos, h_1^c) = 1/ch where h = ch r cos
     ch = np.sqrt(4.0 / np.pi)
-    assert harm.a[1] == pytest.approx(1.0 / ch, rel=1e-12)
-    assert abs(harm.a[0]) < 1e-12 and np.max(np.abs(harm.b)) < 1e-12
+    assert harm[0, 1] == pytest.approx(1.0 / ch, rel=1e-12)
+    assert abs(harm[0, 0]) < 1e-12 and np.max(np.abs(harm[1])) < 1e-12
 
 
 def test_projection_idempotence(table, grid):
@@ -330,7 +330,7 @@ def test_projection_idempotence(table, grid):
     spec1, _, _ = from_grid(raw, table)
     spec2, harm2, _ = from_grid(to_grid(spec1, grid), table)
     np.testing.assert_allclose(spec2.coeffs, spec1.coeffs, atol=1e-11)
-    assert harm2.norm_l2() < 1e-11
+    assert np.linalg.norm(harm2) < 1e-11
 
 
 def test_projection_self_adjoint_and_orthogonal(table, grid):
@@ -348,7 +348,7 @@ def test_projection_self_adjoint_and_orthogonal(table, grid):
     np.testing.assert_allclose(project(pf), pf, atol=1e-10)
     # harmonic part of a projected field vanishes
     _, harm, _ = from_grid(GridField(grid, pf), table)
-    assert harm.norm_l2() < 1e-10
+    assert np.linalg.norm(harm) < 1e-10
 
 
 def test_stream_dictionary_biorthogonality(table, grid):
@@ -358,12 +358,12 @@ def test_stream_dictionary_biorthogonality(table, grid):
     psi = biot_savart(random_field(table, 21))
     spec, harm, residual = from_grid(to_grid(psi, grid), table)
     np.testing.assert_allclose(spec.coeffs, psi.coeffs, atol=1e-11)
-    assert harm.norm_l2() > 0.0  # the lifts do carry harmonic content
+    assert np.linalg.norm(harm) > 0.0  # the lifts do carry harmonic content
     assert residual < 1e-10
 
 
 # ---------------------------------------------------------------------------
-# harmonic expansions
+# harmonic parts: cos/sin rows (2, K+1) against the unit harmonics c_k r^k
 
 
 def test_harmonic_orthonormality_by_quadrature(table, grid):
@@ -371,54 +371,39 @@ def test_harmonic_orthonormality_by_quadrature(table, grid):
     rr, tt = grid.node_polar()
     basis = []
     for k in range(K + 1):
-        e = HarmonicExpansion.zeros(K)
-        e.a[k] = 1.0
-        basis.append(e.eval(rr, tt))
-        if k >= 1:
-            e = HarmonicExpansion.zeros(K)
-            e.b[k] = 1.0
-            basis.append(e.eval(rr, tt))
+        for parity in (0, 1) if k >= 1 else (0,):
+            e = np.zeros((2, K + 1))
+            e[parity, k] = 1.0
+            basis.append(disk_harmonic_values(e, rr, tt))
     gram = np.array([[grid.inner(u, v) for v in basis] for u in basis])
     np.testing.assert_allclose(gram, np.eye(len(basis)), atol=1e-10)
 
 
 def test_harmonic_norm_equals_coefficients(table, grid):
     rng = np.random.default_rng(8)
-    h = HarmonicExpansion(rng.standard_normal(6), np.r_[0.0, rng.standard_normal(5)])
+    h = np.stack([rng.standard_normal(6), np.r_[0.0, rng.standard_normal(5)]])
     rr, tt = grid.node_polar()
-    quad = np.sqrt(grid.integrate(h.eval(rr, tt) ** 2))
-    assert quad == pytest.approx(h.norm_l2(), rel=1e-12)
-
-
-def test_harmonic_b0_rejected():
-    with pytest.raises(ValueError):
-        HarmonicExpansion(np.zeros(3), np.array([1.0, 0.0, 0.0]))
+    quad = np.sqrt(grid.integrate(disk_harmonic_values(h, rr, tt) ** 2))
+    assert quad == pytest.approx(np.linalg.norm(h), rel=1e-12)
 
 
 def test_harmonic_is_harmonic_fd(table):
-    h = HarmonicExpansion(np.array([0.3, -1.2, 0.7]), np.array([0.0, 0.4, -0.9]))
+    h = np.array([[0.3, -1.2, 0.7], [0.0, 0.4, -0.9]])
+
+    def f(r, t):
+        return disk_harmonic_values(h, r, t)
+
     r0, t0, step = 0.6, 1.1, 1e-4
-    frr = (h.eval(r0 + step, t0) - 2 * h.eval(r0, t0) + h.eval(r0 - step, t0)) / step**2
-    fr = (h.eval(r0 + step, t0) - h.eval(r0 - step, t0)) / (2 * step)
-    ftt = (h.eval(r0, t0 + step) - 2 * h.eval(r0, t0) + h.eval(r0, t0 - step)) / step**2
+    frr = (f(r0 + step, t0) - 2 * f(r0, t0) + f(r0 - step, t0)) / step**2
+    fr = (f(r0 + step, t0) - f(r0 - step, t0)) / (2 * step)
+    ftt = (f(r0, t0 + step) - 2 * f(r0, t0) + f(r0, t0 - step)) / step**2
     lap = frr + fr / r0 + ftt / r0**2
     assert abs(lap) < 1e-5
 
 
 # ---------------------------------------------------------------------------
-# q1 split
-
-
-def test_q1_split_pure_harmonic(table):
-    h = HarmonicExpansion.zeros(table.K)
-    h.a[1] = 1.3
-    omega = SpectralField.zeros(table)
-    dirichlet, extension = q1_split(omega, h)
-    assert np.max(np.abs(dirichlet.spectral.coeffs)) == 0.0
-    assert (dirichlet.harmonic - (h - extension)).norm_l2() < 1e-15
-    assert (extension - h).norm_l2() < 1e-15
-    theta = np.linspace(0, 2 * np.pi, 33)
-    assert np.max(np.abs(dirichlet.eval_boundary(theta))) < 1e-14
+# q1 split: omega = (omega - extension) + extension, the first part zero
+# on the boundary, the second the harmonic trace extension
 
 
 def test_q1_split_radial_mode_trace(table):
@@ -426,37 +411,35 @@ def test_q1_split_radial_mode_trace(table):
     omega = SpectralField.from_mode(table, m)
     n = table.position(m)
     trace_const = table.norm[n] * bessel_j(0, table.alpha[n])
-    dirichlet, extension = q1_split(omega)
-    assert extension.a[0] == pytest.approx(trace_const * np.sqrt(np.pi), rel=1e-13)
+    extension = trace_extension(omega)
+    assert extension[0, 0] == pytest.approx(trace_const * np.sqrt(np.pi), rel=1e-13)
     theta = np.linspace(0, 2 * np.pi, 50)
-    assert np.max(np.abs(dirichlet.eval_boundary(theta))) < 1e-8
+    dirichlet = boundary_values(omega, theta) - disk_harmonic_values(extension, 1.0, theta)
+    assert np.max(np.abs(dirichlet)) < 1e-8
 
 
 def test_q1_split_dirichlet_orthogonality(table, grid):
     omega = random_field(table, 17)
-    h = HarmonicExpansion.zeros(table.K)
-    h.a[2], h.b[1] = 0.5, -0.8
-    dirichlet, extension = q1_split(omega, h)
-    inp = CompositeField(omega, h)
+    extension = trace_extension(omega)
+    rr, tt = grid.node_polar()
 
     def grad_sq(sample_fn):
-        dr = sample_fn("d_r")
-        dt = sample_fn("d_theta")
-        rr, _ = grid.node_polar()
-        return grid.integrate(dr**2 + (dt / rr) ** 2)
+        return grid.integrate(sample_fn("d_r") ** 2 + (sample_fn("d_theta") / rr) ** 2)
 
-    ext_comp = CompositeField(SpectralField.zeros(table), extension)
-    total = grad_sq(lambda w: inp.sample(grid, w))
-    d_part = grad_sq(lambda w: dirichlet.sample(grid, w))
-    e_part = grad_sq(lambda w: ext_comp.sample(grid, w))
+    def ext_part(what):
+        return disk_harmonic_values(extension, rr, tt, what)
+
+    total = grad_sq(lambda w: to_grid(omega, grid, w).values)
+    d_part = grad_sq(lambda w: to_grid(omega, grid, w).values - ext_part(w))
+    e_part = grad_sq(ext_part)
     assert d_part + e_part == pytest.approx(total, rel=1e-6)
 
 
 def test_q1_split_boundary_vanishes(table):
     omega = random_field(table, 23)
-    dirichlet, _ = q1_split(omega)
     theta = np.linspace(0, 2 * np.pi, 64)
-    assert np.max(np.abs(dirichlet.eval_boundary(theta))) < 1e-8
+    dirichlet = boundary_values(omega, theta) - disk_harmonic_values(trace_extension(omega), 1.0, theta)
+    assert np.max(np.abs(dirichlet)) < 1e-8
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,6 @@ import pytest
 
 from diskvort.fields import (
     GridField,
-    HarmonicExpansion,
     PolarGrid,
     SpectralField,
     biot_savart,
@@ -20,6 +19,7 @@ from diskvort.nonlinear import (
     velocity_max,
 )
 from diskvort.spectrum import ModeIndex, build_table
+from harmonic_oracle import disk_harmonic_values
 from transform_oracle import (
     advection_time_derivative,
     elliptic_stream_values,
@@ -51,6 +51,11 @@ def random_v0_field(table, seed):
     return f * (1.0 / norm_at(f, 0))
 
 
+def random_rows(rng, degree):
+    """Random cos/sin rows (2, degree+1), zero where sin(0 theta) sits."""
+    return np.stack([rng.standard_normal(degree + 1), np.r_[0.0, rng.standard_normal(degree)]])
+
+
 def advection_values(omega, grid):
     psi = biot_savart(omega)
     dpsi_r = to_grid(psi, grid, "d_r").values
@@ -78,7 +83,7 @@ def test_radial_field_is_steady(table, grid):
     omega = SpectralField(table, c, "vorticity")
     res = advection(omega, grid)
     assert norm_at(res.projected, 0) < 1e-10
-    assert res.harmonic.norm_l2() < 1e-10
+    assert np.linalg.norm(res.harmonic) < 1e-10
     assert res.raw_l2_norm < 1e-10
 
 
@@ -92,7 +97,7 @@ def test_parseval_inequality(table, grid):
     for seed in range(5):
         omega = random_v0_field(table, seed)
         res = advection(omega, grid)
-        lhs = norm_at(res.projected, 0) ** 2 + res.harmonic.norm_l2() ** 2
+        lhs = norm_at(res.projected, 0) ** 2 + np.sum(res.harmonic**2)
         assert lhs <= res.raw_l2_norm**2 + 1e-8
 
 
@@ -121,7 +126,7 @@ def test_two_mode_refined_grid_oracle(table, grid):
     fine = PolarGrid(table, n_radial=4 * grid.n_radial, n_angular=4 * grid.n_angular)
     ref = advection(omega, fine)
     np.testing.assert_allclose(res.projected.coeffs, ref.projected.coeffs, atol=1e-6)
-    assert (res.harmonic - ref.harmonic).norm_l2() < 1e-6
+    assert np.linalg.norm(res.harmonic - ref.harmonic) < 1e-6
 
 
 def test_advection_validation(table, grid):
@@ -149,8 +154,7 @@ def test_advection_matches_group_oracle(table, grid):
     res = advection(omega, grid)
     want, want_harm = from_grid_groups(advection_values_oracle(omega, grid), grid, table)
     np.testing.assert_allclose(res.projected.coeffs, want.coeffs, rtol=0, atol=1e-13)
-    np.testing.assert_allclose(res.harmonic.a, want_harm.a, rtol=0, atol=1e-13)
-    np.testing.assert_allclose(res.harmonic.b, want_harm.b, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(res.harmonic, want_harm, rtol=0, atol=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +162,7 @@ def test_advection_matches_group_oracle(table, grid):
 
 
 def test_elliptic_zero(table, grid):
-    h = HarmonicExpansion.zeros(table.K)
+    h = np.zeros((2, table.K + 1))
     omega_b, psi_b = elliptic_correction(h, 1.0, grid)
     assert np.max(np.abs(omega_b.coeffs)) == 0.0
     assert np.max(np.abs(psi_b.values)) == 0.0
@@ -166,8 +170,8 @@ def test_elliptic_zero(table, grid):
 
 def test_elliptic_fd_laplacian_oracle(table):
     # Delta psi_B = h / nu, by second-order finite differences
-    h = HarmonicExpansion.zeros(table.K)
-    h.a[1] = 1.0  # harmonic function: ch_1 * r cos(theta)
+    h = np.zeros((2, table.K + 1))
+    h[0, 1] = 1.0  # harmonic function: ch_1 * r cos(theta)
     nu = 1.0
     r0, t0, step = 0.57, 0.8, 1e-4
 
@@ -178,13 +182,13 @@ def test_elliptic_fd_laplacian_oracle(table):
     fr = (f(r0 + step, t0) - f(r0 - step, t0)) / (2 * step)
     ftt = (f(r0, t0 + step) - 2 * f(r0, t0) + f(r0, t0 - step)) / step**2
     lap = frr + fr / r0 + ftt / r0**2
-    want = h.eval(r0, t0) / nu
+    want = disk_harmonic_values(h, r0, t0) / nu
     assert lap == pytest.approx(float(want), rel=1e-5)
 
 
 def test_elliptic_fd_laplacian_k0_and_nu(table):
-    h = HarmonicExpansion.zeros(table.K)
-    h.a[0] = 2.0
+    h = np.zeros((2, table.K + 1))
+    h[0, 0] = 2.0
     nu = 0.25
     r0, step = 0.4, 1e-4
 
@@ -194,21 +198,21 @@ def test_elliptic_fd_laplacian_k0_and_nu(table):
     lap = (f(r0 + step) - 2 * f(r0) + f(r0 - step)) / step**2 + (
         f(r0 + step) - f(r0 - step)
     ) / (2 * step) / r0
-    want = float(h.eval(r0, 0.0)) / nu
+    want = float(disk_harmonic_values(h, r0, 0.0)) / nu
     assert lap == pytest.approx(want, rel=1e-5)
 
 
 def test_elliptic_boundary_trace(table):
     rng = np.random.default_rng(5)
-    h = HarmonicExpansion(rng.standard_normal(table.K + 1), np.r_[0.0, rng.standard_normal(table.K)])
+    h = random_rows(rng, table.K)
     theta = np.linspace(0.0, 2 * np.pi, 37)
     vals = elliptic_stream_values(h, 0.7, np.ones_like(theta), theta)
     assert np.max(np.abs(vals)) < 1e-12
 
 
 def test_elliptic_dr_matches_fd(table):
-    h = HarmonicExpansion.zeros(table.K)
-    h.a[2], h.b[1] = 0.6, -1.1
+    h = np.zeros((2, table.K + 1))
+    h[0, 2], h[1, 1] = 0.6, -1.1
     nu, r0, t0, step = 0.5, 0.63, 2.2, 1e-6
     fd = (
         float(elliptic_stream_values(h, nu, r0 + step, t0))
@@ -219,19 +223,19 @@ def test_elliptic_dr_matches_fd(table):
 
 
 def test_omega_b_is_admissible(table, grid):
-    h = HarmonicExpansion.zeros(table.K)
-    h.a[0], h.a[1], h.b[2] = 0.3, -0.9, 1.2
+    h = np.zeros((2, table.K + 1))
+    h[0, 0], h[0, 1], h[1, 2] = 0.3, -0.9, 1.2
     omega_b, _ = elliptic_correction(h, 0.1, grid)
     _, harm, _ = from_grid(to_grid(omega_b, grid), table)
-    assert harm.norm_l2() < 1e-8
+    assert np.linalg.norm(harm) < 1e-8
 
 
 def test_elliptic_linearity(table, grid):
     # the correction is linear in its harmonic argument, which the
     # solver exploits to commute it with time differencing
-    h1 = HarmonicExpansion.zeros(table.K)
-    h2 = HarmonicExpansion.zeros(table.K)
-    h1.a[1], h2.b[2] = 0.8, -0.5
+    h1 = np.zeros((2, table.K + 1))
+    h2 = np.zeros((2, table.K + 1))
+    h1[0, 1], h2[1, 2] = 0.8, -0.5
     nu = 0.3
     w1, _ = elliptic_correction(h1, nu, grid)
     w2, _ = elliptic_correction(h2, nu, grid)
@@ -252,9 +256,9 @@ def test_elliptic_map_matches_grid_sampled_correction(table, grid):
     emap = elliptic_map(grid)
     assert emap.shape == (2, table.K + 1, table.J)
     for nu in (0.1, 0.7):
-        h = HarmonicExpansion(rng.standard_normal(table.K + 1), np.r_[0.0, rng.standard_normal(table.K)])
+        h = random_rows(rng, table.K)
         want = grid_sampled_correction(h, nu, grid)
-        got = table.from_blocks(emap * (np.stack([h.a, h.b]) / nu)[:, :, None])
+        got = table.from_blocks(emap * (h / nu)[:, :, None])
         np.testing.assert_allclose(got, want.coeffs, rtol=0, atol=1e-14 * np.max(np.abs(want.coeffs)))
 
 
@@ -263,7 +267,7 @@ def test_elliptic_correction_matches_closed_form(table, grid, degree):
     # psi_B on the grid is the closed form; omega_B is its grid projection,
     # for harmonic degrees below and at the table's K
     rng = np.random.default_rng(40 + degree)
-    h = HarmonicExpansion(rng.standard_normal(degree + 1), np.r_[0.0, rng.standard_normal(degree)])
+    h = random_rows(rng, degree)
     nu = 0.3
     omega_b, psi_b = elliptic_correction(h, nu, grid)
     rr, tt = grid.node_polar()
@@ -282,7 +286,7 @@ def test_omega_b_difference_is_correction_of_moment_difference(table, grid):
     emap = elliptic_map(grid)
 
     def omega_b(h):
-        return table.from_blocks(emap * (np.stack([h.a, h.b]) / nu)[:, :, None])
+        return table.from_blocks(emap * (h / nu)[:, :, None])
 
     got = (omega_b(res1.harmonic) - omega_b(res0.harmonic)) / dt
     want, _ = elliptic_correction(advection_time_derivative(res1, res0, dt), nu, grid)
@@ -290,12 +294,16 @@ def test_omega_b_difference_is_correction_of_moment_difference(table, grid):
 
 
 def test_elliptic_validation(table, grid):
-    h = HarmonicExpansion.zeros(table.K + 3)
-    h.a[table.K + 3] = 1.0
+    h = np.zeros((2, table.K + 4))
+    h[0, table.K + 3] = 1.0
     with pytest.raises(ValueError):
         elliptic_correction(h, 1.0, grid)
+    # only cos/sin rows (2, n) with 1 <= n <= K+1 are harmonic parts
+    for shape in ((table.K + 1,), (3, table.K + 1), (2, 0), (1, 2, table.K + 1)):
+        with pytest.raises(ValueError, match="shape"):
+            elliptic_correction(np.zeros(shape), 1.0, grid)
     with pytest.raises(ValueError):
-        elliptic_stream_values(HarmonicExpansion.zeros(2), -1.0, 0.5, 0.0)
+        elliptic_stream_values(np.zeros((2, 3)), -1.0, 0.5, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -306,25 +314,23 @@ def test_advection_td_identical_inputs(table, grid):
     omega = random_v0_field(table, 9)
     res = advection(omega, grid)
     td = advection_time_derivative(res, res, 0.01)
-    assert td.norm_l2() == 0.0
+    assert np.max(np.abs(td)) == 0.0
 
 
 def test_advection_td_linear_slope(table, grid):
     omega = random_v0_field(table, 13)
     res0 = advection(omega, grid)
     res1 = advection(omega, grid)
-    res1.harmonic = res0.harmonic + 0.02 * HarmonicExpansion(
-        np.ones(table.K + 1), np.zeros(table.K + 1)
-    )
+    res1.harmonic = res0.harmonic + 0.02 * np.stack([np.ones(table.K + 1), np.zeros(table.K + 1)])
     td = advection_time_derivative(res1, res0, 0.02)
-    np.testing.assert_allclose(td.a, np.ones(table.K + 1), rtol=1e-12)
+    np.testing.assert_allclose(td[0], np.ones(table.K + 1), rtol=1e-12)
 
 
 def test_advection_td_first_order_vs_centered(table, grid):
     # backward difference drifts from the centered difference at O(dt)
     def h_of_t(t):
-        h = HarmonicExpansion.zeros(table.K)
-        h.a[1] = np.sin(t)
+        h = np.zeros((2, table.K + 1))
+        h[0, 1] = np.sin(t)
         return h
 
     omega = random_v0_field(table, 17)
@@ -340,7 +346,7 @@ def test_advection_td_first_order_vs_centered(table, grid):
     for dt in (0.1, 0.05):
         backward = advection_time_derivative(result_at(t0), result_at(t0 - dt), dt)
         centered = (h_of_t(t0 + dt) - h_of_t(t0 - dt)) * (1.0 / (2 * dt))
-        errs.append((backward - centered).norm_l2())
+        errs.append(np.linalg.norm(backward - centered))
     assert errs[1] == pytest.approx(errs[0] / 2.0, rel=0.15)
     assert base.raw_l2_norm >= 0.0
 

@@ -261,8 +261,7 @@ def test_trajectory_validation(table):
         Trajectory(times=[0.0, 1.0], states=[f])
     tr = Trajectory(times=[0.0, 1.0], states=[f, propagate(f, 0.1, 1.0)])
     assert len(tr) == 2
-    series = tr.series(lambda s: norm_at(s, 0))
-    assert series[0][1] > series[1][1]
+    assert norm_at(tr.states[0], 0) > norm_at(tr.states[1], 0)
 
 
 def test_trajectory_csv(tmp_path, table):

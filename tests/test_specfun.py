@@ -188,7 +188,7 @@ def test_quadrature_basics():
     assert rule.nodes.shape == (12,)
     assert np.all(np.diff(rule.nodes) > 0)
     assert np.all(rule.weights > 0)
-    assert rule.integrate(np.ones(12)) == pytest.approx(1.0, abs=1e-13)
+    assert rule.weights @ np.ones(12) == pytest.approx(1.0, abs=1e-13)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 16, 40])
@@ -196,14 +196,14 @@ def test_quadrature_polynomial_exactness(n):
     # exact through degree 2n-1 on (0, 2)
     rule = gauss_legendre(n, 0.0, 2.0)
     for deg in range(2 * n):
-        got = rule.integrate(rule.nodes**deg)
+        got = rule.weights @ rule.nodes**deg
         want = 2.0 ** (deg + 1) / (deg + 1)
         assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_quadrature_smooth_integrand():
     rule = gauss_legendre(30, 0.0, math.pi)
-    got = rule.integrate(np.sin(rule.nodes))
+    got = rule.weights @ np.sin(rule.nodes)
     assert got == pytest.approx(2.0, abs=1e-14)
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import special
 
-from diskvort.fields import HarmonicExpansion, SpectralField, _harm_const
+from diskvort.fields import SpectralField, _harm_const
 from diskvort.specfun import bessel_j
 from diskvort.spectrum import ModeIndex
 
@@ -59,32 +59,33 @@ def to_grid_groups(field: SpectralField, grid, what: str = "value") -> np.ndarra
 
 
 def from_grid_groups(values: np.ndarray, grid, table):
-    """Eigen-span coefficients and harmonic moments of grid samples."""
+    """Eigen-span coefficients and the harmonic moment rows (2, K+1) of
+    grid samples."""
     wr_r = grid.wr * grid.r
     coeffs = np.zeros(len(table))
-    a = np.zeros(table.K + 1)
-    b = np.zeros(table.K + 1)
+    moments = np.zeros((2, table.K + 1))
     for (k, parity), pos in _groups(table).items():
         ang = np.cos(k * grid.theta) if parity == "cos" else np.sin(k * grid.theta)
         radial_signal = values @ (ang * grid.wtheta)
         coeffs[pos] = _profile(table, pos, k, grid.r, "vorticity", "value") @ (wr_r * radial_signal)
         moment = float(np.dot(wr_r * _harm_const(k) * grid.r**k, radial_signal))
-        (a if parity == "cos" else b)[k] = moment
-    return SpectralField(table, coeffs, "vorticity"), HarmonicExpansion(a, b)
+        moments[0 if parity == "cos" else 1, k] = moment
+    return SpectralField(table, coeffs, "vorticity"), moments
 
 
 def quadrature_drift(omega: SpectralField, grid) -> float:
     """Largest harmonic moment of the sampled field, by grid quadrature."""
     _, harm = from_grid_groups(to_grid_groups(omega, grid), grid, omega.table)
-    return float(np.max(np.abs(np.concatenate([harm.a, harm.b]))))
+    return float(np.max(np.abs(harm)))
 
 
-def advection_time_derivative(current, previous, dt: float) -> HarmonicExpansion:
-    """Backward difference of the harmonic moments of two advection results."""
+def advection_time_derivative(current, previous, dt: float) -> np.ndarray:
+    """Backward difference of the harmonic moment rows of two advection
+    results."""
     if not (dt > 0.0):
         raise ValueError(f"dt must be positive, got {dt}")
-    if current.harmonic.degree != previous.harmonic.degree:
-        raise ValueError("harmonic expansions live on different bases")
+    if current.harmonic.shape != previous.harmonic.shape:
+        raise ValueError("harmonic moment rows of different shapes")
     return (current.harmonic - previous.harmonic) * (1.0 / dt)
 
 
@@ -113,9 +114,10 @@ def eigenfunction_eval(table, mode, r, theta) -> np.ndarray:
 
 
 def elliptic_stream_values(
-    h: HarmonicExpansion, nu: float, r, theta, what: str = "value"
+    h: np.ndarray, nu: float, r, theta, what: str = "value"
 ) -> np.ndarray:
-    """Closed-form stream correction psi_B with Delta psi_B = h/nu.
+    """Closed-form stream correction psi_B with Delta psi_B = h/nu for
+    cos/sin rows h (2, n) against the unit harmonics.
 
     Component-wise: a r^k trig maps to (a/nu)(r^{k+2}-r^k)/(4k+4) trig,
     which vanishes at r = 1.  ``what`` selects value or d_r.
@@ -127,8 +129,8 @@ def elliptic_stream_values(
     r = np.asarray(r, dtype=float)
     theta = np.asarray(theta, dtype=float)
     out = np.zeros(np.broadcast(r, theta).shape)
-    for k in range(h.degree + 1):
-        for coeff, trig in ((h.a[k], np.cos), (h.b[k], np.sin)):
+    for k in range(h.shape[1]):
+        for coeff, trig in ((h[0, k], np.cos), (h[1, k], np.sin)):
             if coeff == 0.0:
                 continue
             amp = coeff * _harm_const(k) / nu  # raw amplitude of a r^k term
