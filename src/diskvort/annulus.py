@@ -39,7 +39,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import eigh, expm, null_space
 
-from .fields import _log_kernel, d_theta_rows, split_rows, synthesize_points, trig_table, write_csv
+from .fields import _ring_log_kernel, d_theta_rows, split_rows, synthesize_points, trig_table, write_csv
 from .specfun import gauss_legendre
 
 __all__ = [
@@ -51,6 +51,7 @@ __all__ = [
     "SpectraResult",
     "BoundaryReport",
     "CirculationRun",
+    "check_limits",
     "harmonic_basis",
     "bergman_project",
     "xi_circulation",
@@ -358,14 +359,21 @@ def newtonian_bs_annulus(
     flatness there certifies the boundary condition).  Inputs failing
     the orthogonality precondition (relative component above 1e-8) are
     rejected.
+
+    The report reads the potential at the ``n_boundary`` angles
+    2 pi m / n_boundary, which must be angles of the rule: ``n_boundary``
+    has to divide ``geom.n_angular``.  There the sums are one angular
+    correlation per radius (``fields._ring_log_kernel``).
     """
     if not 0.0 < fd_step <= geom.r_inner / 8.0:
         raise ValueError(
             f"fd_step must lie in (0, r_inner/8], got {fd_step}"
         )
+    basis = harmonic_basis(geom, degree)
     if isinstance(n_boundary, bool) or not isinstance(n_boundary, (int, np.integer)) or n_boundary < 1:
         raise ValueError(f"n_boundary must be a positive integer, got {n_boundary!r}")
-    basis = harmonic_basis(geom, degree)
+    if geom.n_angular % n_boundary:
+        raise ValueError(f"n_boundary must divide n_angular = {geom.n_angular}, got {n_boundary}")
     fv = _sample(geom, omega)
     norm = math.sqrt(abs(_integrate(geom, fv * fv)))
     if norm == 0.0:
@@ -378,20 +386,41 @@ def newtonian_bs_annulus(
             "omega is not orthogonal to the zero-flux harmonics "
             f"(component {comps[bad[0]]:.3e} against k={h.k} {h.parity} r^{h.expo})"
         )
-    # per angle: the outer point, then the inward normal chain from the
-    # inner circle, R - m fd_step for m = 0..4
-    angles = 2.0 * np.pi * np.arange(n_boundary) / n_boundary
+    # per radius, the values at the boundary angles: the outer circle,
+    # then the inward normal chain from the inner circle, R - m fd_step
+    # for m = 0..4
     radii = np.r_[1.0, geom.r_inner - fd_step * np.arange(5)]
-    unit = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    points = (radii[None, :, None] * unit[:, None, :]).reshape(-1, 2)
-    vals, _ = _log_kernel(*geom.radial_rule(), geom.theta(), fv, points)
-    vals = vals.reshape(n_boundary, radii.size)
-    chain = vals[:, 1:]
+    vals = _ring_log_kernel(*geom.radial_rule(), fv, radii)[:, :: geom.n_angular // n_boundary]
+    chain = vals[1:]
     return BoundaryReport(
-        outer_max=float(np.max(np.abs(vals[:, 0]))),
-        inner_stddev=float(np.std(chain[:, 0])),
-        normal_max=float(np.max(np.abs(np.diff(chain, axis=1)))) / fd_step,
+        outer_max=float(np.max(np.abs(vals[0]))),
+        inner_stddev=float(np.std(chain[0])),
+        normal_max=float(np.max(np.abs(np.diff(chain, axis=0)))) / fd_step,
     )
+
+
+# ---------------------------------------------------------------------------
+# limits of the Galerkin and circulation runs
+
+# the smallest Galerkin trial space: polynomial degree and angular modes
+_LEAST = {"n_poly": 6, "k_max": 3}
+
+
+def check_limits(values: dict) -> None:
+    """Reject Galerkin and circulation-run parameters outside their limits.
+
+    ``values`` maps a parameter name to its value: ``n_poly`` at least 6
+    and ``k_max`` at least 3 (``galerkin_spectra``); any other name, here
+    ``nu`` and ``t_final`` (``annulus_stokes_circulation``), positive and
+    finite.  A name may also be spelled as its command-line flag
+    (``--n-poly``).  The ValueError names the key as given.
+    """
+    for key, value in values.items():
+        least = _LEAST.get(key.lstrip("-").replace("-", "_"))
+        if least is not None and value < least:
+            raise ValueError(f"{key} must be at least {least}, got {value}")
+        if least is None and not 0.0 < value < math.inf:
+            raise ValueError(f"{key} must be positive and finite, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -470,8 +499,7 @@ def galerkin_spectra(
     vorticity-side operator never needs an explicit inverse.  S and V
     produce the same lowest value; the Z value can only sit below.
     """
-    if n_poly < 6 or k_max < 3:
-        raise ValueError("trial space too small (need n_poly >= 6, k_max >= 3)")
+    check_limits({"n_poly": n_poly, "k_max": k_max})
     R = geom.r_inner
     rq, wq, (T0, T1, T2), ends = _legendre_tables(n_poly, R)
     per_S, per_V, per_Z = {}, {}, {}
@@ -607,10 +635,7 @@ def annulus_stokes_circulation(
     the first moments of the run relax it), with the time derivative
     taken by centered differences, divided by `scale`.
     """
-    if not (nu > 0.0):
-        raise ValueError(f"viscosity must be positive, got {nu}")
-    if not (t_final > 0.0):
-        raise ValueError(f"horizon must be positive, got {t_final}")
+    check_limits({"nu": nu, "t_final": t_final})
     if n_out < 5:
         raise ValueError("need at least 5 output times")
     R = geom.r_inner

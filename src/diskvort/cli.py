@@ -462,6 +462,7 @@ def _cmd_annulus_verify(args) -> int:
     from .annulus import (
         AnnulusGeometry,
         annulus_stokes_circulation,
+        check_limits,
         galerkin_spectra,
         inner_flux,
         omega_big,
@@ -469,12 +470,9 @@ def _cmd_annulus_verify(args) -> int:
         zeta_pairing,
     )
 
-    for flag, value, least in (("--n-poly", args.n_poly, 6), ("--k-max", args.k_max, 3)):
-        if value < least:
-            raise ValueError(f"{flag} must be at least {least}, got {value}")
-    for flag, value in (("--nu", args.nu), ("--t-final", args.t_final)):
-        if not 0.0 < value < float("inf"):
-            raise ValueError(f"{flag} must be positive and finite, got {value}")
+    check_limits(
+        {"--n-poly": args.n_poly, "--k-max": args.k_max, "--nu": args.nu, "--t-final": args.t_final}
+    )
     try:
         geom = AnnulusGeometry(args.r_inner)
     except ValueError as e:

@@ -1,6 +1,7 @@
 """Multiply connected toolkit: circulation functions, spectra, flux laws."""
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,8 +23,10 @@ from diskvort.annulus import (
     _integrate,
     _sample,
 )
+from diskvort.fields import _ring_log_kernel
 from bessel_oracle import bessel_j, bessel_y
 from harmonic_oracle import element, element_values
+from potential_oracle import newtonian_points
 
 R = 0.5
 RTOL_BRENT = 4 * np.finfo(float).eps
@@ -121,6 +124,13 @@ class TestGeometry:
             (lambda g: newtonian_bs_annulus(g, j_bump, n_boundary=-1), "n_boundary"),
             (lambda g: newtonian_bs_annulus(g, j_bump, n_boundary=2.5), "n_boundary"),
             (lambda g: newtonian_bs_annulus(g, j_bump, n_boundary=True), "n_boundary"),
+            # the report reads the rule's own angles
+            (
+                lambda g: newtonian_bs_annulus(
+                    AnnulusGeometry(R, n_radial=32, n_angular=64), j_bump, n_boundary=7
+                ),
+                "n_boundary must divide n_angular = 64, got 7",
+            ),
         ],
     )
     def test_rejects_counts_that_are_not_integers(self, geom, build, name):
@@ -354,6 +364,25 @@ class TestNewtonianBoundary:
             assert rep.inner_stddev <= 5e-5, f"field {i}"
             assert rep.normal_max <= 5e-4, f"field {i}"
 
+    @pytest.mark.parametrize("n_radial, n_angular, n_boundary", [(64, 128, 128), (600, 768, 16)])
+    def test_ring_sum_matches_per_point_oracle(self, n_radial, n_angular, n_boundary):
+        # the report's radii at its grid-aligned angles: every angle of
+        # the coarse rule, the benchmark's 16 of the fine one
+        geo = AnnulusGeometry(R, n_radial=n_radial, n_angular=n_angular)
+        r, wr = geo.radial_rule()
+        fv = _sample(geo, band_field(np.random.default_rng(7)))
+        radii = np.r_[1.0, R - 1e-2 * np.arange(5)]
+        got = _ring_log_kernel(r, wr, fv, radii)[:, :: n_angular // n_boundary]
+        angles = geo.theta()[:: n_angular // n_boundary]
+        points = radii[:, None, None] * np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+        rr, tt = np.meshgrid(r, geo.theta(), indexing="ij")
+        grid = SimpleNamespace(
+            r=r, wr=wr, n_angular=n_angular, wtheta=2 * np.pi / n_angular, node_polar=lambda: (rr, tt)
+        )
+        want, _ = newtonian_points(SimpleNamespace(grid=grid, values=fv), points.reshape(-1, 2))
+        want = want.reshape(got.shape)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
     def test_rejects_field_with_harmonic_content(self, geom):
         with pytest.raises(ValueError, match="orthogonal"):
             newtonian_bs_annulus(geom, j_bump, degree=4)
@@ -450,9 +479,9 @@ class TestGalerkinSpectra:
             np.linalg.cholesky(op.mass + 1e-13 * scale * np.eye(len(op.mass)))
 
     def test_trial_sizes_validated(self, geom):
-        with pytest.raises(ValueError, match="trial space"):
+        with pytest.raises(ValueError, match="n_poly must be at least 6, got 4"):
             galerkin_spectra(geom, n_poly=4)
-        with pytest.raises(ValueError, match="trial space"):
+        with pytest.raises(ValueError, match="k_max must be at least 3, got 1"):
             galerkin_spectra(geom, k_max=1)
 
 
@@ -493,14 +522,22 @@ class TestCirculation:
         assert np.max(np.abs(run.gamma)) <= 1e-8
 
     def test_validation(self, geom):
-        with pytest.raises(ValueError, match="viscosity"):
+        with pytest.raises(ValueError, match="nu must be positive and finite"):
             annulus_stokes_circulation(geom, 1.0, 0.0, 1.0)
-        with pytest.raises(ValueError, match="horizon"):
+        with pytest.raises(ValueError, match="t_final must be positive and finite"):
             annulus_stokes_circulation(geom, 1.0, 0.1, -1.0)
         with pytest.raises(ValueError, match="output times"):
             annulus_stokes_circulation(geom, 1.0, 0.1, 1.0, n_out=3)
         with pytest.raises(ValueError, match="burn_in"):
             annulus_stokes_circulation(geom, 1.0, 0.1, 1.0, burn_in=0.9)
+
+    @pytest.mark.parametrize("name", ["nu", "t_final"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_rejects_non_finite_scalars(self, geom, name, value):
+        # nu = inf used to return a NaN Lamb residual with a RuntimeWarning
+        scalars = {"nu": 0.1, "t_final": 1.0, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got {value}$"):
+            annulus_stokes_circulation(geom, 1.0, **scalars)
 
     def test_csv_export(self, geom, tmp_path):
         run = annulus_stokes_circulation(geom, 1.0, 0.1, 1.0, n_out=10)
