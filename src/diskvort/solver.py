@@ -21,6 +21,10 @@ map in it is a block scale fixed in ``prepare``: the exponential
 factors, Biot-Savart (-1/lambda), E/nu and the moment map.  The
 advection kernel runs twice, each one radial matmul, one angular matmul
 and one analysis matmul; the CFL guard reads |u|max off the first run.
+Both stages are the one ETD2RK update, ``semigroup.duhamel_step``; the
+linear ``stokes_run`` takes it too, with a given forcing in place of
+advection and omega_B = 0, and shares with ``run`` the one loop that
+owns the step count, the output cadence and the trajectory.
 
 Every object in the loop lives in the eigen-span, so the harmonic
 moments of the total vorticity are conserved structurally; the solver
@@ -199,6 +203,8 @@ class RunContext:
     sqrt_lam_max: float
     elliptic_map: np.ndarray  # E / nu: omega_B blocks per unit moment
     moment_map: np.ndarray  # harmonic moments of each basis function
+    nu: float  # the viscosity and time step the factors hold
+    dt: float
 
 
 def prepare(cfg: RunConfig) -> RunContext:
@@ -218,6 +224,8 @@ def prepare(cfg: RunConfig) -> RunContext:
         sqrt_lam_max=float(np.sqrt(table.lambda_max)),
         elliptic_map=elliptic_map(grid) / cfg.nu,
         moment_map=grid.project_radial(grid.harm),
+        nu=cfg.nu,
+        dt=cfg.dt,
     )
 
 
@@ -298,9 +306,8 @@ def step(state: SolverState, cfg: RunConfig, ctx: Optional[RunContext] = None) -
     wb_new = ctx.elliptic_map * moments[:, :, None]
     domega_b_dt = (wb_new - wb) / cfg.dt if state.started else 0.0
     f0 = -projected - domega_b_dt
-    predictor = ctx.exp_factor * w0 + ctx.phi1_dt * f0
-    f1 = -_advect(predictor + wb_new, ctx.grid, ctx.stream_scale)[0] - domega_b_dt
-    new0 = predictor + ctx.phi2_dt * (f1 - f0)
+    forcing = lambda a: -_advect(a + wb_new, ctx.grid, ctx.stream_scale)[0] - domega_b_dt
+    new0 = duhamel_step(w0, f0, forcing, ctx.exp_factor, ctx.phi1_dt, ctx.phi2_dt)
     if not (np.isfinite(new0).all() and np.isfinite(wb_new).all()):
         raise NonFiniteState(f"step from t={state.time:.6g} produced non-finite coefficients")
 
@@ -312,37 +319,43 @@ def step(state: SolverState, cfg: RunConfig, ctx: Optional[RunContext] = None) -
     )
 
 
-def _diagnostics(
-    t: float, omega: SpectralField, ctx: RunContext, omega_B: Optional[SpectralField] = None
-) -> DiagnosticsRow:
-    """The output row of the total vorticity ``omega`` at time t; a run
-    without an elliptic track has no ``omega_B``."""
-    return DiagnosticsRow(
-        t=t,
-        energy=norm_at(omega, -1),
-        enstrophy=norm_at(omega, 0),
-        palinstrophy_norm=norm_at(omega, 1),
-        moment_drift=measure_moment_drift(omega, ctx),
-        correction_norm=0.0 if omega_B is None else norm_at(omega_B, 0),
-    )
+def _integrate(cfg: RunConfig, ctx: RunContext, state: SolverState, advance) -> Trajectory:
+    """Map ``state`` to the next by ``advance`` once per step up to t_final,
+    recording the total vorticity and its diagnostics row at the start,
+    every ``output_every`` steps and at the end."""
+    if (ctx.nu, ctx.dt) != (cfg.nu, cfg.dt):
+        raise ValueError(f"context prepared for nu={ctx.nu}, dt={ctx.dt}, not {cfg.nu}, {cfg.dt}")
+    n_steps = int(round(cfg.t_final / cfg.dt))
+    times, states, rows = [], [], []
+
+    def record(state: SolverState) -> None:
+        omega = state.total()
+        times.append(state.time)
+        states.append(omega)
+        rows.append(
+            DiagnosticsRow(
+                t=state.time,
+                energy=norm_at(omega, -1),
+                enstrophy=norm_at(omega, 0),
+                palinstrophy_norm=norm_at(omega, 1),
+                moment_drift=measure_moment_drift(omega, ctx),
+                correction_norm=norm_at(state.omega_B, 0),
+            )
+        )
+
+    record(state)
+    for i in range(1, n_steps + 1):
+        state = advance(state)
+        if i % cfg.output_every == 0 or i == n_steps:
+            record(state)
+    return Trajectory(times=np.array(times), states=tuple(states), diagnostics=tuple(rows))
 
 
 def run(cfg: RunConfig, ctx: Optional[RunContext] = None) -> Trajectory:
     """Integrate to t_final, recording diagnostics at the cadence."""
     if ctx is None:
         ctx = prepare(cfg)
-    state = initial_state(cfg, ctx)
-    n_steps = int(round(cfg.t_final / cfg.dt))
-    times = [state.time]
-    states = [state.total()]
-    rows = [_diagnostics(state.time, states[-1], ctx, state.omega_B)]
-    for i in range(1, n_steps + 1):
-        state = step(state, cfg, ctx)
-        if i % cfg.output_every == 0 or i == n_steps:
-            times.append(state.time)
-            states.append(state.total())
-            rows.append(_diagnostics(state.time, states[-1], ctx, state.omega_B))
-    return Trajectory(times=np.array(times), states=tuple(states), diagnostics=tuple(rows))
+    return _integrate(cfg, ctx, initial_state(cfg, ctx), lambda state: step(state, cfg, ctx))
 
 
 def stokes_run(
@@ -350,27 +363,29 @@ def stokes_run(
     forcing: Union[SpectralField, Callable[[float], SpectralField], None] = None,
     ctx: Optional[RunContext] = None,
 ) -> Trajectory:
-    """Linear evolution only: mode-wise Duhamel, nonlinearity disabled."""
+    """Linear evolution only: the ETD2RK update of ``step`` with the
+    given forcing (a fixed field, a function of t, or none) in place of
+    advection, and no elliptic track.  With no transforms to feed, it
+    steps the eigen-ordered coefficients."""
     if ctx is None:
         ctx = prepare(cfg)
-    omega = _initial_field(cfg, ctx.table)
-    if forcing is None:
-        forcing_eval = lambda t: SpectralField.zeros(ctx.table)
-    elif isinstance(forcing, SpectralField):
-        forcing_eval = lambda t: forcing
-    else:
-        forcing_eval = forcing
+    table = ctx.table
+    zero = SpectralField.zeros(table)
 
-    n_steps = int(round(cfg.t_final / cfg.dt))
-    times = [0.0]
-    states = [omega.copy()]
-    rows = [_diagnostics(0.0, omega, ctx)]
-    t = 0.0
-    for i in range(1, n_steps + 1):
-        omega = duhamel_step(omega, forcing_eval, cfg.nu, t, cfg.dt, "etd2rk")
-        t = i * cfg.dt
-        if i % cfg.output_every == 0 or i == n_steps:
-            times.append(t)
-            states.append(omega.copy())
-            rows.append(_diagnostics(t, omega, ctx))
-    return Trajectory(times=np.array(times), states=tuple(states), diagnostics=tuple(rows))
+    def coeffs(f: SpectralField) -> np.ndarray:
+        zero._compatible(f)  # a vorticity field on the run's table
+        return f.coeffs
+
+    if callable(forcing):
+        force = lambda t: coeffs(forcing(t))
+    else:
+        fixed = coeffs(zero if forcing is None else forcing)
+        force = lambda t: fixed
+    factors = [table.from_blocks(f) for f in (ctx.exp_factor, ctx.phi1_dt, ctx.phi2_dt)]
+
+    def advance(state: SolverState) -> SolverState:
+        t1 = state.time + cfg.dt
+        w = duhamel_step(state.omega0.coeffs, force(state.time), lambda a: force(t1), *factors)
+        return SolverState(t1, SpectralField(table, w, "vorticity"), zero)
+
+    return _integrate(cfg, ctx, SolverState(0.0, _initial_field(cfg, table), zero), advance)

@@ -271,8 +271,9 @@ def test_grid_profiles_bit_identical_to_per_group_profiles(K, J):
     # loop must see the numbers of the per-group scipy construction.  The
     # profiles come from a recurrence, not from scipy's jv/jvp, so they
     # agree to the oracle's own error plus margin, relative to the max of
-    # each (kind, what, k) row: at (32,24) scipy's jv is up to 2.7e-14 and
-    # its jvp up to 5.7e-14 of a profile's max off mpmath.
+    # each (kind, what, k) row: at (32,24) scipy's jv is up to 2.7e-14 of a
+    # profile's max off mpmath, and J_k' up to 5.1e-14 whether it comes
+    # from jv or from jvp; the worst d_r row reads 4.4e-14 either way.
     # test_radial_profiles_match_mpmath gates the profiles at 1e-14.
     big = build_table(K, J)
     g = PolarGrid(big)

@@ -1,11 +1,14 @@
 """Coupled parabolic-elliptic stepping: exactness, conservation, decay."""
 
+import math
+
 import numpy as np
 import pytest
 
 from diskvort.fields import SpectralField, norm_at
 from diskvort.semigroup import fit_decay_rate
 from diskvort.solver import _initial_field as solver_initial_field
+from diskvort.solver import _random_admissible
 from diskvort.solver import (
     CFLViolation,
     MomentDriftError,
@@ -20,7 +23,7 @@ from diskvort.solver import (
     stokes_run,
 )
 from diskvort.spectrum import ModeIndex
-from transform_oracle import propagate, quadrature_drift
+from transform_oracle import duhamel_reference, propagate, quadrature_drift
 
 
 def small_cfg(**kw):
@@ -401,3 +404,62 @@ def test_stokes_v1_decay_bound():
     w0 = norm_at(tr.states[0], 1)
     for t, s in zip(tr.times, tr.states):
         assert norm_at(s, 1) <= np.exp(-cfg.nu * ctx.table.lambda_min * t) * w0 * (1 + 1e-10)
+
+
+@pytest.mark.parametrize("defect", ["foreign-table", "stream-kind"])
+@pytest.mark.parametrize("source", ["constant", "callable"])
+def test_stokes_run_rejects_incompatible_forcing(source, defect):
+    cfg = small_cfg(t_final=0.01)
+    ctx = prepare(cfg)
+    if defect == "foreign-table":
+        bad = SpectralField.zeros(prepare(cfg).table)
+    else:
+        bad = SpectralField.zeros(ctx.table, "stream")
+    forcing = bad if source == "constant" else lambda t: bad
+    with pytest.raises(ValueError, match="different tables|cannot combine kind"):
+        stokes_run(cfg, forcing=forcing, ctx=ctx)
+
+
+@pytest.mark.parametrize("runner", [run, stokes_run])
+@pytest.mark.parametrize("change", [dict(nu=0.2), dict(dt=1e-3), dict(nu=-0.1, dt=-2e-3)])
+def test_run_rejects_context_of_other_nu_or_dt(runner, change):
+    # the context holds exp and phi factors for one nu and dt
+    ctx = prepare(small_cfg())
+    with pytest.raises(ValueError, match="context prepared for"):
+        runner(small_cfg(**change), ctx=ctx)
+
+
+STOKES_GATE_CONFIGS = [
+    dict(nu=0.1, K=16, J=16, dt=1e-3, t_final=0.2, init_seed=3),
+    # check 9's three runs
+    dict(nu=0.1, K=4, J=4, dt=1e-2, t_final=1.0, init_seed=9),
+    dict(nu=0.1, K=4, J=4, dt=5e-3, t_final=1.0, init_seed=9),
+    dict(nu=0.1, K=4, J=4, dt=2.5e-3, t_final=1.0, init_seed=9),
+]
+
+
+@pytest.mark.parametrize("forcing_kind", ["zero", "constant", "cos2t"])
+@pytest.mark.parametrize("kw", STOKES_GATE_CONFIGS, ids=lambda kw: f"K{kw['K']}-dt{kw['dt']}")
+def test_stokes_run_matches_duhamel_reference(kw, forcing_kind):
+    # every row against the eigen-ordered ETD2RK step iterated from the
+    # run's own times, which are i dt up to the rounding of summing dt
+    cfg = RunConfig(output_every=1, **kw)
+    ctx = prepare(cfg)
+    g = _random_admissible(ctx.table, 5)
+    zero = SpectralField.zeros(ctx.table)
+    wave = lambda t: g * math.cos(2.0 * t)
+    forcing, forcing_eval = {
+        "zero": (None, lambda t: zero),
+        "constant": (g, lambda t: g),
+        "cos2t": (wave, wave),
+    }[forcing_kind]
+    tr = stokes_run(cfg, forcing=forcing, ctx=ctx)
+    n_steps = round(cfg.t_final / cfg.dt)
+    assert len(tr) == n_steps + 1
+    steps = np.arange(n_steps + 1)
+    assert np.all(np.abs(tr.times - steps * cfg.dt) <= steps * 2.0**-53 * tr.times)
+    u = solver_initial_field(cfg, ctx.table)
+    np.testing.assert_array_equal(tr.states[0].coeffs, u.coeffs)
+    for i in range(1, n_steps + 1):
+        u = duhamel_reference(u, forcing_eval, cfg.nu, tr.times[i - 1], cfg.dt)
+        np.testing.assert_array_equal(tr.states[i].coeffs, u.coeffs)

@@ -5,12 +5,17 @@ batched layer in ``PolarGrid``: per group, a radial profile stack built
 from the table with scipy's Bessel functions, then an outer product
 with cos/sin (k theta).  They read only the public grid nodes and
 weights, so they check the batched layer's layout and tables
-independently.  Also here: the backward difference of harmonic moments
-that the solver used for d/dt omega_B before it differenced omega_B
-itself, and the closed forms and diagonal maps the package no longer
-calls: one eigenfunction at scattered points, the stream correction
-psi_B of the elliptic solve, the spectral Laplacian and the exact heat
-semigroup.
+independently; d_r takes J_k' = J_{k-1} - (k/x) J_k from jv.
+
+Also here: the exponential step of one eigen-ordered field as the
+package took it before ``semigroup.duhamel_step`` became the block
+update (``duhamel_reference``, ETD1 or ETD2RK, its exp and phi factors
+recomputed from lambda on every call); the backward difference of
+harmonic moments that the solver used for d/dt omega_B before it
+differenced omega_B itself; and the closed forms and diagonal maps the
+package no longer calls: one eigenfunction at scattered points, the
+stream correction psi_B of the elliptic solve, the spectral Laplacian
+and the exact heat semigroup.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import numpy as np
 from scipy import special
 
 from diskvort.fields import SpectralField, _harm_const
+from diskvort.semigroup import phi1, phi2
 from diskvort.specfun import bessel_j
 from diskvort.spectrum import ModeIndex
 
@@ -36,7 +42,9 @@ def _profile(table, pos, k, r, kind, what):
     jk_at_1 = special.jv(k, alpha)
     if what == "d_r":
         rkm1 = r ** (k - 1) if k >= 1 else np.zeros_like(r)
-        prof = alpha * special.jvp(k, alpha * r, 1)
+        x = alpha * r
+        # J_k' = J_{k-1} - (k/x) J_k; at k = 0 that is J_{-1} = -J_1
+        prof = alpha * (special.jv(k - 1, x) - k / x * special.jv(k, x))
         lift = k * jk_at_1 * rkm1
     else:
         prof = special.jv(k, alpha * r)
@@ -159,3 +167,37 @@ def propagate(field: SpectralField, nu: float, t: float) -> SpectralField:
         raise ValueError(f"time must be nonnegative, got {t}")
     factors = np.exp(-nu * field.table.lam * t)
     return SpectralField(field.table, factors * field.coeffs, field.kind)
+
+
+def duhamel_reference(
+    field: SpectralField,
+    forcing_eval,
+    nu: float,
+    t: float,
+    dt: float,
+    scheme: str = "etd2rk",
+) -> SpectralField:
+    """One exponential-integrator step of u' = -nu lambda u + f(t).
+
+    etd1 is first order; etd2rk adds the phi2 correction from the
+    forcing increment over the step (exponential trapezoid), second
+    order for time-dependent forcing.
+    """
+    if not (nu > 0.0):
+        raise ValueError(f"viscosity must be positive, got {nu}")
+    if not (dt > 0.0):
+        raise ValueError(f"dt must be positive, got {dt}")
+    if scheme not in ("etd1", "etd2rk"):
+        raise ValueError(f"scheme must be etd1|etd2rk, got {scheme!r}")
+    lam = field.table.lam
+    z = -nu * lam * dt
+    f0 = forcing_eval(t)
+    if f0.table is not field.table or f0.kind != field.kind:
+        raise ValueError("forcing field incompatible with the state field")
+    new = np.exp(z) * field.coeffs + dt * phi1(z) * f0.coeffs
+    if scheme == "etd2rk":
+        f1 = forcing_eval(t + dt)
+        if f1.table is not field.table or f1.kind != field.kind:
+            raise ValueError("forcing field incompatible with the state field")
+        new = new + dt * phi2(z) * (f1.coeffs - f0.coeffs)
+    return SpectralField(field.table, new, field.kind)
