@@ -31,10 +31,11 @@ Every run writes ``manifest.json`` into the output directory before
 doing any work (status "running") and rewrites it on success (status
 "completed", wall clock, file list), so a crashed run is recognizable
 by its unfinished manifest.  A solver abort rewrites it with status
-"failed" and ``failure`` {type, message}.  Manifests and reports are
-written to a temporary file first, which replaces the old one in one
-rename.  All other emitted files are listed in the manifest; numeric
-CSV fields carry 17 significant digits.
+"failed" and ``failure`` {type, message, step, t}, the step count and
+time of the last accepted state.  Manifests and reports are written to
+a temporary file first, which replaces the old one in one rename.  All
+other emitted files are listed in the manifest; numeric CSV fields
+carry 17 significant digits.
 
 The BLAS thread count is taken from ``--threads`` or the
 ``DISKVORT_THREADS`` environment variable; it must be applied before
@@ -123,13 +124,13 @@ def _begin(subcommand, parameters, outdir, seed=None, config_path=None):
 @contextlib.contextmanager
 def _recording_aborts(man: RunManifest):
     """Record a solver abort in the manifest as status "failed"."""
-    from .solver import CFLViolation, MomentDriftError, NonFiniteState
+    from .solver import SolverAbort
 
     try:
         yield
-    except (CFLViolation, MomentDriftError, NonFiniteState) as e:
+    except SolverAbort as e:
         man.status = "failed"
-        man.failure = {"type": type(e).__name__, "message": str(e)}
+        man.failure = {"type": type(e).__name__, "message": str(e), "step": e.step, "t": e.t}
         man.write()
         raise _RunAborted(f"{type(e).__name__}: {e}") from e
 
@@ -299,7 +300,7 @@ def _run_config(resolved: dict, check_cfl: bool = True):
     ctx = None
     if check_cfl:
         ctx = prepare(cfg)
-        omega = initial_state(cfg, ctx).total()
+        omega = initial_state(cfg, ctx).total(ctx.table)
         umax = velocity_max(omega, ctx.grid)
         if umax > 0.0:
             bound = cfg.cfl / (umax * ctx.sqrt_lam_max)

@@ -36,6 +36,7 @@ numbers carry 17 significant digits, so a file round-trips every float.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -102,9 +103,6 @@ class SpectralField:
         c[table.position(mode)] = amplitude
         return cls(table, c, kind)
 
-    def copy(self) -> "SpectralField":
-        return SpectralField(self.table, self.coeffs.copy(), self.kind)
-
     def _compatible(self, other: "SpectralField") -> None:
         if not isinstance(other, SpectralField):
             raise TypeError(f"expected SpectralField, got {type(other).__name__}")
@@ -113,21 +111,10 @@ class SpectralField:
         if other.kind != self.kind:
             raise ValueError(f"cannot combine kind {self.kind!r} with {other.kind!r}")
 
-    def __add__(self, other: "SpectralField") -> "SpectralField":
-        self._compatible(other)
-        return SpectralField(self.table, self.coeffs + other.coeffs, self.kind)
-
-    def __sub__(self, other: "SpectralField") -> "SpectralField":
-        self._compatible(other)
-        return SpectralField(self.table, self.coeffs - other.coeffs, self.kind)
-
     def __mul__(self, scalar) -> "SpectralField":
         return SpectralField(self.table, self.coeffs * float(scalar), self.kind)
 
     __rmul__ = __mul__
-
-    def __neg__(self) -> "SpectralField":
-        return SpectralField(self.table, -self.coeffs, self.kind)
 
 
 def norm_at(field: SpectralField, index: int) -> float:
@@ -136,7 +123,7 @@ def norm_at(field: SpectralField, index: int) -> float:
     if not isinstance(index, (int, np.integer)) or not (-4 <= index <= 4):
         raise ValueError(f"norm index must be an integer in [-4, 4], got {index!r}")
     power = index if field.kind == "vorticity" else index + 1
-    return float(np.sqrt(np.sum(field.table.lam**power * field.coeffs**2)))
+    return math.sqrt((field.table.lam**power * field.coeffs**2).sum())
 
 
 def biot_savart(omega: SpectralField) -> SpectralField:
@@ -388,9 +375,9 @@ def trace_extension(omega: SpectralField) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # log-kernel quadrature (verification, not a solver path)
 
-# (points x nodes) entries per block of the log-kernel sum: 4 MiB of
-# doubles, six points per block on check 3's 260 x 320 disk grid
-_KERNEL_BLOCK = 2**19
+# (points x nodes) entries per block of the log-kernel sum: 2 MiB of
+# doubles, three points per block on check 3's 260 x 320 disk grid
+_KERNEL_BLOCK = 2**18
 # (radial nodes x angles) kernel entries per chunk of the ring sum:
 # 512 KiB of doubles, 85 radial rows on the 600 x 768 annulus rule
 _RING_BLOCK = 2**16

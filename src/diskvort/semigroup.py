@@ -87,11 +87,11 @@ def duhamel_step(w, f0, stage2, exp_factor, phi1_dt, phi2_dt):
 
 @dataclass
 class Trajectory:
-    """Time-ordered states with optional aligned diagnostics rows."""
+    """Time-ordered states with aligned diagnostics rows."""
 
     times: np.ndarray
     states: tuple
-    diagnostics: Optional[tuple] = None
+    diagnostics: tuple
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -100,19 +100,15 @@ class Trajectory:
             raise ValueError("times and states must align")
         if self.times.size >= 2 and np.any(np.diff(self.times) <= 0):
             raise ValueError("times must be strictly increasing")
-        if self.diagnostics is not None:
-            self.diagnostics = tuple(self.diagnostics)
-            if len(self.diagnostics) != self.times.size:
-                raise ValueError("diagnostics must align with times")
+        self.diagnostics = tuple(self.diagnostics)
+        if len(self.diagnostics) != self.times.size:
+            raise ValueError("diagnostics must align with times")
 
     def __len__(self) -> int:
         return self.times.size
 
     def to_csv(self, path) -> None:
-        """The diagnostics rows, or the bare times when there are none."""
-        if self.diagnostics is None:
-            write_csv(path, ("t",), zip(self.times))
-            return
+        """The diagnostics rows, one CSV column per field."""
         names = [fld.name for fld in fields(self.diagnostics[0])]
         write_csv(path, names, ([getattr(row, n) for n in names] for row in self.diagnostics))
 

@@ -15,16 +15,16 @@ the backward difference of the moments.  The first step uses
 d/dt omega_B = 0 and the initial state absorbs the instantaneous
 correction, so the total initial vorticity equals the requested one.
 
-A step works on coefficient blocks (2, K+1, J), converting omega_0 and
-omega_B once on entry and once on exit.  Apart from the advection every
-map in it is a block scale fixed in ``prepare``: the exponential
+The state is the step count i, at t = i dt, and omega_0 and omega_B
+as coefficient blocks (2, K+1, J).  Apart from the advection every map
+in a step is a block scale fixed in ``prepare``: the exponential
 factors, Biot-Savart (-1/lambda), E/nu and the moment map.  The
 advection kernel runs twice, each one radial matmul, one angular matmul
 and one analysis matmul; the CFL guard reads |u|max off the first run.
 Both stages are the one ETD2RK update, ``semigroup.duhamel_step``; the
 linear ``stokes_run`` takes it too, with a given forcing in place of
-advection and omega_B = 0, and shares with ``run`` the one loop that
-owns the step count, the output cadence and the trajectory.
+advection and omega_B = 0, and shares with ``run`` the one loop, which
+alone turns blocks into eigen-sorted fields, once per output row.
 
 Every object in the loop lives in the eigen-span, so the harmonic
 moments of the total vorticity are conserved structurally; the solver
@@ -52,6 +52,7 @@ __all__ = [
     "SolverState",
     "DiagnosticsRow",
     "RunContext",
+    "SolverAbort",
     "CFLViolation",
     "MomentDriftError",
     "NonFiniteState",
@@ -64,17 +65,24 @@ __all__ = [
 ]
 
 
-class CFLViolation(RuntimeError):
+class SolverAbort(RuntimeError):
+    """A refused step; a run sets ``step`` and ``t``, the step count and
+    time of its last accepted state."""
+
+    step = t = None
+
+
+class CFLViolation(SolverAbort):
     """The explicit nonlinear part would be advanced beyond its
     stability bound; the step is refused, nothing is mutated."""
 
 
-class MomentDriftError(RuntimeError):
+class MomentDriftError(SolverAbort):
     """The total vorticity grew harmonic moments beyond 10x tolerance;
     the state is corrupt and the run aborts."""
 
 
-class NonFiniteState(RuntimeError):
+class NonFiniteState(SolverAbort):
     """The state, its speed or its harmonic moments are NaN or infinite;
     no comparison against a bound can catch that, so the run aborts."""
 
@@ -168,15 +176,15 @@ class RunConfig:
 
 @dataclass
 class SolverState:
-    time: float
-    omega0: SpectralField
-    omega_B: SpectralField
-    # False until a step has refreshed omega_B from the dynamics; the
-    # first step takes d/dt omega_B = 0
-    started: bool = False
+    """The state after ``steps`` steps, at t = steps * dt: omega_0 and
+    omega_B as coefficient blocks (2, K+1, J), ``EigenTable.to_blocks``."""
 
-    def total(self) -> SpectralField:
-        return self.omega0 + self.omega_B
+    steps: int
+    w0: np.ndarray
+    wb: np.ndarray
+
+    def total(self, table: EigenTable) -> SpectralField:
+        return SpectralField(table, table.from_blocks(self.w0 + self.wb), "vorticity")
 
 
 @dataclass
@@ -259,11 +267,10 @@ def initial_state(cfg: RunConfig, ctx: Optional[RunContext] = None) -> SolverSta
     """
     if ctx is None:
         ctx = prepare(cfg)
-    table = ctx.table
-    omega_i = _initial_field(cfg, table)
-    _, h, _, _ = _advect(table.to_blocks(omega_i.coeffs), ctx.grid, ctx.stream_scale)
-    omega_b = SpectralField(table, table.from_blocks(ctx.elliptic_map * h[:, :, None]), "vorticity")
-    return SolverState(time=0.0, omega0=omega_i - omega_b, omega_B=omega_b)
+    w = ctx.table.to_blocks(_initial_field(cfg, ctx.table).coeffs)
+    _, h, _, _ = _advect(w, ctx.grid, ctx.stream_scale)
+    wb = ctx.elliptic_map * h[:, :, None]
+    return SolverState(steps=0, w0=w - wb, wb=wb)
 
 
 def _max_moment(blocks: np.ndarray, ctx: RunContext) -> float:
@@ -279,74 +286,75 @@ def step(state: SolverState, cfg: RunConfig, ctx: Optional[RunContext] = None) -
     """One accepted ETD2RK step of the coupled system, on coefficient blocks."""
     if ctx is None:
         ctx = prepare(cfg)
-    table = ctx.table
-    w0 = table.to_blocks(state.omega0.coeffs)
-    wb = table.to_blocks(state.omega_B.coeffs)
-    w = w0 + wb
+    t = state.steps * cfg.dt
+    w = state.w0 + state.wb
 
     projected, moments, umax, _ = _advect(w, ctx.grid, ctx.stream_scale)
     courant = cfg.dt * umax * ctx.sqrt_lam_max
     drift = _max_moment(w, ctx)
     if not (math.isfinite(courant) and math.isfinite(drift)):
         raise NonFiniteState(
-            f"refusing step at t={state.time:.6g}: |u|max = {umax:.3g}, "
+            f"refusing step at t={t:.6g}: |u|max = {umax:.3g}, "
             f"harmonic moments = {drift:.3g}"
         )
     if courant > cfg.cfl:
         raise CFLViolation(
-            f"refusing step at t={state.time:.6g}: dt*|u|*sqrt(lam_max) = "
+            f"refusing step at t={t:.6g}: dt*|u|*sqrt(lam_max) = "
             f"{courant:.3g} exceeds {cfg.cfl}"
         )
     if drift > 10.0 * cfg.moment_tol:
         raise MomentDriftError(
-            f"harmonic moments reached {drift:.3e} at t={state.time:.6g} "
+            f"harmonic moments reached {drift:.3e} at t={t:.6g} "
             f"(tolerance {cfg.moment_tol:.1e}); state no longer admissible"
         )
 
     wb_new = ctx.elliptic_map * moments[:, :, None]
-    domega_b_dt = (wb_new - wb) / cfg.dt if state.started else 0.0
+    domega_b_dt = (wb_new - state.wb) / cfg.dt if state.steps else 0.0
     f0 = -projected - domega_b_dt
     forcing = lambda a: -_advect(a + wb_new, ctx.grid, ctx.stream_scale)[0] - domega_b_dt
-    new0 = duhamel_step(w0, f0, forcing, ctx.exp_factor, ctx.phi1_dt, ctx.phi2_dt)
+    new0 = duhamel_step(state.w0, f0, forcing, ctx.exp_factor, ctx.phi1_dt, ctx.phi2_dt)
     if not (np.isfinite(new0).all() and np.isfinite(wb_new).all()):
-        raise NonFiniteState(f"step from t={state.time:.6g} produced non-finite coefficients")
+        raise NonFiniteState(f"step from t={t:.6g} produced non-finite coefficients")
 
-    return SolverState(
-        time=state.time + cfg.dt,
-        omega0=SpectralField(table, table.from_blocks(new0), "vorticity"),
-        omega_B=SpectralField(table, table.from_blocks(wb_new), "vorticity"),
-        started=True,
-    )
+    return SolverState(state.steps + 1, new0, wb_new)
 
 
 def _integrate(cfg: RunConfig, ctx: RunContext, state: SolverState, advance) -> Trajectory:
     """Map ``state`` to the next by ``advance`` once per step up to t_final,
     recording the total vorticity and its diagnostics row at the start,
-    every ``output_every`` steps and at the end."""
+    every ``output_every`` steps and at the end.  A ``SolverAbort`` leaves
+    with the step count and time of the last accepted state."""
     if (ctx.nu, ctx.dt) != (cfg.nu, cfg.dt):
         raise ValueError(f"context prepared for nu={ctx.nu}, dt={ctx.dt}, not {cfg.nu}, {cfg.dt}")
     n_steps = int(round(cfg.t_final / cfg.dt))
+    table = ctx.table
     times, states, rows = [], [], []
 
     def record(state: SolverState) -> None:
-        omega = state.total()
-        times.append(state.time)
+        t = state.steps * cfg.dt
+        omega = state.total(table)
+        omega_b = SpectralField(table, table.from_blocks(state.wb), "vorticity")
+        times.append(t)
         states.append(omega)
         rows.append(
             DiagnosticsRow(
-                t=state.time,
+                t=t,
                 energy=norm_at(omega, -1),
                 enstrophy=norm_at(omega, 0),
                 palinstrophy_norm=norm_at(omega, 1),
                 moment_drift=measure_moment_drift(omega, ctx),
-                correction_norm=norm_at(state.omega_B, 0),
+                correction_norm=norm_at(omega_b, 0),
             )
         )
 
     record(state)
-    for i in range(1, n_steps + 1):
-        state = advance(state)
-        if i % cfg.output_every == 0 or i == n_steps:
+    while state.steps < n_steps:
+        try:
+            state = advance(state)
+        except SolverAbort as e:
+            e.step, e.t = state.steps, state.steps * cfg.dt
+            raise
+        if state.steps % cfg.output_every == 0 or state.steps == n_steps:
             record(state)
     return Trajectory(times=np.array(times), states=tuple(states), diagnostics=tuple(rows))
 
@@ -365,27 +373,29 @@ def stokes_run(
 ) -> Trajectory:
     """Linear evolution only: the ETD2RK update of ``step`` with the
     given forcing (a fixed field, a function of t, or none) in place of
-    advection, and no elliptic track.  With no transforms to feed, it
-    steps the eigen-ordered coefficients."""
+    advection, and no elliptic track.  Step i takes the forcing at i dt
+    and (i+1) dt."""
     if ctx is None:
         ctx = prepare(cfg)
     table = ctx.table
     zero = SpectralField.zeros(table)
 
-    def coeffs(f: SpectralField) -> np.ndarray:
+    def blocks(f: SpectralField) -> np.ndarray:
         zero._compatible(f)  # a vorticity field on the run's table
-        return f.coeffs
+        return table.to_blocks(f.coeffs)
 
     if callable(forcing):
-        force = lambda t: coeffs(forcing(t))
+        force = lambda t: blocks(forcing(t))
     else:
-        fixed = coeffs(zero if forcing is None else forcing)
+        fixed = blocks(zero if forcing is None else forcing)
         force = lambda t: fixed
-    factors = [table.from_blocks(f) for f in (ctx.exp_factor, ctx.phi1_dt, ctx.phi2_dt)]
+    factors = (ctx.exp_factor, ctx.phi1_dt, ctx.phi2_dt)
+    wb = np.zeros_like(ctx.exp_factor)
 
     def advance(state: SolverState) -> SolverState:
-        t1 = state.time + cfg.dt
-        w = duhamel_step(state.omega0.coeffs, force(state.time), lambda a: force(t1), *factors)
-        return SolverState(t1, SpectralField(table, w, "vorticity"), zero)
+        t0, t1 = state.steps * cfg.dt, (state.steps + 1) * cfg.dt
+        w = duhamel_step(state.w0, force(t0), lambda a: force(t1), *factors)
+        return SolverState(state.steps + 1, w, wb)
 
-    return _integrate(cfg, ctx, SolverState(0.0, _initial_field(cfg, table), zero), advance)
+    w = table.to_blocks(_initial_field(cfg, table).coeffs)
+    return _integrate(cfg, ctx, SolverState(0, w, wb), advance)

@@ -294,9 +294,13 @@ class TestRunArtifacts:
         import diskvort.solver
 
         error = getattr(diskvort.solver, abort)
+        step = diskvort.solver.step
 
         def boom(state, cfg, ctx=None):
-            raise error(f"induced {abort}")
+            # refuse the fourth step, from the state after three
+            if state.steps == 3:
+                raise error(f"induced {abort}")
+            return step(state, cfg, ctx)
 
         monkeypatch.setattr(diskvort.solver, "step", boom)
         cfg = write(tmp_path, PRESSURE_RUN)
@@ -304,7 +308,12 @@ class TestRunArtifacts:
         assert dispatch([subcommand, "--config", str(cfg), "--outdir", str(out)]) == 4
         man = json.loads((out / "manifest.json").read_text())
         assert man["status"] == "failed"
-        assert man["failure"] == {"type": abort, "message": f"induced {abort}"}
+        assert man["failure"] == {
+            "type": abort,
+            "message": f"induced {abort}",
+            "step": 3,
+            "t": 3 * 0.005,
+        }
         assert man["wall_clock_s"] is None and man["files"] == []
         assert f"{abort}: induced {abort}" in capsys.readouterr().err
         assert outdir_files(out) == {"manifest.json"}

@@ -1,5 +1,7 @@
 """Exact propagation, ETD stepping, and decay-rate fitting."""
 
+from dataclasses import dataclass
+
 import mpmath
 import numpy as np
 import pytest
@@ -137,11 +139,14 @@ def test_duhamel_step_matches_reference(table):
     # the array update against the eigen-ordered field step it replaced
     f, g = random_field(table, 12), random_field(table, 13)
     forcing = lambda s: g * np.sin(3.0 * s)
-    t, dt = 0.3, 0.05
+    i, dt = 6, 0.05
     got = duhamel_step(
-        f.coeffs, forcing(t).coeffs, lambda a: forcing(t + dt).coeffs, *etd_factors(table, 0.1, dt)
+        f.coeffs,
+        forcing(i * dt).coeffs,
+        lambda a: forcing((i + 1) * dt).coeffs,
+        *etd_factors(table, 0.1, dt),
     )
-    want = duhamel_reference(f, forcing, 0.1, t, dt)
+    want = duhamel_reference(f, forcing, 0.1, i, dt)
     np.testing.assert_array_equal(got, want.coeffs)
 
 
@@ -152,7 +157,7 @@ def test_duhamel_constant_forcing_steady_state(table):
     nu = 0.2
     u = SpectralField.zeros(table)
     for i in range(400):
-        u = duhamel_reference(u, lambda t: force, nu, i * 0.05, 0.05, "etd1")
+        u = duhamel_reference(u, lambda t: force, nu, i, 0.05, "etd1")
     target = 3.0 / (nu * table.lam[n])
     assert u.coeffs[n] == pytest.approx(target, rel=1e-10)
 
@@ -167,19 +172,16 @@ def test_duhamel_etd2rk_second_order(table):
     def exact(t):
         return (a * np.sin(t) - np.cos(t) + np.exp(-a * t)) / (1.0 + a * a)
 
+    def forcing(s):
+        f = SpectralField.zeros(table)
+        f.coeffs[n] = np.sin(s)
+        return f
+
     errs = []
     for dt in (1e-2, 5e-3, 2.5e-3):
         u = SpectralField.zeros(table)
-        steps = round(1.0 / dt)
-        for i in range(steps):
-            t = i * dt
-
-            def forcing(s):
-                f = SpectralField.zeros(table)
-                f.coeffs[n] = np.sin(s)
-                return f
-
-            u = duhamel_reference(u, forcing, nu, t, dt, "etd2rk")
+        for i in range(round(1.0 / dt)):
+            u = duhamel_reference(u, forcing, nu, i, dt, "etd2rk")
         errs.append(abs(u.coeffs[n] - exact(1.0)))
     order1 = np.log2(errs[0] / errs[1])
     order2 = np.log2(errs[1] / errs[2])
@@ -256,25 +258,27 @@ def test_fit_explicit_window():
 # trajectory
 
 
+@dataclass
+class Row:
+    t: float
+    energy: float
+
+
 def test_trajectory_validation(table):
     f = random_field(table, 1)
+    rows = [Row(0.0, 1.0), Row(1.0, 0.5)]
     with pytest.raises(ValueError):
-        Trajectory(times=[0.0, 0.0], states=[f, f])
+        Trajectory(times=[0.0, 0.0], states=[f, f], diagnostics=rows)
     with pytest.raises(ValueError):
-        Trajectory(times=[0.0, 1.0], states=[f])
-    tr = Trajectory(times=[0.0, 1.0], states=[f, propagate(f, 0.1, 1.0)])
+        Trajectory(times=[0.0, 1.0], states=[f], diagnostics=rows)
+    with pytest.raises(ValueError):
+        Trajectory(times=[0.0, 1.0], states=[f, f], diagnostics=rows[:1])
+    tr = Trajectory(times=[0.0, 1.0], states=[f, propagate(f, 0.1, 1.0)], diagnostics=rows)
     assert len(tr) == 2
     assert norm_at(tr.states[0], 0) > norm_at(tr.states[1], 0)
 
 
 def test_trajectory_csv(tmp_path, table):
-    from dataclasses import dataclass
-
-    @dataclass
-    class Row:
-        t: float
-        energy: float
-
     f = random_field(table, 4)
     tr = Trajectory(
         times=[0.0, 0.5],

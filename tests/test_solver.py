@@ -146,7 +146,8 @@ def test_config_accepts_numpy_integer_mode_indices():
     modes = (((np.int64(2), np.int32(1), "sin"), 1.0), ((np.uint8(0), np.int64(3), "cos"), 0.5))
     cfg = small_cfg(init_modes=modes, init_seed=None)
     assert cfg.validate() == []
-    total = initial_state(cfg).total()
+    ctx = prepare(cfg)
+    total = initial_state(cfg, ctx).total(ctx.table)
     np.testing.assert_allclose(total.coeffs, per_mode_field(cfg, total.table).coeffs, atol=1e-14)
 
 
@@ -161,9 +162,8 @@ def test_initial_total_matches_requested():
     rng = np.random.default_rng(11)
     c = rng.standard_normal(len(ctx.table)) / ctx.table.lam
     want = c / np.sqrt(np.sum(c**2))
-    np.testing.assert_allclose(state.total().coeffs, want, atol=1e-14)
-    assert not state.started
-    assert state.time == 0.0
+    np.testing.assert_allclose(state.total(ctx.table).coeffs, want, atol=1e-14)
+    assert state.steps == 0
 
 
 def per_mode_field(cfg, table):
@@ -202,14 +202,15 @@ def test_initial_field_matches_per_mode_assignment(K, J, modes):
     ctx = prepare(cfg)
     want = per_mode_field(cfg, ctx.table).coeffs
     assert np.array_equal(solver_initial_field(cfg, ctx.table).coeffs, want)
-    total = initial_state(cfg, ctx).total().coeffs
+    total = initial_state(cfg, ctx).total(ctx.table).coeffs
     np.testing.assert_allclose(total, want, rtol=0, atol=1e-15 * np.max(np.abs(want)))
 
 
 def test_initial_correction_nontrivial_for_nonradial():
     cfg = small_cfg(init_modes=(((0, 1, "cos"), 1.0), ((1, 1, "cos"), 0.5)), init_seed=None)
-    state = initial_state(cfg)
-    assert norm_at(state.omega_B, 0) > 1e-10
+    ctx = prepare(cfg)
+    state = initial_state(cfg, ctx)
+    assert norm_at(SpectralField(ctx.table, ctx.table.from_blocks(state.wb), "vorticity"), 0) > 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +245,7 @@ def test_self_convergence_at_least_first_order():
         s = initial_state(cfg, ctx)
         for _ in range(int(round(0.4 / dt))):
             s = step(s, cfg, ctx)
-        return s.total().coeffs
+        return s.total(ctx.table).coeffs
 
     d1 = np.linalg.norm(terminal(4e-3) - terminal(2e-3))
     d2 = np.linalg.norm(terminal(2e-3) - terminal(1e-3))
@@ -296,7 +297,7 @@ def test_moment_map_drift_equals_quadrature_drift():
     state = initial_state(cfg, ctx)
     for _ in range(5):
         state = step(state, cfg, ctx)
-    omega = state.total()
+    omega = state.total(ctx.table)
     assert measure_moment_drift(omega, ctx) == pytest.approx(quadrature_drift(omega, ctx.grid), abs=1e-15)
 
 
@@ -305,19 +306,14 @@ def test_non_finite_state_aborts(bad):
     cfg = small_cfg()
     ctx = prepare(cfg)
     state = initial_state(cfg, ctx)
-    c = np.full(len(ctx.table), bad)
-    broken = SolverState(
-        time=state.time,
-        omega0=SpectralField(ctx.table, c, "vorticity"),
-        omega_B=state.omega_B,
-    )
-    one_bad = state.omega0.copy()
-    one_bad.coeffs[3] = bad
+    broken = SolverState(steps=0, w0=np.full_like(state.w0, bad), wb=state.wb)
+    one_bad = state.w0.copy()
+    one_bad[0, 1, 2] = bad
     with np.errstate(invalid="ignore"):
         with pytest.raises(NonFiniteState):
             step(broken, cfg, ctx)
         with pytest.raises(NonFiniteState):
-            step(SolverState(state.time, one_bad, state.omega_B, started=True), cfg, ctx)
+            step(SolverState(1, one_bad, state.wb), cfg, ctx)
 
 
 def test_run_equals_iterated_steps():
@@ -327,8 +323,29 @@ def test_run_equals_iterated_steps():
     state = initial_state(cfg, ctx)
     for _ in range(int(round(cfg.t_final / cfg.dt))):
         state = step(state, cfg, ctx)
-    assert state.time == traj.times[-1]
-    assert np.array_equal(traj.states[-1].coeffs, state.total().coeffs)
+    assert state.steps * cfg.dt == traj.times[-1]
+    assert np.array_equal(traj.states[-1].coeffs, state.total(ctx.table).coeffs)
+
+
+@pytest.mark.parametrize("runner", [run, stokes_run])
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(dt=2e-3, t_final=0.2, output_every=7),
+        # check 9's finest run, where summing dt ended at 0.9999999999999897
+        dict(dt=2.5e-3, t_final=1.0, output_every=1),
+        dict(dt=0.1, t_final=0.3, output_every=1),
+    ],
+    ids=["cadence-7", "check9-finest", "dt-0.1"],
+)
+def test_row_times_are_step_counts_times_dt(runner, kw):
+    cfg = small_cfg(**kw)
+    tr = runner(cfg, ctx=prepare(cfg))
+    n_steps = round(cfg.t_final / cfg.dt)
+    rows = sorted({*range(0, n_steps + 1, cfg.output_every), n_steps})
+    want = np.arange(n_steps + 1)[rows] * cfg.dt
+    np.testing.assert_array_equal(tr.times, want)
+    np.testing.assert_array_equal([r.t for r in tr.diagnostics], want)
 
 
 def test_run_deterministic():
@@ -441,8 +458,8 @@ STOKES_GATE_CONFIGS = [
 @pytest.mark.parametrize("forcing_kind", ["zero", "constant", "cos2t"])
 @pytest.mark.parametrize("kw", STOKES_GATE_CONFIGS, ids=lambda kw: f"K{kw['K']}-dt{kw['dt']}")
 def test_stokes_run_matches_duhamel_reference(kw, forcing_kind):
-    # every row against the eigen-ordered ETD2RK step iterated from the
-    # run's own times, which are i dt up to the rounding of summing dt
+    # every row against the eigen-ordered ETD2RK step taking the forcing
+    # at i dt and (i+1) dt
     cfg = RunConfig(output_every=1, **kw)
     ctx = prepare(cfg)
     g = _random_admissible(ctx.table, 5)
@@ -456,10 +473,8 @@ def test_stokes_run_matches_duhamel_reference(kw, forcing_kind):
     tr = stokes_run(cfg, forcing=forcing, ctx=ctx)
     n_steps = round(cfg.t_final / cfg.dt)
     assert len(tr) == n_steps + 1
-    steps = np.arange(n_steps + 1)
-    assert np.all(np.abs(tr.times - steps * cfg.dt) <= steps * 2.0**-53 * tr.times)
     u = solver_initial_field(cfg, ctx.table)
     np.testing.assert_array_equal(tr.states[0].coeffs, u.coeffs)
     for i in range(1, n_steps + 1):
-        u = duhamel_reference(u, forcing_eval, cfg.nu, tr.times[i - 1], cfg.dt)
+        u = duhamel_reference(u, forcing_eval, cfg.nu, i - 1, cfg.dt)
         np.testing.assert_array_equal(tr.states[i].coeffs, u.coeffs)

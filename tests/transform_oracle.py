@@ -10,7 +10,8 @@ independently; d_r takes J_k' = J_{k-1} - (k/x) J_k from jv.
 Also here: the exponential step of one eigen-ordered field as the
 package took it before ``semigroup.duhamel_step`` became the block
 update (``duhamel_reference``, ETD1 or ETD2RK, its exp and phi factors
-recomputed from lambda on every call); the backward difference of
+recomputed from lambda on every call, step i taking the forcing at
+i dt and (i+1) dt as the runs do); the backward difference of
 harmonic moments that the solver used for d/dt omega_B before it
 differenced omega_B itself; and the closed forms and diagonal maps the
 package no longer calls: one eigenfunction at scattered points, the
@@ -173,11 +174,12 @@ def duhamel_reference(
     field: SpectralField,
     forcing_eval,
     nu: float,
-    t: float,
+    i: int,
     dt: float,
     scheme: str = "etd2rk",
 ) -> SpectralField:
-    """One exponential-integrator step of u' = -nu lambda u + f(t).
+    """Step i, from i dt to (i+1) dt, of u' = -nu lambda u + f(t) by an
+    exponential integrator.
 
     etd1 is first order; etd2rk adds the phi2 correction from the
     forcing increment over the step (exponential trapezoid), second
@@ -191,12 +193,12 @@ def duhamel_reference(
         raise ValueError(f"scheme must be etd1|etd2rk, got {scheme!r}")
     lam = field.table.lam
     z = -nu * lam * dt
-    f0 = forcing_eval(t)
+    f0 = forcing_eval(i * dt)
     if f0.table is not field.table or f0.kind != field.kind:
         raise ValueError("forcing field incompatible with the state field")
     new = np.exp(z) * field.coeffs + dt * phi1(z) * f0.coeffs
     if scheme == "etd2rk":
-        f1 = forcing_eval(t + dt)
+        f1 = forcing_eval((i + 1) * dt)
         if f1.table is not field.table or f1.kind != field.kind:
             raise ValueError("forcing field incompatible with the state field")
         new = new + dt * phi2(z) * (f1.coeffs - f0.coeffs)
