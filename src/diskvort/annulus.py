@@ -24,10 +24,11 @@ Scalar fields are passed as callables f(r, theta, what) with what in
 {"value", "d_r", "d_theta"}; r and theta broadcast.  Everything is
 single-annulus: one hole exercises every mechanism.
 
-The projection and the trace split keep their harmonic sums as
-coefficients against ``harmonic_basis`` records (k, parity, expo,
-scale): a ``ProjectedField`` is base - sum, a ``Q1Split`` base + sum,
-both summed by ``fields.synthesize_points``, one radial row per (k, parity).
+The projection and the trace split are base + a harmonic part with one
+layout: ``rows`` (2, 2, degree+1), indexed (power r^+k or r^-k, parity
+cos or sin, k), of the L2-normalized zero-flux harmonics; the slots of
+r^-0 (the constant again) and of sin at k = 0 stay zero.  The angular
+rule makes the projection's Gram matrix 2x2 block-diagonal in (parity, k).
 """
 
 from __future__ import annotations
@@ -45,14 +46,12 @@ from .specfun import gauss_legendre
 __all__ = [
     "AnnulusGeometry",
     "XiFunction",
-    "HarmonicElement",
     "ProjectedField",
     "GalerkinOperator",
     "SpectraResult",
     "BoundaryReport",
     "CirculationRun",
     "check_limits",
-    "harmonic_basis",
     "bergman_project",
     "xi_circulation",
     "omega_big",
@@ -112,109 +111,105 @@ def _sample(geom: AnnulusGeometry, f, what: str = "value") -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# harmonic basis with zero inner-circle flux
+# zero-flux harmonics: rows (2, 2, degree+1) of (power r^+k | r^-k, cos | sin, k)
 
 
-@dataclass(frozen=True)
-class HarmonicElement:
-    """One L2-normalized zero-flux harmonic, scale r^expo {cos,sin}(k theta)."""
+def _harmonic_norms(geom: AnnulusGeometry, degree: int) -> np.ndarray:
+    """Normalizations (2, degree+1) of the zero-flux harmonics up to the
+    angular degree: row 0 of r^k trig(k theta), row 1 of (R/r)^k trig(k
+    theta), each to unit L2 norm over the annulus.
 
-    k: int
-    parity: str  # "cos" | "sin"; k = 0 is the constant, parity "cos"
-    expo: int  # +k or -k (0 for the constant)
-    scale: float
-
-
-def harmonic_basis(geom: AnnulusGeometry, degree: int):
-    """Zero-flux harmonics up to angular degree: {1, r^(+-k) trig}.
-
-    log r is excluded by construction: it alone carries inner flux.
-    Every element is normalized to unit L2 norm over the annulus.  The
-    degree stays below n_angular / 2, where the angular rule aliases.
+    log r is excluded by construction: it alone carries inner flux.  The
+    slot of r^-0, the constant again, holds 0.  The degree stays below
+    n_angular / 2, where the angular rule aliases.
     """
     is_int = isinstance(degree, (int, np.integer)) and not isinstance(degree, bool)
     if not (is_int and 0 <= 2 * degree < geom.n_angular):
         limit = f"n_angular / 2 = {geom.n_angular / 2:g}"
         raise ValueError(f"degree must be a nonnegative integer below {limit}, got {degree!r}")
     R = geom.r_inner
-
-    def nrm(expo: int, k: int) -> float:
-        # int r^(2e) r dr over (R, 1), times the angular factor
-        p = 2 * expo + 2
-        radial = math.log(1.0 / R) if p == 0 else (1.0 - R**p) / p
-        ang = 2.0 * math.pi if k == 0 else math.pi
-        return 1.0 / math.sqrt(radial * ang)
-
-    # the constant, then per k the cos and sin of r^k, then of r^-k
-    terms = [(0, "cos", 0)] + [
-        (k, parity, expo) for k in range(1, degree + 1) for expo in (k, -k) for parity in ("cos", "sin")
-    ]
-    return tuple(HarmonicElement(k, parity, expo, nrm(expo, k)) for k, parity, expo in terms)
+    k = np.arange(degree + 1)
+    # int_R^1 r^(2e+1) dr is g = (1 - R^m) / m for e = k, m = 2k + 2, and
+    # R^-m g for e = -k, m = 2k - 2 (g = log(1/R) at m = 0): r^-k has norm
+    # R^(k-1) / sqrt(g ...), and (R/r)^k the coefficient 1 / (R sqrt(g ...))
+    m = np.abs(np.stack([2 * k + 2, 2 * k - 2]))
+    radial = np.where(m == 0, -math.log(R), -np.expm1(m * math.log(R)) / np.maximum(m, 1))
+    angular = np.where(k == 0, 2.0 * np.pi, np.pi)
+    norms = 1.0 / np.sqrt(radial * angular) / np.array([[1.0], [R]])
+    norms[1, 0] = 0.0
+    return norms
 
 
-def _harmonic_moments(geom: AnnulusGeometry, basis, values: np.ndarray):
+def _harmonic_profiles(geom: AnnulusGeometry, norms: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Radial factors (2, degree+1, r.size): norms times r^k and (R/r)^k."""
+    k = np.arange(norms.shape[1])[:, None]
+    return norms[:, :, None] * np.stack([r**k, (geom.r_inner / r) ** k])
+
+
+def _harmonic_moments(geom: AnnulusGeometry, degree: int, values: np.ndarray):
     """Quadrature moments (h, values) of a (n_radial, n_angular) sample
-    table against each basis element, and the Gram matrix (h_a, h_b).
-
-    Every element is separable, scale r^expo trig(k theta), so both come
-    from one angular ``trig_table`` product and radial power weights.
+    table against each zero-flux harmonic, as rows (2, 2, degree+1), and
+    the Gram blocks (2, degree+1, 2, 2) of (parity, k).  The angular step
+    is ``fields.split_rows``; the empty slots, r^-0 and sin at k = 0, get
+    identity blocks.
     """
     r, wr = geom.radial_rule()
-    kmax = max(h.k for h in basis)
-    trig = trig_table(kmax, geom.theta())
-    rows = [h.k + (kmax + 1) * (h.parity == "sin") for h in basis]
-    prof = np.array([h.scale * r**h.expo for h in basis])
-    wprof = prof * (wr * r) * (2.0 * np.pi / geom.n_angular)
-    moments = np.sum(wprof * (values @ trig.T)[:, rows].T, axis=1)
-    gram = (wprof @ prof.T) * (trig @ trig.T)[np.ix_(rows, rows)]
+    prof = _harmonic_profiles(geom, _harmonic_norms(geom, degree), r)
+    k = np.arange(degree + 1)
+    angular = np.pi * np.stack([1.0 + (k == 0), k > 0])  # (parity, k); sin(0 theta) is 0
+    fourier = split_rows(values, trig_table(degree, geom.theta())) * angular[:, :, None]
+    wprof = prof * (wr * r)
+    moments = np.einsum("pkr,qkr->pqk", wprof, fourier)
+    gram = angular[:, :, None, None] * np.einsum("pkr,skr->kps", wprof, prof)
+    gram[..., [0, 1], [0, 1]] += np.diagonal(gram, axis1=-2, axis2=-1) == 0.0
     return moments, gram
 
 
 def _harmonic_sum(field, r, theta, what: str) -> np.ndarray:
-    """sum_i coeffs[i] basis[i] of a field (or its d_r / d_theta) at (r, theta)."""
+    """The harmonic part of a field, with its ``geom`` and coefficient
+    ``rows`` (2, 2, degree+1), or its d_r / d_theta, at broadcast (r, theta)."""
     if what not in ("value", "d_r", "d_theta"):
         raise ValueError(f"unknown what: {what!r}")
     x = np.asarray(r, dtype=float).ravel()
-    # one radial factor per (parity, k) row of trig_table
-    rows = np.zeros((2, max(h.k for h in field.basis) + 1, x.size))
-    for c, h in zip(field.coeffs, field.basis):
-        rows[int(h.parity == "sin"), h.k] += c * h.scale * (
-            h.expo * x ** (h.expo - 1) if what == "d_r" else x**h.expo
-        )
+    n_k = field.rows.shape[-1]
+    prof = _harmonic_profiles(field.geom, _harmonic_norms(field.geom, n_k - 1), x)
+    if what == "d_r":
+        # d_r r^k = k r^k / r and d_r (R/r)^k = -k (R/r)^k / r
+        prof = prof * (np.outer([1.0, -1.0], np.arange(n_k))[:, :, None] / x)
+    radial = np.einsum("pqk,pkx->qkx", field.rows, prof)  # one radial row per (parity, k)
     if what == "d_theta":
-        rows = d_theta_rows(rows)
-    return synthesize_points(rows, r, theta)
+        radial = d_theta_rows(radial)
+    return synthesize_points(radial, r, theta)
 
 
 @dataclass
 class ProjectedField:
-    """f minus its least-squares component in the harmonic basis."""
+    """f minus its least-squares component in the zero-flux harmonics."""
 
     base: object
-    basis: tuple
-    coeffs: np.ndarray
+    geom: AnnulusGeometry
+    rows: np.ndarray  # (2, 2, degree+1): the component negated
     condition: float
 
     def __call__(self, r, theta, what: str = "value"):
-        return np.asarray(self.base(r, theta, what), dtype=float) - _harmonic_sum(self, r, theta, what)
+        return np.asarray(self.base(r, theta, what), dtype=float) + _harmonic_sum(self, r, theta, what)
 
 
 def bergman_project(geom: AnnulusGeometry, f, degree: int = 8) -> ProjectedField:
     """L2-orthogonal removal of the zero-flux harmonic content of f.
 
-    Least squares in the harmonic basis; the Gram condition number is
-    reported and values above 1e12 are an error (the raw monomials
-    degenerate for thin or strongly off-center bases).
+    Least squares against the zero-flux harmonics, one 2x2 solve per
+    (parity, k) block; the Gram condition number, max over min of the
+    blocks' eigenvalues, is reported and values above 1e12 are an error
+    (the two powers degenerate for thin annuli).
     """
-    basis = harmonic_basis(geom, degree)
-    b, H = _harmonic_moments(geom, basis, _sample(geom, f))
-    cond = float(np.linalg.cond(H))
+    b, H = _harmonic_moments(geom, degree, _sample(geom, f))
+    eig = np.linalg.eigvalsh(H)
+    cond = float(eig.max() / eig.min())
     if cond > 1e12:
-        raise RuntimeError(
-            f"harmonic basis is ill-conditioned (cond = {cond:.3e} > 1e12)"
-        )
-    coeffs = np.linalg.solve(H, b)
-    return ProjectedField(base=f, basis=basis, coeffs=coeffs, condition=cond)
+        raise RuntimeError(f"harmonic basis is ill-conditioned (cond = {cond:.3e} > 1e12)")
+    coeffs = np.linalg.solve(H, b.transpose(1, 2, 0)[..., None])[..., 0]
+    return ProjectedField(base=f, geom=geom, rows=-coeffs.transpose(2, 0, 1), condition=cond)
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +273,8 @@ class Q1Split:
     """omega plus a harmonic sum: zero outer trace, constant inner trace."""
 
     base: object
-    basis: tuple
-    coeffs: np.ndarray
+    geom: AnnulusGeometry
+    rows: np.ndarray  # (2, 2, degree+1)
     inner_constant: float
 
     def __call__(self, r, theta, what: str = "value"):
@@ -295,20 +290,19 @@ def q1_dirichlet_split(geom: AnnulusGeometry, omega, degree: int = 8) -> Q1Split
     k = 0 only the outer trace can be matched and the inner constant is
     whatever remains.
     """
-    basis = harmonic_basis(geom, degree)
+    norms = _harmonic_norms(geom, degree)
     R = geom.r_inner
     th = geom.theta()
     traces = np.stack([omega(np.full_like(th, rr), th, "value") for rr in (1.0, R)])
     # (parity, k) rows of the outer and the inner trace
     outer, inner = np.moveaxis(split_rows(traces, trig_table(degree, th)), -1, 0)
-    # c+ + c- = -outer and R^k c+ + R^-k c- = -inner, for every k >= 1
-    up, down = R ** np.arange(1, degree + 1), R ** -np.arange(1, degree + 1)
-    c_plus = (down * outer[:, 1:] - inner[:, 1:]) / (up - down)
-    c_minus = (inner[:, 1:] - up * outer[:, 1:]) / (up - down)
-    # in the order of harmonic_basis
-    coeffs = np.r_[-outer[0, 0], np.stack([c_plus.T, c_minus.T], axis=1).ravel()]
-    coeffs /= np.array([h.scale for h in basis])
-    return Q1Split(base=omega, basis=basis, coeffs=coeffs, inner_constant=inner[0, 0] - outer[0, 0])
+    # per k >= 1, h = a r^k + b (R/r)^k with a + R^k b = -outer and
+    # R^k a + b = -inner; at k = 0 only the outer trace is matched
+    Rk, out, inn = R ** np.arange(1, degree + 1), outer[:, 1:], inner[:, 1:]
+    rows = np.zeros((2, 2, degree + 1))
+    rows[..., 1:] = np.stack([Rk * inn - out, Rk * out - inn]) / (norms[:, None, 1:] * (1.0 - Rk * Rk))
+    rows[0, 0, 0] = -outer[0, 0] / norms[0, 0]
+    return Q1Split(base=omega, geom=geom, rows=rows, inner_constant=inner[0, 0] - outer[0, 0])
 
 
 def zeta_pairing(
@@ -369,7 +363,7 @@ def newtonian_bs_annulus(
         raise ValueError(
             f"fd_step must lie in (0, r_inner/8], got {fd_step}"
         )
-    basis = harmonic_basis(geom, degree)
+    _harmonic_norms(geom, degree)  # the degree is checked before any sampling
     if isinstance(n_boundary, bool) or not isinstance(n_boundary, (int, np.integer)) or n_boundary < 1:
         raise ValueError(f"n_boundary must be a positive integer, got {n_boundary!r}")
     if geom.n_angular % n_boundary:
@@ -378,13 +372,15 @@ def newtonian_bs_annulus(
     norm = math.sqrt(abs(_integrate(geom, fv * fv)))
     if norm == 0.0:
         return BoundaryReport(0.0, 0.0, 0.0)
-    comps, _ = _harmonic_moments(geom, basis, fv)
-    bad = np.flatnonzero(np.abs(comps) > 1e-8 * norm)
+    comps, _ = _harmonic_moments(geom, degree, fv)
+    # the first component above tolerance in k order, (k, power, parity)
+    bad = np.argwhere(np.abs(comps.transpose(2, 0, 1)) > 1e-8 * norm)
     if bad.size:
-        h = basis[bad[0]]
+        k, power, parity = bad[0]
         raise ValueError(
             "omega is not orthogonal to the zero-flux harmonics "
-            f"(component {comps[bad[0]]:.3e} against k={h.k} {h.parity} r^{h.expo})"
+            f"(component {comps[power, parity, k]:.3e} against "
+            f"k={k} {('cos', 'sin')[parity]} r^{-k if power else k})"
         )
     # per radius, the values at the boundary angles: the outer circle,
     # then the inward normal chain from the inner circle, R - m fd_step
@@ -468,23 +464,17 @@ class SpectraResult:
 
 
 def _constraint_rows(ends, kind: str, k: int) -> np.ndarray:
-    rows = [ends[("1", 0)]]
-    if kind == "S":
-        rows.append(ends[("1", 1)])
-        rows.append(ends[("R", 1)])
-        if k >= 1:
-            rows.append(ends[("R", 0)])
-    elif kind == "Z":
-        if k >= 1:
-            rows.append(ends[("R", 0)])
-        else:
-            rows.append(ends[("R", 1)])
-    elif kind == "V":
-        if k >= 1:
-            rows.append(ends[("R", 0)])
-    else:
+    """Rows of the end values a trial block of space ``kind`` must zero:
+    the outer value, for S also the outer and inner slopes, then the inner
+    value for k >= 1, or for Z at k = 0 the inner slope (the flux)."""
+    if kind not in ("S", "V", "Z"):
         raise ValueError(f"unknown space kind: {kind!r}")
-    return np.stack(rows)
+    keys = [("1", 0)] + [("1", 1), ("R", 1)] * (kind == "S")
+    if k >= 1:
+        keys.append(("R", 0))
+    elif kind == "Z":
+        keys.append(("R", 1))
+    return np.stack([ends[key] for key in keys])
 
 
 def galerkin_spectra(

@@ -10,9 +10,11 @@ pressure            pressure recovery and momentum defect along a run
 annulus-verify      circulation, flux, zeta-pairing and spectra checks on an annulus
 accept              the full numbered acceptance suite
 
-Exit codes: 0 success, 2 validation error (bad flags or config),
-3 numerical tolerance failure in a check subcommand, 4 a run aborted by
-the solver's guards (CFL bound, harmonic-moment drift, non-finite state).
+Exit codes: 0 success, 2 a ``ConfigError`` (bad flags or config, raised
+before the manifest is written), 3 numerical tolerance failure in a
+check subcommand, 4 a run aborted by the solver's guards (CFL bound,
+harmonic-moment drift, non-finite state); any other error propagates
+and leaves the manifest "running".
 
 Config files are flat INI with sections [domain], [solver], [init],
 [output]; unknown sections or keys are rejected, every default is
@@ -240,12 +242,12 @@ def _parse_modes(text: str):
 
 
 def _run_config(resolved: dict, check_cfl: bool = True):
-    """Build and vet the solver configuration, all problems in one
-    report, including the advective stability bound of the requested
+    """Build, vet and prepare the solver configuration, all problems in
+    one report, including a domain the grid refuses and, with
+    ``check_cfl``, the advective stability bound of the requested
     initial data (refused before any time stepping).
 
-    Returns ``(cfg, ctx)``: the run context the CFL check prepared, for
-    the run to reuse, or None without the check.
+    Returns ``(cfg, ctx)``: the prepared run context, for the run to reuse.
     """
     from .nonlinear import velocity_max
     from .solver import RunConfig, initial_state, prepare
@@ -297,9 +299,11 @@ def _run_config(resolved: dict, check_cfl: bool = True):
     problems += cfg.validate()
     if problems:
         raise ConfigError(problems)
-    ctx = None
-    if check_cfl:
+    try:
         ctx = prepare(cfg)
+    except ValueError as e:
+        raise ConfigError([f"[domain] {e}"]) from None
+    if check_cfl:
         omega = initial_state(cfg, ctx).total(ctx.table)
         umax = velocity_max(omega, ctx.grid)
         if umax > 0.0:
@@ -415,7 +419,7 @@ def _cmd_pressure(args) -> int:
     from .solver import run
 
     if args.n_aux < 1:
-        raise ValueError(f"--n-aux must be at least 1, got {args.n_aux}")
+        raise ConfigError([f"--n-aux must be at least 1, got {args.n_aux}"])
     resolved = _resolve(_parse_file(args.config))
     cfg, ctx = _run_config(resolved)
     if cfg.t_final / cfg.dt / cfg.output_every < 2:
@@ -471,13 +475,15 @@ def _cmd_annulus_verify(args) -> int:
         zeta_pairing,
     )
 
-    check_limits(
-        {"--n-poly": args.n_poly, "--k-max": args.k_max, "--nu": args.nu, "--t-final": args.t_final}
-    )
+    limits = {"--n-poly": args.n_poly, "--k-max": args.k_max, "--nu": args.nu, "--t-final": args.t_final}
+    try:
+        check_limits(limits)
+    except ValueError as e:
+        raise ConfigError([e]) from None
     try:
         geom = AnnulusGeometry(args.r_inner)
     except ValueError as e:
-        raise ValueError(f"--r-inner: {e}") from None
+        raise ConfigError([f"--r-inner: {e}"]) from None
     man, t0 = _begin(
         "annulus-verify",
         {"r_inner": args.r_inner, "n_poly": args.n_poly, "k_max": args.k_max},
@@ -640,9 +646,6 @@ def dispatch(argv) -> int:
     except _RunAborted as e:
         print(f"run aborted: {e}", file=sys.stderr)
         return 4
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
 
 
 def main() -> None:

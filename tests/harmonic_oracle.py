@@ -1,12 +1,18 @@
 """Reference evaluations of harmonic sums kept for the tests, one term
 at a time on the full broadcast shape of (r, theta).
 
-``element_values`` is ``annulus.HarmonicElement`` as the package
-evaluated it before every harmonic sum went through
-``fields.synthesize_points``: the element's own radial power times its
-own cos or sin of k theta.  It reads only the element's record (k,
-parity, expo, scale), so it checks the summed evaluation's row layout,
-its d_theta rows and its broadcasting independently.
+``basis_terms`` lists the annulus's zero-flux harmonics as the package
+once kept them, one (k, parity, expo, scale) tuple per element in the
+order constant, then per k the cos and sin of r^k, then of r^-k, with
+the scale from the closed-form norm in plain floats.  ``dense_projection``
+is the package's earlier least squares against that list: a full Gram
+matrix from one ``trig_table`` product, ``np.linalg.solve`` and
+``np.linalg.cond``, against which the package's per-(parity, k) 2x2
+block solve is checked.  ``element_values`` evaluates one term, scale
+r^expo {cos,sin}(k theta), by its own radial power and its own cos or
+sin of k theta; it reads only the four numbers, so it checks the summed
+evaluation's row layout, its d_theta rows and its broadcasting
+independently.
 
 ``disk_harmonic_values`` evaluates a disk harmonic part given as cos/sin
 rows (2, n) against the unit harmonics h_k = c_k r^k, the way
@@ -16,31 +22,68 @@ layout.  It spells out c_k itself rather than reading the package's.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from diskvort.fields import trig_table
 
-def element_values(h, r, theta, what: str = "value"):
+
+def basis_terms(r_inner: float, degree: int):
+    """(k, parity, expo, scale) of each zero-flux harmonic up to the degree,
+    scale the inverse L2 norm of r^expo {cos,sin}(k theta) over the annulus."""
+
+    def nrm(expo: int, k: int) -> float:
+        # int r^(2e) r dr over (R, 1), times the angular factor
+        p = 2 * expo + 2
+        radial = math.log(1.0 / r_inner) if p == 0 else (1.0 - r_inner**p) / p
+        ang = 2.0 * math.pi if k == 0 else math.pi
+        return 1.0 / math.sqrt(radial * ang)
+
+    terms = [(0, "cos", 0)] + [
+        (k, parity, expo) for k in range(1, degree + 1) for expo in (k, -k) for parity in ("cos", "sin")
+    ]
+    return [(k, parity, expo, nrm(expo, k)) for k, parity, expo in terms]
+
+
+def rows_in_term_order(rows) -> np.ndarray:
+    """The entries of harmonic rows (2, 2, degree+1), indexed (power r^+k
+    or r^-k, parity, k), in the order of ``basis_terms``."""
+    return np.r_[rows[0, 0, 0], rows[:, :, 1:].transpose(2, 0, 1).ravel()]
+
+
+def dense_projection(geom, f, degree: int):
+    """Least-squares coefficients of f against ``basis_terms`` (in that
+    order) and the condition number of the full Gram matrix."""
+    terms = basis_terms(geom.r_inner, degree)
+    r, wr = geom.radial_rule()
+    th = geom.theta()
+    values = np.asarray(f(r[:, None], th[None, :], "value"), dtype=float)
+    trig = trig_table(degree, th)
+    rows = [k + (degree + 1) * (q == "sin") for k, q, _, _ in terms]
+    prof = np.array([scale * r**expo for _, _, expo, scale in terms])
+    wprof = prof * (wr * r) * (2.0 * np.pi / geom.n_angular)
+    moments = np.sum(wprof * (values @ trig.T)[:, rows].T, axis=1)
+    gram = (wprof @ prof.T) * (trig @ trig.T)[np.ix_(rows, rows)]
+    return np.linalg.solve(gram, moments), float(np.linalg.cond(gram))
+
+
+def element_values(k, parity, expo, scale, r, theta, what: str = "value"):
     """scale r^expo {cos,sin}(k theta), or its d_r / d_theta, at broadcast (r, theta)."""
     r = np.asarray(r, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    k, e = h.k, h.expo
     if what == "value":
-        rad = h.scale * r**e
-        ang = np.cos(k * theta) if h.parity == "cos" else np.sin(k * theta)
+        rad = scale * r**expo
+        ang = np.cos(k * theta) if parity == "cos" else np.sin(k * theta)
     elif what == "d_r":
-        rad = h.scale * e * r ** (e - 1) if e != 0 else np.zeros_like(r)
-        ang = np.cos(k * theta) if h.parity == "cos" else np.sin(k * theta)
+        rad = scale * expo * r ** (expo - 1) if expo != 0 else np.zeros_like(r)
+        ang = np.cos(k * theta) if parity == "cos" else np.sin(k * theta)
     elif what == "d_theta":
-        rad = h.scale * r**e
-        ang = -k * np.sin(k * theta) if h.parity == "cos" else k * np.cos(k * theta)
+        rad = scale * r**expo
+        ang = -k * np.sin(k * theta) if parity == "cos" else k * np.cos(k * theta)
     else:
         raise ValueError(f"unknown what: {what!r}")
     return rad * ang
-
-
-def element(h):
-    """The element as a field callable f(r, theta, what)."""
-    return lambda r, theta, what="value": element_values(h, r, theta, what)
 
 
 def _unit_constant(k: int) -> float:

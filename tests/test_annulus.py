@@ -1,6 +1,7 @@
 """Multiply connected toolkit: circulation functions, spectra, flux laws."""
 
 import itertools
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,10 +12,10 @@ from diskvort.annulus import (
     AnnulusGeometry,
     BoundaryReport,
     GalerkinOperator,
+    ProjectedField,
     annulus_stokes_circulation,
     bergman_project,
     galerkin_spectra,
-    harmonic_basis,
     newtonian_bs_annulus,
     omega_big,
     q1_dirichlet_split,
@@ -25,7 +26,7 @@ from diskvort.annulus import (
 )
 from diskvort.fields import _ring_log_kernel
 from bessel_oracle import bessel_j, bessel_y
-from harmonic_oracle import element, element_values
+from harmonic_oracle import basis_terms, dense_projection, element_values, rows_in_term_order
 from potential_oracle import newtonian_points
 
 R = 0.5
@@ -149,24 +150,36 @@ class TestGeometry:
         assert abs(wr.sum() - (1.0 - R)) < 1e-14
 
 
+def unit_harmonics(geom, degree):
+    """Each zero-flux harmonic up to the degree as a field callable: the
+    package's harmonic sum of rows (2, 2, degree+1) with one entry 1 on a
+    zero base.  The slots of r^-0 and of sin at k = 0 hold no harmonic."""
+    for power, parity, k in itertools.product(range(2), range(2), range(degree + 1)):
+        if k == 0 and (power or parity):
+            continue
+        rows = np.zeros((2, 2, degree + 1))
+        rows[power, parity, k] = 1.0
+        yield ProjectedField(lambda r, t, what="value": 0.0, geom, rows, condition=1.0)
+
+
 class TestHarmonicBasis:
     def test_every_element_has_zero_inner_flux(self, geom):
         # log r is excluded by construction, so each member must carry
         # no flux through the inner circle
         th = geom.theta()
-        for h in harmonic_basis(geom, 8):
-            deriv = element_values(h, np.full_like(th, R), th, "d_r")
+        for h in unit_harmonics(geom, 8):
+            deriv = h(np.full_like(th, R), th, "d_r")
             flux = float(np.sum(-deriv) * (2 * np.pi / th.size) * R)
             assert abs(flux) <= 1e-10
 
     def test_elements_are_unit_normalized(self, geom):
-        for h in harmonic_basis(geom, 6):
-            nrm2 = _integrate(geom, _sample(geom, element(h)) ** 2)
+        for h in unit_harmonics(geom, 6):
+            nrm2 = _integrate(geom, _sample(geom, h) ** 2)
             assert abs(nrm2 - 1.0) < 1e-12
 
     def test_rejects_negative_degree(self, geom):
         with pytest.raises(ValueError, match="nonnegative"):
-            harmonic_basis(geom, -1)
+            bergman_project(geom, j_bump, degree=-1)
 
     @pytest.mark.parametrize("degree", [8, 9, 7.0, 2.5, True])
     def test_rejects_degree_the_angular_rule_aliases(self, degree):
@@ -175,7 +188,6 @@ class TestHarmonicBasis:
         geo = AnnulusGeometry(R, n_radial=32, n_angular=16)
         xi = xi_circulation(geo)
         for call in (
-            lambda: harmonic_basis(geo, degree),
             lambda: bergman_project(geo, j_bump, degree=degree),
             lambda: q1_dirichlet_split(geo, j_bump, degree=degree),
             lambda: zeta_pairing(geo, xi, j_bump, degree=degree),
@@ -231,8 +243,8 @@ class TestOmegaBig:
         th = geom.theta()
         w = (wr * r)[:, None] * (2 * np.pi / geom.n_angular)
         fv = _sample(geom, om)
-        for h in om.basis:
-            comp = float(np.sum(w * element_values(h, r[:, None], th[None, :]) * fv))
+        for term in basis_terms(R, 8):
+            comp = float(np.sum(w * element_values(*term, r[:, None], th[None, :]) * fv))
             assert abs(comp) <= 1e-8
 
     def test_differs_from_xi(self, geom, xi):
@@ -249,7 +261,29 @@ class TestBergmanProjection:
     def test_idempotent(self, geom):
         f = band_field(np.random.default_rng(7))
         second = bergman_project(geom, bergman_project(geom, f, degree=6), degree=6)
-        assert np.max(np.abs(second.coeffs)) <= 1e-9
+        assert np.max(np.abs(second.rows)) <= 1e-9
+
+    @pytest.mark.parametrize("r_inner", [0.05, 0.95])
+    def test_idempotent_at_the_largest_degree_of_the_default_rule(self, r_inner):
+        # at R = 0.05 the norm of r^-127 once overflowed; (R/r)^k keeps
+        # every radial factor at most 1 on the annulus
+        geo = AnnulusGeometry(r_inner)
+        first = bergman_project(geo, band_field(np.random.default_rng(7)), degree=127)
+        assert np.all(np.isfinite(first.rows))
+        assert np.max(np.abs(bergman_project(geo, first, degree=127).rows)) <= 1e-9
+
+    @pytest.mark.parametrize("r_inner", [0.05, 0.5, 0.95])
+    @pytest.mark.parametrize("degree", [0, 1, 8, 40])
+    def test_block_solve_matches_dense_oracle(self, r_inner, degree):
+        geo = AnnulusGeometry(r_inner)
+        f = band_field(np.random.default_rng(degree), band=min(degree, 6))
+        proj = bergman_project(geo, f, degree=degree)
+        want, cond = dense_projection(geo, f, degree)
+        got = -rows_in_term_order(proj.rows)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert abs(proj.condition - cond) <= 1e-10 * cond
+        # the slots of r^-0 and of sin at k = 0 stay empty
+        assert proj.rows[1, 0, 0] == proj.rows[1, 1, 0] == proj.rows[0, 1, 0] == 0.0
 
     def test_self_adjoint(self, geom):
         u = band_field(np.random.default_rng(11))
@@ -262,7 +296,7 @@ class TestBergmanProjection:
 
     @pytest.mark.parametrize("what", ["value", "d_r", "d_theta"])
     def test_separable_evaluation_matches_per_element_sum(self, geom, what):
-        # a projection is base - sum, a Q1 split base + sum of its terms
+        # both fields are base + the sum of their terms
         f = band_field(np.random.default_rng(17))
         proj = bergman_project(geom, f, degree=6)
         split = q1_dirichlet_split(geom, f, degree=6)
@@ -276,11 +310,11 @@ class TestBergmanProjection:
             (0.8, 1.1),
             (r[:4, None, None], np.linspace(0.0, 3.0, 6).reshape(1, 3, 2)),
         ]
-        for (rr, tt), (field, sign) in itertools.product(shapes, ((proj, -1.0), (split, 1.0))):
+        for (rr, tt), field in itertools.product(shapes, (proj, split)):
             want = np.asarray(field.base(rr, tt, what), dtype=float)
             size = np.abs(want)
-            for c, h in zip(field.coeffs, field.basis):
-                term = sign * c * element_values(h, rr, tt, what)
+            for c, h in zip(rows_in_term_order(field.rows), basis_terms(R, 6)):
+                term = c * element_values(*h, rr, tt, what)
                 want, size = want + term, size + np.abs(term)
             got = field(rr, tt, what)
             assert got.shape == want.shape
@@ -384,8 +418,22 @@ class TestNewtonianBoundary:
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_rejects_field_with_harmonic_content(self, geom):
-        with pytest.raises(ValueError, match="orthogonal"):
+        # the message names the first component above tolerance in k order
+        with pytest.raises(ValueError, match="orthogonal.* against k=0 cos r\\^0\\)"):
             newtonian_bs_annulus(geom, j_bump, degree=4)
+        # r^-3 sin 3 theta less its component along r^3 sin 3 theta, added
+        # to an orthogonal field: only the r^-3 component is off
+        proj = bergman_project(geom, j_bump, degree=4)
+        plus, minus = (next(h for h in basis_terms(R, 4) if h[:3] == (3, "sin", e)) for e in (3, -3))
+        c = _integrate(geom, _sample(geom, lambda r, t, w: element_values(*plus, r, t, w) * element_values(*minus, r, t, w)))
+
+        def tilted(r, t, what="value"):
+            part = element_values(*minus, r, t, what) - c * element_values(*plus, r, t, what)
+            return proj(r, t, what) + 1e-3 * part
+
+        want = f"component {1e-3 * (1 - c * c):.3e} against k=3 sin r^-3)"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            newtonian_bs_annulus(geom, tilted, degree=4)
 
     def test_zero_field(self, geom):
         zero = lambda r, t, what="value": 0 * r * t

@@ -216,6 +216,45 @@ def test_bad_flag_rejected_before_the_run(tmp_path, capsys, argv, message):
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("subcommand", ["ns", "stokes", "pressure"])
+@pytest.mark.parametrize(
+    "domain, message",
+    [
+        ("K = 64\n", "K must be an integer in [0, 63], got 64"),
+        ("K = 8\nn_angular = 10\n", "[domain] angular count 10 under aliasing floor 25 for K=8"),
+    ],
+    ids=["K-past-the-zero-table", "angular-count-under-floor"],
+)
+def test_bad_domain_rejected_before_the_run(tmp_path, capsys, subcommand, domain, message):
+    # the grid and table are built before the manifest is written, so a
+    # domain they refuse is a config error, not a "running" manifest
+    cfg = write(tmp_path, "[domain]\n" + domain + "J = 2\n[solver]\nnu = 0.1\ndt = 0.01\nt_final = 0.02\n")
+    out = tmp_path / "out"
+    assert dispatch([subcommand, "--config", str(cfg), "--outdir", str(out)]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+def test_internal_value_error_is_not_a_config_error(tmp_path, monkeypatch):
+    # only config and flag errors exit 2; a ValueError from inside the
+    # run propagates and leaves the manifest "running"
+    import diskvort.solver
+
+    step = diskvort.solver.step
+
+    def boom(state, cfg, ctx=None):
+        if state.steps == 3:
+            raise ValueError("induced internal failure")
+        return step(state, cfg, ctx)
+
+    monkeypatch.setattr(diskvort.solver, "step", boom)
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="induced internal failure"):
+        dispatch(["ns", "--config", str(write(tmp_path, PRESSURE_RUN)), "--outdir", str(out)])
+    man = json.loads((out / "manifest.json").read_text())
+    assert man["status"] == "running"
+
+
 class TestRunArtifacts:
     def test_manifest_lifecycle_and_no_orphans(self, tmp_path):
         cfg = write(tmp_path, SMALL_RUN)

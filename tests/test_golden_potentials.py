@@ -14,9 +14,10 @@ the numerics must reproduce it at the tolerances fixed below:
 * absolute 1e-12 on the fields of the ``BoundaryReport`` of
   ``tests/test_annulus.py``'s projected bump at 400x512 (degree 4);
 * relative 1e-12 in the max norm on the ``bergman_project``
-  coefficients, at degree 4 for that bump and at degree 8 through
-  ``omega_big`` at R = 0.5, and relative 1e-10 on their Gram condition
-  numbers;
+  coefficients (the negated rows, in the order of
+  ``harmonic_oracle.basis_terms``), at degree 4 for that bump and at
+  degree 8 through ``omega_big`` at R = 0.5, and relative 1e-10 on their
+  Gram condition numbers;
 * relative 1e-12 in the max norm on the ``q1_dirichlet_split`` inner
   constant and harmonic extension coefficients of a fixed field with
   cosine and sine content (degree 8).
@@ -45,6 +46,7 @@ from diskvort.annulus import (
 )
 from diskvort.fields import PolarGrid, greens_potential, newtonian_potential, to_grid
 
+from harmonic_oracle import basis_terms, rows_in_term_order
 from test_annulus import R, j_bump
 
 FIXTURE = Path(__file__).with_name("golden_potentials.json")
@@ -96,11 +98,18 @@ def mixed_field(r, theta, what="value"):
 
 
 def _extension_array(split):
-    """(degree+1, 2, 2): (c_plus, c_minus) per wavenumber and parity."""
+    """(degree+1, 2, 2): (c_plus, c_minus) per wavenumber and parity, the
+    coefficients of r^k and r^-k; ``basis_terms`` holds their scales."""
     out = np.zeros((Q1_DEGREE + 1, 2, 2))
-    for c, h in zip(split.coeffs, split.basis):
-        out[h.k, int(h.parity == "sin"), int(h.expo < 0)] = c * h.scale
+    for c, (k, parity, expo, scale) in zip(rows_in_term_order(split.rows), basis_terms(R, Q1_DEGREE)):
+        out[k, int(parity == "sin"), int(expo < 0)] = c * scale
     return out
+
+
+def _coeffs(proj):
+    """The projection's coefficients in the fixture's order and sign: the
+    removed component, in the order of ``basis_terms``."""
+    return -rows_in_term_order(proj.rows)
 
 
 def potentials_record() -> dict:
@@ -126,11 +135,11 @@ def potentials_record() -> dict:
     record["bump_report"] = {
         "outer_max": rep.outer_max, "inner_stddev": rep.inner_stddev, "normal_max": rep.normal_max,
     }
-    record["bump_projection"] = {"coeffs": proj.coeffs.tolist(), "condition": proj.condition}
+    record["bump_projection"] = {"coeffs": _coeffs(proj).tolist(), "condition": proj.condition}
 
     geom = AnnulusGeometry(R)
     om = omega_big(geom, xi_circulation(geom), degree=8)
-    record["omega_big"] = {"coeffs": om.coeffs.tolist(), "condition": om.condition}
+    record["omega_big"] = {"coeffs": _coeffs(om).tolist(), "condition": om.condition}
 
     split = q1_dirichlet_split(geom, mixed_field, degree=Q1_DEGREE)
     record["q1_split"] = {
@@ -195,7 +204,7 @@ def test_bump_report(golden, bump):
 
 def _assert_projection(proj, want):
     coeffs = np.array(want["coeffs"])
-    err = np.max(np.abs(proj.coeffs - coeffs)) / np.max(np.abs(coeffs))
+    err = np.max(np.abs(_coeffs(proj) - coeffs)) / np.max(np.abs(coeffs))
     assert err <= COEFF_RTOL, f"coefficients differ by {err:.2e} relative"
     assert abs(proj.condition - want["condition"]) <= COND_RTOL * want["condition"]
 

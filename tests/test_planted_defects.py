@@ -1,4 +1,5 @@
-"""Planted defects: each one must fail the acceptance check named for it.
+"""Planted defects: each one must fail the check named for it, an
+acceptance check or, for a defect no acceptance check sees, a test.
 
 A defective copy of a kernel is built from the shipped source by one
 textual substitution, so it tracks the kernel as it changes; the
@@ -10,13 +11,17 @@ import inspect
 
 import pytest
 
+import test_nonlinear
 from diskvort import acceptance, nonlinear, pressure, solver
+from diskvort.fields import PolarGrid
+from diskvort.spectrum import build_table
 
 JACOBIAN = "lam_vals = (dpsi_r * dom_t - dpsi_t * dom_r) / grid.r[:, None]"
 ELLIPTIC = "elliptic_map=elliptic_map(grid) / cfg.nu,"
 EXP_FACTOR = "exp_factor=table.to_blocks(np.exp(z)),"
 DERIVATIVE = "domega_b_dt = (wb_new - state.wb) / cfg.dt if state.steps else 0.0"
 CONJUGATE = "return np.stack([-h[1], h[0]])"
+STREAM_SCALE = "scale = table.to_blocks(-1.0 / table.lam)"
 
 
 def planted(fn, old: str, new: str):
@@ -68,3 +73,14 @@ def test_check_10_catches_dynamics_defect(monkeypatch, defect):
     plant(monkeypatch, *defect)
     result = acceptance.check_pressure_consistency()
     assert not result.passed, result.detail
+
+
+def test_group_oracle_catches_stream_scale_defect(monkeypatch):
+    # a 1e-4 relative error in the solver's Biot-Savart scale passes every
+    # accept check; the advection kernel against the per-group oracle,
+    # which takes the stream from fields.biot_savart, is off by about
+    # 1e-5 against its atol of 1e-13
+    plant(monkeypatch, nonlinear._stream_scale, STREAM_SCALE, STREAM_SCALE + " * (1 + 1e-4)")
+    table = build_table(5, 5)
+    with pytest.raises(AssertionError, match="Not equal to tolerance"):
+        test_nonlinear.test_advection_matches_group_oracle(table, PolarGrid(table))
