@@ -336,11 +336,7 @@ class BoundaryReport:
 
 
 def newtonian_bs_annulus(
-    geom: AnnulusGeometry,
-    omega,
-    degree: int = 8,
-    n_boundary: int = 64,
-    fd_step: float = 1e-2,
+    geom: AnnulusGeometry, omega, degree: int = 8, n_boundary: int = 64
 ) -> BoundaryReport:
     """Certify the boundary behavior of the Newtonian potential of omega.
 
@@ -348,21 +344,17 @@ def newtonian_bs_annulus(
     potential must vanish on the outer circle, be constant on the inner
     one, and have zero normal derivative there; the report carries the
     three measured defects.  The normal derivative is sampled by finite
-    differences along the inward normal, through the hole where the
-    potential must stay constant (it is C^1 across the interface, so
-    flatness there certifies the boundary condition).  Inputs failing
-    the orthogonality precondition (relative component above 1e-8) are
-    rejected.
+    differences along the inward normal, with step min(1e-2, r_inner/8),
+    through the hole where the potential must stay constant (it is C^1
+    across the interface, so flatness there certifies the boundary
+    condition).  Inputs failing the orthogonality precondition (relative
+    component above 1e-8) are rejected.
 
     The report reads the potential at the ``n_boundary`` angles
     2 pi m / n_boundary, which must be angles of the rule: ``n_boundary``
     has to divide ``geom.n_angular``.  There the sums are one angular
     correlation per radius (``fields._ring_log_kernel``).
     """
-    if not 0.0 < fd_step <= geom.r_inner / 8.0:
-        raise ValueError(
-            f"fd_step must lie in (0, r_inner/8], got {fd_step}"
-        )
     _harmonic_norms(geom, degree)  # the degree is checked before any sampling
     if isinstance(n_boundary, bool) or not isinstance(n_boundary, (int, np.integer)) or n_boundary < 1:
         raise ValueError(f"n_boundary must be a positive integer, got {n_boundary!r}")
@@ -384,7 +376,8 @@ def newtonian_bs_annulus(
         )
     # per radius, the values at the boundary angles: the outer circle,
     # then the inward normal chain from the inner circle, R - m fd_step
-    # for m = 0..4
+    # for m = 0..4, all inside the hole
+    fd_step = min(1e-2, geom.r_inner / 8.0)
     radii = np.r_[1.0, geom.r_inner - fd_step * np.arange(5)]
     vals = _ring_log_kernel(*geom.radial_rule(), fv, radii)[:, :: geom.n_angular // n_boundary]
     chain = vals[1:]
@@ -452,6 +445,10 @@ class GalerkinOperator:
     constraints: np.ndarray
 
 
+# eigenvalues kept per mode and space in ``SpectraResult.per_mode_*``
+_N_EIGS = 4
+
+
 @dataclass
 class SpectraResult:
     lambda_S: float
@@ -477,9 +474,7 @@ def _constraint_rows(ends, kind: str, k: int) -> np.ndarray:
     return np.stack([ends[key] for key in keys])
 
 
-def galerkin_spectra(
-    geom: AnnulusGeometry, n_poly: int = 24, k_max: int = 4, n_eigs: int = 4
-) -> SpectraResult:
+def galerkin_spectra(geom: AnnulusGeometry, n_poly: int = 24, k_max: int = 4) -> SpectraResult:
     """Lowest eigenvalues of the three annulus Stokes quotients per mode.
 
     S: min ||Delta psi||^2 / ||grad psi||^2 over clamped streams;
@@ -516,7 +511,7 @@ def galerkin_spectra(
             for kind, per in (("S", per_S), ("Z", per_Z)):
                 C, N = reduced(kind)
                 Dr, Gr = N.T @ D @ N, N.T @ G @ N
-                per[k] = np.sort(eigh(Dr, Gr, eigvals_only=True))[:n_eigs]
+                per[k] = np.sort(eigh(Dr, Gr, eigvals_only=True))[:_N_EIGS]
                 operators.append(GalerkinOperator(k, kind, Dr, Gr, C))
 
             # V: pencil (G, projected mass), solved inverted since the
@@ -532,7 +527,7 @@ def galerkin_spectra(
             Gv = N_V.T @ G @ N_V
             MPv = N_V.T @ MP @ N_V
             mu = np.sort(eigh(MPv, Gv, eigvals_only=True))
-            per_V[k] = np.sort(1.0 / mu[mu > 0][-n_eigs:])
+            per_V[k] = np.sort(1.0 / mu[mu > 0][-_N_EIGS:])
             operators.append(GalerkinOperator(k, "V", Gv, MPv, C_V))
         except np.linalg.LinAlgError as exc:
             raise RuntimeError(f"Galerkin assembly failed at mode {k}: {exc}") from exc
@@ -593,7 +588,6 @@ def annulus_stokes_circulation(
     omega0=None,
     n_poly: int = 28,
     n_out: int = 80,
-    burn_in: float | None = None,
 ) -> CirculationRun:
     """Linear Stokes run in the axisymmetric sector, tracking circulation.
 
@@ -620,7 +614,7 @@ def annulus_stokes_circulation(
     the velocity around the inner circle, and nu times the vorticity
     flux through it (radial normal).  The Lamb residual is the largest
     |dGamma/dt - flux| over the interior output times past the burn-in
-    window (default 0.16 (1-R)^2 / nu, capped at half the horizon: the
+    window (0.16 (1-R)^2 / nu, capped at half the horizon: the
     natural condition at the inner wall only holds weakly at t = 0 and
     the first moments of the run relax it), with the time derivative
     taken by centered differences, divided by `scale`.
@@ -653,10 +647,7 @@ def annulus_stokes_circulation(
     omega_d_end = ends[("R", 2)] + ends[("R", 1)] / R - ends[("R", 0)] / R**2
     flux_row = nu * 2.0 * np.pi * R * (omega_d_end @ N)
 
-    if burn_in is None:
-        burn_in = min(0.16 * (1.0 - R) ** 2 / nu, 0.5 * t_final)
-    elif burn_in < 0.0 or burn_in > 0.5 * t_final:
-        raise ValueError("burn_in must lie in [0, t_final / 2]")
+    burn_in = min(0.16 * (1.0 - R) ** 2 / nu, 0.5 * t_final)
 
     dt = t_final / n_out
     prop = expm(dt * nu * gen)

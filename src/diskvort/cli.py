@@ -10,9 +10,10 @@ pressure            pressure recovery and momentum defect along a run
 annulus-verify      circulation, flux, zeta-pairing and spectra checks on an annulus
 accept              the full numbered acceptance suite
 
-Exit codes: 0 success, 2 a ``ConfigError`` (bad flags or config, raised
-before the manifest is written), 3 numerical tolerance failure in a
-check subcommand, 4 a run aborted by the solver's guards (CFL bound,
+Exit codes: 0 success, 2 a ``ConfigError`` (bad flags, config or
+thread count, refused before the manifest is written and printed as
+``config error: ...``), 3 numerical tolerance failure in a check
+subcommand, 4 a run aborted by the solver's guards (CFL bound,
 harmonic-moment drift, non-finite state); any other error propagates
 and leaves the manifest "running".
 
@@ -29,15 +30,16 @@ echoed into the manifest.  Example::
     kind = random
     seed = 42
 
-Every run writes ``manifest.json`` into the output directory before
-doing any work (status "running") and rewrites it on success (status
-"completed", wall clock, file list), so a crashed run is recognizable
-by its unfinished manifest.  A solver abort rewrites it with status
-"failed" and ``failure`` {type, message, step, t}, the step count and
-time of the last accepted state.  Manifests and reports are written to
-a temporary file first, which replaces the old one in one rename.  All
-other emitted files are listed in the manifest; numeric CSV fields
-carry 17 significant digits.
+Every subcommand keeps one run record, the ``_recorded`` context: it
+writes ``manifest.json`` into the output directory before doing any
+work (status "running") and rewrites it on success (status "completed",
+wall clock, file list), so a crashed run is recognizable by its
+unfinished manifest.  A solver abort, in any subcommand, rewrites it
+with status "failed" and ``failure`` {type, message, step, t}, the step
+count and time of the last accepted state.  Manifests and reports are
+written to a temporary file first, which replaces the old one in one
+rename.  All other emitted files are listed in the manifest; numeric
+CSV fields carry 17 significant digits.
 
 The BLAS thread count is taken from ``--threads`` or the
 ``DISKVORT_THREADS`` environment variable; it must be applied before
@@ -75,10 +77,6 @@ class ConfigError(ValueError):
         super().__init__("\n".join(self.problems))
 
 
-class _RunAborted(Exception):
-    """A solver abort, already recorded in the run's manifest."""
-
-
 @dataclasses.dataclass
 class RunManifest:
     subcommand: str
@@ -106,8 +104,18 @@ def _write_json(path: Path, payload) -> None:
     os.replace(tmp, path)
 
 
-def _begin(subcommand, parameters, outdir, seed=None, config_path=None):
+@contextlib.contextmanager
+def _recorded(subcommand, parameters, outdir, seed=None, config_path=None):
+    """The run's record: a "running" manifest, written before the body
+    runs and yielded to it; the body lists its outputs in ``man.files``.
+
+    When the body returns, the manifest is rewritten "completed" with the
+    wall clock and the sorted file list.  A solver abort rewrites it
+    "failed" with a ``failure`` record and propagates; any other error
+    leaves it "running".
+    """
     from . import __version__
+    from .solver import SolverAbort
 
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -120,27 +128,17 @@ def _begin(subcommand, parameters, outdir, seed=None, config_path=None):
         version=__version__,
     )
     man.write()
-    return man, time.monotonic()
-
-
-@contextlib.contextmanager
-def _recording_aborts(man: RunManifest):
-    """Record a solver abort in the manifest as status "failed"."""
-    from .solver import SolverAbort
-
+    t0 = time.monotonic()
     try:
-        yield
+        yield man
     except SolverAbort as e:
         man.status = "failed"
         man.failure = {"type": type(e).__name__, "message": str(e), "step": e.step, "t": e.t}
         man.write()
-        raise _RunAborted(f"{type(e).__name__}: {e}") from e
-
-
-def _finalize(man: RunManifest, t0: float, files) -> None:
+        raise
     man.status = "completed"
     man.wall_clock_s = time.monotonic() - t0
-    man.files = sorted(str(f) for f in files)
+    man.files = sorted(man.files)
     man.write()
 
 
@@ -344,19 +342,11 @@ def _trajectory_pipeline(args, runner, subcommand: str) -> int:
     resolved = _resolve(_parse_file(args.config))
     cfg, ctx = _run_config(resolved, check_cfl=(subcommand == "ns"))
     outdir = Path(args.outdir)
-    man, t0 = _begin(
-        subcommand,
-        resolved,
-        outdir,
-        seed=resolved["init"]["seed"],
-        config_path=args.config,
-    )
-    with _recording_aborts(man):
+    with _recorded(subcommand, resolved, outdir, resolved["init"]["seed"], args.config) as man:
         traj = runner(cfg, ctx=ctx)
-    files = ["trajectory.csv"]
-    traj.to_csv(outdir / "trajectory.csv")
-    files += _write_snapshots(traj, outdir, resolved["output"]["snapshot_every"])
-    _finalize(man, t0, files)
+        traj.to_csv(outdir / "trajectory.csv")
+        snapshots = _write_snapshots(traj, outdir, resolved["output"]["snapshot_every"])
+        man.files = ["trajectory.csv", *snapshots]
     last = traj.diagnostics[-1]
     print(
         f"{subcommand}: {len(traj)} output rows to {outdir / 'trajectory.csv'}; "
@@ -370,18 +360,16 @@ def _trajectory_pipeline(args, runner, subcommand: str) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    from .specfun import MAX_ORDER
-    from .spectrum import build_table
+    from .spectrum import build_table, table_size_problems
 
-    # the table of K needs Bessel zeros up to order K + 1
-    if not 0 <= args.K <= MAX_ORDER - 1 or args.J < 1:
-        print(f"error: need 0 <= --K <= {MAX_ORDER - 1} and --J >= 1", file=sys.stderr)
-        return 2
-    man, t0 = _begin("spectrum", {"K": args.K, "J": args.J}, args.outdir)
-    table = build_table(args.K, args.J)
-    text = table.to_json()
-    (Path(args.outdir) / "eigenvalues.json").write_text(text + "\n")
-    _finalize(man, t0, ["eigenvalues.json"])
+    # each problem starts with the name of its flag
+    problems = table_size_problems(args.K, args.J)
+    if problems:
+        raise ConfigError([f"--{p.split()[0]}: {p}" for p in problems])
+    with _recorded("spectrum", {"K": args.K, "J": args.J}, args.outdir) as man:
+        text = build_table(args.K, args.J).to_json()
+        (Path(args.outdir) / "eigenvalues.json").write_text(text + "\n")
+        man.files = ["eigenvalues.json"]
     print(text)
     return 0
 
@@ -401,14 +389,14 @@ def _cmd_ns(args) -> int:
 def _cmd_biot_savart_check(args) -> int:
     from .acceptance import check_green_equivalence, check_newtonian_agreement
 
-    man, t0 = _begin("biot-savart-check", {}, args.outdir)
-    results = [check_newtonian_agreement(), check_green_equivalence()]
-    report = {
-        r.name: {"passed": r.passed, "detail": r.detail, "seconds": r.seconds}
-        for r in results
-    }
-    _write_json(Path(args.outdir) / "report.json", report)
-    _finalize(man, t0, ["report.json"])
+    with _recorded("biot-savart-check", {}, args.outdir) as man:
+        results = [check_newtonian_agreement(), check_green_equivalence()]
+        report = {
+            r.name: {"passed": r.passed, "detail": r.detail, "seconds": r.seconds}
+            for r in results
+        }
+        _write_json(Path(args.outdir) / "report.json", report)
+        man.files = ["report.json"]
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}")
     return 0 if all(r.passed for r in results) else 3
@@ -427,24 +415,20 @@ def _cmd_pressure(args) -> int:
             ["pressure needs at least 3 output rows to center a time derivative"]
         )
     outdir = Path(args.outdir)
-    man, t0 = _begin(
-        "pressure", resolved, outdir, seed=resolved["init"]["seed"], config_path=args.config
-    )
-    with _recording_aborts(man):
+    with _recorded("pressure", resolved, outdir, resolved["init"]["seed"], args.config) as man:
         traj = run(cfg, ctx)
-    index = (len(traj) - 1) // 2
-    resid = momentum_residual(traj, index, cfg.nu, ctx.grid, n_aux=args.n_aux)
-    p = recover_pressure(traj.states[-1], cfg.nu, ctx.grid, n_aux=args.n_aux)
-    files = ["pressure.csv", "report.json"]
-    p.to_csv(outdir / "pressure.csv")
-    report = {
-        "momentum_residual": resid,
-        "residual_time": float(traj.times[index]),
-        "pressure_time": float(traj.times[-1]),
-        "n_aux": args.n_aux,
-    }
-    _write_json(outdir / "report.json", report)
-    _finalize(man, t0, files)
+        index = (len(traj) - 1) // 2
+        resid = momentum_residual(traj, index, cfg.nu, ctx.grid, n_aux=args.n_aux)
+        p = recover_pressure(traj.states[-1], cfg.nu, ctx.grid, n_aux=args.n_aux)
+        p.to_csv(outdir / "pressure.csv")
+        report = {
+            "momentum_residual": resid,
+            "residual_time": float(traj.times[index]),
+            "pressure_time": float(traj.times[-1]),
+            "n_aux": args.n_aux,
+        }
+        _write_json(outdir / "report.json", report)
+        man.files = ["pressure.csv", "report.json"]
     print(
         f"pressure: momentum residual {resid:.6e} at t={traj.times[index]:g}; "
         f"field on the final state written to {outdir / 'pressure.csv'}"
@@ -484,47 +468,44 @@ def _cmd_annulus_verify(args) -> int:
         geom = AnnulusGeometry(args.r_inner)
     except ValueError as e:
         raise ConfigError([f"--r-inner: {e}"]) from None
-    man, t0 = _begin(
-        "annulus-verify",
-        {"r_inner": args.r_inner, "n_poly": args.n_poly, "k_max": args.k_max},
-        args.outdir,
-    )
-    xi = xi_circulation(geom)
-    flux_om = inner_flux(geom, omega_big(geom, xi, degree=8))
-    zeta_v, zeta_b = (zeta_pairing(geom, xi, _band_field, method=m) for m in ("volume", "boundary"))
-    spectra = galerkin_spectra(geom, n_poly=args.n_poly, k_max=args.k_max)
-    circ = annulus_stokes_circulation(geom, 1.0, args.nu, args.t_final, n_out=160)
-    lam_f = lambda_fundamental()
+    parameters = {name: getattr(args, name) for name in ("r_inner", "n_poly", "k_max", "nu", "t_final")}
+    parameters = {name: getattr(args, name) for name in ("r_inner", "n_poly", "k_max", "nu", "t_final")}
+    with _recorded("annulus-verify", parameters, args.outdir) as man:
+        xi = xi_circulation(geom)
+        flux_om = inner_flux(geom, omega_big(geom, xi, degree=8))
+        zeta_v, zeta_b = (zeta_pairing(geom, xi, _band_field, method=m) for m in ("volume", "boundary"))
+        spectra = galerkin_spectra(geom, n_poly=args.n_poly, k_max=args.k_max)
+        circ = annulus_stokes_circulation(geom, 1.0, args.nu, args.t_final, n_out=160)
+        lam_f = lambda_fundamental()
 
-    checks = [
-        ("xi-flux", abs(xi.inner_flux() + 1.0) <= 1e-10, f"{xi.inner_flux():.12f} (= -1 +- 1e-10)"),
-        ("projected-flux", abs(flux_om + 1.0) <= 1e-8, f"{flux_om:.10f} (= -1 +- 1e-8)"),
-        (
-            "zeta-routes",
-            abs(zeta_v - zeta_b) <= 1e-6,
-            f"volume {zeta_v:.10f} vs boundary {zeta_b:.10f} (|diff| {abs(zeta_v - zeta_b):.1e} <= 1e-6)",
-        ),
-        (
-            "spectra-equality",
-            abs(spectra.lambda_S - spectra.lambda_V) / spectra.lambda_S <= 1e-6,
-            f"{spectra.lambda_S:.8f} vs {spectra.lambda_V:.8f}",
-        ),
-        (
-            "spectrum-ordering",
-            spectra.lambda_Z <= lam_f,
-            f"{spectra.lambda_Z:.7f} <= {lam_f:.7f}",
-        ),
-        (
-            "circulation-law",
-            circ.lamb_residual <= 1e-4,
-            f"residual {circ.lamb_residual:.2e} (<= 1e-4)",
-        ),
-    ]
-    files = ["circulation.csv", "report.json"]
-    circ.to_csv(Path(args.outdir) / "circulation.csv")
-    report = {name: {"passed": ok, "detail": detail} for name, ok, detail in checks}
-    _write_json(Path(args.outdir) / "report.json", report)
-    _finalize(man, t0, files)
+        checks = [
+            ("xi-flux", abs(xi.inner_flux() + 1.0) <= 1e-10, f"{xi.inner_flux():.12f} (= -1 +- 1e-10)"),
+            ("projected-flux", abs(flux_om + 1.0) <= 1e-8, f"{flux_om:.10f} (= -1 +- 1e-8)"),
+            (
+                "zeta-routes",
+                abs(zeta_v - zeta_b) <= 1e-6,
+                f"volume {zeta_v:.10f} vs boundary {zeta_b:.10f} (|diff| {abs(zeta_v - zeta_b):.1e} <= 1e-6)",
+            ),
+            (
+                "spectra-equality",
+                abs(spectra.lambda_S - spectra.lambda_V) / spectra.lambda_S <= 1e-6,
+                f"{spectra.lambda_S:.8f} vs {spectra.lambda_V:.8f}",
+            ),
+            (
+                "spectrum-ordering",
+                spectra.lambda_Z <= lam_f,
+                f"{spectra.lambda_Z:.7f} <= {lam_f:.7f}",
+            ),
+            (
+                "circulation-law",
+                circ.lamb_residual <= 1e-4,
+                f"residual {circ.lamb_residual:.2e} (<= 1e-4)",
+            ),
+        ]
+        circ.to_csv(Path(args.outdir) / "circulation.csv")
+        report = {name: {"passed": ok, "detail": detail} for name, ok, detail in checks}
+        _write_json(Path(args.outdir) / "report.json", report)
+        man.files = ["circulation.csv", "report.json"]
     for name, ok, detail in checks:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
     return 0 if all(ok for _, ok, _ in checks) else 3
@@ -538,19 +519,17 @@ def _cmd_accept(args) -> int:
         try:
             numbers = sorted({int(x) for x in args.only.split(",")})
         except ValueError:
-            print(f"error: --only expects numbers, got {args.only!r}", file=sys.stderr)
-            return 2
+            raise ConfigError([f"--only expects numbers, got {args.only!r}"]) from None
         if any(n < 1 or n > 12 for n in numbers):
-            print("error: criteria are numbered 1..12", file=sys.stderr)
-            return 2
-    man, t0 = _begin("accept", {"only": numbers}, args.outdir)
-    results = run_all(numbers=numbers, stream=print)
-    report = {
-        "results": [dataclasses.asdict(r) for r in results],
-        "all_passed": all(r.passed for r in results),
-    }
-    _write_json(Path(args.outdir) / "report.json", report)
-    _finalize(man, t0, ["report.json"])
+            raise ConfigError([f"--only: criteria are numbered 1..12, got {args.only!r}"])
+    with _recorded("accept", {"only": numbers}, args.outdir) as man:
+        results = run_all(numbers=numbers, stream=print)
+        report = {
+            "results": [dataclasses.asdict(r) for r in results],
+            "all_passed": all(r.passed for r in results),
+        }
+        _write_json(Path(args.outdir) / "report.json", report)
+        man.files = ["report.json"]
     n_fail = sum(not r.passed for r in results)
     print(f"{len(results) - n_fail}/{len(results)} criteria passed")
     return 0 if n_fail == 0 else 3
@@ -613,6 +592,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _apply_thread_count(args) -> None:
+    """Export the BLAS thread count of ``--threads`` or ``DISKVORT_THREADS``."""
+    threads = args.threads if args.threads is not None else os.environ.get("DISKVORT_THREADS")
+    if threads is None:
+        return
+    try:
+        n = int(threads)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise ConfigError([f"thread count must be a positive integer, got {threads!r}"])
+    for var in _THREAD_VARS:
+        os.environ[var] = str(n)
+
+
 def dispatch(argv) -> int:
     """Parse argv and run one subcommand; returns the exit code."""
     parser = _build_parser()
@@ -621,31 +615,19 @@ def dispatch(argv) -> int:
     except SystemExit as e:  # argparse prints usage itself
         return 0 if e.code in (0, None) else 2
 
-    threads = (
-        args.threads
-        if args.threads is not None
-        else os.environ.get("DISKVORT_THREADS")
-    )
-    if threads is not None:
-        try:
-            n = int(threads)
-            if n < 1:
-                raise ValueError
-        except ValueError:
-            print(f"error: thread count must be a positive integer, got {threads!r}", file=sys.stderr)
-            return 2
-        for var in _THREAD_VARS:
-            os.environ[var] = str(n)
-
     try:
-        return args.handler(args)
+        _apply_thread_count(args)
+        from .solver import SolverAbort  # numpy reads the thread count on import
+
+        try:
+            return args.handler(args)
+        except SolverAbort as e:
+            print(f"run aborted: {type(e).__name__}: {e}", file=sys.stderr)
+            return 4
     except ConfigError as e:
         for line in e.problems:
             print(f"config error: {line}", file=sys.stderr)
         return 2
-    except _RunAborted as e:
-        print(f"run aborted: {e}", file=sys.stderr)
-        return 4
 
 
 def main() -> None:

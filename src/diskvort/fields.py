@@ -19,8 +19,10 @@ derivative zero at r = 1.  That makes the diagonal maps exact:
 Grid work uses a Gauss-Legendre radial rule times a uniform angular
 rule.  The transform is a dense radial matrix per angular wavenumber
 followed by an angular DFT, so ``PolarGrid`` stores the radial profiles
-stacked per (kind, what) and synthesizes any set of fields with one
-batched radial matmul and one angular matmul.  ``from_grid`` is the
+stacked per (kind, what); ``PolarGrid.synthesize`` takes one field
+through one radial and one angular matmul, and the advection kernel
+(``nonlinear._advect``) synthesizes its four fields in one batch of
+each.  ``from_grid`` is the
 discrete orthogonal decomposition into the eigen-span, the harmonic
 span (low-degree harmonic polynomials), and a reported remainder;
 nothing is dropped silently.

@@ -45,8 +45,7 @@ import numpy as np
 from .fields import PolarGrid, SpectralField, norm_at
 from .nonlinear import _advect, _stream_scale, elliptic_map
 from .semigroup import Trajectory, duhamel_step, phi1, phi2
-from .specfun import MAX_ORDER
-from .spectrum import EigenTable, ModeIndex, build_table
+from .spectrum import EigenTable, ModeIndex, build_table, table_size_problems
 
 __all__ = [
     "RunConfig",
@@ -125,11 +124,7 @@ class RunConfig:
         index = lambda x: integer(x) or (isinstance(x, float) and x.is_integer())
         if not (real(self.nu) and self.nu > 0):
             errs.append(f"nu must be > 0, got {self.nu!r}")
-        # the table of K needs Bessel zeros up to order K + 1
-        if not (integer(self.K) and 0 <= self.K <= MAX_ORDER - 1):
-            errs.append(f"K must be an integer in [0, {MAX_ORDER - 1}], got {self.K!r}")
-        if not (integer(self.J) and self.J >= 1):
-            errs.append(f"J must be an integer >= 1, got {self.J!r}")
+        errs += table_size_problems(self.K, self.J)
         if not (real(self.dt) and self.dt > 0):
             errs.append(f"dt must be > 0, got {self.dt!r}")
         if not (real(self.t_final) and self.t_final > 0):

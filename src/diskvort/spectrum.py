@@ -27,12 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import _bessel_stack, bessel_j_zero_rows, gauss_legendre
+from .specfun import MAX_ORDER, _bessel_stack, bessel_j_zero_rows, gauss_legendre
 
 __all__ = [
     "ModeIndex",
     "EigenTable",
     "build_table",
+    "table_size_problems",
     "radial_profiles",
     "membership_residuals",
 ]
@@ -152,12 +153,24 @@ class EigenTable:
         return json.dumps(payload, indent=1)
 
 
+def table_size_problems(K, J) -> list[str]:
+    """What is wrong with the table size (K, J): one message per bad
+    parameter, starting with its name; empty if the size is admissible.
+    The table of K needs Bessel zeros up to order K + 1."""
+    integer = lambda x: isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+    problems = []
+    if not (integer(K) and 0 <= K <= MAX_ORDER - 1):
+        problems.append(f"K must be an integer in [0, {MAX_ORDER - 1}], got {K!r}")
+    if not (integer(J) and J >= 1):
+        problems.append(f"J must be an integer >= 1, got {J!r}")
+    return problems
+
+
 def build_table(K: int, J: int) -> EigenTable:
     """All modes with k <= K and radial index j <= J, eigenvalue-sorted."""
-    if not isinstance(K, (int, np.integer)) or K < 0:
-        raise ValueError(f"K must be a nonnegative integer, got {K!r}")
-    if not isinstance(J, (int, np.integer)) or J < 1:
-        raise ValueError(f"J must be a positive integer, got {J!r}")
+    problems = table_size_problems(K, J)
+    if problems:
+        raise ValueError("; ".join(problems))
     alpha = bessel_j_zero_rows(K + 1, J)[1:]
     norm = _norm_consts(alpha)
     rows = []

@@ -439,10 +439,20 @@ class TestNewtonianBoundary:
         zero = lambda r, t, what="value": 0 * r * t
         assert newtonian_bs_annulus(geom, zero) == BoundaryReport(0.0, 0.0, 0.0)
 
-    def test_fd_step_validated(self, geom):
-        zero = lambda r, t, what="value": 0 * r * t
-        with pytest.raises(ValueError, match="fd_step"):
-            newtonian_bs_annulus(geom, zero, fd_step=0.2)
+    @pytest.mark.parametrize("r_inner", [0.05, 0.07])
+    def test_projected_bump_report_on_thin_holes(self, r_inner):
+        # the normal chain's step shrinks to r_inner/8 below r_inner = 0.08,
+        # so the default report runs across the whole admissible band
+        def bump(r, theta, what="value"):
+            if what == "value":
+                return np.sin(np.pi * (r - r_inner) / (1 - r_inner)) ** 2 * (1.0 + np.cos(theta))
+            raise ValueError(what)
+
+        geo = AnnulusGeometry(r_inner)
+        rep = newtonian_bs_annulus(geo, bergman_project(geo, bump, degree=4), degree=4)
+        assert rep.outer_max <= 5e-5
+        assert rep.inner_stddev <= 5e-5
+        assert rep.normal_max <= 5e-4
 
 
 class TestGalerkinSpectra:
@@ -576,8 +586,6 @@ class TestCirculation:
             annulus_stokes_circulation(geom, 1.0, 0.1, -1.0)
         with pytest.raises(ValueError, match="output times"):
             annulus_stokes_circulation(geom, 1.0, 0.1, 1.0, n_out=3)
-        with pytest.raises(ValueError, match="burn_in"):
-            annulus_stokes_circulation(geom, 1.0, 0.1, 1.0, burn_in=0.9)
 
     @pytest.mark.parametrize("name", ["nu", "t_final"])
     @pytest.mark.parametrize("value", [np.inf, np.nan])

@@ -191,9 +191,9 @@ class TestSpectrumCommand:
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["spectrum", "--K", "64"], "--K <= 63"),
-        (["spectrum", "--K", "70"], "--K <= 63"),
-        (["spectrum", "--K", "-1"], "--K <= 63"),
+        (["spectrum", "--K", "64"], "--K: K must be an integer in [0, 63], got 64"),
+        (["spectrum", "--K", "70"], "--K: K must be an integer in [0, 63], got 70"),
+        (["spectrum", "--K", "-1"], "--K: K must be an integer in [0, 63], got -1"),
         (["pressure", "--n-aux", "0"], "--n-aux must be at least 1, got 0"),
         (["pressure", "--n-aux", "-3"], "--n-aux must be at least 1, got -3"),
         (["annulus-verify", "--n-poly", "3"], "--n-poly must be at least 6, got 3"),
@@ -203,17 +203,58 @@ class TestSpectrumCommand:
         (["annulus-verify", "--t-final", "0"], "--t-final must be positive and finite, got 0.0"),
         (["annulus-verify", "--nu", "inf"], "--nu must be positive and finite, got inf"),
         (["annulus-verify", "--t-final", "inf"], "--t-final must be positive and finite, got inf"),
+        (["accept", "--only", "abc"], "--only expects numbers, got 'abc'"),
+        (["accept", "--only", "0,13"], "--only: criteria are numbered 1..12, got '0,13'"),
+        (["--threads", "0", "spectrum"], "thread count must be a positive integer, got 0"),
+        (["DISKVORT_THREADS=abc", "spectrum"], "thread count must be a positive integer, got 'abc'"),
     ],
 )
-def test_bad_flag_rejected_before_the_run(tmp_path, capsys, argv, message):
+def test_bad_flag_rejected_before_the_run(tmp_path, capsys, monkeypatch, argv, message):
     # the flag is checked before the manifest is written, not by a
-    # traceback (or numpy's message) after the solve
+    # traceback (or numpy's message) after the solve; leading NAME=value
+    # words set the environment, as on a shell command line
+    while "=" in argv[0]:
+        monkeypatch.setenv(*argv[0].split("=", 1))
+        argv = argv[1:]
     out = tmp_path / "out"
     if argv[0] == "pressure":
         argv = argv + ["--config", str(write(tmp_path, PRESSURE_RUN))]
     assert dispatch(argv + ["--outdir", str(out)]) == 2
-    assert message in capsys.readouterr().err
+    assert f"config error: {message}" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--K", "2", "--J", "2"],
+        ["ns", "--config"],
+        ["stokes", "--config"],
+        ["pressure", "--config"],
+        ["biot-savart-check"],
+        ["annulus-verify"],
+        ["accept", "--only", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_every_subcommand_completes_its_manifest(tmp_path, capsys, argv):
+    if argv[-1] == "--config":
+        argv = argv + [str(write(tmp_path, PRESSURE_RUN))]
+    out = tmp_path / "out"
+    assert dispatch(argv + ["--outdir", str(out)]) == 0
+    man = json.loads((out / "manifest.json").read_text())
+    assert man["subcommand"] == argv[0]
+    assert man["status"] == "completed" and man["failure"] is None
+    assert man["wall_clock_s"] > 0
+    assert man["files"] == sorted(outdir_files(out) - {"manifest.json"})
+
+
+def test_annulus_verify_records_every_flag(tmp_path, capsys):
+    flags = {"r_inner": 0.4, "n_poly": 20, "k_max": 3, "nu": 0.2, "t_final": 1.0}
+    argv = [f"--{name.replace('_', '-')}={value}" for name, value in flags.items()]
+    assert dispatch(["annulus-verify", *argv, "--outdir", str(tmp_path)]) == 0
+    man = json.loads((tmp_path / "manifest.json").read_text())
+    assert man["parameters"] == flags
 
 
 @pytest.mark.parametrize("subcommand", ["ns", "stokes", "pressure"])
@@ -355,6 +396,37 @@ class TestRunArtifacts:
         }
         assert man["wall_clock_s"] is None and man["files"] == []
         assert f"{abort}: induced {abort}" in capsys.readouterr().err
+        assert outdir_files(out) == {"manifest.json"}
+
+    def test_abort_in_accept_reference_run_recorded(self, tmp_path, monkeypatch, capsys):
+        import functools
+
+        import diskvort.acceptance
+        import diskvort.solver
+
+        # a fresh cache, so the reference run starts here; the shared one
+        # comes back when the test ends
+        reference = diskvort.acceptance._reference_trajectory.__wrapped__
+        monkeypatch.setattr(diskvort.acceptance, "_reference_trajectory", functools.lru_cache(reference))
+        step = diskvort.solver.step
+
+        def boom(state, cfg, ctx=None):
+            if state.steps == 3:
+                raise diskvort.solver.NonFiniteState("induced NonFiniteState")
+            return step(state, cfg, ctx)
+
+        monkeypatch.setattr(diskvort.solver, "step", boom)
+        out = tmp_path / "out"
+        assert dispatch(["accept", "--only", "6", "--outdir", str(out)]) == 4
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["status"] == "failed"
+        assert man["failure"] == {
+            "type": "NonFiniteState",
+            "message": "induced NonFiniteState",
+            "step": 3,
+            "t": 3 * 1e-3,
+        }
+        assert "run aborted: NonFiniteState: induced NonFiniteState" in capsys.readouterr().err
         assert outdir_files(out) == {"manifest.json"}
 
     def test_stokes_runs_without_cfl_guard(self, tmp_path):

@@ -70,7 +70,7 @@ def test_top_order_table_zeros_match_mpmath():
         want = float(mpmath.besseljzero(k + 1, j))
         assert big.alpha[big.perm[0, k, j - 1]] == pytest.approx(want, rel=1e-13)
     assert np.all(np.isfinite(big.norm))
-    with pytest.raises(ValueError, match=r"Bessel order must be in \[0, 64\]"):
+    with pytest.raises(ValueError, match=r"^K must be an integer in \[0, 63\], got 64$"):
         build_table(MAX_ORDER, 1)
 
 
@@ -93,9 +93,9 @@ def test_mode_index_validation():
 
 
 def test_build_table_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^K must be an integer in \[0, 63\], got -1$"):
         build_table(-1, 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^J must be an integer >= 1, got 0$"):
         build_table(4, 0)
 
 
