@@ -29,15 +29,24 @@ layout: ``rows`` (2, 2, degree+1), indexed (power r^+k or r^-k, parity
 cos or sin, k), of the L2-normalized zero-flux harmonics; the slots of
 r^-0 (the constant again) and of sin at k = 0 stay zero.  The angular
 rule makes the projection's Gram matrix 2x2 block-diagonal in (parity, k).
+
+The two dense solvers, ``galerkin_spectra`` and
+``annulus_stokes_circulation``, share one radial table of the Legendre
+family mapped onto (R, 1): ``tables`` (order, degree, node) of values,
+first and second derivatives at the Gauss nodes, and the wall values
+``ends`` (order, wall, degree), wall 0 at r = R and wall 1 at r = 1.
+Their constraint, circulation and flux rows are slices of ``ends``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.legendre import legder, leggauss, legval
+from numpy.polynomial.polyutils import mapparms
 from scipy.linalg import eigh, expm, null_space
 
 from .fields import _ring_log_kernel, d_theta_rows, split_rows, synthesize_points, trig_table, write_csv
@@ -47,7 +56,6 @@ __all__ = [
     "AnnulusGeometry",
     "XiFunction",
     "ProjectedField",
-    "GalerkinOperator",
     "SpectraResult",
     "BoundaryReport",
     "CirculationRun",
@@ -418,31 +426,21 @@ def check_limits(values: dict) -> None:
 
 def _legendre_tables(n_poly: int, R: float):
     """The Gauss rule (nodes, weights) of 2 n_poly + 16 points on (R, 1),
-    and the values, first and second derivatives of the mapped Legendre
-    family of degree <= n_poly at its nodes and at both ends."""
-    from numpy.polynomial import Legendre
+    and the Legendre family of degree <= n_poly mapped onto (R, 1): its
+    values (order 0), first and second derivatives as ``tables[order]``
+    (n_poly+1, nodes), one row per degree, and at the walls as
+    ``ends[order, wall, degree]``, wall 0 at R and wall 1 at 1.
 
+    Column i of ``legder(eye, order)`` holds the coefficients of the
+    order-th derivative of P_i, so one ``legval`` per order evaluates the
+    whole family at the nodes and both walls.
+    """
     rule = gauss_legendre(2 * n_poly + 16, R, 1.0)
-    polys = [Legendre.basis(i, domain=[R, 1.0]) for i in range(n_poly + 1)]
-    derivs = [[p.deriv(d) if d else p for p in polys] for d in range(3)]
-    tables = [np.stack([p(rule.nodes) for p in ps]) for ps in derivs]
-    ends = {
-        (label, d): np.array([p(point) for p in ps])
-        for point, label in ((R, "R"), (1.0, "1"))
-        for d, ps in enumerate(derivs)
-    }
-    return rule.nodes, rule.weights, tables, ends
-
-
-@dataclass
-class GalerkinOperator:
-    """One constrained trial block: symmetric forms plus constraint rows."""
-
-    mode: int
-    space: str  # "S" | "V" | "Z"
-    stiffness: np.ndarray
-    mass: np.ndarray
-    constraints: np.ndarray
+    off, scl = mapparms((R, 1.0), (-1.0, 1.0))
+    x = off + scl * np.r_[rule.nodes, R, 1.0]
+    eye = np.eye(n_poly + 1)
+    vals = np.stack([legval(x, legder(eye, m=order, scl=scl)) for order in range(3)])
+    return rule.nodes, rule.weights, vals[:, :, :-2], vals[:, :, -2:].transpose(0, 2, 1)
 
 
 # eigenvalues kept per mode and space in ``SpectraResult.per_mode_*``
@@ -457,20 +455,20 @@ class SpectraResult:
     per_mode_S: dict
     per_mode_V: dict
     per_mode_Z: dict
-    operators: list = field(default_factory=list)
 
 
 def _constraint_rows(ends, kind: str, k: int) -> np.ndarray:
-    """Rows of the end values a trial block of space ``kind`` must zero:
-    the outer value, for S also the outer and inner slopes, then the inner
-    value for k >= 1, or for Z at k = 0 the inner slope (the flux)."""
+    """Rows of the wall values ``ends[order, wall]`` a trial block of space
+    ``kind`` must zero: the outer value, for S also the outer and inner
+    slopes, then the inner value for k >= 1, or for Z at k = 0 the inner
+    slope (the flux)."""
     if kind not in ("S", "V", "Z"):
         raise ValueError(f"unknown space kind: {kind!r}")
-    keys = [("1", 0)] + [("1", 1), ("R", 1)] * (kind == "S")
+    keys = [(0, 1)] + [(1, 1), (1, 0)] * (kind == "S")
     if k >= 1:
-        keys.append(("R", 0))
+        keys.append((0, 0))
     elif kind == "Z":
-        keys.append(("R", 1))
+        keys.append((1, 0))
     return np.stack([ends[key] for key in keys])
 
 
@@ -488,7 +486,6 @@ def galerkin_spectra(geom: AnnulusGeometry, n_poly: int = 24, k_max: int = 4) ->
     R = geom.r_inner
     rq, wq, (T0, T1, T2), ends = _legendre_tables(n_poly, R)
     per_S, per_V, per_Z = {}, {}, {}
-    operators = []
     for k in range(k_max + 1):
         lap = T2 + T1 / rq - (k * k) * T0 / rq**2
         grad_w = wq * rq
@@ -497,38 +494,29 @@ def galerkin_spectra(geom: AnnulusGeometry, n_poly: int = 24, k_max: int = 4) ->
         M2 = (T0 * grad_w) @ T0.T
 
         def reduced(kind):
-            C = _constraint_rows(ends, kind, k)
-            N = null_space(C)
+            N = null_space(_constraint_rows(ends, kind, k))
             if N.shape[1] == 0:
                 raise RuntimeError(
                     f"constraints exhaust the trial space (mode {k}, {kind})"
                 )
-            return C, N
+            return N
 
         try:
             # S: pencil (D, G) on the clamped space; Z: the same pencil
             # under the weaker constraints
             for kind, per in (("S", per_S), ("Z", per_Z)):
-                C, N = reduced(kind)
-                Dr, Gr = N.T @ D @ N, N.T @ G @ N
-                per[k] = np.sort(eigh(Dr, Gr, eigvals_only=True))[:_N_EIGS]
-                operators.append(GalerkinOperator(k, kind, Dr, Gr, C))
+                N = reduced(kind)
+                per[k] = np.sort(eigh(N.T @ D @ N, N.T @ G @ N, eigvals_only=True))[:_N_EIGS]
 
             # V: pencil (G, projected mass), solved inverted since the
             # projected mass is only semidefinite up to approximation
-            C_V, N_V = reduced("V")
-            if k == 0:
-                hs = [np.ones_like(rq)]
-            else:
-                hs = [rq**k, rq ** (-k)]
+            N_V = reduced("V")
+            hs = [np.ones_like(rq)] if k == 0 else [rq**k, rq ** (-k)]
             Hh = np.array([[float(np.sum(grad_w * a * b)) for b in hs] for a in hs])
             Ch = np.array([(T0 * grad_w) @ h for h in hs]).T  # (n+1, nh)
             MP = M2 - Ch @ np.linalg.solve(Hh, Ch.T)
-            Gv = N_V.T @ G @ N_V
-            MPv = N_V.T @ MP @ N_V
-            mu = np.sort(eigh(MPv, Gv, eigvals_only=True))
+            mu = np.sort(eigh(N_V.T @ MP @ N_V, N_V.T @ G @ N_V, eigvals_only=True))
             per_V[k] = np.sort(1.0 / mu[mu > 0][-_N_EIGS:])
-            operators.append(GalerkinOperator(k, "V", Gv, MPv, C_V))
         except np.linalg.LinAlgError as exc:
             raise RuntimeError(f"Galerkin assembly failed at mode {k}: {exc}") from exc
     return SpectraResult(
@@ -538,7 +526,6 @@ def galerkin_spectra(geom: AnnulusGeometry, n_poly: int = 24, k_max: int = 4) ->
         per_mode_S=per_S,
         per_mode_V=per_V,
         per_mode_Z=per_Z,
-        operators=operators,
     )
 
 
@@ -547,24 +534,18 @@ def galerkin_spectra(geom: AnnulusGeometry, n_poly: int = 24, k_max: int = 4) ->
 
 
 def _cumulative_moment(geom: AnnulusGeometry, omega0, targets: np.ndarray) -> np.ndarray:
-    """int_R^t omega(s) s ds at each ascending target radius.
+    """int_R^t omega(s) s ds at each ascending target radius: a 16-point
+    Gauss rule on each gap between consecutive targets, summed in order.
 
     This is the zero-circulation azimuthal velocity of a radial
     vorticity profile, up to the 1/r factor applied by the caller.
     """
-    xg, wg = np.polynomial.legendre.leggauss(16)
-    out = np.empty(targets.size)
-    acc = 0.0
-    left = geom.r_inner
-    for i, t in enumerate(targets):
-        half = 0.5 * (t - left)
-        mid = 0.5 * (t + left)
-        s = mid + half * xg
-        vals = np.asarray(omega0(s, np.zeros_like(s), "value"), dtype=float)
-        acc += half * float(wg @ (vals * s))
-        out[i] = acc
-        left = t
-    return out
+    xg, wg = leggauss(16)
+    left = np.r_[geom.r_inner, targets[:-1]]
+    half = 0.5 * (targets - left)
+    s = (0.5 * (targets + left))[:, None] + half[:, None] * xg
+    vals = np.asarray(omega0(s, np.zeros_like(s), "value"), dtype=float)
+    return np.cumsum(half * ((vals * s) @ wg))
 
 
 @dataclass
@@ -573,7 +554,6 @@ class CirculationRun:
     gamma: np.ndarray
     flux: np.ndarray  # nu times the inner-circle vorticity flux
     lamb_residual: float
-    scale: float
     burn_in: float
 
     def to_csv(self, path) -> None:
@@ -617,18 +597,22 @@ def annulus_stokes_circulation(
     window (0.16 (1-R)^2 / nu, capped at half the horizon: the
     natural condition at the inner wall only holds weakly at t = 0 and
     the first moments of the run relax it), with the time derivative
-    taken by centered differences, divided by `scale`.
+    taken by centered differences, divided by the largest of |flux|,
+    |dGamma/dt| there and nu max(1, |Gamma|).
+
+    gamma0 must be finite (zero and negative values are allowed) and
+    n_out an integer of at least 5.
     """
     check_limits({"nu": nu, "t_final": t_final})
-    if n_out < 5:
-        raise ValueError("need at least 5 output times")
+    if not math.isfinite(gamma0):
+        raise ValueError(f"gamma0 must be finite, got {gamma0}")
+    if isinstance(n_out, bool) or not isinstance(n_out, (int, np.integer)) or n_out < 5:
+        raise ValueError(f"n_out must be an integer number of output times >= 5, got {n_out!r}")
     R = geom.r_inner
     rq, wq, (T0, T1, T2), ends = _legendre_tables(n_poly, R)
 
-    rows = [ends[("1", 0)]]
-    if gamma0 == 0.0:
-        rows.append(ends[("R", 0)])
-    N = null_space(np.stack(rows))
+    # the outer value is pinned, and without circulation the inner one too
+    N = null_space(ends[0, [1, 0] if gamma0 == 0.0 else [1]])
     rw = wq * rq
     omega_t = T1 + T0 / rq  # vorticity of each trial
     M = N.T @ ((T0 * rw) @ T0.T) @ N
@@ -643,24 +627,21 @@ def annulus_stokes_circulation(
     c = np.linalg.solve(M, N.T @ ((T0 * rw) @ u0))
 
     # circulation and flux read-out rows at the inner wall
-    gamma_row = 2.0 * np.pi * R * (ends[("R", 0)] @ N)
-    omega_d_end = ends[("R", 2)] + ends[("R", 1)] / R - ends[("R", 0)] / R**2
+    inner = ends[:, 0]  # (order, degree)
+    gamma_row = 2.0 * np.pi * R * (inner[0] @ N)
+    omega_d_end = inner[2] + inner[1] / R - inner[0] / R**2
     flux_row = nu * 2.0 * np.pi * R * (omega_d_end @ N)
 
     burn_in = min(0.16 * (1.0 - R) ** 2 / nu, 0.5 * t_final)
 
     dt = t_final / n_out
     prop = expm(dt * nu * gen)
-    times = np.empty(n_out + 1)
-    gamma = np.empty(n_out + 1)
-    flux = np.empty(n_out + 1)
-    state = c.copy()
-    for m in range(n_out + 1):
-        times[m] = m * dt
-        gamma[m] = float(gamma_row @ state)
-        flux[m] = float(flux_row @ state)
-        if m < n_out:
-            state = prop @ state
+    times = dt * np.arange(n_out + 1)
+    states = [c]
+    for _ in range(n_out):
+        states.append(prop @ states[-1])
+    gamma = np.array([gamma_row @ state for state in states])
+    flux = np.array([flux_row @ state for state in states])
 
     dgamma = (gamma[2:] - gamma[:-2]) / (2.0 * dt)
     keep = times[1:-1] >= burn_in
@@ -675,6 +656,5 @@ def annulus_stokes_circulation(
         gamma=gamma,
         flux=flux,
         lamb_residual=float(np.max(resid)) / scale,
-        scale=scale,
         burn_in=float(burn_in),
     )

@@ -469,7 +469,6 @@ def _cmd_annulus_verify(args) -> int:
     except ValueError as e:
         raise ConfigError([f"--r-inner: {e}"]) from None
     parameters = {name: getattr(args, name) for name in ("r_inner", "n_poly", "k_max", "nu", "t_final")}
-    parameters = {name: getattr(args, name) for name in ("r_inner", "n_poly", "k_max", "nu", "t_final")}
     with _recorded("annulus-verify", parameters, args.outdir) as man:
         xi = xi_circulation(geom)
         flux_om = inner_flux(geom, omega_big(geom, xi, degree=8))
