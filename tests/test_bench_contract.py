@@ -86,3 +86,28 @@ def test_run_calls_module_step_once_per_step(monkeypatch):
     traj = solver.run(cfg, solver.prepare(cfg))
     assert len(calls) == round(cfg.t_final / cfg.dt) == 25
     assert traj.times[-1] == pytest.approx(cfg.t_final)
+
+
+def test_table_reads_of_the_jobs():
+    # perfbench/jobs.py fills a field with ``position(ModeIndex(...))``,
+    # bounds energy with ``lambda_min`` and sums its stream oracle and the
+    # Stokes gate mode by mode from ``modes[i]``, ``alpha[i]``, ``norm[i]``
+    # and ``lam[i]``
+    import numpy as np
+    from scipy import special
+
+    from diskvort.specfun import bessel_j_zero
+    from diskvort.spectrum import ModeIndex, build_table
+
+    table = build_table(4, 3)
+    assert table.lambda_min == table.lam[0] == table.lam.min()
+    assert np.array_equal(table.lam, table.alpha**2)
+    for i, m in enumerate(table.modes):
+        assert table.position(ModeIndex(m.k, m.j, m.parity)) == i
+        assert table.alpha[i] == bessel_j_zero(m.k + 1, m.j)
+        scale = np.sqrt((1.0 if m.k == 0 else 2.0) / np.pi)
+        assert abs(table.norm[i]) == pytest.approx(scale / abs(special.jv(m.k, table.alpha[i])), rel=1e-12)
+    i = table.position(ModeIndex(2, 3, "sin"))
+    assert isinstance(i, int)
+    assert table.modes[i] == ModeIndex(2, 3, "sin")
+    assert table.lam[i] == table.alpha[i] ** 2 == bessel_j_zero(3, 3) ** 2

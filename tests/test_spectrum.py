@@ -16,6 +16,7 @@ from diskvort.spectrum import (
     radial_profiles,
 )
 from serialization import table_from_json
+from table_oracle import table_json, table_rows
 from transform_oracle import eigenfunction_eval
 
 mpmath.mp.dps = 30
@@ -51,6 +52,20 @@ def test_eigenvalues_sorted_with_parity_ties(table):
         a, b = table.modes[i], table.modes[i + 1]
         if table.lam[i] == table.lam[i + 1] and (a.k, a.j) == (b.k, b.j):
             assert (a.parity, b.parity) == ("cos", "sin")
+
+
+TABLE_SIZES = [(K, J) for K in (0, 1, 4, 8, 16, 32, 63) for J in (1, 2, 8, 24)] + [(8, 40)]
+
+
+@pytest.mark.parametrize("K,J", TABLE_SIZES)
+def test_table_matches_per_mode_oracle(K, J):
+    # the block construction orders and gathers exactly as the per-mode sort did
+    table = build_table(K, J)
+    modes, lam, alpha, norm, perm = table_rows(K, J)
+    assert table.modes == modes
+    for got, want in [(table.lam, lam), (table.alpha, alpha), (table.norm, norm), (table.perm, perm)]:
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert table.to_json() == table_json(K, J, modes, lam, alpha, norm)
 
 
 def test_large_table_zeros_bit_identical_to_per_zero_requests():
