@@ -50,7 +50,7 @@ from numpy.polynomial.polyutils import mapparms
 from scipy.linalg import eigh, expm, null_space
 
 from .fields import _ring_log_kernel, d_theta_rows, split_rows, synthesize_points, trig_table, write_csv
-from .specfun import gauss_legendre
+from .specfun import gauss_legendre, is_integer
 
 __all__ = [
     "AnnulusGeometry",
@@ -87,7 +87,7 @@ class AnnulusGeometry:
             )
         for name in ("n_radial", "n_angular"):
             count = getattr(self, name)
-            if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+            if not is_integer(count):
                 raise ValueError(f"{name} must be an integer, got {count!r}")
         if self.n_radial < 16 or self.n_angular < 16:
             raise ValueError("quadrature resolution too small (min 16)")
@@ -131,8 +131,7 @@ def _harmonic_norms(geom: AnnulusGeometry, degree: int) -> np.ndarray:
     slot of r^-0, the constant again, holds 0.  The degree stays below
     n_angular / 2, where the angular rule aliases.
     """
-    is_int = isinstance(degree, (int, np.integer)) and not isinstance(degree, bool)
-    if not (is_int and 0 <= 2 * degree < geom.n_angular):
+    if not (is_integer(degree) and 0 <= 2 * degree < geom.n_angular):
         limit = f"n_angular / 2 = {geom.n_angular / 2:g}"
         raise ValueError(f"degree must be a nonnegative integer below {limit}, got {degree!r}")
     R = geom.r_inner
@@ -364,7 +363,7 @@ def newtonian_bs_annulus(
     correlation per radius (``fields._ring_log_kernel``).
     """
     _harmonic_norms(geom, degree)  # the degree is checked before any sampling
-    if isinstance(n_boundary, bool) or not isinstance(n_boundary, (int, np.integer)) or n_boundary < 1:
+    if not is_integer(n_boundary) or n_boundary < 1:
         raise ValueError(f"n_boundary must be a positive integer, got {n_boundary!r}")
     if geom.n_angular % n_boundary:
         raise ValueError(f"n_boundary must divide n_angular = {geom.n_angular}, got {n_boundary}")
@@ -606,7 +605,7 @@ def annulus_stokes_circulation(
     check_limits({"nu": nu, "t_final": t_final})
     if not math.isfinite(gamma0):
         raise ValueError(f"gamma0 must be finite, got {gamma0}")
-    if isinstance(n_out, bool) or not isinstance(n_out, (int, np.integer)) or n_out < 5:
+    if not is_integer(n_out) or n_out < 5:
         raise ValueError(f"n_out must be an integer number of output times >= 5, got {n_out!r}")
     R = geom.r_inner
     rq, wq, (T0, T1, T2), ends = _legendre_tables(n_poly, R)

@@ -45,7 +45,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .specfun import gauss_legendre
+from .specfun import gauss_legendre, is_integer
 from .spectrum import PROFILE_ORDERS, EigenTable, ModeIndex, _harm_const, radial_profiles
 
 __all__ = [
@@ -122,7 +122,7 @@ class SpectralField:
 def norm_at(field: SpectralField, index: int) -> float:
     """Scale-of-spaces norm: level ``index`` of the vorticity chain, or of
     the stream chain for stream-tagged fields (one power of lambda up)."""
-    if not isinstance(index, (int, np.integer)) or not (-4 <= index <= 4):
+    if not (is_integer(index) and -4 <= index <= 4):
         raise ValueError(f"norm index must be an integer in [-4, 4], got {index!r}")
     power = index if field.kind == "vorticity" else index + 1
     return math.sqrt((field.table.lam**power * field.coeffs**2).sum())
@@ -234,6 +234,9 @@ class PolarGrid:
             n_radial = 2 * J + K + 8
         if n_angular is None:
             n_angular = 3 * K + 2
+        for name, count in (("n_radial", n_radial), ("n_angular", n_angular)):
+            if not is_integer(count):
+                raise ValueError(f"{name} must be an integer, got {count!r}")
         floor = max(2 * K + 2, 3 * K + 1)
         if n_angular < floor:
             raise ValueError(
@@ -242,7 +245,7 @@ class PolarGrid:
         if n_radial < J + 2:
             raise ValueError(f"radial count {n_radial} too small for J={J}")
         self.table = table
-        self.radial_rule = gauss_legendre(int(n_radial), 0.0, 1.0)
+        self.radial_rule = gauss_legendre(n_radial, 0.0, 1.0)
         self.r = self.radial_rule.nodes
         self.wr = self.radial_rule.weights
         self.n_radial = int(n_radial)

@@ -45,6 +45,7 @@ import numpy as np
 from .fields import PolarGrid, SpectralField, norm_at
 from .nonlinear import _advect, _stream_scale, elliptic_map
 from .semigroup import Trajectory, duhamel_step, phi1, phi2
+from .specfun import is_integer
 from .spectrum import EigenTable, ModeIndex, build_table, table_size_problems
 
 __all__ = [
@@ -119,9 +120,8 @@ class RunConfig:
         """All violations at once, not just the first."""
         errs = []
         real = lambda x: isinstance(x, (int, float)) and not isinstance(x, bool)
-        integer = lambda x: isinstance(x, (int, np.integer)) and not isinstance(x, bool)
         # a mode index may also be a float holding a whole number, like 2.0
-        index = lambda x: integer(x) or (isinstance(x, float) and x.is_integer())
+        index = lambda x: is_integer(x) or (isinstance(x, float) and x.is_integer())
         if not (real(self.nu) and self.nu > 0):
             errs.append(f"nu must be > 0, got {self.nu!r}")
         errs += table_size_problems(self.K, self.J)
@@ -137,7 +137,7 @@ class RunConfig:
                 )
         if (self.init_modes is None) == (self.init_seed is None):
             errs.append("exactly one of init_modes or init_seed must be set")
-        if self.init_seed is not None and not integer(self.init_seed):
+        if self.init_seed is not None and not is_integer(self.init_seed):
             errs.append(f"init_seed must be an integer, got {self.init_seed!r}")
         if self.init_modes is not None:
             seen = set()
@@ -151,7 +151,7 @@ class RunConfig:
                     if mode in seen:
                         errs.append(f"init mode ({k},{j},{parity}) given twice")
                     seen.add(mode)
-                    if integer(self.K) and integer(self.J):
+                    if is_integer(self.K) and is_integer(self.J):
                         if k > self.K or j > self.J:
                             errs.append(
                                 f"init mode ({k},{j},{parity}) outside table K={self.K} J={self.J}"
@@ -160,9 +160,9 @@ class RunConfig:
                 errs.append(f"malformed init_modes: {e}")
         for name in ("n_radial", "n_angular"):
             count = getattr(self, name)
-            if count is not None and not integer(count):
+            if count is not None and not is_integer(count):
                 errs.append(f"{name} must be an integer or unset, got {count!r}")
-        if not (integer(self.output_every) and self.output_every >= 1):
+        if not (is_integer(self.output_every) and self.output_every >= 1):
             errs.append(f"output_every must be an integer >= 1, got {self.output_every!r}")
         if not (real(self.moment_tol) and self.moment_tol > 0):
             errs.append(f"moment_tol must be > 0, got {self.moment_tol!r}")

@@ -21,6 +21,8 @@ are deliberately narrow and loudly validated:
   ``bessel_j_zero_rows`` returns the leading zeros of every order up to
   a maximum, computing each order's row once.
 * ``gauss_legendre``: an n-point rule on (a, b) with positive weights.
+* ``is_integer``: the one test, used package-wide, that a count, order
+  or index argument is an integer (Python or numpy, not a bool).
 """
 
 from __future__ import annotations
@@ -41,11 +43,17 @@ __all__ = [
     "bessel_j_zero",
     "bessel_j_zero_rows",
     "gauss_legendre",
+    "is_integer",
 ]
 
 
+def is_integer(x) -> bool:
+    """Whether ``x`` is a Python or numpy integer; bools are not."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _check_order(order: int) -> int:
-    if not isinstance(order, (int, np.integer)):
+    if not is_integer(order):
         raise TypeError(f"Bessel order must be an integer, got {order!r}")
     if order < 0 or order > MAX_ORDER:
         raise ValueError(f"Bessel order must be in [0, {MAX_ORDER}], got {order}")
@@ -229,7 +237,7 @@ def _zero_row(order: int, count: int) -> tuple[float, ...]:
 def bessel_j_zero(order: int, j: int) -> float:
     """The j-th positive zero of J_order (j = 1, 2, ...)."""
     order = _check_order(order)
-    if not isinstance(j, (int, np.integer)) or j < 1:
+    if not is_integer(j) or j < 1:
         raise ValueError(f"zero index must be a positive integer, got {j!r}")
     return _zero_row(order, int(j))[j - 1]
 
@@ -244,7 +252,7 @@ def bessel_j_zero_rows(max_order: int, count: int) -> np.ndarray:
     its length, so every entry equals ``bessel_j_zero`` bit for bit.
     """
     max_order = _check_order(max_order)
-    if not isinstance(count, (int, np.integer)) or count < 1:
+    if not is_integer(count) or count < 1:
         raise ValueError(f"zero count must be a positive integer, got {count!r}")
     count = int(count)
     return np.array([_zero_row(o, count + max_order - o)[:count] for o in range(max_order + 1)])
@@ -262,7 +270,7 @@ class QuadratureRule:
 
 def gauss_legendre(n: int, a: float = 0.0, b: float = 1.0) -> QuadratureRule:
     """n-point Gauss-Legendre rule on (a, b); exact through degree 2n-1."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if not is_integer(n) or n < 1:
         raise ValueError(f"need a positive node count, got {n!r}")
     if not (np.isfinite(a) and np.isfinite(b)) or b <= a:
         raise ValueError(f"need finite bounds with b > a, got ({a}, {b})")

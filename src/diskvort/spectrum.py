@@ -18,6 +18,12 @@ Normalization uses int_0^1 J_k(alpha r)^2 r dr = J_k(alpha)^2 / 2, which
 holds when J_{k+1}(alpha) = 0, giving |c| = 1/(sqrt(pi)|J_0(alpha)|) for
 k = 0 and sqrt(2/pi)/|J_k(alpha)| for k >= 1.  The sign makes the radial
 profile positive at r = 1/2 (fallback +1 if it vanishes there).
+
+``build_table`` computes the zeros and the constants as two (K+1, J)
+blocks indexed (k, j-1), and ``EigenTable(alpha, norm)`` derives the
+rest from them with array operations: the eigenvalue order of the
+modes, the per-mode ``lam``, ``alpha``, ``norm`` and ``modes`` in that
+order, and the block positions ``perm``.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import MAX_ORDER, _bessel_stack, bessel_j_zero_rows, gauss_legendre
+from .specfun import MAX_ORDER, _bessel_stack, bessel_j_zero_rows, gauss_legendre, is_integer
 
 __all__ = [
     "ModeIndex",
@@ -52,6 +58,10 @@ class ModeIndex:
     parity: str
 
     def __post_init__(self):
+        if not is_integer(self.k):
+            raise ValueError(f"angular wavenumber must be an integer, got {self.k!r}")
+        if not is_integer(self.j):
+            raise ValueError(f"radial index must be an integer, got {self.j!r}")
         if self.k < 0:
             raise ValueError(f"angular wavenumber must be >= 0, got {self.k}")
         if self.j < 1:
@@ -76,35 +86,41 @@ def _norm_consts(alpha: np.ndarray) -> np.ndarray:
 class EigenTable:
     """Modes of the disk vorticity operator, sorted by ascending eigenvalue.
 
-    Ties (the cos/sin pair of one (k, j)) are broken by (k, parity) with
-    cos first, so the ordering is deterministic.
-
-    Transforms work on coefficient blocks, arrays (..., 2, K+1, J)
-    indexed by (parity, k, j-1) with parity 0 = cos, 1 = sin; the k = 0
-    sine row is identically zero.  ``perm[p, k, j-1]`` is the position
-    of mode (k, j, parity p) in the sorted table (``len(table)``, a zero
-    pad slot, for the k = 0 sine row); ``to_blocks`` and ``from_blocks``
+    Built from two (K+1, J) blocks indexed (k, j-1): ``alpha``, the
+    zeros alpha_{k+1,j}, and ``norm``, the constants c_{k,j}.  The
+    modes are the slots (parity, k, j-1) of the coefficient blocks,
+    arrays (..., 2, K+1, J) with parity 0 = cos, 1 = sin, except the
+    k = 0 sine row, which is identically zero.  One sort on
+    (lambda, k, parity), cos first within a cos/sin pair, orders them;
+    ``modes``, ``lam`` = alpha^2, ``alpha`` and ``norm`` are gathers in
+    that order.  ``perm[p, k, j-1]`` is the position of mode
+    (k, j, parity p) in the sorted table (``len(table)``, a zero pad
+    slot, for the k = 0 sine row); ``to_blocks`` and ``from_blocks``
     convert between the two layouts.
     """
 
-    def __init__(self, K: int, J: int, modes, lam, alpha, norm):
-        self.K = int(K)
-        self.J = int(J)
-        self.modes: tuple[ModeIndex, ...] = tuple(modes)
-        self.lam = np.asarray(lam, dtype=float)
-        self.alpha = np.asarray(alpha, dtype=float)
-        self.norm = np.asarray(norm, dtype=float)
-        self._pos = {m: i for i, m in enumerate(self.modes)}
-        if not (len(self.modes) == self.lam.size == self.alpha.size == self.norm.size):
+    def __init__(self, alpha, norm):
+        alpha, norm = (np.asarray(a, dtype=float) for a in (alpha, norm))
+        if alpha.ndim != 2 or alpha.size == 0 or norm.shape != alpha.shape:
             raise ValueError("inconsistent table arrays")
-        if np.any(np.diff(self.lam) < 0):
-            raise ValueError("eigenvalues must be sorted ascending")
-        self.perm = np.full((2, self.K + 1, self.J), len(self.modes), dtype=np.intp)
-        for i, m in enumerate(self.modes):
-            self.perm[_PARITIES.index(m.parity), m.k, m.j - 1] = i
-        # gather indices of the two layouts; the pad slot reads mode 0, then is zeroed
-        self._gather = np.where(self.perm == len(self.modes), 0, self.perm)
-        self._scatter = np.argsort(self.perm, axis=None, kind="stable")[: len(self.modes)]
+        self.K, self.J = alpha.shape[0] - 1, alpha.shape[1]
+        lam = alpha * alpha
+        p, k, j = np.indices((2,) + alpha.shape).reshape(3, -1)
+        pad = (p == 1) & (k == 0)
+        # flat slots in table order, the pad row last (lexsort's last key is the primary one)
+        slots = np.lexsort((p, k, lam[k, j], pad))
+        n = slots.size - self.J
+        self._scatter = slots[:n]
+        self.perm = np.full((2, self.K + 1, self.J), n, dtype=np.intp)
+        self.perm.flat[self._scatter] = np.arange(n)
+        # the pad slot reads mode 0, then is zeroed
+        self._gather = np.where(self.perm == n, 0, self.perm)
+        p, k, j = p[self._scatter], k[self._scatter], j[self._scatter]
+        self.lam, self.alpha, self.norm = lam[k, j], alpha[k, j], norm[k, j]
+        self.modes: tuple[ModeIndex, ...] = tuple(
+            ModeIndex(kk, jj + 1, _PARITIES[pp])
+            for pp, kk, jj in zip(p.tolist(), k.tolist(), j.tolist())
+        )
 
     def __len__(self) -> int:
         return len(self.modes)
@@ -118,10 +134,9 @@ class EigenTable:
         return float(self.lam[-1])
 
     def position(self, mode: ModeIndex) -> int:
-        try:
-            return self._pos[mode]
-        except KeyError:
-            raise KeyError(f"mode {mode} not in table (K={self.K}, J={self.J})") from None
+        if mode.k > self.K or mode.j > self.J:
+            raise KeyError(f"mode {mode} not in table (K={self.K}, J={self.J})")
+        return int(self.perm[_PARITIES.index(mode.parity), mode.k, mode.j - 1])
 
     def to_blocks(self, coeffs) -> np.ndarray:
         """Eigenvalue-sorted coefficients (..., n) as blocks (..., 2, K+1, J)."""
@@ -135,33 +150,21 @@ class EigenTable:
         return blocks.reshape(blocks.shape[:-3] + (-1,)).take(self._scatter, axis=-1)
 
     def to_json(self) -> str:
-        payload = {
-            "K": self.K,
-            "J": self.J,
-            "modes": [
-                {
-                    "k": m.k,
-                    "j": m.j,
-                    "parity": m.parity,
-                    "lambda": self.lam[i],
-                    "alpha": self.alpha[i],
-                    "norm": self.norm[i],
-                }
-                for i, m in enumerate(self.modes)
-            ],
-        }
-        return json.dumps(payload, indent=1)
+        modes = [
+            {"k": m.k, "j": m.j, "parity": m.parity, "lambda": lam, "alpha": a, "norm": c}
+            for m, lam, a, c in zip(self.modes, self.lam, self.alpha, self.norm)
+        ]
+        return json.dumps({"K": self.K, "J": self.J, "modes": modes}, indent=1)
 
 
 def table_size_problems(K, J) -> list[str]:
     """What is wrong with the table size (K, J): one message per bad
     parameter, starting with its name; empty if the size is admissible.
     The table of K needs Bessel zeros up to order K + 1."""
-    integer = lambda x: isinstance(x, (int, np.integer)) and not isinstance(x, bool)
     problems = []
-    if not (integer(K) and 0 <= K <= MAX_ORDER - 1):
+    if not (is_integer(K) and 0 <= K <= MAX_ORDER - 1):
         problems.append(f"K must be an integer in [0, {MAX_ORDER - 1}], got {K!r}")
-    if not (integer(J) and J >= 1):
+    if not (is_integer(J) and J >= 1):
         problems.append(f"J must be an integer >= 1, got {J!r}")
     return problems
 
@@ -172,22 +175,7 @@ def build_table(K: int, J: int) -> EigenTable:
     if problems:
         raise ValueError("; ".join(problems))
     alpha = bessel_j_zero_rows(K + 1, J)[1:]
-    norm = _norm_consts(alpha)
-    rows = []
-    for k in range(K + 1):
-        for j in range(1, J + 1):
-            a = float(alpha[k, j - 1])
-            lam = a * a
-            c = float(norm[k, j - 1])
-            parities = ("cos",) if k == 0 else _PARITIES
-            for p in parities:
-                rows.append((lam, k, _PARITIES.index(p), ModeIndex(k, j, p), a, c))
-    rows.sort(key=lambda t: (t[0], t[1], t[2]))
-    modes = [t[3] for t in rows]
-    lam = [t[0] for t in rows]
-    alpha = [t[4] for t in rows]
-    norm = [t[5] for t in rows]
-    return EigenTable(K, J, modes, lam, alpha, norm)
+    return EigenTable(alpha, _norm_consts(alpha))
 
 
 def _harm_const(k):

@@ -27,13 +27,15 @@ def grid_field_from_csv(grid, path) -> GridField:
 
 
 def table_from_json(text: str) -> EigenTable:
-    """The EigenTable that ``EigenTable.to_json`` wrote."""
+    """The EigenTable that ``EigenTable.to_json`` wrote, from its alpha
+    and norm blocks (K+1, J) filled mode by mode at (k, j-1)."""
     payload = json.loads(text)
-    modes = [ModeIndex(d["k"], d["j"], d["parity"]) for d in payload["modes"]]
-    lam = [d["lambda"] for d in payload["modes"]]
-    alpha = [d["alpha"] for d in payload["modes"]]
-    norm = [d["norm"] for d in payload["modes"]]
-    return EigenTable(payload["K"], payload["J"], modes, lam, alpha, norm)
+    alpha = np.full((payload["K"] + 1, payload["J"]), np.nan)
+    norm = alpha.copy()
+    for d in payload["modes"]:
+        alpha[d["k"], d["j"] - 1] = d["alpha"]
+        norm[d["k"], d["j"] - 1] = d["norm"]
+    return EigenTable(alpha, norm)
 
 
 def field_to_json(field: SpectralField) -> str:

@@ -590,6 +590,11 @@ def test_grid_validation(table):
         PolarGrid(table, n_angular=10)  # below aliasing floor for K=5
     with pytest.raises(ValueError):
         PolarGrid(table, n_radial=3)
+    # a count that is not an integer is rejected, not truncated
+    for name, value in [("n_radial", 20.7), ("n_angular", 20.7), ("n_radial", True), ("n_angular", 20.0)]:
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value!r}$"):
+            PolarGrid(table, **{name: value})
+    assert PolarGrid(table, n_radial=np.int64(20)).n_radial == 20
     grid = PolarGrid(table)
     with pytest.raises(ValueError):
         GridField(grid, np.zeros((2, 2)))

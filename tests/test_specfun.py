@@ -1,6 +1,8 @@
-"""Bessel primitives against independent high-precision oracles."""
+"""Bessel primitives against independent high-precision oracles, and the
+one integer rule for the package's count, order and index arguments."""
 
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -10,6 +12,8 @@ from hypothesis import strategies as st
 from scipy.special import jn_zeros, jv, jvp
 
 from bessel_oracle import bessel_j, bessel_y
+from diskvort import specfun
+from diskvort.fields import SpectralField, norm_at
 from diskvort.specfun import (
     MAX_ORDER,
     _bessel_stack,
@@ -17,6 +21,7 @@ from diskvort.specfun import (
     bessel_j_zero_rows,
     gauss_legendre,
 )
+from diskvort.spectrum import ModeIndex, build_table
 
 mpmath.mp.dps = 30
 
@@ -214,3 +219,46 @@ def test_quadrature_validation():
         gauss_legendre(4, 1.0, 1.0)
     with pytest.raises(ValueError):
         gauss_legendre(4, 2.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# integer arguments
+
+
+def _norm_at(index):
+    return norm_at(SpectralField.zeros(build_table(1, 1)), index)
+
+
+_ORDER = "Bessel order must be an integer, got {!r}"
+# entry point: (call of its one integer argument, a valid value, error,
+# message); PolarGrid, AnnulusGeometry, the annulus counts and RunConfig
+# have their own cases in test_fields, test_annulus and test_solver
+INTEGER_ARGS = {
+    "bessel_j-order": (lambda v: specfun.bessel_j(v, 1.0), 1, TypeError, _ORDER),
+    "bessel_j_zero-order": (lambda v: bessel_j_zero(v, 1), 1, TypeError, _ORDER),
+    "bessel_j_zero-j": (lambda v: bessel_j_zero(0, v), 1, ValueError,
+                        "zero index must be a positive integer, got {!r}"),
+    "bessel_j_zero_rows-max_order": (lambda v: bessel_j_zero_rows(v, 2), 1, TypeError, _ORDER),
+    "bessel_j_zero_rows-count": (lambda v: bessel_j_zero_rows(2, v), 1, ValueError,
+                                 "zero count must be a positive integer, got {!r}"),
+    "gauss_legendre-n": (gauss_legendre, 4, ValueError, "need a positive node count, got {!r}"),
+    "norm_at-index": (_norm_at, 1, ValueError, "norm index must be an integer in [-4, 4], got {!r}"),
+    "ModeIndex-k": (lambda v: ModeIndex(v, 1, "cos"), 1, ValueError,
+                    "angular wavenumber must be an integer, got {!r}"),
+    "ModeIndex-j": (lambda v: ModeIndex(1, v, "cos"), 1, ValueError,
+                    "radial index must be an integer, got {!r}"),
+    "build_table-K": (lambda v: build_table(v, 2), 1, ValueError,
+                      f"K must be an integer in [0, {MAX_ORDER - 1}], got {{!r}}"),
+    "build_table-J": (lambda v: build_table(2, v), 1, ValueError, "J must be an integer >= 1, got {!r}"),
+}
+
+
+@pytest.mark.parametrize("value", [True, 1.0, 1.5])
+@pytest.mark.parametrize("entry", INTEGER_ARGS)
+def test_integer_arguments_reject_bools_and_floats(entry, value):
+    # one rule, specfun.is_integer: Python and numpy integers, not bools
+    call, good, error, message = INTEGER_ARGS[entry]
+    with pytest.raises(error, match=f"^{re.escape(message.format(value))}$"):
+        call(value)
+    call(np.int64(good))
+    call(good)

@@ -10,6 +10,7 @@ from diskvort.fields import PolarGrid
 from diskvort.pressure import _RadialMesh
 from diskvort.specfun import MAX_ORDER, bessel_j_zero
 from diskvort.spectrum import (
+    EigenTable,
     ModeIndex,
     build_table,
     membership_residuals,
@@ -42,8 +43,9 @@ def test_mode_count_and_indexing(table):
     assert table.modes[n] == m
     assert m in table.modes
     assert ModeIndex(9, 1, "cos") not in table.modes
-    with pytest.raises(KeyError):
-        table.position(ModeIndex(9, 1, "cos"))
+    for outside in (ModeIndex(9, 1, "cos"), ModeIndex(1, 9, "sin")):
+        with pytest.raises(KeyError, match=r"not in table \(K=8, J=8\)"):
+            table.position(outside)
 
 
 def test_eigenvalues_sorted_with_parity_ties(table):
@@ -112,6 +114,9 @@ def test_build_table_validation():
         build_table(-1, 4)
     with pytest.raises(ValueError, match=r"^J must be an integer >= 1, got 0$"):
         build_table(4, 0)
+    for alpha, norm in [(np.ones((3, 2)), np.ones((3, 3))), (np.ones(4), np.ones(4)), (np.ones((1, 0)),) * 2]:
+        with pytest.raises(ValueError, match="^inconsistent table arrays$"):
+            EigenTable(alpha, norm)
 
 
 def test_sign_convention(table):
@@ -170,8 +175,9 @@ def test_json_round_trip(table):
     back = table_from_json(text)
     assert back.K == table.K and back.J == table.J
     assert back.modes == table.modes
-    np.testing.assert_array_equal(back.lam, table.lam)
-    np.testing.assert_array_equal(back.norm, table.norm)
+    for name in ("lam", "alpha", "norm", "perm"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(table, name))
+    assert back.to_json() == text
     payload = json.loads(text)
     assert payload["modes"][0]["lambda"] == table.lam[0]
 
