@@ -7,6 +7,10 @@ here, so the same functions back both the CLI report and the test
 suite.  Expensive shared artifacts (the reference nonlinear run, the
 Biot-Savart quadrature sweep, the annulus spectra) are computed once
 and cached at module level.
+
+The six ``(name, passed, detail)`` rows of ``diskvort annulus-verify``
+live here too: ``annulus_rows`` builds them all, and check 12 is the
+three rows of ``annulus_flux_rows`` at the default flags.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from .annulus import (
     inner_flux,
     omega_big,
     xi_circulation,
+    zeta_pairing,
 )
 from .fields import (
     PolarGrid,
@@ -43,7 +48,14 @@ from .solver import RunConfig, _random_admissible, prepare, run, stokes_run
 from .specfun import bessel_j
 from .spectrum import ModeIndex, build_table, membership_residuals, radial_profiles
 
-__all__ = ["CheckResult", "ALL_CHECKS", "run_all", "lambda_fundamental"]
+__all__ = [
+    "CheckResult",
+    "ALL_CHECKS",
+    "run_all",
+    "lambda_fundamental",
+    "annulus_flux_rows",
+    "annulus_rows",
+]
 
 SEED_REFERENCE = 2024
 SEED_FIELDS = 77
@@ -418,28 +430,60 @@ def check_annulus_spectra() -> CheckResult:
     )
 
 
-def check_annulus_flux() -> CheckResult:
-    t0 = perf_counter()
-    geom = AnnulusGeometry(0.5)
+def _band_field(r, theta, what: str = "value"):
+    """A fixed smooth annulus field of angular band 3,
+    e^r (1 + cos theta - sin 2 theta + cos 3 theta); d_r equals the value."""
+    if what not in ("value", "d_r"):
+        raise ValueError(f"unknown what: {what!r}")
+    return np.exp(r) * (1.0 + np.cos(theta) - np.sin(2.0 * theta) + np.cos(3.0 * theta))
+
+
+def annulus_flux_rows(geom: AnnulusGeometry, nu: float = 0.1, t_final: float = 2.0):
+    """The rows ``xi-flux``, ``projected-flux`` and ``circulation-law``, each
+    ``(name, passed, detail)``, and the circulation run (gamma0 = 1, 160
+    output times) that the last one reads."""
     xi = xi_circulation(geom)
     flux_xi = xi.inner_flux()
-
     flux_om = inner_flux(geom, omega_big(geom, xi, degree=8))
+    circ = annulus_stokes_circulation(geom, 1.0, nu, t_final, n_out=160)
+    rows = [
+        ("xi-flux", abs(flux_xi + 1.0) <= 1e-10, f"{flux_xi:.12f} (= -1 +- 1e-10)"),
+        ("projected-flux", abs(flux_om + 1.0) <= 1e-8, f"{flux_om:.10f} (= -1 +- 1e-8)"),
+        ("circulation-law", circ.lamb_residual <= 1e-4, f"residual {circ.lamb_residual:.2e} (<= 1e-4)"),
+    ]
+    return rows, circ
 
-    circ = annulus_stokes_circulation(geom, 1.0, 0.1, 2.0, n_out=160)
-    ok = (
-        abs(flux_xi + 1.0) <= 1e-10
-        and abs(flux_om + 1.0) <= 1e-8
-        and circ.lamb_residual <= 1e-4
-    )
-    return _result(
-        12,
-        "annulus-flux",
-        ok,
-        f"xi flux {flux_xi:.12f} (= -1 +- 1e-10), projected flux {flux_om:.10f} "
-        f"(= -1 +- 1e-8), circulation-law residual {circ.lamb_residual:.2e} (<= 1e-4)",
-        t0,
-    )
+
+def annulus_rows(
+    geom: AnnulusGeometry, n_poly: int = 24, k_max: int = 4, nu: float = 0.1, t_final: float = 2.0
+):
+    """Every ``annulus-verify`` row in print order, and the circulation run:
+    the flux rows, the two routes to the zeta pairing of ``_band_field``,
+    and the Galerkin spectra of degree ``n_poly`` over modes 0..``k_max``."""
+    (xi_row, om_row, law_row), circ = annulus_flux_rows(geom, nu, t_final)
+    xi = xi_circulation(geom)
+    zeta_v, zeta_b = (zeta_pairing(geom, xi, _band_field, method=m) for m in ("volume", "boundary"))
+    gap = abs(zeta_v - zeta_b)
+    spectra = galerkin_spectra(geom, n_poly=n_poly, k_max=k_max)
+    lam_s, lam_v, lam_z, lam_f = spectra.lambda_S, spectra.lambda_V, spectra.lambda_Z, lambda_fundamental()
+    zeta = f"volume {zeta_v:.10f} vs boundary {zeta_b:.10f} (|diff| {gap:.1e} <= 1e-6)"
+    rows = [
+        xi_row,
+        om_row,
+        ("zeta-routes", gap <= 1e-6, zeta),
+        ("spectra-equality", abs(lam_s - lam_v) / lam_s <= 1e-6, f"{lam_s:.8f} vs {lam_v:.8f}"),
+        ("spectrum-ordering", lam_z <= lam_f, f"{lam_z:.7f} <= {lam_f:.7f}"),
+        law_row,
+    ]
+    return rows, circ
+
+
+def check_annulus_flux() -> CheckResult:
+    t0 = perf_counter()
+    rows, _ = annulus_flux_rows(AnnulusGeometry(0.5))
+    (_, ok_xi, xi), (_, ok_om, om), (_, ok_law, law) = rows
+    detail = "xi flux " + xi + ", projected flux " + om + ", circulation-law " + law
+    return _result(12, "annulus-flux", ok_xi and ok_om and ok_law, detail, t0)
 
 
 ALL_CHECKS = (

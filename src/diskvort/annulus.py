@@ -398,21 +398,25 @@ def newtonian_bs_annulus(
 # ---------------------------------------------------------------------------
 # limits of the Galerkin and circulation runs
 
-# the smallest Galerkin trial space: polynomial degree and angular modes
+# the smallest trial spaces: polynomial degree (Galerkin and circulation
+# runs) and angular modes (Galerkin)
 _LEAST = {"n_poly": 6, "k_max": 3}
 
 
 def check_limits(values: dict) -> None:
     """Reject Galerkin and circulation-run parameters outside their limits.
 
-    ``values`` maps a parameter name to its value: ``n_poly`` at least 6
-    and ``k_max`` at least 3 (``galerkin_spectra``); any other name, here
-    ``nu`` and ``t_final`` (``annulus_stokes_circulation``), positive and
-    finite.  A name may also be spelled as its command-line flag
+    ``values`` maps a parameter name to its value: ``n_poly`` an integer
+    of at least 6 (``galerkin_spectra`` and ``annulus_stokes_circulation``)
+    and ``k_max`` one of at least 3 (``galerkin_spectra``); any other name,
+    here ``nu`` and ``t_final`` (``annulus_stokes_circulation``), positive
+    and finite.  A name may also be spelled as its command-line flag
     (``--n-poly``).  The ValueError names the key as given.
     """
     for key, value in values.items():
         least = _LEAST.get(key.lstrip("-").replace("-", "_"))
+        if least is not None and not is_integer(value):
+            raise ValueError(f"{key} must be an integer, got {value!r}")
         if least is not None and value < least:
             raise ValueError(f"{key} must be at least {least}, got {value}")
         if least is None and not 0.0 < value < math.inf:
@@ -599,10 +603,11 @@ def annulus_stokes_circulation(
     taken by centered differences, divided by the largest of |flux|,
     |dGamma/dt| there and nu max(1, |Gamma|).
 
-    gamma0 must be finite (zero and negative values are allowed) and
+    gamma0 must be finite (zero and negative values are allowed),
+    n_poly an integer of at least 6, as for ``galerkin_spectra``, and
     n_out an integer of at least 5.
     """
-    check_limits({"nu": nu, "t_final": t_final})
+    check_limits({"nu": nu, "t_final": t_final, "n_poly": n_poly})
     if not math.isfinite(gamma0):
         raise ValueError(f"gamma0 must be finite, got {gamma0}")
     if not is_integer(n_out) or n_out < 5:

@@ -7,7 +7,7 @@ stokes              linear run from a config file
 ns                  nonlinear run from a config file
 biot-savart-check   dual-route stream-function agreement report
 pressure            pressure recovery and momentum defect along a run
-annulus-verify      circulation, flux, zeta-pairing and spectra checks on an annulus
+annulus-verify      flux, zeta-pairing, spectra and circulation rows on an annulus (``acceptance``)
 accept              the full numbered acceptance suite
 
 Exit codes: 0 success, 2 a ``ConfigError`` (bad flags, config or
@@ -436,28 +436,9 @@ def _cmd_pressure(args) -> int:
     return 0
 
 
-def _band_field(r, theta, what: str = "value"):
-    """A fixed smooth annulus field of angular band 3,
-    e^r (1 + cos theta - sin 2 theta + cos 3 theta); d_r equals the value."""
-    import numpy as np
-
-    if what not in ("value", "d_r"):
-        raise ValueError(f"unknown what: {what!r}")
-    return np.exp(r) * (1.0 + np.cos(theta) - np.sin(2.0 * theta) + np.cos(3.0 * theta))
-
-
 def _cmd_annulus_verify(args) -> int:
-    from .acceptance import lambda_fundamental
-    from .annulus import (
-        AnnulusGeometry,
-        annulus_stokes_circulation,
-        check_limits,
-        galerkin_spectra,
-        inner_flux,
-        omega_big,
-        xi_circulation,
-        zeta_pairing,
-    )
+    from .acceptance import annulus_rows
+    from .annulus import AnnulusGeometry, check_limits
 
     limits = {"--n-poly": args.n_poly, "--k-max": args.k_max, "--nu": args.nu, "--t-final": args.t_final}
     try:
@@ -470,48 +451,18 @@ def _cmd_annulus_verify(args) -> int:
         raise ConfigError([f"--r-inner: {e}"]) from None
     parameters = {name: getattr(args, name) for name in ("r_inner", "n_poly", "k_max", "nu", "t_final")}
     with _recorded("annulus-verify", parameters, args.outdir) as man:
-        xi = xi_circulation(geom)
-        flux_om = inner_flux(geom, omega_big(geom, xi, degree=8))
-        zeta_v, zeta_b = (zeta_pairing(geom, xi, _band_field, method=m) for m in ("volume", "boundary"))
-        spectra = galerkin_spectra(geom, n_poly=args.n_poly, k_max=args.k_max)
-        circ = annulus_stokes_circulation(geom, 1.0, args.nu, args.t_final, n_out=160)
-        lam_f = lambda_fundamental()
-
-        checks = [
-            ("xi-flux", abs(xi.inner_flux() + 1.0) <= 1e-10, f"{xi.inner_flux():.12f} (= -1 +- 1e-10)"),
-            ("projected-flux", abs(flux_om + 1.0) <= 1e-8, f"{flux_om:.10f} (= -1 +- 1e-8)"),
-            (
-                "zeta-routes",
-                abs(zeta_v - zeta_b) <= 1e-6,
-                f"volume {zeta_v:.10f} vs boundary {zeta_b:.10f} (|diff| {abs(zeta_v - zeta_b):.1e} <= 1e-6)",
-            ),
-            (
-                "spectra-equality",
-                abs(spectra.lambda_S - spectra.lambda_V) / spectra.lambda_S <= 1e-6,
-                f"{spectra.lambda_S:.8f} vs {spectra.lambda_V:.8f}",
-            ),
-            (
-                "spectrum-ordering",
-                spectra.lambda_Z <= lam_f,
-                f"{spectra.lambda_Z:.7f} <= {lam_f:.7f}",
-            ),
-            (
-                "circulation-law",
-                circ.lamb_residual <= 1e-4,
-                f"residual {circ.lamb_residual:.2e} (<= 1e-4)",
-            ),
-        ]
+        rows, circ = annulus_rows(geom, args.n_poly, args.k_max, args.nu, args.t_final)
         circ.to_csv(Path(args.outdir) / "circulation.csv")
-        report = {name: {"passed": ok, "detail": detail} for name, ok, detail in checks}
+        report = {name: {"passed": ok, "detail": detail} for name, ok, detail in rows}
         _write_json(Path(args.outdir) / "report.json", report)
         man.files = ["circulation.csv", "report.json"]
-    for name, ok, detail in checks:
+    for name, ok, detail in rows:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-    return 0 if all(ok for _, ok, _ in checks) else 3
+    return 0 if all(ok for _, ok, _ in rows) else 3
 
 
 def _cmd_accept(args) -> int:
-    from .acceptance import run_all
+    from .acceptance import ALL_CHECKS, run_all
 
     numbers = None
     if args.only:
@@ -519,8 +470,8 @@ def _cmd_accept(args) -> int:
             numbers = sorted({int(x) for x in args.only.split(",")})
         except ValueError:
             raise ConfigError([f"--only expects numbers, got {args.only!r}"]) from None
-        if any(n < 1 or n > 12 for n in numbers):
-            raise ConfigError([f"--only: criteria are numbered 1..12, got {args.only!r}"])
+        if any(n < 1 or n > len(ALL_CHECKS) for n in numbers):
+            raise ConfigError([f"--only: criteria are numbered 1..{len(ALL_CHECKS)}, got {args.only!r}"])
     with _recorded("accept", {"only": numbers}, args.outdir) as man:
         results = run_all(numbers=numbers, stream=print)
         report = {

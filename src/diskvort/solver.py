@@ -31,7 +31,8 @@ moments of the total vorticity are conserved structurally; the solver
 still measures them each step, as max |M c| for the quadrature moment
 map M built in ``prepare``, and aborts loudly if they ever exceed 10x
 the configured tolerance.  A state whose speed, moments or new
-coefficients are not finite aborts too.
+coefficients are not finite aborts too, and so does a run, ``run`` or
+``stokes_run``, whose output row is not finite.
 """
 
 from __future__ import annotations
@@ -122,19 +123,29 @@ class RunConfig:
         real = lambda x: isinstance(x, (int, float)) and not isinstance(x, bool)
         # a mode index may also be a float holding a whole number, like 2.0
         index = lambda x: is_integer(x) or (isinstance(x, float) and x.is_integer())
-        if not (real(self.nu) and self.nu > 0):
-            errs.append(f"nu must be > 0, got {self.nu!r}")
+
+        def positive(name) -> bool:
+            """Whether the field is a positive finite number; if not, say so."""
+            value = getattr(self, name)
+            if not (real(value) and value > 0):
+                errs.append(f"{name} must be > 0, got {value!r}")
+            elif value == math.inf:
+                errs.append(f"{name} must be finite, got {value!r}")
+            return real(value) and 0 < value < math.inf
+
+        positive("nu")
         errs += table_size_problems(self.K, self.J)
-        if not (real(self.dt) and self.dt > 0):
-            errs.append(f"dt must be > 0, got {self.dt!r}")
-        if not (real(self.t_final) and self.t_final > 0):
-            errs.append(f"t_final must be > 0, got {self.t_final!r}")
-        if real(self.dt) and real(self.t_final) and self.dt > 0 and self.t_final > 0:
+        dt_ok, t_final_ok = positive("dt"), positive("t_final")
+        if dt_ok and t_final_ok:
             n = self.t_final / self.dt
-            if abs(n - round(n)) > 1e-9 * max(1.0, n):
+            if n == math.inf:
+                errs.append(f"t_final={self.t_final} over dt={self.dt} is too many steps to count")
+            elif abs(n - round(n)) > 1e-9 * max(1.0, n):
                 errs.append(
                     f"t_final={self.t_final} is not an integer multiple of dt={self.dt}"
                 )
+            elif round(n) == 0:
+                errs.append(f"t_final={self.t_final} is shorter than one step of dt={self.dt}")
         if (self.init_modes is None) == (self.init_seed is None):
             errs.append("exactly one of init_modes or init_seed must be set")
         if self.init_seed is not None and not is_integer(self.init_seed):
@@ -147,7 +158,8 @@ class RunConfig:
                         errs.append(f"init mode ({k},{j},{parity}) needs integer k and j")
                         continue
                     mode = ModeIndex(int(k), int(j), parity)
-                    float(coeff)
+                    if not math.isfinite(float(coeff)):
+                        errs.append(f"init mode ({k},{j},{parity}) has coefficient {coeff!r}, not finite")
                     if mode in seen:
                         errs.append(f"init mode ({k},{j},{parity}) given twice")
                     seen.add(mode)
@@ -164,8 +176,7 @@ class RunConfig:
                 errs.append(f"{name} must be an integer or unset, got {count!r}")
         if not (is_integer(self.output_every) and self.output_every >= 1):
             errs.append(f"output_every must be an integer >= 1, got {self.output_every!r}")
-        if not (real(self.moment_tol) and self.moment_tol > 0):
-            errs.append(f"moment_tol must be > 0, got {self.moment_tol!r}")
+        positive("moment_tol")
         if not (real(self.cfl) and self.cfl > 0):
             errs.append(f"cfl must be > 0, got {self.cfl!r}")
         return errs
@@ -320,7 +331,8 @@ def _integrate(cfg: RunConfig, ctx: RunContext, state: SolverState, advance) -> 
     """Map ``state`` to the next by ``advance`` once per step up to t_final,
     recording the total vorticity and its diagnostics row at the start,
     every ``output_every`` steps and at the end.  A ``SolverAbort`` leaves
-    with the step count and time of the last accepted state."""
+    with the step count and time of the last accepted state, or of the
+    row, if a row to record is not finite (``NonFiniteState``)."""
     if (ctx.nu, ctx.dt) != (cfg.nu, cfg.dt):
         raise ValueError(f"context prepared for nu={ctx.nu}, dt={ctx.dt}, not {cfg.nu}, {cfg.dt}")
     n_steps = int(round(cfg.t_final / cfg.dt))
@@ -331,18 +343,22 @@ def _integrate(cfg: RunConfig, ctx: RunContext, state: SolverState, advance) -> 
         t = state.steps * cfg.dt
         omega = state.total(table)
         omega_b = SpectralField(table, table.from_blocks(state.wb), "vorticity")
+        row = DiagnosticsRow(
+            t=t,
+            energy=norm_at(omega, -1),
+            enstrophy=norm_at(omega, 0),
+            palinstrophy_norm=norm_at(omega, 1),
+            moment_drift=measure_moment_drift(omega, ctx),
+            correction_norm=norm_at(omega_b, 0),
+        )
+        bad = [f"{name}={value:.3g}" for name, value in vars(row).items() if not math.isfinite(value)]
+        if bad:
+            err = NonFiniteState(f"output row at t={t:.6g} is not finite: {', '.join(bad)}")
+            err.step, err.t = state.steps, t
+            raise err
         times.append(t)
         states.append(omega)
-        rows.append(
-            DiagnosticsRow(
-                t=t,
-                energy=norm_at(omega, -1),
-                enstrophy=norm_at(omega, 0),
-                palinstrophy_norm=norm_at(omega, 1),
-                moment_drift=measure_moment_drift(omega, ctx),
-                correction_norm=norm_at(omega_b, 0),
-            )
-        )
+        rows.append(row)
 
     record(state)
     while state.steps < n_steps:

@@ -6,6 +6,7 @@ runtime budget, with the measured numbers in the failure message.
 """
 
 from diskvort import acceptance
+from diskvort.annulus import AnnulusGeometry
 
 
 def _require(result, budget_s):
@@ -70,3 +71,18 @@ def test_run_all_streams_one_line_each():
     assert len(results) == 2 and len(lines) == 2
     assert lines[0].startswith("PASS  1 spectrum-pin")
     assert lines[1].startswith("PASS  5 stokes-decay")
+
+
+def test_check_12_is_the_flux_rows_of_annulus_verify():
+    rows, circ = acceptance.annulus_rows(AnnulusGeometry(0.5))
+    names = [name for name, _, _ in rows]
+    assert names == [
+        "xi-flux", "projected-flux", "zeta-routes", "spectra-equality", "spectrum-ordering", "circulation-law",
+    ]
+    flux_rows, flux_circ = acceptance.annulus_flux_rows(AnnulusGeometry(0.5))
+    assert [rows[i] for i in (0, 1, 5)] == flux_rows
+    assert (circ.gamma == flux_circ.gamma).all()
+    (_, _, xi), (_, _, om), (_, _, law) = flux_rows
+    check = acceptance.check_annulus_flux()
+    assert check.passed and all(passed for _, passed, _ in rows)
+    assert check.detail == f"xi flux {xi}, projected flux {om}, circulation-law {law}"

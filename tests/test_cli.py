@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from diskvort import cli
@@ -271,6 +272,31 @@ def test_bad_domain_rejected_before_the_run(tmp_path, capsys, subcommand, domain
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("subcommand", ["ns", "stokes"])
+@pytest.mark.parametrize(
+    "solver, message",
+    [
+        ("t_final = inf\n", "t_final must be finite, got inf"),
+        ("nu = inf\n", "nu must be finite, got inf"),
+        ("dt = inf\n", "dt must be finite, got inf"),
+        ("dt = 1e10\nt_final = 1\n", "t_final=1.0 is shorter than one step of dt=10000000000.0"),
+        ("dt = 1e-3\nt_final = 1e-12\n", "t_final=1e-12 is shorter than one step of dt=0.001"),
+        ("[init]\nmodes = 0 1 cos inf\n", "init mode (0,1,cos) has coefficient inf, not finite"),
+    ],
+    ids=["t_final-inf", "nu-inf", "dt-inf", "dt-past-t_final", "t_final-under-dt", "coefficient-inf"],
+)
+def test_unrunnable_config_rejected_before_the_run(tmp_path, capsys, subcommand, solver, message):
+    # t_final = inf used to end in an OverflowError traceback with no
+    # manifest; the other cases ran, the zero-step ones to "completed" at t = 0
+    if "nu" not in solver:
+        solver = "nu = 0.1\n" + solver
+    cfg = write(tmp_path, "[domain]\nK = 2\nJ = 2\n[solver]\n" + solver)
+    out = tmp_path / "out"
+    assert dispatch([subcommand, "--config", str(cfg), "--outdir", str(out)]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
 def test_internal_value_error_is_not_a_config_error(tmp_path, monkeypatch):
     # only config and flag errors exit 2; a ValueError from inside the
     # run propagates and leaves the manifest "running"
@@ -422,6 +448,21 @@ class TestRunArtifacts:
             "t": 3 * 1e-3,
         }
         assert "run aborted: NonFiniteState: induced NonFiniteState" in capsys.readouterr().err
+        assert outdir_files(out) == {"manifest.json"}
+
+    def test_non_finite_row_recorded_with_exit_4(self, tmp_path, capsys):
+        # the initial energy squares 1e300 past the floats; the run used
+        # to exit 0 with a "completed" manifest and energy=inf
+        cfg = write(tmp_path, "[domain]\nK = 2\nJ = 2\n[solver]\nnu = 0.1\n[init]\nmodes = 0 1 cos 1e300\n")
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            assert dispatch(["stokes", "--config", str(cfg), "--outdir", str(out)]) == 4
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["status"] == "failed"
+        assert man["failure"]["type"] == "NonFiniteState"
+        assert man["failure"]["message"].startswith("output row at t=0 is not finite: energy=inf")
+        assert (man["failure"]["step"], man["failure"]["t"]) == (0, 0.0)
+        assert "run aborted: NonFiniteState: output row at t=0" in capsys.readouterr().err
         assert outdir_files(out) == {"manifest.json"}
 
     def test_stokes_runs_without_cfl_guard(self, tmp_path):

@@ -1,5 +1,6 @@
 """Planted defects: each one must fail the check named for it, an
-acceptance check or, for a defect no acceptance check sees, a test.
+acceptance check, an ``annulus-verify`` row or, for a defect no
+acceptance check sees, a test.
 
 A defective copy of a kernel is built from the shipped source by one
 textual substitution, so it tracks the kernel as it changes; the
@@ -12,7 +13,8 @@ import inspect
 import pytest
 
 import test_nonlinear
-from diskvort import acceptance, nonlinear, pressure, solver
+from diskvort import acceptance, annulus, nonlinear, pressure, solver
+from diskvort.annulus import AnnulusGeometry
 from diskvort.fields import PolarGrid
 from diskvort.spectrum import build_table
 
@@ -63,7 +65,7 @@ def plant(monkeypatch, fn, old: str, new: str) -> None:
     """Bind the planted copy of ``fn`` under its name in every module that
     looks it up, as a defect in the shipped function would reach them."""
     copy = planted(fn, old, new)
-    for module in (nonlinear, solver, pressure, acceptance):
+    for module in (nonlinear, solver, pressure, annulus, acceptance):
         if getattr(module, fn.__name__, None) is fn:
             monkeypatch.setattr(module, fn.__name__, copy)
 
@@ -84,3 +86,86 @@ def test_group_oracle_catches_stream_scale_defect(monkeypatch):
     table = build_table(5, 5)
     with pytest.raises(AssertionError, match="Not equal to tolerance"):
         test_nonlinear.test_advection_matches_group_oracle(table, PolarGrid(table))
+
+
+# annulus kernels, one line each
+MASS = "MP = M2 - Ch @ np.linalg.solve(Hh, Ch.T)"
+LEGENDRE = "vals = np.stack([legval(x, legder(eye, m=order, scl=scl)) for order in range(3)])"
+TRIAL_VORTICITY = "omega_t = T1 + T0 / rq"
+WALL_FLUX = "omega_d_end = inner[2] + inner[1] / R - inner[0] / R**2"
+GRADIENT = "(k * k) * ((T0 * (wq / rq)) @ T0.T)"
+LAPLACIAN = "lap = T2 + T1 / rq - (k * k) * T0 / rq**2"
+CARRIER = "(1.0 / rq - rq)"
+
+NO_DETECTOR = pytest.mark.xfail(
+    strict=True,
+    reason="no annulus check or row sees it yet; ROADMAP item 5 adds the per-mode "
+    "spectra-equality row and a Gamma(0) row",
+)
+
+# (function, old, new, the check or annulus-verify row that must fail)
+ANNULUS_DEFECTS = {
+    "v-mass-unprojected": (annulus.galerkin_spectra, MASS, "MP = M2", "check 11"),
+    "second-derivative-1pc": (
+        annulus._legendre_tables,
+        LEGENDRE,
+        LEGENDRE + " * np.array([1.0, 1.0, 1.01])[:, None, None]",
+        "check 11",
+    ),
+    "trial-vorticity-0.99": (
+        annulus.annulus_stokes_circulation,
+        TRIAL_VORTICITY,
+        "omega_t = T1 + 0.99 * T0 / rq",
+        "check 12",
+    ),
+    "flux-drops-u-over-r2": (
+        annulus.annulus_stokes_circulation,
+        WALL_FLUX,
+        "omega_d_end = inner[2] + inner[1] / R",
+        "circulation-law",
+    ),
+    "gradient-k2-weighted-by-r": (annulus.galerkin_spectra, GRADIENT, GRADIENT.replace("wq / rq", "wq * rq"), None),
+    "laplacian-k2-over-r": (annulus.galerkin_spectra, LAPLACIAN, LAPLACIAN[:-3], None),
+    "carrier-0.9r": (annulus.annulus_stokes_circulation, CARRIER, "(1.0 / rq - 0.9 * rq)", None),
+}
+
+
+def annulus_verdicts() -> dict:
+    """Pass or fail of checks 11 and 12 and of each ``annulus-verify`` row
+    at the default flags, by name.  Check 11's cached spectrum is cleared
+    first, so a clean one cached before the defect cannot hide it."""
+    acceptance._annulus_spectra.cache_clear()
+    rows, _ = acceptance.annulus_rows(AnnulusGeometry(0.5))
+    verdicts = {name: (passed, detail) for name, passed, detail in rows}
+    for name, check in (("check 11", acceptance.check_annulus_spectra), ("check 12", acceptance.check_annulus_flux)):
+        result = check()
+        verdicts[name] = (result.passed, result.detail)
+    return verdicts
+
+
+@pytest.fixture
+def fresh_annulus_spectra():
+    # a spectrum cached under a planted defect must not outlive the test
+    yield
+    acceptance._annulus_spectra.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "defect",
+    [
+        pytest.param(defect, marks=[NO_DETECTOR] if defect[3] is None else [])
+        for defect in ANNULUS_DEFECTS.values()
+    ],
+    ids=ANNULUS_DEFECTS.keys(),
+)
+def test_annulus_defect_fails_its_detector(monkeypatch, fresh_annulus_spectra, defect):
+    fn, old, new, detector = defect
+    assert all(passed for passed, _ in annulus_verdicts().values())
+    plant(monkeypatch, fn, old, new)
+    verdicts = annulus_verdicts()
+    if detector is None:
+        # no named detector yet: the case passes once any of them fails
+        assert not all(passed for passed, _ in verdicts.values()), verdicts
+    else:
+        passed, detail = verdicts[detector]
+        assert not passed, detail

@@ -1,6 +1,7 @@
 """Coupled parabolic-elliptic stepping: exactness, conservation, decay."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -140,6 +141,38 @@ def test_config_rejects_non_integer_mode_indices(mode):
     assert any("needs integer k and j" in e for e in errs), errs
     with pytest.raises(ValueError, match="needs integer"):
         prepare(small_cfg(init_modes=((mode, 1.0),), init_seed=None))
+
+
+@pytest.mark.parametrize(
+    "kw, message",
+    [
+        (dict(t_final=math.inf), "t_final must be finite, got inf"),
+        (dict(nu=math.inf), "nu must be finite, got inf"),
+        (dict(dt=math.inf), "dt must be finite, got inf"),
+        (dict(moment_tol=math.inf), "moment_tol must be finite, got inf"),
+        (dict(dt=1e10, t_final=1.0), "t_final=1.0 is shorter than one step of dt=10000000000.0"),
+        (dict(dt=1e-3, t_final=1e-12), "t_final=1e-12 is shorter than one step of dt=0.001"),
+        (dict(dt=1e-300, t_final=1e300), "t_final=1e+300 over dt=1e-300 is too many steps to count"),
+        (
+            dict(init_modes=(((0, 1, "cos"), math.inf),), init_seed=None),
+            "init mode (0,1,cos) has coefficient inf, not finite",
+        ),
+        (
+            dict(init_modes=(((2, 1, "sin"), 0.5), ((0, 1, "cos"), math.nan)), init_seed=None),
+            "init mode (0,1,cos) has coefficient nan, not finite",
+        ),
+    ],
+    ids=["t_final-inf", "nu-inf", "dt-inf", "moment_tol-inf", "dt-past-t_final", "t_final-under-dt",
+         "step-count-overflows", "coefficient-inf", "coefficient-nan"],
+)
+def test_config_rejects_runs_that_cannot_run(kw, message):
+    # t_final = inf (or a step count past the floats) used to crash in
+    # round(); the infinite values and the runs of zero steps passed, and
+    # the latter finished "completed" at t = 0
+    cfg = small_cfg(**kw)
+    assert message in cfg.validate()
+    with pytest.raises(ValueError, match=re.escape(message)):
+        prepare(cfg)
 
 
 def test_config_accepts_numpy_integer_mode_indices():
@@ -329,6 +362,27 @@ def test_non_finite_state_aborts(bad):
             step(broken, cfg, ctx)
         with pytest.raises(NonFiniteState):
             step(SolverState(1, one_bad, state.wb), cfg, ctx)
+
+
+@pytest.mark.parametrize("runner", [run, stokes_run])
+def test_non_finite_initial_row_aborts(runner):
+    # 1e300 squares past the floats: the run used to finish with energy = inf
+    cfg = small_cfg(init_modes=(((0, 1, "cos"), 1e300),), init_seed=None)
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteState, match="^output row at t=0 is not finite: energy=inf") as exc:
+        runner(cfg)
+    assert (exc.value.step, exc.value.t) == (0, 0.0)
+
+
+def test_non_finite_row_aborts_at_its_step():
+    # an infinite forcing from t = 0.046 on: step 22 makes the state
+    # non-finite, and the next output row, after step 30, stops the run
+    cfg = small_cfg(output_every=10)
+    ctx = prepare(cfg)
+    g = _random_admissible(ctx.table, 5)
+    forcing = lambda t: g * (math.inf if t > 0.045 else 0.0)
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteState, match="^output row at t=0.06 is not finite") as exc:
+        stokes_run(cfg, forcing=forcing, ctx=ctx)
+    assert (exc.value.step, exc.value.t) == (30, 30 * cfg.dt)
 
 
 def test_run_equals_iterated_steps():
