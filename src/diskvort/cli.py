@@ -54,6 +54,7 @@ import configparser
 import contextlib
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -246,6 +247,8 @@ def _run_config(resolved: dict, check_cfl: bool = True):
     initial data (refused before any time stepping).
 
     Returns ``(cfg, ctx)``: the prepared run context, for the run to reuse.
+    An init whose speed is not a finite positive number has no bound to
+    break; the run refuses it at its step-0 row (``NonFiniteState``).
     """
     from .nonlinear import velocity_max
     from .solver import RunConfig, initial_state, prepare
@@ -304,7 +307,7 @@ def _run_config(resolved: dict, check_cfl: bool = True):
     if check_cfl:
         omega = initial_state(cfg, ctx).total(ctx.table)
         umax = velocity_max(omega, ctx.grid)
-        if umax > 0.0:
+        if 0.0 < umax < math.inf:
             bound = cfg.cfl / (umax * ctx.sqrt_lam_max)
             if cfg.dt > bound:
                 raise ConfigError(

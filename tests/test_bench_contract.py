@@ -88,6 +88,25 @@ def test_run_calls_module_step_once_per_step(monkeypatch):
     assert traj.times[-1] == pytest.approx(cfg.t_final)
 
 
+@pytest.mark.parametrize("runner", ["run", "stokes_run"])
+def test_loop_calls_module_moment_drift_once_per_row(monkeypatch, runner):
+    # the traced ``solver.measure_moment_drift`` metric counts output rows,
+    # which holds only while the loop's row calls the module-global one
+    from diskvort import solver
+
+    calls = []
+    drift = solver.measure_moment_drift
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return drift(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "measure_moment_drift", counting)
+    cfg = solver.RunConfig(nu=0.1, K=4, J=4, dt=2e-3, t_final=0.05, init_seed=1, output_every=7)
+    traj = getattr(solver, runner)(cfg, ctx=solver.prepare(cfg))
+    assert len(calls) == len(traj) == 5
+
+
 def test_table_reads_of_the_jobs():
     # perfbench/jobs.py fills a field with ``position(ModeIndex(...))``,
     # bounds energy with ``lambda_min`` and sums its stream oracle and the

@@ -451,19 +451,21 @@ class TestRunArtifacts:
         assert outdir_files(out) == {"manifest.json"}
 
     def test_non_finite_row_recorded_with_exit_4(self, tmp_path, capsys):
-        # the initial energy squares 1e300 past the floats; the run used
-        # to exit 0 with a "completed" manifest and energy=inf
+        # the initial energy squares 1e300 past the floats; stokes used to
+        # exit 0 with a "completed" manifest and energy=inf, and ns to
+        # refuse the init as a CFL config error (exit 2, |u|_max = inf)
         cfg = write(tmp_path, "[domain]\nK = 2\nJ = 2\n[solver]\nnu = 0.1\n[init]\nmodes = 0 1 cos 1e300\n")
-        out = tmp_path / "out"
-        with np.errstate(all="ignore"):
-            assert dispatch(["stokes", "--config", str(cfg), "--outdir", str(out)]) == 4
-        man = json.loads((out / "manifest.json").read_text())
-        assert man["status"] == "failed"
-        assert man["failure"]["type"] == "NonFiniteState"
-        assert man["failure"]["message"].startswith("output row at t=0 is not finite: energy=inf")
-        assert (man["failure"]["step"], man["failure"]["t"]) == (0, 0.0)
-        assert "run aborted: NonFiniteState: output row at t=0" in capsys.readouterr().err
-        assert outdir_files(out) == {"manifest.json"}
+        for subcommand in ("stokes", "ns"):
+            out = tmp_path / subcommand
+            with np.errstate(all="ignore"):
+                assert dispatch([subcommand, "--config", str(cfg), "--outdir", str(out)]) == 4
+            man = json.loads((out / "manifest.json").read_text())
+            assert man["status"] == "failed"
+            assert man["failure"]["type"] == "NonFiniteState"
+            assert man["failure"]["message"].startswith("output row at t=0 is not finite: energy=inf")
+            assert (man["failure"]["step"], man["failure"]["t"]) == (0, 0.0)
+            assert "run aborted: NonFiniteState: output row at t=0" in capsys.readouterr().err
+            assert outdir_files(out) == {"manifest.json"}
 
     def test_stokes_runs_without_cfl_guard(self, tmp_path):
         # linear runs take any dt; the advective bound applies to ns only

@@ -12,6 +12,7 @@ from diskvort.solver import _initial_field as solver_initial_field
 from diskvort.solver import _random_admissible
 from diskvort.solver import (
     CFLViolation,
+    DiagnosticsRow,
     MomentDriftError,
     NonFiniteState,
     RunConfig,
@@ -394,6 +395,46 @@ def test_run_equals_iterated_steps():
         state = step(state, cfg, ctx)
     assert state.steps * cfg.dt == traj.times[-1]
     assert np.array_equal(traj.states[-1].coeffs, state.total(ctx.table).coeffs)
+
+
+def oracle_row(t, omega, omega_b, ctx):
+    return DiagnosticsRow(
+        t=t,
+        energy=norm_at(omega, -1),
+        enstrophy=norm_at(omega, 0),
+        palinstrophy_norm=norm_at(omega, 1),
+        moment_drift=measure_moment_drift(omega, ctx),
+        correction_norm=norm_at(omega_b, 0),
+    )
+
+
+def test_rows_equal_norm_at_oracle():
+    # K=5, J=7: the eigen-sorted order interleaves wavenumbers, so a
+    # weight or coefficient taken in block order would not match; every
+    # row field must be norm_at's number to the last bit
+    cfg = small_cfg(K=5, J=7, t_final=0.05, output_every=7)
+    ctx = prepare(cfg)
+    slots = ctx.table.from_blocks(np.arange(2 * 6 * 7, dtype=float).reshape(2, 6, 7))
+    assert np.any(np.diff(slots) < 0)
+    n_steps = round(cfg.t_final / cfg.dt)
+    state, want, states = initial_state(cfg, ctx), [], []
+    for i in range(n_steps + 1):
+        if i:
+            state = step(state, cfg, ctx)
+        if i % cfg.output_every == 0 or i == n_steps:
+            omega = state.total(ctx.table)
+            omega_b = SpectralField(ctx.table, ctx.table.from_blocks(state.wb), "vorticity")
+            assert norm_at(omega_b, 0) > 0.0
+            want.append(oracle_row(i * cfg.dt, omega, omega_b, ctx))
+            states.append(omega.coeffs)
+    traj = run(cfg, ctx)
+    assert len(want) == 5 and list(traj.diagnostics) == want
+    assert all(np.array_equal(a.coeffs, b) for a, b in zip(traj.states, states, strict=True))
+
+    traj = stokes_run(cfg, ctx=ctx)
+    zero = SpectralField.zeros(ctx.table)
+    want = [oracle_row(t, omega, zero, ctx) for t, omega in zip(traj.times, traj.states)]
+    assert len(want) == 5 and list(traj.diagnostics) == want
 
 
 @pytest.mark.parametrize("runner", [run, stokes_run])
