@@ -18,8 +18,13 @@ harmonic-moment drift, non-finite state); any other error propagates
 and leaves the manifest "running".
 
 Config files are flat INI with sections [domain], [solver], [init],
-[output]; unknown sections or keys are rejected, every default is
-echoed into the manifest.  Example::
+[output]; the [domain] and [solver] keys are ``solver.RunConfig``
+fields.  One loader, ``_load_run``, takes a file to a prepared run and
+reports every problem it finds at once: unknown sections or keys,
+values that do not parse, the [init] rules (``seed`` only with
+``kind = random``, ``modes`` only with ``kind = modes``), the run's own
+checks and a domain the grid refuses.  Every default is echoed into
+the manifest.  Example::
 
     [solver]
     nu = 0.1
@@ -186,37 +191,6 @@ def _parse_file(path) -> dict:
     return {s: dict(parser.items(s)) for s in parser.sections()}
 
 
-def _resolve(raw: dict) -> dict:
-    """Typed values with defaults applied; unknown keys and range
-    violations are collected and reported together."""
-    problems = []
-    resolved = {}
-    for section in raw:
-        if section not in _SCHEMA:
-            problems.append(f"unknown section [{section}]")
-    for section, keys in _SCHEMA.items():
-        got = raw.get(section, {})
-        out = {}
-        for key in got:
-            if key not in keys:
-                problems.append(f"unknown key '{key}' in [{section}]")
-        for key, (typ, default) in keys.items():
-            if key in got:
-                try:
-                    out[key] = typ(got[key])
-                except ValueError:
-                    problems.append(
-                        f"[{section}] {key}: cannot parse {got[key]!r} as {typ.__name__}"
-                    )
-                    out[key] = default
-            else:
-                out[key] = default
-        resolved[section] = out
-    if problems:
-        raise ConfigError(problems)
-    return resolved
-
-
 def _parse_modes(text: str):
     entries = []
     for piece in text.split(";"):
@@ -240,30 +214,46 @@ def _parse_modes(text: str):
     return tuple(entries)
 
 
-def _run_config(resolved: dict, check_cfl: bool = True):
-    """Build, vet and prepare the solver configuration, all problems in
-    one report, including a domain the grid refuses and, with
-    ``check_cfl``, the advective stability bound of the requested
-    initial data (refused before any time stepping).
+def _load_run(path, check_cfl: bool = True):
+    """Parse, type, vet and prepare a run config file, all problems in
+    one report: unknown sections and keys, values that do not parse,
+    the [init] rules, the ``RunConfig.validate`` list, a domain the grid
+    refuses and, with ``check_cfl``, the advective stability bound of
+    the requested initial data (refused before any time stepping).
 
-    Returns ``(cfg, ctx)``: the prepared run context, for the run to reuse.
-    An init whose speed is not a finite positive number has no bound to
-    break; the run refuses it at its step-0 row (``NonFiniteState``).
+    Returns ``(resolved, cfg, ctx)``: the typed sections with every
+    default applied, the run configuration and its prepared context,
+    for the run to reuse.  An init whose speed is not a finite positive
+    number has no bound to break; the run refuses it at its step-0 row
+    (``NonFiniteState``).
     """
     from .nonlinear import velocity_max
     from .solver import RunConfig, initial_state, prepare
 
-    dom, sol, ini, outp = (
-        resolved["domain"],
-        resolved["solver"],
-        resolved["init"],
-        resolved["output"],
-    )
-    problems = []
-    nu = sol["nu"]
-    if nu is None:
+    raw = _parse_file(path)
+    problems = [f"unknown section [{section}]" for section in raw if section not in _SCHEMA]
+    resolved = {}
+    for section, keys in _SCHEMA.items():
+        got = raw.get(section, {})
+        problems += [f"unknown key '{key}' in [{section}]" for key in got if key not in keys]
+        out = resolved[section] = {}
+        for key, (typ, default) in keys.items():
+            out[key] = default
+            if key in got:
+                try:
+                    out[key] = typ(got[key])
+                except ValueError:
+                    problems.append(
+                        f"[{section}] {key}: cannot parse {got[key]!r} as {typ.__name__}"
+                    )
+    if problems:
+        raise ConfigError(problems)
+
+    # the [domain] and [solver] keys are RunConfig fields
+    run, ini = {**resolved["domain"], **resolved["solver"]}, resolved["init"]
+    if run["nu"] is None:
         problems.append("[solver] nu is required")
-        nu = 1.0  # placeholder so the remaining checks still run
+        run["nu"] = 1.0  # placeholder so the remaining checks still run
     kind = ini["kind"]
     if kind not in ("modes", "random"):
         problems.append(f"[init] kind must be 'modes' or 'random', got {kind!r}")
@@ -274,28 +264,22 @@ def _run_config(resolved: dict, check_cfl: bool = True):
         seed = 0
     if kind == "modes" and seed is not None:
         problems.append("[init] seed is only meaningful when kind = random")
+    if kind == "random" and "modes" in raw.get("init", {}):
+        problems.append("[init] modes is only meaningful when kind = modes")
     modes = (((0, 1, "cos"), 1.0),)
     if kind == "modes":
         try:
             modes = _parse_modes(ini["modes"])
         except ValueError as e:
             problems.append(f"[init] modes: {e}")
-    if outp["snapshot_every"] < 0:
-        problems.append(
-            f"[output] snapshot_every must be >= 0, got {outp['snapshot_every']}"
-        )
+    snapshot_every = resolved["output"]["snapshot_every"]
+    if snapshot_every < 0:
+        problems.append(f"[output] snapshot_every must be >= 0, got {snapshot_every}")
     cfg = RunConfig(
-        nu=nu,
-        K=dom["K"],
-        J=dom["J"],
-        dt=sol["dt"],
-        t_final=sol["t_final"],
+        **run,
         init_modes=modes if kind == "modes" else None,
         init_seed=seed if kind == "random" else None,
-        n_radial=dom["n_radial"],
-        n_angular=dom["n_angular"],
-        output_every=outp["every"],
-        cfl=sol["cfl"],
+        output_every=resolved["output"]["every"],
     )
     problems += cfg.validate()
     if problems:
@@ -317,7 +301,7 @@ def _run_config(resolved: dict, check_cfl: bool = True):
                         f"(|u|_max = {umax:.3g}, sqrt(lambda_max) = {ctx.sqrt_lam_max:.3g})"
                     ]
                 )
-    return cfg, ctx
+    return resolved, cfg, ctx
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +326,7 @@ def _write_snapshots(traj, outdir: Path, every: int) -> list[str]:
 
 
 def _trajectory_pipeline(args, runner, subcommand: str) -> int:
-    resolved = _resolve(_parse_file(args.config))
-    cfg, ctx = _run_config(resolved, check_cfl=(subcommand == "ns"))
+    resolved, cfg, ctx = _load_run(args.config, check_cfl=(subcommand == "ns"))
     outdir = Path(args.outdir)
     with _recorded(subcommand, resolved, outdir, resolved["init"]["seed"], args.config) as man:
         traj = runner(cfg, ctx=ctx)
@@ -411,8 +394,7 @@ def _cmd_pressure(args) -> int:
 
     if args.n_aux < 1:
         raise ConfigError([f"--n-aux must be at least 1, got {args.n_aux}"])
-    resolved = _resolve(_parse_file(args.config))
-    cfg, ctx = _run_config(resolved)
+    resolved, cfg, ctx = _load_run(args.config)
     if cfg.t_final / cfg.dt / cfg.output_every < 2:
         raise ConfigError(
             ["pressure needs at least 3 output rows to center a time derivative"]
@@ -570,10 +552,14 @@ def dispatch(argv) -> int:
 
     try:
         _apply_thread_count(args)
-        from .solver import SolverAbort  # numpy reads the thread count on import
+        import numpy as np  # numpy reads the thread count on import
+
+        from .solver import SolverAbort
 
         try:
-            return args.handler(args)
+            # the solver's guards turn every overflow into NonFiniteState
+            with np.errstate(over="ignore"):
+                return args.handler(args)
         except SolverAbort as e:
             print(f"run aborted: {type(e).__name__}: {e}", file=sys.stderr)
             return 4

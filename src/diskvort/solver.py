@@ -34,7 +34,7 @@ Every object in the loop lives in the eigen-span, so the harmonic
 moments of the total vorticity are conserved structurally; the solver
 still measures them each step, as max |M c| for the quadrature moment
 map M built in ``prepare``, and aborts loudly if they ever exceed 10x
-the configured tolerance.  A state whose speed, moments or new
+``MOMENT_TOL``.  A state whose speed, moments or new
 coefficients are not finite aborts too, and so does a run, ``run`` or
 ``stokes_run``, whose output row is not finite.
 """
@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -54,6 +54,7 @@ from .specfun import is_integer
 from .spectrum import EigenTable, ModeIndex, build_table, table_size_problems
 
 __all__ = [
+    "MOMENT_TOL",
     "RunConfig",
     "SolverState",
     "DiagnosticsRow",
@@ -69,6 +70,9 @@ __all__ = [
     "stokes_run",
     "measure_moment_drift",
 ]
+
+
+MOMENT_TOL = 1e-8  # a step aborts once the harmonic moments exceed 10x this
 
 
 class SolverAbort(RuntimeError):
@@ -112,7 +116,6 @@ class RunConfig:
     n_radial: Optional[int] = None
     n_angular: Optional[int] = None
     output_every: int = 10
-    moment_tol: float = 1e-8
     cfl: float = 0.5
 
     def __post_init__(self):
@@ -180,7 +183,6 @@ class RunConfig:
                 errs.append(f"{name} must be an integer or unset, got {count!r}")
         if not (is_integer(self.output_every) and self.output_every >= 1):
             errs.append(f"output_every must be an integer >= 1, got {self.output_every!r}")
-        positive("moment_tol")
         if not (real(self.cfl) and self.cfl > 0):
             errs.append(f"cfl must be > 0, got {self.cfl!r}")
         return errs
@@ -272,15 +274,13 @@ def _random_admissible(table: EigenTable, seed) -> SpectralField:
     return f * (1.0 / norm_at(f, 0))
 
 
-def initial_state(cfg: RunConfig, ctx: Optional[RunContext] = None) -> SolverState:
+def initial_state(cfg: RunConfig, ctx: RunContext) -> SolverState:
     """Split the requested initial vorticity into the two tracks.
 
     omega_B(0) is the instantaneous elliptic solve against the initial
     advection moments, and omega_0(0) = omega_i - omega_B(0), so the
     total equals the requested field exactly.
     """
-    if ctx is None:
-        ctx = prepare(cfg)
     w = ctx.table.to_blocks(_initial_field(cfg, ctx.table).coeffs)
     _, h, _, _ = _advect(w, ctx.grid, ctx.stream_scale)
     wb = ctx.elliptic_map * h[:, :, None]
@@ -296,10 +296,8 @@ def measure_moment_drift(omega: SpectralField, ctx: RunContext) -> float:
     return _max_moment(ctx.table.to_blocks(omega.coeffs), ctx)
 
 
-def step(state: SolverState, cfg: RunConfig, ctx: Optional[RunContext] = None) -> SolverState:
+def step(state: SolverState, cfg: RunConfig, ctx: RunContext) -> SolverState:
     """One accepted ETD2RK step of the coupled system, on coefficient blocks."""
-    if ctx is None:
-        ctx = prepare(cfg)
     t = state.steps * cfg.dt
     w = state.w0 + state.wb
 
@@ -316,10 +314,10 @@ def step(state: SolverState, cfg: RunConfig, ctx: Optional[RunContext] = None) -
             f"refusing step at t={t:.6g}: dt*|u|*sqrt(lam_max) = "
             f"{courant:.3g} exceeds {cfg.cfl}"
         )
-    if drift > 10.0 * cfg.moment_tol:
+    if drift > 10.0 * MOMENT_TOL:
         raise MomentDriftError(
             f"harmonic moments reached {drift:.3e} at t={t:.6g} "
-            f"(tolerance {cfg.moment_tol:.1e}); state no longer admissible"
+            f"(tolerance {MOMENT_TOL:.1e}); state no longer admissible"
         )
 
     wb_new = ctx.elliptic_map * moments[:, :, None]
@@ -388,29 +386,25 @@ def run(cfg: RunConfig, ctx: Optional[RunContext] = None) -> Trajectory:
 
 def stokes_run(
     cfg: RunConfig,
-    forcing: Union[SpectralField, Callable[[float], SpectralField], None] = None,
+    forcing: Optional[Callable[[float], SpectralField]] = None,
     ctx: Optional[RunContext] = None,
 ) -> Trajectory:
     """Linear evolution only: the ETD2RK update of ``step`` with the
-    given forcing (a fixed field, a function of t, or none) in place of
-    advection, and no elliptic track.  Step i takes the forcing at i dt
-    and (i+1) dt."""
+    forcing, a function of t or none, in place of advection, and no
+    elliptic track.  Step i takes the forcing at i dt and (i+1) dt."""
     if ctx is None:
         ctx = prepare(cfg)
     table = ctx.table
     zero = SpectralField.zeros(table)
-
-    def blocks(f: SpectralField) -> np.ndarray:
-        zero._compatible(f)  # a vorticity field on the run's table
-        return table.to_blocks(f.coeffs)
-
-    if callable(forcing):
-        force = lambda t: blocks(forcing(t))
-    else:
-        fixed = blocks(zero if forcing is None else forcing)
-        force = lambda t: fixed
     factors = (ctx.exp_factor, ctx.phi1_dt, ctx.phi2_dt)
     wb = np.zeros_like(ctx.exp_factor)
+
+    def force(t: float) -> np.ndarray:
+        if forcing is None:
+            return wb
+        f = forcing(t)
+        zero._compatible(f)  # a vorticity field on the run's table
+        return table.to_blocks(f.coeffs)
 
     def advance(state: SolverState) -> SolverState:
         t0, t1 = state.steps * cfg.dt, (state.steps + 1) * cfg.dt

@@ -4,8 +4,8 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
-import numpy as np
 import pytest
 
 from diskvort import cli
@@ -42,7 +42,7 @@ PRESSURE_RUN = (
 def load_config(path, check_cfl=True):
     """Parse, default and validate a config file into a RunConfig, as
     the run subcommands do."""
-    return cli._run_config(cli._resolve(cli._parse_file(path)), check_cfl=check_cfl)[0]
+    return cli._load_run(path, check_cfl=check_cfl)[1]
 
 
 def write(tmp_path, text, name="run.ini"):
@@ -135,6 +135,110 @@ class TestLoadConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(tmp_path / "absent.ini")
+
+
+@pytest.mark.parametrize(
+    "text, problems",
+    [
+        pytest.param(
+            "[init]\nkind = bogus\nseed = 3\nmodes = 0 1\n[output]\nsnapshot_every = -1\nevery = 0\n",
+            [
+                "[solver] nu is required",
+                "[init] kind must be 'modes' or 'random', got 'bogus'",
+                "[init] seed is only meaningful when kind = random",
+                "[init] modes: entry '0 1' must be 'k j parity amplitude'",
+                "[output] snapshot_every must be >= 0, got -1",
+                "output_every must be an integer >= 1, got 0",
+            ],
+            id="init-and-output",
+        ),
+        pytest.param(
+            "[solver]\nnu = 0.1\n[init]\nkind = random\n",
+            ["[init] seed is mandatory when kind = random"],
+            id="random-without-seed",
+        ),
+        pytest.param(
+            "[solver]\nnu = -1\ndt = -0.1\n[init]\nseed = 3\nmodes = 0 1 up 1.0\n",
+            [
+                "[init] seed is only meaningful when kind = random",
+                "[init] modes: entry '0 1 up 1.0': parity must be cos or sin",
+                "nu must be > 0, got -1.0",
+                "dt must be > 0, got -0.1",
+            ],
+            id="seed-parity-nu-dt",
+        ),
+        pytest.param(
+            "[solver]\nnu = 0.1\n[init]\nmodes = 0 x cos 1.0\n",
+            ["[init] modes: entry '0 x cos 1.0' has non-numeric k, j, or amplitude"],
+            id="non-numeric-mode",
+        ),
+        pytest.param(
+            "[solver]\nnu = 0.1\n[init]\nmodes = 2 1 cos 1.0 ; 2 1 cos 2.0 ; 9 1 sin 1.0\n",
+            ["init mode (2,1,cos) given twice", "init mode (9,1,sin) outside table K=8 J=8"],
+            id="repeated-and-outside-modes",
+        ),
+        pytest.param(
+            "[solver]\nnu = 0.1\nviscosity = 2\n[extra]\nx = 1\n",
+            ["unknown section [extra]", "unknown key 'viscosity' in [solver]"],
+            id="unknown-section-and-key",
+        ),
+        pytest.param(
+            "[domain]\nK = 2.5\n[solver]\nnu = abc\n",
+            ["[domain] K: cannot parse '2.5' as int", "[solver] nu: cannot parse 'abc' as float"],
+            id="unparsable-values",
+        ),
+        pytest.param(
+            "[domain]\nK = 8\nJ = 4\nn_angular = 10\nn_radial = 3\n[solver]\nnu = 0.1\n",
+            ["[domain] angular count 10 under aliasing floor 25 for K=8"],
+            id="grid-counts",
+        ),
+        pytest.param(
+            "[domain]\nK = 64\nJ = 0\n[solver]\nnu = 0.1\n",
+            [
+                "K must be an integer in [0, 63], got 64",
+                "J must be an integer >= 1, got 0",
+                "init mode (0,1,cos) outside table K=64 J=0",
+            ],
+            id="table-size",
+        ),
+        pytest.param(
+            "[solver]\nnu = inf\ndt = inf\nt_final = inf\ncfl = 0\n",
+            [
+                "nu must be finite, got inf",
+                "dt must be finite, got inf",
+                "t_final must be finite, got inf",
+                "cfl must be > 0, got 0.0",
+            ],
+            id="infinite-and-zero-cfl",
+        ),
+        pytest.param(
+            "[domain]\nK = 4\nJ = 8\n[solver]\nnu = 0.1\ndt = 0.05\nt_final = 0.2\n"
+            "[init]\nmodes = 4 8 cos 40.0\n",
+            [
+                "[solver] dt = 0.05 violates the advective stability bound dt <= 7.601e-03 "
+                "for this init (|u|_max = 2.07, sqrt(lambda_max) = 31.8)"
+            ],
+            id="cfl-bound",
+        ),
+    ],
+)
+def test_config_report_is_whole_and_ordered(tmp_path, text, problems):
+    # every problem of a config, in the order the loader finds them
+    with pytest.raises(ConfigError) as exc:
+        load_config(write(tmp_path, text))
+    assert exc.value.problems == problems
+
+
+def test_schema_defaults_are_the_run_config_defaults():
+    # cli must not import numpy before the thread count is set, so its
+    # schema repeats two RunConfig defaults instead of reading them
+    from diskvort.solver import RunConfig
+
+    probe = "import sys, diskvort.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert proc.stdout == "False\n"
+    assert cli._SCHEMA["solver"]["cfl"][1] == RunConfig.cfl
+    assert cli._SCHEMA["output"]["every"][1] == RunConfig.output_every
 
 
 class TestDispatch:
@@ -282,12 +386,16 @@ def test_bad_domain_rejected_before_the_run(tmp_path, capsys, subcommand, domain
         ("dt = 1e10\nt_final = 1\n", "t_final=1.0 is shorter than one step of dt=10000000000.0"),
         ("dt = 1e-3\nt_final = 1e-12\n", "t_final=1e-12 is shorter than one step of dt=0.001"),
         ("[init]\nmodes = 0 1 cos inf\n", "init mode (0,1,cos) has coefficient inf, not finite"),
+        ("[init]\nkind = random\nseed = 1\nmodes = 2 1 cos 5.0\n", "[init] modes is only meaningful when kind = modes"),
     ],
-    ids=["t_final-inf", "nu-inf", "dt-inf", "dt-past-t_final", "t_final-under-dt", "coefficient-inf"],
+    ids=["t_final-inf", "nu-inf", "dt-inf", "dt-past-t_final", "t_final-under-dt", "coefficient-inf",
+         "modes-under-random"],
 )
 def test_unrunnable_config_rejected_before_the_run(tmp_path, capsys, subcommand, solver, message):
     # t_final = inf used to end in an OverflowError traceback with no
-    # manifest; the other cases ran, the zero-step ones to "completed" at t = 0
+    # manifest; the other cases ran, the zero-step ones to "completed" at
+    # t = 0, and the random init with the modes it ignored echoed in the
+    # manifest
     if "nu" not in solver:
         solver = "nu = 0.1\n" + solver
     cfg = write(tmp_path, "[domain]\nK = 2\nJ = 2\n[solver]\n" + solver)
@@ -453,12 +561,15 @@ class TestRunArtifacts:
     def test_non_finite_row_recorded_with_exit_4(self, tmp_path, capsys):
         # the initial energy squares 1e300 past the floats; stokes used to
         # exit 0 with a "completed" manifest and energy=inf, and ns to
-        # refuse the init as a CFL config error (exit 2, |u|_max = inf)
+        # refuse the init as a CFL config error (exit 2, |u|_max = inf);
+        # both printed numpy's overflow warnings before the abort line
         cfg = write(tmp_path, "[domain]\nK = 2\nJ = 2\n[solver]\nnu = 0.1\n[init]\nmodes = 0 1 cos 1e300\n")
         for subcommand in ("stokes", "ns"):
             out = tmp_path / subcommand
-            with np.errstate(all="ignore"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
                 assert dispatch([subcommand, "--config", str(cfg), "--outdir", str(out)]) == 4
+            assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
             man = json.loads((out / "manifest.json").read_text())
             assert man["status"] == "failed"
             assert man["failure"]["type"] == "NonFiniteState"

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from diskvort import solver
 from diskvort.fields import SpectralField, norm_at
 from diskvort.semigroup import fit_decay_rate
 from diskvort.solver import _initial_field as solver_initial_field
@@ -97,7 +98,7 @@ def test_config_accepts_numpy_scalars(field, value):
         ("nu", True),
         ("dt", False),
         ("t_final", True),
-        ("moment_tol", True),
+        ("init_seed", np.True_),
         ("cfl", np.True_),
     ],
 )
@@ -150,7 +151,6 @@ def test_config_rejects_non_integer_mode_indices(mode):
         (dict(t_final=math.inf), "t_final must be finite, got inf"),
         (dict(nu=math.inf), "nu must be finite, got inf"),
         (dict(dt=math.inf), "dt must be finite, got inf"),
-        (dict(moment_tol=math.inf), "moment_tol must be finite, got inf"),
         (dict(dt=1e10, t_final=1.0), "t_final=1.0 is shorter than one step of dt=10000000000.0"),
         (dict(dt=1e-3, t_final=1e-12), "t_final=1e-12 is shorter than one step of dt=0.001"),
         (dict(dt=1e-300, t_final=1e300), "t_final=1e+300 over dt=1e-300 is too many steps to count"),
@@ -163,7 +163,7 @@ def test_config_rejects_non_integer_mode_indices(mode):
             "init mode (0,1,cos) has coefficient nan, not finite",
         ),
     ],
-    ids=["t_final-inf", "nu-inf", "dt-inf", "moment_tol-inf", "dt-past-t_final", "t_final-under-dt",
+    ids=["t_final-inf", "nu-inf", "dt-inf", "dt-past-t_final", "t_final-under-dt",
          "step-count-overflows", "coefficient-inf", "coefficient-nan"],
 )
 def test_config_rejects_runs_that_cannot_run(kw, message):
@@ -324,10 +324,10 @@ def test_cfl_refusal():
         run(cfg)
 
 
-def test_moment_abort_with_tiny_tolerance():
-    cfg = small_cfg(moment_tol=1e-18)
-    with pytest.raises(MomentDriftError):
-        run(cfg)
+def test_moment_abort_with_tiny_tolerance(monkeypatch):
+    monkeypatch.setattr(solver, "MOMENT_TOL", 1e-18)
+    with pytest.raises(MomentDriftError, match=r"\(tolerance 1.0e-18\); state no longer admissible$"):
+        run(small_cfg())
 
 
 def test_moment_map_drift_equals_quadrature_drift():
@@ -518,7 +518,7 @@ def test_stokes_constant_forcing_steady_state():
                     init_modes=(((0, 1, "cos"), 0.0),), output_every=200)
     ctx = prepare(cfg)
     force = SpectralField.from_mode(ctx.table, ModeIndex(1, 1, "cos"), amplitude=2.0)
-    tr = stokes_run(cfg, forcing=force, ctx=ctx)
+    tr = stokes_run(cfg, forcing=lambda t: force, ctx=ctx)
     n = ctx.table.position(ModeIndex(1, 1, "cos"))
     target = 2.0 / (cfg.nu * ctx.table.lam[n])
     assert tr.states[-1].coeffs[n] == pytest.approx(target, rel=1e-8)
@@ -533,18 +533,16 @@ def test_stokes_v1_decay_bound():
         assert norm_at(s, 1) <= np.exp(-cfg.nu * ctx.table.lambda_min * t) * w0 * (1 + 1e-10)
 
 
-@pytest.mark.parametrize("defect", ["foreign-table", "stream-kind"])
-@pytest.mark.parametrize("source", ["constant", "callable"])
-def test_stokes_run_rejects_incompatible_forcing(source, defect):
+@pytest.mark.parametrize("defect", ["foreign-table", "stream-kind"], ids=lambda defect: f"callable-{defect}")
+def test_stokes_run_rejects_incompatible_forcing(defect):
     cfg = small_cfg(t_final=0.01)
     ctx = prepare(cfg)
     if defect == "foreign-table":
         bad = SpectralField.zeros(prepare(cfg).table)
     else:
         bad = SpectralField.zeros(ctx.table, "stream")
-    forcing = bad if source == "constant" else lambda t: bad
     with pytest.raises(ValueError, match="different tables|cannot combine kind"):
-        stokes_run(cfg, forcing=forcing, ctx=ctx)
+        stokes_run(cfg, forcing=lambda t: bad, ctx=ctx)
 
 
 @pytest.mark.parametrize("runner", [run, stokes_run])
@@ -577,7 +575,7 @@ def test_stokes_run_matches_duhamel_reference(kw, forcing_kind):
     wave = lambda t: g * math.cos(2.0 * t)
     forcing, forcing_eval = {
         "zero": (None, lambda t: zero),
-        "constant": (g, lambda t: g),
+        "constant": (lambda t: g, lambda t: g),
         "cos2t": (wave, wave),
     }[forcing_kind]
     tr = stokes_run(cfg, forcing=forcing, ctx=ctx)
