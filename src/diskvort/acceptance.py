@@ -38,6 +38,7 @@ from .fields import (
     greens_potential,
     newtonian_potential,
     norm_at,
+    radial_rows,
     synthesize_points,
     to_grid,
 )
@@ -119,8 +120,7 @@ def _stream_at_points(psi: SpectralField, pts: np.ndarray) -> np.ndarray:
     r = np.hypot(pts[:, 0], pts[:, 1])
     th = np.arctan2(pts[:, 1], pts[:, 0])
     prof, _ = radial_profiles(table, r)
-    radial = np.einsum("pkj,kjn->pkn", table.to_blocks(psi.coeffs), prof[0, 1])
-    return synthesize_points(radial, r, th)
+    return synthesize_points(radial_rows(table.to_blocks(psi.coeffs), prof[0, 1]), r, th)
 
 
 @lru_cache(maxsize=1)
@@ -356,7 +356,7 @@ def check_pressure_consistency() -> CheckResult:
     from .pressure import _phi_tables
 
     table = build_table(0, 1)
-    omega = SpectralField.from_mode(table, ModeIndex(0, 1, "cos"), 1.0)
+    omega = SpectralField.from_mode(table, ModeIndex(0, 1, "cos"))
     pos = table.position(ModeIndex(0, 1, "cos"))
     alpha, lam, cn = table.alpha[pos], table.lam[pos], table.norm[pos]
 

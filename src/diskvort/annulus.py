@@ -101,8 +101,7 @@ class AnnulusGeometry:
 
 @lru_cache(maxsize=32)
 def _radial_rule(r_inner: float, n: int):
-    rule = gauss_legendre(n, r_inner, 1.0)
-    return rule.nodes, rule.weights
+    return gauss_legendre(n, r_inner, 1.0)
 
 
 def _integrate(geom: AnnulusGeometry, values: np.ndarray) -> float:
@@ -237,7 +236,7 @@ class XiFunction:
 
     geom: AnnulusGeometry
 
-    def __call__(self, r, theta=None, what: str = "value"):
+    def __call__(self, r, theta, what: str = "value"):
         r = np.asarray(r, dtype=float)
         if what == "value":
             vals = np.log(r) / (2.0 * np.pi)
@@ -247,11 +246,7 @@ class XiFunction:
             vals = np.zeros_like(r)
         else:
             raise ValueError(f"unknown what: {what!r}")
-        if theta is not None:
-            vals = np.broadcast_to(
-                vals, np.broadcast(r, np.asarray(theta, dtype=float)).shape
-            ).copy()
-        return vals
+        return np.broadcast_to(vals, np.broadcast(r, np.asarray(theta, dtype=float)).shape).copy()
 
     def inner_flux(self) -> float:
         return inner_flux(self.geom, self)
@@ -312,17 +307,16 @@ def q1_dirichlet_split(geom: AnnulusGeometry, omega, degree: int = 8) -> Q1Split
     return Q1Split(base=omega, geom=geom, rows=rows, inner_constant=inner[0, 0] - outer[0, 0])
 
 
-def zeta_pairing(
-    geom: AnnulusGeometry, xi: XiFunction, omega, degree: int = 8, method: str = "volume"
-) -> float:
-    """<zeta, omega> = -(grad xi, grad Q1 omega), or its boundary form.
+def zeta_pairing(geom: AnnulusGeometry, xi: XiFunction, omega, method: str = "volume") -> float:
+    """<zeta, omega> = -(grad xi, grad Q1 omega), or its boundary form,
+    with Q1 omega the ``q1_dirichlet_split`` of its default degree.
 
     The gradient of xi is radial, so the volume route reduces to a
     weighted quadrature of the radial derivative of the Dirichlet part;
     the boundary route uses that Q1 omega is constant on the inner
     circle and the xi flux is -1, giving exactly that constant.
     """
-    split = q1_dirichlet_split(geom, omega, degree)
+    split = q1_dirichlet_split(geom, omega)
     if method == "boundary":
         th = geom.theta()
         return float(np.mean(split(np.full_like(th, geom.r_inner), th, "value")))
@@ -438,12 +432,12 @@ def _legendre_tables(n_poly: int, R: float):
     order-th derivative of P_i, so one ``legval`` per order evaluates the
     whole family at the nodes and both walls.
     """
-    rule = gauss_legendre(2 * n_poly + 16, R, 1.0)
+    nodes, weights = gauss_legendre(2 * n_poly + 16, R, 1.0)
     off, scl = mapparms((R, 1.0), (-1.0, 1.0))
-    x = off + scl * np.r_[rule.nodes, R, 1.0]
+    x = off + scl * np.r_[nodes, R, 1.0]
     eye = np.eye(n_poly + 1)
     vals = np.stack([legval(x, legder(eye, m=order, scl=scl)) for order in range(3)])
-    return rule.nodes, rule.weights, vals[:, :, :-2], vals[:, :, -2:].transpose(0, 2, 1)
+    return nodes, weights, vals[:, :, :-2], vals[:, :, -2:].transpose(0, 2, 1)
 
 
 # eigenvalues kept per mode and space in ``SpectraResult.per_mode_*``

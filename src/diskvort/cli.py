@@ -22,9 +22,9 @@ Config files are flat INI with sections [domain], [solver], [init],
 fields.  One loader, ``_load_run``, takes a file to a prepared run and
 reports every problem it finds at once: unknown sections or keys,
 values that do not parse, the [init] rules (``seed`` only with
-``kind = random``, ``modes`` only with ``kind = modes``), the run's own
-checks and a domain the grid refuses.  Every default is echoed into
-the manifest.  Example::
+``kind = random``, ``modes`` only with ``kind = modes``) and the run's
+own checks, the table and grid sizes among them.  Every default is
+echoed into the manifest.  Example::
 
     [solver]
     nu = 0.1
@@ -217,9 +217,10 @@ def _parse_modes(text: str):
 def _load_run(path, check_cfl: bool = True):
     """Parse, type, vet and prepare a run config file, all problems in
     one report: unknown sections and keys, values that do not parse,
-    the [init] rules, the ``RunConfig.validate`` list, a domain the grid
-    refuses and, with ``check_cfl``, the advective stability bound of
-    the requested initial data (refused before any time stepping).
+    the [init] rules, the ``RunConfig.validate`` list (table and grid
+    sizes included) and, with ``check_cfl``, the advective stability
+    bound of the requested initial data (refused before any time
+    stepping).
 
     Returns ``(resolved, cfg, ctx)``: the typed sections with every
     default applied, the run configuration and its prepared context,
@@ -284,10 +285,7 @@ def _load_run(path, check_cfl: bool = True):
     problems += cfg.validate()
     if problems:
         raise ConfigError(problems)
-    try:
-        ctx = prepare(cfg)
-    except ValueError as e:
-        raise ConfigError([f"[domain] {e}"]) from None
+    ctx = prepare(cfg)
     if check_cfl:
         omega = initial_state(cfg, ctx).total(ctx.table)
         umax = velocity_max(omega, ctx.grid)

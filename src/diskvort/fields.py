@@ -18,9 +18,11 @@ derivative zero at r = 1.  That makes the diagonal maps exact:
 
 Grid work uses a Gauss-Legendre radial rule times a uniform angular
 rule.  The transform is a dense radial matrix per angular wavenumber
-followed by an angular DFT, so ``PolarGrid`` stores the radial profiles
-stacked per (kind, what); ``PolarGrid.synthesize`` takes one field
-through one radial and one angular matmul, and the advection kernel
+followed by an angular DFT, so ``PolarGrid`` keeps the value and d_r
+profiles of ``spectrum.radial_profiles`` in their (order, kind) stack,
+and ``radial_rows`` is the one product of coefficient blocks with
+profiles; ``PolarGrid.synthesize`` takes one field through one radial
+and one angular matmul, and the advection kernel
 (``nonlinear._advect``) synthesizes its four fields in one batch of
 each.  ``from_grid`` is the
 discrete orthogonal decomposition into the eigen-span, the harmonic
@@ -46,13 +48,14 @@ from functools import lru_cache
 import numpy as np
 
 from .specfun import gauss_legendre, is_integer
-from .spectrum import PROFILE_ORDERS, EigenTable, ModeIndex, _harm_const, radial_profiles
+from .spectrum import EigenTable, ModeIndex, _harm_const, radial_profiles
 
 __all__ = [
     "SpectralField",
     "PolarGrid",
     "GridField",
     "NewtonianResult",
+    "grid_size_problems",
     "norm_at",
     "biot_savart",
     "to_grid",
@@ -62,6 +65,7 @@ __all__ = [
     "trace_extension",
     "trig_table",
     "d_theta_rows",
+    "radial_rows",
     "synthesize_rows",
     "synthesize_points",
     "split_rows",
@@ -90,20 +94,16 @@ class SpectralField:
         self.kind = kind
 
     @classmethod
-    def zeros(cls, table: EigenTable, kind: str = "vorticity") -> "SpectralField":
-        return cls(table, np.zeros(len(table)), kind)
+    def zeros(cls, table: EigenTable) -> "SpectralField":
+        """The zero vorticity field."""
+        return cls(table, np.zeros(len(table)), "vorticity")
 
     @classmethod
-    def from_mode(
-        cls,
-        table: EigenTable,
-        mode: ModeIndex,
-        amplitude: float = 1.0,
-        kind: str = "vorticity",
-    ) -> "SpectralField":
+    def from_mode(cls, table: EigenTable, mode: ModeIndex) -> "SpectralField":
+        """The vorticity field of one eigenfunction, unit amplitude."""
         c = np.zeros(len(table))
-        c[table.position(mode)] = amplitude
-        return cls(table, c, kind)
+        c[table.position(mode)] = 1.0
+        return cls(table, c, "vorticity")
 
     def _compatible(self, other: "SpectralField") -> None:
         if not isinstance(other, SpectralField):
@@ -159,6 +159,12 @@ def d_theta_rows(c) -> np.ndarray:
     return _d_theta_factor(c.shape[-2]) * c[..., ::-1, :, :]
 
 
+def radial_rows(blocks, prof) -> np.ndarray:
+    """Cos/sin rows (..., 2, K+1, n_r) of coefficient blocks
+    (..., 2, K+1, J) against radial profiles (..., K+1, J, n_r)."""
+    return np.matmul(np.swapaxes(blocks, -3, -2), prof).swapaxes(-3, -2)
+
+
 def synthesize_rows(rows, trig) -> np.ndarray:
     """Samples (..., n_r, n_theta) of cos/sin rows (..., 2, n_k, n_r);
     ``trig`` is a ``trig_table`` with at least n_k wavenumbers."""
@@ -200,18 +206,36 @@ def write_csv(path, header, rows) -> None:
             f.write(",".join(v if isinstance(v, str) else f"{v:.17g}" for v in row) + "\n")
 
 
-class PolarGrid:
-    """Gauss-Legendre (radial) x uniform (angular) tensor grid for one table.
+def grid_size_problems(K, J, n_radial, n_angular) -> list[str]:
+    """What is wrong with the grid counts for a table of size (K, J), in
+    ``PolarGrid``'s order: one message per problem, empty if the grid is
+    admissible.  ``None`` is the default count, which always is.  The
+    angular count must beat the quadratic-nonlinearity aliasing bound
+    max(2K+2, 3K+1), and the radial count must be at least J + 2."""
+    problems = [
+        f"{name} must be an integer, got {count!r}"
+        for name, count in (("n_radial", n_radial), ("n_angular", n_angular))
+        if count is not None and not is_integer(count)
+    ]
+    if is_integer(K) and is_integer(n_angular):
+        floor = max(2 * K + 2, 3 * K + 1)
+        if n_angular < floor:
+            problems.append(f"angular count {n_angular} under aliasing floor {floor} for K={K}")
+    if is_integer(J) and is_integer(n_radial) and n_radial < J + 2:
+        problems.append(f"radial count {n_radial} too small for J={J}")
+    return problems
 
-    The angular count must beat the quadratic-nonlinearity aliasing bound
-    max(2K+2, 3K+1).
+
+class PolarGrid:
+    """Gauss-Legendre (radial) x uniform (angular) tensor grid for one
+    table; ``grid_size_problems`` says which counts it refuses.
 
     The transforms work on the table's coefficient blocks (2, K+1, J),
     ``EigenTable.to_blocks``.  Built once here, the profiles from
     ``spectrum.radial_profiles``:
 
-    * ``prof[i]``, shape (K+1, J, n_radial): the radial profiles of the
-      (kind, what) pair ``PROFILES[i]``;
+    * ``prof``, shape (2, 2, K+1, J, n_radial): its value and d_r
+      profiles by (order, kind), a view of its stack, not a copy;
     * ``harm``, shape (K+1, n_radial): the unit harmonic profiles
       h_k(r) = c_k r^k;
     * ``trig``, shape (2(K+1), n_angular): rows cos(k theta), k = 0..K,
@@ -220,34 +244,21 @@ class PolarGrid:
       ``trig`` rows, then ``trig``, for the advection kernel, whose one
       angular matmul takes d_theta fields from value profiles.
 
-    Synthesis is one batched radial matmul plus one angular matmul;
-    d/dtheta acts on the blocks first (cos and sin rows swap, scaled by
-    +-k).  Analysis is the transpose.
+    Synthesis is one batched radial matmul, ``radial_rows``, plus one
+    angular matmul.  Analysis is the transpose.
     """
-
-    # the value and d_r rows of ``radial_profiles``, in its order
-    PROFILES = tuple((kind, what) for what in PROFILE_ORDERS[:2] for kind in _KINDS)
 
     def __init__(self, table: EigenTable, n_radial: int | None = None, n_angular: int | None = None):
         K, J = table.K, table.J
+        problems = grid_size_problems(K, J, n_radial, n_angular)
+        if problems:
+            raise ValueError("; ".join(problems))
         if n_radial is None:
             n_radial = 2 * J + K + 8
         if n_angular is None:
             n_angular = 3 * K + 2
-        for name, count in (("n_radial", n_radial), ("n_angular", n_angular)):
-            if not is_integer(count):
-                raise ValueError(f"{name} must be an integer, got {count!r}")
-        floor = max(2 * K + 2, 3 * K + 1)
-        if n_angular < floor:
-            raise ValueError(
-                f"angular count {n_angular} under aliasing floor {floor} for K={K}"
-            )
-        if n_radial < J + 2:
-            raise ValueError(f"radial count {n_radial} too small for J={J}")
         self.table = table
-        self.radial_rule = gauss_legendre(n_radial, 0.0, 1.0)
-        self.r = self.radial_rule.nodes
-        self.wr = self.radial_rule.weights
+        self.r, self.wr = gauss_legendre(n_radial, 0.0, 1.0)
         self.n_radial = int(n_radial)
         self.n_angular = int(n_angular)
         self.theta = 2.0 * np.pi * np.arange(self.n_angular) / self.n_angular
@@ -259,23 +270,16 @@ class PolarGrid:
         self._trig_norm = (self.trig**2).sum(axis=1).reshape(2, K + 1) * self.wtheta
         self._wr_r = self.wr * self.r
 
-        # a view of the value and d_r rows of radial_profiles, not a copy
         prof, harm = radial_profiles(table, self.r)
-        self.prof = prof[:2].reshape((len(self.PROFILES),) + prof.shape[2:])
+        self.prof = prof[:2]
         self.harm = harm[0]
         d_trig = -d_theta_rows(self.trig.reshape(2, K + 1, -1)).reshape(self.trig.shape)
         self.jacobian_trig = np.stack([d_trig, self.trig])
 
-    def synthesize(self, blocks, kind: str, what: str = "value") -> np.ndarray:
+    def synthesize(self, blocks, kind: str) -> np.ndarray:
         """Grid samples (n_radial, n_angular) of one field of the given
-        kind from its blocks (2, K+1, J); what in value | d_r | d_theta."""
-        if what not in ("value", "d_r", "d_theta"):
-            raise ValueError(f"what must be value|d_r|d_theta, got {what!r}")
-        if what == "d_theta":
-            blocks = d_theta_rows(blocks)
-        prof = self.prof[self.PROFILES.index((kind, "d_r" if what == "d_r" else "value"))]
-        radial = np.matmul(np.swapaxes(blocks, 0, 1), prof)  # (K+1, 2, n_radial)
-        return synthesize_rows(radial.swapaxes(0, 1), self.trig)
+        kind from its blocks (2, K+1, J)."""
+        return synthesize_rows(radial_rows(blocks, self.prof[0, _KINDS.index(kind)]), self.trig)
 
     def analyze(self, values) -> tuple[np.ndarray, np.ndarray]:
         """Quadrature projection of samples (n_radial, n_angular): the
@@ -284,7 +288,7 @@ class PolarGrid:
         K = self.table.K
         signal = (np.asarray(values) @ self._trig_w) * self._wr_r[:, None]
         signal = signal.reshape(self.n_radial, 2, K + 1).transpose(2, 0, 1)  # (K+1, n_r, 2)
-        blocks = np.matmul(self.prof[0], signal).transpose(2, 0, 1)  # vorticity values
+        blocks = np.matmul(self.prof[0, 0], signal).transpose(2, 0, 1)  # vorticity values
         moments = np.matmul(self.harm[:, None, :], signal)[:, 0, :].T.copy()
         moments[1, 0] = 0.0  # there is no sin(0 theta) harmonic
         return blocks, moments
@@ -292,7 +296,7 @@ class PolarGrid:
     def project_radial(self, profiles) -> np.ndarray:
         """Eigen-span blocks (2, K+1, J) of the functions
         profiles[k](r) {cos, sin}(k theta), by the grid quadrature."""
-        radial = np.einsum("kjr,kr->kj", self.prof[0], self._wr_r * np.asarray(profiles))
+        radial = np.einsum("kjr,kr->kj", self.prof[0, 0], self._wr_r * np.asarray(profiles))
         return self._trig_norm[:, :, None] * radial
 
     def node_polar(self):
@@ -335,11 +339,11 @@ class GridField:
         write_csv(path, ("r", "theta", self.csv_column), zip(rr.flat, tt.flat, self.values.flat))
 
 
-def to_grid(field: SpectralField, grid: PolarGrid, what: str = "value") -> GridField:
-    """Pointwise samples of the field or its exact analytic derivative."""
+def to_grid(field: SpectralField, grid: PolarGrid) -> GridField:
+    """Pointwise samples of the field on the grid's nodes."""
     if grid.table is not field.table:
         raise ValueError("grid was built for a different table")
-    return GridField(grid, grid.synthesize(field.table.to_blocks(field.coeffs), field.kind, what))
+    return GridField(grid, grid.synthesize(field.table.to_blocks(field.coeffs), field.kind))
 
 
 def from_grid(values: GridField, table: EigenTable):

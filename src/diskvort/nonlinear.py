@@ -77,8 +77,8 @@ def _advect(w, grid: PolarGrid, stream_scale):
     speed |u| and the samples of Lambda.
     """
     K, n_r, n_t = grid.table.K, grid.n_radial, grid.n_angular
-    # (what, field, K+1, 2, n_r) for what in (value, d_r), field in (omega, psi)
-    radial = np.matmul((w * stream_scale).swapaxes(1, 2), grid.prof.reshape(2, 2, K + 1, -1, n_r))
+    # (order, field, K+1, 2, n_r) for order in (value, d_r), field in (omega, psi)
+    radial = np.matmul((w * stream_scale).swapaxes(1, 2), grid.prof)
     rows = radial.transpose(0, 1, 4, 3, 2).reshape(2, 2 * n_r, 2 * (K + 1))
     (dom_t, dpsi_t), (dom_r, dpsi_r) = np.matmul(rows, grid.jacobian_trig).reshape(2, 2, n_r, n_t)
     lam_vals = (dpsi_r * dom_t - dpsi_t * dom_r) / grid.r[:, None]

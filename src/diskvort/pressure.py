@@ -15,13 +15,13 @@ part, so H* swaps the rows: (a, b) -> (-b, a).
 
 All work runs on the shared Bessel-Fourier layer.  A field is a stack
 of cos/sin rows (2, n_k, n_r), one radial function per angular
-wavenumber: the table's coefficient blocks times the closed-form
-profiles of ``spectrum.radial_profiles`` (value, d_r and d_rr, so no
-sampled data is differentiated anywhere), d/dtheta is the row swap
-``fields.d_theta_rows``, and samples are one matmul with a cos/sin
-table.  The convective term has angular band 2K, so it is sampled at
-4K+4 angles, where ``fields.split_rows`` splits it back into rows
-exactly.
+wavenumber: ``fields.radial_rows`` of the table's coefficient blocks
+and the closed-form profiles of ``spectrum.radial_profiles`` (value,
+d_r and d_rr, so no sampled data is differentiated anywhere).
+d/dtheta is the row swap ``fields.d_theta_rows``, and samples are one
+matmul with a cos/sin table.  The convective term has angular band 2K,
+so it is sampled at 4K+4 angles, where ``fields.split_rows`` splits it
+back into rows exactly.
 
 The variational problem splits into independent radial two-point
 problems, one per row, solved with piecewise-linear elements on a
@@ -44,6 +44,7 @@ from .fields import (
     SpectralField,
     biot_savart,
     d_theta_rows,
+    radial_rows,
     split_rows,
     synthesize_rows,
     trace_extension,
@@ -83,12 +84,6 @@ def _dealiased_trig(K: int) -> np.ndarray:
     """Cos/sin table of wavenumbers 0..2K at 4K+4 uniform angles."""
     n = 4 * K + 4
     return trig_table(2 * K, 2.0 * np.pi * np.arange(n) / n)
-
-
-def _rows(blocks, prof) -> np.ndarray:
-    """Rows (..., 2, K+1, n_r) of coefficient blocks (..., 2, K+1, J)
-    against radial profiles (..., K+1, J, n_r)."""
-    return np.matmul(np.swapaxes(blocks, -3, -2), prof).swapaxes(-3, -2)
 
 
 def _velocity(psi_rows, r, trig) -> np.ndarray:
@@ -218,7 +213,7 @@ def _phi_tables(omega: SpectralField, n_aux: int) -> _PhiTables:
     r = mesh.qpts
     trig = _dealiased_trig(table.K)
     prof, _ = radial_profiles(table, r)
-    psi_rows = _rows(table.to_blocks(biot_savart(omega).coeffs), prof[:, 1])
+    psi_rows = radial_rows(table.to_blocks(biot_savart(omega).coeffs), prof[:, 1])
     F_r, F_t = split_rows(np.stack(_convective(_velocity(psi_rows, r, trig), r)), trig)
     return _PhiTables(mesh=mesh, T=_solve_radial(mesh, F_r, d_theta_rows(F_t)))
 
@@ -300,12 +295,12 @@ def momentum_residual(
 
     # velocity of the three states from one set of stream profiles
     psi = table.to_blocks(np.stack([biot_savart(w).coeffs for w in states]))
-    u = _velocity(_rows(psi[:, None], prof[:, 1]), r, trig)
+    u = _velocity(radial_rows(psi[:, None], prof[:, 1]), r, trig)
     dudt_r, dudt_t = (u[2, :2] - u[0, :2]) / span
     F_r, F_t = _convective(u[1], r)
 
     # nu Delta u = nu grad-perp omega
-    om0, om1 = _rows(table.to_blocks(w_cur.coeffs), prof[:2, 0])
+    om0, om1 = radial_rows(table.to_blocks(w_cur.coeffs), prof[:2, 0])
     lap_r, lap_t = synthesize_rows(np.stack([-d_theta_rows(om0) / r, om1]), trig)
 
     # grad p at the midpoints: rows of p and d_r p there, with the

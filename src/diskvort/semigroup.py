@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -119,48 +119,31 @@ class DecayFit:
 
     window: tuple[float, float]
     rate: float
-    intercept: float
     r_squared: float
     n_samples: int
 
 
-def fit_decay_rate(
-    series: Sequence[tuple[float, float]],
-    window: Optional[tuple[float, float]] = None,
-) -> DecayFit:
-    """Fit value ~ C e^{-rate t} on the window by least squares in log.
-
-    The window defaults to the last half of the series (transients from
-    higher modes die there first).  Nonpositive values inside the window
-    are an error: the series is not in the exponential regime.
+def fit_decay_rate(series: Sequence[tuple[float, float]]) -> DecayFit:
+    """Fit value ~ C e^{-rate t} by least squares in log over the window
+    of the last half of the series' time span, where the transients of
+    the higher modes have died first.  Nonpositive values inside the
+    window are an error: the series is not in the exponential regime.
     """
-    pts = [(float(t), float(v)) for t, v in series]
-    if len(pts) < 2:
+    t, v = np.asarray(series, dtype=float).reshape(-1, 2).T
+    if t.size < 2:
         raise ValueError("need at least 2 samples overall")
-    t_all = np.array([p[0] for p in pts])
-    if window is None:
-        t0, t1 = float(t_all[0]), float(t_all[-1])
-        window = (t0 + 0.5 * (t1 - t0), t1)
-    lo, hi = float(window[0]), float(window[1])
-    sel = [(t, v) for t, v in pts if lo <= t <= hi]
-    if len(sel) < 4:
-        raise ValueError(f"need >= 4 samples inside window {window}, got {len(sel)}")
-    vals = np.array([v for _, v in sel])
+    window = (float(t[0] + 0.5 * (t[-1] - t[0])), float(t[-1]))
+    inside = (window[0] <= t) & (t <= window[1])
+    n = int(inside.sum())
+    if n < 4:
+        raise ValueError(f"need >= 4 samples inside window {window}, got {n}")
+    ts, vals = t[inside], v[inside]
     if np.any(vals <= 0.0):
         raise ValueError("nonpositive values in window: not an exponential regime")
-    ts = np.array([t for t, _ in sel])
     logv = np.log(vals)
     A = np.stack([ts, np.ones_like(ts)], axis=1)
     sol, *_ = np.linalg.lstsq(A, logv, rcond=None)
-    slope, intercept = float(sol[0]), float(sol[1])
-    pred = A @ sol
-    ss_res = float(np.sum((logv - pred) ** 2))
+    ss_res = float(np.sum((logv - A @ sol) ** 2))
     ss_tot = float(np.sum((logv - logv.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 and ss_res < 1e-28 else max(0.0, 1.0 - ss_res / max(ss_tot, 1e-300))
-    return DecayFit(
-        window=(lo, hi),
-        rate=-slope,
-        intercept=intercept,
-        r_squared=min(1.0, r2),
-        n_samples=len(sel),
-    )
+    return DecayFit(window=window, rate=-float(sol[0]), r_squared=min(1.0, r2), n_samples=n)

@@ -47,7 +47,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .fields import PolarGrid, SpectralField, norm_at
+from .fields import PolarGrid, SpectralField, grid_size_problems, norm_at
 from .nonlinear import _advect, _stream_scale, elliptic_map
 from .semigroup import Trajectory, duhamel_step, phi1, phi2
 from .specfun import is_integer
@@ -177,10 +177,7 @@ class RunConfig:
                             )
             except (TypeError, ValueError) as e:
                 errs.append(f"malformed init_modes: {e}")
-        for name in ("n_radial", "n_angular"):
-            count = getattr(self, name)
-            if count is not None and not is_integer(count):
-                errs.append(f"{name} must be an integer or unset, got {count!r}")
+        errs += grid_size_problems(self.K, self.J, self.n_radial, self.n_angular)
         if not (is_integer(self.output_every) and self.output_every >= 1):
             errs.append(f"output_every must be an integer >= 1, got {self.output_every!r}")
         if not (real(self.cfl) and self.cfl > 0):
@@ -291,9 +288,10 @@ def _max_moment(blocks: np.ndarray, ctx: RunContext) -> float:
     return float(np.abs(np.vecdot(ctx.moment_map, blocks)).max())
 
 
-def measure_moment_drift(omega: SpectralField, ctx: RunContext) -> float:
-    """Max harmonic moment of the field by grid quadrature, as max |M c|."""
-    return _max_moment(ctx.table.to_blocks(omega.coeffs), ctx)
+def measure_moment_drift(blocks: np.ndarray, ctx: RunContext) -> float:
+    """Max harmonic moment, by grid quadrature, of the vorticity with
+    coefficient blocks (2, K+1, J), as max |M c|."""
+    return _max_moment(blocks, ctx)
 
 
 def step(state: SolverState, cfg: RunConfig, ctx: RunContext) -> SolverState:
@@ -345,7 +343,8 @@ def _integrate(cfg: RunConfig, ctx: RunContext, state: SolverState, advance) -> 
 
     def record(state: SolverState) -> None:
         t = state.steps * cfg.dt
-        c, cb = table.from_blocks(state.w0 + state.wb), table.from_blocks(state.wb)
+        w = state.w0 + state.wb
+        c, cb = table.from_blocks(w), table.from_blocks(state.wb)
         omega = SpectralField(table, c, "vorticity")
         energy, enstrophy, palinstrophy = np.sqrt((ctx.norm_weights * (c * c)).sum(axis=1)).tolist()
         row = DiagnosticsRow(
@@ -353,7 +352,7 @@ def _integrate(cfg: RunConfig, ctx: RunContext, state: SolverState, advance) -> 
             energy=energy,
             enstrophy=enstrophy,
             palinstrophy_norm=palinstrophy,
-            moment_drift=measure_moment_drift(omega, ctx),
+            moment_drift=measure_moment_drift(w, ctx),
             correction_norm=math.sqrt((cb * cb).sum()),  # V_0: the weight lam^0 is 1
         )
         bad = [f"{name}={value:.3g}" for name, value in vars(row).items() if not math.isfinite(value)]

@@ -20,14 +20,14 @@ are deliberately narrow and loudly validated:
   sign raises instead of silently returning garbage.
   ``bessel_j_zero_rows`` returns the leading zeros of every order up to
   a maximum, computing each order's row once.
-* ``gauss_legendre``: an n-point rule on (a, b) with positive weights.
+* ``gauss_legendre``: the nodes and positive weights of an n-point rule
+  on (a, b).
 * ``is_integer``: the one test, used package-wide, that a count, order
   or index argument is an integer (Python or numpy, not a bool).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -38,7 +38,6 @@ MAX_ORDER = 64
 
 __all__ = [
     "MAX_ORDER",
-    "QuadratureRule",
     "bessel_j",
     "bessel_j_zero",
     "bessel_j_zero_rows",
@@ -258,24 +257,13 @@ def bessel_j_zero_rows(max_order: int, count: int) -> np.ndarray:
     return np.array([_zero_row(o, count + max_order - o)[:count] for o in range(max_order + 1)])
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes/weights of a quadrature rule on (a, b), nodes increasing."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    a: float
-    b: float
-
-
-def gauss_legendre(n: int, a: float = 0.0, b: float = 1.0) -> QuadratureRule:
-    """n-point Gauss-Legendre rule on (a, b); exact through degree 2n-1."""
+def gauss_legendre(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes, increasing, and weights of the n-point Gauss-Legendre rule
+    on (a, b); exact through degree 2n-1."""
     if not is_integer(n) or n < 1:
         raise ValueError(f"need a positive node count, got {n!r}")
     if not (np.isfinite(a) and np.isfinite(b)) or b <= a:
         raise ValueError(f"need finite bounds with b > a, got ({a}, {b})")
     x, w = leggauss(int(n))
     half = 0.5 * (b - a)
-    nodes = half * x + 0.5 * (a + b)
-    weights = half * w
-    return QuadratureRule(nodes=nodes, weights=weights, a=float(a), b=float(b))
+    return half * x + 0.5 * (a + b), half * w

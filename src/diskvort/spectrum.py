@@ -45,8 +45,6 @@ __all__ = [
 ]
 
 _PARITIES = ("cos", "sin")
-# the derivative orders of ``radial_profiles``
-PROFILE_ORDERS = ("value", "d_r", "d_rr")
 
 
 @dataclass(frozen=True)
@@ -189,7 +187,7 @@ def radial_profiles(table: EigenTable, r) -> tuple[np.ndarray, np.ndarray]:
     """Radial profiles of every basis function at radii ``r`` in (0, 1].
 
     Returns ``(prof, harm)``.  ``prof`` has shape (3, 2, K+1, J, n_r),
-    indexed by derivative order ``PROFILE_ORDERS``, by kind (0:
+    indexed by derivative order (value, d_r, d_rr), by kind (0:
     vorticity c J_k(alpha r); 1: stream, the lifted
     c [J_k(alpha r) - J_k(alpha) r^k]) and by the block indices (k, j-1)
     of ``EigenTable.to_blocks``.
@@ -229,8 +227,9 @@ def radial_profiles(table: EigenTable, r) -> tuple[np.ndarray, np.ndarray]:
     return prof, harm
 
 
-def membership_residuals(table: EigenTable, n_radial: int | None = None) -> dict:
-    """Quadrature checks that the table is what it claims to be.
+def membership_residuals(table: EigenTable) -> dict:
+    """Quadrature checks that the table is what it claims to be, by a
+    Gauss rule of ceil(alpha_max) + 24 radial nodes.
 
     Returns per-mode arrays:
 
@@ -244,10 +243,7 @@ def membership_residuals(table: EigenTable, n_radial: int | None = None) -> dict
     The cos and sin modes of one k share their radial profile, so each
     quantity is computed once per k and copied to both parities.
     """
-    if n_radial is None:
-        n_radial = int(np.ceil(table.alpha.max())) + 24
-    rule = gauss_legendre(n_radial, 0.0, 1.0)
-    r, w = rule.nodes, rule.weights
+    r, w = gauss_legendre(int(np.ceil(table.alpha.max())) + 24, 0.0, 1.0)
     prof, harm = radial_profiles(table, r)
     profiles = prof[0, 0]
     # angular integral of trig^2: 2 pi for k = 0, pi otherwise

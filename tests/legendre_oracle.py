@@ -18,9 +18,9 @@ from diskvort.specfun import gauss_legendre
 
 
 def legendre_tables(n_poly: int, R: float):
-    rule = gauss_legendre(2 * n_poly + 16, R, 1.0)
+    nodes, weights = gauss_legendre(2 * n_poly + 16, R, 1.0)
     polys = [Legendre.basis(i, domain=[R, 1.0]) for i in range(n_poly + 1)]
     derivs = [[p.deriv(d) if d else p for p in polys] for d in range(3)]
-    tables = np.stack([np.stack([p(rule.nodes) for p in ps]) for ps in derivs])
+    tables = np.stack([np.stack([p(nodes) for p in ps]) for ps in derivs])
     ends = np.array([[[p(point) for p in ps] for point in (R, 1.0)] for ps in derivs])
-    return rule.nodes, rule.weights, tables, ends
+    return nodes, weights, tables, ends

@@ -189,8 +189,17 @@ class TestLoadConfig:
         ),
         pytest.param(
             "[domain]\nK = 8\nJ = 4\nn_angular = 10\nn_radial = 3\n[solver]\nnu = 0.1\n",
-            ["[domain] angular count 10 under aliasing floor 25 for K=8"],
+            ["angular count 10 under aliasing floor 25 for K=8", "radial count 3 too small for J=4"],
             id="grid-counts",
+        ),
+        pytest.param(
+            "[domain]\nK = 8\nJ = 4\nn_angular = 10\nn_radial = 3\n",
+            [
+                "[solver] nu is required",
+                "angular count 10 under aliasing floor 25 for K=8",
+                "radial count 3 too small for J=4",
+            ],
+            id="grid-counts-without-nu",
         ),
         pytest.param(
             "[domain]\nK = 64\nJ = 0\n[solver]\nnu = 0.1\n",
@@ -362,7 +371,7 @@ def test_annulus_verify_records_every_flag(tmp_path, capsys):
     "domain, message",
     [
         ("K = 64\n", "K must be an integer in [0, 63], got 64"),
-        ("K = 8\nn_angular = 10\n", "[domain] angular count 10 under aliasing floor 25 for K=8"),
+        ("K = 8\nn_angular = 10\n", "angular count 10 under aliasing floor 25 for K=8"),
     ],
     ids=["K-past-the-zero-table", "angular-count-under-floor"],
 )

@@ -1,5 +1,6 @@
 """Field representation, norms, transforms, projections, potentials."""
 
+import re
 import warnings
 
 import numpy as np
@@ -17,12 +18,14 @@ from diskvort.fields import (
     greens_potential,
     newtonian_potential,
     norm_at,
+    radial_rows,
+    synthesize_rows,
     to_grid,
     trace_extension,
 )
 from bessel_oracle import bessel_j
 from harmonic_oracle import disk_harmonic_values
-from diskvort.spectrum import ModeIndex, build_table
+from diskvort.spectrum import ModeIndex, build_table, radial_profiles
 from potential_oracle import greens_points, newtonian_points
 from transform_oracle import (
     _profile,
@@ -56,7 +59,7 @@ def random_field(table, seed, kind="vorticity", decay=1.0):
 
 def test_norm_at_single_mode(table):
     m = ModeIndex(0, 1, "cos")
-    f = SpectralField.from_mode(table, m, amplitude=2.0)
+    f = 2.0 * SpectralField.from_mode(table, m)
     lam = table.lam[table.position(m)]
     assert norm_at(f, 0) == pytest.approx(2.0, abs=1e-15)
     assert norm_at(f, 1) == pytest.approx(2.0 * np.sqrt(lam), rel=1e-14)
@@ -165,7 +168,8 @@ def test_stream_clamped_at_boundary(table):
     psi = biot_savart(random_field(table, 5))
     fine = PolarGrid(table, n_radial=60)
     vals = to_grid(psi, fine).values
-    drs = to_grid(psi, fine, "d_r").values
+    # d_r samples from the grid's own d_r stream profiles
+    drs = synthesize_rows(radial_rows(table.to_blocks(psi.coeffs), fine.prof[1, 1]), fine.trig)
     # extrapolate to r=1 from the outermost nodes using the analytic form
     n = table.position(ModeIndex(2, 1, "cos"))
     alpha, c = table.alpha[n], table.norm[n]
@@ -181,12 +185,6 @@ def test_stream_clamped_at_boundary(table):
 # grid transforms
 
 
-def test_to_grid_dtheta_of_radial_mode(table, grid):
-    f = SpectralField.from_mode(table, ModeIndex(0, 1, "cos"))
-    out = to_grid(f, grid, "d_theta")
-    assert np.all(out.values == 0.0)
-
-
 def test_to_grid_matches_eigenfunction_eval(table, grid):
     m = ModeIndex(2, 3, "sin")
     f = SpectralField.from_mode(table, m)
@@ -194,20 +192,6 @@ def test_to_grid_matches_eigenfunction_eval(table, grid):
     rr, tt = grid.node_polar()
     want = eigenfunction_eval(table, m, rr, tt)
     np.testing.assert_allclose(out, want, atol=1e-13)
-
-
-def test_to_grid_dr_fd_oracle(table, grid):
-    m = ModeIndex(1, 1, "cos")
-    f = SpectralField.from_mode(table, m)
-    out = to_grid(f, grid, "d_r").values
-    i, j = 7, 0
-    r0, t0 = grid.r[i], grid.theta[j]
-    h = 1e-6
-    fd = (
-        eigenfunction_eval(table, m, r0 + h, t0)
-        - eigenfunction_eval(table, m, r0 - h, t0)
-    ) / (2 * h)
-    assert out[i, j] == pytest.approx(fd, rel=1e-6)
 
 
 def test_round_trip_identity(table, grid):
@@ -240,10 +224,9 @@ def test_batched_transforms_match_group_oracle(KJ):
     g = PolarGrid(small)
     for kind in ("vorticity", "stream"):
         f = random_field(small, 7, kind)
-        for what in ("value", "d_r", "d_theta"):
-            want = to_grid_groups(f, g, what)
-            got = to_grid(f, g, what).values
-            assert np.max(np.abs(got - want)) <= 1e-14 * max(np.max(np.abs(want)), 1.0)
+        want = to_grid_groups(f, g)
+        got = to_grid(f, g).values
+        assert np.max(np.abs(got - want)) <= 1e-14 * max(np.max(np.abs(want)), 1.0)
     v = np.random.default_rng(8).standard_normal((g.n_radial, g.n_angular))
     spec, harm, _ = from_grid(GridField(g, v), small)
     want_spec, want_harm = from_grid_groups(v, g, small)
@@ -270,19 +253,32 @@ def test_grid_profiles_bit_identical_to_per_group_profiles(K, J):
     # loop must see the numbers of the per-group scipy construction.  The
     # profiles come from a recurrence, not from scipy's jv/jvp, so they
     # agree to the oracle's own error plus margin, relative to the max of
-    # each (kind, what, k) row: at (32,24) scipy's jv is up to 2.7e-14 of a
+    # each (order, kind, k) row: at (32,24) scipy's jv is up to 2.7e-14 of a
     # profile's max off mpmath, and J_k' up to 5.1e-14 whether it comes
     # from jv or from jvp; the worst d_r row reads 4.4e-14 either way.
     # test_radial_profiles_match_mpmath gates the profiles at 1e-14.
     big = build_table(K, J)
     g = PolarGrid(big)
-    for i, (kind, what) in enumerate(g.PROFILES):
-        for k in range(K + 1):
-            want = _profile(big, big.perm[0, k], k, g.r, kind, what)
-            err = np.abs(g.prof[i, k] - want).max()
-            assert err <= 5e-14 * np.abs(want).max(), (kind, what, k)
+    for order, what in enumerate(("value", "d_r")):
+        for i, kind in enumerate(("vorticity", "stream")):
+            for k in range(K + 1):
+                want = _profile(big, big.perm[0, k], k, g.r, kind, what)
+                err = np.abs(g.prof[order, i, k] - want).max()
+                assert err <= 5e-14 * np.abs(want).max(), (what, kind, k)
     ck = [1.0 / np.sqrt(np.pi)] + [np.sqrt((2.0 * k + 2.0) / np.pi) for k in range(1, K + 1)]
     assert np.array_equal(g.harm, np.stack([ck[k] * g.r**k for k in range(K + 1)]))
+
+
+def test_grid_profiles_are_a_view_of_the_profile_stack(table):
+    # PolarGrid keeps the value and d_r orders of one radial_profiles
+    # stack; a copy would change the set-up's allocations, which move the
+    # benchmark's scaled metrics
+    g = PolarGrid(table)
+    assert g.prof.shape == (2, 2, table.K + 1, table.J, g.n_radial)
+    stack = g.prof.base
+    assert stack.shape == (3,) + g.prof.shape[1:]
+    assert np.shares_memory(g.prof, stack)
+    np.testing.assert_array_equal(stack, radial_profiles(table, g.r)[0])
 
 
 def boundary_values(f, theta):
@@ -429,8 +425,8 @@ def test_q1_split_dirichlet_orthogonality(table, grid):
     def ext_part(what):
         return disk_harmonic_values(extension, rr, tt, what)
 
-    total = grad_sq(lambda w: to_grid(omega, grid, w).values)
-    d_part = grad_sq(lambda w: to_grid(omega, grid, w).values - ext_part(w))
+    total = grad_sq(lambda w: to_grid_groups(omega, grid, w))
+    d_part = grad_sq(lambda w: to_grid_groups(omega, grid, w) - ext_part(w))
     e_part = grad_sq(ext_part)
     assert d_part + e_part == pytest.approx(total, rel=1e-6)
 
@@ -583,6 +579,16 @@ def test_grid_field_csv_round_trip(table, tmp_path):
     gf.to_csv(path)
     back = grid_field_from_csv(small, path)
     np.testing.assert_array_equal(back.values, gf.values)
+
+
+def test_grid_reports_every_refusal(table):
+    # one message per bad count, in PolarGrid's order; None is the default
+    assert fields.grid_size_problems(5, 5, None, None) == fields.grid_size_problems(5, 5, 7, 16) == []
+    problems = ["angular count 10 under aliasing floor 16 for K=5", "radial count 3 too small for J=5"]
+    assert fields.grid_size_problems(5, 5, 3, 10) == problems
+    with pytest.raises(ValueError, match="^" + re.escape("; ".join(problems)) + "$"):
+        PolarGrid(table, n_radial=3, n_angular=10)
+    assert fields.grid_size_problems(5, 5, 6.5, 10) == ["n_radial must be an integer, got 6.5", problems[0]]
 
 
 def test_grid_validation(table):

@@ -50,7 +50,7 @@ def pressure_record() -> dict:
         str(n): momentum_residual(traj, index, TWO_MODE.nu, ctx.grid, n_aux=n) for n in N_AUX
     }
     p = recover_pressure(traj.states[-1], TWO_MODE.nu, ctx.grid)
-    circular = SpectralField.from_mode(build_table(0, 1), ModeIndex(0, 1, "cos"), 1.0)
+    circular = SpectralField.from_mode(build_table(0, 1), ModeIndex(0, 1, "cos"))
     return {
         "residual_t": float(traj.times[index]),
         "residuals": residuals,

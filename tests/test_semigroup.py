@@ -153,7 +153,7 @@ def test_duhamel_step_matches_reference(table):
 def test_duhamel_constant_forcing_steady_state(table):
     m = ModeIndex(1, 1, "cos")
     n = table.position(m)
-    force = SpectralField.from_mode(table, m, amplitude=3.0)
+    force = 3.0 * SpectralField.from_mode(table, m)
     nu = 0.2
     u = SpectralField.zeros(table)
     for i in range(400):
@@ -239,17 +239,19 @@ def test_fit_with_noise():
 def test_fit_validation():
     with pytest.raises(ValueError):
         fit_decay_rate([(0.0, 1.0), (1.0, 0.5)])  # too few in window
-    ts = np.linspace(0, 1, 10)
-    bad = [(t, 1.0 - t) for t in ts]  # hits zero/negative in window
-    with pytest.raises(ValueError):
-        fit_decay_rate(bad, window=(0.0, 1.0))
+    ts = np.linspace(-1, 1, 19)
+    bad = [(t, 1.0 - t) for t in ts]  # hits zero in the window (0, 1)
+    with pytest.raises(ValueError, match="nonpositive"):
+        fit_decay_rate(bad)
 
 
 def test_fit_explicit_window():
-    ts = np.linspace(0.0, 10.0, 101)
+    # the window is the last half of the series' time span
+    ts = np.linspace(4.0, 10.0, 61)
     series = [(t, np.exp(-1.5 * t)) for t in ts]
-    fit = fit_decay_rate(series, window=(7.0, 10.0))
+    fit = fit_decay_rate(series)
     assert isinstance(fit, DecayFit)
+    assert fit.window == (7.0, 10.0)
     assert fit.n_samples == 31
     assert fit.rate == pytest.approx(1.5, abs=1e-9)
 
