@@ -214,13 +214,14 @@ def _parse_modes(text: str):
     return tuple(entries)
 
 
-def _load_run(path, check_cfl: bool = True):
+def _load_run(path, check_cfl: bool = True, centred: bool = False):
     """Parse, type, vet and prepare a run config file, all problems in
     one report: unknown sections and keys, values that do not parse,
     the [init] rules, the ``RunConfig.validate`` list (table and grid
-    sizes included) and, with ``check_cfl``, the advective stability
-    bound of the requested initial data (refused before any time
-    stepping).
+    sizes included), with ``centred`` the three output rows a centred
+    time derivative needs and, with ``check_cfl``, the advective
+    stability bound of the requested initial data (refused before any
+    time stepping).
 
     Returns ``(resolved, cfg, ctx)``: the typed sections with every
     default applied, the run configuration and its prepared context,
@@ -283,6 +284,10 @@ def _load_run(path, check_cfl: bool = True):
         output_every=resolved["output"]["every"],
     )
     problems += cfg.validate()
+    # the row count is known once dt, t_final and every are valid
+    steps_known = 0 < cfg.dt < math.inf and 0 < cfg.t_final < math.inf and cfg.output_every >= 1
+    if centred and steps_known and cfg.t_final / cfg.dt / cfg.output_every < 2:
+        problems.append("pressure needs at least 3 output rows to center a time derivative")
     if problems:
         raise ConfigError(problems)
     ctx = prepare(cfg)
@@ -392,11 +397,7 @@ def _cmd_pressure(args) -> int:
 
     if args.n_aux < 1:
         raise ConfigError([f"--n-aux must be at least 1, got {args.n_aux}"])
-    resolved, cfg, ctx = _load_run(args.config)
-    if cfg.t_final / cfg.dt / cfg.output_every < 2:
-        raise ConfigError(
-            ["pressure needs at least 3 output rows to center a time derivative"]
-        )
+    resolved, cfg, ctx = _load_run(args.config, centred=True)
     outdir = Path(args.outdir)
     with _recorded("pressure", resolved, outdir, resolved["init"]["seed"], args.config) as man:
         traj = run(cfg, ctx)

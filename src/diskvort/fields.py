@@ -384,9 +384,11 @@ def trace_extension(omega: SpectralField) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # log-kernel quadrature (verification, not a solver path)
 
-# (points x nodes) entries per block of the log-kernel sum: 2 MiB of
-# doubles, three points per block on check 3's 260 x 320 disk grid
-_KERNEL_BLOCK = 2**18
+# (points x nodes) entries per block of the log-kernel sum: 512 KiB of
+# doubles per block buffer, so the passes over a block stay in L2; a
+# block holds at least one point, whose row of nodes on check 3's
+# 260 x 320 disk grid is 650 KiB
+_KERNEL_BLOCK = 2**16
 # (radial nodes x angles) kernel entries per chunk of the ring sum:
 # 512 KiB of doubles, 85 radial rows on the 600 x 768 annulus rule
 _RING_BLOCK = 2**16
@@ -399,21 +401,24 @@ def _log_kernel(r, wr, theta, values, points, image: bool = False):
 
     ``values`` (n_r, n_theta) samples f, ``points`` has shape (m, 2).
     With ``image`` the disk Green function's image term
-    -(1/2) ln(|x|^2 |y|^2 - 2 x.y + 1) joins the kernel.  Points are
-    summed in blocks of at most ``_KERNEL_BLOCK`` kernel entries, in two
+    -(1/2) ln(|x|^2 |y|^2 - 2 x.y + 1) joins the kernel.  That argument
+    equals d2 + (1 - |x|^2)(1 - |y|^2) with d2 = |x - y|^2, a sum of two
+    non-negative terms, so the whole kernel is one
+    -(1/2) ln(1 + (1 - |x|^2)(1 - |y|^2) / d2) per entry, with no
+    cancellation as x nears the wall.  Points are summed in blocks of at
+    most ``_KERNEL_BLOCK`` kernel entries (one point at least), in two
     block buffers allocated once.
     """
     nodes = np.stack([np.outer(r, np.cos(theta)).ravel(), np.outer(r, np.sin(theta)).ravel()])
-    dens = ((wr * r)[:, None] * (2.0 * np.pi / theta.size) * values).ravel()
+    # the 1/2 of (1/2) ln d2, and the sign of the image form below, ride
+    # in the density: both scalings are exact
+    dens = ((wr * r)[:, None] * (2.0 * np.pi / theta.size) * values).ravel() * (-0.5 if image else 0.5)
     step = max(1, _KERNEL_BLOCK // nodes.shape[1])
     d2_buf = np.empty((min(step, len(points)), nodes.shape[1]))
     work_buf = np.empty_like(d2_buf)
     if image:
-        # |x|^2 |y|^2 - 2 x.y + 1 as one product of lifted coordinates
-        lifted = np.stack(
-            [-2.0 * nodes[0], -2.0 * nodes[1], np.sum(nodes**2, axis=0), np.ones(nodes.shape[1])]
-        )
-        points = np.column_stack([points, np.sum(points**2, axis=1), np.ones(len(points))])
+        inside = 1.0 - np.sum(points**2, axis=1)
+        outside = 1.0 - np.sum(nodes**2, axis=0)
     vals = np.empty(len(points))
     dmin = np.empty(len(points))
     for s in range(0, len(points), step):
@@ -421,11 +426,16 @@ def _log_kernel(r, wr, theta, values, points, image: bool = False):
         d2, work = d2_buf[: len(p)], work_buf[: len(p)]
         np.square(np.subtract(p[:, :1], nodes[0], out=d2), out=d2)
         d2 += np.square(np.subtract(p[:, 1:2], nodes[1], out=work), out=work)
-        dmin[s : s + step] = np.sqrt(np.min(d2, axis=1))
-        kernel = np.log(np.maximum(d2, 1e-280, out=d2), out=d2)
+        nearest = np.min(d2, axis=1)
+        dmin[s : s + step] = np.sqrt(nearest)
+        if nearest.min() < 1e-280:
+            np.maximum(d2, 1e-280, out=d2)
         if image:
-            kernel -= np.log(np.matmul(p, lifted, out=work), out=work)
-        kernel *= 0.5
+            # ln d2 - ln(d2 + inside outside) = -ln(1 + inside outside / d2)
+            ratio = np.divide(np.multiply(inside[s : s + step, None], outside, out=work), d2, out=d2)
+            kernel = np.log1p(ratio, out=d2)
+        else:
+            kernel = np.log(d2, out=d2)
         vals[s : s + step] = np.vecdot(kernel, dens) / (2.0 * np.pi)
     return vals, dmin
 

@@ -120,7 +120,6 @@ class DecayFit:
     window: tuple[float, float]
     rate: float
     r_squared: float
-    n_samples: int
 
 
 def fit_decay_rate(series: Sequence[tuple[float, float]]) -> DecayFit:
@@ -146,4 +145,4 @@ def fit_decay_rate(series: Sequence[tuple[float, float]]) -> DecayFit:
     ss_res = float(np.sum((logv - A @ sol) ** 2))
     ss_tot = float(np.sum((logv - logv.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 and ss_res < 1e-28 else max(0.0, 1.0 - ss_res / max(ss_tot, 1e-300))
-    return DecayFit(window=window, rate=-float(sol[0]), r_squared=min(1.0, r2), n_samples=n)
+    return DecayFit(window=window, rate=-float(sol[0]), r_squared=min(1.0, r2))

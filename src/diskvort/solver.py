@@ -102,8 +102,8 @@ class RunConfig:
     """Everything a reproducible run needs.
 
     Exactly one of ``init_modes`` (exact coefficients) or ``init_seed``
-    (random admissible data, coefficients ~ lambda^{-1}, normalized to
-    unit enstrophy) must be given.
+    (a seed >= 0 for random admissible data, coefficients ~ lambda^{-1},
+    normalized to unit enstrophy) must be given.
     """
 
     nu: float
@@ -155,8 +155,8 @@ class RunConfig:
                 errs.append(f"t_final={self.t_final} is shorter than one step of dt={self.dt}")
         if (self.init_modes is None) == (self.init_seed is None):
             errs.append("exactly one of init_modes or init_seed must be set")
-        if self.init_seed is not None and not is_integer(self.init_seed):
-            errs.append(f"init_seed must be an integer, got {self.init_seed!r}")
+        if self.init_seed is not None and not (is_integer(self.init_seed) and self.init_seed >= 0):
+            errs.append(f"init_seed must be an integer >= 0, got {self.init_seed!r}")
         if self.init_modes is not None:
             seen = set()
             try:

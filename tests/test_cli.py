@@ -396,21 +396,34 @@ def test_bad_domain_rejected_before_the_run(tmp_path, capsys, subcommand, domain
         ("dt = 1e-3\nt_final = 1e-12\n", "t_final=1e-12 is shorter than one step of dt=0.001"),
         ("[init]\nmodes = 0 1 cos inf\n", "init mode (0,1,cos) has coefficient inf, not finite"),
         ("[init]\nkind = random\nseed = 1\nmodes = 2 1 cos 5.0\n", "[init] modes is only meaningful when kind = modes"),
+        ("[init]\nkind = random\nseed = -1\n", "init_seed must be an integer >= 0, got -1"),
     ],
     ids=["t_final-inf", "nu-inf", "dt-inf", "dt-past-t_final", "t_final-under-dt", "coefficient-inf",
-         "modes-under-random"],
+         "modes-under-random", "negative-seed"],
 )
 def test_unrunnable_config_rejected_before_the_run(tmp_path, capsys, subcommand, solver, message):
     # t_final = inf used to end in an OverflowError traceback with no
-    # manifest; the other cases ran, the zero-step ones to "completed" at
-    # t = 0, and the random init with the modes it ignored echoed in the
-    # manifest
+    # manifest, and so did a negative seed, in numpy's generator; the
+    # other cases ran, the zero-step ones to "completed" at t = 0, and
+    # the random init with the modes it ignored echoed in the manifest
     if "nu" not in solver:
         solver = "nu = 0.1\n" + solver
     cfg = write(tmp_path, "[domain]\nK = 2\nJ = 2\n[solver]\n" + solver)
     out = tmp_path / "out"
     assert dispatch([subcommand, "--config", str(cfg), "--outdir", str(out)]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+def test_short_pressure_run_reported_with_the_other_problems(tmp_path, capsys):
+    # one report holds the row count beside the loader's own problems
+    cfg = write(tmp_path, PRESSURE_RUN.replace("t_final = 0.05", "t_final = 0.005") + "snapshot_every = -1\n")
+    out = tmp_path / "out"
+    assert dispatch(["pressure", "--config", str(cfg), "--outdir", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: [output] snapshot_every must be >= 0, got -1",
+        "config error: pressure needs at least 3 output rows to center a time derivative",
+    ]
     assert not (out / "manifest.json").exists()
 
 

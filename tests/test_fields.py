@@ -524,18 +524,20 @@ def test_greens_zero_field(table):
     np.testing.assert_array_equal(res.values, 0.0)
 
 
-# one block of the log-kernel sum on a 60 x 96 grid holds this many points
-BLOCK_60x96 = max(1, fields._KERNEL_BLOCK // (60 * 96))
+# points per block of the log-kernel sum on a 60 x 96 grid, as the test
+# below sets it; the default block holds fewer
+BLOCK_60x96 = 45
 
 
 @pytest.mark.parametrize("near", [False, True], ids=["clear", "near"])
 @pytest.mark.parametrize(
     "count", [1] + [n * BLOCK_60x96 + d for n, d in ((1, -1), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2))]
 )
-def test_blocked_potentials_match_per_point_oracle(table, count, near):
+def test_blocked_potentials_match_per_point_oracle(table, monkeypatch, count, near):
     # counts around one and two blocks; with ``near`` the last point,
     # alone in its block at n blocks + 1, sits on a quadrature node and
     # must be flagged
+    monkeypatch.setattr(fields, "_KERNEL_BLOCK", BLOCK_60x96 * 60 * 96)
     grid = PolarGrid(table, n_radial=60, n_angular=96)
     gf = to_grid(random_field(table, 5), grid)
     # radii midway between radial nodes stay clear of the near-node guard
@@ -557,8 +559,52 @@ def test_blocked_potentials_match_per_point_oracle(table, count, near):
             # the same arithmetic per point, so the same numbers
             np.testing.assert_array_equal(res.values, want)
         else:
-            # the image term's x.y comes from a matrix product
+            # the routine takes the kernel as one log1p of the image
+            # identity, the oracle as the difference of two logs
             np.testing.assert_allclose(res.values, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("block", [1, 2**22])
+def test_potentials_do_not_depend_on_block_size(table, monkeypatch, block):
+    # one point per block and every point in one block give the same bits
+    # as the default blocks, the last point (on a node, so clamped) too
+    grid = PolarGrid(table, n_radial=60, n_angular=96)
+    gf = to_grid(random_field(table, 9), grid)
+    rng = np.random.default_rng(9)
+    rad, ang = rng.uniform(0.05, 0.95, 30), rng.uniform(0, 2 * np.pi, 30)
+    pts = np.stack([rad * np.cos(ang), rad * np.sin(ang)], axis=1)
+    pts[-1] = grid.r[37] * np.cos(grid.theta[11]), grid.r[37] * np.sin(grid.theta[11])
+    for route in (newtonian_potential, greens_potential):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            want = route(gf, pts)
+            with monkeypatch.context() as m:
+                m.setattr(fields, "_KERNEL_BLOCK", block)
+                got = route(gf, pts)
+        assert want.near_node[-1]
+        np.testing.assert_array_equal(got.values, want.values)
+        np.testing.assert_array_equal(got.near_node, want.near_node)
+
+
+def test_greens_potential_wall_limit(table):
+    # the Green potential over 1 - |x|^2 tends to a smooth limit (half its
+    # normal derivative) as x reaches the wall; a non-admissible random
+    # field keeps that away from zero.  At 1 - |x| = 1e-12 the rounded points move
+    # their distance from the wall by ~1e-4 relative, so the quotient
+    # takes 1 - |x|^2 of the stored points.  Writing the image argument
+    # as |x|^2 |y|^2 - 2 x.y + 1 cancels to ~1e-3 relative there.
+    grid = PolarGrid(table, n_radial=120, n_angular=192)
+    gf = GridField(grid, np.random.default_rng(4).standard_normal((120, 192)))
+    # angles midway between the rule's angular nodes
+    ang = 2 * np.pi * (12 * np.arange(16) + 0.5) / 192
+    quotients = []
+    for delta in (1e-6, 1e-12):
+        pts = (1 - delta) * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+        res = greens_potential(gf, pts)
+        assert not res.near_node.any()
+        quotients.append(res.values / (1 - np.sum(pts**2, axis=1)))
+    coarse, fine = quotients
+    assert np.max(np.abs(coarse - fine)) <= 1e-4 * np.max(np.abs(coarse))
 
 
 # ---------------------------------------------------------------------------

@@ -252,7 +252,6 @@ def test_fit_explicit_window():
     fit = fit_decay_rate(series)
     assert isinstance(fit, DecayFit)
     assert fit.window == (7.0, 10.0)
-    assert fit.n_samples == 31
     assert fit.rate == pytest.approx(1.5, abs=1e-9)
 
 
