@@ -49,7 +49,7 @@ from numpy.polynomial.legendre import legder, leggauss, legval
 from numpy.polynomial.polyutils import mapparms
 from scipy.linalg import eigh, expm, null_space
 
-from .fields import _ring_log_kernel, d_theta_rows, split_rows, synthesize_points, trig_table, write_csv
+from .fields import d_theta_rows, split_rows, synthesize_points, trig_table, write_csv
 from .specfun import gauss_legendre, is_integer
 
 __all__ = [
@@ -329,6 +329,44 @@ def zeta_pairing(geom: AnnulusGeometry, xi: XiFunction, omega, method: str = "vo
 # Newtonian potential boundary report
 
 
+# (radial nodes x angles) samples per chunk of the boundary series: 512
+# KiB per rfft, r^m or (R/r)^m table, 85 radial rows of the 600 x 768 rule
+_SERIES_BLOCK = 2**16
+
+
+def _boundary_series(r, wr, values, R, hole):
+    """(1/2pi) int ln|x - y| f(y) dy by the annulus rule (radial nodes
+    ``r``, weights ``wr``, uniform angles from 0; ``values`` (n_r,
+    n_theta) samples f) at x = rho e^{i phi_j} for every angle of the rule
+    and rho = 1, then each rho <= R of ``hole``: (1 + len(hole), n_theta).
+
+    Off the open annulus the kernel is the series ln max(rho, r) -
+    sum_{m >= 1} (q^m / m) cos m(theta - phi), q = min / max: ln max = 0
+    and q = r at rho = 1, ln max = ln r and q^m = (rho/R)^m (R/r)^m in the
+    hole.  Summed exactly over the trigonometric interpolant of each
+    density row, that is one rfft per radial row, its moments against
+    r^m and (R/r)^m in chunks of ``_SERIES_BLOCK`` samples, and one irfft.
+    """
+    n = values.shape[1]
+    m = np.arange(n // 2 + 1)
+    moments = np.zeros((2, m.size), dtype=complex)
+    log_moment = 0.0
+    step = max(1, _SERIES_BLOCK // n)
+    for s in range(0, len(r), step):
+        log_r = np.log(r[s : s + step, None])
+        dens_hat = np.fft.rfft((wr * r)[s : s + step, None] * values[s : s + step])
+        moments[0] += np.sum(np.exp(m * log_r) * dens_hat, axis=0)
+        moments[1] += np.sum(np.exp(m * (np.log(R) - log_r)) * dens_hat, axis=0)
+        log_moment += log_r[:, 0] @ dens_hat[:, 0].real
+    # irfft's 1/n is the angular weight 2 pi / n over 2 pi; it takes each
+    # bin 0 < m < n/2 with its conjugate, so -(1/m) cos m(theta - phi)
+    # is -1/(2m) there, and bin n/2 alone, the interpolant's half
+    scale = -0.5 / np.maximum(m, 1)
+    rows = np.vstack([scale * moments[0], (hole[:, None] / R) ** m * (scale * moments[1])])
+    rows[0, 0], rows[1:, 0] = 0.0, log_moment
+    return np.fft.irfft(rows, n)
+
+
 @dataclass(frozen=True)
 class BoundaryReport:
     outer_max: float
@@ -353,8 +391,8 @@ def newtonian_bs_annulus(
 
     The report reads the potential at the ``n_boundary`` angles
     2 pi m / n_boundary, which must be angles of the rule: ``n_boundary``
-    has to divide ``geom.n_angular``.  There the sums are one angular
-    correlation per radius (``fields._ring_log_kernel``).
+    has to divide ``geom.n_angular``.  Its radii lie off the open annulus,
+    where the log kernel is a Fourier series in angle (``_boundary_series``).
     """
     _harmonic_norms(geom, degree)  # the degree is checked before any sampling
     if not is_integer(n_boundary) or n_boundary < 1:
@@ -375,12 +413,11 @@ def newtonian_bs_annulus(
             f"(component {comps[power, parity, k]:.3e} against "
             f"k={k} {('cos', 'sin')[parity]} r^{-k if power else k})"
         )
-    # per radius, the values at the boundary angles: the outer circle,
-    # then the inward normal chain from the inner circle, R - m fd_step
-    # for m = 0..4, all inside the hole
+    # the outer circle, then the inward normal chain R - m fd_step for
+    # m = 0..4 from the inner circle, all inside the hole
     fd_step = min(1e-2, geom.r_inner / 8.0)
-    radii = np.r_[1.0, geom.r_inner - fd_step * np.arange(5)]
-    vals = _ring_log_kernel(*geom.radial_rule(), fv, radii)[:, :: geom.n_angular // n_boundary]
+    hole = geom.r_inner - fd_step * np.arange(5)
+    vals = _boundary_series(*geom.radial_rule(), fv, geom.r_inner, hole)[:, :: geom.n_angular // n_boundary]
     chain = vals[1:]
     return BoundaryReport(
         outer_max=float(np.max(np.abs(vals[0]))),

@@ -382,16 +382,13 @@ def trace_extension(omega: SpectralField) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# log-kernel quadrature (verification, not a solver path)
+# log-kernel quadrature of the disk potentials (verification, not a solver path)
 
 # (points x nodes) entries per block of the log-kernel sum: 512 KiB of
 # doubles per block buffer, so the passes over a block stay in L2; a
 # block holds at least one point, whose row of nodes on check 3's
 # 260 x 320 disk grid is 650 KiB
 _KERNEL_BLOCK = 2**16
-# (radial nodes x angles) kernel entries per chunk of the ring sum:
-# 512 KiB of doubles, 85 radial rows on the 600 x 768 annulus rule
-_RING_BLOCK = 2**16
 
 
 def _log_kernel(r, wr, theta, values, points, image: bool = False):
@@ -438,40 +435,6 @@ def _log_kernel(r, wr, theta, values, points, image: bool = False):
             kernel = np.log(d2, out=d2)
         vals[s : s + step] = np.vecdot(kernel, dens) / (2.0 * np.pi)
     return vals, dmin
-
-
-def _ring_log_kernel(r, wr, values, radii):
-    """``_log_kernel``'s values at x = rho e^{i phi_j} for each rho in
-    ``radii`` and every angle phi_j = 2 pi j / n_theta of the rule, as a
-    (len(radii), n_theta) array, for uniform angles starting at 0.
-
-    ln|rho e^{i phi} - r e^{i theta}| depends on theta - phi alone, so
-    for one rho the sums over angles are circular correlations: one row
-    of n_theta kernel values 0.5 ln((rho - r)^2 + 4 rho r sin^2(theta/2))
-    per radial node (no cancellation as theta -> 0), whose conjugated
-    rfft pairs with the rfft of that node's density row.  Radial nodes
-    go in chunks of ``_RING_BLOCK`` kernel entries, and one irfft per rho
-    ends the sum.
-    """
-    n = values.shape[1]
-    sin2 = 4.0 * np.sin(np.pi * np.arange(n) / n) ** 2
-    # radial weights w_r r, the angular weight 2 pi / n and the 1 / 2 pi
-    weights = wr * r / n
-    acc = np.zeros((len(radii), n // 2 + 1), dtype=complex)
-    step = max(1, _RING_BLOCK // n)
-    d2_buf = np.empty((min(step, len(r)), n))
-    for s in range(0, len(r), step):
-        rs = r[s : s + step, None]
-        d2 = d2_buf[: len(rs)]
-        dens_hat = np.fft.rfft(weights[s : s + step, None] * values[s : s + step])
-        for i, rho in enumerate(radii):
-            np.multiply(rho * rs, sin2, out=d2)
-            d2 += (rho - rs) ** 2
-            kernel = np.log(np.maximum(d2, 1e-280, out=d2), out=d2)
-            kernel *= 0.5
-            # vecdot conjugates its first argument
-            acc[i] += np.vecdot(np.fft.rfft(kernel), dens_hat, axis=0)
-    return np.fft.irfft(acc, n)
 
 
 @dataclass

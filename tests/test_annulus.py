@@ -2,7 +2,6 @@
 
 import itertools
 import re
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,15 +19,14 @@ from diskvort.annulus import (
     q1_dirichlet_split,
     xi_circulation,
     zeta_pairing,
+    _boundary_series,
     _integrate,
     _legendre_tables,
     _sample,
 )
-from diskvort.fields import _ring_log_kernel
 from bessel_oracle import bessel_j, bessel_y
 from harmonic_oracle import basis_terms, dense_projection, element_values, rows_in_term_order
 from legendre_oracle import legendre_tables
-from potential_oracle import newtonian_points
 
 R = 0.5
 RTOL_BRENT = 4 * np.finfo(float).eps
@@ -373,10 +371,34 @@ class TestQ1Split:
         assert abs(np.mean(inner) - split.inner_constant) <= 1e-12
 
 
+# radii of the hole where ``_boundary_series`` meets ``ring_closed_form``,
+# and its absolute bound for fields of max 1: the exact values fall like
+# 1/k^2 and the error stays at rounding, 2.2e-16 at most (k = 63)
+RING_HOLE = R * np.array([1.0, 0.9, 0.5])
+RING_ATOL = 1e-15
+
+
+def ring_closed_form(a, k, phi):
+    """(1/2pi) int ln|x - y| r^a cos(k theta) dy over R < r < 1 at
+    x = rho e^{i phi}, rows rho = 1 then ``RING_HOLE``: outside the
+    annulus the kernel's Fourier series leaves one radial integral."""
+    b = a + 2
+    if k == 0:
+        # int_R^1 r^(b-1) ln r dr, the hole's ln max(rho, r) = ln r
+        hole = (R**b - 1.0 - b * R**b * np.log(R)) / b**2
+        return np.vstack([np.zeros_like(phi), np.full((len(RING_HOLE), len(phi)), hole)])
+    outer = -(1.0 - R ** (b + k)) / (2 * k * (b + k))
+    inner = np.log(1.0 / R) if b == k else (1.0 - R ** (b - k)) / (b - k)
+    scale = np.r_[outer, -(RING_HOLE**k) * inner / (2 * k)]
+    return scale[:, None] * np.cos(k * phi)
+
+
 class TestNewtonianBoundary:
-    # tolerances from the quadrature-convergence study at this
-    # resolution: outer 6.1e-6, inner 6.5e-7, normal 1.7e-4 for the
-    # bump; doubling the radial rule shrinks outer/inner by 4x
+    # tolerances from the quadrature-convergence study of the sampled
+    # log rows the report once summed: outer 6.1e-6, inner 6.5e-7, normal
+    # 1.7e-4 for the bump at 400 x 512, falling by 4x per doubling of the
+    # angular rule and not at all with the radial one; the series reads
+    # rounding (<= 1e-16)
     def test_projected_bump_report(self):
         geo = AnnulusGeometry(R, n_radial=400, n_angular=512)
         proj = bergman_project(geo, j_bump, degree=4)
@@ -397,24 +419,18 @@ class TestNewtonianBoundary:
             assert rep.inner_stddev <= 5e-5, f"field {i}"
             assert rep.normal_max <= 5e-4, f"field {i}"
 
-    @pytest.mark.parametrize("n_radial, n_angular, n_boundary", [(64, 128, 128), (600, 768, 16)])
-    def test_ring_sum_matches_per_point_oracle(self, n_radial, n_angular, n_boundary):
-        # the report's radii at its grid-aligned angles: every angle of
-        # the coarse rule, the benchmark's 16 of the fine one
-        geo = AnnulusGeometry(R, n_radial=n_radial, n_angular=n_angular)
+    @pytest.mark.parametrize("k", [0, 1, 2, 7, 40, 63, 64])
+    @pytest.mark.parametrize("a", [0, 2])
+    def test_boundary_series_matches_closed_form(self, a, k):
+        # f = r^a cos k theta on a 64 x 128 rule, up to its Nyquist
+        # wavenumber 64, against exact potentials at rho = 1 and in the hole
+        geo = AnnulusGeometry(R, n_radial=64, n_angular=128)
         r, wr = geo.radial_rule()
-        fv = _sample(geo, band_field(np.random.default_rng(7)))
-        radii = np.r_[1.0, R - 1e-2 * np.arange(5)]
-        got = _ring_log_kernel(r, wr, fv, radii)[:, :: n_angular // n_boundary]
-        angles = geo.theta()[:: n_angular // n_boundary]
-        points = radii[:, None, None] * np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-        rr, tt = np.meshgrid(r, geo.theta(), indexing="ij")
-        grid = SimpleNamespace(
-            r=r, wr=wr, n_angular=n_angular, wtheta=2 * np.pi / n_angular, node_polar=lambda: (rr, tt)
-        )
-        want, _ = newtonian_points(SimpleNamespace(grid=grid, values=fv), points.reshape(-1, 2))
-        want = want.reshape(got.shape)
-        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        phi = geo.theta()
+        got = _boundary_series(r, wr, r[:, None] ** a * np.cos(k * phi), R, RING_HOLE)
+        want = ring_closed_form(a, k, phi)
+        err = np.max(np.abs(got - want))
+        assert err <= RING_ATOL, f"off by {err:.2e}, {err / np.max(np.abs(want)):.2e} of the max"
 
     def test_rejects_field_with_harmonic_content(self, geom):
         # the message names the first component above tolerance in k order

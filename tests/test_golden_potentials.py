@@ -13,6 +13,9 @@ the numerics must reproduce it at the tolerances fixed below:
   nodes; the ``near_node`` flags must match exactly;
 * absolute 1e-12 on the fields of the ``BoundaryReport`` of
   ``tests/test_annulus.py``'s projected bump at 400x512 (degree 4);
+  these three values alone were rebased when the report moved from
+  sampled log rows, whose angular rule read 6.1e-6 on the outer circle,
+  to the kernel's angular Fourier series, which reads rounding;
 * relative 1e-12 in the max norm on the ``bergman_project``
   coefficients (the negated rows, in the order of
   ``harmonic_oracle.basis_terms``), at degree 4 for that bump and at

@@ -12,7 +12,9 @@ import inspect
 
 import pytest
 
+import test_annulus
 import test_nonlinear
+import test_solver
 from diskvort import acceptance, annulus, nonlinear, pressure, solver
 from diskvort.annulus import AnnulusGeometry
 from diskvort.fields import PolarGrid
@@ -169,3 +171,32 @@ def test_annulus_defect_fails_its_detector(monkeypatch, fresh_annulus_spectra, d
     else:
         passed, detail = verdicts[detector]
         assert not passed, detail
+
+
+# the annulus boundary series: its hole terms, each against the closed
+# form at the case that reads it (k = 1 inside the hole, k = 0 for ln r)
+HOLE_SCALE = "(hole[:, None] / R) ** m * (scale * moments[1])"
+LOG_TERM = "rows[0, 0], rows[1:, 0] = 0.0, log_moment"
+SERIES_DEFECTS = {
+    "hole-scale-dropped": (HOLE_SCALE, "np.ones((len(hole), 1)) * (scale * moments[1])", 1),
+    "log-r-term-dropped": (LOG_TERM, "rows[0, 0], rows[1:, 0] = 0.0, 0.0", 0),
+}
+
+
+@pytest.mark.parametrize("defect", SERIES_DEFECTS.values(), ids=SERIES_DEFECTS.keys())
+def test_closed_form_oracle_catches_boundary_series_defect(monkeypatch, defect):
+    old, new, k = defect
+    monkeypatch.setattr(test_annulus, "_boundary_series", planted(annulus._boundary_series, old, new))
+    oracle = test_annulus.TestNewtonianBoundary().test_boundary_series_matches_closed_form
+    for a in (0, 2):
+        with pytest.raises(AssertionError, match="off by"):
+            oracle(a, k)
+
+
+@pytest.mark.parametrize("c", [0.5, 2.0, 4.0])
+def test_scaling_relation_catches_fixed_nu_elliptic_map(monkeypatch, c):
+    # E / nu built at nu = 0.1 whatever the run's nu: accept and the rest
+    # of tier-1 pass it
+    plant(monkeypatch, solver.prepare, ELLIPTIC, "elliptic_map=elliptic_map(grid) / 0.1,")
+    with pytest.raises(AssertionError):
+        test_solver.test_scaling_relation(solver.run, c)

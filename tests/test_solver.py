@@ -1,5 +1,6 @@
 """Coupled parabolic-elliptic stepping: exactness, conservation, decay."""
 
+import dataclasses
 import math
 import re
 
@@ -457,6 +458,31 @@ def test_row_times_are_step_counts_times_dt(runner, kw):
     want = np.arange(n_steps + 1)[rows] * cfg.dt
     np.testing.assert_array_equal(tr.times, want)
     np.testing.assert_array_equal([r.t for r in tr.diagnostics], want)
+
+
+# the Navier-Stokes similarity omega -> c omega, nu -> c nu, t -> t / c:
+# with c a power of two every factor, product and row maps exactly
+SCALING_MODES = unit_enstrophy_modes(4, 4, 9)
+
+
+@pytest.mark.parametrize("runner", [run, stokes_run])
+@pytest.mark.parametrize("c", [0.5, 2.0, 4.0])
+def test_scaling_relation(runner, c):
+    cfg = RunConfig(nu=0.05, K=4, J=4, dt=2e-3, t_final=0.1, init_modes=SCALING_MODES, output_every=5)
+    scaled = dataclasses.replace(
+        cfg,
+        nu=c * cfg.nu,
+        dt=cfg.dt / c,
+        t_final=cfg.t_final / c,
+        init_modes=tuple((mode, c * coeff) for mode, coeff in SCALING_MODES),
+    )
+    base, got = runner(cfg), runner(scaled)
+    assert np.array_equal(got.states[-1].coeffs, c * base.states[-1].coeffs)
+    assert np.array_equal(got.times, base.times / c)
+    for row, want in zip(got.diagnostics, base.diagnostics, strict=True):
+        assert row.t == want.t / c
+        for name in ("energy", "enstrophy", "palinstrophy_norm", "moment_drift", "correction_norm"):
+            assert getattr(row, name) == c * getattr(want, name), (name, row.t)
 
 
 def test_run_deterministic():
