@@ -361,12 +361,11 @@ def check_pressure_consistency() -> CheckResult:
     alpha, lam, cn = table.alpha[pos], table.lam[pos], table.norm[pos]
 
     def circular_defect(n_aux):
-        tabs = _phi_tables(omega, n_aux)
-        nodes = tabs.mesh.nodes
+        nodes, T = _phi_tables(omega, n_aux)
         h = nodes[1] - nodes[0]
         a, b = nodes[:-1], nodes[1:]
         cent = (2.0 / 3.0) * (b**3 - a**3) / (b**2 - a**2)
-        slope = np.diff(tabs.Tc[0]) / h
+        slope = np.diff(T[0, 0]) / h
         u_t = cn * alpha / lam * bessel_j(1, alpha * cent)
         return float(np.max(np.abs(slope - u_t**2 / cent)))
 

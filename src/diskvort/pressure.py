@@ -27,13 +27,13 @@ The variational problem splits into independent radial two-point
 problems, one per row, solved with piecewise-linear elements on a
 uniform auxiliary radial grid (second order).  The tridiagonal systems
 of all wavenumbers are assembled at once from element sums and solved
-as one banded system.  Only the final fields are evaluated back on the
-caller's grid.
+as one banded system.  The P1 layer is plain arrays, the mesh nodes
+and the nodal values T (2, 2K+1, n_nodes) of Phi[u]'s rows, and
+``_p1_rows`` is its one evaluator: T's rows and their d_r at any radii,
+the caller's grid or the element midpoints.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -112,27 +112,20 @@ def _convective(u, r) -> tuple[np.ndarray, np.ndarray]:
 # P1 radial solves
 
 
-@dataclass
-class _RadialMesh:
-    nodes: np.ndarray  # uniform, 0..1 inclusive
-    qpts: np.ndarray  # 4 Gauss points per element, flattened
-    qw: np.ndarray  # matching weights (plain dr measure)
-    mids: np.ndarray  # element midpoints
-
-    @classmethod
-    def uniform(cls, n_elements: int) -> "_RadialMesh":
-        if n_elements < 1:
-            raise ValueError(f"need at least 1 radial element, got {n_elements}")
-        nodes = np.linspace(0.0, 1.0, n_elements + 1)
-        gx, gw = np.polynomial.legendre.leggauss(4)
-        h = nodes[1] - nodes[0]
-        mids = 0.5 * (nodes[:-1] + nodes[1:])
-        qpts = (mids[:, None] + 0.5 * h * gx[None, :]).ravel()
-        qw = np.tile(0.5 * h * gw, n_elements)
-        return cls(nodes=nodes, qpts=qpts, qw=qw, mids=mids)
+def _radial_mesh(n_elements: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Uniform P1 mesh on [0, 1]: its nodes, and 4 Gauss points per
+    element (flattened) with their plain dr weights."""
+    if n_elements < 1:
+        raise ValueError(f"need at least 1 radial element, got {n_elements}")
+    nodes = np.linspace(0.0, 1.0, n_elements + 1)
+    gx, gw = np.polynomial.legendre.leggauss(4)
+    h = nodes[1] - nodes[0]
+    qpts = (0.5 * (nodes[:-1] + nodes[1:])[:, None] + 0.5 * h * gx).ravel()
+    qw = np.tile(0.5 * h * gw, n_elements)
+    return nodes, qpts, qw
 
 
-def _solve_radial(mesh: _RadialMesh, f_r: np.ndarray, g: np.ndarray) -> np.ndarray:
+def _solve_radial(nodes, qpts, qw, f_r: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Nodal values T (2, n_k, n_nodes) of one radial Neumann problem per
     cos/sin row of wavenumber k.
 
@@ -140,21 +133,21 @@ def _solve_radial(mesh: _RadialMesh, f_r: np.ndarray, g: np.ndarray) -> np.ndarr
 
         int (T' v' + k^2/r^2 T v) r dr = -int f_r v' r dr + int g v dr,
 
-    with f_r and g = d_theta f_theta given at the quadrature points
-    (shape (2, n_k, n_q)); natural BC at r = 1, T(0) pinned to zero
-    (essential for k >= 1, a gauge fixed by the mean later for k = 0).
+    on the mesh of ``_radial_mesh``, with f_r and g = d_theta f_theta
+    given at its quadrature points qpts (shape (2, n_k, n_q)); natural BC
+    at r = 1, T(0) pinned to zero (essential for k >= 1, a gauge fixed by
+    the mean later for k = 0).
     The element sums give every k's tridiagonal matrix at once, and the
     matrices are solved as one block-diagonal banded system.
     """
-    nodes = mesh.nodes
     h = nodes[1] - nodes[0]
     n_el = nodes.size - 1
 
     def by_element(x):
         return x.reshape(x.shape[:-1] + (n_el, 4))
 
-    r = by_element(mesh.qpts)
-    wr = by_element(mesh.qw) * r
+    r = by_element(qpts)
+    wr = by_element(qw) * r
     v_right = (r - nodes[:-1, None]) / h
     v_left = 1.0 - v_right
 
@@ -167,7 +160,7 @@ def _solve_radial(mesh: _RadialMesh, f_r: np.ndarray, g: np.ndarray) -> np.ndarr
     off = -stiff + k2 * (mass * v_left * v_right).sum(axis=1)
 
     grad = (by_element(f_r) * wr).sum(axis=-1) / h
-    gw = by_element(g) * by_element(mesh.qw)
+    gw = by_element(g) * by_element(qw)
     b = np.zeros(f_r.shape[:2] + (n_el + 1,))
     b[..., :-1] += grad + (gw * v_left).sum(axis=-1)
     b[..., 1:] += -grad + (gw * v_right).sum(axis=-1)
@@ -186,36 +179,24 @@ def _solve_radial(mesh: _RadialMesh, f_r: np.ndarray, g: np.ndarray) -> np.ndarr
     return T.T.reshape(b.shape)
 
 
-@dataclass
-class _PhiTables:
-    """Nodal values T (2, 2K+1, n_nodes) of the cos/sin rows of Phi[u]
-    on the auxiliary mesh."""
-
-    mesh: _RadialMesh
-    T: np.ndarray
-
-    @property
-    def Tc(self) -> np.ndarray:
-        return self.T[0]
-
-    def eval(self, r: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        """Linear interpolation in r, exact trig in theta; tensor output."""
-        nodes = self.mesh.nodes
-        e = np.clip(np.searchsorted(nodes, r, side="right") - 1, 0, nodes.size - 2)
-        slope = (self.T[..., e + 1] - self.T[..., e]) / (nodes[e + 1] - nodes[e])
-        rows = slope * (r - nodes[e]) + self.T[..., e]
-        return synthesize_rows(rows, trig_table(self.T.shape[1] - 1, theta))
-
-
-def _phi_tables(omega: SpectralField, n_aux: int) -> _PhiTables:
+def _phi_tables(omega: SpectralField, n_aux: int) -> tuple[np.ndarray, np.ndarray]:
+    """The auxiliary mesh's nodes and the nodal values T (2, 2K+1,
+    n_nodes) of the cos/sin rows of Phi[u] there."""
     table = omega.table
-    mesh = _RadialMesh.uniform(n_aux)
-    r = mesh.qpts
+    nodes, r, qw = _radial_mesh(n_aux)
     trig = _dealiased_trig(table.K)
     prof, _ = radial_profiles(table, r)
     psi_rows = radial_rows(table.to_blocks(biot_savart(omega).coeffs), prof[:, 1])
     F_r, F_t = split_rows(np.stack(_convective(_velocity(psi_rows, r, trig), r)), trig)
-    return _PhiTables(mesh=mesh, T=_solve_radial(mesh, F_r, d_theta_rows(F_t)))
+    return nodes, _solve_radial(nodes, r, qw, F_r, d_theta_rows(F_t))
+
+
+def _p1_rows(nodes: np.ndarray, T: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Value and d_r rows (2, ..., r.size) of the P1 rows with nodal
+    values T (..., nodes.size) at the radii r."""
+    e = np.clip(np.searchsorted(nodes, r, side="right") - 1, 0, nodes.size - 2)
+    slope = (T[..., e + 1] - T[..., e]) / (nodes[e + 1] - nodes[e])
+    return np.stack([slope * (r - nodes[e]) + T[..., e], slope])
 
 
 def phi_of_u(omega: SpectralField, grid: PolarGrid, n_aux: int = 256) -> GridField:
@@ -224,7 +205,8 @@ def phi_of_u(omega: SpectralField, grid: PolarGrid, n_aux: int = 256) -> GridFie
         raise ValueError("phi_of_u expects a vorticity field")
     if grid.table is not omega.table:
         raise ValueError("grid was built for a different table")
-    vals = _phi_tables(omega, n_aux).eval(grid.r, grid.theta)
+    nodes, T = _phi_tables(omega, n_aux)
+    vals = synthesize_rows(_p1_rows(nodes, T, grid.r)[0], trig_table(T.shape[1] - 1, grid.theta))
     return GridField(grid, vals - grid.integrate(vals) / np.pi)
 
 
@@ -260,11 +242,7 @@ def recover_pressure(
 
 
 def momentum_residual(
-    trajectory: Trajectory,
-    index: int,
-    nu: float,
-    grid: PolarGrid,
-    n_aux: int = 256,
+    trajectory: Trajectory, index: int, nu: float, grid: PolarGrid, n_aux: int = 256
 ) -> float:
     """Normalized primitive-variable momentum defect at one output time.
 
@@ -275,6 +253,9 @@ def momentum_residual(
 
         || d_t u + (u.grad)u - nu Delta u + grad p ||_{L^2}
         / (|| grad p ||_{L^2} + || d_t u ||_{L^2}).
+
+    ``grid`` is not read: every sample lies on the auxiliary mesh.  It
+    stays in the signature because the benchmark's jobs call it so.
     """
     if not (0 < index < len(trajectory) - 1):
         raise ValueError(
@@ -287,9 +268,8 @@ def momentum_residual(
     w_cur = states[1]
 
     table = w_cur.table
-    mesh = _RadialMesh.uniform(n_aux)
-    r = mesh.mids
-    h = mesh.nodes[1] - mesh.nodes[0]
+    nodes = _radial_mesh(n_aux)[0]
+    r = 0.5 * (nodes[:-1] + nodes[1:])
     trig = _dealiased_trig(table.K)
     prof, harm = radial_profiles(table, r)
 
@@ -305,15 +285,14 @@ def momentum_residual(
 
     # grad p at the midpoints: rows of p and d_r p there, with the
     # conjugate part added to the first K+1 wavenumbers
-    T = _phi_tables(w_cur, n_aux).T
-    p_rows = np.stack([0.5 * (T[..., :-1] + T[..., 1:]), np.diff(T, axis=-1) / h])
+    p_rows = _p1_rows(*_phi_tables(w_cur, n_aux), r)
     p_rows[:, :, : table.K + 1] += nu * _conjugate_rows(w_cur)[:, :, None] * harm[:, None]
     dp_r, dp_t = synthesize_rows(np.stack([p_rows[1], d_theta_rows(p_rows[0]) / r]), trig)
 
     res_r = dudt_r + F_r - nu * lap_r + dp_r
     res_t = dudt_t + F_t - nu * lap_t + dp_t
 
-    wq = h * r[:, None] * (2.0 * np.pi / trig.shape[1])
+    wq = (nodes[1] - nodes[0]) * r[:, None] * (2.0 * np.pi / trig.shape[1])
 
     def l2(a, b):
         return float(np.sqrt(np.sum(wq * (a * a + b * b))))

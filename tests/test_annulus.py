@@ -393,19 +393,26 @@ def ring_closed_form(a, k, phi):
     return scale[:, None] * np.cos(k * phi)
 
 
+# bounds on the boundary report of a field orthogonal to the zero-flux
+# harmonics: about 1000x the largest the series reads on the projected
+# bump, the five random fields and the two thin holes below (outer
+# 2.0e-16, inner 9.4e-17, normal 6.9e-16).  The report cannot see the
+# series' hole terms (the (rho/R)^m scale, the m = 0 ln r moment): they
+# give the hole one constant, which the spread and the normal difference
+# cancel, so only the closed-form oracle below catches a defect there.
+REPORT_BOUNDS = {"outer_max": 2e-13, "inner_stddev": 1e-13, "normal_max": 7e-13}
+
+
+def assert_report_within(rep, bounds=REPORT_BOUNDS, what=""):
+    for name, bound in bounds.items():
+        assert getattr(rep, name) <= bound, f"{what}{name} = {getattr(rep, name):.2e} > {bound:.0e}"
+
+
 class TestNewtonianBoundary:
-    # tolerances from the quadrature-convergence study of the sampled
-    # log rows the report once summed: outer 6.1e-6, inner 6.5e-7, normal
-    # 1.7e-4 for the bump at 400 x 512, falling by 4x per doubling of the
-    # angular rule and not at all with the radial one; the series reads
-    # rounding (<= 1e-16)
     def test_projected_bump_report(self):
         geo = AnnulusGeometry(R, n_radial=400, n_angular=512)
         proj = bergman_project(geo, j_bump, degree=4)
-        rep = newtonian_bs_annulus(geo, proj, degree=4)
-        assert rep.outer_max <= 5e-5
-        assert rep.inner_stddev <= 5e-5
-        assert rep.normal_max <= 5e-4
+        assert_report_within(newtonian_bs_annulus(geo, proj, degree=4))
 
     def test_five_random_admissible_fields(self):
         geo = AnnulusGeometry(R, n_radial=600, n_angular=768)
@@ -414,10 +421,7 @@ class TestNewtonianBoundary:
             p = bergman_project(geo, f, degree=4)
             nrm = np.sqrt(_integrate(geo, _sample(geo, p) ** 2))
             unit = lambda r, t, what="value", p=p, nrm=nrm: p(r, t, what) / nrm
-            rep = newtonian_bs_annulus(geo, unit, degree=4)
-            assert rep.outer_max <= 5e-5, f"field {i}"
-            assert rep.inner_stddev <= 5e-5, f"field {i}"
-            assert rep.normal_max <= 5e-4, f"field {i}"
+            assert_report_within(newtonian_bs_annulus(geo, unit, degree=4), what=f"field {i}: ")
 
     @pytest.mark.parametrize("k", [0, 1, 2, 7, 40, 63, 64])
     @pytest.mark.parametrize("a", [0, 2])
@@ -464,10 +468,7 @@ class TestNewtonianBoundary:
             raise ValueError(what)
 
         geo = AnnulusGeometry(r_inner)
-        rep = newtonian_bs_annulus(geo, bergman_project(geo, bump, degree=4), degree=4)
-        assert rep.outer_max <= 5e-5
-        assert rep.inner_stddev <= 5e-5
-        assert rep.normal_max <= 5e-4
+        assert_report_within(newtonian_bs_annulus(geo, bergman_project(geo, bump, degree=4), degree=4))
 
 
 @pytest.mark.parametrize("r_inner", [0.05, 0.3, 0.5, 0.95])

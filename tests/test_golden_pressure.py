@@ -51,11 +51,12 @@ def pressure_record() -> dict:
     }
     p = recover_pressure(traj.states[-1], TWO_MODE.nu, ctx.grid)
     circular = SpectralField.from_mode(build_table(0, 1), ModeIndex(0, 1, "cos"))
+    _, T = _phi_tables(circular, 256)
     return {
         "residual_t": float(traj.times[index]),
         "residuals": residuals,
         "pressure": p.values.tolist(),
-        "circular_Tc0": _phi_tables(circular, 256).Tc[0].tolist(),
+        "circular_Tc0": T[0, 0].tolist(),
     }
 
 

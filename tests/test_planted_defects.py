@@ -173,13 +173,20 @@ def test_annulus_defect_fails_its_detector(monkeypatch, fresh_annulus_spectra, d
         assert not passed, detail
 
 
-# the annulus boundary series: its hole terms, each against the closed
-# form at the case that reads it (k = 1 inside the hole, k = 0 for ln r)
+# the annulus boundary series: its hole terms and its per-wavenumber
+# factors, each against the closed form at the case that reads it (k = 1
+# inside the hole and for the factor, k = 0 for ln r, k = 64 for the
+# Nyquist bin).  The boundary report cannot see any of them: its fields'
+# moments vanish at every wavenumber they hold, and the hole terms give
+# the hole one constant, which its spread and normal difference cancel.
 HOLE_SCALE = "(hole[:, None] / R) ** m * (scale * moments[1])"
 LOG_TERM = "rows[0, 0], rows[1:, 0] = 0.0, log_moment"
+SCALE = "scale = -0.5 / np.maximum(m, 1)"
 SERIES_DEFECTS = {
     "hole-scale-dropped": (HOLE_SCALE, "np.ones((len(hole), 1)) * (scale * moments[1])", 1),
     "log-r-term-dropped": (LOG_TERM, "rows[0, 0], rows[1:, 0] = 0.0, 0.0", 0),
+    "scale-1e-6": (SCALE, SCALE + " * (1 + 1e-6)", 1),
+    "nyquist-doubled": (SCALE, SCALE + " * np.where(m == n // 2, 2.0, 1.0)", 64),
 }
 
 
@@ -191,6 +198,28 @@ def test_closed_form_oracle_catches_boundary_series_defect(monkeypatch, defect):
     for a in (0, 2):
         with pytest.raises(AssertionError, match="off by"):
             oracle(a, k)
+
+
+# the series' outer row: r^m rounded to single precision leaves an
+# orthogonal field's moments at about 1e-11 in place of rounding (outer
+# 4.6e-12 on the projected bump, 2.2e-11 and 7.3e-12 on the thin holes).
+# The bounds the report had while it summed sampled log rows, which read
+# 6.1e-6, 6.5e-7 and 1.7e-4 on the bump, pass it; today's fail it.
+OUTER_TABLE = "np.exp(m * log_r) * dens_hat"
+SAMPLED_ROW_BOUNDS = {"outer_max": 5e-5, "inner_stddev": 5e-5, "normal_max": 5e-4}
+
+
+def test_report_bounds_catch_outer_row_defect(monkeypatch):
+    plant(monkeypatch, annulus._boundary_series, OUTER_TABLE, "np.exp(m * log_r).astype(np.float32) * dens_hat")
+    geo = AnnulusGeometry(test_annulus.R, n_radial=400, n_angular=512)
+    proj = annulus.bergman_project(geo, test_annulus.j_bump, degree=4)
+    test_annulus.assert_report_within(annulus.newtonian_bs_annulus(geo, proj, degree=4), SAMPLED_ROW_BOUNDS)
+    boundary = test_annulus.TestNewtonianBoundary()
+    with pytest.raises(AssertionError, match="outer_max"):
+        boundary.test_projected_bump_report()
+    for r_inner in (0.05, 0.07):
+        with pytest.raises(AssertionError, match="outer_max"):
+            boundary.test_projected_bump_report_on_thin_holes(r_inner)
 
 
 @pytest.mark.parametrize("c", [0.5, 2.0, 4.0])

@@ -16,7 +16,7 @@ from diskvort.pressure import (
 from diskvort import pressure
 from diskvort.fields import split_rows as _split_rows
 from diskvort.fields import synthesize_rows
-from diskvort.pressure import _phi_tables, _RadialMesh, _solve_radial
+from diskvort.pressure import _p1_rows, _phi_tables, _radial_mesh, _solve_radial
 from diskvort.solver import RunConfig, prepare, run, stokes_run
 from diskvort.specfun import bessel_j
 from diskvort.spectrum import ModeIndex, build_table
@@ -114,12 +114,11 @@ class TestPhiOfU:
         om = circular_mode(table44)
         errs = {}
         for n_aux in (128, 256):
-            tabs = _phi_tables(om, n_aux)
-            nodes = tabs.mesh.nodes
+            nodes, T = _phi_tables(om, n_aux)
             h = nodes[1] - nodes[0]
             a, b = nodes[:-1], nodes[1:]
             cent = (2.0 / 3.0) * (b**3 - a**3) / (b**2 - a**2)
-            dT = np.diff(tabs.Tc[0]) / h
+            dT = np.diff(T[0, 0]) / h
             u_t = circular_speed(table44, cent)
             errs[n_aux] = np.max(np.abs(dT - u_t**2 / cent))
         assert errs[256] < 1e-5
@@ -168,13 +167,13 @@ class TestPhiOfU:
 
 def dense_radial_solve(mesh, k, f_r, g):
     """One row's P1 system assembled element by element and solved densely."""
-    nodes = mesh.nodes
+    nodes, qpts, qw = mesh
     h = nodes[1] - nodes[0]
     A = np.zeros((nodes.size, nodes.size))
     b = np.zeros(nodes.size)
     for e in range(nodes.size - 1):
         q = slice(4 * e, 4 * e + 4)
-        r, w = mesh.qpts[q], mesh.qw[q]
+        r, w = qpts[q], qw[q]
         hats = ((e, (nodes[e + 1] - r) / h, -1.0 / h), (e + 1, (r - nodes[e]) / h, 1.0 / h))
         for i, vi, si in hats:
             b[i] += np.sum(-f_r[q] * si * w * r + g[q] * vi * w)
@@ -187,11 +186,11 @@ def dense_radial_solve(mesh, k, f_r, g):
 
 
 def test_banded_solve_matches_dense_per_row_assembly():
-    mesh = _RadialMesh.uniform(12)
+    mesh = _radial_mesh(12)
     rng = np.random.default_rng(3)
-    f_r, g = rng.standard_normal((2, 2, 5, mesh.qpts.size))
-    T = _solve_radial(mesh, f_r, g)
-    assert T.shape == (2, 5, mesh.nodes.size)
+    f_r, g = rng.standard_normal((2, 2, 5, mesh[1].size))
+    T = _solve_radial(*mesh, f_r, g)
+    assert T.shape == (2, 5, mesh[0].size)
     for p in range(2):
         for k in range(5):
             want = dense_radial_solve(mesh, k, f_r[p, k], g[p, k])
@@ -201,7 +200,23 @@ def test_banded_solve_matches_dense_per_row_assembly():
 @pytest.mark.parametrize("n", [0, -3])
 def test_radial_mesh_needs_an_element(n):
     with pytest.raises(ValueError, match="at least 1 radial element"):
-        _RadialMesh.uniform(n)
+        _radial_mesh(n)
+
+
+def test_p1_rows_are_the_piecewise_linear_interpolant():
+    # values against np.interp at the nodes, the midpoints and random
+    # radii; d_r against each element's slope at its midpoint
+    rng = np.random.default_rng(5)
+    nodes = np.linspace(0.0, 1.0, 9)
+    T = rng.standard_normal((2, 3, nodes.size))
+    mids = 0.5 * (nodes[:-1] + nodes[1:])
+    r = np.r_[nodes, mids, rng.uniform(0.0, 1.0, 20)]
+    value, slope = _p1_rows(nodes, T, r)
+    assert value.shape == slope.shape == (2, 3, r.size)
+    for p in range(2):
+        for k in range(3):
+            assert_allclose(value[p, k], np.interp(r, nodes, T[p, k]), rtol=0, atol=1e-14)
+    assert_allclose(slope[..., nodes.size : nodes.size + mids.size], np.diff(T) / np.diff(nodes), rtol=1e-14)
 
 
 def test_failed_radial_solve_raises(monkeypatch):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from diskvort.fields import PolarGrid
-from diskvort.pressure import _RadialMesh
+from diskvort.pressure import _radial_mesh
 from diskvort.specfun import MAX_ORDER, bessel_j_zero
 from diskvort.spectrum import (
     EigenTable,
@@ -219,11 +219,11 @@ def test_radial_profiles_scalar_radius():
 
 
 def _profile_cases():
-    mesh = _RadialMesh.uniform(256)
+    nodes, qpts, _ = _radial_mesh(256)
     for K, J in [(0, 1), (4, 12), (8, 8), (32, 24), (63, 2)]:
         yield f"grid-{K}-{J}", K, J, np.append(1e-3, PolarGrid(build_table(K, J)).r)
-    yield "pressure-qpts", 4, 12, mesh.qpts
-    yield "pressure-mids", 4, 12, mesh.mids
+    yield "pressure-qpts", 4, 12, qpts
+    yield "pressure-mids", 4, 12, 0.5 * (nodes[:-1] + nodes[1:])
 
 
 @pytest.mark.parametrize("name,K,J,r", list(_profile_cases()), ids=lambda v: v if isinstance(v, str) else "")
