@@ -1,10 +1,13 @@
 """The twelve numbered acceptance checks behind ``diskvort accept``.
 
 Each check re-derives its reference from an independent route (closed
-forms, bisection oracles, dual quadratures) and returns a CheckResult
-with the measured numbers in the detail string; nothing is asserted
-here, so the same functions back both the CLI report and the test
-suite.  Expensive shared artifacts (the reference nonlinear run, the
+forms, bisection oracles, dual quadratures) and returns ``(passed,
+detail)``, with the measured numbers in the detail string; nothing is
+asserted here.  ``ALL_CHECKS`` is the ordered table of ``(name,
+check)`` pairs, a check's number is its 1-based place in it, and
+``run_all`` alone numbers, names and times the checks it runs, one
+CheckResult each, for the CLI report and the test suite alike.
+Expensive shared artifacts (the reference nonlinear run, the
 Biot-Savart quadrature sweep, the annulus spectra) are computed once
 and cached at module level.
 
@@ -88,10 +91,6 @@ def lambda_fundamental() -> float:
     return z * z
 
 
-def _result(number, name, passed, detail, t0) -> CheckResult:
-    return CheckResult(number, name, bool(passed), detail, perf_counter() - t0)
-
-
 # ---------------------------------------------------------------------------
 # shared expensive artifacts
 
@@ -163,71 +162,46 @@ def _annulus_spectra():
 
 
 # ---------------------------------------------------------------------------
-# the twelve checks
+# the twelve checks, each returning (passed, detail)
 
 
-def check_spectrum_pin() -> CheckResult:
-    t0 = perf_counter()
+def check_spectrum_pin() -> tuple[bool, str]:
     lam_f = lambda_fundamental()
     table = build_table(4, 4)
     got = table.lambda_min
     rel = abs(got - lam_f) / lam_f
     pinned = abs(got - 14.6819706) / 14.6819706
     ok = rel <= 1e-6 and pinned <= 1e-6
-    return _result(
-        1,
-        "spectrum-pin",
-        ok,
-        f"lambda_min={got:.10f}, bisection oracle={lam_f:.10f}, rel={rel:.2e}",
-        t0,
-    )
+    return ok, f"lambda_min={got:.10f}, bisection oracle={lam_f:.10f}, rel={rel:.2e}"
 
 
-def check_membership_moments() -> CheckResult:
-    t0 = perf_counter()
+def check_membership_moments() -> tuple[bool, str]:
     res = membership_residuals(_table88())
     worst = float(np.max(res["harmonic_moment"]))
-    return _result(
-        2,
-        "membership-moments",
-        worst <= 1e-9,
-        f"max harmonic moment over K=J=8 table: {worst:.2e} (<= 1e-9)",
-        t0,
-    )
+    return worst <= 1e-9, f"max harmonic moment over K=J=8 table: {worst:.2e} (<= 1e-9)"
 
 
-def check_newtonian_agreement() -> CheckResult:
-    t0 = perf_counter()
+def check_newtonian_agreement() -> tuple[bool, str]:
     sweep = _potential_sweep()
     ok = (
         not sweep["near_node"]
         and sweep["interior_defect"] <= 1e-5
         and sweep["exterior_max"] <= 1e-6 * sweep["norm"]
     )
-    return _result(
-        3,
-        "newtonian-agreement",
-        ok,
+    return ok, (
         f"interior |quadrature - spectral| = {sweep['interior_defect']:.2e} (<= 1e-5), "
-        f"exterior max = {sweep['exterior_max']:.2e} (<= {1e-6 * sweep['norm']:.1e})",
-        t0,
+        f"exterior max = {sweep['exterior_max']:.2e} (<= {1e-6 * sweep['norm']:.1e})"
     )
 
 
-def check_green_equivalence() -> CheckResult:
-    t0 = perf_counter()
+def check_green_equivalence() -> tuple[bool, str]:
     sweep = _potential_sweep()
-    return _result(
-        4,
-        "green-equivalence",
-        sweep["green_defect"] <= 1e-5,
-        f"max |image-kernel - log-kernel| = {sweep['green_defect']:.2e} (<= 1e-5)",
-        t0,
+    return sweep["green_defect"] <= 1e-5, (
+        f"max |image-kernel - log-kernel| = {sweep['green_defect']:.2e} (<= 1e-5)"
     )
 
 
-def check_stokes_decay() -> CheckResult:
-    t0 = perf_counter()
+def check_stokes_decay() -> tuple[bool, str]:
     nu, t_final = 0.1, 5.0
     cfg = RunConfig(
         nu=nu,
@@ -243,70 +217,44 @@ def check_stokes_decay() -> CheckResult:
     got = float(traj.states[-1].coeffs[0])
     exact = math.exp(-nu * lam * t_final)
     rel = abs(got - exact) / exact
-    return _result(
-        5,
-        "stokes-decay",
-        rel <= 1e-10,
-        f"coefficient at t=5: {got:.15e}, exact {exact:.15e}, rel={rel:.2e}",
-        t0,
-    )
+    return rel <= 1e-10, f"coefficient at t=5: {got:.15e}, exact {exact:.15e}, rel={rel:.2e}"
 
 
-def check_ns_decay_rates() -> CheckResult:
-    t0 = perf_counter()
+def check_ns_decay_rates() -> tuple[bool, str]:
     traj = _reference_trajectory()
     lam_f = lambda_fundamental()
     energy = fit_decay_rate([(r.t, r.energy) for r in traj.diagnostics])
     palin = fit_decay_rate([(r.t, r.palinstrophy_norm) for r in traj.diagnostics])
     ok = energy.rate >= 0.95 * 0.1 * lam_f and palin.rate >= 0.95 * 0.5 * 0.1 * lam_f
-    return _result(
-        6,
-        "ns-decay-rates",
-        ok,
+    return ok, (
         f"energy rate {energy.rate:.4f} (>= {0.95 * 0.1 * lam_f:.4f}), "
         f"palinstrophy rate {palin.rate:.4f} (>= {0.95 * 0.05 * lam_f:.4f}), "
-        f"window {energy.window}",
-        t0,
+        f"window {energy.window}"
     )
 
 
-def check_moment_invariance() -> CheckResult:
-    t0 = perf_counter()
+def check_moment_invariance() -> tuple[bool, str]:
     traj = _reference_trajectory()
     drift = max(r.moment_drift for r in traj.diagnostics)
     per_time = drift / float(traj.times[-1])
-    return _result(
-        7,
-        "moment-invariance",
-        per_time <= 1e-8,
-        f"max harmonic moment {drift:.2e}, per unit time {per_time:.2e} (<= 1e-8)",
-        t0,
-    )
+    return per_time <= 1e-8, f"max harmonic moment {drift:.2e}, per unit time {per_time:.2e} (<= 1e-8)"
 
 
-def check_skew_symmetry() -> CheckResult:
-    t0 = perf_counter()
+def check_skew_symmetry() -> tuple[bool, str]:
     table = _table88()
-    grid = PolarGrid(table, n_radial=3 * table.J + 2 * table.K + 12)
+    grid = PolarGrid(table)
     stream_scale = _stream_scale(table)
     worst = 0.0
     for seed in range(20):
         omega = _random_admissible(table, seed)
-        # Lambda sampled by the solver's own advection kernel
+        # Lambda sampled by the solver's own advection kernel on its grid
         lam_vals = _advect(table.to_blocks(omega.coeffs), grid, stream_scale)[3]
         pairing = abs(grid.inner(lam_vals, to_grid(biot_savart(omega), grid).values))
         worst = max(worst, pairing / norm_at(omega, 0) ** 3)
-    return _result(
-        8,
-        "skew-symmetry",
-        worst <= 1e-8,
-        f"max |<advection, stream>| / ||w||^3 over 20 fields: {worst:.2e} (<= 1e-8)",
-        t0,
-    )
+    return worst <= 1e-8, f"max |<advection, stream>| / ||w||^3 over 20 fields: {worst:.2e} (<= 1e-8)"
 
 
-def check_energy_identity_order() -> CheckResult:
-    t0 = perf_counter()
+def check_energy_identity_order() -> tuple[bool, str]:
     nu = 0.1
 
     def residual(dt):
@@ -338,22 +286,18 @@ def check_energy_identity_order() -> CheckResult:
 
     r1, r2, r4 = residual(1e-2), residual(5e-3), residual(2.5e-3)
     o1, o2 = math.log2(r1 / r2), math.log2(r2 / r4)
-    return _result(
-        9,
-        "energy-identity-order",
-        o1 >= 1.8 and o2 >= 1.8,
+    return o1 >= 1.8 and o2 >= 1.8, (
         f"per-step residuals {r1:.2e} / {r2:.2e} / {r4:.2e} under dt halving, "
-        f"orders {o1:.2f}, {o2:.2f} (>= 1.8)",
-        t0,
+        f"orders {o1:.2f}, {o2:.2f} (>= 1.8)"
     )
 
 
-def check_pressure_consistency() -> CheckResult:
-    t0 = perf_counter()
+def check_pressure_consistency() -> tuple[bool, str]:
     # circular flow: the radial pressure slope balances the centripetal
     # term; for axisymmetric data the additive conjugate part is a
-    # constant, so the slope lives entirely in the convective potential
-    from .pressure import _phi_tables
+    # constant, so the slope lives entirely in the convective potential,
+    # read at the element centroids by the P1 layer's one evaluator
+    from .pressure import _p1_rows, _phi_tables
 
     table = build_table(0, 1)
     omega = SpectralField.from_mode(table, ModeIndex(0, 1, "cos"))
@@ -362,10 +306,9 @@ def check_pressure_consistency() -> CheckResult:
 
     def circular_defect(n_aux):
         nodes, T = _phi_tables(omega, n_aux)
-        h = nodes[1] - nodes[0]
         a, b = nodes[:-1], nodes[1:]
         cent = (2.0 / 3.0) * (b**3 - a**3) / (b**2 - a**2)
-        slope = np.diff(T[0, 0]) / h
+        slope = _p1_rows(nodes, T[0, 0], cent)[1]
         u_t = cn * alpha / lam * bessel_j(1, alpha * cent)
         return float(np.max(np.abs(slope - u_t**2 / cent)))
 
@@ -402,30 +345,21 @@ def check_pressure_consistency() -> CheckResult:
         and ratio >= 3.0
         and const_defect <= 1e-10
     )
-    return _result(
-        10,
-        "pressure-consistency",
-        ok,
+    return ok, (
         f"circular d_r p defect {circ_fine:.2e} (<= 1e-4), mesh-halving ratio "
         f"{ratio:.2f} (>= 3), p - potential constant to {const_defect:.1e}, "
-        f"two-mode momentum residual {resid:.2e} (<= 1e-3)",
-        t0,
+        f"two-mode momentum residual {resid:.2e} (<= 1e-3)"
     )
 
 
-def check_annulus_spectra() -> CheckResult:
-    t0 = perf_counter()
+def check_annulus_spectra() -> tuple[bool, str]:
     spectra = _annulus_spectra()
     rel = abs(spectra.lambda_S - spectra.lambda_V) / spectra.lambda_S
     lam_f = lambda_fundamental()
     ok = rel <= 1e-6 and spectra.lambda_Z <= lam_f
-    return _result(
-        11,
-        "annulus-spectra",
-        ok,
+    return ok, (
         f"clamped vs velocity-side lowest: {spectra.lambda_S:.8f} vs {spectra.lambda_V:.8f} "
-        f"(rel {rel:.2e} <= 1e-6); intermediate {spectra.lambda_Z:.7f} <= disk {lam_f:.7f}",
-        t0,
+        f"(rel {rel:.2e} <= 1e-6); intermediate {spectra.lambda_Z:.7f} <= disk {lam_f:.7f}"
     )
 
 
@@ -477,38 +411,39 @@ def annulus_rows(
     return rows, circ
 
 
-def check_annulus_flux() -> CheckResult:
-    t0 = perf_counter()
+def check_annulus_flux() -> tuple[bool, str]:
     rows, _ = annulus_flux_rows(AnnulusGeometry(0.5))
     (_, ok_xi, xi), (_, ok_om, om), (_, ok_law, law) = rows
-    detail = "xi flux " + xi + ", projected flux " + om + ", circulation-law " + law
-    return _result(12, "annulus-flux", ok_xi and ok_om and ok_law, detail, t0)
+    return ok_xi and ok_om and ok_law, "xi flux " + xi + ", projected flux " + om + ", circulation-law " + law
 
 
+# the checks in order: a check's number is its 1-based place here
 ALL_CHECKS = (
-    check_spectrum_pin,
-    check_membership_moments,
-    check_newtonian_agreement,
-    check_green_equivalence,
-    check_stokes_decay,
-    check_ns_decay_rates,
-    check_moment_invariance,
-    check_skew_symmetry,
-    check_energy_identity_order,
-    check_pressure_consistency,
-    check_annulus_spectra,
-    check_annulus_flux,
+    ("spectrum-pin", check_spectrum_pin),
+    ("membership-moments", check_membership_moments),
+    ("newtonian-agreement", check_newtonian_agreement),
+    ("green-equivalence", check_green_equivalence),
+    ("stokes-decay", check_stokes_decay),
+    ("ns-decay-rates", check_ns_decay_rates),
+    ("moment-invariance", check_moment_invariance),
+    ("skew-symmetry", check_skew_symmetry),
+    ("energy-identity-order", check_energy_identity_order),
+    ("pressure-consistency", check_pressure_consistency),
+    ("annulus-spectra", check_annulus_spectra),
+    ("annulus-flux", check_annulus_flux),
 )
 
 
 def run_all(numbers=None, stream=None) -> list[CheckResult]:
-    """Run the selected checks in order, one PASS/FAIL line each."""
-    wanted = None if numbers is None else set(numbers)
+    """Run the checks whose numbers are in ``numbers`` (all if None) in
+    order, timing each, and stream one PASS/FAIL line per check."""
     results = []
-    for i, fn in enumerate(ALL_CHECKS, start=1):
-        if wanted is not None and i not in wanted:
+    for number, (name, check) in enumerate(ALL_CHECKS, start=1):
+        if numbers is not None and number not in numbers:
             continue
-        res = fn()
+        t0 = perf_counter()
+        passed, detail = check()
+        res = CheckResult(number, name, bool(passed), detail, perf_counter() - t0)
         results.append(res)
         if stream is not None:
             tag = "PASS" if res.passed else "FAIL"

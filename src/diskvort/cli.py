@@ -229,8 +229,8 @@ def _load_run(path, check_cfl: bool = True, centred: bool = False):
     number has no bound to break; the run refuses it at its step-0 row
     (``NonFiniteState``).
     """
-    from .nonlinear import velocity_max
-    from .solver import RunConfig, initial_state, prepare
+    from .nonlinear import _advect
+    from .solver import RunConfig, _initial_field, prepare
 
     raw = _parse_file(path)
     problems = [f"unknown section [{section}]" for section in raw if section not in _SCHEMA]
@@ -292,8 +292,9 @@ def _load_run(path, check_cfl: bool = True, centred: bool = False):
         raise ConfigError(problems)
     ctx = prepare(cfg)
     if check_cfl:
-        omega = initial_state(cfg, ctx).total(ctx.table)
-        umax = velocity_max(omega, ctx.grid)
+        # |u|max of the requested field, by the advection initial_state runs on it
+        w = ctx.table.to_blocks(_initial_field(cfg, ctx.table).coeffs)
+        umax = _advect(w, ctx.grid, ctx.stream_scale)[2]
         if 0.0 < umax < math.inf:
             bound = cfg.cfl / (umax * ctx.sqrt_lam_max)
             if cfg.dt > bound:
@@ -376,10 +377,10 @@ def _cmd_ns(args) -> int:
 
 
 def _cmd_biot_savart_check(args) -> int:
-    from .acceptance import check_green_equivalence, check_newtonian_agreement
+    from .acceptance import run_all
 
     with _recorded("biot-savart-check", {}, args.outdir) as man:
-        results = [check_newtonian_agreement(), check_green_equivalence()]
+        results = run_all([3, 4])
         report = {
             r.name: {"passed": r.passed, "detail": r.detail, "seconds": r.seconds}
             for r in results

@@ -194,9 +194,6 @@ class SolverState:
     w0: np.ndarray
     wb: np.ndarray
 
-    def total(self, table: EigenTable) -> SpectralField:
-        return SpectralField(table, table.from_blocks(self.w0 + self.wb), "vorticity")
-
 
 @dataclass
 class DiagnosticsRow:
@@ -344,7 +341,7 @@ def _integrate(cfg: RunConfig, ctx: RunContext, state: SolverState, advance) -> 
     def record(state: SolverState) -> None:
         t = state.steps * cfg.dt
         w = state.w0 + state.wb
-        c, cb = table.from_blocks(w), table.from_blocks(state.wb)
+        c = table.from_blocks(w)
         omega = SpectralField(table, c, "vorticity")
         energy, enstrophy, palinstrophy = np.sqrt((ctx.norm_weights * (c * c)).sum(axis=1)).tolist()
         row = DiagnosticsRow(
@@ -353,7 +350,7 @@ def _integrate(cfg: RunConfig, ctx: RunContext, state: SolverState, advance) -> 
             enstrophy=enstrophy,
             palinstrophy_norm=palinstrophy,
             moment_drift=measure_moment_drift(w, ctx),
-            correction_norm=math.sqrt((cb * cb).sum()),  # V_0: the weight lam^0 is 1
+            correction_norm=math.sqrt((state.wb * state.wb).sum()),  # V_0, on blocks: the weight lam^0 is 1
         )
         bad = [f"{name}={value:.3g}" for name, value in vars(row).items() if not math.isfinite(value)]
         if bad:

@@ -1,15 +1,17 @@
 """One test per numbered acceptance criterion, at the contract tolerances.
 
 The checks themselves live in diskvort.acceptance (shared with the
-``accept`` subcommand); each test asserts the PASS flag and the stated
-runtime budget, with the measured numbers in the failure message.
+``accept`` subcommand); each test runs its check through ``run_all``,
+as the CLI does, and asserts the PASS flag and the stated runtime
+budget, with the measured numbers in the failure message.
 """
 
 from diskvort import acceptance
 from diskvort.annulus import AnnulusGeometry
 
 
-def _require(result, budget_s):
+def _require(number, budget_s):
+    (result,) = acceptance.run_all([number])
     assert result.passed, f"criterion {result.number} ({result.name}): {result.detail}"
     assert result.seconds < budget_s, (
         f"criterion {result.number} took {result.seconds:.1f} s (budget {budget_s} s)"
@@ -17,52 +19,52 @@ def _require(result, budget_s):
 
 
 def test_criterion_01_spectrum_pin():
-    _require(acceptance.check_spectrum_pin(), 1.0)
+    _require(1, 1.0)
 
 
 def test_criterion_02_membership_moments():
-    _require(acceptance.check_membership_moments(), 10.0)
+    _require(2, 10.0)
 
 
 def test_criterion_03_newtonian_agreement():
-    _require(acceptance.check_newtonian_agreement(), 30.0)
+    _require(3, 30.0)
 
 
 def test_criterion_04_green_equivalence():
-    _require(acceptance.check_green_equivalence(), 30.0)
+    _require(4, 30.0)
 
 
 def test_criterion_05_stokes_decay():
-    _require(acceptance.check_stokes_decay(), 5.0)
+    _require(5, 5.0)
 
 
 def test_criterion_06_ns_decay_rates():
-    _require(acceptance.check_ns_decay_rates(), 300.0)
+    _require(6, 300.0)
 
 
 def test_criterion_07_moment_invariance():
     # shares the reference run with criterion 6
-    _require(acceptance.check_moment_invariance(), 300.0)
+    _require(7, 300.0)
 
 
 def test_criterion_08_skew_symmetry():
-    _require(acceptance.check_skew_symmetry(), 30.0)
+    _require(8, 30.0)
 
 
 def test_criterion_09_energy_identity_order():
-    _require(acceptance.check_energy_identity_order(), 120.0)
+    _require(9, 120.0)
 
 
 def test_criterion_10_pressure_consistency():
-    _require(acceptance.check_pressure_consistency(), 120.0)
+    _require(10, 120.0)
 
 
 def test_criterion_11_annulus_spectra():
-    _require(acceptance.check_annulus_spectra(), 120.0)
+    _require(11, 120.0)
 
 
 def test_criterion_12_annulus_flux():
-    _require(acceptance.check_annulus_flux(), 120.0)
+    _require(12, 120.0)
 
 
 def test_run_all_streams_one_line_each():
@@ -83,6 +85,6 @@ def test_check_12_is_the_flux_rows_of_annulus_verify():
     assert [rows[i] for i in (0, 1, 5)] == flux_rows
     assert (circ.gamma == flux_circ.gamma).all()
     (_, _, xi), (_, _, om), (_, _, law) = flux_rows
-    check = acceptance.check_annulus_flux()
+    (check,) = acceptance.run_all([12])
     assert check.passed and all(passed for _, passed, _ in rows)
     assert check.detail == f"xi flux {xi}, projected flux {om}, circulation-law {law}"

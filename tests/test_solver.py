@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from diskvort import solver
@@ -30,6 +30,11 @@ from diskvort.solver import (
 )
 from diskvort.spectrum import ModeIndex
 from transform_oracle import duhamel_reference, propagate, quadrature_drift
+
+
+def total_field(state, table) -> SpectralField:
+    """The total vorticity omega_0 + omega_B of a solver state."""
+    return SpectralField(table, table.from_blocks(state.w0 + state.wb), "vorticity")
 
 
 def small_cfg(**kw):
@@ -184,7 +189,7 @@ def test_config_accepts_numpy_integer_mode_indices():
     cfg = small_cfg(init_modes=modes, init_seed=None)
     assert cfg.validate() == []
     ctx = prepare(cfg)
-    total = initial_state(cfg, ctx).total(ctx.table)
+    total = total_field(initial_state(cfg, ctx), ctx.table)
     np.testing.assert_allclose(total.coeffs, per_mode_field(cfg, total.table).coeffs, atol=1e-14)
 
 
@@ -199,7 +204,7 @@ def test_initial_total_matches_requested():
     rng = np.random.default_rng(11)
     c = rng.standard_normal(len(ctx.table)) / ctx.table.lam
     want = c / np.sqrt(np.sum(c**2))
-    np.testing.assert_allclose(state.total(ctx.table).coeffs, want, atol=1e-14)
+    np.testing.assert_allclose(total_field(state, ctx.table).coeffs, want, atol=1e-14)
     assert state.steps == 0
 
 
@@ -239,7 +244,7 @@ def test_initial_field_matches_per_mode_assignment(K, J, modes):
     ctx = prepare(cfg)
     want = per_mode_field(cfg, ctx.table).coeffs
     assert np.array_equal(solver_initial_field(cfg, ctx.table).coeffs, want)
-    total = initial_state(cfg, ctx).total(ctx.table).coeffs
+    total = total_field(initial_state(cfg, ctx), ctx.table).coeffs
     np.testing.assert_allclose(total, want, rtol=0, atol=1e-15 * np.max(np.abs(want)))
 
 
@@ -282,7 +287,7 @@ def test_self_convergence_at_least_first_order():
         s = initial_state(cfg, ctx)
         for _ in range(int(round(0.4 / dt))):
             s = step(s, cfg, ctx)
-        return s.total(ctx.table).coeffs
+        return total_field(s, ctx.table).coeffs
 
     d1 = np.linalg.norm(terminal(4e-3) - terminal(2e-3))
     d2 = np.linalg.norm(terminal(2e-3) - terminal(1e-3))
@@ -351,7 +356,7 @@ def test_moment_map_drift_equals_quadrature_drift():
     for _ in range(5):
         state = step(state, cfg, ctx)
     drift = measure_moment_drift(state.w0 + state.wb, ctx)
-    assert drift == pytest.approx(quadrature_drift(state.total(ctx.table), ctx.grid), abs=1e-15)
+    assert drift == pytest.approx(quadrature_drift(total_field(state, ctx.table), ctx.grid), abs=1e-15)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -398,7 +403,7 @@ def test_run_equals_iterated_steps():
     for _ in range(int(round(cfg.t_final / cfg.dt))):
         state = step(state, cfg, ctx)
     assert state.steps * cfg.dt == traj.times[-1]
-    assert np.array_equal(traj.states[-1].coeffs, state.total(ctx.table).coeffs)
+    assert np.array_equal(traj.states[-1].coeffs, total_field(state, ctx.table).coeffs)
 
 
 def oracle_row(t, omega, omega_b, ctx):
@@ -415,7 +420,8 @@ def oracle_row(t, omega, omega_b, ctx):
 def test_rows_equal_norm_at_oracle():
     # K=5, J=7: the eigen-sorted order interleaves wavenumbers, so a
     # weight or coefficient taken in block order would not match; every
-    # row field must be norm_at's number to the last bit
+    # row field but the unweighted correction_norm must be norm_at's
+    # number to the last bit
     cfg = small_cfg(K=5, J=7, t_final=0.05, output_every=7)
     ctx = prepare(cfg)
     slots = ctx.table.from_blocks(np.arange(2 * 6 * 7, dtype=float).reshape(2, 6, 7))
@@ -426,13 +432,19 @@ def test_rows_equal_norm_at_oracle():
         if i:
             state = step(state, cfg, ctx)
         if i % cfg.output_every == 0 or i == n_steps:
-            omega = state.total(ctx.table)
+            omega = total_field(state, ctx.table)
             omega_b = SpectralField(ctx.table, ctx.table.from_blocks(state.wb), "vorticity")
             assert norm_at(omega_b, 0) > 0.0
             want.append(oracle_row(i * cfg.dt, omega, omega_b, ctx))
             states.append(omega.coeffs)
     traj = run(cfg, ctx)
-    assert len(want) == 5 and list(traj.diagnostics) == want
+    assert len(want) == 5
+    for row, ref in zip(traj.diagnostics, want, strict=True):
+        # correction_norm sums omega_B's squared blocks, the same squares
+        # as norm_at in block order: at most 1 eps apart over 212 rows of
+        # 60 random tables
+        assert row.correction_norm == pytest.approx(ref.correction_norm, rel=1e-15, abs=0.0)
+        assert dataclasses.replace(row, correction_norm=ref.correction_norm) == ref
     assert all(np.array_equal(a.coeffs, b) for a, b in zip(traj.states, states, strict=True))
 
     traj = stokes_run(cfg, ctx=ctx)
@@ -495,19 +507,19 @@ def test_scaling_relation(runner, c):
 # when the advection's harmonic moments cancel: relative to its own value
 # it moved by up to 0.19)
 REFLECTION_RTOL = 2e-14
-REFLECTION_KEYS = [key for key, _ in unit_enstrophy_modes(4, 4, 0)]
+SYMMETRY_KEYS = [key for key, _ in unit_enstrophy_modes(4, 4, 0)]
 
 
 @st.composite
-def reflection_modes(draw):
+def symmetry_modes(draw):
     """Some modes of the K = J = 4 table, amplitudes 1e-3 to 1 of either sign."""
-    keys = draw(st.lists(st.sampled_from(REFLECTION_KEYS), min_size=1, unique=True))
+    keys = draw(st.lists(st.sampled_from(SYMMETRY_KEYS), min_size=1, unique=True))
     return tuple((key, draw(st.floats(1e-3, 1.0)) * draw(st.sampled_from([-1.0, 1.0]))) for key in keys)
 
 
 @pytest.mark.parametrize("runner", [run, stokes_run])
 @settings(max_examples=12, deadline=None)
-@given(modes=reflection_modes())
+@given(modes=symmetry_modes())
 def test_reflection_relation(runner, modes):
     cfg = RunConfig(nu=0.05, K=4, J=4, dt=2e-3, t_final=0.1, init_modes=modes, output_every=5)
     mirrored = dataclasses.replace(cfg, init_modes=tuple(((k, j, p), -c if p == "cos" else c) for (k, j, p), c in modes))
@@ -521,6 +533,79 @@ def test_reflection_relation(runner, modes):
         for name in ("energy", "enstrophy", "palinstrophy_norm", "moment_drift"):
             assert abs(getattr(row, name) - getattr(ref, name)) <= REFLECTION_RTOL * getattr(ref, name), (name, row.t)
         assert abs(row.correction_norm - ref.correction_norm) <= REFLECTION_RTOL * ref.enstrophy, row.t
+
+
+# the rotation theta -> theta + phi by a grid angle phi = 2 pi m / n_theta
+# turns each k's cos/sin pair by k phi.  The rounding floor over 300
+# random draws of modes, amplitudes and m: final coefficients 2.5e-15 of
+# their max, norms 1.7e-15 relative, moment_drift 1.1e-15 and
+# correction_norm 9.7e-17 of the row's enstrophy.  The drift is the
+# largest cos or sin part of the moments, which a rotation mixes, so it
+# is held to rounding of the enstrophy, not to itself.
+ROTATION_RTOL = 2e-14
+
+
+def turned(blocks: np.ndarray, angle: float) -> np.ndarray:
+    """Blocks (2, K+1, J) of the field rotated by ``angle``: each k's
+    cos/sin pair turned by k angle."""
+    ka = angle * np.arange(blocks.shape[1])[:, None]
+    c, s = np.cos(ka), np.sin(ka)
+    return np.stack([c * blocks[0] - s * blocks[1], s * blocks[0] + c * blocks[1]])
+
+
+def assert_rotation_commutes(runner, modes, m):
+    """Rotating the init by the grid angle 2 pi m / n_theta rotates the
+    final state by it and keeps every row's norms, drift and correction."""
+    cfg = RunConfig(nu=0.05, K=4, J=4, dt=2e-3, t_final=0.1, init_modes=modes, output_every=5)
+    ctx = prepare(cfg)
+    table, angle = ctx.table, 2.0 * np.pi * m / ctx.grid.n_angular
+    init = turned(table.to_blocks(solver_initial_field(cfg, table).coeffs), angle)
+    rotated = tuple(((k, j, p), float(init[("cos", "sin").index(p), k, j - 1])) for k, j, p in SYMMETRY_KEYS)
+    # each run prepares its own context, so a defect planted in solver.prepare reaches both
+    base, got = runner(cfg), runner(dataclasses.replace(cfg, init_modes=rotated))
+    want = table.from_blocks(turned(table.to_blocks(base.states[-1].coeffs), angle))
+    assert np.max(np.abs(got.states[-1].coeffs - want)) <= ROTATION_RTOL * np.max(np.abs(want))
+    np.testing.assert_array_equal(got.times, base.times)
+    for row, ref in zip(got.diagnostics, base.diagnostics, strict=True):
+        for name in ("energy", "enstrophy", "palinstrophy_norm"):
+            assert abs(getattr(row, name) - getattr(ref, name)) <= ROTATION_RTOL * getattr(ref, name), (name, row.t)
+        for name in ("moment_drift", "correction_norm"):
+            assert abs(getattr(row, name) - getattr(ref, name)) <= ROTATION_RTOL * ref.enstrophy, (name, row.t)
+
+
+@pytest.mark.parametrize("runner", [run, stokes_run])
+@settings(max_examples=12, deadline=None)
+@given(modes=symmetry_modes(), m=st.integers(1, 64))
+def test_rotation_relation(runner, modes, m):
+    assert_rotation_commutes(runner, modes, m)
+
+
+# the energy inequality: a viscous flow inside no-slip walls cannot gain
+# energy, so no step's energy row may rise by more than rounding.  Over
+# seeds 0-199 per nu, of E(0): at nu = 1e-1 and 1e-4 every step falls,
+# by at least 1.4e-3 and 1.6e-6; at nu = 1e-8 177 runs rise, by up to
+# 2.3e-7, and at nu = 1e-12 all 200 do, by up to 44.
+ENERGY_ROUNDING = 1e-14  # of E(0)
+TWO_TRACK_STATE = pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 1: omega_0 = omega - omega_B cancels an omega_B of size 1/nu in every step",
+)
+
+
+@pytest.mark.parametrize(
+    "nu", [1e-1, 1e-4, pytest.param(1e-8, marks=TWO_TRACK_STATE), pytest.param(1e-12, marks=TWO_TRACK_STATE)]
+)
+# a seed has nothing to shrink to: a failing one is reported as drawn
+@settings(max_examples=5, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(seed=st.integers(0, 2**32 - 1))
+def test_energy_inequality(nu, seed):
+    # unit-enstrophy init at dt = 1e-3: CFL numbers up to 0.005 (0.17 as
+    # the nu = 1e-12 runs blow up), and the run's guard refuses any step
+    # above cfg.cfl = 0.5
+    traj = run(RunConfig(nu=nu, K=4, J=4, dt=1e-3, t_final=0.05, init_seed=seed, output_every=1))
+    energy = np.array([row.energy for row in traj.diagnostics])
+    assert np.max(np.diff(energy)) <= ENERGY_ROUNDING * energy[0]
 
 
 def test_run_deterministic():
