@@ -219,7 +219,8 @@ def _load_run(path, check_cfl: bool = True, centred: bool = False):
     one report: unknown sections and keys, values that do not parse,
     the [init] rules, the ``RunConfig.validate`` list (table and grid
     sizes included), with ``centred`` the three output rows a centred
-    time derivative needs and, with ``check_cfl``, the advective
+    time derivative needs, a ``nu`` so small that the prepared elliptic
+    correction E/nu overflows and, with ``check_cfl``, the advective
     stability bound of the requested initial data (refused before any
     time stepping).
 
@@ -291,6 +292,10 @@ def _load_run(path, check_cfl: bool = True, centred: bool = False):
     if problems:
         raise ConfigError(problems)
     ctx = prepare(cfg)
+    if not math.isfinite(abs(ctx.elliptic_map).max()):
+        raise ConfigError(
+            [f"[solver] nu = {cfg.nu!r} is too small: the elliptic correction E/nu overflows"]
+        )
     if check_cfl:
         # |u|max of the requested field, by the advection initial_state runs on it
         w = ctx.table.to_blocks(_initial_field(cfg, ctx.table).coeffs)

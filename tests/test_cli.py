@@ -415,6 +415,23 @@ def test_unrunnable_config_rejected_before_the_run(tmp_path, capsys, subcommand,
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("subcommand", ["ns", "stokes", "pressure"])
+def test_nu_whose_elliptic_map_overflows_is_a_config_error(tmp_path, capsys, subcommand):
+    # E/nu overflows at nu = 5e-324: ns used to print numpy's "invalid
+    # value" warning and abort with a NonFiniteState row that did not
+    # name nu (exit 4); stokes, which never reads omega_B, completed
+    cfg = write(tmp_path, PRESSURE_RUN.replace("nu = 0.1", "nu = 5e-324"))
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert dispatch([subcommand, "--config", str(cfg), "--outdir", str(out)]) == 2
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: [solver] nu = 5e-324 is too small: the elliptic correction E/nu overflows"
+    ]
+    assert not out.exists()
+
+
 def test_short_pressure_run_reported_with_the_other_problems(tmp_path, capsys):
     # one report holds the row count beside the loader's own problems
     cfg = write(tmp_path, PRESSURE_RUN.replace("t_final = 0.05", "t_final = 0.005") + "snapshot_every = -1\n")

@@ -1,5 +1,8 @@
 """Pressure recovery: conjugate algebra, variational potential, momentum defect."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -19,7 +22,7 @@ from diskvort.fields import synthesize_rows
 from diskvort.pressure import _p1_rows, _phi_tables, _radial_mesh, _solve_radial
 from diskvort.solver import RunConfig, prepare, run, stokes_run
 from diskvort.specfun import bessel_j
-from diskvort.spectrum import ModeIndex, build_table
+from diskvort.spectrum import ModeIndex, build_table, radial_profiles
 from harmonic_oracle import disk_harmonic_values
 
 
@@ -201,6 +204,11 @@ def test_banded_solve_matches_dense_per_row_assembly():
 def test_radial_mesh_needs_an_element(n):
     with pytest.raises(ValueError, match="at least 1 radial element"):
         _radial_mesh(n)
+    # the pressure layer meets the same refusal before it caches a basis
+    pressure._aux_basis.cache_clear()
+    with pytest.raises(ValueError, match="at least 1 radial element"):
+        _phi_tables(circular_mode(build_table(1, 2)), n)
+    assert pressure._aux_basis.cache_info().currsize == 0
 
 
 def test_p1_rows_are_the_piecewise_linear_interpolant():
@@ -331,3 +339,87 @@ class TestMomentumResidual:
         cfg, ctx, traj = stokes_circular_trajectory(0.04)
         with pytest.raises(ValueError, match="viscosity"):
             momentum_residual(traj, 1, -1.0, ctx.grid)
+
+
+# ---------------------------------------------------------------------------
+# the auxiliary basis, built once per (table, n_aux)
+
+
+@pytest.fixture(scope="module")
+def two_mode_run():
+    # nu = 0.05, off the 0.1 of the other dynamics tests
+    cfg = RunConfig(nu=0.05, K=4, J=8, dt=0.002, t_final=0.02,
+                    init_modes=(((0, 1, "cos"), 0.4), ((2, 1, "cos"), 0.25)), output_every=1)
+    ctx = prepare(cfg)
+    return cfg, ctx, run(cfg, ctx=ctx)
+
+
+@pytest.mark.parametrize("n_aux", [128, 256])
+def test_cold_and_warm_calls_give_the_same_bits(two_mode_run, n_aux):
+    cfg, ctx, traj = two_mode_run
+    final = traj.states[-1]
+    calls = {
+        "momentum_residual": lambda: momentum_residual(traj, len(traj) // 2, cfg.nu, ctx.grid, n_aux=n_aux),
+        "recover_pressure": lambda: recover_pressure(final, cfg.nu, ctx.grid, n_aux).values,
+        "phi_of_u": lambda: phi_of_u(final, ctx.grid, n_aux).values,
+    }
+    for name, call in calls.items():
+        pressure._aux_basis.cache_clear()
+        cold = call()
+        hits = pressure._aux_basis.cache_info().hits
+        warm = call()
+        assert pressure._aux_basis.cache_info().hits > hits, name
+        np.testing.assert_array_equal(warm, cold, err_msg=name)
+
+
+@pytest.mark.parametrize("n_aux", [128, 256])
+def test_cli_pattern_builds_the_profiles_once_per_point_set(two_mode_run, monkeypatch, n_aux):
+    # diskvort pressure: one residual, then one recovery, same n_aux
+    cfg, ctx, traj = two_mode_run
+    sizes = []
+
+    def counted(table, r):
+        sizes.append(r.size)
+        return radial_profiles(table, r)
+
+    monkeypatch.setattr(pressure, "radial_profiles", counted)
+    pressure._aux_basis.cache_clear()
+    momentum_residual(traj, len(traj) // 2, cfg.nu, ctx.grid, n_aux=n_aux)
+    recover_pressure(traj.states[-1], cfg.nu, ctx.grid, n_aux)
+    assert sizes == [4 * n_aux, n_aux]  # the quadrature points, then the midpoints
+
+
+def test_basis_arrays_are_read_only():
+    mesh, qpts_stream, mids, trig = pressure._aux_basis(build_table(2, 3), 8)
+    for a in (*mesh, qpts_stream, *mids, trig):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0.0
+
+
+def test_basis_is_keyed_on_the_table_and_one_is_held():
+    pressure._aux_basis.cache_clear()
+    first, second = build_table(4, 4), build_table(4, 4)
+    basis = pressure._aux_basis(first, 16)
+    fresh = pressure._aux_basis(second, 16)
+    assert fresh is not basis
+    assert pressure._aux_basis.cache_info().currsize == 1
+
+    # bit-equal to fresh profiles of the second table at the same radii
+    (nodes, qpts, _), qpts_stream, (r, stream, vort, harm), _ = fresh
+    np.testing.assert_array_equal(qpts_stream, radial_profiles(second, qpts)[0][:, 1])
+    prof, want_harm = radial_profiles(second, r)
+    np.testing.assert_array_equal(stream, prof[:, 1])
+    np.testing.assert_array_equal(vort, prof[:2, 0])
+    np.testing.assert_array_equal(harm, want_harm)
+    np.testing.assert_array_equal(r, 0.5 * (nodes[:-1] + nodes[1:]))
+
+    # the second key evicted the first: nothing holds the first table now
+    held = weakref.ref(first)
+    del first, basis
+    gc.collect()
+    assert held() is None
+    misses = pressure._aux_basis.cache_info().misses
+    pressure._aux_basis(second, 8)
+    assert pressure._aux_basis.cache_info().misses == misses + 1
+    assert pressure._aux_basis.cache_info().currsize == 1
