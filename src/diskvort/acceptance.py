@@ -124,10 +124,11 @@ def _stream_at_points(psi: SpectralField, pts: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=1)
 def _potential_sweep():
-    """Quadrature potentials of one admissible field, three routes.
-
-    Interior points snap to midpoints between radial nodes so the
-    near-node accuracy guard never trips.
+    """Log-kernel potentials of one admissible field, three routes, and
+    the spectral stream at the interior points: radii at the midpoints
+    between radial nodes nearest eight fixed radii, on three angles.
+    The angular series is exact on the nodes too; the points stay fixed
+    so the check's numbers stay comparable.
     """
     table = _table88()
     omega = _random_admissible(table, SEED_FIELDS)

@@ -32,15 +32,12 @@ and the nodal values T (2, 2K+1, n_nodes) of Phi[u]'s rows, and
 ``_p1_rows`` is its one evaluator: T's rows and their d_r at any radii,
 the caller's grid or the element midpoints.
 
-The auxiliary basis, the mesh with the Bessel profiles at its
-quadrature points and element midpoints and the dealiased cos/sin
-table, depends only on the table and n_aux.  ``_aux_basis`` builds it
-once per (table, n_aux) and holds one, the last used, as read-only
-arrays: 8 (3 * 4 n_aux + 5 n_aux) (K+1) J bytes of profiles, about
-2.1 MB at (K, J, n_aux) = (4, 12, 256) and 143 MB at (63, 64, 256).
-Building it allocates the full profile stack at the quadrature points
-for a moment, a transient every call would allocate without the held
-basis.
+The auxiliary basis, the mesh with the stream profiles at its
+quadrature points and the dealiased cos/sin table, depends only on the
+table and n_aux.  ``_aux_basis`` builds it once per (table, n_aux), in
+chunks of points, and holds the last used: 8 * 12 n_aux (K+1) J bytes
+of profiles, 101 MB at (K, J, n_aux) = (63, 64, 256).  The midpoint
+profiles of ``momentum_residual``, ``_aux_mids``, add 5/12 of that.
 """
 
 from __future__ import annotations
@@ -191,38 +188,47 @@ def _solve_radial(nodes, qpts, qw, f_r: np.ndarray, g: np.ndarray) -> np.ndarray
     return T.T.reshape(b.shape)
 
 
+# doubles of the whole ``radial_profiles`` stack per chunk of radii (8 MiB)
+_PROFILE_CHUNK = 2**20
+
+
 @lru_cache(maxsize=1)
 def _aux_basis(table: EigenTable, n_aux: int) -> tuple:
-    """The auxiliary basis of ``table`` on ``n_aux`` elements, as
-    read-only arrays ``(mesh, qpts_stream, mids, trig)``:
+    """The auxiliary basis of ``table`` on ``n_aux`` elements, read-only
+    ``(mesh, qpts_stream, trig)``: the ``_radial_mesh`` (nodes, qpts, qw),
+    the stream profiles (value, d_r, d_rr) at qpts, (3, K+1, J, 4 n_aux),
+    built in chunks of points, and the ``_dealiased_trig`` table.  Keyed
+    on the table's identity; one basis is held at a time."""
+    mesh = _radial_mesh(n_aux)
+    qpts_stream = np.empty((3, table.K + 1, table.J, mesh[1].size))
+    step = max(1, _PROFILE_CHUNK // (6 * (table.K + 1) * table.J))
+    for s in range(0, mesh[1].size, step):
+        qpts_stream[..., s : s + step] = radial_profiles(table, mesh[1][s : s + step])[0][:, 1]
+    trig = _dealiased_trig(table.K)
+    for a in (*mesh, qpts_stream, trig):
+        a.flags.writeable = False  # shared by every call on this (table, n_aux)
+    return mesh, qpts_stream, trig
 
-    - ``mesh``, the ``_radial_mesh`` (nodes, qpts, qw);
-    - ``qpts_stream``, the stream profiles (value, d_r, d_rr) at the
-      quadrature points, (3, K+1, J, 4 n_aux);
-    - ``mids``, (r, stream, vorticity, harm) at the element midpoints:
-      the stream profiles (3, K+1, J, n_aux), the vorticity value and
-      d_r (2, K+1, J, n_aux) and the unit harmonics and their d_r (2,
-      K+1, n_aux) of ``radial_profiles``;
-    - ``trig``, the ``_dealiased_trig`` table.
 
-    Keyed on the table's identity; one basis is held at a time.
-    """
-    mesh = nodes, qpts, _ = _radial_mesh(n_aux)
-    qpts_stream = np.ascontiguousarray(radial_profiles(table, qpts)[0][:, 1])
+@lru_cache(maxsize=1)
+def _aux_mids(table: EigenTable, n_aux: int) -> tuple:
+    """Read-only (r, stream, vorticity, harm) at the element midpoints r
+    of the auxiliary mesh: ``radial_profiles``' stream stack, vorticity
+    value and d_r, and unit harmonics.  Built on first use, one held."""
+    nodes = _radial_mesh(n_aux)[0]
     r = 0.5 * (nodes[:-1] + nodes[1:])
     prof, harm = radial_profiles(table, r)
     mids = (r, np.ascontiguousarray(prof[:, 1]), np.ascontiguousarray(prof[:2, 0]), harm)
-    trig = _dealiased_trig(table.K)
-    for a in (*mesh, qpts_stream, *mids, trig):
-        a.flags.writeable = False  # shared by every call on this (table, n_aux)
-    return mesh, qpts_stream, mids, trig
+    for a in mids:
+        a.flags.writeable = False
+    return mids
 
 
 def _phi_tables(omega: SpectralField, n_aux: int) -> tuple[np.ndarray, np.ndarray]:
     """The auxiliary mesh's nodes and the nodal values T (2, 2K+1,
     n_nodes) of the cos/sin rows of Phi[u] there."""
     table = omega.table
-    (nodes, r, qw), stream, _, trig = _aux_basis(table, n_aux)
+    (nodes, r, qw), stream, trig = _aux_basis(table, n_aux)
     psi_rows = radial_rows(table.to_blocks(biot_savart(omega).coeffs), stream)
     F_r, F_t = split_rows(np.stack(_convective(_velocity(psi_rows, r, trig), r)), trig)
     return nodes, _solve_radial(nodes, r, qw, F_r, d_theta_rows(F_t))
@@ -305,7 +311,8 @@ def momentum_residual(
     w_cur = states[1]
 
     table = w_cur.table
-    (nodes, _, _), _, (r, stream, vort, harm), trig = _aux_basis(table, n_aux)
+    (nodes, _, _), _, trig = _aux_basis(table, n_aux)
+    r, stream, vort, harm = _aux_mids(table, n_aux)
 
     # velocity of the three states from one set of stream profiles
     psi = table.to_blocks(np.stack([biot_savart(w).coeffs for w in states]))

@@ -1,7 +1,6 @@
 """Field representation, norms, transforms, projections, potentials."""
 
 import re
-import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diskvort import fields
+from diskvort.acceptance import SEED_FIELDS, _random_admissible, _stream_at_points
 from diskvort.fields import (
     GridField,
     PolarGrid,
@@ -26,7 +26,6 @@ from diskvort.fields import (
 from bessel_oracle import bessel_j
 from harmonic_oracle import disk_harmonic_values
 from diskvort.spectrum import ModeIndex, build_table, radial_profiles
-from potential_oracle import greens_points, newtonian_points
 from transform_oracle import (
     _profile,
     eigenfunction_eval,
@@ -35,6 +34,7 @@ from transform_oracle import (
     to_grid_groups,
 )
 from serialization import field_from_json, field_to_json, grid_field_from_csv
+from test_golden_potentials import _check3_grid_field, _check3_points
 
 
 @pytest.fixture(scope="module")
@@ -449,6 +449,17 @@ def test_newtonian_zero_field(table):
     np.testing.assert_array_equal(res.values, 0.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_potentials_of_non_finite_samples_are_not_finite(table, bad):
+    small = PolarGrid(table, n_radial=20, n_angular=32)
+    values = np.zeros((20, 32))
+    values[7, 3] = bad
+    for route in (newtonian_potential, greens_potential):
+        with np.errstate(invalid="ignore"):  # the rfft of inf warns
+            res = route(GridField(small, values), [(0.3, 0.1), (0.0, 0.0)])
+        assert not np.isfinite(res.values).any()
+
+
 def test_newtonian_exterior_vanishes(table):
     # admissible vorticity has zero Newtonian potential outside the disk
     omega = SpectralField.from_mode(table, ModeIndex(0, 1, "cos"))
@@ -459,16 +470,6 @@ def test_newtonian_exterior_vanishes(table):
     res = newtonian_potential(gf, pts)
     assert not np.any(res.near_node)
     assert np.max(np.abs(res.values)) < 1e-6 * norm_at(omega, 0)
-
-
-def test_newtonian_near_node_flagged(table):
-    omega = SpectralField.from_mode(table, ModeIndex(0, 1, "cos"))
-    small = PolarGrid(table, n_radial=20, n_angular=32)
-    gf = to_grid(omega, small)
-    node = (small.r[10] * np.cos(small.theta[3]), small.r[10] * np.sin(small.theta[3]))
-    with pytest.warns(UserWarning):
-        res = newtonian_potential(gf, [node])
-    assert res.near_node[0]
 
 
 def test_newtonian_point_shape_validation(table):
@@ -517,73 +518,86 @@ def test_greens_rejects_exterior_points(table):
 def test_greens_zero_field(table):
     small = PolarGrid(table, n_radial=12, n_angular=32)
     gf = GridField(small, np.zeros((12, 32)))
-    with warnings.catch_warnings():
-        # the origin sits near a coarse-grid node; values are exact anyway
-        warnings.simplefilter("ignore")
-        res = greens_potential(gf, [(0.3, 0.1), (0.0, 0.0)])
+    res = greens_potential(gf, [(0.3, 0.1), (0.0, 0.0)])
     np.testing.assert_array_equal(res.values, 0.0)
 
 
-# points per block of the log-kernel sum on a 60 x 96 grid, as the test
-# below sets it; the default block holds fewer
-BLOCK_60x96 = 45
+def _spectral_stream(omega, pts):
+    """The clamped Biot-Savart stream at points (n, 2); ``radial_profiles``
+    takes radii in (0, 1], so the origin reads at r = 1e-100."""
+    pts = np.array(pts, dtype=float)
+    pts[np.all(pts == 0.0, axis=1)] = 1e-100, 0.0
+    return _stream_at_points(biot_savart(omega), pts)
+
+
+def _on_circles(radii, angles):
+    rr, aa = np.meshgrid(radii, angles, indexing="ij")
+    return np.stack([(rr * np.cos(aa)).ravel(), (rr * np.sin(aa)).ravel()], axis=1)
+
+
+def test_potentials_match_spectral_stream_to_rounding():
+    # check 3's field and grid: inside the disk both kernels give the
+    # spectral stream to rounding at check 3's points, on node radii, on
+    # two nodes (the last radius at angle 0 is the last node exactly),
+    # at the origin and next to it; outside, the Newtonian potential
+    # vanishes at check 3's exterior points
+    grid, gf = _check3_grid_field()
+    omega = _random_admissible(grid.table, SEED_FIELDS)
+    interior, exterior = _check3_points(grid)
+    on_radii = _on_circles(grid.r[[0, 1, 129, 258, 259]], [0.0, 0.3, 2.1, 4.4])
+    node = [grid.r[100] * np.cos(grid.theta[7]), grid.r[100] * np.sin(grid.theta[7])]
+    center = [(0.0, 0.0), (1e-12 * np.cos(0.7), 1e-12 * np.sin(0.7)), (1e-9 * np.cos(2.0), 1e-9 * np.sin(2.0))]
+    pts = np.vstack([interior, on_radii, [node], center])
+    want = _spectral_stream(omega, pts)
+    for route in (newtonian_potential, greens_potential):
+        res = route(gf, pts)
+        assert not res.near_node.any()
+        err = np.max(np.abs(res.values - want))
+        assert err <= 1e-13, f"{route.__name__}: off the spectral stream by {err:.2e}"
+    out = newtonian_potential(gf, exterior).values
+    assert np.max(np.abs(out)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("near", [False, True], ids=["clear", "near"])
-@pytest.mark.parametrize(
-    "count", [1] + [n * BLOCK_60x96 + d for n, d in ((1, -1), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2))]
-)
-def test_blocked_potentials_match_per_point_oracle(table, monkeypatch, count, near):
-    # counts around one and two blocks; with ``near`` the last point,
-    # alone in its block at n blocks + 1, sits on a quadrature node and
-    # must be flagged
-    monkeypatch.setattr(fields, "_KERNEL_BLOCK", BLOCK_60x96 * 60 * 96)
+@pytest.mark.parametrize("count", [1, 44, 45, 46, 90, 91, 92])
+def test_blocked_potentials_match_per_point_oracle(table, count, near):
+    # ``count`` points in one call against the spectral stream at each
+    # point, up to the last radial node (past it, see
+    # ``fields._log_potential``); with ``near`` the last point sits on a
+    # quadrature node
     grid = PolarGrid(table, n_radial=60, n_angular=96)
-    gf = to_grid(random_field(table, 5), grid)
-    # radii midway between radial nodes stay clear of the near-node guard
+    omega = random_field(table, 5)
+    gf = to_grid(omega, grid)
     rng = np.random.default_rng(count)
-    rad = rng.choice(0.5 * (grid.r[:-1] + grid.r[1:])[:50], count)
-    ang = rng.uniform(0, 2 * np.pi, count)
+    rad, ang = grid.r[-1] * np.sqrt(rng.uniform(0, 1, count)), rng.uniform(0, 2 * np.pi, count)
     pts = np.stack([rad * np.cos(ang), rad * np.sin(ang)], axis=1)
     if near:
         pts[-1] = grid.r[37] * np.cos(grid.theta[11]), grid.r[37] * np.sin(grid.theta[11])
-    for route, oracle in ((newtonian_potential, newtonian_points), (greens_potential, greens_points)):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            res = route(gf, pts)
-        want, flags = oracle(gf, pts)
-        np.testing.assert_array_equal(res.near_node, flags)
-        assert flags.any() == flags[-1] == near
-        assert [w.category for w in caught] == ([UserWarning] if near else [])
-        if route is newtonian_potential:
-            # the same arithmetic per point, so the same numbers
-            np.testing.assert_array_equal(res.values, want)
-        else:
-            # the routine takes the kernel as one log1p of the image
-            # identity, the oracle as the difference of two logs
-            np.testing.assert_allclose(res.values, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
+    want = _spectral_stream(omega, pts)
+    for route in (newtonian_potential, greens_potential):
+        res = route(gf, pts)
+        np.testing.assert_array_equal(res.near_node, False)
+        np.testing.assert_allclose(res.values, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
 
 
 @pytest.mark.parametrize("block", [1, 2**22])
-def test_potentials_do_not_depend_on_block_size(table, monkeypatch, block):
-    # one point per block and every point in one block give the same bits
-    # as the default blocks, the last point (on a node, so clamped) too
+def test_potentials_do_not_depend_on_block_size(table, block):
+    # points fed in blocks of ``block`` points (one at a time, or all at
+    # once), in a shuffled order, give the same bits as all at once in
+    # order; points share radii, one sits on a node and one at the origin
     grid = PolarGrid(table, n_radial=60, n_angular=96)
     gf = to_grid(random_field(table, 9), grid)
     rng = np.random.default_rng(9)
-    rad, ang = rng.uniform(0.05, 0.95, 30), rng.uniform(0, 2 * np.pi, 30)
-    pts = np.stack([rad * np.cos(ang), rad * np.sin(ang)], axis=1)
-    pts[-1] = grid.r[37] * np.cos(grid.theta[11]), grid.r[37] * np.sin(grid.theta[11])
+    pts = np.vstack([_on_circles(rng.uniform(0.05, 0.95, 6), rng.uniform(0, 2 * np.pi, 5)), [(0.0, 0.0)]])
+    pts[-2] = grid.r[37] * np.cos(grid.theta[11]), grid.r[37] * np.sin(grid.theta[11])
+    order = rng.permutation(len(pts))
     for route in (newtonian_potential, greens_potential):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            want = route(gf, pts)
-            with monkeypatch.context() as m:
-                m.setattr(fields, "_KERNEL_BLOCK", block)
-                got = route(gf, pts)
-        assert want.near_node[-1]
-        np.testing.assert_array_equal(got.values, want.values)
-        np.testing.assert_array_equal(got.near_node, want.near_node)
+        want = route(gf, pts)
+        got = np.empty(len(pts))
+        for s in range(0, len(pts), block):
+            got[order[s : s + block]] = route(gf, pts[order[s : s + block]]).values
+        np.testing.assert_array_equal(got, want.values)
+        np.testing.assert_array_equal(want.near_node, False)
 
 
 def test_greens_potential_wall_limit(table):

@@ -9,8 +9,13 @@ the numerics must reproduce it at the tolerances fixed below:
 
 * absolute 1e-12 of max|interior Newtonian value| on every potential:
   check 3's Newtonian values inside and outside the disk and Green's
-  values inside, plus both kernels at three points next to quadrature
-  nodes; the ``near_node`` flags must match exactly;
+  values inside, plus both kernels at a quadrature node, a point a fifth
+  of a radial gap off one and the origin.  These five keys alone were
+  rebased when the potentials moved from direct sums of sampled
+  logarithms, which read 3.97e-6 against the spectral stream inside and
+  2.4e-5 at the node, to the kernel's angular Fourier series, which
+  reads 9.0e-17 and 8.3e-17.  The ``near_node`` flags, all False since,
+  must match exactly;
 * absolute 1e-12 on the fields of the ``BoundaryReport`` of
   ``tests/test_annulus.py``'s projected bump at 400x512 (degree 4);
   these three values alone were rebased when the report moved from
@@ -39,7 +44,6 @@ move.
 
 import json
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -126,15 +130,13 @@ def potentials_record() -> dict:
     grid, gf = _check3_grid_field()
     interior, exterior = _check3_points(grid)
     near = _near_points(grid)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        runs = {
-            "newtonian_in": newtonian_potential(gf, interior),
-            "newtonian_out": newtonian_potential(gf, exterior),
-            "greens_in": greens_potential(gf, interior),
-            "newtonian_near": newtonian_potential(gf, near),
-            "greens_near": greens_potential(gf, near),
-        }
+    runs = {
+        "newtonian_in": newtonian_potential(gf, interior),
+        "newtonian_out": newtonian_potential(gf, exterior),
+        "greens_in": greens_potential(gf, interior),
+        "newtonian_near": newtonian_potential(gf, near),
+        "greens_near": greens_potential(gf, near),
+    }
     record = {"interior": interior.tolist(), "exterior": exterior.tolist(), "near": near.tolist()}
     for key, res in runs.items():
         record[key] = {"values": res.values.tolist(), "near_node": res.near_node.tolist()}
@@ -188,11 +190,7 @@ def test_points_are_check3_inputs(golden, grid_field):
 def test_potentials(golden, grid_field, key, route, points):
     pts = np.array(golden[points])
     want = golden[key]
-    if any(want["near_node"]):
-        with pytest.warns(UserWarning, match="half a radial cell"):
-            res = route(grid_field[1], pts)
-    else:
-        res = route(grid_field[1], pts)
+    res = route(grid_field[1], pts)
     scale = np.max(np.abs(golden["newtonian_in"]["values"]))
     err = np.max(np.abs(res.values - np.array(want["values"])))
     assert err <= POTENTIAL_TOL * scale, f"{key} differs by {err / scale:.2e} of the scale"

@@ -15,7 +15,7 @@ import pytest
 import test_annulus
 import test_nonlinear
 import test_solver
-from diskvort import acceptance, annulus, nonlinear, pressure, solver
+from diskvort import acceptance, annulus, fields, nonlinear, pressure, solver
 from diskvort.annulus import AnnulusGeometry
 from diskvort.fields import PolarGrid
 from diskvort.spectrum import build_table
@@ -172,44 +172,46 @@ def test_annulus_defect_fails_its_detector(monkeypatch, fresh_annulus_spectra, d
         assert not passed, detail
 
 
-# the annulus boundary series: its hole terms and its per-wavenumber
-# factors, each against the closed form at the case that reads it (k = 1
-# inside the hole and for the factor, k = 0 for ln r, k = 64 for the
-# Nyquist bin).  The boundary report cannot see any of them: its fields'
-# moments vanish at every wavenumber they hold, and the hole terms give
-# the hole one constant, which its spread and normal difference cancel.
-HOLE_SCALE = "(hole[:, None] / R) ** m * (scale * moments[1])"
-LOG_TERM = "rows[0, 0], rows[1:, 0] = 0.0, log_moment"
-SCALE = "scale = -0.5 / np.maximum(m, 1)"
+# the log kernel's angular series, ``fields._log_potential``: its hole
+# terms and its per-wavenumber factors, each against the annulus closed
+# form at the case that reads it (k = 1 inside the hole and for the
+# factor, k = 0 for ln r, k = 64 for the Nyquist bin).  The boundary
+# report cannot see any of them: its fields' moments vanish at every
+# wavenumber they hold, and the hole terms give the hole one constant,
+# which its spread and normal difference cancel.
+HOLE_RATIO = "q = np.minimum(s, rho) / np.maximum(s, rho)"
+LOG_TERM = "kern[:, m == 0] = log_hi[:, None]"
+SCALE = "kern = q[:, None] ** m / (2.0 * np.maximum(m, 1))"
+NYQUIST = "weight = np.where((m == 0) | (2 * m == n), 1.0, 2.0) / n"
 SERIES_DEFECTS = {
-    "hole-scale-dropped": (HOLE_SCALE, "np.ones((len(hole), 1)) * (scale * moments[1])", 1),
-    "log-r-term-dropped": (LOG_TERM, "rows[0, 0], rows[1:, 0] = 0.0, 0.0", 0),
+    "hole-scale-dropped": (HOLE_RATIO, "q = np.minimum(s, max(rho, lo)) / np.maximum(s, rho)", 1),
+    "log-r-term-dropped": (LOG_TERM, "kern[:, m == 0] = 0.0", 0),
     "scale-1e-6": (SCALE, SCALE + " * (1 + 1e-6)", 1),
-    "nyquist-doubled": (SCALE, SCALE + " * np.where(m == n // 2, 2.0, 1.0)", 64),
+    "nyquist-doubled": (NYQUIST, "weight = np.where(m == 0, 1.0, 2.0) / n", 64),
 }
 
 
 @pytest.mark.parametrize("defect", SERIES_DEFECTS.values(), ids=SERIES_DEFECTS.keys())
 def test_closed_form_oracle_catches_boundary_series_defect(monkeypatch, defect):
     old, new, k = defect
-    monkeypatch.setattr(test_annulus, "_boundary_series", planted(annulus._boundary_series, old, new))
+    plant(monkeypatch, fields._log_potential, old, new)
     oracle = test_annulus.TestNewtonianBoundary().test_boundary_series_matches_closed_form
     for a in (0, 2):
         with pytest.raises(AssertionError, match="off by"):
             oracle(a, k)
 
 
-# the series' outer row: r^m rounded to single precision leaves an
-# orthogonal field's moments at about 1e-11 in place of rounding (outer
-# 4.6e-12 on the projected bump, 2.2e-11 and 7.3e-12 on the thin holes).
+# the series' q^m table rounded to single precision leaves an orthogonal
+# field's moments at about 1e-11 in place of rounding on the outer circle.
 # The bounds the report had while it summed sampled log rows, which read
-# 6.1e-6, 6.5e-7 and 1.7e-4 on the bump, pass it; today's fail it.
-OUTER_TABLE = "np.exp(m * log_r) * dens_hat"
+# 6.1e-6, 6.5e-7 and 1.7e-4 on the bump, pass it; today's fail it, and so
+# does the closed form.
+POWER_TABLE = "q[:, None] ** m / "
 SAMPLED_ROW_BOUNDS = {"outer_max": 5e-5, "inner_stddev": 5e-5, "normal_max": 5e-4}
 
 
 def test_report_bounds_catch_outer_row_defect(monkeypatch):
-    plant(monkeypatch, annulus._boundary_series, OUTER_TABLE, "np.exp(m * log_r).astype(np.float32) * dens_hat")
+    plant(monkeypatch, fields._log_potential, POWER_TABLE, "(q[:, None] ** m).astype(np.float32) / ")
     geo = AnnulusGeometry(test_annulus.R, n_radial=400, n_angular=512)
     proj = annulus.bergman_project(geo, test_annulus.j_bump, degree=4)
     test_annulus.assert_report_within(annulus.newtonian_bs_annulus(geo, proj, degree=4), SAMPLED_ROW_BOUNDS)
@@ -219,6 +221,36 @@ def test_report_bounds_catch_outer_row_defect(monkeypatch):
     for r_inner in (0.05, 0.07):
         with pytest.raises(AssertionError, match="outer_max"):
             boundary.test_projected_bump_report_on_thin_holes(r_inner)
+    with pytest.raises(AssertionError, match="off by"):
+        boundary.test_boundary_series_matches_closed_form(2, 1)
+
+
+# Biot-Savart, the route check 3 holds against the log-kernel potential:
+# a 1% scale and the k = 3 block negated
+BIOT_SAVART = 'return SpectralField(omega.table, -omega.coeffs / omega.table.lam, "stream")'
+K3_NEGATED = (
+    "return SpectralField(omega.table, omega.table.from_blocks(omega.table.to_blocks(-omega.coeffs / omega.table.lam)"
+    ' * np.where(np.arange(omega.table.K + 1) == 3, -1.0, 1.0)[:, None]), "stream")'
+)
+CHECK_3_DEFECTS = {
+    "biot-savart-1pc": BIOT_SAVART.replace("omega.table.lam,", "omega.table.lam * 1.01,"),
+    "k3-block-negated": K3_NEGATED,
+}
+
+
+@pytest.fixture
+def fresh_potential_sweep():
+    # check 3 caches its sweep: clear it around the defect
+    acceptance._potential_sweep.cache_clear()
+    yield
+    acceptance._potential_sweep.cache_clear()
+
+
+@pytest.mark.parametrize("defect", CHECK_3_DEFECTS.values(), ids=CHECK_3_DEFECTS.keys())
+def test_check_3_catches_biot_savart_defect(monkeypatch, fresh_potential_sweep, defect):
+    plant(monkeypatch, fields.biot_savart, BIOT_SAVART, defect)
+    (result,) = acceptance.run_all([3])
+    assert not result.passed, result.detail
 
 
 @pytest.mark.parametrize("c", [0.5, 2.0, 4.0])

@@ -365,6 +365,7 @@ def test_cold_and_warm_calls_give_the_same_bits(two_mode_run, n_aux):
     }
     for name, call in calls.items():
         pressure._aux_basis.cache_clear()
+        pressure._aux_mids.cache_clear()
         cold = call()
         hits = pressure._aux_basis.cache_info().hits
         warm = call()
@@ -384,14 +385,16 @@ def test_cli_pattern_builds_the_profiles_once_per_point_set(two_mode_run, monkey
 
     monkeypatch.setattr(pressure, "radial_profiles", counted)
     pressure._aux_basis.cache_clear()
+    pressure._aux_mids.cache_clear()
     momentum_residual(traj, len(traj) // 2, cfg.nu, ctx.grid, n_aux=n_aux)
     recover_pressure(traj.states[-1], cfg.nu, ctx.grid, n_aux)
     assert sizes == [4 * n_aux, n_aux]  # the quadrature points, then the midpoints
 
 
 def test_basis_arrays_are_read_only():
-    mesh, qpts_stream, mids, trig = pressure._aux_basis(build_table(2, 3), 8)
-    for a in (*mesh, qpts_stream, *mids, trig):
+    table = build_table(2, 3)
+    mesh, qpts_stream, trig = pressure._aux_basis(table, 8)
+    for a in (*mesh, qpts_stream, *pressure._aux_mids(table, 8), trig):
         assert not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0.0
@@ -406,7 +409,8 @@ def test_basis_is_keyed_on_the_table_and_one_is_held():
     assert pressure._aux_basis.cache_info().currsize == 1
 
     # bit-equal to fresh profiles of the second table at the same radii
-    (nodes, qpts, _), qpts_stream, (r, stream, vort, harm), _ = fresh
+    (nodes, qpts, _), qpts_stream, _ = fresh
+    r, stream, vort, harm = pressure._aux_mids(second, 16)
     np.testing.assert_array_equal(qpts_stream, radial_profiles(second, qpts)[0][:, 1])
     prof, want_harm = radial_profiles(second, r)
     np.testing.assert_array_equal(stream, prof[:, 1])
@@ -423,3 +427,15 @@ def test_basis_is_keyed_on_the_table_and_one_is_held():
     pressure._aux_basis(second, 8)
     assert pressure._aux_basis.cache_info().misses == misses + 1
     assert pressure._aux_basis.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("chunk", [1, 6 * 5 * 4 * 7, 2**40])
+def test_basis_chunks_give_the_same_bits(monkeypatch, chunk):
+    # one quadrature point per chunk, seven per chunk (the last chunk
+    # short), all in one: the stream half of one full profile stack
+    monkeypatch.setattr(pressure, "_PROFILE_CHUNK", chunk)
+    pressure._aux_basis.cache_clear()
+    table = build_table(4, 4)
+    (_, qpts, _), qpts_stream, _ = pressure._aux_basis(table, 16)
+    pressure._aux_basis.cache_clear()
+    np.testing.assert_array_equal(qpts_stream, radial_profiles(table, qpts)[0][:, 1])
