@@ -329,15 +329,13 @@ def zeta_pairing(geom: AnnulusGeometry, xi: XiFunction, omega, method: str = "vo
 # Newtonian potential boundary report
 
 
-def _boundary_series(r, wr, values, R, hole, phi=None):
+def _boundary_series(r, wr, values, R, hole, phi):
     """(1/2pi) int ln|x - y| f(y) dy by the annulus rule (nodes ``r``,
     weights ``wr``; ``values`` (n_r, n_theta) samples f) at x = rho
-    e^{i phi} for the angles ``phi`` (the rule's by default) and rho = 1,
-    then each rho <= R of ``hole``: (1 + len(hole), len(phi)).  These
-    radii lie off the open annulus, where ``fields._log_potential``'s
-    kernel is smooth over the nodes."""
-    if phi is None:
-        phi = 2.0 * np.pi * np.arange(values.shape[1]) / values.shape[1]
+    e^{i phi} for the angles ``phi`` and rho = 1, then each rho <= R of
+    ``hole``: (1 + len(hole), len(phi)).  These radii lie off the open
+    annulus, where ``fields._log_potential``'s kernel is smooth over the
+    nodes."""
     rho = np.r_[1.0, hole][:, None]
     return _log_potential(r, wr, values, rho * rho, phi, lo=R)
 

@@ -45,6 +45,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.legendre import legvander
 
 from .specfun import gauss_legendre, is_integer
 from .spectrum import EigenTable, ModeIndex, _harm_const, radial_profiles
@@ -383,12 +384,35 @@ def trace_extension(omega: SpectralField) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # log-kernel potentials (verification, not a solver path)
 
-# the Gauss rule of each panel of a split radial integral, on [0, 1], and
 # the panel edges 16^-k that grade [rho, 1] toward the singular ln r at
 # the center: no panel but the innermost, which ends at 16^-12, spans a
 # ratio above 16
-_PANEL = gauss_legendre(32, 0.0, 1.0)
 _GRADED = 16.0 ** -np.arange(12, 0, -1)
+
+
+# the panels' rules and the Legendre analysis below, built once per size
+_gauss_rule = lru_cache(maxsize=16)(gauss_legendre)
+
+
+@lru_cache(maxsize=8)
+def _legendre_analysis(n: int) -> np.ndarray:
+    """(n, n): the orthonormal Legendre coefficients of the degree n - 1
+    interpolant of values on the n-point Gauss nodes, any interval."""
+    x, w = _gauss_rule(n, -1.0, 1.0)
+    return np.ascontiguousarray(legvander(x, n - 1).T * w * np.sqrt(np.arange(n) + 0.5)[:, None])
+
+
+def _panel_points(dens, m) -> int:
+    """Gauss points per panel of a split radial integral over the rows
+    ``dens`` (n_r, len(m)) at bins ``m``: max(32, (D + 1) / 2) takes the
+    [lo, rho] integrand, a row times s (s / rho)^m, exactly.  Its degree
+    is D = d + max(m) + 1, d the rows' last Legendre degree above 1e-12
+    of their largest coefficient; below sits the samples' rounding.  The
+    same count held the smooth [rho, 1] panels within 1e-13 of 256
+    points on unit-coefficient rows up to alpha 205."""
+    coef = np.max(np.abs(_legendre_analysis(len(dens)) @ dens.view(float)), axis=1, initial=0.0)
+    degree = np.max(np.flatnonzero(coef > 1e-12 * coef.max()), initial=0)
+    return max(32, -(-(degree + int(m.max(initial=0)) + 2) // 2))
 
 
 def _log_potential(r, wr, values, r2, phi, lo=0.0, image=False):
@@ -405,11 +429,12 @@ def _log_potential(r, wr, values, r2, phi, lo=0.0, image=False):
     of angular coefficients, a radial integral that the points' angles
     synthesize.  The coefficients kink at r = rho: for rho up to the last
     node (and above ``lo`` unless lo = 0) the integral runs over each
-    row's Legendre interpolant, barycentric from the nodes, by ``_PANEL``
-    on [lo, rho] and on [rho, 1] split at ``_GRADED``.  Elsewhere the
-    nodes take the kernel, smooth over them: off an annulus, outside the
-    disk and past the last node, where the part over [rho, 1] is left
-    out, an error of order (1 - rho)^2 |f|.  There the Green coefficient
+    row's Legendre interpolant, barycentric from the nodes, by a Gauss
+    rule sized to the rows (``_panel_points``) on [lo, rho] and on each
+    panel of [rho, 1] split at ``_GRADED``.  Elsewhere the nodes take the
+    kernel, smooth over them: off an annulus, outside the disk and past
+    the last node, where they miss its kink at rho, an error of order
+    (1 - rho)^2 |f|.  There the Green coefficient
     q^m expm1(2 m ln rho) / m, ln rho = log1p(r2 - 1) / 2, keeps the
     potential proportional to 1 - r2 of the stored point; the interpolant
     extrapolated past the last node would not (on the wall-limit test's
@@ -425,15 +450,18 @@ def _log_potential(r, wr, values, r2, phi, lo=0.0, image=False):
     radii, inverse = np.unique(r2, return_inverse=True)
     beta = (-1.0) ** np.arange(r.size) * np.sqrt((r - lo) * (1.0 - r) * wr)  # barycentric
     rows = np.empty((radii.size, m.size), dtype=complex)
+    panel = None  # sized on the first split integral
     # ln rho at the center is never read; s on a node gives 0 / 0
     with np.errstate(divide="ignore", invalid="ignore"):
         for row, sq in zip(rows, radii):
             rho = np.sqrt(sq)
             s, w, trans = r, wr, dens
             if rho <= r[-1] and (rho > lo or lo == 0.0):
+                if panel is None:
+                    panel = _gauss_rule(_panel_points(dens, m), 0.0, 1.0)
                 edges = np.unique(np.r_[lo, rho, _GRADED[_GRADED > rho], 1.0])
                 width = np.diff(edges)[:, None]
-                s, w = (edges[:-1, None] + width * _PANEL[0]).ravel(), (width * _PANEL[1]).ravel()
+                s, w = (edges[:-1, None] + width * panel[0]).ravel(), (width * panel[1]).ravel()
                 interp = beta / (s[:, None] - r)
                 interp /= interp.sum(axis=1, keepdims=True)
                 interp[np.isnan(interp)] = 1.0  # s on a node takes its sample
@@ -480,7 +508,10 @@ def newtonian_potential(omega_samples: GridField, eval_points) -> NewtonianResul
 
     For admissible vorticities (no harmonic moments) this is the clamped
     Biot-Savart stream inside the disk, to rounding on a grid that
-    resolves the field, and zero outside.
+    resolves the field, and zero outside.  The exception is the band
+    between the last radial node and the wall, r[-1] < |x| < 1: there
+    the values read about 0, off by up to (1 - |x|)^2 max|omega| / 2
+    (2.3e-10 max|omega| at most on a 260-node grid).
     """
     return _grid_potential(omega_samples, eval_points, image=False)
 
@@ -490,8 +521,9 @@ def greens_potential(omega_samples: GridField, eval_points) -> NewtonianResult:
 
     G(x, y) = (1/2pi)[ln|x - y| - ln|1 - x conj(y)|] (x, y complex): the
     image term is harmonic in y over the closed disk, so for admissible
-    data the result matches the Newtonian potential.  Its series terms
-    join the Newtonian ones, so the result over 1 - |x|^2 stays accurate
-    at the wall.
+    data the result matches the Newtonian potential, with the same
+    error in the band r[-1] < |x| < 1.  Its series terms join the
+    Newtonian ones, so the result over 1 - |x|^2 stays accurate at the
+    wall.
     """
     return _grid_potential(omega_samples, eval_points, image=True)

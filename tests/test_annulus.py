@@ -431,7 +431,7 @@ class TestNewtonianBoundary:
         geo = AnnulusGeometry(R, n_radial=64, n_angular=128)
         r, wr = geo.radial_rule()
         phi = geo.theta()
-        got = _boundary_series(r, wr, r[:, None] ** a * np.cos(k * phi), R, RING_HOLE)
+        got = _boundary_series(r, wr, r[:, None] ** a * np.cos(k * phi), R, RING_HOLE, phi)
         want = ring_closed_form(a, k, phi)
         err = np.max(np.abs(got - want))
         assert err <= RING_ATOL, f"off by {err:.2e}, {err / np.max(np.abs(want)):.2e} of the max"

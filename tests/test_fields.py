@@ -558,13 +558,51 @@ def test_potentials_match_spectral_stream_to_rounding():
     assert np.max(np.abs(out)) <= 1e-13 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("K, J", [(8, 32), (8, 48)])
+def test_potentials_resolve_rows_of_high_radial_content(K, J):
+    # unit-coefficient fields reach alpha 114 and 164: on 260 radial
+    # nodes their rows hold Legendre degrees up to 127 and 221, past the
+    # 63 that one 32-point panel takes exactly (such a panel read 3.8e-5
+    # and 1.2 of max|psi| on these fields), so the panels' rule grows
+    # with the rows.  Both kernels hold the spectral stream on two rays,
+    # on node radii and next to the center; the samples' own rounding
+    # leaves 1.3e-13 at (8, 48)
+    table = build_table(K, J)
+    omega = SpectralField(table, np.random.default_rng(1).standard_normal(len(table)), "vorticity")
+    grid = PolarGrid(table, n_radial=260)
+    gf = to_grid(omega, grid)
+    rays = _on_circles(np.linspace(0.05, 0.95, 19), [0.7, 2.9])
+    pts = np.vstack([rays, _on_circles(grid.r[[0, 1, 129, 259]], [0.0, 4.4]), _on_circles([1e-9, 1e-4, 1e-2], [1.0])])
+    want = _spectral_stream(omega, pts)
+    for route in (newtonian_potential, greens_potential):
+        err = np.max(np.abs(route(gf, pts).values - want))
+        assert err <= 1e-12 * np.max(np.abs(want)), f"{route.__name__}: off by {err:.2e}"
+
+
+def test_potentials_past_the_last_node_read_within_the_shell_bound():
+    # between the last radial node and the wall the grid's nodes take the
+    # kernel, blind to its kink at rho: both potentials read about 0
+    # where the clamped stream is about (1 - rho)^2 omega / 2, 0.33
+    # (1 - rho)^2 max|omega| on check 3's field; a larger error fails the
+    # bound, which adds rounding for the points next to the wall
+    grid, gf = _check3_grid_field()
+    omega = _random_admissible(grid.table, SEED_FIELDS)
+    gap = 1.0 - grid.r[-1]  # 2.13e-5
+    one_minus = np.array([0.999 * gap, 0.75 * gap, 0.5 * gap, 1e-6, 1e-9])
+    pts = _on_circles(1.0 - one_minus, [0.0, 0.7, 2.1, 4.4])
+    want = _spectral_stream(omega, pts)
+    bound = np.max(np.abs(gf.values)) * (0.5 * np.repeat(one_minus, 4) ** 2 + 1e-13)
+    for route in (newtonian_potential, greens_potential):
+        err = np.abs(route(gf, pts).values - want)
+        assert np.all(err <= bound), f"{route.__name__}: {np.max(err / bound):.2f} of the bound"
+
+
 @pytest.mark.parametrize("near", [False, True], ids=["clear", "near"])
 @pytest.mark.parametrize("count", [1, 44, 45, 46, 90, 91, 92])
 def test_blocked_potentials_match_per_point_oracle(table, count, near):
-    # ``count`` points in one call against the spectral stream at each
-    # point, up to the last radial node (past it, see
-    # ``fields._log_potential``); with ``near`` the last point sits on a
-    # quadrature node
+    # ``count`` points in one call against the spectral stream, the
+    # per-point oracle, up to the last radial node (past it, see the test
+    # above); with ``near`` the last point sits on a quadrature node
     grid = PolarGrid(table, n_radial=60, n_angular=96)
     omega = random_field(table, 5)
     gf = to_grid(omega, grid)
@@ -582,8 +620,8 @@ def test_blocked_potentials_match_per_point_oracle(table, count, near):
 
 @pytest.mark.parametrize("block", [1, 2**22])
 def test_potentials_do_not_depend_on_block_size(table, block):
-    # points fed in blocks of ``block`` points (one at a time, or all at
-    # once), in a shuffled order, give the same bits as all at once in
+    # points fed in calls of ``block`` points each (one at a time, or all
+    # at once), in a shuffled order, give the same bits as all at once in
     # order; points share radii, one sits on a node and one at the origin
     grid = PolarGrid(table, n_radial=60, n_angular=96)
     gf = to_grid(random_field(table, 9), grid)
