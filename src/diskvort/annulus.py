@@ -42,10 +42,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import legder, leggauss, legval
+from numpy.polynomial.legendre import legder, legval
 from numpy.polynomial.polyutils import mapparms
 from scipy.linalg import eigh, expm, null_space
 
@@ -93,15 +92,10 @@ class AnnulusGeometry:
             raise ValueError("quadrature resolution too small (min 16)")
 
     def radial_rule(self):
-        return _radial_rule(self.r_inner, self.n_radial)
+        return gauss_legendre(self.n_radial, self.r_inner, 1.0)
 
     def theta(self) -> np.ndarray:
         return 2.0 * np.pi * np.arange(self.n_angular) / self.n_angular
-
-
-@lru_cache(maxsize=32)
-def _radial_rule(r_inner: float, n: int):
-    return gauss_legendre(n, r_inner, 1.0)
 
 
 def _integrate(geom: AnnulusGeometry, values: np.ndarray) -> float:
@@ -548,7 +542,7 @@ def _cumulative_moment(geom: AnnulusGeometry, omega0, targets: np.ndarray) -> np
     This is the zero-circulation azimuthal velocity of a radial
     vorticity profile, up to the 1/r factor applied by the caller.
     """
-    xg, wg = leggauss(16)
+    xg, wg = gauss_legendre(16, -1.0, 1.0)
     left = np.r_[geom.r_inner, targets[:-1]]
     half = 0.5 * (targets - left)
     s = (0.5 * (targets + left))[:, None] + half[:, None] * xg

@@ -390,15 +390,11 @@ def trace_extension(omega: SpectralField) -> np.ndarray:
 _GRADED = 16.0 ** -np.arange(12, 0, -1)
 
 
-# the panels' rules and the Legendre analysis below, built once per size
-_gauss_rule = lru_cache(maxsize=16)(gauss_legendre)
-
-
 @lru_cache(maxsize=8)
 def _legendre_analysis(n: int) -> np.ndarray:
     """(n, n): the orthonormal Legendre coefficients of the degree n - 1
     interpolant of values on the n-point Gauss nodes, any interval."""
-    x, w = _gauss_rule(n, -1.0, 1.0)
+    x, w = gauss_legendre(n, -1.0, 1.0)
     return np.ascontiguousarray(legvander(x, n - 1).T * w * np.sqrt(np.arange(n) + 0.5)[:, None])
 
 
@@ -458,7 +454,7 @@ def _log_potential(r, wr, values, r2, phi, lo=0.0, image=False):
             s, w, trans = r, wr, dens
             if rho <= r[-1] and (rho > lo or lo == 0.0):
                 if panel is None:
-                    panel = _gauss_rule(_panel_points(dens, m), 0.0, 1.0)
+                    panel = gauss_legendre(_panel_points(dens, m), 0.0, 1.0)
                 edges = np.unique(np.r_[lo, rho, _GRADED[_GRADED > rho], 1.0])
                 width = np.diff(edges)[:, None]
                 s, w = (edges[:-1, None] + width * panel[0]).ravel(), (width * panel[1]).ravel()

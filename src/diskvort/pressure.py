@@ -60,6 +60,7 @@ from .fields import (
     trig_table,
 )
 from .semigroup import Trajectory
+from .specfun import gauss_legendre
 from .spectrum import EigenTable, radial_profiles
 
 __all__ = [
@@ -127,7 +128,7 @@ def _radial_mesh(n_elements: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if n_elements < 1:
         raise ValueError(f"need at least 1 radial element, got {n_elements}")
     nodes = np.linspace(0.0, 1.0, n_elements + 1)
-    gx, gw = np.polynomial.legendre.leggauss(4)
+    gx, gw = gauss_legendre(4, -1.0, 1.0)
     h = nodes[1] - nodes[0]
     qpts = (0.5 * (nodes[:-1] + nodes[1:])[:, None] + 0.5 * h * gx).ravel()
     qw = np.tile(0.5 * h * gw, n_elements)

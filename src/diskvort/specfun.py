@@ -21,7 +21,8 @@ are deliberately narrow and loudly validated:
   ``bessel_j_zero_rows`` returns the leading zeros of every order up to
   a maximum, computing each order's row once.
 * ``gauss_legendre``: the nodes and positive weights of an n-point rule
-  on (a, b).
+  on (a, b), mapped from one cached rule on [-1, 1] per n: Newton on
+  scipy's compiled Legendre recurrence, O(n^2) where an eigensolve is O(n^3).
 * ``is_integer``: the one test, used package-wide, that a count, order
   or index argument is an integer (Python or numpy, not a bool).
 """
@@ -31,7 +32,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy import special as _sp
 
 MAX_ORDER = 64
@@ -104,7 +104,7 @@ def _miller(n: np.ndarray, x: np.ndarray, j0: np.ndarray, j1: np.ndarray):
         if m == 0:
             break
         nxt, cur = cur, (m * two_x) * cur - nxt
-        if np.abs(cur).max() > _MILLER_BIG:
+        if np.any(np.abs(cur) > _MILLER_BIG):  # a NaN point stops no rescale
             s = np.where(np.abs(cur) > _MILLER_BIG, 1.0 / _MILLER_BIG, 1.0)
             for f in (cur, nxt, fn, fnm1):
                 f *= s
@@ -257,13 +257,35 @@ def bessel_j_zero_rows(max_order: int, count: int) -> np.ndarray:
     return np.array([_zero_row(o, count + max_order - o)[:count] for o in range(max_order + 1)])
 
 
+@lru_cache(maxsize=32)
+def _unit_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point rule on [-1, 1], read-only: Newton on P_n from Tricomi's
+    guesses over the positive half (the odd n's middle node exactly 0)
+    until every step is <= 1e-10, 2 or 3 steps; then the weights
+    2 (1 - x^2) / (n (P_{n-1} - x P_n))^2 at the rounded nodes, mirrored."""
+    k = np.arange(1, n // 2 + 1)
+    x = (1 - (n - 1) / (8.0 * n**3)) * np.cos(np.pi * (4 * k - 1) / (4 * n + 2))
+    x, step = np.r_[x, [0.0] * (n % 2)], np.inf
+    while True:
+        p, q = _sp.eval_legendre(n, x), _sp.eval_legendre(n - 1, x)
+        if step <= 1e-10:
+            break
+        dx = p * (1 - x * x) / (n * (q - x * p))
+        x, step = x - dx, np.max(np.abs(dx), initial=0.0)
+    w = 2 * (1 - x * x) / (n * (q - x * p)) ** 2
+    x, w = np.r_[-x[: n // 2], x[::-1]], np.r_[w[: n // 2], w[::-1]]
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def gauss_legendre(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes, increasing, and weights of the n-point Gauss-Legendre rule
-    on (a, b); exact through degree 2n-1."""
+    on (a, b), exact through degree 2n-1: a fresh copy of ``_unit_rule(n)``
+    mapped onto (a, b)."""
     if not is_integer(n) or n < 1:
         raise ValueError(f"need a positive node count, got {n!r}")
     if not (np.isfinite(a) and np.isfinite(b)) or b <= a:
         raise ValueError(f"need finite bounds with b > a, got ({a}, {b})")
-    x, w = leggauss(int(n))
+    x, w = _unit_rule(int(n))
     half = 0.5 * (b - a)
     return half * x + 0.5 * (a + b), half * w

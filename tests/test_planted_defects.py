@@ -15,7 +15,8 @@ import pytest
 import test_annulus
 import test_nonlinear
 import test_solver
-from diskvort import acceptance, annulus, fields, nonlinear, pressure, solver
+import test_specfun
+from diskvort import acceptance, annulus, fields, nonlinear, pressure, solver, specfun
 from diskvort.annulus import AnnulusGeometry
 from diskvort.fields import PolarGrid
 from diskvort.spectrum import build_table
@@ -270,3 +271,17 @@ def test_rotation_relation_catches_per_parity_elliptic_map(monkeypatch):
     plant(monkeypatch, solver.prepare, ELLIPTIC, sin_short)
     with pytest.raises(AssertionError):
         test_solver.assert_rotation_commutes(solver.run, test_solver.SCALING_MODES, 3)
+
+
+# the Gauss weights with (1 - x^2) P_n' taken as n P_{n-1}, dropping the
+# x P_n term that vanishes only at the exact nodes: the moment sums read
+# 8.9e-15 to 3.2e-13 over these n, against the bound 2e-15
+RULE_WEIGHT = "w = 2 * (1 - x * x) / (n * (q - x * p)) ** 2"
+
+
+@pytest.mark.parametrize("n", [36, 64, 88, 260, 600])
+def test_moment_bound_catches_rule_weight_defect(monkeypatch, n):
+    rule = planted(specfun._unit_rule, RULE_WEIGHT, "w = 2 * (1 - x * x) / (n * q) ** 2")
+    monkeypatch.setattr(specfun, "_unit_rule", rule)
+    with pytest.raises(AssertionError):
+        test_specfun.test_rule_moments_symmetry_and_nodes(n)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.legendre import leggauss, legvander
 from scipy.special import jn_zeros, jv, jvp
 
 from bessel_oracle import bessel_j, bessel_y
@@ -210,6 +211,44 @@ def test_quadrature_smooth_integrand():
     nodes, weights = gauss_legendre(30, 0.0, math.pi)
     got = weights @ np.sin(nodes)
     assert got == pytest.approx(2.0, abs=1e-14)
+
+
+# every Legendre moment sum w P_k, k < 2n, is within this of exact
+MOMENT_TOL = 2e-15
+RULE_SIZES = [1, 2, 3, 4, 5, 16, 36, 64, 88, 260, 600]
+
+
+def moment_error(x, w) -> float:
+    """max over k < 2n of |sum_i w_i P_k(x_i) - int P_k|, summed in
+    np.longdouble, for a rule (x, w) on [-1, 1]."""
+    ld = np.longdouble
+    moments = np.asarray(w, dtype=ld) @ legvander(np.asarray(x, dtype=ld), 2 * len(x) - 1)
+    moments[0] -= 2
+    return float(np.max(np.abs(moments)))
+
+
+@pytest.mark.parametrize("n", RULE_SIZES)
+def test_rule_moments_symmetry_and_nodes(n):
+    x, w = gauss_legendre(n, -1.0, 1.0)
+    assert moment_error(x, w) <= MOMENT_TOL
+    np.testing.assert_array_equal(x, -x[::-1])
+    np.testing.assert_array_equal(w, w[::-1])
+    want, _ = leggauss(n)
+    assert np.max(np.abs(x - want)) <= 2 * np.spacing(np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("n", [260, 600])
+def test_rule_moments_beat_companion_matrix_rule(n):
+    assert moment_error(*gauss_legendre(n, -1.0, 1.0)) < moment_error(*leggauss(n))
+
+
+def test_rule_takes_numpy_integers_and_returns_fresh_arrays():
+    x, w = gauss_legendre(np.int64(16), 0.0, 1.0)
+    want = gauss_legendre(16, 0.0, 1.0)
+    np.testing.assert_array_equal(x, want[0])
+    np.testing.assert_array_equal(w, want[1])
+    x[:] = w[:] = 0.0  # a caller's copy, not the cached rule
+    np.testing.assert_array_equal(gauss_legendre(16, 0.0, 1.0), want)
 
 
 def test_quadrature_validation():

@@ -218,6 +218,19 @@ def test_radial_profiles_scalar_radius():
     np.testing.assert_array_equal(harm, want_harm)
 
 
+@pytest.mark.parametrize("tiny", [0.0, 1e-200])
+def test_radial_profiles_pointwise_at_tiny_radii(table, tiny):
+    # a radius where Miller's recurrence turns NaN leaves the rest of its
+    # batch bit-identical; the NaN once stopped their rescaling, moving
+    # the profiles at 2.131e-5 and 1e-5 by up to 267
+    r = np.array([2.131e-5, 1e-5, 0.3])
+    want = radial_profiles(table, r)
+    with np.errstate(all="ignore"):
+        got = radial_profiles(table, np.append(r, tiny))
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g[..., :3], w)
+
+
 def _profile_cases():
     nodes, qpts, _ = _radial_mesh(256)
     for K, J in [(0, 1), (4, 12), (8, 8), (32, 24), (63, 2)]:
