@@ -187,10 +187,15 @@ def test_zero_row_searched_alone_equals_its_batch_row():
 
 def test_zeros_interlace_strictly():
     # alpha_{o-1,j} < alpha_{o,j} < alpha_{o-1,j+1}: a skipped or doubled zero
-    # in any row breaks it, independently of how the zeros were found
+    # in one row breaks it, independently of how the zeros were found.  Row 0
+    # is anchored (J_0's first zero, and its gaps stay below pi), and every
+    # entry must be a zero of its order.
     rows = bessel_j_zero_rows(MAX_ORDER, 64)
     assert np.all(rows[:-1] < rows[1:])
     assert np.all(rows[1:, :-1] < rows[:-1, 1:])
+    assert rows[0, 0] == pytest.approx(2.404825557695773, rel=1e-15)
+    assert np.all(np.diff(rows[0]) < np.pi)
+    assert np.max(np.abs(jv(np.arange(MAX_ORDER + 1)[:, None], rows))) < 1e-13
 
 
 @pytest.mark.parametrize("order", [0, 1, 31, 63, 64])
