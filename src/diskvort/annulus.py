@@ -21,14 +21,15 @@ eigenvalue and that the intermediate (zero-mean-flux) operator sits
 below both.
 
 Scalar fields are passed as callables f(r, theta, what) with what in
-{"value", "d_r", "d_theta"}; r and theta broadcast.  Everything is
-single-annulus: one hole exercises every mechanism.
+{"value", "d_r"}; r and theta broadcast.  Everything is single-annulus:
+one hole exercises every mechanism.
 
-The projection and the trace split are base + a harmonic part with one
-layout: ``rows`` (2, 2, degree+1), indexed (power r^+k or r^-k, parity
-cos or sin, k), of the L2-normalized zero-flux harmonics; the slots of
-r^-0 (the constant again) and of sin at k = 0 stay zero.  The angular
-rule makes the projection's Gram matrix 2x2 block-diagonal in (parity, k).
+The projection and the trace split are one class, ``_HarmonicSum``:
+base + a harmonic part with one layout, ``rows`` (2, 2, degree+1),
+indexed (power r^+k or r^-k, parity cos or sin, k), of the
+L2-normalized zero-flux harmonics; the slots of r^-0 (the constant
+again) and of sin at k = 0 stay zero.  The angular rule makes the
+projection's Gram matrix 2x2 block-diagonal in (parity, k).
 
 The two dense solvers, ``galerkin_spectra`` and
 ``annulus_stokes_circulation``, share one radial table of the Legendre
@@ -48,7 +49,7 @@ from numpy.polynomial.legendre import legder, legval
 from numpy.polynomial.polyutils import mapparms
 from scipy.linalg import eigh, expm, null_space
 
-from .fields import _log_potential, d_theta_rows, split_rows, synthesize_points, trig_table, write_csv
+from .fields import _log_potential, split_rows, synthesize_points, trig_table, write_csv
 from .specfun import gauss_legendre, is_integer
 
 __all__ = [
@@ -165,34 +166,34 @@ def _harmonic_moments(geom: AnnulusGeometry, degree: int, values: np.ndarray):
     return moments, gram
 
 
-def _harmonic_sum(field, r, theta, what: str) -> np.ndarray:
-    """The harmonic part of a field, with its ``geom`` and coefficient
-    ``rows`` (2, 2, degree+1), or its d_r / d_theta, at broadcast (r, theta)."""
-    if what not in ("value", "d_r", "d_theta"):
-        raise ValueError(f"unknown what: {what!r}")
-    x = np.asarray(r, dtype=float).ravel()
-    n_k = field.rows.shape[-1]
-    prof = _harmonic_profiles(field.geom, _harmonic_norms(field.geom, n_k - 1), x)
-    if what == "d_r":
-        # d_r r^k = k r^k / r and d_r (R/r)^k = -k (R/r)^k / r
-        prof = prof * (np.outer([1.0, -1.0], np.arange(n_k))[:, :, None] / x)
-    radial = np.einsum("pqk,pkx->qkx", field.rows, prof)  # one radial row per (parity, k)
-    if what == "d_theta":
-        radial = d_theta_rows(radial)
-    return synthesize_points(radial, r, theta)
-
-
 @dataclass
-class ProjectedField:
-    """f minus its least-squares component in the zero-flux harmonics."""
+class _HarmonicSum:
+    """``base`` plus the zero-flux harmonics of coefficient ``rows``
+    (2, 2, degree+1) on ``geom``: its value or d_r at broadcast (r, theta)."""
 
     base: object
     geom: AnnulusGeometry
-    rows: np.ndarray  # (2, 2, degree+1): the component negated
-    condition: float
+    rows: np.ndarray
 
     def __call__(self, r, theta, what: str = "value"):
-        return np.asarray(self.base(r, theta, what), dtype=float) + _harmonic_sum(self, r, theta, what)
+        if what not in ("value", "d_r"):
+            raise ValueError(f"unknown what: {what!r}")
+        x = np.asarray(r, dtype=float).ravel()
+        n_k = self.rows.shape[-1]
+        prof = _harmonic_profiles(self.geom, _harmonic_norms(self.geom, n_k - 1), x)
+        if what == "d_r":
+            # d_r r^k = k r^k / r and d_r (R/r)^k = -k (R/r)^k / r
+            prof = prof * (np.outer([1.0, -1.0], np.arange(n_k))[:, :, None] / x)
+        radial = np.einsum("pqk,pkx->qkx", self.rows, prof)  # one radial row per (parity, k)
+        return np.asarray(self.base(r, theta, what), dtype=float) + synthesize_points(radial, r, theta)
+
+
+@dataclass
+class ProjectedField(_HarmonicSum):
+    """f minus its least-squares component in the zero-flux harmonics;
+    ``rows`` hold the component negated."""
+
+    condition: float
 
 
 def bergman_project(geom: AnnulusGeometry, f, degree: int = 8) -> ProjectedField:
@@ -236,8 +237,6 @@ class XiFunction:
             vals = np.log(r) / (2.0 * np.pi)
         elif what == "d_r":
             vals = 1.0 / (2.0 * np.pi * r)
-        elif what == "d_theta":
-            vals = np.zeros_like(r)
         else:
             raise ValueError(f"unknown what: {what!r}")
         return np.broadcast_to(vals, np.broadcast(r, np.asarray(theta, dtype=float)).shape).copy()
@@ -265,16 +264,10 @@ def omega_big(geom: AnnulusGeometry, xi: XiFunction, degree: int = 8) -> Project
 
 
 @dataclass
-class Q1Split:
+class Q1Split(_HarmonicSum):
     """omega plus a harmonic sum: zero outer trace, constant inner trace."""
 
-    base: object
-    geom: AnnulusGeometry
-    rows: np.ndarray  # (2, 2, degree+1)
     inner_constant: float
-
-    def __call__(self, r, theta, what: str = "value"):
-        return np.asarray(self.base(r, theta, what), dtype=float) + _harmonic_sum(self, r, theta, what)
 
 
 def q1_dirichlet_split(geom: AnnulusGeometry, omega, degree: int = 8) -> Q1Split:

@@ -157,26 +157,37 @@ class RunConfig:
             errs.append("exactly one of init_modes or init_seed must be set")
         if self.init_seed is not None and not (is_integer(self.init_seed) and self.init_seed >= 0):
             errs.append(f"init_seed must be an integer >= 0, got {self.init_seed!r}")
-        if self.init_modes is not None:
-            seen = set()
+        try:
+            entries = () if self.init_modes is None else tuple(self.init_modes)
+        except TypeError as e:
+            errs.append(f"malformed init_modes: {e}")
+            entries = ()
+        seen = set()
+        for entry in entries:  # each on its own, every message naming it
             try:
-                for (k, j, parity), coeff in self.init_modes:
-                    if not (index(k) and index(j)):
-                        errs.append(f"init mode ({k},{j},{parity}) needs integer k and j")
-                        continue
+                (k, j, parity), coeff = entry
+            except (TypeError, ValueError):
+                errs.append(f"init mode {entry!r} is not ((k, j, parity), coefficient)")
+                continue
+            name, mode = f"init mode ({k},{j},{parity})", None
+            if not (index(k) and index(j)):
+                errs.append(f"{name} needs integer k and j")
+            else:
+                try:
                     mode = ModeIndex(int(k), int(j), parity)
-                    if not math.isfinite(float(coeff)):
-                        errs.append(f"init mode ({k},{j},{parity}) has coefficient {coeff!r}, not finite")
-                    if mode in seen:
-                        errs.append(f"init mode ({k},{j},{parity}) given twice")
-                    seen.add(mode)
-                    if is_integer(self.K) and is_integer(self.J):
-                        if k > self.K or j > self.J:
-                            errs.append(
-                                f"init mode ({k},{j},{parity}) outside table K={self.K} J={self.J}"
-                            )
-            except (TypeError, ValueError) as e:
-                errs.append(f"malformed init_modes: {e}")
+                except ValueError as e:
+                    errs.append(f"{name}: {e}")
+            try:
+                if not math.isfinite(float(coeff)):
+                    errs.append(f"{name} has coefficient {coeff!r}, not finite")
+            except (TypeError, ValueError):
+                errs.append(f"{name} has coefficient {coeff!r}, not a number")
+            if mode is not None:
+                if mode in seen:
+                    errs.append(f"{name} given twice")
+                seen.add(mode)
+                if is_integer(self.K) and is_integer(self.J) and (k > self.K or j > self.J):
+                    errs.append(f"{name} outside table K={self.K} J={self.J}")
         errs += grid_size_problems(self.K, self.J, self.n_radial, self.n_angular)
         if not (is_integer(self.output_every) and self.output_every >= 1):
             errs.append(f"output_every must be an integer >= 1, got {self.output_every!r}")

@@ -20,10 +20,9 @@ are deliberately narrow and loudly validated:
   iteration: six stack calls in all, 4 ms for orders 0..33 at 24 zeros
   each, within a relative 2.5e-16 of mpmath over orders 0..64 and
   j <= 64.  A scan with too few sign changes raises instead of returning
-  garbage.
-  ``bessel_j_zero_rows`` returns the leading zeros of every order up to
-  a maximum from one search; each zero depends only on its own grid
-  cell, so they equal ``bessel_j_zero``'s bit for bit.
+  garbage.  ``spectrum.build_table`` calls it on the orders 1..K+1 its
+  modes use; each zero depends only on its own grid cell, so the table's
+  zeros equal ``bessel_j_zero``'s bit for bit.
 * ``gauss_legendre``: the nodes and positive weights of an n-point rule
   on (a, b), mapped from one cached rule on [-1, 1] per n: Newton on
   scipy's compiled Legendre recurrence, O(n^2) where an eigensolve is O(n^3).
@@ -44,7 +43,6 @@ __all__ = [
     "MAX_ORDER",
     "bessel_j",
     "bessel_j_zero",
-    "bessel_j_zero_rows",
     "gauss_legendre",
     "is_integer",
 ]
@@ -241,17 +239,6 @@ def bessel_j_zero(order: int, j: int) -> float:
     if not is_integer(j) or j < 1:
         raise ValueError(f"zero index must be a positive integer, got {j!r}")
     return _zero_row(order, int(j))[j - 1]
-
-
-def bessel_j_zero_rows(max_order: int, count: int) -> np.ndarray:
-    """First ``count`` positive zeros of J_0 .. J_max_order, one row per
-    order, shape (max_order + 1, count), from one ``_zero_search``.  A
-    zero depends only on its scan cell, so every entry equals
-    ``bessel_j_zero`` bit for bit."""
-    max_order = _check_order(max_order)
-    if not is_integer(count) or count < 1:
-        raise ValueError(f"zero count must be a positive integer, got {count!r}")
-    return _zero_search(np.arange(max_order + 1), int(count))
 
 
 @lru_cache(maxsize=32)

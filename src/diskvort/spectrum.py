@@ -34,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .specfun import MAX_ORDER, _bessel_stack, bessel_j_zero_rows, gauss_legendre, is_integer
+from .specfun import MAX_ORDER, _bessel_stack, _zero_search, gauss_legendre, is_integer
 
 __all__ = [
     "ModeIndex",
@@ -178,7 +178,7 @@ def build_table(K: int, J: int) -> EigenTable:
     problems = table_size_problems(K, J)
     if problems:
         raise ValueError("; ".join(problems))
-    alpha = bessel_j_zero_rows(K + 1, J)[1:]
+    alpha = _zero_search(np.arange(1, K + 2), J)
     return EigenTable(alpha, _norm_consts(alpha))
 
 

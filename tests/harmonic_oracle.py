@@ -11,8 +11,7 @@ k) 2x2 block solve is checked against: a full Gram matrix from one
 its float ``np.linalg.cond``.  ``element_values`` evaluates one term, scale
 r^expo {cos,sin}(k theta), by its own radial power and its own cos or
 sin of k theta; it reads only the four numbers, so it checks the summed
-evaluation's row layout, its d_theta rows and its broadcasting
-independently.
+evaluation's row layout and its broadcasting independently.
 
 ``disk_harmonic_values`` evaluates a disk harmonic part given as cos/sin
 rows (2, n) against the unit harmonics h_k = c_k r^k, the way
@@ -86,21 +85,16 @@ def dense_projection(geom, f, degree: int):
 
 
 def element_values(k, parity, expo, scale, r, theta, what: str = "value"):
-    """scale r^expo {cos,sin}(k theta), or its d_r / d_theta, at broadcast (r, theta)."""
+    """scale r^expo {cos,sin}(k theta), or its d_r, at broadcast (r, theta)."""
     r = np.asarray(r, dtype=float)
     theta = np.asarray(theta, dtype=float)
     if what == "value":
         rad = scale * r**expo
-        ang = np.cos(k * theta) if parity == "cos" else np.sin(k * theta)
     elif what == "d_r":
         rad = scale * expo * r ** (expo - 1) if expo != 0 else np.zeros_like(r)
-        ang = np.cos(k * theta) if parity == "cos" else np.sin(k * theta)
-    elif what == "d_theta":
-        rad = scale * r**expo
-        ang = -k * np.sin(k * theta) if parity == "cos" else k * np.cos(k * theta)
     else:
         raise ValueError(f"unknown what: {what!r}")
-    return rad * ang
+    return rad * (np.cos(k * theta) if parity == "cos" else np.sin(k * theta))
 
 
 def _unit_constant(k: int) -> float:

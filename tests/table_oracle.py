@@ -8,6 +8,11 @@ layout of ``EigenTable``; ``table_json`` writes them as
 ``EigenTable.to_json`` does.  The zeros and normalization constants
 come from the same (K+1, J) blocks as ``build_table``'s, so a
 difference is in the ordering and gathering alone.
+
+``bessel_j_zero_rows(max_order, count)`` is the zero block of every
+order 0..max_order from one ``specfun._zero_search``; ``build_table``
+searches only the orders 1..K+1, so the table's zeros are checked
+against a search over a different set of rows.
 """
 
 from __future__ import annotations
@@ -16,10 +21,16 @@ import json
 
 import numpy as np
 
-from diskvort.specfun import bessel_j_zero_rows
+from diskvort import specfun
 from diskvort.spectrum import ModeIndex, _norm_consts
 
 _PARITIES = ("cos", "sin")
+
+
+def bessel_j_zero_rows(max_order: int, count: int) -> np.ndarray:
+    """First ``count`` positive zeros of J_0 .. J_max_order, one row per
+    order, shape (max_order + 1, count)."""
+    return specfun._zero_search(np.arange(max_order + 1), count)
 
 
 def table_rows(K: int, J: int):

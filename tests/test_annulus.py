@@ -82,8 +82,6 @@ def band_field(rng, band=3):
                 out = out + prof * np.cos(k * theta)
             elif what == "d_r":
                 out = out + dpr * np.cos(k * theta)
-            elif what == "d_theta":
-                out = out - prof * k * np.sin(k * theta)
             else:
                 raise ValueError(what)
         return out
@@ -98,8 +96,6 @@ def j_bump(r, theta, what="value"):
         return s * (1.0 + np.cos(theta))
     if what == "d_r":
         return ds * (1.0 + np.cos(theta))
-    if what == "d_theta":
-        return s * (-np.sin(theta))
     raise ValueError(what)
 
 
@@ -291,7 +287,7 @@ class TestBergmanProjection:
         rhs = _integrate(geom, _sample(geom, u) * _sample(geom, pv))
         assert abs(lhs - rhs) <= 1e-9
 
-    @pytest.mark.parametrize("what", ["value", "d_r", "d_theta"])
+    @pytest.mark.parametrize("what", ["value", "d_r"])
     def test_separable_evaluation_matches_per_element_sum(self, geom, what):
         # both fields are base + the sum of their terms
         f = band_field(np.random.default_rng(17))
@@ -320,6 +316,13 @@ class TestBergmanProjection:
             scale = np.max(np.abs(want) if field is proj else size)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * scale)
 
+    def test_fields_refuse_d_theta(self, geom, xi):
+        # an annulus field is evaluated for its value and d_r only
+        f = band_field(np.random.default_rng(17))
+        for field in (bergman_project(geom, f, degree=6), q1_dirichlet_split(geom, f, degree=6), xi):
+            with pytest.raises(ValueError, match=r"^unknown what: 'd_theta'$"):
+                field(0.75, 0.3, "d_theta")
+
 
 class TestZetaPairing:
     def test_constant_field_pairs_to_zero(self, geom, xi):
@@ -337,8 +340,6 @@ class TestZetaPairing:
                 return prof * (1 + np.cos(t))
             if what == "d_r":
                 return dpr * (1 + np.cos(t))
-            if what == "d_theta":
-                return prof * (-np.sin(t))
             raise ValueError(what)
 
         th = geom.theta()

@@ -184,6 +184,37 @@ def test_config_rejects_runs_that_cannot_run(kw, message):
         prepare(cfg)
 
 
+@pytest.mark.parametrize(
+    "modes, messages",
+    [
+        (
+            (((-1, 1, "cos"), 1.0), ((9, 1, "cos"), math.inf), ((2, 1, "cos"), 1.0), ((2, 1, "cos"), 1.0)),
+            [
+                "init mode (-1,1,cos): angular wavenumber must be >= 0, got -1",
+                "init mode (9,1,cos) has coefficient inf, not finite",
+                "init mode (9,1,cos) outside table K=4 J=4",
+                "init mode (2,1,cos) given twice",
+            ],
+        ),
+        (
+            (((0, 1, "sin"), None), ((1, 1, "cos"),), ((1, 2.5, "cos"), "a"), ((3, 5, "sin"), 0.5)),
+            [
+                "init mode (0,1,sin): k = 0 modes are radial; only 'cos' parity exists",
+                "init mode (0,1,sin) has coefficient None, not a number",
+                "init mode ((1, 1, 'cos'),) is not ((k, j, parity), coefficient)",
+                "init mode (1,2.5,cos) needs integer k and j",
+                "init mode (1,2.5,cos) has coefficient 'a', not a number",
+                "init mode (3,5,sin) outside table K=4 J=4",
+            ],
+        ),
+    ],
+    ids=["index-coefficient-table-repeat", "parity-none-shape-float-index"],
+)
+def test_config_checks_every_init_mode(modes, messages):
+    # each entry is checked on its own, so no bad entry hides a later one
+    assert small_cfg(init_modes=modes, init_seed=None).validate() == messages
+
+
 def test_config_accepts_numpy_integer_mode_indices():
     modes = (((np.int64(2), np.int32(1), "sin"), 1.0), ((np.uint8(0), np.int64(3), "cos"), 0.5))
     cfg = small_cfg(init_modes=modes, init_seed=None)
@@ -372,6 +403,18 @@ def test_non_finite_state_aborts(bad):
             step(broken, cfg, ctx)
         with pytest.raises(NonFiniteState):
             step(SolverState(1, one_bad, state.wb), cfg, ctx)
+
+
+def test_non_finite_update_aborts_at_its_step():
+    # an elliptic map past the floats (E / nu overflows) passes the step's
+    # checks on the finite state, and the update it makes is refused
+    cfg = small_cfg(nu=0.05)
+    ctx = prepare(cfg)
+    bad = dataclasses.replace(ctx, elliptic_map=np.full_like(ctx.elliptic_map, np.inf))
+    message = "^step from t=0 produced non-finite coefficients$"
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteState, match=message) as exc:
+        solver._integrate(cfg, bad, initial_state(cfg, ctx), lambda state: step(state, cfg, bad))
+    assert (exc.value.step, exc.value.t) == (0, 0.0)
 
 
 @pytest.mark.parametrize("runner", [run, stokes_run])

@@ -71,8 +71,8 @@ def test_table_matches_per_mode_oracle(K, J):
 
 
 def test_large_table_zeros_bit_identical_to_per_zero_requests():
-    # build_table reads every order's zeros off one triangle of rows; the
-    # per-zero requests recurse through different cache rows
+    # build_table searches the orders 1..K+1 in one batch; the per-zero
+    # requests search one order at a time through their own cache rows
     big = build_table(32, 24)
     want = np.array([bessel_j_zero(m.k + 1, m.j) for m in big.modes])
     assert np.array_equal(big.alpha, want)
