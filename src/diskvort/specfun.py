@@ -7,12 +7,19 @@ are deliberately narrow and loudly validated:
 * ``bessel_j``: the cylinder function of integer order, vectorized over
   the argument.
 * ``_bessel_stack`` (private): J_n and J_n' for many orders at once, row
-  i of the argument at order ``orders[i]``.  Where x >= n it runs the
-  upward three-term recurrence from ``j0``/``j1``, which is stable
-  there because every intermediate order is <= x; the points with
-  x < n take Miller's backward recurrence, scaled by J_0 and J_1.  No
-  per-order scipy ``jv`` is called.  Radial profiles, normalization
-  constants and the zero search all read it.
+  i of the argument at order ``orders[i]``.  It splits the points once
+  at x >= n.  Those run the upward three-term recurrence from
+  ``j0``/``j1``, which is stable there because every intermediate order
+  is <= x; the points with x < n take Miller's backward recurrence, each
+  from its own order's start, scaled by J_0 and J_1 and rescaled by an
+  exact power of two only as often as the smallest argument needs.
+  Each part runs only over its own points, so a point's bits never
+  depend on its batch.  No per-order scipy ``jv`` is called.  The grid
+  stack at (K, J) = (32, 24) has 69,696 points, 23,489 of them with
+  x < n; it takes about two thirds of the time of an upward pass over
+  every point plus Miller's from one common start (16 against 25 ms on
+  a shared 2-CPU machine), and scipy's j0/j1 are 6 ms of it.  Radial
+  profiles, normalization constants and the zero search all read it.
 * ``bessel_j_zero``: the j-th positive zero of J_k.  ``_zero_search``
   brackets the zeros of every requested order at once by the sign
   changes of one stack on a fixed grid of step 2 from x = max(k, 2),
@@ -77,12 +84,43 @@ def bessel_j(order: int, x):
     return out
 
 
-# rescale Miller's unnormalized values before they can overflow
-_MILLER_BIG = 1e100
+# Miller's values above this power of two, about 8.7e99, are divided by
+# it; an exact rescale commutes with the recurrence and the final
+# normalization, so no bit depends on when it runs
+_MILLER_BIG = 2.0**332
+
+
+def _upward(n: np.ndarray, x: np.ndarray, j0: np.ndarray, j1: np.ndarray):
+    """J_n(x) and J_n'(x) at points with x >= n, ``n`` nondecreasing, given
+    J_0(x) and J_1(x), which it overwrites.
+
+    The upward recurrence J_{m+1} = (2m/x) J_m - J_{m-1} (DLMF 10.6.1) is
+    stable where every order it passes is <= x.  The step to order m + 1
+    runs only over the points of order > m, a suffix, in three buffers
+    rotated each order, so no order allocates.
+    """
+    val, der = np.empty_like(x), np.empty_like(x)
+    prev, cur, nxt = np.negative(j1, out=j1), j0, np.empty_like(x)  # J_{m-1}, J_m
+    ends = np.searchsorted(n, np.arange(n[-1] + 1), side="right").tolist()
+    done = 0
+    for m, stop in enumerate(ends):
+        if stop > done:
+            val[done:stop] = cur[done:stop]
+            der[done:stop] = prev[done:stop]
+            if m:
+                der[done:stop] -= m / x[done:stop] * cur[done:stop]
+            done = stop
+        if done == x.size:
+            break
+        new = np.divide(2 * m, x[done:], out=nxt[done:])
+        new *= cur[done:]
+        new -= prev[done:]
+        prev, cur, nxt = cur, nxt, prev
+    return val, der
 
 
 def _miller(n: np.ndarray, x: np.ndarray, j0: np.ndarray, j1: np.ndarray):
-    """J_n(x) and J_{n-1}(x) at points with 0 < x < n, ``n`` nondecreasing,
+    """J_n(x) and J_n'(x) at points with 0 < x < n, ``n`` nondecreasing,
     given J_0(x) and J_1(x).
 
     Miller's algorithm (Gautschi, SIAM Rev. 9, 1967): the backward
@@ -90,76 +128,81 @@ def _miller(n: np.ndarray, x: np.ndarray, j0: np.ndarray, j1: np.ndarray):
     n is stable for the minimal solution J, and the values at orders 0
     and 1 fix its scale by least squares against J_0 and J_1, which never
     vanish together.
+
+    Each point starts at its own order's start, and the step from order m
+    runs only over the points started by then, a suffix, in three rotated
+    buffers.  One order multiplies a point's values by at most
+    G = 2 top / x_min + 1, so the overflow test runs every 332 / log2(G)
+    orders (every order at least) and after the last: a point above
+    ``_MILLER_BIG`` = 2^332 then is at most 2^664 and is divided by it.
+    That rescale is exact, so a point's bits do not depend on the test
+    spacing, hence not on its batch.
     """
     # J_m(x) decays past m = x over a width ~ x^(1/3), so the start is that
     # many orders above n; 6 + 5.5 n^(1/3) already gives full precision
     # at x -> n for n = 1..64 (against mpmath)
-    top = int(n[-1] + 10.0 + 6.0 * np.cbrt(n[-1]))
-    # the points of order m are n[bounds[m]:bounds[m + 1]]
-    bounds = np.searchsorted(n, np.arange(top + 3))
+    start = (n + 10.0 + 6.0 * np.cbrt(n)).astype(np.intp)
+    top = int(start[-1])
+    # the points of order m are [bounds[m]:bounds[m + 1]], those started by
+    # order m are [first[m]:]
+    bounds = np.searchsorted(n, np.arange(top + 3)).tolist()
+    first = np.searchsorted(start, np.arange(top + 2)).tolist()
+    with np.errstate(divide="ignore"):
+        every = max(1, int(332 / np.log2(2.0 * top / x.min() + 1.0)))
     fn, fnm1 = np.zeros_like(x), np.zeros_like(x)
-    nxt, cur = np.zeros_like(x), np.ones_like(x)  # f_{m+1}, f_m
+    nxt, cur, new = np.zeros_like(x), np.zeros_like(x), np.zeros_like(x)  # f_{m+1}, f_m
     two_x = 2.0 / x
     for m in range(top, -1, -1):
+        a = first[m]
+        cur[a : first[m + 1]] = 1.0  # the points that start at order m
         fn[bounds[m] : bounds[m + 1]] = cur[bounds[m] : bounds[m + 1]]
         fnm1[bounds[m + 1] : bounds[m + 2]] = cur[bounds[m + 1] : bounds[m + 2]]
         if m == 0:
             break
-        nxt, cur = cur, (m * two_x) * cur - nxt
-        if np.any(np.abs(cur) > _MILLER_BIG):  # a NaN point stops no rescale
-            s = np.where(np.abs(cur) > _MILLER_BIG, 1.0 / _MILLER_BIG, 1.0)
-            for f in (cur, nxt, fn, fnm1):
-                f *= s
+        f = np.multiply(two_x[a:], m, out=new[a:])
+        f *= cur[a:]
+        f -= nxt[a:]
+        nxt, cur, new = cur, new, nxt
+        if (m - 1) % every == 0:  # a NaN point stops no rescale
+            big = np.flatnonzero(np.maximum(np.abs(cur[a:]), np.abs(nxt[a:])) > _MILLER_BIG)
+            if big.size:
+                big += a
+                for values in (cur, nxt, fn, fnm1):
+                    values[big] /= _MILLER_BIG
     scale = (j0 * cur + j1 * nxt) / (cur * cur + nxt * nxt)
-    return fn * scale, fnm1 * scale
+    jn = fn * scale
+    return jn, fnm1 * scale - n / x * jn
 
 
 def _bessel_stack(orders, x, precise: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """J_n(x) and J_n'(x) with n = ``orders[i]`` on row i of ``x``.
 
     ``orders`` is a nondecreasing integer sequence, one entry per
-    leading row of ``x``; x > 0 on rows of order n >= 1.  Every row runs
-    the upward recurrence J_{m+1} = (2m/x) J_m - J_{m-1} (DLMF 10.6.1)
-    from J_0, J_1 until it reaches its order, so one pass serves all
-    rows.  It is stable where x >= n.  The points with x < n take a
-    stand-in coefficient 2m/n in that pass (bounded, their values are
-    dropped) and get their values from Miller's backward recurrence
-    instead.  The derivative is J_n' = J_{n-1} - (n/x) J_n (DLMF 10.6.2),
-    with J_{-1} = -J_1.
+    leading row of ``x``; x > 0 on rows of order n >= 1.  The points are
+    split once at x >= n and each part is compacted in row order, so by
+    nondecreasing order: ``_upward`` recurs up from J_0, J_1 over the
+    points with x >= n, ``_miller`` down from above n over those with
+    x < n.  The derivative is J_n' = J_{n-1} - (n/x) J_n (DLMF 10.6.2),
+    with J_{-1} = -J_1.  Each point's value depends only on its order and
+    argument, never on the rest of the batch.  At (K, J) = (32, 24) the
+    grid stack has 69,696 points, 46,207 of them with x >= n.
 
     J_0 and J_1 come from scipy's j0/j1, whose error near x = 100 is a
     few 1e-15 of the envelope sqrt(2/(pi x)).  ``precise`` takes them
     from jv instead: about five times more accurate there and six times
     slower, for the few points where a relative error is amplified (the
-    normalization constants and the stream lift, both at the zeros).
+    normalization constants).
     """
     x = np.asarray(x, dtype=float)
     orders = np.asarray(orders, dtype=np.intp)
-    n = orders.reshape((-1,) + (1,) * (x.ndim - 1))
+    n = np.broadcast_to(orders.reshape((-1,) + (1,) * (x.ndim - 1)), x.shape)
+    seeds = (lambda z: (_sp.jv(0, z), _sp.jv(1, z))) if precise else (lambda z: (_sp.j0(z), _sp.j1(z)))
     low = x < n
-    xs = np.where(low, n, x)
-    j0, j1 = (_sp.jv(0, x), _sp.jv(1, x)) if precise else (_sp.j0(x), _sp.j1(x))
-    val = np.empty_like(x)
-    der = np.empty_like(x)
-    prev, cur = -j1, j0  # J_{m-1}, J_m on the rows not yet done
-    done = 0
-    for m in range(int(orders[-1]) + 1):
-        stop = int(np.searchsorted(orders, m, side="right"))
-        if stop > done:
-            val[done:stop] = cur[: stop - done]
-            der[done:stop] = prev[: stop - done]
-            if m:
-                der[done:stop] -= m / xs[: stop - done] * cur[: stop - done]
-            prev, cur, xs = prev[stop - done :], cur[stop - done :], xs[stop - done :]
-            done = stop
-        if done < len(orders):
-            prev, cur = cur, (2 * m / xs) * cur - prev
-    if low.any():
-        # boolean indexing keeps row order, so these orders are nondecreasing
-        nl, xl = np.broadcast_to(n, x.shape)[low], x[low]
-        jn, jnm1 = _miller(nl, xl, j0[low], j1[low])
-        val[low] = jn
-        der[low] = jnm1 - nl / xl * jn
+    val, der = np.empty_like(x), np.empty_like(x)
+    for part, recur in ((~low, _upward), (low, _miller)):
+        if part.any():
+            xp = x[part]
+            val[part], der[part] = recur(n[part], xp, *seeds(xp))
     return val, der
 
 

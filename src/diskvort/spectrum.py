@@ -19,11 +19,17 @@ holds when J_{k+1}(alpha) = 0, giving |c| = 1/(sqrt(pi)|J_0(alpha)|) for
 k = 0 and sqrt(2/pi)/|J_k(alpha)| for k >= 1.  The sign makes the radial
 profile positive at r = 1/2 (fallback +1 if it vanishes there).
 
+The stream function's lift coefficient c J_k(alpha) follows without a
+Bessel evaluation: the zeros of J_k and J_{k+1} interlace (DLMF 10.21(i)),
+so J_k(alpha_{k+1,j}) has the sign (-1)^j, and c J_k(alpha) is
+(-1)^j sign(c) sqrt(2/pi) (1/sqrt(pi) at k = 0).
+
 ``build_table`` computes the zeros and the constants as two (K+1, J)
 blocks indexed (k, j-1), and ``EigenTable(alpha, norm)`` derives the
 rest from them with array operations: the eigenvalue order of the
-modes, the per-mode ``lam``, ``alpha`` and ``norm`` in that order, and
-the block positions ``perm``; the ``modes`` tuple is built on first read.
+modes, the per-mode ``lam``, ``alpha``, ``norm`` and ``lift`` in that
+order, and the block positions ``perm``; the ``modes`` tuple is built
+on first read.
 """
 
 from __future__ import annotations
@@ -71,14 +77,18 @@ class ModeIndex:
             raise ValueError("k = 0 modes are radial; only 'cos' parity exists")
 
 
+def _norm_scale(k):
+    """|c_{k,j} J_k(alpha_{k+1,j})|: 1/sqrt(pi) at k = 0, sqrt(2/pi) above."""
+    return np.where(k == 0, 1.0 / np.sqrt(np.pi), np.sqrt(2.0 / np.pi))
+
+
 def _norm_consts(alpha: np.ndarray) -> np.ndarray:
     """Normalization constants c_{k,j}, shape (K+1, J), from the zeros
     ``alpha[k, j-1]`` = alpha_{k+1,j}: |J_k(alpha)| and the sign probe
     J_k(alpha/2) of every mode from one Bessel stack."""
     k = np.arange(alpha.shape[0])
     jk = _bessel_stack(k, np.stack([alpha, 0.5 * alpha], axis=-1), precise=True)[0]
-    scale = np.where(k == 0, 1.0 / np.sqrt(np.pi), np.sqrt(2.0 / np.pi))[:, None]
-    base = scale / np.abs(jk[..., 0])
+    base = _norm_scale(k)[:, None] / np.abs(jk[..., 0])
     return np.where(jk[..., 1] < 0.0, -base, base)
 
 
@@ -91,7 +101,9 @@ class EigenTable:
     arrays (..., 2, K+1, J) with parity 0 = cos, 1 = sin, except the
     k = 0 sine row, which is identically zero.  One sort on
     (lambda, k, parity), cos first within a cos/sin pair, orders them;
-    ``lam`` = alpha^2, ``alpha`` and ``norm`` are gathers in that order.
+    ``lam`` = alpha^2, ``alpha`` and ``norm`` are gathers in that order,
+    and ``lift`` = c J_k(alpha), the stream lift's coefficient, is
+    (-1)^j sign(c) sqrt(2/pi) (1/sqrt(pi) at k = 0).
     ``modes``, the ``ModeIndex`` of each position, is built on its first
     read (the solver never reads it).  ``perm[p, k, j-1]`` is the position of mode
     (k, j, parity p) in the sorted table (``len(table)``, a zero pad
@@ -117,6 +129,8 @@ class EigenTable:
         self._gather = np.where(self.perm == n, 0, self.perm)
         k, j = k[self._scatter], j[self._scatter]
         self.lam, self.alpha, self.norm = lam[k, j], alpha[k, j], norm[k, j]
+        # J_k(alpha_{k+1,j}) has the sign (-1)^j; this j is the index j - 1
+        self.lift = np.where(j % 2, 1.0, -1.0) * np.copysign(_norm_scale(k), self.norm)
 
     @cached_property
     def modes(self) -> tuple[ModeIndex, ...]:
@@ -205,29 +219,30 @@ def radial_profiles(table: EigenTable, r) -> tuple[np.ndarray, np.ndarray]:
         alpha^2 J_k''(alpha r) = -alpha J_k'(alpha r) / r
                                  + (k^2 / r^2 - alpha^2) J_k(alpha r),
 
-    so all orders come from two calls of the multi-order Bessel stack,
-    J_k and J_k' at alpha r and J_k(alpha) for the lift (its precise
-    variant: the lift's d_r, k c J_k(alpha), is up to ~50 at K = 63 and
-    cancels against the vorticity row at r = 1).
+    so all orders come from one call of the multi-order Bessel stack,
+    J_k and J_k' at alpha r.  The lift's coefficient c J_k(alpha) is the
+    table's exact ``lift``, +-sqrt(2/pi) (1/sqrt(pi) at k = 0); its d_r
+    at r = 1, k c J_k(alpha), is up to ~50 at K = 63 and cancels against
+    the vorticity row there.
     """
     r = np.atleast_1d(np.asarray(r, dtype=float))
     K, J = table.K, table.J
     k = np.arange(K + 1)[:, None, None]
     alpha = table.alpha[table.perm[0]][..., None]
     cn = table.norm[table.perm[0]][..., None]
+    lift = table.lift[table.perm[0]][..., None]
     prof = np.empty((3, 2, K + 1, J, r.size))
     vort, stream = prof[:, 0], prof[:, 1]
     vort[0], vort[1] = _bessel_stack(k.ravel(), alpha * r)
     vort[1] *= alpha
     vort[2] = -vort[1] / r + (k * k / r**2 - alpha**2) * vort[0]
-    jk_at_1 = _bessel_stack(k.ravel(), alpha, precise=True)[0]
+    vort *= cn
     # r**i with a Python int i, which numpy computes as r*r at i = 2, not
     # with pow; rows 0 and 1 stand for r^-2 and r^-1, which k = 0, 1 do not use
     powers = np.stack(2 * [np.zeros_like(r)] + [r**i for i in range(K + 1)])[:, None]
     rk, rkm1, rkm2 = powers[2:], powers[1:-1], powers[:-2]
-    for i, lift in enumerate((rk, k * rkm1, k * (k - 1) * rkm2)):
-        stream[i] = vort[i] - jk_at_1 * lift
-    prof *= cn
+    for i, power in enumerate((rk, k * rkm1, k * (k - 1) * rkm2)):
+        stream[i] = vort[i] - lift * power
     ck = _harm_const(k[:, 0])
     harm = np.stack([ck * rk[:, 0], ck * k[:, 0] * rkm1[:, 0]])
     return prof, harm

@@ -10,6 +10,7 @@ plants anything.
 
 import inspect
 
+import numpy as np
 import pytest
 
 import test_annulus
@@ -306,3 +307,15 @@ def test_short_zero_scan_raises():
     search = planted(specfun._zero_search, extent, "(count + orders) * np.pi / 2")
     with pytest.raises(RuntimeError, match=r"scan of J_0 .* 20 zeros were requested"):
         search(range(4), 20)
+
+
+# Miller's overflow test: without its rescale the backward recurrence
+# overflows at small arguments and high orders (J_64(1e-3) starts near
+# 1e300 below its start's 1), so the values there turn inf or NaN
+MILLER_TEST = "if (m - 1) % every == 0:"
+
+
+def test_rescale_schedule_test_catches_dropped_rescale(monkeypatch):
+    monkeypatch.setattr(specfun, "_miller", planted(specfun._miller, MILLER_TEST, "if False:"))
+    with pytest.raises(AssertionError), np.errstate(all="ignore"):
+        test_specfun.test_bessel_stack_rescale_schedule_changes_no_bit()

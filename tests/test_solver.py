@@ -9,8 +9,9 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from config_oracle import init_mode_messages
 from diskvort import solver
-from diskvort.fields import SpectralField, norm_at
+from diskvort.fields import SpectralField, grid_size_problems, norm_at
 from diskvort.semigroup import fit_decay_rate
 from diskvort.solver import _initial_field as solver_initial_field
 from diskvort.solver import _random_admissible
@@ -28,7 +29,7 @@ from diskvort.solver import (
     step,
     stokes_run,
 )
-from diskvort.spectrum import ModeIndex
+from diskvort.spectrum import ModeIndex, table_size_problems
 from transform_oracle import duhamel_reference, propagate, quadrature_drift
 
 
@@ -215,6 +216,62 @@ def test_config_checks_every_init_mode(modes, messages):
     assert small_cfg(init_modes=modes, init_seed=None).validate() == messages
 
 
+# index values: integers, bools, numpy integers, floats holding whole
+# numbers, indices past int64, 2.5, and values that are no index at all
+_INDEX = st.one_of(
+    st.integers(-1, 6),
+    st.booleans(),
+    st.integers(-1, 6).map(np.int64),
+    st.integers(0, 6).map(np.uint8),
+    st.integers(-1, 6).map(float),
+    st.sampled_from([2**70, -(2**70), 2.0**70, np.uint64(2**64 - 1)]),
+    st.sampled_from([2.5, math.inf, math.nan, "2", None]),
+)
+_COEFF = st.one_of(
+    st.floats(-2.0, 2.0),
+    st.integers(-3, 3),
+    st.sampled_from([None, math.inf, -math.inf, math.nan, "a", "0.5", True, np.float32(0.5), 1j]),
+)
+_MODE = st.tuples(_INDEX, _INDEX, st.sampled_from(["cos", "sin", "tan", None, np.str_("sin")]))
+# valid modes of a small table, so that slots meet
+_VALID = st.tuples(st.tuples(st.integers(0, 2), st.integers(1, 3), st.sampled_from(["cos", "sin"])), st.floats(-1, 1))
+_ENTRY = st.one_of(
+    st.tuples(_MODE, _COEFF),
+    st.tuples(_MODE, _COEFF).map(list),
+    # malformed: a bare mode, a short mode, a scalar, a string, None
+    st.tuples(_MODE),
+    st.tuples(st.tuples(_INDEX, _INDEX), _COEFF),
+    st.sampled_from([None, 7, "ab", ((1, 1, "cos"), 1.0, 2.0)]),
+)
+
+
+@st.composite
+def _init_modes(draw):
+    entries = draw(st.lists(_VALID, max_size=5)) + draw(st.lists(_ENTRY, max_size=5))
+    if entries:  # repeats of drawn entries, anywhere in the list
+        entries += draw(st.lists(st.sampled_from(entries), max_size=3))
+        entries = draw(st.permutations(entries))
+    return draw(st.sampled_from([tuple(entries), entries]))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    modes=st.one_of(_init_modes(), st.just(5)),
+    K=st.one_of(st.integers(-1, 5), st.sampled_from([4.0, True, "4", 64, np.int64(3)])),
+    J=st.one_of(st.integers(0, 5), st.sampled_from([2.0, None, np.int32(2)])),
+)
+def test_config_init_mode_messages_match_per_entry_oracle(modes, K, J):
+    # the array screen returns the per-entry loop's messages, in its order,
+    # between the table size and the grid size messages
+    cfg = small_cfg(K=K, J=J, init_modes=modes, init_seed=None)
+    want = (
+        table_size_problems(cfg.K, cfg.J)
+        + init_mode_messages(cfg.init_modes, cfg.K, cfg.J)
+        + grid_size_problems(cfg.K, cfg.J, None, None)
+    )
+    assert cfg.validate() == want
+
+
 def test_config_accepts_numpy_integer_mode_indices():
     modes = (((np.int64(2), np.int32(1), "sin"), 1.0), ((np.uint8(0), np.int64(3), "cos"), 0.5))
     cfg = small_cfg(init_modes=modes, init_seed=None)
@@ -222,6 +279,43 @@ def test_config_accepts_numpy_integer_mode_indices():
     ctx = prepare(cfg)
     total = total_field(initial_state(cfg, ctx), ctx.table)
     np.testing.assert_allclose(total.coeffs, per_mode_field(cfg, total.table).coeffs, atol=1e-14)
+
+
+def test_large_prepare_builds_no_mode_index_and_one_profile_stack(monkeypatch):
+    # the cold set-up at K = 32, J = 24 from all 1560 modes, counted, not
+    # timed: the init modes are screened as arrays (no ModeIndex per
+    # entry), and the Bessel stack runs for the zero scan, its four Newton
+    # steps, the norms and the grid's one profile stack; the lift's
+    # J_k(alpha) is the table's, not a second stack at the zeros
+    from diskvort import specfun, spectrum
+
+    K, J = 32, 24
+    modes = tuple(
+        ((k, j, p), 1.0 / (k + j))
+        for k in range(K + 1)
+        for j in range(1, J + 1)
+        for p in (("cos",) if k == 0 else ("cos", "sin"))
+    )
+    built, stacks = [], []
+    post_init, stack = ModeIndex.__post_init__, specfun._bessel_stack
+
+    def counting_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    def counting_stack(orders, x, **kw):
+        stacks.append(len(orders))
+        return stack(orders, x, **kw)
+
+    monkeypatch.setattr(ModeIndex, "__post_init__", counting_post_init)
+    monkeypatch.setattr(specfun, "_bessel_stack", counting_stack)
+    monkeypatch.setattr(spectrum, "_bessel_stack", counting_stack)
+    cfg = RunConfig(nu=0.01, K=K, J=J, dt=1e-3, t_final=1e-3, init_modes=modes)
+    ctx = prepare(cfg)
+    assert len(modes) == len(ctx.table) == 1560
+    assert built == []
+    assert len(stacks) == 7
+    assert stacks[-2:] == [K + 1, K + 1]  # the norms, then the grid
 
 
 # ---------------------------------------------------------------------------

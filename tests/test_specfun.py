@@ -85,6 +85,29 @@ def test_bessel_stack_matches_mpmath_near_turning_points():
             assert abs(der[k, i] - float(djk)) <= 1e-14 * np.abs(der[k]).max(), (k, i)
 
 
+def test_bessel_stack_rescale_schedule_changes_no_bit():
+    # Miller's overflow test runs every 332 / log2(2 top / x_min + 1)
+    # orders of the batch's smallest argument, and its rescale is an exact
+    # power of two: appending x = 1e-12 (a test every 6 orders in place of
+    # 18) changes no bit of the other points, whose values hold mpmath's
+    # wherever they are above 1e-280 (J_64(1e-3) is 4.3e-301)
+    n = np.arange(MAX_ORDER + 1)
+    x = np.stack([np.full(n.size, 1e-3), np.full(n.size, 0.1), np.ones(n.size), np.maximum(n - 1e-3, 1e-3)], axis=-1)
+    val, der = _bessel_stack(n, x)
+    with np.errstate(all="ignore"):
+        batch_val, batch_der = _bessel_stack(n, np.append(x, np.full((n.size, 1), 1e-12), axis=1))
+    np.testing.assert_array_equal(batch_val[:, :-1], val)
+    np.testing.assert_array_equal(batch_der[:, :-1], der)
+    for k in range(MAX_ORDER + 1):
+        for i in range(x.shape[1]):
+            xi = mpmath.mpf(x[k, i])
+            jk = mpmath.besselj(k, xi)
+            djk = mpmath.besselj(k - 1, xi) - k / xi * jk
+            for got, want in ((val[k, i], jk), (der[k, i], djk)):
+                if abs(want) > 1e-280:
+                    assert abs(got - float(want)) <= 1e-13 * abs(float(want)), (k, i)
+
+
 def test_bessel_stack_matches_scipy_on_mixed_rows():
     # rows of repeated and skipped orders, arguments on both sides of each
     orders = np.array([0, 0, 3, 7, 7, 20])

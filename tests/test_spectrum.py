@@ -269,6 +269,17 @@ def test_radial_profiles_match_mpmath(name, K, J, r):
                     assert err <= 1e-14 * np.abs(row).max(), (name, order, kind, k, j, i)
 
 
+@pytest.mark.parametrize("K,J", [(8, 8), (63, 3)])
+def test_table_lift_is_norm_times_bessel_at_the_zero(K, J):
+    # the table's exact lift coefficient, sign from the interlacing of the
+    # zeros of J_k and J_{k+1}, is c J_k(alpha) by mpmath
+    big = build_table(K, J)
+    for i, m in enumerate(big.modes):
+        want = mpmath.mpf(big.norm[i]) * mpmath.besselj(m.k, mpmath.mpf(big.alpha[i]))
+        assert abs(big.lift[i] - float(want)) <= 1e-14 * abs(float(want)), m
+    assert set(np.abs(big.lift)) == {1.0 / np.sqrt(np.pi), np.sqrt(2.0 / np.pi)}
+
+
 def test_radial_profiles_bessel_calls_per_order(table, monkeypatch):
     from diskvort import specfun, spectrum
 
@@ -286,6 +297,7 @@ def test_radial_profiles_bessel_calls_per_order(table, monkeypatch):
     monkeypatch.setattr(spectrum, "bessel_j", counting, raising=False)
     monkeypatch.setattr(spectrum, "_bessel_stack", counting_stack)
     radial_profiles(table, np.linspace(0.1, 1.0, 5))
-    # no per-order calls: one stack of all orders at alpha r, one at alpha
+    # no per-order calls: one stack of all orders at alpha r; the lift's
+    # J_k(alpha) is the table's
     assert per_order == []
-    assert stacks == 2 * [list(range(table.K + 1))]
+    assert stacks == [list(range(table.K + 1))]
