@@ -43,8 +43,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
-from operator import eq, is_not
 from typing import Callable, Optional
 
 import numpy as np
@@ -129,7 +127,7 @@ class RunConfig:
     def validate(self) -> list[str]:
         """All violations at once, not just the first.
 
-        The init modes are screened as arrays in one pass (see
+        The init modes are checked in one loop over the entries (see
         ``_init_mode_problems``), and only the entries it flags are
         formatted, in entry order; no ``ModeIndex`` is built for a valid
         entry."""
@@ -171,98 +169,59 @@ class RunConfig:
         return errs
 
 
-def _mode_entry(entry) -> tuple:
-    """(shaped, k, j, parity, coefficient) of one ((k, j, parity), coefficient)
-    entry; shaped is False, and the rest None, for an entry of another shape."""
-    try:
-        (k, j, parity), coeff = entry
-    except (TypeError, ValueError):
-        return False, None, None, None, None
-    return True, k, j, parity, coeff
-
-
-def _as_float(x):
-    """float(x), or None if x is not a number."""
-    try:
-        return float(x)
-    except (TypeError, ValueError):
-        return None
-
-
 def _is_index(x) -> bool:
     """A mode index is an integer or a float holding a whole number, like 2.0."""
     return is_integer(x) or (isinstance(x, float) and x.is_integer())
 
 
-def _index_array(values: list) -> np.ndarray:
-    """Integer-valued indices as an int64 array, or as an object array if
-    one does not fit, so that every comparison stays exact."""
-    fits = -(2**63) <= min(values, default=0) and max(values, default=0) < 2**63
-    return np.array(values, dtype=np.int64 if fits else object)
-
-
 def _init_mode_problems(init_modes, K, J) -> list[str]:
     """What is wrong with each init mode, in entry order, empty if nothing.
 
-    One screen over all entries: unpack them into columns of k, j,
-    parity and coefficient, then test integer indices, their ranges,
-    the parity, the coefficient, the table range and repeats on arrays:
-    the indices are int64, or objects if one is too large, so every test
-    is exact.  A repeat is a valid entry whose (parity, k, j) slot an
-    earlier entry holds; one stable sort of the slots finds them.
-    Messages are formatted only for the flagged entries; a bad mode's
-    reason is the ``ValueError`` of its ``ModeIndex``.
+    One pass over the entries.  A valid mode has k >= 0, j >= 1 and
+    parity "cos", or "sin" with k > 0; only a bad one builds a
+    ``ModeIndex``, whose ``ValueError`` words the reason.  A repeat is a
+    valid entry whose (k, j, sine) slot an earlier entry holds; the slots
+    are Python ints, so indices past int64 compare exactly.  An entry's
+    name is formatted only if it has a message.
     """
     try:
         entries = () if init_modes is None else tuple(init_modes)
     except TypeError as e:
         return [f"malformed init_modes: {e}"]
-    n = len(entries)
-    cols = list(chain.from_iterable(map(_mode_entry, entries)))
-    shaped = np.fromiter(cols[0::5], bool, n)
-    k, j, parity, coeff = cols[1::5], cols[2::5], cols[3::5], cols[4::5]
-    integral = shaped & np.fromiter(map(_is_index, k), bool, n) & np.fromiter(map(_is_index, j), bool, n)
-    kv, jv = (_index_array(list(compress(v, integral))) for v in (k, j))
-    cos, sin = (np.fromiter(map(eq, parity, repeat(p)), bool, n) for p in ("cos", "sin"))
-    good = (kv >= 0) & (jv >= 1) & (cos | sin)[integral] & ~((kv == 0) & sin[integral])
-    valid = np.zeros(n, dtype=bool)
-    valid[integral] = good
-    values = list(map(_as_float, coeff))
-    number = np.fromiter(map(is_not, values, repeat(None)), bool, n)
-    finite = np.zeros(n, dtype=bool)
-    finite[number] = np.isfinite(np.fromiter(compress(values, number), float))
-    # lexsort is stable, so a slot's entries stay in entry order: every
-    # one after the first is a repeat
-    slots = [a[good] for a in (jv, kv, sin[integral])]
-    order = np.lexsort(slots)
-    later = np.logical_and.reduce([a[order][1:] == a[order][:-1] for a in slots])
-    twice = np.zeros(n, dtype=bool)
-    twice[np.flatnonzero(valid)[order[1:][later]]] = True
-    outside = np.zeros(n, dtype=bool)
-    if is_integer(K) and is_integer(J):
-        outside[integral] = good & ((kv > K) | (jv > J))
-    flagged = ~valid | (shaped & ~finite) | twice | outside
-    errs = []
-    for i in np.flatnonzero(flagged).tolist():
-        if not shaped[i]:
-            errs.append(f"init mode {entries[i]!r} is not ((k, j, parity), coefficient)")
+    sized = is_integer(K) and is_integer(J)
+    errs, seen = [], set()
+    for entry in entries:
+        try:
+            (k, j, parity), coeff = entry
+        except (TypeError, ValueError):
+            errs.append(f"init mode {entry!r} is not ((k, j, parity), coefficient)")
             continue
-        name = f"init mode ({k[i]},{j[i]},{parity[i]})"
-        if not integral[i]:
-            errs.append(f"{name} needs integer k and j")
-        elif not valid[i]:
+        reasons, slot = [], None
+        if not (_is_index(k) and _is_index(j)):
+            reasons.append(" needs integer k and j")
+        elif int(k) >= 0 and int(j) >= 1 and (parity == "cos" or parity == "sin" and int(k) > 0):
+            slot = (int(k), int(j), parity == "sin")
+        else:
             try:
-                ModeIndex(int(k[i]), int(j[i]), parity[i])
+                ModeIndex(int(k), int(j), parity)
             except ValueError as e:
-                errs.append(f"{name}: {e}")
-        if not number[i]:
-            errs.append(f"{name} has coefficient {coeff[i]!r}, not a number")
-        elif not finite[i]:
-            errs.append(f"{name} has coefficient {coeff[i]!r}, not finite")
-        if twice[i]:
-            errs.append(f"{name} given twice")
-        if outside[i]:
-            errs.append(f"{name} outside table K={K} J={J}")
+                reasons.append(f": {e}")
+        try:
+            value = float(coeff)
+        except (TypeError, ValueError):
+            reasons.append(f" has coefficient {coeff!r}, not a number")
+        else:
+            if not math.isfinite(value):
+                reasons.append(f" has coefficient {coeff!r}, not finite")
+        if slot is not None:
+            if slot in seen:
+                reasons.append(" given twice")
+            seen.add(slot)
+            if sized and (slot[0] > K or slot[1] > J):
+                reasons.append(f" outside table K={K} J={J}")
+        if reasons:
+            name = f"init mode ({k},{j},{parity})"
+            errs += [name + reason for reason in reasons]
     return errs
 
 

@@ -3,9 +3,10 @@ them: one entry at a time, each valid entry built and hashed as a
 ``ModeIndex``.
 
 ``init_mode_messages(init_modes, K, J)`` returns the messages of every
-bad entry, in entry order; ``RunConfig.validate`` screens the same
-entries as arrays and must return exactly these, between the table size
-and the grid size messages.
+bad entry, in entry order; ``RunConfig.validate`` checks the same
+entries in one loop that builds no ``ModeIndex`` for a valid entry, and
+must return exactly these, between the table size and the grid size
+messages.
 """
 
 from __future__ import annotations

@@ -96,7 +96,8 @@ def entry_points(tmp: Path) -> list[list[str]]:
     output directories in ``tmp``."""
     configs = {}
     for kind, init in (("modes", "kind = modes\nmodes = 0 1 cos 0.4; 2 1 cos 0.25"),
-                       ("random", "kind = random\nseed = 2024")):
+                       ("random", "kind = random\nseed = 2024"),
+                       ("bad-mode", "kind = modes\nmodes = -1 1 cos 0.4")):
         configs[kind] = tmp / f"{kind}.ini"
         configs[kind].write_text(CONFIG.format(init=init))
     cli = [
@@ -104,6 +105,7 @@ def entry_points(tmp: Path) -> list[list[str]]:
         ["spectrum", "--K", "4", "--J", "4"],
         ["stokes", "--config", str(configs["modes"])],
         ["ns", "--config", str(configs["random"])],
+        ["ns", "--config", str(configs["bad-mode"])],  # a config error: exit 2
         ["pressure", "--config", str(configs["modes"])],
         ["biot-savart-check"],
         ["annulus-verify"],

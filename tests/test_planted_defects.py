@@ -9,9 +9,11 @@ plants anything.
 """
 
 import inspect
+import math
 
 import numpy as np
 import pytest
+from hypothesis import Phase, settings
 
 import test_annulus
 import test_nonlinear
@@ -319,3 +321,40 @@ def test_rescale_schedule_test_catches_dropped_rescale(monkeypatch):
     monkeypatch.setattr(specfun, "_miller", planted(specfun._miller, MILLER_TEST, "if False:"))
     with pytest.raises(AssertionError), np.errstate(all="ignore"):
         test_specfun.test_bessel_stack_rescale_schedule_changes_no_bit()
+
+
+# the init-mode screen of ``RunConfig.validate``, one loop over the
+# entries: (old, new, the check that must fail).  The property's 100
+# examples hold no non-finite coefficient, so the finiteness defect is
+# left to the coefficient-inf case.
+ORACLE = test_solver.test_config_init_mode_messages_match_per_entry_oracle
+
+
+def coefficient_inf():
+    modes = (((0, 1, "cos"), math.inf),)
+    message = "init mode (0,1,cos) has coefficient inf, not finite"
+    test_solver.test_config_rejects_runs_that_cannot_run(dict(init_modes=modes, init_seed=None), message)
+
+
+SLOT = 'slot = (int(k), int(j), parity == "sin")'
+VALID_MODE = 'int(k) >= 0 and int(j) >= 1 and (parity == "cos" or parity == "sin" and int(k) > 0)'
+SCREEN_DEFECTS = {
+    "repeat-slot-without-parity": (SLOT, "slot = (int(k), int(j))", ORACLE),
+    "repeat-slot-without-j": (SLOT, 'slot = (int(k), parity == "sin")', ORACLE),
+    "j-from-0": (VALID_MODE, VALID_MODE.replace("int(j) >= 1", "int(j) >= 0"), ORACLE),
+    "k0-sine-guard-dropped": (VALID_MODE, VALID_MODE.replace(" and int(k) > 0", ""), ORACLE),
+    "coefficient-finiteness-dropped": ("if not math.isfinite(value):", "if False:", coefficient_inf),
+    "table-range-dropped": ("if sized and (slot[0] > K or slot[1] > J):", "if False:", ORACLE),
+}
+
+
+@pytest.mark.parametrize("defect", SCREEN_DEFECTS.values(), ids=SCREEN_DEFECTS.keys())
+def test_init_mode_checks_catch_screen_defect(monkeypatch, defect):
+    old, new, check = defect
+    monkeypatch.setattr(solver, "_init_mode_problems", planted(solver._init_mode_problems, old, new))
+    # the planted copy need only fail: shrinking the property's failing
+    # example takes 3 to 10 s a defect, the unshrunk run 0.5 s at most
+    unshrunk = settings(ORACLE._hypothesis_internal_use_settings, phases=[Phase.explicit, Phase.generate])
+    monkeypatch.setattr(ORACLE, "_hypothesis_internal_use_settings", unshrunk)
+    with pytest.raises(AssertionError):
+        check()

@@ -261,8 +261,8 @@ def _init_modes(draw):
     J=st.one_of(st.integers(0, 5), st.sampled_from([2.0, None, np.int32(2)])),
 )
 def test_config_init_mode_messages_match_per_entry_oracle(modes, K, J):
-    # the array screen returns the per-entry loop's messages, in its order,
-    # between the table size and the grid size messages
+    # the package's screen returns the oracle's per-entry messages, in its
+    # order, between the table size and the grid size messages
     cfg = small_cfg(K=K, J=J, init_modes=modes, init_seed=None)
     want = (
         table_size_problems(cfg.K, cfg.J)
@@ -283,8 +283,8 @@ def test_config_accepts_numpy_integer_mode_indices():
 
 def test_large_prepare_builds_no_mode_index_and_one_profile_stack(monkeypatch):
     # the cold set-up at K = 32, J = 24 from all 1560 modes, counted, not
-    # timed: the init modes are screened as arrays (no ModeIndex per
-    # entry), and the Bessel stack runs for the zero scan, its four Newton
+    # timed: the init modes are screened without a ModeIndex per valid
+    # entry, and the Bessel stack runs for the zero scan, its four Newton
     # steps, the norms and the grid's one profile stack; the lift's
     # J_k(alpha) is the table's, not a second stack at the zeros
     from diskvort import specfun, spectrum
