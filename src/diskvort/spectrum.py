@@ -165,6 +165,8 @@ class EigenTable:
     def from_blocks(self, blocks) -> np.ndarray:
         """Inverse of ``to_blocks``; the k = 0 sine row is dropped."""
         blocks = np.asarray(blocks, dtype=float)
+        if blocks.ndim == 3:  # one flat take, the cheapest gather
+            return blocks.take(self._scatter)
         return blocks.reshape(blocks.shape[:-3] + (-1,)).take(self._scatter, axis=-1)
 
     def to_json(self) -> str:

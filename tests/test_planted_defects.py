@@ -9,7 +9,6 @@ plants anything.
 """
 
 import inspect
-import math
 
 import numpy as np
 import pytest
@@ -324,17 +323,8 @@ def test_rescale_schedule_test_catches_dropped_rescale(monkeypatch):
 
 
 # the init-mode screen of ``RunConfig.validate``, one loop over the
-# entries: (old, new, the check that must fail).  The property's 100
-# examples hold no non-finite coefficient, so the finiteness defect is
-# left to the coefficient-inf case.
+# entries: (old, new, the check that must fail)
 ORACLE = test_solver.test_config_init_mode_messages_match_per_entry_oracle
-
-
-def coefficient_inf():
-    modes = (((0, 1, "cos"), math.inf),)
-    message = "init mode (0,1,cos) has coefficient inf, not finite"
-    test_solver.test_config_rejects_runs_that_cannot_run(dict(init_modes=modes, init_seed=None), message)
-
 
 SLOT = 'slot = (int(k), int(j), parity == "sin")'
 VALID_MODE = 'int(k) >= 0 and int(j) >= 1 and (parity == "cos" or parity == "sin" and int(k) > 0)'
@@ -343,7 +333,7 @@ SCREEN_DEFECTS = {
     "repeat-slot-without-j": (SLOT, 'slot = (int(k), parity == "sin")', ORACLE),
     "j-from-0": (VALID_MODE, VALID_MODE.replace("int(j) >= 1", "int(j) >= 0"), ORACLE),
     "k0-sine-guard-dropped": (VALID_MODE, VALID_MODE.replace(" and int(k) > 0", ""), ORACLE),
-    "coefficient-finiteness-dropped": ("if not math.isfinite(value):", "if False:", coefficient_inf),
+    "coefficient-finiteness-dropped": ("if not math.isfinite(value):", "if False:", ORACLE),
     "table-range-dropped": ("if sized and (slot[0] > K or slot[1] > J):", "if False:", ORACLE),
 }
 
@@ -358,3 +348,26 @@ def test_init_mode_checks_catch_screen_defect(monkeypatch, defect):
     monkeypatch.setattr(ORACLE, "_hypothesis_internal_use_settings", unshrunk)
     with pytest.raises(AssertionError):
         check()
+
+
+# the output row of the run loop: the norm weights laid out in block order
+# (the blocks' positive lam, which drops the k = 0 sine pad), and
+# correction_norm taken from the total omega in place of omega_B
+NORM_WEIGHTS = "norm_weights=np.stack([table.lam**power for power in (-1, 0, 1)]),"
+BLOCK_ORDER_LAM = "table.to_blocks(table.lam)[table.to_blocks(table.lam) > 0]"
+ROW_DEFECTS = {
+    "norm-weights-in-block-order": (
+        solver.prepare,
+        NORM_WEIGHTS,
+        NORM_WEIGHTS.replace("table.lam**power", BLOCK_ORDER_LAM + "**power"),
+    ),
+    "correction-norm-of-total-omega": (solver._integrate, "np.vdot(state.wb, state.wb)", "np.vdot(w, w)"),
+}
+
+
+@pytest.mark.parametrize("defect", ROW_DEFECTS.values(), ids=ROW_DEFECTS.keys())
+def test_row_oracle_catches_row_defect(monkeypatch, defect):
+    plant(monkeypatch, *defect)
+    monkeypatch.setattr(test_solver, "prepare", solver.prepare)  # the test's own binding
+    with pytest.raises(AssertionError):
+        test_solver.test_rows_equal_norm_at_oracle(5, 7)
