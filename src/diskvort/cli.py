@@ -299,7 +299,7 @@ def _load_run(path, check_cfl: bool = True, centred: bool = False):
     if check_cfl:
         # |u|max of the requested field, by the advection initial_state runs on it
         w = ctx.table.to_blocks(_initial_field(cfg, ctx.table).coeffs)
-        umax = _advect(w, ctx.grid, ctx.stream_scale)[2]
+        umax = _advect(w, ctx.grid)[2]
         if 0.0 < umax < math.inf:
             bound = cfg.cfl / (umax * ctx.sqrt_lam_max)
             if cfg.dt > bound:

@@ -18,16 +18,16 @@ derivative zero at r = 1.  That makes the diagonal maps exact:
 
 Grid work uses a Gauss-Legendre radial rule times a uniform angular
 rule.  The transform is a dense radial matrix per angular wavenumber
-followed by an angular DFT, so ``PolarGrid`` keeps the value and d_r
-profiles of ``spectrum.radial_profiles`` in their (order, kind) stack,
-and ``radial_rows`` is the one product of coefficient blocks with
-profiles; ``PolarGrid.synthesize`` takes one field through one radial
-and one angular matmul, and the advection kernel
-(``nonlinear._advect``) synthesizes its four fields in one batch of
-each.  ``from_grid`` is the
-discrete orthogonal decomposition into the eigen-span, the harmonic
-span (low-degree harmonic polynomials), and a reported remainder;
-nothing is dropped silently.
+followed by an angular DFT, and ``radial_rows`` is the one product of
+coefficient blocks with profiles.  ``PolarGrid`` scales the value and
+d_r stack of ``spectrum.radial_profiles`` once, in place, into the rows
+the advection kernel (``nonlinear._advect``) multiplies: psi per unit
+omega (Biot-Savart's -1/lambda) and value rows over r.  Its one
+``analysis`` matrix gives blocks and harmonic moments in one matmul;
+``PolarGrid.synthesize`` undoes the scalings on its own path.
+``from_grid`` is the discrete orthogonal decomposition into the
+eigen-span, the harmonic span (low-degree harmonic polynomials), and a
+reported remainder; nothing is dropped silently.
 
 A harmonic part has one layout: cos/sin rows (2, K+1) against the
 L^2-orthonormal unit harmonics c_k r^k {cos, sin}(k theta), whose c_k r^k
@@ -231,18 +231,22 @@ class PolarGrid:
     table; ``grid_size_problems`` says which counts it refuses.
 
     The transforms work on the table's coefficient blocks (2, K+1, J),
-    ``EigenTable.to_blocks``.  Built once here, the profiles from
+    ``EigenTable.to_blocks``.  Built once here, from the profiles of
     ``spectrum.radial_profiles``:
 
-    * ``prof``, shape (2, 2, K+1, J, n_radial): its value and d_r
-      profiles by (order, kind), a view of its stack, not a copy;
+    * ``kernel_rows``, shape (2, 2, K+1, J, n_radial): by (order, field),
+      the value rows over r and the d_r rows of omega and of psi per
+      unit omega (stream profiles times -1/lambda): the profile stack
+      itself, scaled in place, not a copy;
     * ``harm``, shape (K+1, n_radial): the unit harmonic profiles
       h_k(r) = c_k r^k;
+    * ``analysis``, shape (K+1, J+1, n_radial): the vorticity value
+      profiles and h_k times the weights r w_r, for ``analyze``;
     * ``trig``, shape (2(K+1), n_angular): rows cos(k theta), k = 0..K,
       then sin(k theta);
-    * ``jacobian_trig``, shape (2, 2(K+1), n_angular): d/dtheta of the
-      ``trig`` rows, then ``trig``, for the advection kernel, whose one
-      angular matmul takes d_theta fields from value profiles.
+    * ``jacobian_trig``, shape (2, 1, 2(K+1), n_angular): d/dtheta of
+      the ``trig`` rows, then ``trig``, with rows ordered (k, parity),
+      for the advection kernel's one angular matmul.
 
     Synthesis is one batched radial matmul, ``radial_rows``, plus one
     angular matmul.  Analysis is the transpose.
@@ -265,38 +269,41 @@ class PolarGrid:
         self.wtheta = 2.0 * np.pi / self.n_angular
 
         self.trig = trig_table(K, self.theta)
-        self._trig_w = (self.trig * self.wtheta).T
+        self._trig_w = self.trig * self.wtheta
         # the angular quadrature of trig^2: pi, or 2 pi for k = 0 cos, 0 for k = 0 sin
         self._trig_norm = (self.trig**2).sum(axis=1).reshape(2, K + 1) * self.wtheta
-        self._wr_r = self.wr * self.r
 
         prof, harm = radial_profiles(table, self.r)
-        self.prof = prof[:2]
         self.harm = harm[0]
-        d_trig = -d_theta_rows(self.trig.reshape(2, K + 1, -1)).reshape(self.trig.shape)
-        self.jacobian_trig = np.stack([d_trig, self.trig])
+        self.analysis = np.concatenate([prof[0, 0], self.harm[:, None]], axis=1) * (self.wr * self.r)
+        prof[:, 1] *= (-1.0 / table.lam[table.perm[0]])[..., None]
+        prof[0] /= self.r
+        self.kernel_rows = prof
+        d_trig = -d_theta_rows(self.trig.reshape(2, K + 1, -1))
+        by_k = np.stack([d_trig, self.trig.reshape(d_trig.shape)]).swapaxes(1, 2)
+        self.jacobian_trig = by_k.reshape(2, 1, 2 * (K + 1), -1)
 
     def synthesize(self, blocks, kind: str) -> np.ndarray:
         """Grid samples (n_radial, n_angular) of one field of the given
         kind from its blocks (2, K+1, J)."""
-        return synthesize_rows(radial_rows(blocks, self.prof[0, _KINDS.index(kind)]), self.trig)
+        i = _KINDS.index(kind)
+        omega = blocks * self.table.to_blocks(-self.table.lam) if i else blocks  # psi rows per unit omega
+        return synthesize_rows(radial_rows(omega, self.kernel_rows[0, i]) * self.r, self.trig)
 
     def analyze(self, values) -> tuple[np.ndarray, np.ndarray]:
         """Quadrature projection of samples (n_radial, n_angular): the
         eigen-span blocks (2, K+1, J) and the harmonic moments (2, K+1)
-        against the unit harmonics h_k {cos, sin}(k theta)."""
-        K = self.table.K
-        signal = (np.asarray(values) @ self._trig_w) * self._wr_r[:, None]
-        signal = signal.reshape(self.n_radial, 2, K + 1).transpose(2, 0, 1)  # (K+1, n_r, 2)
-        blocks = np.matmul(self.prof[0, 0], signal).transpose(2, 0, 1)  # vorticity values
-        moments = np.matmul(self.harm[:, None, :], signal)[:, 0, :].T.copy()
-        moments[1, 0] = 0.0  # there is no sin(0 theta) harmonic
-        return blocks, moments
+        against the unit harmonics h_k {cos, sin}(k theta), both from
+        one matmul with ``analysis``."""
+        signal = (self._trig_w @ np.asarray(values).T).reshape(2, -1, self.n_radial)
+        out = np.matmul(signal.swapaxes(0, 1), self.analysis.swapaxes(1, 2)).swapaxes(0, 1)
+        out[1, 0, -1] = 0.0  # there is no sin(0 theta) harmonic
+        return out[..., :-1], out[..., -1]
 
     def project_radial(self, profiles) -> np.ndarray:
         """Eigen-span blocks (2, K+1, J) of the functions
         profiles[k](r) {cos, sin}(k theta), by the grid quadrature."""
-        radial = np.einsum("kjr,kr->kj", self.prof[0, 0], self._wr_r * np.asarray(profiles))
+        radial = np.einsum("kjr,kr->kj", self.analysis[:, :-1], np.asarray(profiles))
         return self._trig_norm[:, :, None] * radial
 
     def node_polar(self):

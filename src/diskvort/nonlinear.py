@@ -6,13 +6,17 @@ the polar Jacobian
     Lambda = u . grad omega = (1/r)(d_r psi d_theta omega
                                     - d_theta psi d_r omega),
 
-sampled pseudo-spectrally: one batched synthesis of the four derivative
-fields, their product on the grid, and one analysis into the admissible
-part (consumed by the parabolic track) and the harmonic moments
-(consumed by the elliptic correction): cos/sin rows (2, K+1) against
-the unit harmonics c_k r^k, like every harmonic part in the package.
-The same samples give the largest speed |u| = |grad psi|, so the CFL
-guard needs no transform of its own.  Because the stream dictionary is clamped at the boundary,
+sampled pseudo-spectrally.  The grid's kernel rows (``PolarGrid``)
+carry Biot-Savart's -1/lambda and the value rows' 1/r, so omega's
+blocks alone go through one radial and one angular matmul to the four
+fields d_r omega, d_r psi, d_theta omega / r and d_theta psi / r.
+Lambda is their product on the grid, with no division, and one
+``PolarGrid.analyze`` matmul splits it into the admissible part
+(consumed by the parabolic track) and the harmonic moments (consumed by
+the elliptic correction): cos/sin rows (2, K+1) against the unit
+harmonics c_k r^k, like every harmonic part in the package.  The same
+samples give the largest speed |u| = |grad psi|, so the CFL guard needs
+no transform of its own.  Because the stream dictionary is clamped at the boundary,
 u.n = 0 holds exactly and the classical identities survive
 discretization: radial fields are steady, the pairing with the stream
 vanishes, and the disk mean of Lambda is zero.
@@ -62,28 +66,19 @@ class AdvectionResult:
     umax: float
 
 
-def _stream_scale(table) -> np.ndarray:
-    """Blocks (2, 2, K+1, J) of omega and psi per unit omega: 1 and the
-    Biot-Savart scale -1/lambda."""
-    scale = table.to_blocks(-1.0 / table.lam)
-    return np.stack([np.ones_like(scale), scale])
-
-
-def _advect(w, grid: PolarGrid, stream_scale):
+def _advect(w, grid: PolarGrid):
     """The advection kernel on coefficient blocks (2, K+1, J).
 
-    ``stream_scale`` is ``_stream_scale(grid.table)``.  Returns the
-    projected blocks, the harmonic moments (2, K+1), the largest grid
-    speed |u| and the samples of Lambda.
+    Returns the projected blocks, the harmonic moments (2, K+1), the
+    largest grid speed |u| and the samples of Lambda.
     """
-    K, n_r, n_t = grid.table.K, grid.n_radial, grid.n_angular
-    # (order, field, K+1, 2, n_r) for order in (value, d_r), field in (omega, psi)
-    radial = np.matmul((w * stream_scale).swapaxes(1, 2), grid.prof)
-    rows = radial.transpose(0, 1, 4, 3, 2).reshape(2, 2 * n_r, 2 * (K + 1))
-    (dom_t, dpsi_t), (dom_r, dpsi_r) = np.matmul(rows, grid.jacobian_trig).reshape(2, 2, n_r, n_t)
-    lam_vals = (dpsi_r * dom_t - dpsi_t * dom_r) / grid.r[:, None]
+    # rows (order, field, (k, parity), n_r), order in (value / r, d_r), field in (omega, psi)
+    radial = np.matmul(w.swapaxes(0, 1), grid.kernel_rows).reshape(2, 2, -1, grid.n_radial)
+    (dom_t, dpsi_t), (dom_r, dpsi_r) = np.matmul(radial.swapaxes(2, 3), grid.jacobian_trig)
+    # dom_t and dpsi_t are d_theta omega / r and d_theta psi / r
+    lam_vals = dpsi_r * dom_t - dpsi_t * dom_r
     # u_r = -d_theta psi / r, u_theta = d_r psi
-    umax = math.sqrt(((dpsi_t / grid.r[:, None]) ** 2 + dpsi_r**2).max())
+    umax = math.sqrt((dpsi_t * dpsi_t + dpsi_r * dpsi_r).max())
     projected, moments = grid.analyze(lam_vals)
     return projected, moments, umax, lam_vals
 
@@ -95,8 +90,7 @@ def advection(omega: SpectralField, grid: PolarGrid) -> AdvectionResult:
     if grid.table is not omega.table:
         raise ValueError("grid was built for a different table")
     table = omega.table
-    w = table.to_blocks(omega.coeffs)
-    blocks, moments, umax, lam_vals = _advect(w, grid, _stream_scale(table))
+    blocks, moments, umax, lam_vals = _advect(table.to_blocks(omega.coeffs), grid)
     return AdvectionResult(
         projected=SpectralField(table, table.from_blocks(blocks), "vorticity"),
         harmonic=moments,

@@ -16,8 +16,9 @@ part, so H* swaps the rows: (a, b) -> (-b, a).
 All work runs on the shared Bessel-Fourier layer.  A field is a stack
 of cos/sin rows (2, n_k, n_r), one radial function per angular
 wavenumber: ``fields.radial_rows`` of the table's coefficient blocks
-and the closed-form profiles of ``spectrum.radial_profiles`` (value,
-d_r and d_rr, so no sampled data is differentiated anywhere).
+and the closed-form profiles of ``spectrum.radial_profiles`` (value
+and d_r, with the stream's d_rr from the Bessel equation, so no sampled
+data is differentiated anywhere).
 d/dtheta is the row swap ``fields.d_theta_rows``, and samples are one
 matmul with a cos/sin table.  The convective term has angular band 2K,
 so it is sampled at 4K+4 angles, where ``fields.split_rows`` splits it
@@ -189,8 +190,22 @@ def _solve_radial(nodes, qpts, qw, f_r: np.ndarray, g: np.ndarray) -> np.ndarray
     return T.T.reshape(b.shape)
 
 
-# doubles of the whole ``radial_profiles`` stack per chunk of radii (8 MiB)
+# doubles per chunk of radii (8 MiB), six per radius and basis function:
+# the four rows of the profile stack and two of the stream d_rr
 _PROFILE_CHUNK = 2**20
+
+
+def _stream_d_rr(table: EigenTable, r, prof) -> np.ndarray:
+    """d_rr (K+1, J, r.size) of the stream profiles at the radii r, from
+    their ``radial_profiles`` ``prof``.  Bessel's equation
+    d_rr f = -d_r f / r + (k^2 / r^2 - alpha^2) f holds for each
+    vorticity row e, and with alpha = 0 for the lift's r^k, so a stream
+    row has d_rr phi = -d_r phi / r + (k^2 / r^2) phi - alpha^2 e."""
+    k2 = (np.arange(table.K + 1) ** 2)[:, None, None]
+    d_rr = (k2 / r**2) * prof[0, 1]
+    d_rr -= prof[1, 1] / r
+    d_rr -= table.lam[table.perm[0]][..., None] * prof[0, 0]
+    return d_rr
 
 
 @lru_cache(maxsize=1)
@@ -204,7 +219,10 @@ def _aux_basis(table: EigenTable, n_aux: int) -> tuple:
     qpts_stream = np.empty((3, table.K + 1, table.J, mesh[1].size))
     step = max(1, _PROFILE_CHUNK // (6 * (table.K + 1) * table.J))
     for s in range(0, mesh[1].size, step):
-        qpts_stream[..., s : s + step] = radial_profiles(table, mesh[1][s : s + step])[0][:, 1]
+        r = mesh[1][s : s + step]
+        prof = radial_profiles(table, r)[0]
+        qpts_stream[:2, ..., s : s + step] = prof[:, 1]
+        qpts_stream[2, ..., s : s + step] = _stream_d_rr(table, r, prof)
     trig = _dealiased_trig(table.K)
     for a in (*mesh, qpts_stream, trig):
         a.flags.writeable = False  # shared by every call on this (table, n_aux)
@@ -214,12 +232,14 @@ def _aux_basis(table: EigenTable, n_aux: int) -> tuple:
 @lru_cache(maxsize=1)
 def _aux_mids(table: EigenTable, n_aux: int) -> tuple:
     """Read-only (r, stream, vorticity, harm) at the element midpoints r
-    of the auxiliary mesh: ``radial_profiles``' stream stack, vorticity
-    value and d_r, and unit harmonics.  Built on first use, one held."""
+    of the auxiliary mesh: the stream profiles (value, d_r, d_rr), the
+    vorticity value and d_r, and unit harmonics.  Built on first use,
+    one held."""
     nodes = _radial_mesh(n_aux)[0]
     r = 0.5 * (nodes[:-1] + nodes[1:])
     prof, harm = radial_profiles(table, r)
-    mids = (r, np.ascontiguousarray(prof[:, 1]), np.ascontiguousarray(prof[:2, 0]), harm)
+    stream = np.concatenate([prof[:, 1], _stream_d_rr(table, r, prof)[None]])
+    mids = (r, stream, np.ascontiguousarray(prof[:, 0]), harm)
     for a in mids:
         a.flags.writeable = False
     return mids

@@ -18,9 +18,11 @@ correction, so the total initial vorticity equals the requested one.
 The state is the step count i, at t = i dt, and omega_0 and omega_B
 as coefficient blocks (2, K+1, J).  Apart from the advection every map
 in a step is a block scale fixed in ``prepare``: the exponential
-factors, Biot-Savart (-1/lambda), E/nu and the moment map.  The
-advection kernel runs twice, each one radial matmul, one angular matmul
-and one analysis matmul; the CFL guard reads |u|max off the first run.
+factors, E/nu and the moment map.  Biot-Savart's -1/lambda and the
+polar 1/r are fixed too, folded into the grid's kernel rows
+(``fields.PolarGrid``).  The advection kernel runs twice, each one
+radial matmul, one angular matmul and one analysis matmul on omega's
+blocks; the CFL guard reads |u|max off the first run.
 Both stages are the one ETD2RK update, ``semigroup.duhamel_step``; the
 linear ``stokes_run`` takes it too, with a given forcing in place of
 advection and omega_B = 0, and shares with ``run`` the one loop, which
@@ -48,7 +50,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .fields import PolarGrid, SpectralField, grid_size_problems, norm_at
-from .nonlinear import _advect, _stream_scale, elliptic_map
+from .nonlinear import _advect, elliptic_map
 from .semigroup import Trajectory, duhamel_step, phi1, phi2
 from .specfun import is_integer
 from .spectrum import EigenTable, ModeIndex, build_table, table_size_problems
@@ -255,7 +257,6 @@ class RunContext:
     exp_factor: np.ndarray  # exp(-nu lam dt)
     phi1_dt: np.ndarray  # dt phi1(-nu lam dt)
     phi2_dt: np.ndarray  # dt phi2(-nu lam dt)
-    stream_scale: np.ndarray  # (2, 2, K+1, J): 1 and -1/lam, omega and psi per omega
     sqrt_lam_max: float
     elliptic_map: np.ndarray  # E / nu: omega_B blocks per unit moment
     moment_map: np.ndarray  # harmonic moments of each basis function
@@ -277,7 +278,6 @@ def prepare(cfg: RunConfig) -> RunContext:
         exp_factor=table.to_blocks(np.exp(z)),
         phi1_dt=table.to_blocks(cfg.dt * phi1(z)),
         phi2_dt=table.to_blocks(cfg.dt * phi2(z)),
-        stream_scale=_stream_scale(table),
         sqrt_lam_max=float(np.sqrt(table.lambda_max)),
         elliptic_map=elliptic_map(grid) / cfg.nu,
         moment_map=grid.project_radial(grid.harm),
@@ -316,7 +316,7 @@ def initial_state(cfg: RunConfig, ctx: RunContext) -> SolverState:
     total equals the requested field exactly.
     """
     w = ctx.table.to_blocks(_initial_field(cfg, ctx.table).coeffs)
-    _, h, _, _ = _advect(w, ctx.grid, ctx.stream_scale)
+    _, h, _, _ = _advect(w, ctx.grid)
     wb = ctx.elliptic_map * h[:, :, None]
     return SolverState(steps=0, w0=w - wb, wb=wb)
 
@@ -336,7 +336,7 @@ def step(state: SolverState, cfg: RunConfig, ctx: RunContext) -> SolverState:
     t = state.steps * cfg.dt
     w = state.w0 + state.wb
 
-    projected, moments, umax, _ = _advect(w, ctx.grid, ctx.stream_scale)
+    projected, moments, umax, _ = _advect(w, ctx.grid)
     courant = cfg.dt * umax * ctx.sqrt_lam_max
     drift = _max_moment(w, ctx)
     if not (math.isfinite(courant) and math.isfinite(drift)):
@@ -358,7 +358,7 @@ def step(state: SolverState, cfg: RunConfig, ctx: RunContext) -> SolverState:
     wb_new = ctx.elliptic_map * moments[:, :, None]
     domega_b_dt = (wb_new - state.wb) / cfg.dt if state.steps else 0.0
     f0 = -projected - domega_b_dt
-    forcing = lambda a: -_advect(a + wb_new, ctx.grid, ctx.stream_scale)[0] - domega_b_dt
+    forcing = lambda a: -_advect(a + wb_new, ctx.grid)[0] - domega_b_dt
     new0 = duhamel_step(state.w0, f0, forcing, ctx.exp_factor, ctx.phi1_dt, ctx.phi2_dt)
     if not (np.isfinite(new0).all() and np.isfinite(wb_new).all()):
         raise NonFiniteState(f"step from t={t:.6g} produced non-finite coefficients")

@@ -208,24 +208,19 @@ def _harm_const(k):
 def radial_profiles(table: EigenTable, r) -> tuple[np.ndarray, np.ndarray]:
     """Radial profiles of every basis function at radii ``r`` in (0, 1].
 
-    Returns ``(prof, harm)``.  ``prof`` has shape (3, 2, K+1, J, n_r),
-    indexed by derivative order (value, d_r, d_rr), by kind (0:
-    vorticity c J_k(alpha r); 1: stream, the lifted
-    c [J_k(alpha r) - J_k(alpha) r^k]) and by the block indices (k, j-1)
-    of ``EigenTable.to_blocks``.
+    Returns ``(prof, harm)``.  ``prof`` has shape (2, 2, K+1, J, n_r),
+    indexed by derivative order (value, d_r), by kind (0: vorticity
+    c J_k(alpha r); 1: stream, the lifted c [J_k(alpha r) - J_k(alpha) r^k])
+    and by the block indices (k, j-1) of ``EigenTable.to_blocks``.
     ``harm`` has shape (2, K+1, n_r): the unit harmonic profiles
     h_k = c_k r^k and their d_r.
 
-    d_rr comes from the Bessel equation,
-
-        alpha^2 J_k''(alpha r) = -alpha J_k'(alpha r) / r
-                                 + (k^2 / r^2 - alpha^2) J_k(alpha r),
-
-    so all orders come from one call of the multi-order Bessel stack,
-    J_k and J_k' at alpha r.  The lift's coefficient c J_k(alpha) is the
-    table's exact ``lift``, +-sqrt(2/pi) (1/sqrt(pi) at k = 0); its d_r
-    at r = 1, k c J_k(alpha), is up to ~50 at K = 63 and cancels against
-    the vorticity row there.
+    Both orders come from one call of the multi-order Bessel stack, J_k
+    and J_k' at alpha r; a d_rr follows from them by the Bessel equation
+    (``pressure`` takes it so).  The lift's coefficient c J_k(alpha) is
+    the table's exact ``lift``, +-sqrt(2/pi) (1/sqrt(pi) at k = 0); its
+    d_r at r = 1, k c J_k(alpha), is up to ~50 at K = 63 and cancels
+    against the vorticity row there.
     """
     r = np.atleast_1d(np.asarray(r, dtype=float))
     K, J = table.K, table.J
@@ -233,18 +228,17 @@ def radial_profiles(table: EigenTable, r) -> tuple[np.ndarray, np.ndarray]:
     alpha = table.alpha[table.perm[0]][..., None]
     cn = table.norm[table.perm[0]][..., None]
     lift = table.lift[table.perm[0]][..., None]
-    prof = np.empty((3, 2, K + 1, J, r.size))
+    prof = np.empty((2, 2, K + 1, J, r.size))
     vort, stream = prof[:, 0], prof[:, 1]
     vort[0], vort[1] = _bessel_stack(k.ravel(), alpha * r)
     vort[1] *= alpha
-    vort[2] = -vort[1] / r + (k * k / r**2 - alpha**2) * vort[0]
     vort *= cn
     # r**i with a Python int i, which numpy computes as r*r at i = 2, not
-    # with pow; rows 0 and 1 stand for r^-2 and r^-1, which k = 0, 1 do not use
-    powers = np.stack(2 * [np.zeros_like(r)] + [r**i for i in range(K + 1)])[:, None]
-    rk, rkm1, rkm2 = powers[2:], powers[1:-1], powers[:-2]
-    for i, power in enumerate((rk, k * rkm1, k * (k - 1) * rkm2)):
-        stream[i] = vort[i] - lift * power
+    # with pow; row 0 stands for r^-1, which k = 0 does not use
+    powers = np.stack([np.zeros_like(r)] + [r**i for i in range(K + 1)])[:, None]
+    rk, rkm1 = powers[1:], powers[:-1]
+    stream[0] = vort[0] - lift * rk
+    stream[1] = vort[1] - lift * (k * rkm1)
     ck = _harm_const(k[:, 0])
     harm = np.stack([ck * rk[:, 0], ck * k[:, 0] * rkm1[:, 0]])
     return prof, harm

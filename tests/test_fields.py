@@ -28,6 +28,7 @@ from harmonic_oracle import disk_harmonic_values
 from diskvort.spectrum import ModeIndex, build_table, radial_profiles
 from transform_oracle import (
     _profile,
+    analyze_two_matmuls,
     eigenfunction_eval,
     from_grid_groups,
     laplacian,
@@ -168,8 +169,9 @@ def test_stream_clamped_at_boundary(table):
     psi = biot_savart(random_field(table, 5))
     fine = PolarGrid(table, n_radial=60)
     vals = to_grid(psi, fine).values
-    # d_r samples from the grid's own d_r stream profiles
-    drs = synthesize_rows(radial_rows(table.to_blocks(psi.coeffs), fine.prof[1, 1]), fine.trig)
+    # d_r samples from the grid's own d_r stream rows, psi per unit omega
+    omega_blocks = table.to_blocks(-table.lam * psi.coeffs)
+    drs = synthesize_rows(radial_rows(omega_blocks, fine.kernel_rows[1, 1]), fine.trig)
     # extrapolate to r=1 from the outermost nodes using the analytic form
     n = table.position(ModeIndex(2, 1, "cos"))
     alpha, c = table.alpha[n], table.norm[n]
@@ -234,6 +236,21 @@ def test_batched_transforms_match_group_oracle(KJ):
     np.testing.assert_allclose(harm, want_harm, rtol=0, atol=1e-14)
 
 
+@pytest.mark.parametrize("KJ", [(0, 1), (4, 12), (8, 8), (32, 24)])
+def test_analyze_matches_two_matmul_reference(KJ):
+    # one matmul with the analysis matrix against one per part: the
+    # blocks and the moments differ only in the order of the sums
+    small = build_table(*KJ)
+    g = PolarGrid(small)
+    v = np.random.default_rng(9).standard_normal((g.n_radial, g.n_angular))
+    blocks, moments = g.analyze(v)
+    want_blocks, want_moments = analyze_two_matmuls(g, v)
+    assert blocks.shape == (2, small.K + 1, small.J) and moments.shape == (2, small.K + 1)
+    np.testing.assert_allclose(blocks, want_blocks, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(moments, want_moments, rtol=0, atol=1e-15)
+    assert moments[1, 0] == 0.0
+
+
 def test_block_layout_round_trip(table):
     c = random_field(table, 4).coeffs
     blocks = table.to_blocks(c)
@@ -256,29 +273,44 @@ def test_grid_profiles_bit_identical_to_per_group_profiles(K, J):
     # each (order, kind, k) row: at (32,24) scipy's jv is up to 2.7e-14 of a
     # profile's max off mpmath, and J_k' up to 5.1e-14 whether it comes
     # from jv or from jvp; the worst d_r row reads 4.4e-14 either way.
-    # test_radial_profiles_match_mpmath gates the profiles at 1e-14.
+    # test_radial_profiles_match_mpmath gates the profiles at 1e-14.  The
+    # kernel rows hold the value rows over r and psi per unit omega, so
+    # each row is compared with those scalings undone.
     big = build_table(K, J)
     g = PolarGrid(big)
     for order, what in enumerate(("value", "d_r")):
         for i, kind in enumerate(("vorticity", "stream")):
             for k in range(K + 1):
                 want = _profile(big, big.perm[0, k], k, g.r, kind, what)
-                err = np.abs(g.prof[order, i, k] - want).max()
+                got = g.kernel_rows[order, i, k] * (g.r if order == 0 else 1.0)
+                if kind == "stream":
+                    got = got * -big.lam[big.perm[0, k]][:, None]
+                err = np.abs(got - want).max()
                 assert err <= 5e-14 * np.abs(want).max(), (what, kind, k)
     ck = [1.0 / np.sqrt(np.pi)] + [np.sqrt((2.0 * k + 2.0) / np.pi) for k in range(1, K + 1)]
     assert np.array_equal(g.harm, np.stack([ck[k] * g.r**k for k in range(K + 1)]))
 
 
-def test_grid_profiles_are_a_view_of_the_profile_stack(table):
-    # PolarGrid keeps the value and d_r orders of one radial_profiles
-    # stack; a copy would change the set-up's allocations, which move the
-    # benchmark's scaled metrics
+def test_grid_profiles_are_a_view_of_the_profile_stack(table, monkeypatch):
+    # PolarGrid scales the value and d_r stack of one radial_profiles call
+    # in place into its kernel rows; a copy would change the set-up's
+    # allocations, which move the benchmark's scaled metrics
+    calls = []
+
+    def recorded(*args):
+        calls.append(radial_profiles(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(fields, "radial_profiles", recorded)
     g = PolarGrid(table)
-    assert g.prof.shape == (2, 2, table.K + 1, table.J, g.n_radial)
-    stack = g.prof.base
-    assert stack.shape == (3,) + g.prof.shape[1:]
-    assert np.shares_memory(g.prof, stack)
-    np.testing.assert_array_equal(stack, radial_profiles(table, g.r)[0])
+    ((prof, harm),) = calls
+    assert g.kernel_rows is prof
+    assert prof.shape == (2, 2, table.K + 1, table.J, g.n_radial)
+    assert np.shares_memory(g.harm, harm)
+    want = radial_profiles(table, g.r)[0]
+    want[:, 1] *= (-1.0 / table.lam[table.perm[0]])[..., None]
+    want[0] /= g.r
+    np.testing.assert_array_equal(g.kernel_rows, want)
 
 
 def boundary_values(f, theta):

@@ -14,7 +14,6 @@ from diskvort.fields import (
 )
 from diskvort.nonlinear import (
     _advect,
-    _stream_scale,
     advection,
     elliptic_correction,
     elliptic_map,
@@ -61,7 +60,7 @@ def random_rows(rng, degree):
 def advection_values(omega, grid):
     """Lambda sampled by the solver's own advection kernel, as check 8 takes it."""
     table = omega.table
-    return _advect(table.to_blocks(omega.coeffs), grid, _stream_scale(table))[3]
+    return _advect(table.to_blocks(omega.coeffs), grid)[3]
 
 
 def advection_values_oracle(omega, grid):
@@ -153,6 +152,13 @@ def test_advection_matches_group_oracle(table, grid):
     want, want_harm = from_grid_groups(advection_values_oracle(omega, grid), grid, table)
     np.testing.assert_allclose(res.projected.coeffs, want.coeffs, rtol=0, atol=1e-13)
     np.testing.assert_allclose(res.harmonic, want_harm, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("K,J", [(4, 12), (8, 8), (32, 24)])
+def test_advection_matches_group_oracle_at_run_sizes(K, J):
+    # check 10's run, the reference run and the large benchmark run
+    big = build_table(K, J)
+    test_advection_matches_group_oracle(big, PolarGrid(big))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ plants anything.
 """
 
 import inspect
+import textwrap
 
 import numpy as np
 import pytest
@@ -23,17 +24,23 @@ from diskvort.annulus import AnnulusGeometry
 from diskvort.fields import PolarGrid
 from diskvort.spectrum import build_table
 
-JACOBIAN = "lam_vals = (dpsi_r * dom_t - dpsi_t * dom_r) / grid.r[:, None]"
+JACOBIAN = "lam_vals = dpsi_r * dom_t - dpsi_t * dom_r"
 ELLIPTIC = "elliptic_map=elliptic_map(grid) / cfg.nu,"
 EXP_FACTOR = "exp_factor=table.to_blocks(np.exp(z)),"
 DERIVATIVE = "domega_b_dt = (wb_new - state.wb) / cfg.dt if state.steps else 0.0"
 CONJUGATE = "return np.stack([-h[1], h[0]])"
-STREAM_SCALE = "scale = table.to_blocks(-1.0 / table.lam)"
+STREAM_SCALE = "prof[:, 1] *= (-1.0 / table.lam[table.perm[0]])[..., None]"
+
+
+def scaled(factor: str) -> str:
+    """The Jacobian line with Lambda times ``factor``."""
+    return JACOBIAN.replace("= ", f"= {factor} * (") + ")"
 
 
 def planted(fn, old: str, new: str):
-    """A copy of module function ``fn`` with ``old`` replaced by ``new``."""
-    source = inspect.getsource(fn)
+    """A copy of module function or method ``fn`` with ``old`` replaced
+    by ``new``."""
+    source = textwrap.dedent(inspect.getsource(fn))
     assert source.count(old) == 1, f"{old!r} not found once in {fn.__name__}"
     namespace = dict(vars(inspect.getmodule(fn)))
     exec(source.replace(old, new), namespace)
@@ -44,7 +51,7 @@ def planted(fn, old: str, new: str):
     "defect",
     [
         JACOBIAN.replace("- dpsi_t", "+ dpsi_t"),  # sign of one Jacobian term
-        JACOBIAN + " ** 2",  # r^2 in place of r
+        scaled("1.0 / grid.r[:, None]"),  # r^2 in place of r
     ],
     ids=["jacobian-sign", "r-squared"],
 )
@@ -56,9 +63,9 @@ def test_check_8_catches_advection_kernel_defect(monkeypatch, defect):
 
 # defects of the coupled dynamics: (function, old, new)
 DYNAMICS_DEFECTS = {
-    "advection-negated": (nonlinear._advect, JACOBIAN, JACOBIAN + " * -1.0"),
-    "advection-halved": (nonlinear._advect, JACOBIAN, JACOBIAN + " * 0.5"),
-    "advection-zeroed": (nonlinear._advect, JACOBIAN, JACOBIAN + " * 0.0"),
+    "advection-negated": (nonlinear._advect, JACOBIAN, scaled("-1.0")),
+    "advection-halved": (nonlinear._advect, JACOBIAN, scaled("0.5")),
+    "advection-zeroed": (nonlinear._advect, JACOBIAN, scaled("0.0")),
     "elliptic-map-zeroed": (solver.prepare, ELLIPTIC, "elliptic_map=0.0 * elliptic_map(grid),"),
     "domega-b-dt-dropped": (solver.step, DERIVATIVE, "domega_b_dt = 0.0"),
     "exp-factor-power-1.02": (solver.prepare, EXP_FACTOR, EXP_FACTOR[:-1] + " ** 1.02,"),
@@ -83,11 +90,12 @@ def test_check_10_catches_dynamics_defect(monkeypatch, defect):
 
 
 def test_group_oracle_catches_stream_scale_defect(monkeypatch):
-    # a 1e-4 relative error in the solver's Biot-Savart scale passes every
-    # accept check; the advection kernel against the per-group oracle,
-    # which takes the stream from fields.biot_savart, is off by about
-    # 1e-5 against its atol of 1e-13
-    plant(monkeypatch, nonlinear._stream_scale, STREAM_SCALE, STREAM_SCALE + " * (1 + 1e-4)")
+    # a 1e-4 relative error in the Biot-Savart scale of the grid's kernel
+    # rows passes every accept check; the advection kernel against the
+    # per-group oracle, which takes the stream from fields.biot_savart, is
+    # off by about 1e-5 against its atol of 1e-13
+    defect = STREAM_SCALE.replace("(-1.0", "(-(1 + 1e-4)")
+    monkeypatch.setattr(PolarGrid, "__init__", planted(PolarGrid.__init__, STREAM_SCALE, defect))
     table = build_table(5, 5)
     with pytest.raises(AssertionError, match="Not equal to tolerance"):
         test_nonlinear.test_advection_matches_group_oracle(table, PolarGrid(table))

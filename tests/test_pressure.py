@@ -400,6 +400,28 @@ def test_basis_arrays_are_read_only():
             a[...] = 0.0
 
 
+def fresh_stream(table, r):
+    """Stream value, d_r and d_rr at the radii r from one fresh profile stack."""
+    prof = radial_profiles(table, r)[0]
+    return np.concatenate([prof[:, 1], pressure._stream_d_rr(table, r, prof)[None]])
+
+
+def test_stream_d_rr_matches_scipy():
+    # the stream d_rr that the pressure layer takes from the Bessel
+    # equation, against scipy's second derivative of J_k less the lift's
+    from scipy import special
+
+    table = build_table(8, 8)
+    r = np.linspace(0.05, 1.0, 23)
+    d_rr = pressure._stream_d_rr(table, r, radial_profiles(table, r)[0])
+    assert d_rr.shape == (table.K + 1, table.J, r.size)
+    for i, m in enumerate(table.modes):
+        k, a, c = m.k, table.alpha[i], table.norm[i]
+        lift = c * special.jv(k, a) * k * (k - 1) * r ** max(k - 2, 0)
+        want = c * a**2 * special.jvp(k, a * r, 2) - lift
+        np.testing.assert_allclose(d_rr[k, m.j - 1], want, rtol=0, atol=1e-13 * a**2)
+
+
 def test_basis_is_keyed_on_the_table_and_one_is_held():
     pressure._aux_basis.cache_clear()
     first, second = build_table(4, 4), build_table(4, 4)
@@ -411,10 +433,10 @@ def test_basis_is_keyed_on_the_table_and_one_is_held():
     # bit-equal to fresh profiles of the second table at the same radii
     (nodes, qpts, _), qpts_stream, _ = fresh
     r, stream, vort, harm = pressure._aux_mids(second, 16)
-    np.testing.assert_array_equal(qpts_stream, radial_profiles(second, qpts)[0][:, 1])
+    np.testing.assert_array_equal(qpts_stream, fresh_stream(second, qpts))
     prof, want_harm = radial_profiles(second, r)
-    np.testing.assert_array_equal(stream, prof[:, 1])
-    np.testing.assert_array_equal(vort, prof[:2, 0])
+    np.testing.assert_array_equal(stream, fresh_stream(second, r))
+    np.testing.assert_array_equal(vort, prof[:, 0])
     np.testing.assert_array_equal(harm, want_harm)
     np.testing.assert_array_equal(r, 0.5 * (nodes[:-1] + nodes[1:]))
 
@@ -432,10 +454,10 @@ def test_basis_is_keyed_on_the_table_and_one_is_held():
 @pytest.mark.parametrize("chunk", [1, 6 * 5 * 4 * 7, 2**40])
 def test_basis_chunks_give_the_same_bits(monkeypatch, chunk):
     # one quadrature point per chunk, seven per chunk (the last chunk
-    # short), all in one: the stream half of one full profile stack
+    # short), all in one: the stream rows of one full profile stack
     monkeypatch.setattr(pressure, "_PROFILE_CHUNK", chunk)
     pressure._aux_basis.cache_clear()
     table = build_table(4, 4)
     (_, qpts, _), qpts_stream, _ = pressure._aux_basis(table, 16)
     pressure._aux_basis.cache_clear()
-    np.testing.assert_array_equal(qpts_stream, radial_profiles(table, qpts)[0][:, 1])
+    np.testing.assert_array_equal(qpts_stream, fresh_stream(table, qpts))

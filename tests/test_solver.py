@@ -30,7 +30,7 @@ from diskvort.solver import (
     stokes_run,
 )
 from diskvort.spectrum import ModeIndex, table_size_problems
-from transform_oracle import duhamel_reference, propagate, quadrature_drift
+from transform_oracle import advect_reference, duhamel_reference, propagate, quadrature_drift
 
 
 def total_field(state, table) -> SpectralField:
@@ -534,6 +534,25 @@ def test_non_finite_row_aborts_at_its_step():
     with np.errstate(all="ignore"), pytest.raises(NonFiniteState, match="^output row at t=0.06 is not finite") as exc:
         stokes_run(cfg, forcing=forcing, ctx=ctx)
     assert (exc.value.step, exc.value.t) == (30, 30 * cfg.dt)
+
+
+@pytest.mark.parametrize("nu", [0.1, 0.01])
+def test_run_matches_unscaled_kernel_oracle(monkeypatch, nu):
+    # check 10's two-mode run on the kernel of pre-scaled grid rows, and
+    # on the oracle kernel that scales per call: the rows and the final
+    # state agree to rounding; the moment drift is rounding itself
+    cfg = RunConfig(nu=nu, K=4, J=12, dt=0.002, t_final=0.5,
+                    init_modes=(((0, 1, "cos"), 0.4), ((2, 1, "cos"), 0.25)), output_every=5)
+    got = run(cfg)
+    monkeypatch.setattr(solver, "_advect", advect_reference)
+    want = run(cfg)
+    for name in ("energy", "enstrophy", "palinstrophy_norm", "correction_norm"):
+        a, b = (np.array([getattr(row, name) for row in t.diagnostics]) for t in (got, want))
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=0, err_msg=name)
+    for t in (got, want):
+        assert max(row.moment_drift for row in t.diagnostics) <= 1e-14
+    scale = np.abs(want.states[-1].coeffs).max()
+    np.testing.assert_allclose(got.states[-1].coeffs, want.states[-1].coeffs, rtol=0, atol=1e-12 * scale)
 
 
 def test_run_equals_iterated_steps():

@@ -183,18 +183,19 @@ def test_json_round_trip(table):
 
 
 def test_radial_profiles_match_scipy_derivatives(table):
-    # d_r and d_rr of both kinds against scipy's Bessel derivatives; the
-    # d_rr that radial_profiles takes from the Bessel equation
+    # value and d_r of both kinds against scipy's Bessel derivatives; the
+    # pressure layer's stream d_rr by the Bessel equation is checked in
+    # test_pressure.test_stream_d_rr_matches_scipy
     from scipy import special
 
     r = np.linspace(0.05, 1.0, 23)
     prof, harm = radial_profiles(table, r)
-    assert prof.shape == (3, 2, table.K + 1, table.J, r.size)
+    assert prof.shape == (2, 2, table.K + 1, table.J, r.size)
     assert harm.shape == (2, table.K + 1, r.size)
     for i, m in enumerate(table.modes):
         k, a, c = m.k, table.alpha[i], table.norm[i]
-        lift = (r**k, k * r ** max(k - 1, 0), k * (k - 1) * r ** max(k - 2, 0))
-        for order in range(3):
+        lift = (r**k, k * r ** max(k - 1, 0))
+        for order in range(2):
             bessel = c * a**order * special.jvp(k, a * r, order)
             tol = 1e-13 * a**order
             np.testing.assert_allclose(prof[order, 0, k, m.j - 1], bessel, rtol=0, atol=tol)
@@ -213,7 +214,7 @@ def test_radial_profiles_scalar_radius():
     big = build_table(K, J)
     prof, harm = radial_profiles(big, 0.7)
     want_prof, want_harm = radial_profiles(big, np.array([0.7]))
-    assert prof.shape == (3, 2, K + 1, J, 1) and harm.shape == (2, K + 1, 1)
+    assert prof.shape == (2, 2, K + 1, J, 1) and harm.shape == (2, K + 1, 1)
     np.testing.assert_array_equal(prof, want_prof)
     np.testing.assert_array_equal(harm, want_harm)
 

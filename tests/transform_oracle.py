@@ -7,7 +7,13 @@ with cos/sin (k theta).  They read only the public grid nodes and
 weights, so they check the batched layer's layout and tables
 independently; d_r takes J_k' = J_{k-1} - (k/x) J_k from jv.
 
-Also here: the exponential step of one eigen-ordered field as the
+Also here: the analysis and the advection kernel as the package took
+them before ``PolarGrid`` held the kernel's rows pre-scaled
+(``analyze_two_matmuls``, ``advect_reference``: unscaled profiles, the
+stream's -1/lambda and the Jacobian's 1/r applied per call, one matmul
+for the blocks and one for the moments).
+
+And the exponential step of one eigen-ordered field as the
 package took it before ``semigroup.duhamel_step`` became the block
 update (``duhamel_reference``, ETD1 or ETD2RK, its exp and phi factors
 recomputed from lambda on every call, step i taking the forcing at
@@ -21,13 +27,16 @@ and the exact heat semigroup.
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
+
 import numpy as np
 from scipy import special
 
 from diskvort.fields import SpectralField, _harm_const
 from diskvort.semigroup import phi1, phi2
 from diskvort.specfun import bessel_j
-from diskvort.spectrum import ModeIndex
+from diskvort.spectrum import ModeIndex, radial_profiles
 
 
 def _groups(table):
@@ -80,6 +89,52 @@ def from_grid_groups(values: np.ndarray, grid, table):
         moment = float(np.dot(wr_r * _harm_const(k) * grid.r**k, radial_signal))
         moments[0 if parity == "cos" else 1, k] = moment
     return SpectralField(table, coeffs, "vorticity"), moments
+
+
+@lru_cache(maxsize=4)
+def _unscaled_profiles(grid):
+    """The value and d_r profiles and the unit harmonics at the grid's radii."""
+    prof, harm = radial_profiles(grid.table, grid.r)
+    return prof, harm[0]
+
+
+def analyze_two_matmuls(grid, values):
+    """Blocks (2, K+1, J) and harmonic moments (2, K+1) of grid samples:
+    one matmul with the vorticity value profiles, one with the unit
+    harmonics, against the angular and radial quadrature of the samples."""
+    K = grid.table.K
+    prof, harm = _unscaled_profiles(grid)
+    signal = (values @ (grid.trig * grid.wtheta).T) * (grid.wr * grid.r)[:, None]
+    signal = signal.reshape(grid.n_radial, 2, K + 1).transpose(2, 0, 1)  # (K+1, n_r, 2)
+    blocks = np.matmul(prof[0, 0], signal).transpose(2, 0, 1)
+    moments = np.matmul(harm[:, None, :], signal)[:, 0, :].T.copy()
+    moments[1, 0] = 0.0  # there is no sin(0 theta) harmonic
+    return blocks, moments
+
+
+def advect_reference(w, grid):
+    """The advection kernel on blocks w (2, K+1, J) from the unscaled
+    profiles: psi's blocks scaled by -1/lambda, one radial and one
+    angular matmul, Lambda = (d_r psi d_theta omega - d_theta psi d_r
+    omega) / r and |u| with its own 1/r, then ``analyze_two_matmuls``.
+    Returns what ``nonlinear._advect`` returns."""
+    table = grid.table
+    K, n_r, n_t = table.K, grid.n_radial, grid.n_angular
+    prof, _ = _unscaled_profiles(grid)
+    scale = table.to_blocks(-1.0 / table.lam)
+    radial = np.matmul((w * np.stack([np.ones_like(scale), scale])).swapaxes(1, 2), prof)
+    rows = radial.transpose(0, 1, 4, 3, 2).reshape(2, 2 * n_r, 2 * (K + 1))
+    # d/dtheta of the cos rows, then of the sin rows; then the rows themselves
+    kt = np.outer(np.arange(K + 1), grid.theta)
+    k = np.arange(K + 1)[:, None]
+    trig = np.concatenate([np.cos(kt), np.sin(kt)])
+    d_trig = np.concatenate([-k * np.sin(kt), k * np.cos(kt)])
+    jacobian_trig = np.stack([d_trig, trig])
+    (dom_t, dpsi_t), (dom_r, dpsi_r) = np.matmul(rows, jacobian_trig).reshape(2, 2, n_r, n_t)
+    lam_vals = (dpsi_r * dom_t - dpsi_t * dom_r) / grid.r[:, None]
+    umax = math.sqrt(((dpsi_t / grid.r[:, None]) ** 2 + dpsi_r**2).max())
+    projected, moments = analyze_two_matmuls(grid, lam_vals)
+    return projected, moments, umax, lam_vals
 
 
 def quadrature_drift(omega: SpectralField, grid) -> float:
