@@ -13,7 +13,8 @@ lag).  Since omega_B = E h / nu for the fixed block map E built in
 backward difference (omega_B,n - omega_B,n-1)/dt, the correction of
 the backward difference of the moments.  The first step uses
 d/dt omega_B = 0 and the initial state absorbs the instantaneous
-correction, so the total initial vorticity equals the requested one.
+correction, so the total initial vorticity equals the requested one,
+and carries that advection for the first step's first stage.
 
 The state is the step count i, at t = i dt, and omega_0 and omega_B
 as coefficient blocks (2, K+1, J).  Apart from the advection every map
@@ -24,8 +25,9 @@ polar 1/r are fixed too, folded into the grid's kernel rows
 radial matmul, one angular matmul and one analysis matmul on omega's
 blocks; the CFL guard reads |u|max off the first run.
 Both stages are the one ETD2RK update, ``semigroup.duhamel_step``; the
-linear ``stokes_run`` takes it too, with a given forcing in place of
-advection and omega_B = 0, and shares with ``run`` the one loop, which
+linear ``stokes_run`` has no omega_B and takes it with a given forcing
+in place of advection, or, unforced, its exact value e^{-nu lambda dt}
+times the state, and shares with ``run`` the one loop, which
 alone turns blocks into eigen-sorted fields, once per output row.  A
 row gathers the total's blocks into eigen order once; one ``vecdot`` of
 the squares against the lambda-weight table (lambda^-1, 1, lambda) built
@@ -230,11 +232,14 @@ def _init_mode_problems(init_modes, K, J) -> list[str]:
 @dataclass
 class SolverState:
     """The state after ``steps`` steps, at t = steps * dt: omega_0 and
-    omega_B as coefficient blocks (2, K+1, J), ``EigenTable.to_blocks``."""
+    omega_B (None in the linear run) as coefficient blocks (2, K+1, J),
+    ``EigenTable.to_blocks``, and, if the next step may take it in place
+    of its own, the total's advection: the first three of ``_advect``."""
 
     steps: int
     w0: np.ndarray
-    wb: np.ndarray
+    wb: Optional[np.ndarray] = None
+    advected: Optional[tuple] = None
 
 
 @dataclass
@@ -313,12 +318,13 @@ def initial_state(cfg: RunConfig, ctx: RunContext) -> SolverState:
 
     omega_B(0) is the instantaneous elliptic solve against the initial
     advection moments, and omega_0(0) = omega_i - omega_B(0), so the
-    total equals the requested field exactly.
+    total equals the requested field exactly; the first step takes that
+    advection of omega_i as its own.
     """
     w = ctx.table.to_blocks(_initial_field(cfg, ctx.table).coeffs)
-    _, h, _, _ = _advect(w, ctx.grid)
-    wb = ctx.elliptic_map * h[:, :, None]
-    return SolverState(steps=0, w0=w - wb, wb=wb)
+    advected = _advect(w, ctx.grid)[:3]
+    wb = ctx.elliptic_map * advected[1][:, :, None]
+    return SolverState(0, w - wb, wb, advected)
 
 
 def _max_moment(blocks: np.ndarray, ctx: RunContext) -> float:
@@ -336,7 +342,7 @@ def step(state: SolverState, cfg: RunConfig, ctx: RunContext) -> SolverState:
     t = state.steps * cfg.dt
     w = state.w0 + state.wb
 
-    projected, moments, umax, _ = _advect(w, ctx.grid)
+    projected, moments, umax = state.advected or _advect(w, ctx.grid)[:3]
     courant = cfg.dt * umax * ctx.sqrt_lam_max
     drift = _max_moment(w, ctx)
     if not (math.isfinite(courant) and math.isfinite(drift)):
@@ -380,11 +386,12 @@ def _integrate(cfg: RunConfig, ctx: RunContext, state: SolverState, advance) -> 
 
     def record(state: SolverState) -> None:
         t = state.steps * cfg.dt
-        w = state.w0 + state.wb
+        w = state.w0 if state.wb is None else state.w0 + state.wb  # the linear run has no omega_B
         c = table.from_blocks(w)
         norms = np.sqrt(np.vecdot(ctx.norm_weights, c * c)).tolist()
         # correction_norm, omega_B's V_0 norm, on the blocks: the weight lam^0 is 1
-        row = DiagnosticsRow(t, *norms, measure_moment_drift(w, ctx), math.sqrt(np.vdot(state.wb, state.wb)))
+        correction = 0.0 if state.wb is None else math.sqrt(np.vdot(state.wb, state.wb))
+        row = DiagnosticsRow(t, *norms, measure_moment_drift(w, ctx), correction)
         if not all(map(math.isfinite, vars(row).values())):
             bad = [f"{name}={value:.3g}" for name, value in vars(row).items() if not math.isfinite(value)]
             err = NonFiniteState(f"output row at t={t:.6g} is not finite: {', '.join(bad)}")
@@ -420,25 +427,30 @@ def stokes_run(
 ) -> Trajectory:
     """Linear evolution only: the ETD2RK update of ``step`` with the
     forcing, a function of t or none, in place of advection, and no
-    elliptic track.  Step i takes the forcing at i dt and (i+1) dt."""
+    elliptic track.  Step i takes the forcing at i dt and (i+1) dt, one
+    call per time point; unforced, it is e^{-nu lambda dt} times w."""
     if ctx is None:
         ctx = prepare(cfg)
     table = ctx.table
-    zero = SpectralField.zeros(table)
-    factors = (ctx.exp_factor, ctx.phi1_dt, ctx.phi2_dt)
-    wb = np.zeros_like(ctx.exp_factor)
+    if forcing is None:
+        advance = lambda state: SolverState(state.steps + 1, ctx.exp_factor * state.w0)
+    else:
+        zero = SpectralField.zeros(table)
+        factors = (ctx.exp_factor, ctx.phi1_dt, ctx.phi2_dt)
+        held = {}  # the forcing's blocks at the last step's end, by its time
 
-    def force(t: float) -> np.ndarray:
-        if forcing is None:
-            return wb
-        f = forcing(t)
-        zero._compatible(f)  # a vorticity field on the run's table
-        return table.to_blocks(f.coeffs)
+        def force(t: float) -> np.ndarray:
+            if t in held:
+                return held.pop(t)
+            f = forcing(t)
+            zero._compatible(f)  # a vorticity field on the run's table
+            return table.to_blocks(f.coeffs)
 
-    def advance(state: SolverState) -> SolverState:
-        t0, t1 = state.steps * cfg.dt, (state.steps + 1) * cfg.dt
-        w = duhamel_step(state.w0, force(t0), lambda a: force(t1), *factors)
-        return SolverState(state.steps + 1, w, wb)
+        def advance(state: SolverState) -> SolverState:
+            t0, t1 = state.steps * cfg.dt, (state.steps + 1) * cfg.dt
+            f0 = force(t0)
+            held[t1] = f1 = force(t1)
+            return SolverState(state.steps + 1, duhamel_step(state.w0, f0, lambda a: f1, *factors))
 
     w = table.to_blocks(_initial_field(cfg, table).coeffs)
-    return _integrate(cfg, ctx, SolverState(0, w, wb), advance)
+    return _integrate(cfg, ctx, SolverState(0, w), advance)

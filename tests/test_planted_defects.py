@@ -379,3 +379,40 @@ def test_row_oracle_catches_row_defect(monkeypatch, defect):
     monkeypatch.setattr(test_solver, "prepare", solver.prepare)  # the test's own binding
     with pytest.raises(AssertionError):
         test_solver.test_rows_equal_norm_at_oracle(5, 7)
+
+
+# the linear run's unforced step, the first step's carried advection, and
+# the forced linear run's reuse of a step's end forcing at the next start:
+# (function, old, new, the test that must fail)
+UNFORCED_STEP = "ctx.exp_factor * state.w0"
+HANDOVER = "SolverState(0, w - wb, wb, advected)"
+FORCING_REUSE = "held[t1] = f1 = force(t1)"
+CARRIED_WORK_DEFECTS = {
+    "unforced-step-by-phi1": (
+        solver.stokes_run,
+        UNFORCED_STEP,
+        UNFORCED_STEP.replace("exp_factor", "phi1_dt"),
+        lambda: test_solver.test_stokes_run_matches_duhamel_reference(test_solver.STOKES_GATE_CONFIGS[1], "zero"),
+    ),
+    "handover-advects-omega-0": (
+        solver.initial_state,
+        HANDOVER,
+        HANDOVER.replace("advected)", "_advect(w - wb, ctx.grid)[:3])"),
+        test_solver.test_first_step_on_carried_advection_equals_a_fresh_one,
+    ),
+    "forcing-reuse-keyed-on-step-count": (
+        solver.stokes_run,
+        FORCING_REUSE,
+        FORCING_REUSE.replace("held[t1]", "held[state.steps + 1]"),
+        lambda: test_solver.test_forced_stokes_run_calls_forcing_once_per_time_point(0.1),
+    ),
+}
+
+
+@pytest.mark.parametrize("defect", CARRIED_WORK_DEFECTS.values(), ids=CARRIED_WORK_DEFECTS.keys())
+def test_carried_work_defect_fails_its_test(monkeypatch, defect):
+    fn, old, new, detector = defect
+    plant(monkeypatch, fn, old, new)
+    monkeypatch.setattr(test_solver, fn.__name__, getattr(solver, fn.__name__))  # the test's own binding
+    with pytest.raises(AssertionError):
+        detector()

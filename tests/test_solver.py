@@ -566,6 +566,37 @@ def test_run_equals_iterated_steps():
     assert np.array_equal(traj.states[-1].coeffs, total_field(state, ctx.table).coeffs)
 
 
+@pytest.mark.parametrize("nu", [0.1, 0.01])
+def test_run_advects_twice_per_step_less_the_carried_first_stage(monkeypatch, nu):
+    # initial_state advects the requested field for omega_B(0) and hands
+    # that advection to the first step as its first stage: 2n over n steps
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return advect(*args)
+
+    advect = solver._advect
+    monkeypatch.setattr(solver, "_advect", counting)
+    cfg = small_cfg(nu=nu, t_final=0.02)
+    run(cfg)
+    assert len(calls) == 2 * round(cfg.t_final / cfg.dt)
+
+
+def test_first_step_on_carried_advection_equals_a_fresh_one():
+    # the carried advection is that of the requested omega, which the
+    # first step's omega_0 + omega_B equals to one rounding
+    cfg = small_cfg(nu=0.01)
+    ctx = prepare(cfg)
+    state = initial_state(cfg, ctx)
+    assert state.advected is not None
+    got = step(state, cfg, ctx)
+    want = step(dataclasses.replace(state, advected=None), cfg, ctx)
+    assert got.advected is None
+    for a, b in ((got.w0, want.w0), (got.wb, want.wb)):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-14 * np.abs(b).max())
+
+
 def oracle_row(t, omega, omega_b, ctx):
     return DiagnosticsRow(
         t=t,
@@ -844,6 +875,22 @@ def test_stokes_v1_decay_bound():
     w0 = norm_at(tr.states[0], 1)
     for t, s in zip(tr.times, tr.states):
         assert norm_at(s, 1) <= np.exp(-cfg.nu * ctx.table.lambda_min * t) * w0 * (1 + 1e-10)
+
+
+@pytest.mark.parametrize("nu", [0.1, 0.01])
+def test_forced_stokes_run_calls_forcing_once_per_time_point(nu):
+    # a step's end blocks are the next step's start: n + 1 calls over n steps
+    cfg = small_cfg(nu=nu, t_final=0.04, output_every=3)
+    ctx = prepare(cfg)
+    g = _random_admissible(ctx.table, 5)
+    times = []
+
+    def forcing(t):
+        times.append(t)
+        return g * math.cos(2.0 * t)
+
+    stokes_run(cfg, forcing=forcing, ctx=ctx)
+    assert times == [i * cfg.dt for i in range(round(cfg.t_final / cfg.dt) + 1)]
 
 
 @pytest.mark.parametrize("defect", ["foreign-table", "stream-kind"], ids=lambda defect: f"callable-{defect}")
