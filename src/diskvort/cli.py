@@ -23,8 +23,9 @@ fields.  One loader, ``_load_run``, takes a file to a prepared run and
 reports every problem it finds at once: unknown sections or keys,
 values that do not parse, the [init] rules (``seed`` only with
 ``kind = random``, ``modes`` only with ``kind = modes``) and the run's
-own checks, the table and grid sizes among them.  Every default is
-echoed into the manifest.  Example::
+own checks, the table and grid sizes among them.  For ``ns`` and
+``pressure`` it builds the initial state, checks the CFL bound on it
+and hands it to the run.  Every default is echoed into the manifest.  Example::
 
     [solver]
     nu = 0.1
@@ -214,24 +215,25 @@ def _parse_modes(text: str):
     return tuple(entries)
 
 
-def _load_run(path, check_cfl: bool = True, centred: bool = False):
-    """Parse, type, vet and prepare a run config file, all problems in
-    one report: unknown sections and keys, values that do not parse,
-    the [init] rules, the ``RunConfig.validate`` list (table and grid
-    sizes included), with ``centred`` the three output rows a centred
-    time derivative needs, a ``nu`` so small that the prepared elliptic
-    correction E/nu overflows and, with ``check_cfl``, the advective
-    stability bound of the requested initial data (refused before any
-    time stepping).
+def _load_run(path, subcommand: str):
+    """Parse, type, vet and prepare a run config file for ``subcommand``
+    (``ns``, ``stokes`` or ``pressure``), all problems in one report:
+    unknown sections and keys, values that do not parse, the [init]
+    rules, the ``RunConfig.validate`` list (table and grid sizes
+    included), for ``pressure`` the three output rows a centred time
+    derivative needs, a ``nu`` so small that the prepared elliptic
+    correction E/nu overflows and, for ``ns`` and ``pressure``, a ``dt``
+    past the advective stability bound of the initial state, by
+    ``step``'s own inequality (refused before any time stepping).
 
-    Returns ``(resolved, cfg, ctx)``: the typed sections with every
-    default applied, the run configuration and its prepared context,
-    for the run to reuse.  An init whose speed is not a finite positive
-    number has no bound to break; the run refuses it at its step-0 row
+    Returns ``(resolved, cfg, ctx, state)``: the typed sections with
+    every default applied, the run configuration, its prepared context
+    and its initial state (None for ``stokes``), for the run to start
+    from.  An init whose speed is not a finite positive number has no
+    bound to break; the run refuses it at its step-0 row
     (``NonFiniteState``).
     """
-    from .nonlinear import _advect
-    from .solver import RunConfig, _initial_field, prepare
+    from .solver import RunConfig, initial_state, prepare
 
     raw = _parse_file(path)
     problems = [f"unknown section [{section}]" for section in raw if section not in _SCHEMA]
@@ -287,7 +289,7 @@ def _load_run(path, check_cfl: bool = True, centred: bool = False):
     problems += cfg.validate()
     # the row count is known once dt, t_final and every are valid
     steps_known = 0 < cfg.dt < math.inf and 0 < cfg.t_final < math.inf and cfg.output_every >= 1
-    if centred and steps_known and cfg.t_final / cfg.dt / cfg.output_every < 2:
+    if subcommand == "pressure" and steps_known and cfg.t_final / cfg.dt / cfg.output_every < 2:
         problems.append("pressure needs at least 3 output rows to center a time derivative")
     if problems:
         raise ConfigError(problems)
@@ -296,21 +298,20 @@ def _load_run(path, check_cfl: bool = True, centred: bool = False):
         raise ConfigError(
             [f"[solver] nu = {cfg.nu!r} is too small: the elliptic correction E/nu overflows"]
         )
-    if check_cfl:
-        # |u|max of the requested field, by the advection initial_state runs on it
-        w = ctx.table.to_blocks(_initial_field(cfg, ctx.table).coeffs)
-        umax = _advect(w, ctx.grid)[2]
-        if 0.0 < umax < math.inf:
-            bound = cfg.cfl / (umax * ctx.sqrt_lam_max)
-            if cfg.dt > bound:
-                raise ConfigError(
-                    [
-                        f"[solver] dt = {cfg.dt:g} violates the advective stability "
-                        f"bound dt <= {bound:.3e} for this init "
-                        f"(|u|_max = {umax:.3g}, sqrt(lambda_max) = {ctx.sqrt_lam_max:.3g})"
-                    ]
-                )
-    return resolved, cfg, ctx
+    if subcommand == "stokes":
+        return resolved, cfg, ctx, None
+    state = initial_state(cfg, ctx)
+    umax = state.advected[2]
+    # step's Courant number, so the loader admits exactly the dt the first step takes
+    if 0.0 < umax < math.inf and cfg.dt * umax * ctx.sqrt_lam_max > cfg.cfl:
+        raise ConfigError(
+            [
+                f"[solver] dt = {cfg.dt:g} violates the advective stability "
+                f"bound dt <= {cfg.cfl / (umax * ctx.sqrt_lam_max):.3e} for this init "
+                f"(|u|_max = {umax:.3g}, sqrt(lambda_max) = {ctx.sqrt_lam_max:.3g})"
+            ]
+        )
+    return resolved, cfg, ctx, state
 
 
 # ---------------------------------------------------------------------------
@@ -334,22 +335,6 @@ def _write_snapshots(traj, outdir: Path, every: int) -> list[str]:
     return files
 
 
-def _trajectory_pipeline(args, runner, subcommand: str) -> int:
-    resolved, cfg, ctx = _load_run(args.config, check_cfl=(subcommand == "ns"))
-    outdir = Path(args.outdir)
-    with _recorded(subcommand, resolved, outdir, resolved["init"]["seed"], args.config) as man:
-        traj = runner(cfg, ctx=ctx)
-        traj.to_csv(outdir / "trajectory.csv")
-        snapshots = _write_snapshots(traj, outdir, resolved["output"]["snapshot_every"])
-        man.files = ["trajectory.csv", *snapshots]
-    last = traj.diagnostics[-1]
-    print(
-        f"{subcommand}: {len(traj)} output rows to {outdir / 'trajectory.csv'}; "
-        f"final t={last.t:g} energy={last.energy:.6e} enstrophy={last.enstrophy:.6e}"
-    )
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -369,18 +354,6 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
-def _cmd_stokes(args) -> int:
-    from .solver import stokes_run
-
-    return _trajectory_pipeline(args, stokes_run, "stokes")
-
-
-def _cmd_ns(args) -> int:
-    from .solver import run
-
-    return _trajectory_pipeline(args, run, "ns")
-
-
 def _cmd_biot_savart_check(args) -> int:
     from .acceptance import run_all
 
@@ -397,32 +370,48 @@ def _cmd_biot_savart_check(args) -> int:
     return 0 if all(r.passed for r in results) else 3
 
 
-def _cmd_pressure(args) -> int:
-    from .pressure import momentum_residual, recover_pressure
-    from .solver import run
+def _cmd_run(args) -> int:
+    """``ns``, ``stokes`` and ``pressure``: the run of a config file and
+    its snapshots, with its trajectory or, for ``pressure``, the momentum
+    defect along it and the pressure of its final state."""
+    from .solver import run, stokes_run
 
-    if args.n_aux < 1:
+    name = args.subcommand
+    if name == "pressure" and args.n_aux < 1:
         raise ConfigError([f"--n-aux must be at least 1, got {args.n_aux}"])
-    resolved, cfg, ctx = _load_run(args.config, centred=True)
+    resolved, cfg, ctx, state = _load_run(args.config, name)
     outdir = Path(args.outdir)
-    with _recorded("pressure", resolved, outdir, resolved["init"]["seed"], args.config) as man:
-        traj = run(cfg, ctx)
-        index = (len(traj) - 1) // 2
-        resid = momentum_residual(traj, index, cfg.nu, ctx.grid, n_aux=args.n_aux)
-        p = recover_pressure(traj.states[-1], cfg.nu, ctx.grid, n_aux=args.n_aux)
-        p.to_csv(outdir / "pressure.csv")
-        report = {
-            "momentum_residual": resid,
-            "residual_time": float(traj.times[index]),
-            "pressure_time": float(traj.times[-1]),
-            "n_aux": args.n_aux,
-        }
-        _write_json(outdir / "report.json", report)
-        man.files = ["pressure.csv", "report.json"]
-    print(
-        f"pressure: momentum residual {resid:.6e} at t={traj.times[index]:g}; "
-        f"field on the final state written to {outdir / 'pressure.csv'}"
-    )
+    with _recorded(name, resolved, outdir, resolved["init"]["seed"], args.config) as man:
+        traj = stokes_run(cfg, ctx=ctx) if state is None else run(cfg, ctx, state)
+        man.files = _write_snapshots(traj, outdir, resolved["output"]["snapshot_every"])
+        if name == "pressure":
+            from .pressure import momentum_residual, recover_pressure
+
+            index = (len(traj) - 1) // 2
+            resid = momentum_residual(traj, index, cfg.nu, ctx.grid, n_aux=args.n_aux)
+            p = recover_pressure(traj.states[-1], cfg.nu, ctx.grid, n_aux=args.n_aux)
+            p.to_csv(outdir / "pressure.csv")
+            report = {
+                "momentum_residual": resid,
+                "residual_time": float(traj.times[index]),
+                "pressure_time": float(traj.times[-1]),
+                "n_aux": args.n_aux,
+            }
+            _write_json(outdir / "report.json", report)
+            man.files += ["pressure.csv", "report.json"]
+            summary = (
+                f"pressure: momentum residual {resid:.6e} at t={traj.times[index]:g}; "
+                f"field on the final state written to {outdir / 'pressure.csv'}"
+            )
+        else:
+            traj.to_csv(outdir / "trajectory.csv")
+            man.files.append("trajectory.csv")
+            last = traj.diagnostics[-1]
+            summary = (
+                f"{name}: {len(traj)} output rows to {outdir / 'trajectory.csv'}; "
+                f"final t={last.t:g} energy={last.energy:.6e} enstrophy={last.enstrophy:.6e}"
+            )
+    print(summary)
     return 0
 
 
@@ -502,11 +491,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--K", type=int, default=8, help="max angular wavenumber")
     p.add_argument("--J", type=int, default=8, help="radial modes per wavenumber")
 
-    for name, handler, blurb in (
-        ("stokes", _cmd_stokes, "linear run from a config file"),
-        ("ns", _cmd_ns, "nonlinear run from a config file"),
+    for name, blurb in (
+        ("stokes", "linear run from a config file"),
+        ("ns", "nonlinear run from a config file"),
     ):
-        p = add(name, handler, help=blurb)
+        p = add(name, _cmd_run, help=blurb)
         p.add_argument("--config", required=True, help="INI config path")
 
     add(
@@ -515,7 +504,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="dual-route stream-function agreement report",
     )
 
-    p = add("pressure", _cmd_pressure, help="pressure recovery along a run")
+    p = add("pressure", _cmd_run, help="pressure recovery along a run")
     p.add_argument("--config", required=True, help="INI config path")
     p.add_argument("--n-aux", type=int, default=256, help="auxiliary radial elements")
 

@@ -413,11 +413,14 @@ def _integrate(cfg: RunConfig, ctx: RunContext, state: SolverState, advance) -> 
     return Trajectory(times=np.array(times), states=tuple(states), diagnostics=tuple(rows))
 
 
-def run(cfg: RunConfig, ctx: Optional[RunContext] = None) -> Trajectory:
-    """Integrate to t_final, recording diagnostics at the cadence."""
+def run(cfg: RunConfig, ctx: Optional[RunContext] = None, state: Optional[SolverState] = None) -> Trajectory:
+    """Integrate to t_final from ``state``, by default ``initial_state``
+    on ``ctx``, recording diagnostics at the cadence."""
     if ctx is None:
         ctx = prepare(cfg)
-    return _integrate(cfg, ctx, initial_state(cfg, ctx), lambda state: step(state, cfg, ctx))
+    if state is None:
+        state = initial_state(cfg, ctx)
+    return _integrate(cfg, ctx, state, lambda state: step(state, cfg, ctx))
 
 
 def stokes_run(

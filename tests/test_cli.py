@@ -1,12 +1,19 @@
 """Config loading, dispatch exit codes, and artifact contracts."""
 
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diskvort import cli
 from diskvort.cli import ConfigError, dispatch
@@ -39,10 +46,10 @@ PRESSURE_RUN = (
 )
 
 
-def load_config(path, check_cfl=True):
+def load_config(path, subcommand="ns"):
     """Parse, default and validate a config file into a RunConfig, as
     the run subcommands do."""
-    return cli._load_run(path, check_cfl=check_cfl)[1]
+    return cli._load_run(path, subcommand)[1]
 
 
 def write(tmp_path, text, name="run.ini"):
@@ -508,7 +515,7 @@ class TestRunArtifacts:
     def test_crashed_run_leaves_running_manifest(self, tmp_path, monkeypatch):
         import diskvort.solver
 
-        def boom(cfg, ctx=None):
+        def boom(*args, **kwargs):
             raise RuntimeError("induced failure")
 
         monkeypatch.setattr(diskvort.solver, "run", boom)
@@ -684,6 +691,197 @@ def test_one_prepare_per_command(tmp_path, monkeypatch, subcommand):
     cfg = write(tmp_path, PRESSURE_RUN)
     assert dispatch([subcommand, "--config", str(cfg), "--outdir", str(tmp_path / "out")]) == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("nu", [0.1, 0.01])
+@pytest.mark.parametrize("subcommand", ["ns", "pressure"])
+def test_run_starts_from_the_state_the_loader_checked(tmp_path, monkeypatch, subcommand, nu):
+    # one initial field and one advection of it, which the CFL check reads
+    # and the first step takes; then two advections a step, the first
+    # step's carried one aside: 2n in all.  The loader used to rebuild the
+    # field and advect it once more (2n + 1 and two fields)
+    import diskvort.nonlinear
+    import diskvort.solver
+
+    calls = {"_advect": 0, "_initial_field": 0}
+
+    def counted(fn):
+        def wrapper(*args):
+            calls[fn.__name__] += 1
+            return fn(*args)
+
+        return wrapper
+
+    advect = counted(diskvort.nonlinear._advect)
+    monkeypatch.setattr(diskvort.nonlinear, "_advect", advect)
+    monkeypatch.setattr(diskvort.solver, "_advect", advect)
+    monkeypatch.setattr(diskvort.solver, "_initial_field", counted(diskvort.solver._initial_field))
+    cfg = write(tmp_path, PRESSURE_RUN.replace("nu = 0.1", f"nu = {nu}"))
+    assert dispatch([subcommand, "--config", str(cfg), "--outdir", str(tmp_path / "out")]) == 0
+    n = 10  # t_final / dt
+    assert calls == {"_advect": 2 * n, "_initial_field": 1}
+
+
+@pytest.mark.parametrize("subcommand", ["ns", "pressure"])
+def test_cfl_bound_refused_before_the_run(tmp_path, capsys, subcommand):
+    cfg = write(
+        tmp_path,
+        "[domain]\nK = 4\nJ = 8\n[solver]\nnu = 0.1\ndt = 0.05\nt_final = 0.2\n"
+        "[init]\nmodes = 4 8 cos 40.0\n[output]\nevery = 1\n",
+    )
+    out = tmp_path / "out"
+    assert dispatch([subcommand, "--config", str(cfg), "--outdir", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: [solver] dt = 0.05 violates the advective stability bound dt <= 7.601e-03 "
+        "for this init (|u|_max = 2.07, sqrt(lambda_max) = 31.8)"
+    ]
+    assert not out.exists()
+
+
+def test_load_time_cfl_check_refuses_exactly_what_step_refuses(tmp_path, capsys):
+    # the loader used to refuse dt > cfl / (|u|max sqrt(lam_max)), which
+    # rounds apart from step's dt |u|max sqrt(lam_max) > cfl at the last
+    # ulp: at this seed it admitted a dt whose first step raised
+    # CFLViolation (exit 4, "= 0.5 exceeds 0.5")
+    from diskvort.solver import initial_state, prepare
+
+    text = (
+        "[domain]\nK = 4\nJ = 4\n[solver]\nnu = 0.1\ndt = {dt!r}\nt_final = {dt!r}\n"
+        "[init]\nkind = random\nseed = 99\n"
+    )
+    cfg = load_config(write(tmp_path, text.format(dt=1e-3)))
+    ctx = prepare(cfg)
+    umax = initial_state(cfg, ctx).advected[2]
+    bound = cfg.cfl / (umax * ctx.sqrt_lam_max)
+    for dt in (math.nextafter(bound, 0.0), bound, math.nextafter(bound, math.inf)):
+        refused = dt * umax * ctx.sqrt_lam_max > cfg.cfl
+        argv = ["ns", "--config", str(write(tmp_path, text.format(dt=dt))), "--outdir", str(tmp_path / repr(dt))]
+        assert dispatch(argv) == (2 if refused else 0), (dt, refused, capsys.readouterr().err)
+        assert ("stability bound" in capsys.readouterr().err) == refused
+
+
+def test_pressure_writes_its_snapshots(tmp_path):
+    # pressure echoed snapshot_every into its manifest and wrote no
+    # snapshot; they are those of the ns run of the same config
+    cfg = write(tmp_path, PRESSURE_RUN + "snapshot_every = 4\n")
+    for subcommand in ("ns", "pressure"):
+        assert dispatch([subcommand, "--config", str(cfg), "--outdir", str(tmp_path / subcommand)]) == 0
+    man = json.loads((tmp_path / "pressure" / "manifest.json").read_text())
+    snaps = [f"snapshots/state_{idx:06d}.csv" for idx in (0, 4, 8)]
+    assert man["files"] == sorted(["pressure.csv", "report.json", *snaps])
+    for name in snaps:
+        assert (tmp_path / "pressure" / name).read_bytes() == (tmp_path / "ns" / name).read_bytes()
+
+
+# the values the config property draws for each key: (valid or edge values,
+# values that are invalid or at odds with a valid value of another key),
+# None for a key left out.  The valid seed and modes depend on the kind
+# drawn before them.  K, J and t_final are always given, and t_final / dt
+# is at most 100, so every run is short
+CONFIG_VALUES = {
+    "domain": {
+        "K": (["2", "0", "1", "3"], ["-1", "64", "2.5"]),
+        "J": (["2", "1", "3"], ["0", "x"]),
+        "n_radial": ([None, "12"], ["3", "0"]),
+        "n_angular": ([None, "16"], ["4", "-2"]),
+    },
+    "solver": {
+        "nu": (["0.1", "0.01", "1"], [None, "5e-324", "0", "-1", "inf", "nan", "abc"]),
+        "dt": (["0.01", None, "0.02"], ["0.05", "0", "-0.1", "inf", "nan", "x"]),
+        "t_final": (["0.1", "0.02"], ["0.05", "0.015", "0", "1e-12", "inf", "nan"]),
+        "cfl": ([None, "0.5", "1e-3", "inf"], ["0", "-1", "nan"]),
+    },
+    "init": {
+        "kind": ([None, "random", "modes"], ["bogus"]),
+        "seed": ({None: [None], "random": ["0", "99"]}, ["3", "-1", "x"]),
+        "modes": (
+            {None: [None, "0 1 cos 1.0", "1 1 sin 0.5 ; 0 1 cos 0.3", "1 1 cos 40", "0 1 cos 1e300"], "random": [None]},
+            ["0 1 cos 1.0", "2 2 cos 1", "0 1 sin 1.0", "0 1 cos inf", "1 1 cos 1 ; 1 1 cos 2", "0 1", ""],
+        ),
+    },
+    "output": {
+        "every": (["1", None, "2", "5"], ["0", "-1", "x"]),
+        "snapshot_every": ([None, "0", "1", "3"], ["-1"]),
+    },
+}
+
+
+@st.composite
+def config_texts(draw):
+    """An INI text over ``CONFIG_VALUES`` with at most three keys invalid."""
+    keys = [(section, key) for section, section_keys in CONFIG_VALUES.items() for key in section_keys]
+    bad = draw(st.sets(st.sampled_from(keys), max_size=3))
+    lines, kind = [], None
+    for section, section_keys in CONFIG_VALUES.items():
+        lines.append(f"[{section}]")
+        for key, (valid, invalid) in section_keys.items():
+            if isinstance(valid, dict):
+                valid = valid.get(kind, valid[None])
+            value = draw(st.sampled_from(invalid if (section, key) in bad else valid))
+            if key == "kind":
+                kind = value
+            if value is not None:
+                lines.append(f"{key} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+def dispatched(subcommand, text, workdir):
+    """Run ``subcommand`` on the config ``text`` through ``dispatch``, in
+    process, ``pressure`` on 16 auxiliary elements to keep it short: the
+    exit code, the stderr lines, the output directory and the warnings
+    raised."""
+    path = Path(workdir) / "run.ini"
+    path.write_text(text)
+    out = Path(workdir) / subcommand
+    argv = [subcommand, "--config", str(path), "--outdir", str(out)]
+    if subcommand == "pressure":
+        argv += ["--n-aux", "16"]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = dispatch(argv)
+    return code, err.getvalue().splitlines(), out, caught
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(text=config_texts())
+def test_every_config_completes_or_is_refused_with_its_cause(text):
+    """Each of ``ns``, ``stokes`` and ``pressure`` ends a drawn config in
+    one of three ways: exit 0 with a "completed" manifest and finite
+    numbers in every file it lists; exit 2 with ``config error:`` lines
+    and no manifest; exit 4 with a "failed" manifest naming the solver
+    guard and its message, the one line it prints.  None raises, prints
+    a warning or exits otherwise.
+
+    Out of scope are the two open rules of a config's size: step counts
+    too large to run (dt = 1e-300 with t_final = 0.02 validates) and
+    grids or tables too large to hold (J, n_radial and n_angular have no
+    upper bound); the drawn values stay far below both.
+    """
+    with tempfile.TemporaryDirectory() as workdir:
+        for subcommand in ("ns", "stokes", "pressure"):
+            code, err, out, caught = dispatched(subcommand, text, workdir)
+            assert caught == [], (subcommand, [str(w.message) for w in caught])
+            manifest = out / "manifest.json"
+            if code == 2:
+                assert err and all(line.startswith("config error: ") for line in err), err
+                assert not manifest.exists()
+                continue
+            man = json.loads(manifest.read_text())
+            if code == 4:
+                failure = man["failure"]
+                assert man["status"] == "failed"
+                assert failure["type"] in ("CFLViolation", "MomentDriftError", "NonFiniteState")
+                assert err == [f"run aborted: {failure['type']}: {failure['message']}"]
+                continue
+            assert (code, err, man["status"]) == (0, [], "completed"), (subcommand, code, err)
+            for name in man["files"]:
+                content = (out / name).read_text()
+                cells = json.loads(content).values() if name.endswith(".json") else content.replace("\n", ",").split(",")
+                for cell in cells:
+                    with contextlib.suppress(ValueError):
+                        assert math.isfinite(float(cell)), (subcommand, name, cell)
 
 
 def test_console_entry_point():

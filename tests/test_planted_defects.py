@@ -16,10 +16,11 @@ import pytest
 from hypothesis import Phase, settings
 
 import test_annulus
+import test_cli
 import test_nonlinear
 import test_solver
 import test_specfun
-from diskvort import acceptance, annulus, fields, nonlinear, pressure, solver, specfun
+from diskvort import acceptance, annulus, cli, fields, nonlinear, pressure, solver, specfun
 from diskvort.annulus import AnnulusGeometry
 from diskvort.fields import PolarGrid
 from diskvort.spectrum import build_table
@@ -416,3 +417,48 @@ def test_carried_work_defect_fails_its_test(monkeypatch, defect):
     monkeypatch.setattr(test_solver, fn.__name__, getattr(solver, fn.__name__))  # the test's own binding
     with pytest.raises(AssertionError):
         detector()
+
+
+# the one path from config to run: the loader's initial state, whose
+# |u|max the load-time CFL check reads and the run starts from.  No
+# acceptance check runs the CLI.  (function, old, new, the test that
+# must fail, given the planted test's own fixtures)
+CFL_CASE = next(
+    case.values
+    for case in test_cli.test_config_report_is_whole_and_ordered.pytestmark[0].args[1]
+    if case.id == "cfl-bound"
+)
+LOAD_PATH_DEFECTS = {
+    "loader-state-not-handed-to-run": (
+        cli._cmd_run,
+        "run(cfg, ctx, state)",
+        "run(cfg, ctx)",
+        lambda tmp_path, monkeypatch, capsys: test_cli.test_run_starts_from_the_state_the_loader_checked(
+            tmp_path, monkeypatch, "ns", 0.1
+        ),
+    ),
+    # the largest moment, as advected[1] itself is an array no comparison takes
+    "cfl-bound-off-the-moments": (
+        cli._load_run,
+        "umax = state.advected[2]",
+        "umax = abs(state.advected[1]).max()",
+        lambda tmp_path, monkeypatch, capsys: test_cli.test_config_report_is_whole_and_ordered(tmp_path, *CFL_CASE),
+    ),
+    "pressure-skips-the-cfl-check": (
+        cli._load_run,
+        'if subcommand == "stokes":',
+        'if subcommand != "ns":',
+        lambda tmp_path, monkeypatch, capsys: test_cli.test_cfl_bound_refused_before_the_run(
+            tmp_path, capsys, "pressure"
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("defect", LOAD_PATH_DEFECTS.values(), ids=LOAD_PATH_DEFECTS.keys())
+def test_load_path_defect_fails_its_test(tmp_path, monkeypatch, capsys, defect):
+    fn, old, new, detector = defect
+    monkeypatch.setattr(cli, fn.__name__, planted(fn, old, new))
+    # a detector fails by an assertion or, in pytest.raises, by "DID NOT RAISE"
+    with pytest.raises((AssertionError, pytest.fail.Exception)):
+        detector(tmp_path, monkeypatch, capsys)
