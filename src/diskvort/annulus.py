@@ -33,10 +33,11 @@ projection's Gram matrix 2x2 block-diagonal in (parity, k).
 
 The two dense solvers, ``galerkin_spectra`` and
 ``annulus_stokes_circulation``, share one radial table of the Legendre
-family mapped onto (R, 1): ``tables`` (order, degree, node) of values,
-first and second derivatives at the Gauss nodes, and the wall values
-``ends`` (order, wall, degree), wall 0 at r = R and wall 1 at r = 1.
-Their constraint, circulation and flux rows are slices of ``ends``.
+family mapped onto (R, 1), built by recurrence: ``tables`` (order,
+degree, node) of values, first and second derivatives at the Gauss
+nodes, and the wall values ``ends`` (order, wall, degree), wall 0 at
+r = R and wall 1 at r = 1, whose slices are the constraint, circulation
+and flux rows.  The circulation run is modal, in its pencil's eigenbasis.
 """
 
 from __future__ import annotations
@@ -45,9 +46,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import legder, legval
 from numpy.polynomial.polyutils import mapparms
-from scipy.linalg import eigh, expm, null_space
+from scipy.linalg import eigh, null_space
+from scipy.special import exprel
 
 from .fields import _log_potential, split_rows, synthesize_points, trig_table, write_csv
 from .specfun import gauss_legendre, is_integer
@@ -130,11 +131,11 @@ def _harmonic_norms(geom: AnnulusGeometry, degree: int) -> np.ndarray:
         raise ValueError(f"degree must be a nonnegative integer below {limit}, got {degree!r}")
     R = geom.r_inner
     k = np.arange(degree + 1)
-    # int_R^1 r^(2e+1) dr is g = (1 - R^m) / m for e = k, m = 2k + 2, and
-    # R^-m g for e = -k, m = 2k - 2 (g = log(1/R) at m = 0): r^-k has norm
+    # int_R^1 r^(2e+1) dr is g = (1 - R^m) / m = log(1/R) exprel(m log R) for
+    # e = k, m = 2k + 2, and R^-m g for e = -k, m = |2k - 2|: r^-k has norm
     # R^(k-1) / sqrt(g ...), and (R/r)^k the coefficient 1 / (R sqrt(g ...))
     m = np.abs(np.stack([2 * k + 2, 2 * k - 2]))
-    radial = np.where(m == 0, -math.log(R), -np.expm1(m * math.log(R)) / np.maximum(m, 1))
+    radial = -math.log(R) * exprel(m * math.log(R))
     angular = np.where(k == 0, 2.0 * np.pi, np.pi)
     norms = 1.0 / np.sqrt(radial * angular) / np.array([[1.0], [R]])
     norms[1, 0] = 0.0
@@ -426,15 +427,20 @@ def _legendre_tables(n_poly: int, R: float):
     (n_poly+1, nodes), one row per degree, and at the walls as
     ``ends[order, wall, degree]``, wall 0 at R and wall 1 at 1.
 
-    Column i of ``legder(eye, order)`` holds the coefficients of the
-    order-th derivative of P_i, so one ``legval`` per order evaluates the
-    whole family at the nodes and both walls.
+    One loop on the mapped variable x takes each degree from the two below
+    it: Bonnet's recurrence, P'_{n+1} = P'_{n-1} + (2n+1) P_n and P''_{n+1}
+    = P''_{n-1} + (2n+1) P'_n.  Order m in r is scl^m times order m in x.
     """
     nodes, weights = gauss_legendre(2 * n_poly + 16, R, 1.0)
     off, scl = mapparms((R, 1.0), (-1.0, 1.0))
     x = off + scl * np.r_[nodes, R, 1.0]
-    eye = np.eye(n_poly + 1)
-    vals = np.stack([legval(x, legder(eye, m=order, scl=scl)) for order in range(3)])
+    # row i + 1 holds degree i; row 0 holds P_-1 = 0, which starts all three
+    p = np.zeros((3, n_poly + 2, x.size))
+    p[0, 1] = 1.0
+    for n in range(n_poly):
+        p[0, n + 2] = ((2 * n + 1) * x * p[0, n + 1] - n * p[0, n]) / (n + 1)
+        p[1:, n + 2] = p[1:, n] + (2 * n + 1) * p[:2, n + 1]
+    vals = p[:, 1:] * np.array([1.0, scl, scl * scl])[:, None, None]
     return nodes, weights, vals[:, :, :-2], vals[:, :, -2:].transpose(0, 2, 1)
 
 
@@ -487,25 +493,17 @@ def galerkin_spectra(geom: AnnulusGeometry, n_poly: int = 24, k_max: int = 4) ->
         G = (T1 * grad_w) @ T1.T + (k * k) * ((T0 * (wq / rq)) @ T0.T)
         D = (lap * grad_w) @ lap.T
         M2 = (T0 * grad_w) @ T0.T
-
-        def reduced(kind):
-            N = null_space(_constraint_rows(ends, kind, k))
-            if N.shape[1] == 0:
-                raise RuntimeError(
-                    f"constraints exhaust the trial space (mode {k}, {kind})"
-                )
-            return N
-
         try:
             # S: pencil (D, G) on the clamped space; Z: the same pencil
-            # under the weaker constraints
+            # under the weaker constraints.  n_poly >= 6 leaves at least
+            # three trials under the at most four constraint rows
             for kind, per in (("S", per_S), ("Z", per_Z)):
-                N = reduced(kind)
+                N = null_space(_constraint_rows(ends, kind, k))
                 per[k] = np.sort(eigh(N.T @ D @ N, N.T @ G @ N, eigvals_only=True))[:_N_EIGS]
 
             # V: pencil (G, projected mass), solved inverted since the
             # projected mass is only semidefinite up to approximation
-            N_V = reduced("V")
+            N_V = null_space(_constraint_rows(ends, "V", k))
             hs = [np.ones_like(rq)] if k == 0 else [rq**k, rq ** (-k)]
             Hh = np.array([[float(np.sum(grad_w * a * b)) for b in hs] for a in hs])
             Ch = np.array([(T0 * grad_w) @ h for h in hs]).T  # (n+1, nh)
@@ -543,6 +541,14 @@ def _cumulative_moment(geom: AnnulusGeometry, omega0, targets: np.ndarray) -> np
     return np.cumsum(half * ((vals * s) @ wg))
 
 
+def _modal_readout(M, S, b, rows, nu_t):
+    """rows @ c, (times, rows), at each viscous time nu t of ``nu_t`` for
+    c = exp(-nu t M^-1 S) M^-1 b.  V = eigh(S, M) has V^T M V = I and V^T S
+    V = diag(mu), so c = V e^{-nu t mu} a with a = V^T b: no solve."""
+    mu, V = eigh(S, M)
+    return (np.exp(-np.outer(nu_t, mu)) * (V.T @ b)) @ (rows @ V).T
+
+
 @dataclass
 class CirculationRun:
     times: np.ndarray
@@ -576,7 +582,7 @@ def annulus_stokes_circulation(
     the outer wall is pinned; the free inner value leaves omega(R) = 0
     as the natural condition (the wall sheet has shed) and the
     circulation decays by the vorticity flux off the wall.  The state
-    advances by matrix exponential of the dense generator.
+    evolves mode by mode in the eigenbasis of the two forms' pencil.
 
     The circulation carrier is the compatible profile 1/r - r (scaled
     to the requested line integral at the inner wall); its vorticity is
@@ -613,14 +619,13 @@ def annulus_stokes_circulation(
     omega_t = T1 + T0 / rq  # vorticity of each trial
     M = N.T @ ((T0 * rw) @ T0.T) @ N
     S = N.T @ ((omega_t * rw) @ omega_t.T) @ N
-    gen = -np.linalg.solve(M, S)
 
     # initial velocity: circulation carrier plus the zero-circulation
-    # velocity of the optional regular vorticity
+    # velocity of the optional regular vorticity, and its load M c0
     u0 = gamma0 / (2.0 * np.pi * (1.0 - R * R)) * (1.0 / rq - rq)
     if omega0 is not None:
         u0 = u0 + _cumulative_moment(geom, omega0, rq) / rq
-    c = np.linalg.solve(M, N.T @ ((T0 * rw) @ u0))
+    b = N.T @ ((T0 * rw) @ u0)
 
     # circulation and flux read-out rows at the inner wall
     inner = ends[:, 0]  # (order, degree)
@@ -631,13 +636,8 @@ def annulus_stokes_circulation(
     burn_in = min(0.16 * (1.0 - R) ** 2 / nu, 0.5 * t_final)
 
     dt = t_final / n_out
-    prop = expm(dt * nu * gen)
     times = dt * np.arange(n_out + 1)
-    states = [c]
-    for _ in range(n_out):
-        states.append(prop @ states[-1])
-    gamma = np.array([gamma_row @ state for state in states])
-    flux = np.array([flux_row @ state for state in states])
+    gamma, flux = _modal_readout(M, S, b, np.stack([gamma_row, flux_row]), nu * times).T
 
     dgamma = (gamma[2:] - gamma[:-2]) / (2.0 * dt)
     keep = times[1:-1] >= burn_in

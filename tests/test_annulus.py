@@ -3,10 +3,13 @@
 import itertools
 import re
 
+import mpmath
 import numpy as np
 import pytest
+from numpy.polynomial.polyutils import mapparms
 from scipy.optimize import brentq
 
+from diskvort import annulus
 from diskvort.annulus import (
     AnnulusGeometry,
     BoundaryReport,
@@ -27,6 +30,7 @@ from diskvort.annulus import (
 from bessel_oracle import bessel_j, bessel_y
 from harmonic_oracle import basis_terms, dense_projection, element_values, rows_in_term_order
 from legendre_oracle import legendre_tables
+from propagator_oracle import expm_readout
 
 R = 0.5
 RTOL_BRENT = 4 * np.finfo(float).eps
@@ -472,15 +476,64 @@ class TestNewtonianBoundary:
         assert_report_within(newtonian_bs_annulus(geo, bergman_project(geo, bump, degree=4), degree=4))
 
 
+def wall_and_node_table(tables):
+    """The (order, degree, point) table of ``_legendre_tables``' output,
+    its Gauss nodes followed by the walls R and 1."""
+    _, _, table, ends = tables
+    return np.concatenate([table, ends.transpose(0, 2, 1)], axis=2)
+
+
 @pytest.mark.parametrize("r_inner", [0.05, 0.3, 0.5, 0.95])
 @pytest.mark.parametrize("n_poly", [6, 7, 24, 28, 40])
 def test_legendre_tables_match_per_degree_oracle(n_poly, r_inner):
-    # one coefficient matrix per derivative order against one Legendre
-    # object per degree: the same floating-point operations, so equal bits
+    # the recurrence against one Legendre object per degree: the same rule,
+    # and every (order, degree) row at the nodes and walls within 1e-13 of
+    # the row's largest entry (4.0e-14 at worst over this grid); a row the
+    # oracle holds at 0, such as P_0', is 0
     got, want = _legendre_tables(n_poly, r_inner), legendre_tables(n_poly, r_inner)
-    for name, a, b in zip(("nodes", "weights", "tables", "ends"), got, want):
-        assert a.shape == b.shape, name
+    for name, a, b in zip(("nodes", "weights"), got, want):
         np.testing.assert_array_equal(a, b, err_msg=name)
+    a, b = wall_and_node_table(got), wall_and_node_table(want)
+    assert a.shape == b.shape
+    err = np.max(np.abs(a - b), axis=-1)
+    scale = np.max(np.abs(b), axis=-1)
+    assert np.all(err <= 1e-13 * scale), np.max(err / np.maximum(scale, 1e-300))
+
+
+def mpmath_legendre_rows(n_poly, r_inner, columns):
+    """The order-m derivative in r of each P_n, m = 0..2, at the ``columns``
+    of ``wall_and_node_table``, in 40 digits at the float mapped points the
+    package evaluates: (order, degree, point)."""
+    nodes = _legendre_tables(n_poly, r_inner)[0]
+    off, scl = mapparms((r_inner, 1.0), (-1.0, 1.0))
+    xs = [mpmath.mpf(off + scl * r) for r in np.r_[nodes, r_inner, 1.0][columns]]
+    with mpmath.workdps(40):
+        return np.array([
+            [[float(mpmath.diff(lambda t: mpmath.legendre(n, t), x, m) * mpmath.mpf(scl) ** m) for x in xs]
+             for n in range(n_poly + 1)]
+            for m in range(3)
+        ])
+
+
+@pytest.mark.parametrize("n_poly", [24, 28])
+def test_legendre_recurrence_no_less_accurate_than_oracle(n_poly):
+    # at both walls and three nodes (first, middle, last), each entry
+    # relative to its row's largest exact value: the largest error over the
+    # four radii of the grid above, the recurrence's against the oracle's
+    # (9.8e-15 against 1.2e-14 at n_poly = 24, 1.2e-14 against 2.1e-14 at
+    # 28).  At R = 0.3 alone the recurrence is the worse: the inner wall
+    # maps to x = -1 - 4.4e-16, where its error grows linearly with the
+    # degree (9.8e-15 at degree 24, against the oracle's 7.3e-15 there)
+    worst = {"recurrence": 0.0, "oracle": 0.0}
+    for r_inner in (0.05, 0.3, 0.5, 0.95):
+        n_nodes = _legendre_tables(n_poly, r_inner)[0].size
+        columns = [0, n_nodes // 2, n_nodes - 1, n_nodes, n_nodes + 1]
+        exact = mpmath_legendre_rows(n_poly, r_inner, columns)
+        scale = np.max(np.abs(exact), axis=-1, keepdims=True)
+        for name, route in (("recurrence", _legendre_tables), ("oracle", legendre_tables)):
+            err = np.abs(wall_and_node_table(route(n_poly, r_inner))[..., columns] - exact)
+            worst[name] = max(worst[name], np.max(err / np.where(scale > 0, scale, 1.0)))
+    assert worst["recurrence"] <= worst["oracle"], worst
 
 
 class TestGalerkinSpectra:
@@ -574,6 +627,34 @@ class TestGalerkinSpectra:
 
 
 class TestCirculation:
+    @pytest.mark.parametrize("gamma0", [1.2, 0.0])
+    @pytest.mark.parametrize("r_inner", [0.5, 0.95])
+    @pytest.mark.parametrize("n_out", [160, 3200])
+    def test_modal_run_matches_expm_stepping(self, monkeypatch, n_out, r_inner, gamma0):
+        # the pencil's eigenbasis against the matrix exponential of the
+        # dense generator, stepped over the output times (nu = 0.1, t = 2,
+        # n_poly = 28).  The flux at t = 0 is rounding noise in either
+        # route (at R = 0.95, |flux| 1.2e-8 stepped and 5.4e-8 modal,
+        # against a largest |flux| of 28), so each series is held against
+        # the run's largest value.  Worst measured: Gamma 1.2e-12, the flux
+        # 2.3e-9 (R = 0.95, n_out = 160, at t = 0), the Lamb residual
+        # 1.4e-6.  At n_out = 3200 the residual is 2e-7 at R = 0.5, near
+        # rounding, and the routes differ there by 5.7e-4 of it.  Without
+        # circulation or vorticity both runs are exactly 0
+        geo = AnnulusGeometry(r_inner)
+        got = annulus_stokes_circulation(geo, gamma0, 0.1, 2.0, n_out=n_out)
+        monkeypatch.setattr(annulus, "_modal_readout", expm_readout)
+        want = annulus_stokes_circulation(geo, gamma0, 0.1, 2.0, n_out=n_out)
+        np.testing.assert_array_equal(got.times, want.times)
+        if gamma0 == 0.0:
+            assert not np.any([got.gamma, got.flux, want.gamma, want.flux])
+            return
+        for key, rtol in (("gamma", 5e-12), ("flux", 5e-9)):
+            a, b = getattr(got, key), getattr(want, key)
+            assert np.max(np.abs(a - b)) <= rtol * np.max(np.abs(b)), key
+        if n_out == 160:
+            assert abs(got.lamb_residual - want.lamb_residual) <= 1e-4 * want.lamb_residual
+
     def test_initial_circulation_matches(self, geom):
         run = annulus_stokes_circulation(geom, 1.0, 0.1, 2.0, n_out=40)
         assert abs(run.gamma[0] - 1.0) <= 1e-9

@@ -18,12 +18,25 @@ one tolerance fixed below, relative 1e-12 in the max norm:
   walls, so the pinned state keeps it and the flux stays O(1); the
   flux of a profile the walls cut off is rounding noise after t = 0.
 
-Both records are taken on the Gauss-Legendre rule the fixture was
-written on, numpy's ``leggauss``, which ``legendre_oracle``'s
-``numpy_rule_pinned`` puts under ``specfun.gauss_legendre`` for the
-whole module.  The package's own rule moves the spectra by up to
-2.4e-11 and the flux by up to 1e-10 of their scales; the spectra of an
-exact rule rounded to doubles sit as far from either.
+Both records are taken on the routes the fixture was written on, which
+the module's fixture pins for every test:
+
+* the Gauss-Legendre rule, numpy's ``leggauss``, put under
+  ``specfun.gauss_legendre`` by ``legendre_oracle.numpy_rule_pinned``.
+  The package's own rule moves the spectra by up to 2.4e-11 and the flux
+  by up to 1e-10 of their scales; the spectra of an exact rule rounded
+  to doubles sit as far from either;
+* the Legendre table of one ``Legendre`` object per degree,
+  ``legendre_oracle.legendre_tables``, under
+  ``annulus._legendre_tables`` (the package builds it by recurrence);
+* the circulation run's matrix-exponential stepping,
+  ``propagator_oracle.expm_readout``, under ``annulus._modal_readout``
+  (the package runs in the pencil's eigenbasis).
+
+Unpinned, the package's two routes move the spectra by up to 2.6e-11
+of each mode's largest eigenvalue and the gamma0 = 1 flux by up to
+2.9e-10 of the run's scale; ``test_annulus`` holds each route against
+its oracle at bounds of its own.
 
 Regenerate (only before a change meant to alter the numbers) with
 
@@ -32,14 +45,17 @@ Regenerate (only before a change meant to alter the numbers) with
 
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from diskvort import annulus
 from diskvort.annulus import AnnulusGeometry, annulus_stokes_circulation, galerkin_spectra
 
-from legendre_oracle import numpy_rule_pinned
+from legendre_oracle import legendre_tables, numpy_rule_pinned
+from propagator_oracle import expm_readout
 
 FIXTURE = Path(__file__).with_name("golden_annulus.json")
 RTOL = 1e-12
@@ -84,9 +100,17 @@ def annulus_record() -> dict:
     }
 
 
+@contextmanager
+def fixture_routes_pinned():
+    with numpy_rule_pinned(), pytest.MonkeyPatch.context() as patch:
+        patch.setattr(annulus, "_legendre_tables", legendre_tables)
+        patch.setattr(annulus, "_modal_readout", expm_readout)
+        yield
+
+
 @pytest.fixture(scope="module", autouse=True)
-def fixture_rule():
-    with numpy_rule_pinned():
+def fixture_routes():
+    with fixture_routes_pinned():
         yield
 
 
@@ -121,5 +145,5 @@ def test_circulation(golden, name):
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit(__doc__)
-    with numpy_rule_pinned():
+    with fixture_routes_pinned():
         FIXTURE.write_text(json.dumps(annulus_record(), indent=1) + "\n")

@@ -1,0 +1,89 @@
+"""The pair runner's summary and claim verdict, on canned benchmark lines."""
+
+import json
+
+import pytest
+
+from pair_runs import claim_verdict, describe, parse_run, summarize
+
+SPEC = {
+    "annulus_s": {"name": "annulus_s", "unit": "s", "better": "lower", "bound": 0.25},
+    "steps_per_s": {"name": "steps_per_s", "unit": "steps/s", "better": "higher", "bound": 0.25},
+}
+ENVIRONMENT = {"cpu_count": 2, "numpy": "2.4.6"}
+
+
+def run_line(annulus_s, steps_per_s=7500.0):
+    """The last line of one ``perfbench/run.py`` run, after its environment line."""
+    final = {
+        "correct": True,
+        "attempted": 1200,
+        "failed": 0,
+        "metrics": {
+            "annulus_s": {"value": annulus_s, "unit": "s"},
+            "steps_per_s": {"value": steps_per_s, "unit": "steps/s"},
+        },
+    }
+    return f"# environment {json.dumps(ENVIRONMENT)}\nverify annulus_s {annulus_s:.6g} s\n{json.dumps(final)}\n"
+
+
+def runs(values):
+    return [parse_run(run_line(v)) for v in values]
+
+
+PARENT = [0.0118, 0.0117, 0.0121, 0.0119, 0.0118, 0.0120, 0.0117, 0.0119, 0.0118, 0.0120]
+FASTER = [0.0084, 0.0083, 0.0086, 0.0085, 0.0084, 0.0083, 0.0085, 0.0084, 0.0086, 0.0083]
+
+
+def test_parse_run_reads_the_last_line_and_the_environment():
+    run = parse_run(run_line(0.0118))
+    assert run["correct"] and run["metrics"]["annulus_s"]["value"] == 0.0118
+    assert run["environment"] == ENVIRONMENT
+
+
+def test_claim_met_when_every_pair_wins_by_more_than_the_spread():
+    result = claim_verdict(runs(PARENT), runs(FASTER), "annulus_s", "s", "lower", 0.20)
+    assert result["verdict"] == "met"
+    assert result["change_wins"] == "10 of 10 pairs"
+    assert result["metric"] == "annulus_s (s)"
+    assert result["parent"]["median"] == pytest.approx(0.01185)
+    assert result["parent"]["quartiles"] == pytest.approx([0.0118, 0.0119750])
+    assert result["relative"] == pytest.approx(0.0084 / 0.01185 - 1)
+    assert result["median_difference"] > result["parent_interquartile_distance"]
+
+
+def test_claim_refused_at_8_of_10_pairs():
+    # the two pairs the change loses leave the medians as far apart as before
+    change = FASTER[:8] + [0.0125, 0.0124]
+    result = claim_verdict(runs(PARENT), runs(change), "annulus_s", "s", "lower", 0.20)
+    assert result["change_wins"] == "8 of 10 pairs"
+    assert result["median_difference"] > result["parent_interquartile_distance"]
+    assert result["verdict"] == "not met: the change won 8 of 10 pairs, fewer than 90%"
+
+
+def test_claim_refused_inside_the_parent_spread_below_its_size_or_on_few_pairs():
+    # every pair won, by less than the parent's interquartile distance
+    change = [v - 0.00005 for v in PARENT]
+    result = claim_verdict(runs(PARENT), runs(change), "annulus_s", "s", "lower", 0.0)
+    assert result["change_wins"] == "10 of 10 pairs"
+    assert result["verdict"].startswith("not met: the medians do not differ")
+    result = claim_verdict(runs(PARENT), runs(FASTER), "annulus_s", "s", "lower", 0.35)
+    assert result["verdict"] == "not met: the move 29.1% is below the claimed 35%"
+    # nine pairs, every one won by far
+    result = claim_verdict(runs(PARENT[:9]), runs(FASTER[:9]), "annulus_s", "s", "lower", 0.20)
+    assert result["verdict"] == "not met: 9 pairs are fewer than 10"
+
+
+def test_summary_counts_wins_in_each_metrics_direction_and_checks_the_bound():
+    parent = [parse_run(run_line(a, s)) for a, s in zip(PARENT, [7500.0] * 10)]
+    change = [parse_run(run_line(a, s)) for a, s in zip(FASTER, [5000.0] * 9 + [7600.0])]
+    summary = summarize(parent, change, SPEC)
+    assert summary["annulus_s"]["change_better"] == "10 of 10 pairs"
+    assert summary["annulus_s"]["within_bound"]
+    # steps_per_s is better higher: one pair won, and a third fewer is out of bound
+    assert summary["steps_per_s"]["change_better"] == "1 of 10 pairs"
+    assert summary["steps_per_s"]["relative"] == pytest.approx(-1 / 3)
+    assert not summary["steps_per_s"]["within_bound"]
+    note = describe({"verify": summary}, None, True)
+    assert "verify: annulus_s -29.1% (10 of 10 pairs), steps_per_s -33.3% (1 of 10 pairs)." in note
+    assert note.endswith("Not every end-to-end median is within its BENCHMARK.json bound; every run was correct.")

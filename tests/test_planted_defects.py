@@ -104,7 +104,8 @@ def test_group_oracle_catches_stream_scale_defect(monkeypatch):
 
 # annulus kernels, one line each
 MASS = "MP = M2 - Ch @ np.linalg.solve(Hh, Ch.T)"
-LEGENDRE = "vals = np.stack([legval(x, legder(eye, m=order, scl=scl)) for order in range(3)])"
+CHAIN_RULE = "np.array([1.0, scl, scl * scl])"
+MODAL_FACTOR = "np.exp(-np.outer(nu_t, mu))"
 TRIAL_VORTICITY = "omega_t = T1 + T0 / rq"
 WALL_FLUX = "omega_d_end = inner[2] + inner[1] / R - inner[0] / R**2"
 GRADIENT = "(k * k) * ((T0 * (wq / rq)) @ T0.T)"
@@ -122,14 +123,20 @@ ANNULUS_DEFECTS = {
     "v-mass-unprojected": (annulus.galerkin_spectra, MASS, "MP = M2", "check 11"),
     "second-derivative-1pc": (
         annulus._legendre_tables,
-        LEGENDRE,
-        LEGENDRE + " * np.array([1.0, 1.0, 1.01])[:, None, None]",
+        CHAIN_RULE,
+        "np.array([1.0, scl, 1.01 * scl * scl])",
         "check 11",
     ),
     "trial-vorticity-0.99": (
         annulus.annulus_stokes_circulation,
         TRIAL_VORTICITY,
         "omega_t = T1 + 0.99 * T0 / rq",
+        "check 12",
+    ),
+    "time-scale-1pc": (
+        annulus._modal_readout,
+        MODAL_FACTOR,
+        "np.exp(-1.01 * np.outer(nu_t, mu))",
         "check 12",
     ),
     "flux-drops-u-over-r2": (
