@@ -482,28 +482,28 @@ def galerkin_spectra(geom: AnnulusGeometry, n_poly: int = 24, k_max: int = 4) ->
     trace class, realized through the projected mass so that the
     vorticity-side operator never needs an explicit inverse.  S and V
     produce the same lowest value; the Z value can only sit below.
+    Each space has one null space for k = 0 and one for every k >= 1.
     """
     check_limits({"n_poly": n_poly, "k_max": k_max})
     R = geom.r_inner
     rq, wq, (T0, T1, T2), ends = _legendre_tables(n_poly, R)
+    grad_w = wq * rq
+    G1, G0, M2 = (T1 * grad_w) @ T1.T, (T0 * (wq / rq)) @ T0.T, (T0 * grad_w) @ T0.T
     per_S, per_V, per_Z = {}, {}, {}
     for k in range(k_max + 1):
         lap = T2 + T1 / rq - (k * k) * T0 / rq**2
-        grad_w = wq * rq
-        G = (T1 * grad_w) @ T1.T + (k * k) * ((T0 * (wq / rq)) @ T0.T)
+        G = G1 + (k * k) * G0
         D = (lap * grad_w) @ lap.T
-        M2 = (T0 * grad_w) @ T0.T
         try:
-            # S: pencil (D, G) on the clamped space; Z: the same pencil
-            # under the weaker constraints.  n_poly >= 6 leaves at least
-            # three trials under the at most four constraint rows
-            for kind, per in (("S", per_S), ("Z", per_Z)):
-                N = null_space(_constraint_rows(ends, kind, k))
+            # the constraint rows read k only as k >= 1: k = 1's null spaces serve every later k
+            if k < 2:
+                N_S, N_Z, N_V = (null_space(_constraint_rows(ends, kind, k)) for kind in "SZV")
+            # S: pencil (D, G) on the clamped space, Z the same under the weaker
+            # constraints; n_poly >= 6 leaves >= 3 trials under <= 4 constraint rows
+            for N, per in ((N_S, per_S), (N_Z, per_Z)):
                 per[k] = np.sort(eigh(N.T @ D @ N, N.T @ G @ N, eigvals_only=True))[:_N_EIGS]
 
-            # V: pencil (G, projected mass), solved inverted since the
-            # projected mass is only semidefinite up to approximation
-            N_V = null_space(_constraint_rows(ends, "V", k))
+            # V: pencil (G, projected mass), inverted: the projected mass is semidefinite only approximately
             hs = [np.ones_like(rq)] if k == 0 else [rq**k, rq ** (-k)]
             Hh = np.array([[float(np.sum(grad_w * a * b)) for b in hs] for a in hs])
             Ch = np.array([(T0 * grad_w) @ h for h in hs]).T  # (n+1, nh)

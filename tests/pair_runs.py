@@ -2,6 +2,7 @@
 
     python3 tests/pair_runs.py --seed SEED --claim verify:annulus_s:0.20 --out BENCH_<n>.json
     python3 tests/pair_runs.py --numbers
+    python3 tests/pair_runs.py --probe
 
 Run from anywhere in a git checkout.  The parent side is ``git archive``
 of ``--parent`` (default HEAD); the change side is the working tree,
@@ -31,6 +32,15 @@ config, ``pressure`` on check 10's two-mode run, ``annulus-verify`` and
 ``accept`` in both trees.  It prints the largest move of every CSV
 column against the column's largest magnitude, and the lines of
 standard output that differ once the ``(x.xx s)`` fields are stripped.
+
+``--probe`` runs, per benchmark job (battery, ns-k8, ns-k32) and side,
+one fresh interpreter that sets the job up as ``perfbench/jobs.py``
+does, then runs one ``jobs.probe()``, one pass (an ``ns`` run, or one
+round of the battery's operations) and a second probe.  It prints the
+minor page faults (``ru_minflt``) and the seconds of each probe: the
+probe's time is the unit of every scaled metric, and whether its two
+2 MB temporaries cost page faults depends on what the process mapped
+before it.
 
 Only the stdlib and numpy are used; without a ``test_`` prefix, pytest
 does not collect this file.
@@ -96,6 +106,36 @@ NUMBERS_RUNS = {
 }
 
 SECONDS_FIELD = re.compile(r"\(\d+\.\d+ s\)")
+
+PROBE_JOBS = ("battery", "ns-k8", "ns-k32")
+
+# run in a tree's root as: python -c PROBE_SCRIPT JOB SEED; prints one JSON line
+PROBE_SCRIPT = """
+import json, resource, sys
+sys.path.insert(0, "perfbench")
+import jobs
+
+def probed():
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    seconds = jobs.probe()
+    return {"faults": resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, "seconds": seconds}
+
+name, seed = sys.argv[1], int(sys.argv[2])
+if name == "battery":
+    battery = jobs.Battery(seed)
+    battery.setup()
+    after_setup = probed()
+    meter, gates = jobs.Meter(), jobs.Gates()
+    for op, reps in jobs.OPERATIONS.items():
+        for _ in range(reps):
+            getattr(battery, op)(meter, gates)
+else:
+    cfg = jobs.ns_config(name, seed)
+    ctx = jobs.solver.prepare(cfg)
+    after_setup = probed()
+    jobs.solver.run(cfg, ctx)
+print(json.dumps({"job": name, "after_setup": after_setup, "after_run": probed()}))
+"""
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +245,20 @@ def describe(summary: dict, claim_result, all_correct: bool) -> str:
     return " ".join(parts)
 
 
+def probe_lines(records: dict) -> list:
+    """One line per side and job of ``records`` ({side: [the probe
+    script's records]}), jobs in order, the parent's line first."""
+    lines = ["# minor page faults and time of one jobs.probe(), after set-up and after one pass"]
+    for i in range(len(records["parent"])):
+        for side in records:
+            rec = records[side][i]
+            setup, run = rec["after_setup"], rec["after_run"]
+            lines.append(f"{side} {rec['job']}: "
+                         f"after set-up {setup['faults']} faults, {1e3 * setup['seconds']:.2f} ms; "
+                         f"after one pass {run['faults']} faults, {1e3 * run['seconds']:.2f} ms")
+    return lines
+
+
 # ---------------------------------------------------------------------------
 # the two trees
 
@@ -234,6 +288,16 @@ def make_trees(parent_rev: str, workdir: Path) -> dict:
 
 def _env(tree: Path) -> dict:
     return {**os.environ, "PYTHONPATH": str(tree / "src")}
+
+
+def probe_once(tree: Path, job: str, seed: int) -> dict:
+    """The probe script's record for ``job`` in ``tree``, with BLAS on one
+    thread as ``perfbench/run.py`` pins it."""
+    threads = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")}
+    env = {**_env(tree), "PYTHONDONTWRITEBYTECODE": "1", **threads}
+    done = subprocess.run([sys.executable, "-c", PROBE_SCRIPT, job, str(seed)], cwd=tree, capture_output=True,
+                          text=True, env=env, check=True)
+    return json.loads(done.stdout.strip().splitlines()[-1])
 
 
 def bench_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -387,6 +451,7 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", default="HEAD", help="git revision of the parent side")
     ap.add_argument("--workdir", type=Path, help="where the two trees go (default: a new temporary directory)")
     ap.add_argument("--numbers", action="store_true", help="compare the outputs of both trees")
+    ap.add_argument("--probe", action="store_true", help="page faults and time of the probe in both trees")
     ap.add_argument("--pairs", nargs="+", default=["verify=10", "ns-k8=5", "ns-k32=5"],
                     help="WORKLOAD=COUNT of pairs, in run order")
     ap.add_argument("--seed", type=int, default=2024)
@@ -398,6 +463,10 @@ def main(argv=None) -> int:
     trees = make_trees(args.parent, workdir)
     if args.numbers:
         print("\n".join(numbers_report(trees, workdir)))
+        return 0
+    if args.probe:
+        records = {side: [probe_once(trees[side], job, args.seed) for job in PROBE_JOBS] for side in trees}
+        print("\n".join(probe_lines(records)))
         return 0
     record = pairs_record(args, trees)
     if args.out:

@@ -23,11 +23,13 @@ from diskvort.annulus import (
     xi_circulation,
     zeta_pairing,
     _boundary_series,
+    _constraint_rows,
     _integrate,
     _legendre_tables,
     _sample,
 )
 from bessel_oracle import bessel_j, bessel_y
+from galerkin_oracle import galerkin_spectra as per_mode_spectra
 from harmonic_oracle import basis_terms, dense_projection, element_values, rows_in_term_order
 from legendre_oracle import legendre_tables
 from propagator_oracle import expm_readout
@@ -624,6 +626,58 @@ class TestGalerkinSpectra:
     def test_numpy_integer_trial_sizes_accepted(self, geom, spectra):
         got = galerkin_spectra(geom, n_poly=np.int64(24), k_max=np.int32(4))
         assert got.lambda_S == spectra.lambda_S
+
+    @pytest.mark.parametrize("n_poly, k_max", [(24, 4), (6, 3), (40, 6)])
+    @pytest.mark.parametrize("r_inner", [0.05, 0.1, 0.3, 0.5, 0.7, 0.8, 0.95])
+    def test_spectra_bit_identical_to_per_mode_oracle(self, r_inner, n_poly, k_max):
+        # the shared null spaces and k-free forms change no bit of the
+        # assembly that rebuilt them at every k
+        geom = AnnulusGeometry(r_inner)
+        got = galerkin_spectra(geom, n_poly=n_poly, k_max=k_max)
+        want = per_mode_spectra(geom, n_poly, k_max)
+        for name in ("lambda_S", "lambda_V", "lambda_Z"):
+            assert getattr(got, name) == want[name], name
+        for name in ("per_mode_S", "per_mode_V", "per_mode_Z"):
+            assert list(getattr(got, name)) == list(range(k_max + 1))
+            for k in range(k_max + 1):
+                np.testing.assert_array_equal(getattr(got, name)[k], want[name][k], err_msg=f"{name}[{k}]")
+
+    @pytest.mark.parametrize("k_max", [3, 4, 6])
+    def test_six_null_spaces_at_any_k_max(self, geom, monkeypatch, k_max):
+        # one per space (S, Z, V) for k = 0 and one for every k >= 1, where
+        # a null space per (space, k) takes 3 (k_max + 1)
+        calls = []
+        real = annulus.null_space
+        monkeypatch.setattr(annulus, "null_space", lambda rows: calls.append(rows.shape) or real(rows))
+        galerkin_spectra(geom, n_poly=8, k_max=k_max)
+        assert len(calls) == 6, calls
+
+    def test_constraint_rows_read_k_only_as_k_at_least_1(self):
+        ends = _legendre_tables(8, R)[3]
+        for kind in "SVZ":
+            first = _constraint_rows(ends, kind, 1)
+            assert not np.array_equal(first, _constraint_rows(ends, kind, 0))
+            for k in range(2, 7):
+                np.testing.assert_array_equal(_constraint_rows(ends, kind, k), first, err_msg=f"{kind} at k = {k}")
+
+    @pytest.mark.parametrize(
+        "name, failing_call, mode",
+        [("null_space", 1, 0), ("null_space", 5, 1), ("eigh", 1, 0), ("eigh", 10, 3)],
+        ids=["null-space-k0", "null-space-shared", "eigh-k0", "eigh-k3"],
+    )
+    def test_linalg_failure_names_the_mode(self, geom, monkeypatch, name, failing_call, mode):
+        # null spaces are built three per class, k = 0's at mode 0 and the
+        # shared k >= 1 class's at mode 1; eigh runs three times per mode
+        real, calls = getattr(annulus, name), itertools.count(1)
+
+        def failing(*args, **kwargs):
+            if next(calls) == failing_call:
+                raise np.linalg.LinAlgError("planted failure")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(annulus, name, failing)
+        with pytest.raises(RuntimeError, match=f"^Galerkin assembly failed at mode {mode}: planted failure$"):
+            galerkin_spectra(geom, n_poly=8, k_max=4)
 
 
 class TestCirculation:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from pair_runs import claim_verdict, describe, parse_run, summarize
+from pair_runs import PROBE_SCRIPT, claim_verdict, describe, parse_run, probe_lines, summarize
 
 SPEC = {
     "annulus_s": {"name": "annulus_s", "unit": "s", "better": "lower", "bound": 0.25},
@@ -87,3 +87,28 @@ def test_summary_counts_wins_in_each_metrics_direction_and_checks_the_bound():
     note = describe({"verify": summary}, None, True)
     assert "verify: annulus_s -29.1% (10 of 10 pairs), steps_per_s -33.3% (1 of 10 pairs)." in note
     assert note.endswith("Not every end-to-end median is within its BENCHMARK.json bound; every run was correct.")
+
+
+def probe_record(job, setup_faults, setup_s, run_faults, run_s):
+    return {
+        "job": job,
+        "after_setup": {"faults": setup_faults, "seconds": setup_s},
+        "after_run": {"faults": run_faults, "seconds": run_s},
+    }
+
+
+def test_probe_lines_pair_the_sides_job_by_job():
+    records = {
+        "parent": [probe_record("battery", 1958, 0.00854, 0, 0.0055),
+                   probe_record("ns-k8", 1919, 0.00843, 1890, 0.00822)],
+        "change": [probe_record("battery", 1957, 0.00846, 0, 0.00501),
+                   probe_record("ns-k8", 1919, 0.00904, 1890, 0.00869)],
+    }
+    assert probe_lines(records) == [
+        "# minor page faults and time of one jobs.probe(), after set-up and after one pass",
+        "parent battery: after set-up 1958 faults, 8.54 ms; after one pass 0 faults, 5.50 ms",
+        "change battery: after set-up 1957 faults, 8.46 ms; after one pass 0 faults, 5.01 ms",
+        "parent ns-k8: after set-up 1919 faults, 8.43 ms; after one pass 1890 faults, 8.22 ms",
+        "change ns-k8: after set-up 1919 faults, 9.04 ms; after one pass 1890 faults, 8.69 ms",
+    ]
+    compile(PROBE_SCRIPT, "<probe>", "exec")

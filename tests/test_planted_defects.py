@@ -38,10 +38,14 @@ def scaled(factor: str) -> str:
     return JACOBIAN.replace("= ", f"= {factor} * (") + ")"
 
 
+def source_of(fn) -> str:
+    return textwrap.dedent(inspect.getsource(fn))
+
+
 def planted(fn, old: str, new: str):
     """A copy of module function or method ``fn`` with ``old`` replaced
     by ``new``."""
-    source = textwrap.dedent(inspect.getsource(fn))
+    source = source_of(fn)
     assert source.count(old) == 1, f"{old!r} not found once in {fn.__name__}"
     namespace = dict(vars(inspect.getmodule(fn)))
     exec(source.replace(old, new), namespace)
@@ -108,9 +112,10 @@ CHAIN_RULE = "np.array([1.0, scl, scl * scl])"
 MODAL_FACTOR = "np.exp(-np.outer(nu_t, mu))"
 TRIAL_VORTICITY = "omega_t = T1 + T0 / rq"
 WALL_FLUX = "omega_d_end = inner[2] + inner[1] / R - inner[0] / R**2"
-GRADIENT = "(k * k) * ((T0 * (wq / rq)) @ T0.T)"
+GRADIENT = "(T0 * (wq / rq)) @ T0.T"
 LAPLACIAN = "lap = T2 + T1 / rq - (k * k) * T0 / rq**2"
 CARRIER = "(1.0 / rq - rq)"
+SHARED_NULLS = "if k < 2:"
 
 NO_DETECTOR = pytest.mark.xfail(
     strict=True,
@@ -121,6 +126,10 @@ NO_DETECTOR = pytest.mark.xfail(
 # (function, old, new, the check or annulus-verify row that must fail)
 ANNULUS_DEFECTS = {
     "v-mass-unprojected": (annulus.galerkin_spectra, MASS, "MP = M2", "check 11"),
+    # k = 0's null spaces at every k: S and Z lose the inner value constraint
+    # for k >= 1, so the clamped lowest value falls below the velocity one;
+    # the bit oracle of test_annulus fails it too (test below)
+    "k0-null-spaces-at-every-k": (annulus.galerkin_spectra, SHARED_NULLS, "if k < 1:", "check 11"),
     "second-derivative-1pc": (
         annulus._legendre_tables,
         CHAIN_RULE,
@@ -189,6 +198,13 @@ def test_annulus_defect_fails_its_detector(monkeypatch, fresh_annulus_spectra, d
     else:
         passed, detail = verdicts[detector]
         assert not passed, detail
+
+
+def test_bit_oracle_catches_k0_null_spaces_at_every_k(monkeypatch):
+    plant(monkeypatch, annulus.galerkin_spectra, SHARED_NULLS, "if k < 1:")
+    monkeypatch.setattr(test_annulus, "galerkin_spectra", annulus.galerkin_spectra)  # the test's own binding
+    with pytest.raises(AssertionError):
+        test_annulus.TestGalerkinSpectra().test_spectra_bit_identical_to_per_mode_oracle(0.5, 24, 4)
 
 
 # the log kernel's angular series, ``fields._log_potential``: its hole
@@ -318,10 +334,12 @@ def test_interlacing_catches_wide_zero_scan(monkeypatch):
         test_specfun.test_zeros_interlace_strictly()
 
 
+SCAN_EXTENT = "(count + orders / 2) * np.pi"
+
+
 def test_short_zero_scan_raises():
     # a scan that stops at half the bound sees too few sign changes
-    extent = "(count + orders / 2) * np.pi"
-    search = planted(specfun._zero_search, extent, "(count + orders) * np.pi / 2")
+    search = planted(specfun._zero_search, SCAN_EXTENT, "(count + orders) * np.pi / 2")
     with pytest.raises(RuntimeError, match=r"scan of J_0 .* 20 zeros were requested"):
         search(range(4), 20)
 
@@ -469,3 +487,30 @@ def test_load_path_defect_fails_its_test(tmp_path, monkeypatch, capsys, defect):
     # a detector fails by an assertion or, in pytest.raises, by "DID NOT RAISE"
     with pytest.raises((AssertionError, pytest.fail.Exception)):
         detector(tmp_path, monkeypatch, capsys)
+
+
+# every planted defect's anchor, by the defect's name: a defect whose
+# anchor no longer occurs once fails ``planted`` with an AssertionError,
+# which a strict xfail would count as its expected failure
+ANCHORS = {
+    **{name: (fn, old) for name, (fn, old, *_) in DYNAMICS_DEFECTS.items()},
+    **{name: (fn, old) for name, (fn, old, *_) in ANNULUS_DEFECTS.items()},
+    **{name: (fields._log_potential, old) for name, (old, *_) in SERIES_DEFECTS.items()},
+    **{name: (fields.biot_savart, BIOT_SAVART) for name in CHECK_3_DEFECTS},
+    **{name: (solver._init_mode_problems, old) for name, (old, *_) in SCREEN_DEFECTS.items()},
+    **{name: (fn, old) for name, (fn, old, *_) in ROW_DEFECTS.items()},
+    **{name: (fn, old) for name, (fn, old, *_) in CARRIED_WORK_DEFECTS.items()},
+    **{name: (fn, old) for name, (fn, old, *_) in LOAD_PATH_DEFECTS.items()},
+    "advection-kernel": (nonlinear._advect, JACOBIAN),
+    "stream-scale": (PolarGrid.__init__, STREAM_SCALE),
+    "power-table": (fields._log_potential, POWER_TABLE),
+    "rule-weight": (specfun._unit_rule, RULE_WEIGHT),
+    "scan-grid": (specfun._zero_search, SCAN_GRID),
+    "scan-extent": (specfun._zero_search, SCAN_EXTENT),
+    "miller-test": (specfun._miller, MILLER_TEST),
+}
+
+
+@pytest.mark.parametrize("fn, anchor", ANCHORS.values(), ids=ANCHORS.keys())
+def test_every_anchor_occurs_once_in_its_function(fn, anchor):
+    assert source_of(fn).count(anchor) == 1, f"{anchor!r} in {fn.__qualname__}"
