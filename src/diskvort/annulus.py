@@ -36,8 +36,9 @@ The two dense solvers, ``galerkin_spectra`` and
 family mapped onto (R, 1), built by recurrence: ``tables`` (order,
 degree, node) of values, first and second derivatives at the Gauss
 nodes, and the wall values ``ends`` (order, wall, degree), wall 0 at
-r = R and wall 1 at r = 1, whose slices are the constraint, circulation
-and flux rows.  The circulation run is modal, in its pencil's eigenbasis.
+r = R and wall 1 at r = 1: ``_constraint_rows`` picks both solvers'
+pinned walls, and slices are the circulation and flux rows.  The
+circulation run is modal at degree ``CIRCULATION_DEGREE``.
 """
 
 from __future__ import annotations
@@ -391,20 +392,21 @@ def newtonian_bs_annulus(
 # ---------------------------------------------------------------------------
 # limits of the Galerkin and circulation runs
 
-# the smallest trial spaces: polynomial degree (Galerkin and circulation
-# runs) and angular modes (Galerkin)
+# the smallest Galerkin trial spaces: polynomial degree and angular modes
 _LEAST = {"n_poly": 6, "k_max": 3}
+
+# the circulation run's polynomial degree
+CIRCULATION_DEGREE = 28
 
 
 def check_limits(values: dict) -> None:
     """Reject Galerkin and circulation-run parameters outside their limits.
 
     ``values`` maps a parameter name to its value: ``n_poly`` an integer
-    of at least 6 (``galerkin_spectra`` and ``annulus_stokes_circulation``)
-    and ``k_max`` one of at least 3 (``galerkin_spectra``); any other name,
-    here ``nu`` and ``t_final`` (``annulus_stokes_circulation``), positive
-    and finite.  A name may also be spelled as its command-line flag
-    (``--n-poly``).  The ValueError names the key as given.
+    of at least 6 and ``k_max`` one of at least 3 (``galerkin_spectra``);
+    any other name, here ``nu`` and ``t_final`` (the circulation run),
+    positive and finite.  A name may also be spelled as its command-line
+    flag (``--n-poly``).  The ValueError names the key as given.
     """
     for key, value in values.items():
         least = _LEAST.get(key.lstrip("-").replace("-", "_"))
@@ -567,7 +569,6 @@ def annulus_stokes_circulation(
     nu: float,
     t_final: float,
     omega0=None,
-    n_poly: int = 28,
     n_out: int = 80,
 ) -> CirculationRun:
     """Linear Stokes run in the axisymmetric sector, tracking circulation.
@@ -575,14 +576,15 @@ def annulus_stokes_circulation(
     The state is the azimuthal velocity profile u(r, t) with the heat
     dynamics d_t u = nu d_r omega, omega = u' + u/r, discretized by the
     symmetric vorticity form int omega_u omega_v r dr on polynomial
-    trials.  Constraint rows select the sector: a circulation-free
-    state (gamma0 = 0) is pinned at both walls, so the inner-circle
-    line integral of the velocity vanishes identically and zero
-    circulation is invariant by construction.  With circulation only
-    the outer wall is pinned; the free inner value leaves omega(R) = 0
-    as the natural condition (the wall sheet has shed) and the
-    circulation decays by the vorticity flux off the wall.  The state
-    evolves mode by mode in the eigenbasis of the two forms' pencil.
+    trials of degree ``CIRCULATION_DEGREE``.  Constraint rows select the
+    sector: a circulation-free state (gamma0 = 0) is pinned at both
+    walls, so the inner-circle line integral of the velocity vanishes
+    identically and zero circulation is invariant by construction.
+    With circulation only the outer wall is pinned; the free inner value
+    leaves omega(R) = 0 as the natural condition (the wall sheet has
+    shed) and the circulation decays by the vorticity flux off the wall.
+    The state evolves mode by mode in the eigenbasis of the two forms'
+    pencil.
 
     The circulation carrier is the compatible profile 1/r - r (scaled
     to the requested line integral at the inner wall); its vorticity is
@@ -601,20 +603,19 @@ def annulus_stokes_circulation(
     taken by centered differences, divided by the largest of |flux|,
     |dGamma/dt| there and nu max(1, |Gamma|).
 
-    gamma0 must be finite (zero and negative values are allowed),
-    n_poly an integer of at least 6, as for ``galerkin_spectra``, and
+    gamma0 must be finite (zero and negative values are allowed) and
     n_out an integer of at least 5.
     """
-    check_limits({"nu": nu, "t_final": t_final, "n_poly": n_poly})
+    check_limits({"nu": nu, "t_final": t_final})
     if not math.isfinite(gamma0):
         raise ValueError(f"gamma0 must be finite, got {gamma0}")
     if not is_integer(n_out) or n_out < 5:
         raise ValueError(f"n_out must be an integer number of output times >= 5, got {n_out!r}")
     R = geom.r_inner
-    rq, wq, (T0, T1, T2), ends = _legendre_tables(n_poly, R)
+    rq, wq, (T0, T1, T2), ends = _legendre_tables(CIRCULATION_DEGREE, R)
 
     # the outer value is pinned, and without circulation the inner one too
-    N = null_space(ends[0, [1, 0] if gamma0 == 0.0 else [1]])
+    N = null_space(_constraint_rows(ends, "V", int(gamma0 == 0.0)))
     rw = wq * rq
     omega_t = T1 + T0 / rq  # vorticity of each trial
     M = N.T @ ((T0 * rw) @ T0.T) @ N

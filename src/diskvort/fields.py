@@ -32,7 +32,7 @@ reported remainder; nothing is dropped silently.
 A harmonic part has one layout: cos/sin rows (2, K+1) against the
 L^2-orthonormal unit harmonics c_k r^k {cos, sin}(k theta), whose c_k r^k
 profiles are ``PolarGrid.harm``: the moments of ``from_grid`` and
-``PolarGrid.analyze``, and ``trace_extension``.
+``PolarGrid.analyze``, and ``trace_extension`` (from the table's lift).
 
 ``write_csv`` is the one writer of every CSV file the package emits:
 numbers carry 17 significant digits, so a file round-trips every float.
@@ -104,14 +104,6 @@ class SpectralField:
         c = np.zeros(len(table))
         c[table.position(mode)] = 1.0
         return cls(table, c, "vorticity")
-
-    def _compatible(self, other: "SpectralField") -> None:
-        if not isinstance(other, SpectralField):
-            raise TypeError(f"expected SpectralField, got {type(other).__name__}")
-        if other.table is not self.table:
-            raise ValueError("fields built on different tables cannot be combined")
-        if other.kind != self.kind:
-            raise ValueError(f"cannot combine kind {self.kind!r} with {other.kind!r}")
 
     def __mul__(self, scalar) -> "SpectralField":
         return SpectralField(self.table, self.coeffs * float(scalar), self.kind)
@@ -317,9 +309,6 @@ class PolarGrid:
             raise ValueError("value shape does not match grid")
         return float(self.wtheta * np.dot(self.wr * self.r, values.sum(axis=1)))
 
-    def inner(self, u: np.ndarray, v: np.ndarray) -> float:
-        return self.integrate(np.asarray(u) * np.asarray(v))
-
 
 @dataclass
 class GridField:
@@ -382,9 +371,9 @@ def trace_extension(omega: SpectralField) -> np.ndarray:
     if omega.kind != "vorticity":
         raise ValueError("trace_extension expects a vorticity field")
     table = omega.table
-    prof, _ = radial_profiles(table, np.ones(1))
-    trace = np.sum(table.to_blocks(omega.coeffs) * prof[0, 0, :, :, 0], axis=-1)
-    # c_k r^k = c_k at r = 1
+    # the vorticity profile c J_k(alpha r) at r = 1 is the table's lift,
+    # and the unit harmonic c_k r^k is c_k there
+    trace = np.sum(table.to_blocks(omega.coeffs * table.lift), axis=-1)
     return trace / _harm_const(np.arange(table.K + 1))
 
 

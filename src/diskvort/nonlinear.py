@@ -57,12 +57,11 @@ __all__ = [
 
 @dataclass
 class AdvectionResult:
-    """Bergman split of the advection term, its raw grid norm, and the
-    largest grid speed of the advecting velocity."""
+    """Bergman split of the advection term and the largest grid speed of
+    the advecting velocity."""
 
     projected: SpectralField
     harmonic: np.ndarray  # cos/sin rows (2, K+1) against the unit harmonics
-    raw_l2_norm: float
     umax: float
 
 
@@ -90,11 +89,10 @@ def advection(omega: SpectralField, grid: PolarGrid) -> AdvectionResult:
     if grid.table is not omega.table:
         raise ValueError("grid was built for a different table")
     table = omega.table
-    blocks, moments, umax, lam_vals = _advect(table.to_blocks(omega.coeffs), grid)
+    blocks, moments, umax, _ = _advect(table.to_blocks(omega.coeffs), grid)
     return AdvectionResult(
         projected=SpectralField(table, table.from_blocks(blocks), "vorticity"),
         harmonic=moments,
-        raw_l2_norm=float(np.sqrt(max(grid.integrate(lam_vals**2), 0.0))),
         umax=umax,
     )
 

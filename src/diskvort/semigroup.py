@@ -7,12 +7,11 @@ differencing built on
 
     phi1(z) = (e^z - 1)/z,      phi2(z) = (e^z - 1 - z)/z^2.
 
-phi1 divides expm1 by z, which loses nothing: it is within 2.2e-16
-relative of the exact value for every 1e-300 <= |z| <= 100, so it needs
-no series and only z = 0 is taken apart.  phi2 subtracts z from expm1(z), losing
-about eps/|z| relative, so a 14-term Taylor series takes over for
-|z| < 1/2, where the direct formula is back to a few ulps and the
-series' truncation is below 1e-17.
+phi1 is ``scipy.special.exprel``: within 2.2e-16 relative of the exact
+value for every 1e-300 <= |z| <= 100 and 1 at z = +-0.  phi2 subtracts
+z from expm1(z), losing about eps/|z| relative, so a 14-term Taylor
+series takes over for |z| < 1/2, where the direct formula is back to a
+few ulps and the series' truncation is below 1e-17.
 
 ``duhamel_step`` is the one ETD2RK update: it takes e^z, dt phi1 and
 dt phi2 as arrays computed once per run, and serves the nonlinear step
@@ -26,6 +25,7 @@ from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
+from scipy.special import exprel
 
 from .fields import write_csv
 
@@ -43,10 +43,8 @@ _PHI2_TAYLOR = tuple(1.0 / math.factorial(n + 2) for n in range(14))
 
 
 def phi1(z):
-    """(e^z - 1)/z, and its limit 1 at z = 0."""
-    z = np.asarray(z, dtype=float)
-    out = np.ones_like(z)
-    np.divide(np.expm1(z), z, out=out, where=z != 0.0)
+    """(e^z - 1)/z, and its limit 1 at z = 0: ``scipy.special.exprel``."""
+    out = exprel(np.asarray(z, dtype=float))
     return out if out.ndim else float(out)
 
 
@@ -138,4 +136,4 @@ def fit_decay_rate(series: Sequence[tuple[float, float]]) -> DecayFit:
     ss_res = float(np.sum((logv - A @ sol) ** 2))
     ss_tot = float(np.sum((logv - logv.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 and ss_res < 1e-28 else max(0.0, 1.0 - ss_res / max(ss_tot, 1e-300))
-    return DecayFit(window=window, rate=-float(sol[0]), r_squared=min(1.0, r2))
+    return DecayFit(window=window, rate=-float(sol[0]), r_squared=r2)

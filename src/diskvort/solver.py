@@ -438,7 +438,6 @@ def stokes_run(
     if forcing is None:
         advance = lambda state: SolverState(state.steps + 1, ctx.exp_factor * state.w0)
     else:
-        zero = SpectralField.zeros(table)
         factors = (ctx.exp_factor, ctx.phi1_dt, ctx.phi2_dt)
         held = {}  # the forcing's blocks at the last step's end, by its time
 
@@ -446,7 +445,12 @@ def stokes_run(
             if t in held:
                 return held.pop(t)
             f = forcing(t)
-            zero._compatible(f)  # a vorticity field on the run's table
+            if not isinstance(f, SpectralField):
+                raise TypeError(f"expected SpectralField, got {type(f).__name__}")
+            if f.table is not table:
+                raise ValueError("fields built on different tables cannot be combined")
+            if f.kind != "vorticity":
+                raise ValueError(f"cannot combine kind 'vorticity' with {f.kind!r}")
             return table.to_blocks(f.coeffs)
 
         def advance(state: SolverState) -> SolverState:

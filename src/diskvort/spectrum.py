@@ -163,11 +163,9 @@ class EigenTable:
         return blocks
 
     def from_blocks(self, blocks) -> np.ndarray:
-        """Inverse of ``to_blocks``; the k = 0 sine row is dropped."""
-        blocks = np.asarray(blocks, dtype=float)
-        if blocks.ndim == 3:  # one flat take, the cheapest gather
-            return blocks.take(self._scatter)
-        return blocks.reshape(blocks.shape[:-3] + (-1,)).take(self._scatter, axis=-1)
+        """Inverse of ``to_blocks`` for one set of blocks (2, K+1, J), by
+        one flat take; the k = 0 sine row is dropped."""
+        return np.asarray(blocks, dtype=float).take(self._scatter)
 
     def to_json(self) -> str:
         modes = [
@@ -244,38 +242,19 @@ def radial_profiles(table: EigenTable, r) -> tuple[np.ndarray, np.ndarray]:
     return prof, harm
 
 
-def membership_residuals(table: EigenTable) -> dict:
-    """Quadrature checks that the table is what it claims to be, by a
-    Gauss rule of ceil(alpha_max) + 24 radial nodes.
-
-    Returns per-mode arrays:
-
-    * ``normalization``: | ||e||_{L^2}^2 - 1 |
-    * ``harmonic_moment``: |(e, h)| against the unit-norm harmonic
-      polynomial with the same angular symmetry (the only one that can
-      couple); zero is membership in the admissible-vorticity space
-    * ``orthogonality``: max off-diagonal Gram entry among same-symmetry
-      mode pairs (scalar), the cross-symmetry entries vanishing exactly
+def membership_residuals(table: EigenTable) -> np.ndarray:
+    """Per-mode |(e, h)|, by a Gauss rule of ceil(alpha_max) + 24 radial
+    nodes: the moment of each eigenfunction against the unit-norm
+    harmonic polynomial with its angular symmetry (the only one that can
+    couple).  Zero is membership in the admissible-vorticity space.
 
     The cos and sin modes of one k share their radial profile, so each
-    quantity is computed once per k and copied to both parities.
+    moment is computed once per k and copied to both parities.
     """
     r, w = gauss_legendre(int(np.ceil(table.alpha.max())) + 24, 0.0, 1.0)
     prof, harm = radial_profiles(table, r)
-    profiles = prof[0, 0]
     # angular integral of trig^2: 2 pi for k = 0, pi otherwise
     ang = np.where(np.arange(table.K + 1) == 0, 2.0 * np.pi, np.pi)[:, None, None]
-    weighted = ang * (profiles * (w * r))
-    gram = weighted @ profiles.transpose(0, 2, 1)
-    diag = np.diagonal(gram, axis1=1, axis2=2)
-    off = np.where(np.eye(table.J, dtype=bool), 0.0, gram)
+    weighted = ang * (prof[0, 0] * (w * r))
     moment = (weighted @ harm[0][:, :, None])[..., 0]
-
-    def per_mode(values):
-        return table.from_blocks(np.broadcast_to(values, (2,) + values.shape))
-
-    return {
-        "normalization": per_mode(np.abs(diag - 1.0)),
-        "harmonic_moment": per_mode(np.abs(moment)),
-        "orthogonality": float(np.max(np.abs(off))),
-    }
+    return table.from_blocks(np.broadcast_to(np.abs(moment), (2,) + moment.shape))

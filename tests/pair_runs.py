@@ -18,10 +18,18 @@ and pair; pair i runs the parent first when i is odd and the change
 first when it is even.  It writes the keys the
 ``BENCH_*.json`` files share: ``command``, ``seed``, ``pairs``,
 ``claim``, ``claim_result``, ``note``, ``environment``, ``summary``,
-``parent`` and ``change``.  The summary gives, per workload and
-end-to-end metric of ``BENCHMARK.json``, both medians and quartiles,
-the relative move of the medians, the pairs the change won and whether
-the move stays within the metric's bound.  A claim ``W:METRIC:SIZE``
+``parent`` and ``change``, then ``digest`` and ``sessions``.  The
+summary gives, per workload and end-to-end metric of ``BENCHMARK.json``,
+both medians and quartiles, each side's runs sorted (a bimodal side
+shows as a gap), the relative move of the medians, the pairs the change
+won and whether the move stays within the metric's bound.
+
+``digest`` is a sha256 per side of its files under ``src/`` and
+``perfbench/`` (``code_digest``), taken before any run.  ``sessions``
+gathers, per workload and metric, the parent's median of this session
+and the median of every side of an earlier ``BENCH_*.json`` at the root
+whose digest equals the parent's, with their spread: how far one code's
+median moves between sessions.  A claim ``W:METRIC:SIZE``
 (the metric improves by at least SIZE, a fraction, median against
 median) is met when there are at least 10 pairs, the change wins at
 least 9 in 10 of them, the medians differ by more than the parent's
@@ -50,6 +58,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import json
 import math
 import os
@@ -183,8 +192,10 @@ def summarize(parent: list, change: list, spec: dict) -> dict:
         out[name] = {
             "parent_median": pm,
             "parent_quartiles": pq,
+            "parent_runs": sorted(p.tolist()),
             "change_median": cm,
             "change_quartiles": cq,
+            "change_runs": sorted(c.tolist()),
             "relative": relative,
             "change_better": f"{int(np.sum(_better(c, p, entry['better'])))} of {len(p)} pairs",
             "within_bound": bool(worse <= entry["bound"]),
@@ -245,6 +256,36 @@ def describe(summary: dict, claim_result, all_correct: bool) -> str:
     return " ".join(parts)
 
 
+def session_spread(summary: dict, digest: str, earlier: dict) -> dict:
+    """Per workload and metric of ``summary``, this session's parent
+    median and the medians of every side of the ``earlier`` records
+    ({name: a BENCH_*.json record}) whose ``digest`` equals ``digest``,
+    by record and side, with (largest - smallest) / smallest; empty when
+    no earlier side ran the same code."""
+    out = {}
+    for workload, metrics in summary.items():
+        for name, m in metrics.items():
+            medians = {"this session": m["parent_median"]}
+            for record_name, record in sorted(earlier.items()):
+                for side, side_digest in record.get("digest", {}).items():
+                    entry = record["summary"].get(workload, {}).get(name)
+                    if side_digest == digest and entry is not None:
+                        medians[f"{record_name} {side}"] = entry[f"{side}_median"]
+            if len(medians) > 1:
+                low, high = min(medians.values()), max(medians.values())
+                out.setdefault(workload, {})[name] = {"medians": medians, "spread": (high - low) / low}
+    return out
+
+
+def session_lines(sessions: dict) -> list:
+    return [
+        f"{workload} {name}: the parent's median spreads {s['spread']:.1%} over "
+        + ", ".join(f"{k} {v:.6g}" for k, v in s["medians"].items())
+        for workload, metrics in sessions.items()
+        for name, s in metrics.items()
+    ]
+
+
 def probe_lines(records: dict) -> list:
     """One line per side and job of ``records`` ({side: [the probe
     script's records]}), jobs in order, the parent's line first."""
@@ -284,6 +325,17 @@ def make_trees(parent_rev: str, workdir: Path) -> dict:
             target.parent.mkdir(parents=True, exist_ok=True)
             shutil.copy2(source, target)
     return trees
+
+
+def code_digest(tree: Path) -> str:
+    """sha256 over each file under ``src/`` and ``perfbench/`` of
+    ``tree``, in path order: its path relative to the tree, NUL, its
+    bytes, NUL.  Bytecode caches are left out."""
+    h = hashlib.sha256()
+    files = (p for top in ("src", "perfbench") for p in (tree / top).rglob("*"))
+    for path in sorted(p for p in files if p.is_file() and "__pycache__" not in p.parts):
+        h.update(path.relative_to(tree).as_posix().encode() + b"\0" + path.read_bytes() + b"\0")
+    return h.hexdigest()
 
 
 def _env(tree: Path) -> dict:
@@ -334,6 +386,7 @@ def pairs_record(args, trees: dict) -> dict:
     bench = json.loads((trees["change"] / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
     spec = {entry["name"]: entry for entry in bench["end_to_end"]}
+    digest = {side: code_digest(tree) for side, tree in trees.items()}
     sides, environment = run_pairs(trees, plan, args.seed, seconds)
     summary = {w: summarize(sides["parent"][w], sides["change"][w], spec) for w in plan}
     claim, claim_result = "none", None
@@ -363,7 +416,16 @@ def pairs_record(args, trees: dict) -> dict:
         "summary": summary,
         "parent": sides["parent"],
         "change": sides["change"],
+        "digest": digest,
+        "sessions": session_spread(summary, digest["parent"], earlier_records(args.out)),
     }
+
+
+def earlier_records(out) -> dict:
+    """{file name: record} of the ``BENCH_*.json`` files at the root,
+    but the one this run writes."""
+    paths = (p for p in ROOT.glob("BENCH_*.json") if out is None or p.resolve() != Path(out).resolve())
+    return {p.name: json.loads(p.read_text()) for p in paths}
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +533,7 @@ def main(argv=None) -> int:
     record = pairs_record(args, trees)
     if args.out:
         args.out.write_text(json.dumps(record, indent=1) + "\n")
-    print(record["note"])
+    print("\n".join([record["note"], *session_lines(record["sessions"])]))
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Package lines that only the tests reach.
+"""Package lines that only the tests reach, and lines that nothing reaches.
 
     python3 tests/reach_sweep.py
 
@@ -13,8 +13,11 @@ whose jobs inherit the ``PYTHONPATH`` and so are traced too.
 
 The output is one ``module:line`` per package line that tier-1 reaches
 and no entry point does, with its source text, after ``#`` lines that
-give each run's exit code.  Only the stdlib (and pytest, for tier-1) is
-used; without a ``test_`` prefix, pytest does not collect this file.
+give each run's exit code.  After a ``#`` line follow, in the same
+form, the package lines that compile to code and that no run reaches,
+tier-1 included: dead code, or paths that no test takes.  Only the
+stdlib (and pytest, for tier-1) is used; without a ``test_`` prefix,
+pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -167,6 +171,29 @@ def entry_point_lines(tmp: Path) -> tuple[list[str], set]:
     return notes, seen
 
 
+def code_lines() -> set:
+    """(file, line) of every package line that compiles to code: the
+    line table of each module and of every code object nested in it,
+    but line 0, where a module's code starts and no source line is."""
+    lines = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        stack = [compile(path.read_text(), str(path), "exec")]
+        while stack:
+            code = stack.pop()
+            lines.update((str(path), line) for _, _, line in code.co_lines() if line)
+            stack += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+    return lines
+
+
+def print_lines(lines: set) -> None:
+    sources = {}
+    for name, line in sorted(lines):
+        path = Path(name)
+        if path not in sources:
+            sources[path] = path.read_text().splitlines()
+        print(f"{path.stem}:{line}  {sources[path][line - 1].strip()}")
+
+
 def main() -> int:
     os.environ["REACH_SWEEP_PACKAGE"] = str(PACKAGE) + os.sep
     code, tests = tier1_lines()
@@ -174,12 +201,9 @@ def main() -> int:
         notes, entries = entry_point_lines(Path(tmp))
     print(f"# exit {code}: tier-1")
     print("\n".join(notes))
-    sources = {}
-    for name, line in sorted(tests - entries):
-        path = Path(name)
-        if path not in sources:
-            sources[path] = path.read_text().splitlines()
-        print(f"{path.stem}:{line}  {sources[path][line - 1].strip()}")
+    print_lines(tests - entries)
+    print("# lines that no run reaches, tier-1 included")
+    print_lines(code_lines() - tests - entries)
     return 0
 
 

@@ -13,6 +13,10 @@ difference is in the ordering and gathering alone.
 order 0..max_order from one ``specfun._zero_search``; ``build_table``
 searches only the orders 1..K+1, so the table's zeros are checked
 against a search over a different set of rows.
+
+``gram_residuals(table)`` is the L^2 Gram matrix of the eigenfunctions
+by quadrature: per-mode | ||e||^2 - 1 | and the largest off-diagonal
+entry among modes of one angular symmetry.
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ import json
 import numpy as np
 
 from diskvort import specfun
-from diskvort.spectrum import ModeIndex, _norm_consts
+from diskvort.specfun import gauss_legendre
+from diskvort.spectrum import ModeIndex, _norm_consts, radial_profiles
 
 _PARITIES = ("cos", "sin")
 
@@ -69,3 +74,18 @@ def table_json(K: int, J: int, modes, lam, alpha, norm) -> str:
         ],
     }
     return json.dumps(payload, indent=1)
+
+
+def gram_residuals(table):
+    """``(normalization, orthogonality)``: per-mode | ||e||_{L^2}^2 - 1 |
+    in table order, and the largest |Gram entry| between distinct modes
+    of one k and parity (the cross-symmetry entries vanish exactly), by
+    the Gauss rule of ``spectrum.membership_residuals``."""
+    r, w = gauss_legendre(int(np.ceil(table.alpha.max())) + 24, 0.0, 1.0)
+    profiles = radial_profiles(table, r)[0][0, 0]
+    # angular integral of trig^2: 2 pi for k = 0, pi otherwise
+    ang = np.where(np.arange(table.K + 1) == 0, 2.0 * np.pi, np.pi)[:, None, None]
+    gram = (ang * (profiles * (w * r))) @ profiles.transpose(0, 2, 1)
+    diag = np.abs(np.diagonal(gram, axis1=1, axis2=2) - 1.0)
+    off = np.where(np.eye(table.J, dtype=bool), 0.0, gram)
+    return table.from_blocks(np.broadcast_to(diag, (2,) + diag.shape)), float(np.max(np.abs(off)))

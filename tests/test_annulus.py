@@ -752,29 +752,6 @@ class TestCirculation:
         with pytest.raises(ValueError, match="output times"):
             annulus_stokes_circulation(geom, 1.0, 0.1, 1.0, n_out=3)
 
-    @pytest.mark.parametrize(
-        "n_poly, message",
-        [
-            (0, "n_poly must be at least 6, got 0"),
-            (1, "n_poly must be at least 6, got 1"),
-            (5, "n_poly must be at least 6, got 5"),
-            (6.5, "n_poly must be an integer, got 6.5"),
-            (28.0, "n_poly must be an integer, got 28.0"),
-        ],
-        ids=["0", "1", "5", "6.5", "28.0"],
-    )
-    def test_trial_degree_limits(self, geom, n_poly, message):
-        # n_poly = 0 used to return Gamma = 0 and a Lamb residual of 0.0,
-        # a passing circulation law on an empty trial space, and n_poly = 1
-        # a Gamma(0) of 0.867 for gamma0 = 1
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            annulus_stokes_circulation(geom, 1.0, 0.1, 2.0, n_poly=n_poly)
-
-    def test_least_trial_degree_accepted(self, geom):
-        # degree 6 projects the carrier with Gamma(0) 3.0e-5 short of 1
-        run = annulus_stokes_circulation(geom, 1.0, 0.1, 2.0, n_poly=np.int64(6), n_out=10)
-        assert abs(run.gamma[0] - 1.0) <= 1e-4
-
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_gamma0(self, geom, value):
         # used to return Gamma, the flux and the residual all NaN, with

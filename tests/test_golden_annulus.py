@@ -11,7 +11,7 @@ one tolerance fixed below, relative 1e-12 in the max norm:
   0.95}: every per-mode S, V and Z eigenvalue list, each against its
   own largest value;
 * ``annulus_stokes_circulation`` at R = 0.5, nu = 0.1, t_final = 2,
-  n_out = 40 (default n_poly) for gamma0 = 1, and for gamma0 = 0 with
+  n_out = 40 (degree 28) for gamma0 = 1, and for gamma0 = 0 with
   the regular vorticity of the velocity sin^2(pi (r - R) / (1 - R)):
   Gamma and the flux against the largest of either in that run, and
   ``lamb_residual`` against itself.  That velocity vanishes at both

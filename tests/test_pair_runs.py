@@ -4,7 +4,17 @@ import json
 
 import pytest
 
-from pair_runs import PROBE_SCRIPT, claim_verdict, describe, parse_run, probe_lines, summarize
+from pair_runs import (
+    PROBE_SCRIPT,
+    claim_verdict,
+    code_digest,
+    describe,
+    parse_run,
+    probe_lines,
+    session_lines,
+    session_spread,
+    summarize,
+)
 
 SPEC = {
     "annulus_s": {"name": "annulus_s", "unit": "s", "better": "lower", "bound": 0.25},
@@ -112,3 +122,50 @@ def test_probe_lines_pair_the_sides_job_by_job():
         "change ns-k8: after set-up 1919 faults, 9.04 ms; after one pass 1890 faults, 8.69 ms",
     ]
     compile(PROBE_SCRIPT, "<probe>", "exec")
+
+
+def test_summary_lists_each_sides_runs_sorted():
+    # a parent whose runs fall into two groups shows the gap between them
+    bimodal = [0.0083, 0.0074, 0.0085, 0.0082, 0.0075, 0.0084, 0.0083, 0.0074, 0.0082, 0.0084]
+    summary = summarize(runs(bimodal), runs(FASTER), SPEC)["annulus_s"]
+    assert summary["parent_runs"] == sorted(bimodal)
+    assert summary["parent_runs"][2:4] == [0.0075, 0.0082]
+    assert summary["change_runs"] == sorted(FASTER)
+
+
+def test_code_digest_reads_src_and_perfbench_only(tmp_path):
+    for name, text in (("src/a.py", "x = 1\n"), ("perfbench/run.py", "y = 2\n"), ("tests/t.py", "z\n")):
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    first = code_digest(tmp_path)
+    (tmp_path / "tests/t.py").write_text("changed\n")
+    (tmp_path / "src/__pycache__").mkdir()
+    (tmp_path / "src/__pycache__/a.pyc").write_bytes(b"cache")
+    assert code_digest(tmp_path) == first
+    (tmp_path / "src/a.py").write_text("x = 2\n")
+    assert code_digest(tmp_path) != first
+
+
+def test_session_spread_gathers_the_same_codes_medians():
+    summary = summarize(runs(PARENT), runs(FASTER), SPEC)
+    earlier = {
+        "BENCH_1.json": {"digest": {"parent": "old", "change": "abc"},
+                         "summary": {"verify": {"annulus_s": {"parent_median": 0.02, "change_median": 0.0125}}}},
+        "BENCH_2.json": {"digest": {"parent": "abc", "change": "new"},
+                         "summary": {"verify": {"annulus_s": {"parent_median": 0.0110, "change_median": 0.03}}}},
+        "BENCH_0.json": {"summary": {"verify": {"annulus_s": {"parent_median": 0.05}}}},  # no digest
+    }
+    sessions = session_spread({"verify": summary}, "abc", earlier)
+    spread = sessions["verify"]["annulus_s"]
+    assert spread["medians"] == {
+        "this session": pytest.approx(0.01185),
+        "BENCH_1.json change": 0.0125,
+        "BENCH_2.json parent": 0.0110,
+    }
+    assert spread["spread"] == pytest.approx(0.0125 / 0.0110 - 1)
+    assert list(sessions["verify"]) == ["annulus_s"]  # no earlier record holds steps_per_s
+    assert session_lines(sessions) == [
+        "verify annulus_s: the parent's median spreads 13.6% over this session 0.01185, "
+        "BENCH_1.json change 0.0125, BENCH_2.json parent 0.011"
+    ]
+    assert session_spread({"verify": summary}, "unseen", earlier) == {}

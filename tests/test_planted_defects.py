@@ -117,13 +117,22 @@ LAPLACIAN = "lap = T2 + T1 / rq - (k * k) * T0 / rq**2"
 CARRIER = "(1.0 / rq - rq)"
 SHARED_NULLS = "if k < 2:"
 
-NO_DETECTOR = pytest.mark.xfail(
-    strict=True,
-    reason="no annulus check or row sees it yet; ROADMAP item 5 adds the per-mode "
-    "spectra-equality row and a Gamma(0) row",
-)
 
-# (function, old, new, the check or annulus-verify row that must fail)
+def spectra_test(name: str):
+    """The closed-form test ``name`` of ``TestGalerkinSpectra`` on the
+    spectra of the test module's own ``galerkin_spectra`` binding."""
+    geom = AnnulusGeometry(test_annulus.R)
+    return lambda: getattr(test_annulus.TestGalerkinSpectra(), name)(
+        test_annulus.galerkin_spectra(geom, n_poly=24, k_max=4)
+    )
+
+
+def initial_circulation_test():
+    test_annulus.TestCirculation().test_initial_circulation_matches(AnnulusGeometry(test_annulus.R))
+
+
+# (function, old, new, the check or annulus-verify row that must fail, or
+# the test that must, for a defect that moves the physics no check reads)
 ANNULUS_DEFECTS = {
     "v-mass-unprojected": (annulus.galerkin_spectra, MASS, "MP = M2", "check 11"),
     # k = 0's null spaces at every k: S and Z lose the inner value constraint
@@ -154,9 +163,19 @@ ANNULUS_DEFECTS = {
         "omega_d_end = inner[2] + inner[1] / R",
         "circulation-law",
     ),
-    "gradient-k2-weighted-by-r": (annulus.galerkin_spectra, GRADIENT, GRADIENT.replace("wq / rq", "wq * rq"), None),
-    "laplacian-k2-over-r": (annulus.galerkin_spectra, LAPLACIAN, LAPLACIAN[:-3], None),
-    "carrier-0.9r": (annulus.annulus_stokes_circulation, CARRIER, "(1.0 / rq - 0.9 * rq)", None),
+    "gradient-k2-weighted-by-r": (
+        annulus.galerkin_spectra,
+        GRADIENT,
+        GRADIENT.replace("wq / rq", "wq * rq"),
+        spectra_test("test_first_angular_block_against_determinant"),
+    ),
+    "laplacian-k2-over-r": (
+        annulus.galerkin_spectra,
+        LAPLACIAN,
+        LAPLACIAN[:-3],
+        spectra_test("test_z_blocks_against_dirichlet_cross_products"),
+    ),
+    "carrier-0.9r": (annulus.annulus_stokes_circulation, CARRIER, "(1.0 / rq - 0.9 * rq)", initial_circulation_test),
 }
 
 
@@ -179,25 +198,20 @@ def fresh_annulus_spectra():
     acceptance._annulus_spectra.cache_clear()
 
 
-@pytest.mark.parametrize(
-    "defect",
-    [
-        pytest.param(defect, marks=[NO_DETECTOR] if defect[3] is None else [])
-        for defect in ANNULUS_DEFECTS.values()
-    ],
-    ids=ANNULUS_DEFECTS.keys(),
-)
+@pytest.mark.parametrize("defect", ANNULUS_DEFECTS.values(), ids=ANNULUS_DEFECTS.keys())
 def test_annulus_defect_fails_its_detector(monkeypatch, fresh_annulus_spectra, defect):
     fn, old, new, detector = defect
+    if callable(detector):
+        detector()  # the clean code passes it
+        plant(monkeypatch, fn, old, new)
+        monkeypatch.setattr(test_annulus, fn.__name__, getattr(annulus, fn.__name__))  # the test's own binding
+        with pytest.raises(AssertionError):
+            detector()
+        return
     assert all(passed for passed, _ in annulus_verdicts().values())
     plant(monkeypatch, fn, old, new)
-    verdicts = annulus_verdicts()
-    if detector is None:
-        # no named detector yet: the case passes once any of them fails
-        assert not all(passed for passed, _ in verdicts.values()), verdicts
-    else:
-        passed, detail = verdicts[detector]
-        assert not passed, detail
+    passed, detail = annulus_verdicts()[detector]
+    assert not passed, detail
 
 
 def test_bit_oracle_catches_k0_null_spaces_at_every_k(monkeypatch):

@@ -16,7 +16,7 @@ from diskvort.pressure import (
     phi_of_u,
     recover_pressure,
 )
-from diskvort import pressure
+from diskvort import pressure, specfun, spectrum
 from diskvort.fields import split_rows as _split_rows
 from diskvort.fields import synthesize_rows
 from diskvort.pressure import _p1_rows, _phi_tables, _radial_mesh, _solve_radial
@@ -389,6 +389,25 @@ def test_cli_pattern_builds_the_profiles_once_per_point_set(two_mode_run, monkey
     momentum_residual(traj, len(traj) // 2, cfg.nu, ctx.grid, n_aux=n_aux)
     recover_pressure(traj.states[-1], cfg.nu, ctx.grid, n_aux)
     assert sizes == [4 * n_aux, n_aux]  # the quadrature points, then the midpoints
+
+
+def test_warm_recovery_evaluates_no_bessel_function(two_mode_run, monkeypatch):
+    # the wall trace is the table's exact lift times the coefficients, so
+    # on a warm basis the recovery calls no Bessel stack
+    cfg, ctx, traj = two_mode_run
+    final = traj.states[-1]
+    recover_pressure(final, cfg.nu, ctx.grid)
+    calls = []
+    stack = specfun._bessel_stack
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return stack(*args, **kwargs)
+
+    for module in (specfun, spectrum):
+        monkeypatch.setattr(module, "_bessel_stack", counted)
+    recover_pressure(final, cfg.nu, ctx.grid)
+    assert calls == []
 
 
 def test_basis_arrays_are_read_only():

@@ -905,6 +905,13 @@ def test_stokes_run_rejects_incompatible_forcing(defect):
         stokes_run(cfg, forcing=lambda t: bad, ctx=ctx)
 
 
+def test_stokes_run_rejects_a_forcing_that_is_not_a_field():
+    cfg = small_cfg(t_final=0.01)
+    ctx = prepare(cfg)
+    with pytest.raises(TypeError, match="^expected SpectralField, got ndarray$"):
+        stokes_run(cfg, forcing=lambda t: np.zeros(len(ctx.table)), ctx=ctx)
+
+
 @pytest.mark.parametrize("runner", [run, stokes_run])
 @pytest.mark.parametrize("change", [dict(nu=0.2), dict(dt=1e-3), dict(nu=-0.1, dt=-2e-3)])
 def test_run_rejects_context_of_other_nu_or_dt(runner, change):
