@@ -161,8 +161,7 @@ def synthesize_rows(rows, trig) -> np.ndarray:
     """Samples (..., n_r, n_theta) of cos/sin rows (..., 2, n_k, n_r);
     ``trig`` is a ``trig_table`` with at least n_k wavenumbers."""
     n_k, n_r = rows.shape[-2:]
-    if trig.shape[0] != 2 * n_k:
-        trig = trig.reshape(2, -1, trig.shape[-1])[:, :n_k].reshape(2 * n_k, -1)
+    trig = trig.reshape(2, -1, trig.shape[-1])[:, :n_k].reshape(2 * n_k, -1)
     flat = rows.swapaxes(-1, -2).swapaxes(-2, -3).reshape(-1, 2 * n_k)
     return (flat @ trig).reshape(rows.shape[:-3] + (n_r, trig.shape[-1]))
 
@@ -289,7 +288,6 @@ class PolarGrid:
         one matmul with ``analysis``."""
         signal = (self._trig_w @ np.asarray(values).T).reshape(2, -1, self.n_radial)
         out = np.matmul(signal.swapaxes(0, 1), self.analysis.swapaxes(1, 2)).swapaxes(0, 1)
-        out[1, 0, -1] = 0.0  # there is no sin(0 theta) harmonic
         return out[..., :-1], out[..., -1]
 
     def project_radial(self, profiles) -> np.ndarray:
@@ -357,7 +355,7 @@ def from_grid(values: GridField, table: EigenTable):
     spectral = SpectralField(table, table.from_blocks(blocks), "vorticity")
     harmonic = synthesize_rows(moments[:, :, None] * grid.harm, grid.trig)
     rec = grid.synthesize(blocks, "vorticity") + harmonic
-    residual = float(np.sqrt(max(grid.integrate((values.values - rec) ** 2), 0.0)))
+    residual = float(np.sqrt(grid.integrate((values.values - rec) ** 2)))
     return spectral, moments, residual
 
 

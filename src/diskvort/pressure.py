@@ -176,11 +176,11 @@ def _solve_radial(nodes, qpts, qw, f_r: np.ndarray, g: np.ndarray) -> np.ndarray
     b[..., :-1] += grad + (gw * v_left).sum(axis=-1)
     b[..., 1:] += -grad + (gw * v_right).sum(axis=-1)
 
-    # pin the origin: row 0 of every block becomes T(0) = 0
+    # pin the origin: row 0 of every block keeps its diagonal, loses its
+    # coupling to T(1) and has right side 0, so it reads T(0) = 0
     ab = np.zeros((3,) + diag.shape)
     ab[0, :, 2:] = off[:, 1:]
     ab[1] = diag
-    ab[1, :, 0] = 1.0
     ab[2, :, :-1] = off
     b[..., 0] = 0.0
     try:
@@ -332,7 +332,7 @@ def momentum_residual(
     w_cur = states[1]
 
     table = w_cur.table
-    (nodes, _, _), _, trig = _aux_basis(table, n_aux)
+    _, _, trig = _aux_basis(table, n_aux)
     r, stream, vort, harm = _aux_mids(table, n_aux)
 
     # velocity of the three states from one set of stream profiles
@@ -354,10 +354,8 @@ def momentum_residual(
     res_r = dudt_r + F_r - nu * lap_r + dp_r
     res_t = dudt_t + F_t - nu * lap_t + dp_t
 
-    wq = (nodes[1] - nodes[0]) * r[:, None] * (2.0 * np.pi / trig.shape[1])
-
-    def l2(a, b):
-        return float(np.sqrt(np.sum(wq * (a * a + b * b))))
+    def l2(a, b):  # the midpoint rule, but for constant factors that cancel in the quotient
+        return float(np.sqrt(np.sum(r[:, None] * (a * a + b * b))))
 
     scale = l2(dp_r, dp_t) + l2(dudt_r, dudt_t)
     if scale == 0.0:

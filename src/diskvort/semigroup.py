@@ -135,5 +135,5 @@ def fit_decay_rate(series: Sequence[tuple[float, float]]) -> DecayFit:
     sol, *_ = np.linalg.lstsq(A, logv, rcond=None)
     ss_res = float(np.sum((logv - A @ sol) ** 2))
     ss_tot = float(np.sum((logv - logv.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 and ss_res < 1e-28 else max(0.0, 1.0 - ss_res / max(ss_tot, 1e-300))
+    r2 = 1.0 - ss_res / ss_tot if np.ptp(logv) > 0.0 else 1.0  # a flat series fits itself
     return DecayFit(window=window, rate=-float(sol[0]), r_squared=r2)

@@ -11,10 +11,10 @@ refreshed once per accepted step from the current Lambda (one-step
 lag).  Since omega_B = E h / nu for the fixed block map E built in
 ``prepare`` (``nonlinear.elliptic_map``), its time derivative is the
 backward difference (omega_B,n - omega_B,n-1)/dt, the correction of
-the backward difference of the moments.  The first step uses
-d/dt omega_B = 0 and the initial state absorbs the instantaneous
-correction, so the total initial vorticity equals the requested one,
-and carries that advection for the first step's first stage.
+the backward difference of the moments.  The initial state absorbs the
+instantaneous correction, so the total initial vorticity equals the
+requested one, and carries that advection for the first step's first
+stage; the first step's difference is therefore exactly zero.
 
 The state is the step count i, at t = i dt, and omega_0 and omega_B
 as coefficient blocks (2, K+1, J).  Apart from the advection every map
@@ -362,7 +362,7 @@ def step(state: SolverState, cfg: RunConfig, ctx: RunContext) -> SolverState:
         )
 
     wb_new = ctx.elliptic_map * moments[:, :, None]
-    domega_b_dt = (wb_new - state.wb) / cfg.dt if state.steps else 0.0
+    domega_b_dt = (wb_new - state.wb) / cfg.dt
     f0 = -projected - domega_b_dt
     forcing = lambda a: -_advect(a + wb_new, ctx.grid)[0] - domega_b_dt
     new0 = duhamel_step(state.w0, f0, forcing, ctx.exp_factor, ctx.phi1_dt, ctx.phi2_dt)

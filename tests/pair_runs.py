@@ -308,6 +308,16 @@ def _git(*args) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout
 
 
+def copy_working_tree(dest: Path) -> None:
+    """The checkout's tracked and untracked, not ignored, files, under ``dest``."""
+    for name in _git("ls-files", "-co", "--exclude-standard", "-z").split("\0"):
+        source = ROOT / name
+        if name and source.is_file():
+            target = dest / name
+            target.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, target)
+
+
 def make_trees(parent_rev: str, workdir: Path) -> dict:
     """``git archive`` of the parent revision and a copy of the working
     tree, under ``workdir``: {"parent": path, "change": path}."""
@@ -318,12 +328,7 @@ def make_trees(parent_rev: str, workdir: Path) -> dict:
         path.mkdir(parents=True)
     archive = subprocess.run(["git", "archive", parent_rev], cwd=ROOT, check=True, capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", str(trees["parent"])], input=archive, check=True)
-    for name in _git("ls-files", "-co", "--exclude-standard", "-z").split("\0"):
-        source = ROOT / name
-        if name and source.is_file():
-            target = trees["change"] / name
-            target.parent.mkdir(parents=True, exist_ok=True)
-            shutil.copy2(source, target)
+    copy_working_tree(trees["change"])
     return trees
 
 

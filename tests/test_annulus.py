@@ -1,5 +1,6 @@
 """Multiply connected toolkit: circulation functions, spectra, flux laws."""
 
+import inspect
 import itertools
 import re
 
@@ -107,14 +108,16 @@ def j_bump(r, theta, what="value"):
 
 class TestGeometry:
     def test_rejects_radius_outside_band(self):
-        with pytest.raises(ValueError, match=r"\[0.05, 0.95\]"):
-            AnnulusGeometry(0.02)
-        with pytest.raises(ValueError, match=r"\[0.05, 0.95\]"):
-            AnnulusGeometry(0.97)
+        for r_inner in (0.02, 0.0499, 0.9501, 0.97):
+            with pytest.raises(ValueError, match=r"\[0.05, 0.95\]"):
+                AnnulusGeometry(r_inner)
+        assert AnnulusGeometry(0.05).r_inner == 0.05 and AnnulusGeometry(0.95).r_inner == 0.95
 
     def test_rejects_tiny_quadrature(self):
-        with pytest.raises(ValueError, match="resolution"):
-            AnnulusGeometry(0.5, n_radial=4)
+        for counts in ({"n_radial": 4}, {"n_radial": 15}, {"n_angular": 15}):
+            with pytest.raises(ValueError, match="resolution"):
+                AnnulusGeometry(0.5, **counts)
+        assert AnnulusGeometry(0.5, n_radial=16, n_angular=16).n_radial == 16
 
     @pytest.mark.parametrize(
         "build, name",
@@ -145,6 +148,17 @@ class TestGeometry:
         proj = bergman_project(geo, j_bump, degree=4)
         rep = newtonian_bs_annulus(geo, proj, degree=4, n_boundary=np.int64(8))
         assert rep == newtonian_bs_annulus(geo, proj, degree=4, n_boundary=8)
+
+    def test_defaults_of_the_shipped_calls(self):
+        # the resolution and sizes that annulus-verify, the demo and a bare
+        # call use when none is given
+        geom = AnnulusGeometry(R)
+        assert (geom.n_radial, geom.n_angular) == (200, 256)
+        defaults = lambda fn: {k: p.default for k, p in inspect.signature(fn).parameters.items() if p.default is not p.empty}
+        assert defaults(q1_dirichlet_split) == {"degree": 8}
+        assert defaults(newtonian_bs_annulus) == {"degree": 8, "n_boundary": 64}
+        assert defaults(galerkin_spectra) == {"n_poly": 24, "k_max": 4}
+        assert defaults(annulus_stokes_circulation) == {"omega0": None, "n_out": 80}
 
     def test_quadrature_weights_cover_the_interval(self, geom):
         _, wr = geom.radial_rule()
@@ -192,7 +206,7 @@ class TestHarmonicBasis:
             lambda: q1_dirichlet_split(geo, j_bump, degree=degree),
             lambda: newtonian_bs_annulus(geo, j_bump, degree=degree),
         ):
-            with pytest.raises(ValueError, match="degree must be a nonnegative integer below"):
+            with pytest.raises(ValueError, match=r"degree must be a nonnegative integer below n_angular / 2 = 8, got"):
                 call()
 
     def test_split_at_the_largest_degree_the_rule_resolves(self):
@@ -283,6 +297,26 @@ class TestBergmanProjection:
         assert abs(proj.condition - cond) <= 1e-10 * cond
         # the slots of r^-0 and of sin at k = 0 stay empty
         assert proj.rows[1, 0, 0] == proj.rows[1, 1, 0] == proj.rows[0, 1, 0] == 0.0
+
+    def test_block_solve_matches_dense_oracle_on_sine_content(self, geom):
+        # band_field is a cosine series; a turn of the angle gives every
+        # wavenumber a sine part too
+        f = band_field(np.random.default_rng(3), band=4)
+        turned = lambda r, t, what="value": f(r, t + 0.7, what)
+        proj = bergman_project(geom, turned, degree=4)
+        want, _ = dense_projection(geom, turned, 4)
+        assert np.min(np.abs(want)) > 1e-3
+        assert np.max(np.abs(-rows_in_term_order(proj.rows) - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("eigenvalues, refused", [((2.0, 1.99e12), False), ((2.0, 2.01e12), True)])
+    def test_condition_above_1e12_refused(self, geom, monkeypatch, eigenvalues, refused):
+        # the condition is the largest over the smallest Gram eigenvalue
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda H: np.array(eigenvalues))
+        if refused:
+            with pytest.raises(RuntimeError, match=r"ill-conditioned \(cond = 1.005e\+12 > 1e12\)"):
+                bergman_project(geom, j_bump, degree=4)
+        else:
+            assert bergman_project(geom, j_bump, degree=4).condition == 0.995e12
 
     def test_self_adjoint(self, geom):
         u = band_field(np.random.default_rng(11))
@@ -460,6 +494,43 @@ class TestNewtonianBoundary:
         want = f"component {1e-3 * (1 - c * c):.3e} against k=3 sin r^-3)"
         with pytest.raises(ValueError, match=re.escape(want)):
             newtonian_bs_annulus(geom, tilted, degree=4)
+
+    @pytest.mark.parametrize("r_inner, fd_step", [(0.5, 1e-2), (0.05, 0.05 / 8)])
+    def test_report_reads_the_outer_circle_and_the_normal_chain(self, monkeypatch, r_inner, fd_step):
+        # canned potentials in place of the series: row 0 on the outer
+        # circle, then the chain R - m fd_step, m = 0..4, into the hole
+        geo = AnnulusGeometry(r_inner, n_radial=48, n_angular=64)
+        proj = bergman_project(geo, j_bump, degree=4)
+        seen = {}
+
+        def canned(r, wr, values, R, hole, phi):
+            seen.update(R=R, hole=hole, phi=phi)
+            return np.array([[0.0, -3.0], [1.0, 5.0], [1.5, 5.0], [2.0, 4.0], [2.0, 4.5], [2.25, 4.5]])
+
+        monkeypatch.setattr(annulus, "_boundary_series", canned)
+        rep = newtonian_bs_annulus(geo, proj, degree=4, n_boundary=2)
+        np.testing.assert_allclose(seen["hole"], r_inner - fd_step * np.arange(5), rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(seen["phi"], geo.theta()[::32])
+        assert seen["R"] == r_inner
+        assert rep == BoundaryReport(outer_max=3.0, inner_stddev=2.0, normal_max=pytest.approx(1.0 / fd_step))
+
+    def test_one_boundary_angle_is_enough(self, geom):
+        proj = bergman_project(geom, j_bump, degree=4)
+        assert_report_within(newtonian_bs_annulus(geom, proj, degree=4, n_boundary=1))
+
+    @pytest.mark.parametrize("component, refused", [(0.995e-8, False), (1.005e-8, True)])
+    def test_harmonic_component_tolerance_is_relative_to_the_norm(self, geom, component, refused):
+        # an orthogonal field of norm 7 plus `component` times 7 of the
+        # unit harmonic r^2 cos 2 theta
+        proj = bergman_project(geom, j_bump, degree=4)
+        scale = 7.0 / np.sqrt(_integrate(geom, _sample(geom, proj) ** 2))
+        h = [h for h in unit_harmonics(geom, 4) if h.rows[0, 0, 2] == 1.0][0]
+        f = lambda r, t, what="value": scale * proj(r, t, what) + component * 7.0 * h(r, t, what)
+        if refused:
+            with pytest.raises(ValueError, match="against k=2 cos r\\^2"):
+                newtonian_bs_annulus(geom, f, degree=4)
+        else:
+            assert newtonian_bs_annulus(geom, f, degree=4).outer_max < 1e-7  # the harmonic's own potential
 
     def test_zero_field(self, geom):
         zero = lambda r, t, what="value": 0 * r * t
@@ -743,6 +814,23 @@ class TestCirculation:
 
         run = annulus_stokes_circulation(geom, 0.0, 0.1, 2.0, omega0=bump, n_out=40)
         assert np.max(np.abs(run.gamma)) <= 1e-8
+
+    @pytest.mark.parametrize("nu, burn_in", [(0.1, 0.4), (0.01, 1.0)])
+    def test_lamb_residual_of_a_canned_readout(self, geom, monkeypatch, nu, burn_in):
+        # Gamma = 3 - 0.01 t^2, whose centred difference is exact, and a
+        # flux off -0.02 t by a wiggle; past the burn-in, min(0.16 (1-R)^2
+        # / nu, t_final / 2), the residual is the largest wiggle over the
+        # largest of |flux|, |dGamma/dt| and nu max(1, |Gamma|)
+        t = np.linspace(0.0, 2.0, 11)
+        gamma, flux = 3.0 - 0.01 * t**2, -0.02 * t + 0.001 * np.cos(7.0 * t)
+        monkeypatch.setattr(annulus, "_modal_readout", lambda M, S, b, rows, nu_t: np.stack([gamma, flux], axis=1))
+        run = annulus_stokes_circulation(geom, 1.0, nu, 2.0, n_out=10)
+        assert run.burn_in == pytest.approx(burn_in, rel=1e-15)
+        keep = (t >= burn_in)[1:-1]
+        wiggle = np.max(np.abs(0.001 * np.cos(7.0 * t[1:-1]))[keep])
+        scale = max(np.max(np.abs(flux[1:-1])[keep]), np.max(0.02 * t[1:-1][keep]), nu * 3.0)
+        assert scale == pytest.approx(0.3 if nu == 0.1 else 0.036)  # the floor, then dGamma/dt
+        assert run.lamb_residual == pytest.approx(wiggle / scale, rel=1e-12)
 
     def test_validation(self, geom):
         with pytest.raises(ValueError, match="nu must be positive and finite"):

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -122,6 +123,10 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="parity"):
             load_config(path)
 
+    def test_empty_mode_entries_are_skipped(self, tmp_path):
+        path = write(tmp_path, "[solver]\nnu = 0.1\n[init]\nmodes = 0 1 cos 0.4 ; ; 2 1 sin 0.25 ;\n")
+        assert load_config(path).init_modes == (((0, 1, "cos"), 0.4), ((2, 1, "sin"), 0.25))
+
     def test_cfl_violation_rejected_before_stepping(self, tmp_path):
         path = write(
             tmp_path,
@@ -178,6 +183,16 @@ class TestLoadConfig:
             "[solver]\nnu = 0.1\n[init]\nmodes = 0 x cos 1.0\n",
             ["[init] modes: entry '0 x cos 1.0' has non-numeric k, j, or amplitude"],
             id="non-numeric-mode",
+        ),
+        pytest.param(
+            "[domain]\nK = 0\nJ = 1\n[solver]\nnu = 0.1\n[init]\nmodes = 0 x cos 1.0\n",
+            ["[init] modes: entry '0 x cos 1.0' has non-numeric k, j, or amplitude"],
+            id="non-numeric-mode-on-the-smallest-table",
+        ),
+        pytest.param(
+            "[solver]\nnu = 0.1\n[init]\nmodes = ;\n",
+            ["[init] modes: no mode entries given"],
+            id="no-mode-entries",
         ),
         pytest.param(
             "[solver]\nnu = 0.1\n[init]\nmodes = 2 1 cos 1.0 ; 2 1 cos 2.0 ; 9 1 sin 1.0\n",
@@ -283,12 +298,13 @@ class TestDispatch:
             "NUMEXPR_NUM_THREADS",
         ):
             monkeypatch.setenv(var, "sentinel")
-        code = dispatch(
-            ["--threads", "2", "spectrum", "--K", "0", "--J", "1", "--outdir", str(tmp_path)]
-        )
-        assert code == 0
-        assert os.environ["OMP_NUM_THREADS"] == "2"
-        assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+        for n in ("2", "1"):
+            code = dispatch(
+                ["--threads", n, "spectrum", "--K", "0", "--J", "1", "--outdir", str(tmp_path)]
+            )
+            assert code == 0
+            assert os.environ["OMP_NUM_THREADS"] == n
+            assert os.environ["OPENBLAS_NUM_THREADS"] == n
 
 
 class TestSpectrumCommand:
@@ -357,11 +373,15 @@ def test_every_subcommand_completes_its_manifest(tmp_path, capsys, argv):
     if argv[-1] == "--config":
         argv = argv + [str(write(tmp_path, PRESSURE_RUN))]
     out = tmp_path / "out"
+    t0 = time.monotonic()
     assert dispatch(argv + ["--outdir", str(out)]) == 0
-    man = json.loads((out / "manifest.json").read_text())
+    elapsed = time.monotonic() - t0
+    text = (out / "manifest.json").read_text()
+    man = json.loads(text)
+    assert text.splitlines()[1].startswith('  "config_path"')  # indented by two, keys sorted
     assert man["subcommand"] == argv[0]
     assert man["status"] == "completed" and man["failure"] is None
-    assert man["wall_clock_s"] > 0
+    assert 0 < man["wall_clock_s"] <= elapsed
     assert man["files"] == sorted(outdir_files(out) - {"manifest.json"})
 
 
@@ -451,6 +471,37 @@ def test_short_pressure_run_reported_with_the_other_problems(tmp_path, capsys):
     assert not (out / "manifest.json").exists()
 
 
+def test_pressure_run_of_three_rows_and_one_aux_element(tmp_path, capsys):
+    cfg = write(tmp_path, PRESSURE_RUN.replace("t_final = 0.05", "t_final = 0.01"))
+    out = tmp_path / "out"
+    assert dispatch(["pressure", "--config", str(cfg), "--n-aux", "1", "--outdir", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert (report["n_aux"], report["residual_time"], report["pressure_time"]) == (1, 0.005, 0.01)
+
+
+@pytest.mark.parametrize("subcommand", ["biot-savart-check", "annulus-verify", "accept"])
+def test_a_failed_check_exits_3(tmp_path, monkeypatch, capsys, subcommand):
+    from diskvort import acceptance
+
+    results = [acceptance.CheckResult(3, "newtonian-agreement", True, "fine", 0.0),
+               acceptance.CheckResult(4, "green-equivalence", False, "off", 0.0)]
+    monkeypatch.setattr(acceptance, "run_all", lambda numbers=None, stream=None: results)
+    circulation = type("Run", (), {"to_csv": lambda self, path: Path(path).write_text("")})()
+    rows = [("xi-flux", True, "fine"), ("zeta-routes", False, "off")]
+    monkeypatch.setattr(acceptance, "annulus_rows", lambda *args: (rows, circulation))
+    assert dispatch([subcommand, "--outdir", str(tmp_path)]) == 3
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last == {"accept": "1/2 criteria passed", "annulus-verify": "FAIL zeta-routes: off"}.get(
+        subcommand, "FAIL green-equivalence: off"
+    )
+
+
+def test_spectrum_defaults_to_the_reference_table(tmp_path, capsys):
+    assert dispatch(["spectrum", "--outdir", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "eigenvalues.json").read_text())
+    assert (payload["K"], payload["J"], len(payload["modes"])) == (8, 8, 17 * 8)
+
+
 def test_internal_value_error_is_not_a_config_error(tmp_path, monkeypatch):
     # only config and flag errors exit 2; a ValueError from inside the
     # run propagates and leaves the manifest "running"
@@ -511,6 +562,19 @@ class TestRunArtifacts:
         header, first = (out / snaps[0]).read_text().splitlines()[:2]
         assert header == "k,j,parity,coeff"
         assert first.split(",")[2] in ("cos", "sin")
+
+    @pytest.mark.parametrize("line, snaps", [("", []), ("snapshot_every = 1\n", list(range(6)))])
+    def test_snapshots_every_row_or_by_default_none(self, tmp_path, capsys, line, snaps):
+        cfg = write(tmp_path, SMALL_RUN + line)
+        out = tmp_path / "out"
+        assert dispatch(["ns", "--config", str(cfg), "--outdir", str(out)]) == 0
+        man = json.loads((out / "manifest.json").read_text())
+        assert sorted(f for f in man["files"] if f.startswith("snapshots/")) == [
+            f"snapshots/state_{idx:06d}.csv" for idx in snaps
+        ]
+        # the summary line reads the last row of the trajectory
+        last = (out / "trajectory.csv").read_text().splitlines()[-1].split(",")
+        assert f"final t={float(last[0]):g} energy={float(last[1]):.6e} enstrophy={float(last[2]):.6e}" in capsys.readouterr().out
 
     def test_crashed_run_leaves_running_manifest(self, tmp_path, monkeypatch):
         import diskvort.solver
@@ -648,6 +712,9 @@ class TestCheckCommands:
         assert out.count("PASS") == 6
         assert "PASS zeta-routes" in out
         assert (tmp_path / "circulation.csv").exists()
+        # the flags' defaults are check 12's geometry and run
+        man = json.loads((tmp_path / "manifest.json").read_text())
+        assert man["parameters"] == {"r_inner": 0.5, "n_poly": 24, "k_max": 4, "nu": 0.1, "t_final": 2.0}
 
     def test_accept_subset(self, tmp_path, capsys):
         assert dispatch(["accept", "--only", "1,5", "--outdir", str(tmp_path)]) == 0
@@ -663,6 +730,7 @@ class TestPressureCommand:
         assert dispatch(["pressure", "--config", str(cfg), "--outdir", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["momentum_residual"] < 0.1
+        assert (report["residual_time"], report["pressure_time"]) == (0.025, 0.05)  # the middle row, the last
         assert (out / "pressure.csv").read_text().startswith("r,theta,p")
         # the file is PressureField.to_csv of the final state, byte for byte
         from diskvort.pressure import recover_pressure

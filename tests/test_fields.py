@@ -731,6 +731,14 @@ def test_grid_reports_every_refusal(table):
     assert fields.grid_size_problems(5, 5, 6.5, 10) == ["n_radial must be an integer, got 6.5", problems[0]]
 
 
+@pytest.mark.parametrize("K, floor", [(0, 2), (1, 4), (2, 7)])
+def test_aliasing_floor_is_max_of_2k_plus_2_and_3k_plus_1(K, floor):
+    assert fields.grid_size_problems(K, 1, None, floor) == []
+    assert fields.grid_size_problems(K, 1, None, floor - 1) == [
+        f"angular count {floor - 1} under aliasing floor {floor} for K={K}"
+    ]
+
+
 def test_grid_validation(table):
     with pytest.raises(ValueError):
         PolarGrid(table, n_angular=10)  # below aliasing floor for K=5
@@ -744,3 +752,24 @@ def test_grid_validation(table):
     grid = PolarGrid(table)
     with pytest.raises(ValueError):
         GridField(grid, np.zeros((2, 2)))
+
+
+def test_potential_is_continuous_where_a_panel_point_meets_a_node():
+    # at rho = r_j / x_k the k-th Gauss point of the [0, rho] panel is the
+    # node r_j, where the barycentric interpolant reads 0 / 0 and takes
+    # the node's sample; the potential there matches rho's next float
+    r, wr = fields.gauss_legendre(24, 0.0, 1.0)
+    theta = 2.0 * np.pi * np.arange(16) / 16
+    values = np.cos(3.0 * r)[:, None] * (1.0 + np.cos(theta))
+    x = fields.gauss_legendre(fields._panel_points(np.fft.rfft(values)[:, :2].copy(), np.arange(2)), 0.0, 1.0)[0]
+    hits = [
+        rho
+        for j in range(8, 16)
+        for k in range(x.size)
+        if (rho := r[j] / x[k]) <= r[-1] and rho * x[k] == r[j] and np.sqrt(rho * rho) == rho
+    ]
+    assert len(hits) >= 10
+    for rho in hits[:10]:
+        at, next_to = (fields._log_potential(r, wr, values, np.array([s * s]), np.array([0.3])) for s in (rho, np.nextafter(rho, 1.0)))
+        assert np.isfinite(at).all()
+        assert abs(at - next_to) <= 1e-14 * abs(at)

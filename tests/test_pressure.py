@@ -1,6 +1,7 @@
 """Pressure recovery: conjugate algebra, variational potential, momentum defect."""
 
 import gc
+import inspect
 import weakref
 
 import numpy as np
@@ -97,8 +98,8 @@ class TestHarmonicConjugate:
             assert norm_l2(harmonic_conjugate(h)) == norm_l2(h)
 
     def test_mean_component_rejected(self):
-        h = np.array([[0.5, 1.0], [0.0, 0.0]])
-        with pytest.raises(ValueError, match="zero mean"):
+        h = np.array([[0.5, 1.0], [0.0, 0.25]])
+        with pytest.raises(ValueError, match=r"zero mean component, got h\[0, 0\]=0.5$"):
             harmonic_conjugate(h)
 
     def test_zero_maps_to_zero(self):
@@ -198,6 +199,16 @@ def test_banded_solve_matches_dense_per_row_assembly():
         for k in range(5):
             want = dense_radial_solve(mesh, k, f_r[p, k], g[p, k])
             assert_allclose(T[p, k], want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("n", [1, 3, 12])
+def test_radial_mesh_is_a_4_point_gauss_rule_per_element_of_0_1(n):
+    nodes, qpts, qw = _radial_mesh(n)
+    assert_allclose(nodes, np.arange(n + 1) / n, rtol=0, atol=2e-16)
+    assert np.all((qpts.reshape(n, 4) > nodes[:-1, None]) & (qpts.reshape(n, 4) < nodes[1:, None]))
+    # exact through degree 7 on every element, so on [0, 1]
+    for p in range(8):
+        assert abs(np.sum(qw * qpts**p) - 1.0 / (p + 1)) <= 1e-15
 
 
 @pytest.mark.parametrize("n", [0, -3])
@@ -354,6 +365,33 @@ def two_mode_run():
     return cfg, ctx, run(cfg, ctx=ctx)
 
 
+def test_recovered_pressure_is_the_potential_plus_nu_times_the_conjugate(two_mode_run):
+    # p = Phi[u] + nu H*(trace extension), less its mean: linear in nu,
+    # with the conjugate of the zero-mean extension as its slope
+    from diskvort.fields import trace_extension
+
+    cfg, ctx, traj = two_mode_run
+    omega, grid = traj.states[-1], ctx.grid
+    extension = trace_extension(omega)
+    extension[0, 0] = 0.0
+    slope = synthesize_rows(harmonic_conjugate(extension)[:, :, None] * grid.harm, grid.trig)
+    slope -= grid.integrate(slope) / np.pi
+    assert np.max(np.abs(slope)) > 1e-2
+    phi = phi_of_u(omega, grid).values
+    for nu in (0.05, 0.3):
+        p = recover_pressure(omega, nu, grid).values
+        assert abs(grid.integrate(p)) <= 1e-15 * np.max(np.abs(p))
+        assert_allclose(p, phi + nu * slope, rtol=0, atol=1e-14 * np.max(np.abs(p)))
+
+
+def test_momentum_residual_of_a_fluid_at_rest_is_zero():
+    cfg = RunConfig(nu=0.1, K=2, J=2, dt=0.01, t_final=0.02, init_modes=(((0, 1, "cos"), 0.0),), output_every=1)
+    ctx = prepare(cfg)
+    assert momentum_residual(run(cfg, ctx), 1, cfg.nu, ctx.grid, n_aux=8) == 0.0
+    # the demo's default auxiliary mesh
+    assert inspect.signature(momentum_residual).parameters["n_aux"].default == 256
+
+
 @pytest.mark.parametrize("n_aux", [128, 256])
 def test_cold_and_warm_calls_give_the_same_bits(two_mode_run, n_aux):
     cfg, ctx, traj = two_mode_run
@@ -473,7 +511,17 @@ def test_basis_is_keyed_on_the_table_and_one_is_held():
 @pytest.mark.parametrize("chunk", [1, 6 * 5 * 4 * 7, 2**40])
 def test_basis_chunks_give_the_same_bits(monkeypatch, chunk):
     # one quadrature point per chunk, seven per chunk (the last chunk
-    # short), all in one: the stream rows of one full profile stack
+    # short), all in one: the stream rows of one full profile stack; a
+    # fresh float array starts as NaN, so a point no chunk fills shows
+    empty = np.empty
+
+    def poisoned(*args, **kwargs):
+        out = empty(*args, **kwargs)
+        if out.dtype.kind in "fc":
+            out.fill(np.nan)
+        return out
+
+    monkeypatch.setattr(np, "empty", poisoned)
     monkeypatch.setattr(pressure, "_PROFILE_CHUNK", chunk)
     pressure._aux_basis.cache_clear()
     table = build_table(4, 4)

@@ -248,9 +248,41 @@ def test_fit_with_noise():
     assert fit.rate == pytest.approx(2.0, rel=0.02)
 
 
+@pytest.mark.parametrize("rate, noise", [(2.0, 1.0), (0.01, 0.01)], ids=["steep", "flat"])
+def test_fit_r_squared_is_the_squared_correlation_in_the_window(rate, noise):
+    # the flat series has a total sum of squares below 1
+    rng = np.random.default_rng(11)
+    ts = np.linspace(0.0, 6.0, 61)
+    vs = np.exp(-rate * ts + noise * rng.standard_normal(ts.size))
+    fit = fit_decay_rate(list(zip(ts, vs)))
+    inside = ts >= fit.window[0]
+    want = np.corrcoef(ts[inside], np.log(vs[inside]))[0, 1] ** 2
+    assert 0.1 < want < 0.9
+    assert fit.r_squared == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("value, n", [(0.7, 121), (0.001, 31), (2.5, 61), (0.123456, 61)])
+def test_fit_of_a_constant_series_has_r_squared_one(value, n):
+    # the log values' mean is off their value by rounding, so both sums
+    # of squares are rounding noise; r^2 is read off the series itself
+    fit = fit_decay_rate([(t, value) for t in np.linspace(0.0, 6.0, n)])
+    assert fit.r_squared == 1.0
+    assert fit.rate == pytest.approx(0.0, abs=1e-15)
+
+
+def test_fit_needs_four_samples_in_its_window():
+    ts = np.arange(7.0)  # the window [3, 6] holds 4 samples
+    assert fit_decay_rate([(t, np.exp(-t)) for t in ts]).rate == pytest.approx(1.0)
+    with pytest.raises(ValueError, match="need >= 4 samples inside window"):
+        fit_decay_rate([(t, np.exp(-t)) for t in ts[:6]])  # [2.5, 5] holds 3
+
+
 def test_fit_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need >= 4 samples inside window"):
         fit_decay_rate([(0.0, 1.0), (1.0, 0.5)])  # too few in window
+    for series in ([], [(0.0, 1.0)]):
+        with pytest.raises(ValueError, match="at least 2 samples overall"):
+            fit_decay_rate(series)
     ts = np.linspace(-1, 1, 19)
     bad = [(t, 1.0 - t) for t in ts]  # hits zero in the window (0, 1)
     with pytest.raises(ValueError, match="nonpositive"):
@@ -304,3 +336,10 @@ def test_trajectory_csv(tmp_path, table):
     assert text[0] == "t,energy"
     assert len(text) == 3
     assert float(text[2].split(",")[1]) == 0.8
+
+
+def test_trajectory_csv_of_one_row(tmp_path, table):
+    # the header comes from the first row, which may be the only one
+    tr = Trajectory(times=[0.0], states=[random_field(table, 4)], diagnostics=[Row(0.0, 1.0)])
+    tr.to_csv(tmp_path / "traj.csv")
+    assert (tmp_path / "traj.csv").read_text().splitlines() == ["t,energy", "0,1"]

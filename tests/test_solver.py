@@ -69,6 +69,16 @@ def test_config_rejects_nonmultiple_horizon():
     assert any("integer multiple" in e for e in cfg.validate())
 
 
+@pytest.mark.parametrize(
+    "dt, n, offset, rejected",
+    [(1e-3, 1000, 0.995e-9, False), (1e-3, 1000, 1.005e-9, True), (0.1, 1, 0.995e-9, False), (0.1, 1, 1.005e-9, True)],
+)
+def test_config_horizon_tolerance_is_1e_9_of_the_step_count(dt, n, offset, rejected):
+    # t_final / dt may miss an integer by 1e-9 of the count, or of 1 below one
+    cfg = small_cfg(dt=dt, t_final=dt * n * (1.0 + offset))
+    assert any("integer multiple" in e for e in cfg.validate()) == rejected
+
+
 def test_config_rejects_out_of_table_mode():
     cfg = small_cfg(init_modes=(((7, 1, "cos"), 1.0),), init_seed=None)
     assert any("outside table" in e for e in cfg.validate())
@@ -465,6 +475,40 @@ def test_moment_abort_with_tiny_tolerance(monkeypatch):
     monkeypatch.setattr(solver, "MOMENT_TOL", 1e-18)
     with pytest.raises(MomentDriftError, match=r"\(tolerance 1.0e-18\); state no longer admissible$"):
         run(small_cfg())
+
+
+@pytest.mark.parametrize("scale, aborts", [(0.995, False), (1.005, True)])
+def test_moment_abort_at_ten_times_the_tolerance(scale, aborts):
+    # one harmonic moment of scale * 10 MOMENT_TOL = scale * 1e-7 on the
+    # total, after 5 steps of dt = 0.002
+    cfg = small_cfg()
+    ctx = prepare(cfg)
+    state = initial_state(cfg, ctx)
+    row = ctx.moment_map[1, 2]
+    w0 = state.w0.copy()
+    w0[1, 2] += scale * 1e-7 * row / (row @ row)
+    moved = dataclasses.replace(state, steps=5, w0=w0)
+    assert measure_moment_drift(moved.w0 + moved.wb, ctx) == pytest.approx(scale * 1e-7, rel=1e-6)
+    if aborts:
+        with pytest.raises(MomentDriftError, match=r"reached 1.005e-07 at t=0.01 \(tolerance 1.0e-08\)"):
+            step(moved, cfg, ctx)
+    else:
+        assert step(moved, cfg, ctx).steps == 6
+
+
+@pytest.mark.parametrize("margin, refused", [(0.99, False), (1.01, True)])
+def test_cfl_refusal_at_the_bound(margin, refused):
+    # the Courant number dt |u|max sqrt(lam_max) against a cfl set around it
+    cfg = small_cfg()
+    ctx = prepare(cfg)
+    state = initial_state(cfg, ctx)
+    courant = cfg.dt * state.advected[2] * ctx.sqrt_lam_max
+    bounded = dataclasses.replace(cfg, cfl=courant / margin)
+    if refused:
+        with pytest.raises(CFLViolation, match=f"= {courant:.3g} exceeds"):
+            step(state, bounded, ctx)
+    else:
+        assert step(state, bounded, ctx).steps == 1
 
 
 def test_moment_map_drift_equals_quadrature_drift():

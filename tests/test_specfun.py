@@ -349,3 +349,27 @@ def test_integer_arguments_reject_bools_and_floats(entry, value):
         call(value)
     call(np.int64(good))
     call(good)
+
+
+def test_zero_search_names_a_scan_short_of_its_zeros(monkeypatch):
+    # a J_3 with no sign change: the scan of x = 3, 5, ..., 11 finds none
+    stack = specfun._bessel_stack
+    monkeypatch.setattr(specfun, "_bessel_stack", lambda orders, x: (np.abs(stack(orders, x)[0]) + 1.0, None))
+    with pytest.raises(RuntimeError, match=r"^the scan of J_3 to x = 11 found 0 sign changes, 2 zeros were requested$"):
+        specfun._zero_search([3], 2)
+
+
+def test_zero_search_bisects_a_newton_step_that_leaves_its_bracket(monkeypatch):
+    # the first Newton evaluation returns a derivative 1e6 too small, so
+    # every step leaves its bracket and is replaced by the midpoint
+    stack, calls = specfun._bessel_stack, []
+
+    def shrunk(orders, x):
+        calls.append(len(calls))
+        f, df = stack(orders, x)
+        return (f, df * 1e-6) if len(calls) == 2 else (f, df)
+
+    want = jn_zeros(2, 6)
+    monkeypatch.setattr(specfun, "_bessel_stack", shrunk)
+    np.testing.assert_allclose(specfun._zero_search([2], 6)[0], want, rtol=4e-16)
+    assert len(calls) > 2

@@ -5,6 +5,7 @@ import json
 import mpmath
 import numpy as np
 import pytest
+from scipy import special
 
 from diskvort.fields import PolarGrid
 from diskvort.pressure import _radial_mesh
@@ -150,6 +151,24 @@ def test_normalization_and_moments(table):
     assert np.max(normalization) < 1e-12
     assert np.max(membership_residuals(table)) < 1e-12
     assert orthogonality < 1e-12
+
+
+def test_membership_moments_off_the_zeros_match_the_closed_form():
+    # on the true table the moments are rounding (check 2 reads 1e-15),
+    # so a scale on them shows only where alpha is off the zeros of
+    # J_{k+1}: there int e h dA = c c_k J_{k+1}(alpha) / alpha times the
+    # angular integral, pi, or 2 pi at k = 0
+    base = build_table(4, 3)
+    alpha = base.alpha[base.perm[0]] + 0.37
+    norm = base.norm[base.perm[0]]
+    detuned = EigenTable(alpha, norm)
+    k = np.array([m.k for m in detuned.modes])
+    a = detuned.alpha
+    c_k = np.where(k == 0, 1.0 / np.sqrt(np.pi), np.sqrt((2.0 * k + 2.0) / np.pi))
+    angular = np.where(k == 0, 2.0 * np.pi, np.pi)
+    want = np.abs(angular * detuned.norm * c_k * special.jv(k + 1, a) / a)
+    assert want.min() > 1e-3
+    np.testing.assert_allclose(membership_residuals(detuned), want, rtol=1e-12)
 
 
 def test_helmholtz_residual(table):
