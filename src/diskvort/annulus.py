@@ -24,12 +24,15 @@ Scalar fields are passed as callables f(r, theta, what) with what in
 {"value", "d_r"}; r and theta broadcast.  Everything is single-annulus:
 one hole exercises every mechanism.
 
-The projection and the trace split are one class, ``_HarmonicSum``:
+The projection and the trace split are one class, ``ProjectedField``:
 base + a harmonic part with one layout, ``rows`` (2, 2, degree+1),
 indexed (power r^+k or r^-k, parity cos or sin, k), of the
 L2-normalized zero-flux harmonics; the slots of r^-0 (the constant
 again) and of sin at k = 0 stay zero.  The angular rule makes the
 projection's Gram matrix 2x2 block-diagonal in (parity, k).
+
+The boundary report of ``newtonian_bs_annulus`` reads the potential off
+the open annulus by the log kernel's series, ``fields._log_potential``.
 
 The two dense solvers, ``galerkin_spectra`` and
 ``annulus_stokes_circulation``, share one radial table of the Legendre
@@ -169,9 +172,12 @@ def _harmonic_moments(geom: AnnulusGeometry, degree: int, values: np.ndarray):
 
 
 @dataclass
-class _HarmonicSum:
+class ProjectedField:
     """``base`` plus the zero-flux harmonics of coefficient ``rows``
-    (2, 2, degree+1) on ``geom``: its value or d_r at broadcast (r, theta)."""
+    (2, 2, degree+1) on ``geom``: its value or d_r at broadcast (r, theta).
+    ``bergman_project`` returns f minus its least-squares component (the
+    rows hold the component negated), ``q1_dirichlet_split`` omega plus
+    its trace correction."""
 
     base: object
     geom: AnnulusGeometry
@@ -190,21 +196,13 @@ class _HarmonicSum:
         return np.asarray(self.base(r, theta, what), dtype=float) + synthesize_points(radial, r, theta)
 
 
-@dataclass
-class ProjectedField(_HarmonicSum):
-    """f minus its least-squares component in the zero-flux harmonics;
-    ``rows`` hold the component negated."""
-
-    condition: float
-
-
 def bergman_project(geom: AnnulusGeometry, f, degree: int) -> ProjectedField:
     """L2-orthogonal removal of the zero-flux harmonic content of f.
 
     Least squares against the zero-flux harmonics, one 2x2 solve per
-    (parity, k) block; the Gram condition number, max over min of the
-    blocks' eigenvalues, is reported and values above 1e12 are an error
-    (the two powers degenerate for thin annuli).
+    (parity, k) block.  A Gram condition number, max over min of the
+    blocks' eigenvalues, above 1e12 is an error that prints it (the two
+    powers degenerate for thin annuli).
     """
     b, H = _harmonic_moments(geom, degree, _sample(geom, f))
     eig = np.linalg.eigvalsh(H)
@@ -212,7 +210,7 @@ def bergman_project(geom: AnnulusGeometry, f, degree: int) -> ProjectedField:
     if cond > 1e12:
         raise RuntimeError(f"harmonic basis is ill-conditioned (cond = {cond:.3e} > 1e12)")
     coeffs = np.linalg.solve(H, b.transpose(1, 2, 0)[..., None])[..., 0]
-    return ProjectedField(base=f, geom=geom, rows=-coeffs.transpose(2, 0, 1), condition=cond)
+    return ProjectedField(f, geom, -coeffs.transpose(2, 0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -265,14 +263,7 @@ def omega_big(geom: AnnulusGeometry, xi: XiFunction, degree: int) -> ProjectedFi
 # Dirichlet trace split and the zeta pairing
 
 
-@dataclass
-class Q1Split(_HarmonicSum):
-    """omega plus a harmonic sum: zero outer trace, constant inner trace."""
-
-    inner_constant: float
-
-
-def q1_dirichlet_split(geom: AnnulusGeometry, omega, degree: int = 8) -> Q1Split:
+def q1_dirichlet_split(geom: AnnulusGeometry, omega, degree: int = 8) -> ProjectedField:
     """Correct omega by zero-flux harmonics into the stream trace class.
 
     The correction h solves (omega + h)|_{r=1} = 0 exactly per angular
@@ -293,7 +284,7 @@ def q1_dirichlet_split(geom: AnnulusGeometry, omega, degree: int = 8) -> Q1Split
     rows = np.zeros((2, 2, degree + 1))
     rows[..., 1:] = np.stack([Rk * inn - out, Rk * out - inn]) / (norms[:, None, 1:] * (1.0 - Rk * Rk))
     rows[0, 0, 0] = -outer[0, 0] / norms[0, 0]
-    return Q1Split(base=omega, geom=geom, rows=rows, inner_constant=inner[0, 0] - outer[0, 0])
+    return ProjectedField(omega, geom, rows)
 
 
 def zeta_pairing(geom: AnnulusGeometry, xi: XiFunction, omega, method: str = "volume") -> float:
@@ -316,17 +307,6 @@ def zeta_pairing(geom: AnnulusGeometry, xi: XiFunction, omega, method: str = "vo
 
 # ---------------------------------------------------------------------------
 # Newtonian potential boundary report
-
-
-def _boundary_series(r, wr, values, R, hole, phi):
-    """(1/2pi) int ln|x - y| f(y) dy by the annulus rule (nodes ``r``,
-    weights ``wr``; ``values`` (n_r, n_theta) samples f) at x = rho
-    e^{i phi} for the angles ``phi`` and rho = 1, then each rho <= R of
-    ``hole``: (1 + len(hole), len(phi)).  These radii lie off the open
-    annulus, where ``fields._log_potential``'s kernel is smooth over the
-    nodes."""
-    rho = np.r_[1.0, hole][:, None]
-    return _log_potential(r, wr, values, rho * rho, phi, lo=R)
 
 
 @dataclass(frozen=True)
@@ -354,7 +334,8 @@ def newtonian_bs_annulus(
     The report reads the potential at the ``n_boundary`` angles
     2 pi m / n_boundary, which must be angles of the rule: ``n_boundary``
     has to divide ``geom.n_angular``.  Its radii lie off the open annulus,
-    where the log kernel is a Fourier series in angle (``_boundary_series``).
+    where the log kernel is a Fourier series in angle
+    (``fields._log_potential``).
     """
     _harmonic_norms(geom, degree)  # the degree is checked before any sampling
     if not is_integer(n_boundary) or n_boundary < 1:
@@ -376,9 +357,9 @@ def newtonian_bs_annulus(
     # the outer circle, then the inward normal chain R - m fd_step for
     # m = 0..4 from the inner circle, all inside the hole
     fd_step = min(1e-2, geom.r_inner / 8.0)
-    hole = geom.r_inner - fd_step * np.arange(5)
+    rho = np.r_[1.0, geom.r_inner - fd_step * np.arange(5)][:, None]
     phi = geom.theta()[:: geom.n_angular // n_boundary]
-    vals = _boundary_series(*geom.radial_rule(), fv, geom.r_inner, hole, phi)
+    vals = _log_potential(*geom.radial_rule(), fv, rho * rho, phi, lo=geom.r_inner)
     chain = vals[1:]
     return BoundaryReport(
         outer_max=float(np.max(np.abs(vals[0]))),

@@ -395,7 +395,7 @@ def _legendre_analysis(n: int) -> np.ndarray:
 def _panel_points(dens, m) -> int:
     """Gauss points per panel of a split radial integral over the rows
     ``dens`` (n_r, len(m)) at bins ``m``: max(32, (D + 1) / 2) takes the
-    [lo, rho] integrand, a row times s (s / rho)^m, exactly.  Its degree
+    [0, rho] integrand, a row times s (s / rho)^m, exactly.  Its degree
     is D = d + max(m) + 1, d the rows' last Legendre degree above 1e-12
     of their largest coefficient; below sits the samples' rounding.  The
     same count held the smooth [rho, 1] panels within 1e-13 of 256
@@ -410,7 +410,9 @@ def _log_potential(r, wr, values, r2, phi, lo=0.0, image=False):
     and angle ``phi`` (broadcast), for f sampled as ``values`` (n_r, n)
     on radial nodes ``r`` (Gauss weights ``wr`` on (lo, 1)) times the
     angles 2 pi j / n.  With ``image`` the disk Green function's image
-    term joins the kernel.
+    term joins the kernel.  An annulus rule, lo > 0, keeps every point on
+    the node path below: exact off the open annulus, where its callers'
+    points lie.
 
     ln|x - y| = ln max(rho, r) - sum_{m >= 1} (q^m / m) cos m(theta - phi),
     q = min / max, and the image term adds (rho r)^m / m.  Over each
@@ -418,17 +420,17 @@ def _log_potential(r, wr, values, r2, phi, lo=0.0, image=False):
     at the bins above 1e-14 of the largest, and per distinct r2 one row
     of angular coefficients, a radial integral that the points' angles
     synthesize.  The coefficients kink at r = rho: for rho up to the last
-    node (and above ``lo`` unless lo = 0) the integral runs over each
-    row's Legendre interpolant, barycentric from the nodes, by a Gauss
-    rule sized to the rows (``_panel_points``) on [lo, rho] and on each
-    panel of [rho, 1] split at ``_GRADED``.  Elsewhere the nodes take the
-    kernel, smooth over them: off an annulus, outside the disk and past
-    the last node, where they miss its kink at rho, an error of order
-    (1 - rho)^2 |f|.  There the Green coefficient
-    q^m expm1(2 m ln rho) / m, ln rho = log1p(r2 - 1) / 2, keeps the
-    potential proportional to 1 - r2 of the stored point; the interpolant
-    extrapolated past the last node would not (on the wall-limit test's
-    white noise its [rho, 1] part reads 2.8e-4 against the bound 1e-4).
+    node of a disk rule the integral runs over each row's Legendre
+    interpolant, barycentric from the nodes, by a Gauss rule sized to the
+    rows (``_panel_points``) on [0, rho] and on each panel of [rho, 1]
+    split at ``_GRADED``.  Elsewhere the nodes take the kernel, smooth
+    over them: off an annulus, outside the disk and past the last node,
+    where they miss its kink at rho, an error of order (1 - rho)^2 |f|.
+    There the Green coefficient q^m expm1(2 m ln rho) / m, ln rho =
+    log1p(r2 - 1) / 2, keeps the potential proportional to 1 - r2 of the
+    stored point; the interpolant extrapolated past the last node would
+    not (on the wall-limit test's white noise its [rho, 1] part reads
+    2.8e-4 against the bound 1e-4).
     """
     n = values.shape[1]
     dens = np.fft.rfft(values)
@@ -438,7 +440,7 @@ def _log_potential(r, wr, values, r2, phi, lo=0.0, image=False):
     dens = np.ascontiguousarray(dens[:, m])
     r2, phi = np.broadcast_arrays(np.asarray(r2, dtype=float), np.asarray(phi, dtype=float))
     radii, inverse = np.unique(r2, return_inverse=True)
-    beta = (-1.0) ** np.arange(r.size) * np.sqrt((r - lo) * (1.0 - r) * wr)  # barycentric
+    beta = (-1.0) ** np.arange(r.size) * np.sqrt(r * (1.0 - r) * wr)  # barycentric
     rows = np.empty((radii.size, m.size), dtype=complex)
     panel = None  # sized on the first split integral
     # ln rho at the center is never read; s on a node gives 0 / 0
@@ -446,10 +448,10 @@ def _log_potential(r, wr, values, r2, phi, lo=0.0, image=False):
         for row, sq in zip(rows, radii):
             rho = np.sqrt(sq)
             s, w, trans = r, wr, dens
-            if rho <= r[-1] and (rho > lo or lo == 0.0):
+            if rho <= r[-1] and lo == 0.0:
                 if panel is None:
                     panel = gauss_legendre(_panel_points(dens, m), 0.0, 1.0)
-                edges = np.unique(np.r_[lo, rho, _GRADED[_GRADED > rho], 1.0])
+                edges = np.unique(np.r_[0.0, rho, _GRADED[_GRADED > rho], 1.0])
                 width = np.diff(edges)[:, None]
                 s, w = (edges[:-1, None] + width * panel[0]).ravel(), (width * panel[1]).ravel()
                 interp = beta / (s[:, None] - r)

@@ -266,8 +266,7 @@ class RunContext:
     elliptic_map: np.ndarray  # E / nu: omega_B blocks per unit moment
     moment_map: np.ndarray  # harmonic moments of each basis function
     norm_weights: np.ndarray  # (3, n): lam^-1, 1, lam, a row's V_-1, V_0, V_1 norm weights
-    nu: float  # the viscosity and time step the factors hold
-    dt: float
+    prepared_for: dict  # the config fields prepare read, by name; a run's config must match
 
 
 def prepare(cfg: RunConfig) -> RunContext:
@@ -287,8 +286,7 @@ def prepare(cfg: RunConfig) -> RunContext:
         elliptic_map=elliptic_map(grid) / cfg.nu,
         moment_map=grid.project_radial(grid.harm),
         norm_weights=np.stack([table.lam**power for power in (-1, 0, 1)]),
-        nu=cfg.nu,
-        dt=cfg.dt,
+        prepared_for={f: getattr(cfg, f) for f in ("nu", "dt", "K", "J", "n_radial", "n_angular")},
     )
 
 
@@ -378,8 +376,9 @@ def _integrate(cfg: RunConfig, ctx: RunContext, state: SolverState, advance) -> 
     every ``output_every`` steps and at the end.  A ``SolverAbort`` leaves
     with the step count and time of the last accepted state, or of the
     row, if a row to record is not finite (``NonFiniteState``)."""
-    if (ctx.nu, ctx.dt) != (cfg.nu, cfg.dt):
-        raise ValueError(f"context prepared for nu={ctx.nu}, dt={ctx.dt}, not {cfg.nu}, {cfg.dt}")
+    given = {name: getattr(cfg, name) for name in ctx.prepared_for}
+    if given != ctx.prepared_for:
+        raise ValueError(f"context prepared for {ctx.prepared_for}, not {given}")
     n_steps = int(round(cfg.t_final / cfg.dt))
     table = ctx.table
     times, states, rows = [], [], []

@@ -288,17 +288,20 @@ def bessel_j_zero(order: int, j: int) -> float:
 def _unit_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The n-point rule on [-1, 1], read-only: Newton on P_n from Tricomi's
     guesses over the positive half (the odd n's middle node exactly 0)
-    until every step is <= 1e-10, 2 or 3 steps; then the weights
-    2 (1 - x^2) / (n (P_{n-1} - x P_n))^2 at the rounded nodes, mirrored."""
+    until every step is <= 1e-10, 2 or 3 steps, and at most ``_MAX_ITER``;
+    then the weights 2 (1 - x^2) / (n (P_{n-1} - x P_n))^2 at the rounded
+    nodes, mirrored."""
     k = np.arange(1, n // 2 + 1)
     x = (1 - (n - 1) / (8.0 * n**3)) * np.cos(np.pi * (4 * k - 1) / (4 * n + 2))
     x, step = np.r_[x, [0.0] * (n % 2)], np.inf
-    while True:
+    for _ in range(_MAX_ITER):
         p, q = _sp.eval_legendre(n, x), _sp.eval_legendre(n - 1, x)
         if step <= 1e-10:
             break
         dx = p * (1 - x * x) / (n * (q - x * p))
         x, step = x - dx, np.max(np.abs(dx), initial=0.0)
+    else:
+        raise RuntimeError(f"Gauss-Legendre nodes for n={n} did not converge in {_MAX_ITER} iterations")
     w = 2 * (1 - x * x) / (n * (q - x * p)) ** 2
     x, w = np.r_[-x[: n // 2], x[::-1]], np.r_[w[: n // 2], w[::-1]]
     x.flags.writeable = w.flags.writeable = False

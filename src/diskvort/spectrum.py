@@ -40,7 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .specfun import MAX_ORDER, _bessel_stack, _zero_search, gauss_legendre, is_integer
+from .specfun import MAX_ORDER, _bessel_stack, _zero_search, is_integer
 
 __all__ = [
     "ModeIndex",
@@ -48,7 +48,6 @@ __all__ = [
     "build_table",
     "table_size_problems",
     "radial_profiles",
-    "membership_residuals",
 ]
 
 _PARITIES = ("cos", "sin")
@@ -240,21 +239,3 @@ def radial_profiles(table: EigenTable, r) -> tuple[np.ndarray, np.ndarray]:
     ck = _harm_const(k[:, 0])
     harm = np.stack([ck * rk[:, 0], ck * k[:, 0] * rkm1[:, 0]])
     return prof, harm
-
-
-def membership_residuals(table: EigenTable) -> np.ndarray:
-    """Per-mode |(e, h)|, by a Gauss rule of ceil(alpha_max) + 24 radial
-    nodes: the moment of each eigenfunction against the unit-norm
-    harmonic polynomial with its angular symmetry (the only one that can
-    couple).  Zero is membership in the admissible-vorticity space.
-
-    The cos and sin modes of one k share their radial profile, so each
-    moment is computed once per k and copied to both parities.
-    """
-    r, w = gauss_legendre(int(np.ceil(table.alpha.max())) + 24, 0.0, 1.0)
-    prof, harm = radial_profiles(table, r)
-    # angular integral of trig^2: 2 pi for k = 0, pi otherwise
-    ang = np.where(np.arange(table.K + 1) == 0, 2.0 * np.pi, np.pi)[:, None, None]
-    weighted = ang * (prof[0, 0] * (w * r))
-    moment = (weighted @ harm[0][:, :, None])[..., 0]
-    return table.from_blocks(np.broadcast_to(np.abs(moment), (2,) + moment.shape))

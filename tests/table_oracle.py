@@ -80,7 +80,8 @@ def gram_residuals(table):
     """``(normalization, orthogonality)``: per-mode | ||e||_{L^2}^2 - 1 |
     in table order, and the largest |Gram entry| between distinct modes
     of one k and parity (the cross-symmetry entries vanish exactly), by
-    the Gauss rule of ``spectrum.membership_residuals``."""
+    a Gauss rule of ceil(alpha_max) + 24 radial nodes, acceptance check
+    2's."""
     r, w = gauss_legendre(int(np.ceil(table.alpha.max())) + 24, 0.0, 1.0)
     profiles = radial_profiles(table, r)[0][0, 0]
     # angular integral of trig^2: 2 pi for k = 0, pi otherwise

@@ -20,7 +20,7 @@ import test_cli
 import test_nonlinear
 import test_solver
 import test_specfun
-from diskvort import acceptance, annulus, cli, fields, nonlinear, pressure, solver, specfun
+from diskvort import acceptance, annulus, cli, fields, nonlinear, pressure, solver, specfun, spectrum
 from diskvort.annulus import AnnulusGeometry
 from diskvort.fields import PolarGrid
 from diskvort.spectrum import build_table
@@ -274,6 +274,29 @@ def test_report_bounds_catch_outer_row_defect(monkeypatch):
         boundary.test_boundary_series_matches_closed_form(2, 1)
 
 
+# the table's Bessel zeros off the zeros of J_{k+1} by a relative 1e-8:
+# the modes grow harmonic moments up to 6.0e-8, which check 2 reads
+# through the solver's moment map against its bound 1e-9
+ZEROS = "alpha = _zero_search(np.arange(1, K + 2), J)"
+
+
+@pytest.fixture
+def fresh_table88():
+    # check 2 caches its K = J = 8 table: clear it around the defect
+    acceptance._table88.cache_clear()
+    yield
+    acceptance._table88.cache_clear()
+
+
+def test_check_2_catches_detuned_zeros(monkeypatch, fresh_table88):
+    (result,) = acceptance.run_all([2])
+    assert result.passed, result.detail
+    acceptance._table88.cache_clear()
+    plant(monkeypatch, spectrum.build_table, ZEROS, ZEROS.replace("= ", "= (1 + 1e-8) * "))
+    (result,) = acceptance.run_all([2])
+    assert not result.passed, result.detail
+
+
 # Biot-Savart, the route check 3 holds against the log-kernel potential:
 # a 1% scale and the k = 3 block negated
 BIOT_SAVART = 'return SpectralField(omega.table, -omega.coeffs / omega.table.lam, "stream")'
@@ -515,6 +538,7 @@ ANCHORS = {
     **{name: (fn, old) for name, (fn, old, *_) in ROW_DEFECTS.items()},
     **{name: (fn, old) for name, (fn, old, *_) in CARRIED_WORK_DEFECTS.items()},
     **{name: (fn, old) for name, (fn, old, *_) in LOAD_PATH_DEFECTS.items()},
+    "detuned-zeros": (spectrum.build_table, ZEROS),
     "advection-kernel": (nonlinear._advect, JACOBIAN),
     "stream-scale": (PolarGrid.__init__, STREAM_SCALE),
     "power-table": (fields._log_potential, POWER_TABLE),

@@ -957,9 +957,23 @@ def test_stokes_run_rejects_a_forcing_that_is_not_a_field():
 
 
 @pytest.mark.parametrize("runner", [run, stokes_run])
-@pytest.mark.parametrize("change", [dict(nu=0.2), dict(dt=1e-3), dict(nu=-0.1, dt=-2e-3)])
+@pytest.mark.parametrize(
+    "change",
+    [
+        dict(nu=0.2),
+        dict(dt=1e-3),
+        dict(nu=-0.1, dt=-2e-3),
+        dict(K=8, J=8),
+        dict(K=5),
+        dict(J=5),
+        dict(n_radial=24),
+        dict(n_angular=16),
+    ],
+)
 def test_run_rejects_context_of_other_nu_or_dt(runner, change):
-    # the context holds exp and phi factors for one nu and dt
+    # the context holds exp and phi factors for one nu and dt, and the
+    # table and grid of one K, J and grid count; on another table or grid
+    # a run would draw its random init there and run silently
     ctx = prepare(small_cfg())
     with pytest.raises(ValueError, match="context prepared for"):
         runner(small_cfg(**change), ctx=ctx)

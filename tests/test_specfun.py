@@ -287,6 +287,15 @@ def test_rule_moments_symmetry_and_nodes(n):
     assert np.max(np.abs(x - want)) <= 2 * np.spacing(np.max(np.abs(want)))
 
 
+def test_rule_newton_loop_stops_at_max_iter(monkeypatch):
+    # a Legendre value that is NaN never meets the step bound, so only
+    # the cap stops the loop; the uncached rule, so no cached one is
+    # returned or left behind
+    monkeypatch.setattr(specfun._sp, "eval_legendre", lambda n, x: np.full_like(x, np.nan))
+    with pytest.raises(RuntimeError, match=rf"^Gauss-Legendre nodes for n=8 did not converge in {specfun._MAX_ITER} "):
+        specfun._unit_rule.__wrapped__(8)
+
+
 @pytest.mark.parametrize("n", [260, 600])
 def test_rule_moments_beat_companion_matrix_rule(n):
     assert moment_error(*gauss_legendre(n, -1.0, 1.0)) < moment_error(*leggauss(n))

@@ -14,7 +14,6 @@ from diskvort.spectrum import (
     EigenTable,
     ModeIndex,
     build_table,
-    membership_residuals,
     radial_profiles,
 )
 from serialization import table_from_json
@@ -27,6 +26,15 @@ mpmath.mp.dps = 30
 @pytest.fixture(scope="module")
 def table():
     return build_table(8, 8)
+
+
+def membership_moments(table):
+    """Per-mode |(e, h)| in table order, h the unit harmonic of the mode's
+    symmetry: the moment map of the solver's drift guard,
+    ``PolarGrid.project_radial`` of ``harm``, on check 2's radial rule of
+    ceil(alpha_max) + 24 nodes."""
+    grid = PolarGrid(table, n_radial=int(np.ceil(table.alpha.max())) + 24)
+    return table.from_blocks(np.abs(grid.project_radial(grid.harm)))
 
 
 def test_smallest_eigenvalue_pin(table):
@@ -149,7 +157,7 @@ def test_eigenfunction_eval_domain(table):
 def test_normalization_and_moments(table):
     normalization, orthogonality = gram_residuals(table)
     assert np.max(normalization) < 1e-12
-    assert np.max(membership_residuals(table)) < 1e-12
+    assert np.max(membership_moments(table)) < 1e-12
     assert orthogonality < 1e-12
 
 
@@ -157,7 +165,8 @@ def test_membership_moments_off_the_zeros_match_the_closed_form():
     # on the true table the moments are rounding (check 2 reads 1e-15),
     # so a scale on them shows only where alpha is off the zeros of
     # J_{k+1}: there int e h dA = c c_k J_{k+1}(alpha) / alpha times the
-    # angular integral, pi, or 2 pi at k = 0
+    # angular integral, pi, or 2 pi at k = 0.  The map is the one behind
+    # step's drift guard and check 7, so this is its closed-form test
     base = build_table(4, 3)
     alpha = base.alpha[base.perm[0]] + 0.37
     norm = base.norm[base.perm[0]]
@@ -168,7 +177,7 @@ def test_membership_moments_off_the_zeros_match_the_closed_form():
     angular = np.where(k == 0, 2.0 * np.pi, np.pi)
     want = np.abs(angular * detuned.norm * c_k * special.jv(k + 1, a) / a)
     assert want.min() > 1e-3
-    np.testing.assert_allclose(membership_residuals(detuned), want, rtol=1e-12)
+    np.testing.assert_allclose(membership_moments(detuned), want, rtol=1e-12)
 
 
 def test_helmholtz_residual(table):
