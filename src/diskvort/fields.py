@@ -137,18 +137,11 @@ def trig_table(kmax: int, theta) -> np.ndarray:
     return np.concatenate([np.cos(kt), np.sin(kt)])
 
 
-@lru_cache(maxsize=None)
-def _d_theta_factor(n_k: int) -> np.ndarray:
-    k = np.arange(n_k)
-    factor = np.stack([k, -k])[:, :, None].astype(float)
-    factor.flags.writeable = False  # shared by every caller
-    return factor
-
-
 def d_theta_rows(c) -> np.ndarray:
     """d/dtheta of cos/sin rows c (..., 2, n_k, m) of wavenumbers
-    0..n_k-1: the cos and sin rows swap, scaled by +-k."""
-    return _d_theta_factor(c.shape[-2]) * c[..., ::-1, :, :]
+    0..n_k-1: the cos and sin rows swap, scaled by +-k (set-up code only)."""
+    k = np.arange(c.shape[-2])[:, None]
+    return np.stack([k, -k]) * c[..., ::-1, :, :]
 
 
 def radial_rows(blocks, prof) -> np.ndarray:
@@ -267,7 +260,7 @@ class PolarGrid:
         prof, harm = radial_profiles(table, self.r)
         self.harm = harm[0]
         self.analysis = np.concatenate([prof[0, 0], self.harm[:, None]], axis=1) * (self.wr * self.r)
-        prof[:, 1] *= (-1.0 / table.lam[table.perm[0]])[..., None]
+        prof[:, 1] *= (-1.0 / table.to_blocks(table.lam)[0])[..., None]
         prof[0] /= self.r
         self.kernel_rows = prof
         d_trig = -d_theta_rows(self.trig.reshape(2, K + 1, -1))

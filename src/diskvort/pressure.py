@@ -204,7 +204,7 @@ def _stream_d_rr(table: EigenTable, r, prof) -> np.ndarray:
     k2 = (np.arange(table.K + 1) ** 2)[:, None, None]
     d_rr = (k2 / r**2) * prof[0, 1]
     d_rr -= prof[1, 1] / r
-    d_rr -= table.lam[table.perm[0]][..., None] * prof[0, 0]
+    d_rr -= table.to_blocks(table.lam)[0][..., None] * prof[0, 0]
     return d_rr
 
 

@@ -255,7 +255,8 @@ class DiagnosticsRow:
 @dataclass
 class RunContext:
     """Precomputed per-run machinery shared by all steps; the arrays are
-    coefficient blocks (2, K+1, J), ``EigenTable.to_blocks``."""
+    coefficient blocks (2, K+1, J), ``EigenTable.to_blocks``.  In the k = 0
+    sine pad slot, lambda reads 0: the factors read 1, dt, dt/2 and multiply 0."""
 
     table: EigenTable
     grid: PolarGrid
@@ -275,13 +276,13 @@ def prepare(cfg: RunConfig) -> RunContext:
         raise ValueError("invalid configuration:\n" + "\n".join(errs))
     table = build_table(cfg.K, cfg.J)
     grid = PolarGrid(table, cfg.n_radial, cfg.n_angular)
-    z = -cfg.nu * table.lam * cfg.dt
+    z = -cfg.nu * table.to_blocks(table.lam) * cfg.dt
     return RunContext(
         table=table,
         grid=grid,
-        exp_factor=table.to_blocks(np.exp(z)),
-        phi1_dt=table.to_blocks(cfg.dt * phi1(z)),
-        phi2_dt=table.to_blocks(cfg.dt * phi2(z)),
+        exp_factor=np.exp(z),
+        phi1_dt=cfg.dt * phi1(z),
+        phi2_dt=cfg.dt * phi2(z),
         sqrt_lam_max=float(np.sqrt(table.lambda_max)),
         elliptic_map=elliptic_map(grid) / cfg.nu,
         moment_map=grid.project_radial(grid.harm),
@@ -290,16 +291,17 @@ def prepare(cfg: RunConfig) -> RunContext:
     )
 
 
-def _initial_field(cfg: RunConfig, table: EigenTable) -> SpectralField:
-    if cfg.init_modes is not None:
-        modes, coeffs = zip(*cfg.init_modes)
-        k, j, parity = zip(*modes)
-        sin = np.array([p == "sin" for p in parity], dtype=np.intp)  # faster than np.equal on strings
-        index = table.perm[sin, np.array(k, dtype=np.intp), np.array(j, dtype=np.intp) - 1]
-        c = np.zeros(len(table))
-        c[index] = np.array(coeffs, dtype=float)  # validate rejects repeated modes
-        return SpectralField(table, c, "vorticity")
-    return _random_admissible(table, cfg.init_seed)
+def _initial_field(cfg: RunConfig, table: EigenTable) -> np.ndarray:
+    """Blocks (2, K+1, J) of the initial vorticity: each init mode at its
+    slot (parity, k, j-1), or the random field, drawn in eigen order."""
+    if cfg.init_modes is None:
+        return table.to_blocks(_random_admissible(table, cfg.init_seed).coeffs)
+    modes, coeffs = zip(*cfg.init_modes)
+    k, j, parity = zip(*modes)
+    sin = np.array([p == "sin" for p in parity], dtype=np.intp)  # faster than np.equal on strings
+    w = np.zeros((2, table.K + 1, table.J))  # validate rejects repeated modes
+    w[sin, np.array(k, dtype=np.intp), np.array(j, dtype=np.intp) - 1] = np.array(coeffs, dtype=float)
+    return w
 
 
 def _random_admissible(table: EigenTable, seed) -> SpectralField:
@@ -319,7 +321,7 @@ def initial_state(cfg: RunConfig, ctx: RunContext) -> SolverState:
     total equals the requested field exactly; the first step takes that
     advection of omega_i as its own.
     """
-    w = ctx.table.to_blocks(_initial_field(cfg, ctx.table).coeffs)
+    w = _initial_field(cfg, ctx.table)
     advected = _advect(w, ctx.grid)[:3]
     wb = ctx.elliptic_map * advected[1][:, :, None]
     return SolverState(0, w - wb, wb, advected)
@@ -401,7 +403,7 @@ def _integrate(cfg: RunConfig, ctx: RunContext, state: SolverState, advance) -> 
         rows.append(row)
 
     record(state)
-    while state.steps < n_steps:
+    for _ in range(state.steps, n_steps):
         try:
             state = advance(state)
         except SolverAbort as e:
@@ -433,7 +435,6 @@ def stokes_run(
     call per time point; unforced, it is e^{-nu lambda dt} times w."""
     if ctx is None:
         ctx = prepare(cfg)
-    table = ctx.table
     if forcing is None:
         advance = lambda state: SolverState(state.steps + 1, ctx.exp_factor * state.w0)
     else:
@@ -446,11 +447,11 @@ def stokes_run(
             f = forcing(t)
             if not isinstance(f, SpectralField):
                 raise TypeError(f"expected SpectralField, got {type(f).__name__}")
-            if f.table is not table:
+            if f.table is not ctx.table:
                 raise ValueError("fields built on different tables cannot be combined")
             if f.kind != "vorticity":
                 raise ValueError(f"cannot combine kind 'vorticity' with {f.kind!r}")
-            return table.to_blocks(f.coeffs)
+            return ctx.table.to_blocks(f.coeffs)
 
         def advance(state: SolverState) -> SolverState:
             t0, t1 = state.steps * cfg.dt, (state.steps + 1) * cfg.dt
@@ -458,5 +459,4 @@ def stokes_run(
             held[t1] = f1 = force(t1)
             return SolverState(state.steps + 1, duhamel_step(state.w0, f0, lambda a: f1, *factors))
 
-    w = table.to_blocks(_initial_field(cfg, table).coeffs)
-    return _integrate(cfg, ctx, SolverState(0, w), advance)
+    return _integrate(cfg, ctx, SolverState(0, _initial_field(cfg, ctx.table)), advance)

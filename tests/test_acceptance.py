@@ -6,8 +6,12 @@ as the CLI does, and asserts the PASS flag and the stated runtime
 budget, with the measured numbers in the failure message.
 """
 
+import numpy as np
+import pytest
+
 from diskvort import acceptance
 from diskvort.annulus import AnnulusGeometry
+from diskvort.pressure import PressureField
 
 
 def _require(number, budget_s):
@@ -57,6 +61,25 @@ def test_criterion_09_energy_identity_order():
 
 def test_criterion_10_pressure_consistency():
     _require(10, 120.0)
+
+
+@pytest.mark.parametrize(
+    "shift, passes, reads",
+    [(lambda r, th: np.ones_like(r), True, None), (lambda r, th: 1e-6 * r * np.cos(th), False, "2.0e-06")],
+    ids=["constant", "r-cos-theta"],
+)
+def test_check_10_holds_p_to_the_potential_up_to_a_constant(monkeypatch, shift, passes, reads):
+    # a constant added to p is no defect; a 1e-6 r cos(theta) one is
+    recover = acceptance.recover_pressure
+
+    def shifted(omega, nu, grid, *args, **kw):
+        return PressureField(grid, recover(omega, nu, grid, *args, **kw).values + shift(*grid.node_polar()))
+
+    monkeypatch.setattr(acceptance, "recover_pressure", shifted)
+    passed, detail = acceptance.check_pressure_consistency()
+    assert passed == passes, detail
+    if reads is not None:
+        assert f"p - potential constant to {reads}," in detail
 
 
 def test_criterion_11_annulus_spectra():

@@ -27,10 +27,10 @@ from diskvort.spectrum import build_table
 
 JACOBIAN = "lam_vals = dpsi_r * dom_t - dpsi_t * dom_r"
 ELLIPTIC = "elliptic_map=elliptic_map(grid) / cfg.nu,"
-EXP_FACTOR = "exp_factor=table.to_blocks(np.exp(z)),"
+EXP_FACTOR = "exp_factor=np.exp(z),"
 DERIVATIVE = "domega_b_dt = (wb_new - state.wb) / cfg.dt"
 CONJUGATE = "return np.stack([-h[1], h[0]])"
-STREAM_SCALE = "prof[:, 1] *= (-1.0 / table.lam[table.perm[0]])[..., None]"
+STREAM_SCALE = "prof[:, 1] *= (-1.0 / table.to_blocks(table.lam)[0])[..., None]"
 
 
 def scaled(factor: str) -> str:

@@ -382,7 +382,11 @@ def test_initial_field_matches_per_mode_assignment(K, J, modes):
     cfg = RunConfig(nu=0.1, K=K, J=J, dt=2e-3, t_final=0.2, init_modes=modes)
     ctx = prepare(cfg)
     want = per_mode_field(cfg, ctx.table).coeffs
-    assert np.array_equal(solver_initial_field(cfg, ctx.table).coeffs, want)
+    blocks = solver_initial_field(cfg, ctx.table)
+    assert blocks.shape == (2, K + 1, J)
+    assert np.array_equal(blocks, ctx.table.to_blocks(want))
+    random = solver_initial_field(dataclasses.replace(cfg, init_modes=None, init_seed=J), ctx.table)
+    assert not blocks[1, 0].any() and not random[1, 0].any()  # the k = 0 sine pad slot
     total = total_field(initial_state(cfg, ctx), ctx.table).coeffs
     np.testing.assert_allclose(total, want, rtol=0, atol=1e-15 * np.max(np.abs(want)))
 
@@ -712,6 +716,57 @@ def test_row_times_are_step_counts_times_dt(runner, kw):
     np.testing.assert_array_equal([r.t for r in tr.diagnostics], want)
 
 
+@pytest.mark.parametrize("shift", [0, -1], ids=["stuck", "steps-minus-1"])
+def test_integrate_is_bounded_by_its_step_count(shift):
+    # an advance whose step count does not rise makes n_steps calls and a
+    # trajectory that refuses its repeated or falling times; the counter
+    # stops a loop that trusts the count to rise, which would never end
+    cfg = small_cfg(t_final=0.05)
+    ctx = prepare(cfg)
+    n_steps, calls = round(cfg.t_final / cfg.dt), []
+
+    def advance(state):
+        calls.append(state.steps)
+        if len(calls) > 2 * n_steps:
+            raise RuntimeError(f"{len(calls)} advances for {n_steps} steps")
+        return SolverState(state.steps + shift, state.w0, state.wb)
+
+    with pytest.raises(ValueError, match="^times must be strictly increasing$"):
+        solver._integrate(cfg, ctx, initial_state(cfg, ctx), advance)
+    assert len(calls) == n_steps == 25
+
+
+PAD_RUNNERS = {
+    "run": lambda cfg, ctx: run(cfg, ctx),
+    "stokes": lambda cfg, ctx: stokes_run(cfg, ctx=ctx),
+    "forced-stokes": lambda cfg, ctx: stokes_run(
+        cfg, forcing=lambda t: _random_admissible(ctx.table, 5) * math.cos(2.0 * t), ctx=ctx
+    ),
+}
+
+
+@pytest.mark.parametrize("nu", [0.1, 0.01])
+@pytest.mark.parametrize("runner", PAD_RUNNERS.values(), ids=PAD_RUNNERS.keys())
+def test_pad_slot_is_zero_in_every_state(monkeypatch, runner, nu):
+    # the context's factors read 1, dt and dt/2 in the k = 0 sine slot, and
+    # a row drops that slot: only the zeros they multiply keep it empty
+    states, integrate = [], solver._integrate
+
+    def recording(cfg, ctx, state, advance):
+        states.append(state)
+        return integrate(cfg, ctx, state, lambda s: states.append(advance(s)) or states[-1])
+
+    monkeypatch.setattr(solver, "_integrate", recording)
+    cfg = small_cfg(nu=nu, t_final=0.04)
+    ctx = prepare(cfg)
+    assert (ctx.exp_factor[1, 0] == 1.0).all() and (ctx.phi1_dt[1, 0] == cfg.dt).all()
+    runner(cfg, ctx)
+    assert len(states) == 21
+    for state in states:
+        assert not state.w0[1, 0].any(), state.steps
+        assert state.wb is None or not state.wb[1, 0].any(), state.steps
+
+
 # the Navier-Stokes similarity omega -> c omega, nu -> c nu, t -> t / c:
 # with c a power of two every factor, product and row maps exactly
 SCALING_MODES = unit_enstrophy_modes(4, 4, 9)
@@ -797,7 +852,7 @@ def assert_rotation_commutes(runner, modes, m):
     cfg = RunConfig(nu=0.05, K=4, J=4, dt=2e-3, t_final=0.1, init_modes=modes, output_every=5)
     ctx = prepare(cfg)
     table, angle = ctx.table, 2.0 * np.pi * m / ctx.grid.n_angular
-    init = turned(table.to_blocks(solver_initial_field(cfg, table).coeffs), angle)
+    init = turned(solver_initial_field(cfg, table), angle)
     rotated = tuple(((k, j, p), float(init[("cos", "sin").index(p), k, j - 1])) for k, j, p in SYMMETRY_KEYS)
     # each run prepares its own context, so a defect planted in solver.prepare reaches both
     base, got = runner(cfg), runner(dataclasses.replace(cfg, init_modes=rotated))
@@ -1006,7 +1061,7 @@ def test_stokes_run_matches_duhamel_reference(kw, forcing_kind):
     tr = stokes_run(cfg, forcing=forcing, ctx=ctx)
     n_steps = round(cfg.t_final / cfg.dt)
     assert len(tr) == n_steps + 1
-    u = solver_initial_field(cfg, ctx.table)
+    u = SpectralField(ctx.table, ctx.table.from_blocks(solver_initial_field(cfg, ctx.table)), "vorticity")
     np.testing.assert_array_equal(tr.states[0].coeffs, u.coeffs)
     for i in range(1, n_steps + 1):
         u = duhamel_reference(u, forcing_eval, cfg.nu, i - 1, cfg.dt)
