@@ -363,8 +363,6 @@ def check_annulus_spectra() -> tuple[bool, str]:
 def _band_field(r, theta, what: str = "value"):
     """A fixed smooth annulus field of angular band 3,
     e^r (1 + cos theta - sin 2 theta + cos 3 theta); d_r equals the value."""
-    if what not in ("value", "d_r"):
-        raise ValueError(f"unknown what: {what!r}")
     return np.exp(r) * (1.0 + np.cos(theta) - np.sin(2.0 * theta) + np.cos(3.0 * theta))
 
 

@@ -22,9 +22,9 @@ followed by an angular DFT, and ``radial_rows`` is the one product of
 coefficient blocks with profiles.  ``PolarGrid`` scales the value and
 d_r stack of ``spectrum.radial_profiles`` once, in place, into the rows
 the advection kernel (``nonlinear._advect``) multiplies: psi per unit
-omega (Biot-Savart's -1/lambda) and value rows over r.  Its one
-``analysis`` matrix gives blocks and harmonic moments in one matmul;
-``PolarGrid.synthesize`` undoes the scalings on its own path.
+omega (Biot-Savart's -1/lambda) and value rows over r; ``to_grid``
+samples a field from the same rows.  Its one ``analysis`` matrix gives
+blocks and harmonic moments in one matmul.
 ``from_grid`` is the discrete orthogonal decomposition into the
 eigen-span, the harmonic span (low-degree harmonic polynomials), and a
 reported remainder; nothing is dropped silently.
@@ -139,7 +139,7 @@ def trig_table(kmax: int, theta) -> np.ndarray:
 
 def d_theta_rows(c) -> np.ndarray:
     """d/dtheta of cos/sin rows c (..., 2, n_k, m) of wavenumbers
-    0..n_k-1: the cos and sin rows swap, scaled by +-k (set-up code only)."""
+    0..n_k-1: the cos and sin rows swap, scaled by +-k (no step calls it)."""
     k = np.arange(c.shape[-2])[:, None]
     return np.stack([k, -k]) * c[..., ::-1, :, :]
 
@@ -232,8 +232,7 @@ class PolarGrid:
       the ``trig`` rows, then ``trig``, with rows ordered (k, parity),
       for the advection kernel's one angular matmul.
 
-    Synthesis is one batched radial matmul, ``radial_rows``, plus one
-    angular matmul.  Analysis is the transpose.
+    ``analyze`` is the transpose of ``to_grid``'s synthesis.
     """
 
     def __init__(self, table: EigenTable, n_radial: int | None = None, n_angular: int | None = None):
@@ -266,13 +265,6 @@ class PolarGrid:
         d_trig = -d_theta_rows(self.trig.reshape(2, K + 1, -1))
         by_k = np.stack([d_trig, self.trig.reshape(d_trig.shape)]).swapaxes(1, 2)
         self.jacobian_trig = by_k.reshape(2, 1, 2 * (K + 1), -1)
-
-    def synthesize(self, blocks, kind: str) -> np.ndarray:
-        """Grid samples (n_radial, n_angular) of one field of the given
-        kind from its blocks (2, K+1, J)."""
-        i = _KINDS.index(kind)
-        omega = blocks * self.table.to_blocks(-self.table.lam) if i else blocks  # psi rows per unit omega
-        return synthesize_rows(radial_rows(omega, self.kernel_rows[0, i]) * self.r, self.trig)
 
     def analyze(self, values) -> tuple[np.ndarray, np.ndarray]:
         """Quadrature projection of samples (n_radial, n_angular): the
@@ -327,10 +319,13 @@ class GridField:
 
 
 def to_grid(field: SpectralField, grid: PolarGrid) -> GridField:
-    """Pointwise samples of the field on the grid's nodes."""
+    """Pointwise samples of the field on the grid's nodes: one radial
+    matmul with the grid's ``kernel_rows``, times r, and one angular."""
     if grid.table is not field.table:
         raise ValueError("grid was built for a different table")
-    return GridField(grid, grid.synthesize(field.table.to_blocks(field.coeffs), field.kind))
+    table, i = field.table, _KINDS.index(field.kind)
+    blocks = table.to_blocks(field.coeffs * -table.lam if i else field.coeffs)  # psi rows per unit omega
+    return GridField(grid, synthesize_rows(radial_rows(blocks, grid.kernel_rows[0, i]) * grid.r, grid.trig))
 
 
 def from_grid(values: GridField, table: EigenTable):
@@ -347,7 +342,7 @@ def from_grid(values: GridField, table: EigenTable):
     blocks, moments = grid.analyze(values.values)
     spectral = SpectralField(table, table.from_blocks(blocks), "vorticity")
     harmonic = synthesize_rows(moments[:, :, None] * grid.harm, grid.trig)
-    rec = grid.synthesize(blocks, "vorticity") + harmonic
+    rec = to_grid(spectral, grid).values + harmonic
     residual = float(np.sqrt(grid.integrate((values.values - rec) ** 2)))
     return spectral, moments, residual
 

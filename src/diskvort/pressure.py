@@ -17,8 +17,8 @@ All work runs on the shared Bessel-Fourier layer.  A field is a stack
 of cos/sin rows (2, n_k, n_r), one radial function per angular
 wavenumber: ``fields.radial_rows`` of the table's coefficient blocks
 and the closed-form profiles of ``spectrum.radial_profiles`` (value
-and d_r, with the stream's d_rr from the Bessel equation, so no sampled
-data is differentiated anywhere).
+and d_r; ``_stream_rows`` adds the stream's d_rr from the Bessel
+equation, so no sampled data is differentiated anywhere).
 d/dtheta is the row swap ``fields.d_theta_rows``, and samples are one
 matmul with a cos/sin table.  The convective term has angular band 2K,
 so it is sampled at 4K+4 angles, where ``fields.split_rows`` splits it
@@ -190,39 +190,38 @@ def _solve_radial(nodes, qpts, qw, f_r: np.ndarray, g: np.ndarray) -> np.ndarray
     return T.T.reshape(b.shape)
 
 
-# doubles per chunk of radii (8 MiB), six per radius and basis function:
-# the four rows of the profile stack and two of the stream d_rr
+# doubles per chunk of radii (8 MiB), about nine per radius and basis
+# function: the four rows of the profile stack, two of the stream d_rr
+# (with its temporary) and the three of the stack ``_stream_rows`` returns
 _PROFILE_CHUNK = 2**20
 
 
-def _stream_d_rr(table: EigenTable, r, prof) -> np.ndarray:
-    """d_rr (K+1, J, r.size) of the stream profiles at the radii r, from
-    their ``radial_profiles`` ``prof``.  Bessel's equation
-    d_rr f = -d_r f / r + (k^2 / r^2 - alpha^2) f holds for each
+def _stream_rows(table: EigenTable, r) -> tuple[np.ndarray, tuple]:
+    """The stream value, d_r and d_rr (3, K+1, J, r.size) at the radii r,
+    and the ``radial_profiles`` ``(prof, harm)`` they come from.  Bessel's
+    equation d_rr f = -d_r f / r + (k^2 / r^2 - alpha^2) f holds for each
     vorticity row e, and with alpha = 0 for the lift's r^k, so a stream
     row has d_rr phi = -d_r phi / r + (k^2 / r^2) phi - alpha^2 e."""
+    prof, harm = radial_profiles(table, r)
     k2 = (np.arange(table.K + 1) ** 2)[:, None, None]
     d_rr = (k2 / r**2) * prof[0, 1]
     d_rr -= prof[1, 1] / r
     d_rr -= table.to_blocks(table.lam)[0][..., None] * prof[0, 0]
-    return d_rr
+    return np.concatenate([prof[:, 1], d_rr[None]]), (prof, harm)
 
 
 @lru_cache(maxsize=1)
 def _aux_basis(table: EigenTable, n_aux: int) -> tuple:
     """The auxiliary basis of ``table`` on ``n_aux`` elements, read-only
     ``(mesh, qpts_stream, trig)``: the ``_radial_mesh`` (nodes, qpts, qw),
-    the stream profiles (value, d_r, d_rr) at qpts, (3, K+1, J, 4 n_aux),
-    built in chunks of points, and the ``_dealiased_trig`` table.  Keyed
-    on the table's identity; one basis is held at a time."""
+    the ``_stream_rows`` at qpts, (3, K+1, J, 4 n_aux), built in chunks
+    of points, and the ``_dealiased_trig`` table.  Keyed on the table's
+    identity; one basis is held at a time."""
     mesh = _radial_mesh(n_aux)
     qpts_stream = np.empty((3, table.K + 1, table.J, mesh[1].size))
-    step = max(1, _PROFILE_CHUNK // (6 * (table.K + 1) * table.J))
+    step = max(1, _PROFILE_CHUNK // (9 * (table.K + 1) * table.J))
     for s in range(0, mesh[1].size, step):
-        r = mesh[1][s : s + step]
-        prof = radial_profiles(table, r)[0]
-        qpts_stream[:2, ..., s : s + step] = prof[:, 1]
-        qpts_stream[2, ..., s : s + step] = _stream_d_rr(table, r, prof)
+        qpts_stream[..., s : s + step] = _stream_rows(table, mesh[1][s : s + step])[0]
     trig = _dealiased_trig(table.K)
     for a in (*mesh, qpts_stream, trig):
         a.flags.writeable = False  # shared by every call on this (table, n_aux)
@@ -232,13 +231,11 @@ def _aux_basis(table: EigenTable, n_aux: int) -> tuple:
 @lru_cache(maxsize=1)
 def _aux_mids(table: EigenTable, n_aux: int) -> tuple:
     """Read-only (r, stream, vorticity, harm) at the element midpoints r
-    of the auxiliary mesh: the stream profiles (value, d_r, d_rr), the
-    vorticity value and d_r, and unit harmonics.  Built on first use,
-    one held."""
+    of the auxiliary mesh: the ``_stream_rows``, the vorticity value and
+    d_r, and unit harmonics.  Built on first use, one held."""
     nodes = _radial_mesh(n_aux)[0]
     r = 0.5 * (nodes[:-1] + nodes[1:])
-    prof, harm = radial_profiles(table, r)
-    stream = np.concatenate([prof[:, 1], _stream_d_rr(table, r, prof)[None]])
+    stream, (prof, harm) = _stream_rows(table, r)
     mids = (r, stream, np.ascontiguousarray(prof[:, 0]), harm)
     for a in mids:
         a.flags.writeable = False

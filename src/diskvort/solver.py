@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -439,11 +440,9 @@ def stokes_run(
         advance = lambda state: SolverState(state.steps + 1, ctx.exp_factor * state.w0)
     else:
         factors = (ctx.exp_factor, ctx.phi1_dt, ctx.phi2_dt)
-        held = {}  # the forcing's blocks at the last step's end, by its time
 
+        @lru_cache(maxsize=1)  # a step's t0 is the last step's t1: one call per time point
         def force(t: float) -> np.ndarray:
-            if t in held:
-                return held.pop(t)
             f = forcing(t)
             if not isinstance(f, SpectralField):
                 raise TypeError(f"expected SpectralField, got {type(f).__name__}")
@@ -455,8 +454,7 @@ def stokes_run(
 
         def advance(state: SolverState) -> SolverState:
             t0, t1 = state.steps * cfg.dt, (state.steps + 1) * cfg.dt
-            f0 = force(t0)
-            held[t1] = f1 = force(t1)
+            f0, f1 = force(t0), force(t1)
             return SolverState(state.steps + 1, duhamel_step(state.w0, f0, lambda a: f1, *factors))
 
     return _integrate(cfg, ctx, SolverState(0, _initial_field(cfg, ctx.table)), advance)

@@ -126,6 +126,10 @@ def test_kind_tags_enforced(table):
         biot_savart(psi)
     with pytest.raises(ValueError):
         laplacian(omega)
+    with pytest.raises(ValueError, match="^trace_extension expects a vorticity field$"):
+        trace_extension(psi)
+    with pytest.raises(ValueError, match=r"^kind must be one of \('vorticity', 'stream'\), got 'pressure'$"):
+        SpectralField(table, omega.coeffs, "pressure")
 
 
 def test_field_arithmetic_and_table_identity(table):
@@ -135,6 +139,11 @@ def test_field_arithmetic_and_table_identity(table):
     alien = SpectralField.zeros(build_table(5, 5))
     with pytest.raises(ValueError, match="grid was built for a different table"):
         to_grid(alien, PolarGrid(table))
+    with pytest.raises(ValueError, match="grid was built for a different table"):
+        from_grid(to_grid(f, PolarGrid(table)), alien.table)
+    n = len(table)
+    with pytest.raises(ValueError, match=rf"^coefficient shape \({n - 1},\) does not match table with {n} modes$"):
+        SpectralField(table, f.coeffs[:-1], "vorticity")
 
 
 # ---------------------------------------------------------------------------
@@ -752,6 +761,8 @@ def test_grid_validation(table):
     grid = PolarGrid(table)
     with pytest.raises(ValueError):
         GridField(grid, np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="^value shape does not match grid$"):
+        grid.integrate(np.zeros((grid.n_angular, grid.n_radial)))
 
 
 def test_potential_is_continuous_where_a_panel_point_meets_a_node():

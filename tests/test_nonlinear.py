@@ -312,6 +312,9 @@ def test_elliptic_validation(table, grid):
     for shape in ((table.K + 1,), (3, table.K + 1), (2, 0), (1, 2, table.K + 1), (2, table.K + 2)):
         with pytest.raises(ValueError, match=re.escape(f"shape (2, n <= {table.K + 1}), got {shape}")):
             elliptic_correction(np.zeros(shape), 1.0, grid)
+    for nu in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'viscosity must be positive, got {nu}')}$"):
+            elliptic_correction(np.zeros((2, 1)), nu, grid)
     with pytest.raises(ValueError):
         elliptic_stream_values(np.zeros((2, 3)), -1.0, 0.5, 0.0)
 

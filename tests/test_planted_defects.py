@@ -449,7 +449,7 @@ def test_row_oracle_catches_row_defect(monkeypatch, defect):
 # (function, old, new, the test that must fail)
 UNFORCED_STEP = "ctx.exp_factor * state.w0"
 HANDOVER = "SolverState(0, w - wb, wb, advected)"
-FORCING_REUSE = "held[t1] = f1 = force(t1)"
+FORCING_REUSE = "@lru_cache(maxsize=1)"
 CARRIED_WORK_DEFECTS = {
     "unforced-step-by-phi1": (
         solver.stokes_run,
@@ -466,7 +466,7 @@ CARRIED_WORK_DEFECTS = {
     "forcing-reuse-keyed-on-step-count": (
         solver.stokes_run,
         FORCING_REUSE,
-        FORCING_REUSE.replace("held[t1]", "held[state.steps + 1]"),
+        FORCING_REUSE.replace("maxsize=1", "maxsize=0"),
         lambda: test_solver.test_forced_stokes_run_calls_forcing_once_per_time_point(0.1),
     ),
 }

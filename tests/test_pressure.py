@@ -459,8 +459,7 @@ def test_basis_arrays_are_read_only():
 
 def fresh_stream(table, r):
     """Stream value, d_r and d_rr at the radii r from one fresh profile stack."""
-    prof = radial_profiles(table, r)[0]
-    return np.concatenate([prof[:, 1], pressure._stream_d_rr(table, r, prof)[None]])
+    return pressure._stream_rows(table, r)[0]
 
 
 def test_stream_d_rr_matches_scipy():
@@ -470,7 +469,7 @@ def test_stream_d_rr_matches_scipy():
 
     table = build_table(8, 8)
     r = np.linspace(0.05, 1.0, 23)
-    d_rr = pressure._stream_d_rr(table, r, radial_profiles(table, r)[0])
+    d_rr = pressure._stream_rows(table, r)[0][2]
     assert d_rr.shape == (table.K + 1, table.J, r.size)
     for i, m in enumerate(table.modes):
         k, a, c = m.k, table.alpha[i], table.norm[i]

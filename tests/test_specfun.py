@@ -368,6 +368,22 @@ def test_zero_search_names_a_scan_short_of_its_zeros(monkeypatch):
         specfun._zero_search([3], 2)
 
 
+def test_zero_search_newton_loop_stops_at_max_iter(monkeypatch):
+    # a stack that reads NaN after the scan never meets the step bound,
+    # so only the cap stops the loop: one scan, then one call per iteration
+    stack, calls = specfun._bessel_stack, []
+
+    def nan_after_scan(orders, x):
+        calls.append(len(calls))
+        f, df = stack(orders, x)
+        return (f, df) if len(calls) == 1 else (np.full_like(f, np.nan), np.full_like(df, np.nan))
+
+    monkeypatch.setattr(specfun, "_bessel_stack", nan_after_scan)
+    with pytest.raises(RuntimeError, match=rf"^zero search did not converge in {specfun._MAX_ITER} iterations$"):
+        specfun._zero_search([1], 3)
+    assert len(calls) == specfun._MAX_ITER + 1
+
+
 def test_zero_search_bisects_a_newton_step_that_leaves_its_bracket(monkeypatch):
     # the first Newton evaluation returns a derivative 1e6 too small, so
     # every step leaves its bracket and is replaced by the midpoint
