@@ -7,9 +7,9 @@ asserted here.  ``ALL_CHECKS`` is the ordered table of ``(name,
 check)`` pairs, a check's number is its 1-based place in it, and
 ``run_all`` alone numbers, names and times the checks it runs, one
 CheckResult each, for the CLI report and the test suite alike.
-Expensive shared artifacts (the reference nonlinear run, the
-Biot-Savart quadrature sweep, the annulus spectra) are computed once
-and cached at module level.
+Expensive shared artifacts (the reference nonlinear run and the
+Biot-Savart quadrature sweep) are computed once and cached at module
+level.
 
 The six ``(name, passed, detail)`` rows of ``diskvort annulus-verify``
 live here too: ``annulus_rows`` builds them all, and check 12 is the
@@ -46,7 +46,7 @@ from .fields import (
     to_grid,
 )
 from .nonlinear import _advect
-from .pressure import momentum_residual, recover_pressure
+from .pressure import _p1_rows, _phi_tables, momentum_residual, phi_of_u, recover_pressure
 from .semigroup import fit_decay_rate
 from .solver import RunConfig, _random_admissible, prepare, run, stokes_run
 from .specfun import bessel_j
@@ -154,11 +154,6 @@ def _potential_sweep():
         "exterior_max": float(np.max(np.abs(newt_out.values))),
         "green_defect": float(np.max(np.abs(green_in.values - newt_in.values))),
     }
-
-
-@lru_cache(maxsize=1)
-def _annulus_spectra():
-    return galerkin_spectra(AnnulusGeometry(0.5), n_poly=24, k_max=4)
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +289,6 @@ def check_pressure_consistency() -> tuple[bool, str]:
     # term; for axisymmetric data the additive conjugate part is a
     # constant, so the slope lives entirely in the convective potential,
     # read at the element centroids by the P1 layer's one evaluator
-    from .pressure import _p1_rows, _phi_tables
-
     table = build_table(0, 1)
     omega = SpectralField.from_mode(table, ModeIndex(0, 1, "cos"))
     pos = table.position(ModeIndex(0, 1, "cos"))
@@ -315,8 +308,6 @@ def check_pressure_consistency() -> tuple[bool, str]:
 
     # close the loop: the full recovered pressure is the potential plus
     # a constant, so the centroid check above is a check on p itself
-    from .pressure import phi_of_u
-
     grid = PolarGrid(table, n_radial=48, n_angular=4)
     shift = recover_pressure(omega, 0.1, grid).values - phi_of_u(omega, grid).values
     const_defect = float(np.max(shift) - np.min(shift))
@@ -350,7 +341,7 @@ def check_pressure_consistency() -> tuple[bool, str]:
 
 
 def check_annulus_spectra() -> tuple[bool, str]:
-    spectra = _annulus_spectra()
+    spectra = galerkin_spectra(AnnulusGeometry(0.5), n_poly=24, k_max=4)
     rel = abs(spectra.lambda_S - spectra.lambda_V) / spectra.lambda_S
     lam_f = lambda_fundamental()
     ok = rel <= 1e-6 and spectra.lambda_Z <= lam_f

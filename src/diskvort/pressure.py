@@ -34,11 +34,11 @@ and the nodal values T (2, 2K+1, n_nodes) of Phi[u]'s rows, and
 the caller's grid or the element midpoints.
 
 The auxiliary basis, the mesh with the stream profiles at its
-quadrature points and the dealiased cos/sin table, depends only on the
-table and n_aux.  ``_aux_basis`` builds it once per (table, n_aux), in
-chunks of points, and holds the last used: 8 * 12 n_aux (K+1) J bytes
-of profiles, 101 MB at (K, J, n_aux) = (63, 64, 256).  The midpoint
-profiles of ``momentum_residual``, ``_aux_mids``, add 5/12 of that.
+quadrature points and element midpoints and the dealiased cos/sin
+table, depends only on the table and n_aux.  ``_aux_basis`` builds it
+once per (table, n_aux), the quadrature points in chunks, and holds the
+last used: 8 * 17 n_aux (K+1) J bytes of profiles, 143 MB at (K, J,
+n_aux) = (63, 64, 256), of which the midpoints hold 5/17.
 """
 
 from __future__ import annotations
@@ -89,12 +89,6 @@ def harmonic_conjugate(h: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # rows of the velocity and the convective term
-
-
-def _dealiased_trig(K: int) -> np.ndarray:
-    """Cos/sin table of wavenumbers 0..2K at 4K+4 uniform angles."""
-    n = 4 * K + 4
-    return trig_table(2 * K, 2.0 * np.pi * np.arange(n) / n)
 
 
 def _velocity(psi_rows, r, trig) -> np.ndarray:
@@ -213,40 +207,33 @@ def _stream_rows(table: EigenTable, r) -> tuple[np.ndarray, tuple]:
 @lru_cache(maxsize=1)
 def _aux_basis(table: EigenTable, n_aux: int) -> tuple:
     """The auxiliary basis of ``table`` on ``n_aux`` elements, read-only
-    ``(mesh, qpts_stream, trig)``: the ``_radial_mesh`` (nodes, qpts, qw),
-    the ``_stream_rows`` at qpts, (3, K+1, J, 4 n_aux), built in chunks
-    of points, and the ``_dealiased_trig`` table.  Keyed on the table's
+    ``(mesh, qpts_stream, trig, mids)``: the ``_radial_mesh`` (nodes, qpts,
+    qw), the ``_stream_rows`` at qpts, (3, K+1, J, 4 n_aux), built in
+    chunks of points, the cos/sin table of wavenumbers 0..2K at 4K+4
+    uniform angles, and at the element midpoints r the tuple (r, stream
+    rows, vorticity value and d_r, unit harmonics).  Keyed on the table's
     identity; one basis is held at a time."""
     mesh = _radial_mesh(n_aux)
-    qpts_stream = np.empty((3, table.K + 1, table.J, mesh[1].size))
+    nodes, qpts, _ = mesh
+    qpts_stream = np.empty((3, table.K + 1, table.J, qpts.size))
     step = max(1, _PROFILE_CHUNK // (9 * (table.K + 1) * table.J))
-    for s in range(0, mesh[1].size, step):
-        qpts_stream[..., s : s + step] = _stream_rows(table, mesh[1][s : s + step])[0]
-    trig = _dealiased_trig(table.K)
-    for a in (*mesh, qpts_stream, trig):
-        a.flags.writeable = False  # shared by every call on this (table, n_aux)
-    return mesh, qpts_stream, trig
-
-
-@lru_cache(maxsize=1)
-def _aux_mids(table: EigenTable, n_aux: int) -> tuple:
-    """Read-only (r, stream, vorticity, harm) at the element midpoints r
-    of the auxiliary mesh: the ``_stream_rows``, the vorticity value and
-    d_r, and unit harmonics.  Built on first use, one held."""
-    nodes = _radial_mesh(n_aux)[0]
+    for s in range(0, qpts.size, step):
+        qpts_stream[..., s : s + step] = _stream_rows(table, qpts[s : s + step])[0]
+    n = 4 * table.K + 4
+    trig = trig_table(2 * table.K, 2.0 * np.pi * np.arange(n) / n)
     r = 0.5 * (nodes[:-1] + nodes[1:])
     stream, (prof, harm) = _stream_rows(table, r)
     mids = (r, stream, np.ascontiguousarray(prof[:, 0]), harm)
-    for a in mids:
-        a.flags.writeable = False
-    return mids
+    for a in (*mesh, qpts_stream, trig, *mids):
+        a.flags.writeable = False  # shared by every call on this (table, n_aux)
+    return mesh, qpts_stream, trig, mids
 
 
 def _phi_tables(omega: SpectralField, n_aux: int) -> tuple[np.ndarray, np.ndarray]:
     """The auxiliary mesh's nodes and the nodal values T (2, 2K+1,
     n_nodes) of the cos/sin rows of Phi[u] there."""
     table = omega.table
-    (nodes, r, qw), stream, trig = _aux_basis(table, n_aux)
+    (nodes, r, qw), stream, trig, _ = _aux_basis(table, n_aux)
     psi_rows = radial_rows(table.to_blocks(biot_savart(omega).coeffs), stream)
     F_r, F_t = split_rows(np.stack(_convective(_velocity(psi_rows, r, trig), r)), trig)
     return nodes, _solve_radial(nodes, r, qw, F_r, d_theta_rows(F_t))
@@ -329,8 +316,7 @@ def momentum_residual(
     w_cur = states[1]
 
     table = w_cur.table
-    _, _, trig = _aux_basis(table, n_aux)
-    r, stream, vort, harm = _aux_mids(table, n_aux)
+    _, _, trig, (r, stream, vort, harm) = _aux_basis(table, n_aux)
 
     # velocity of the three states from one set of stream profiles
     psi = table.to_blocks(np.stack([biot_savart(w).coeffs for w in states]))

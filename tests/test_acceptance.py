@@ -12,6 +12,7 @@ import pytest
 from diskvort import acceptance
 from diskvort.annulus import AnnulusGeometry
 from diskvort.pressure import PressureField
+from diskvort.specfun import gauss_legendre
 
 
 def _require(number, budget_s):
@@ -80,6 +81,28 @@ def test_check_10_holds_p_to_the_potential_up_to_a_constant(monkeypatch, shift, 
     assert passed == passes, detail
     if reads is not None:
         assert f"p - potential constant to {reads}," in detail
+
+
+def test_check_10_reads_the_slope_at_the_element_centroids(monkeypatch):
+    # the radius each element's P1 slope is read at is its centroid
+    # int r^2 dr / int r dr, here by a 4-point Gauss rule (exact for both)
+    read = []
+    p1_rows = acceptance._p1_rows
+
+    def recorded(nodes, T, r):
+        read.append((nodes, r))
+        return p1_rows(nodes, T, r)
+
+    monkeypatch.setattr(acceptance, "_p1_rows", recorded)
+    passed, detail = acceptance.check_pressure_consistency()
+    assert passed, detail
+    assert [r.size for _, r in read] == [256, 128]
+    gx, gw = gauss_legendre(4, -1.0, 1.0)
+    for nodes, r in read:
+        a, b = nodes[:-1], nodes[1:]
+        assert np.all((a <= r) & (r <= b))
+        x = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * gx
+        np.testing.assert_allclose(r, (x**2 @ gw) / (x @ gw), rtol=1e-14, atol=0)
 
 
 def test_criterion_11_annulus_spectra():

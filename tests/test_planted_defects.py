@@ -181,9 +181,7 @@ ANNULUS_DEFECTS = {
 
 def annulus_verdicts() -> dict:
     """Pass or fail of checks 11 and 12 and of each ``annulus-verify`` row
-    at the default flags, by name.  Check 11's cached spectrum is cleared
-    first, so a clean one cached before the defect cannot hide it."""
-    acceptance._annulus_spectra.cache_clear()
+    at the default flags, by name."""
     rows, _ = acceptance.annulus_rows(AnnulusGeometry(0.5))
     verdicts = {name: (passed, detail) for name, passed, detail in rows}
     for result in acceptance.run_all([11, 12]):
@@ -191,15 +189,8 @@ def annulus_verdicts() -> dict:
     return verdicts
 
 
-@pytest.fixture
-def fresh_annulus_spectra():
-    # a spectrum cached under a planted defect must not outlive the test
-    yield
-    acceptance._annulus_spectra.cache_clear()
-
-
 @pytest.mark.parametrize("defect", ANNULUS_DEFECTS.values(), ids=ANNULUS_DEFECTS.keys())
-def test_annulus_defect_fails_its_detector(monkeypatch, fresh_annulus_spectra, defect):
+def test_annulus_defect_fails_its_detector(monkeypatch, defect):
     fn, old, new, detector = defect
     if callable(detector):
         detector()  # the clean code passes it

@@ -19,7 +19,7 @@ from diskvort.pressure import (
 )
 from diskvort import pressure, specfun, spectrum
 from diskvort.fields import split_rows as _split_rows
-from diskvort.fields import synthesize_rows
+from diskvort.fields import synthesize_rows, trig_table
 from diskvort.pressure import _p1_rows, _phi_tables, _radial_mesh, _solve_radial
 from diskvort.solver import RunConfig, prepare, run, stokes_run
 from diskvort.specfun import bessel_j
@@ -249,7 +249,8 @@ def test_failed_radial_solve_raises(monkeypatch):
 
 def test_split_rows_inverts_synthesis():
     K = 3
-    trig = pressure._dealiased_trig(K)
+    n = 4 * K + 4  # the pressure layer's dealiased table
+    trig = trig_table(2 * K, 2.0 * np.pi * np.arange(n) / n)
     rows = np.random.default_rng(4).standard_normal((2, 2 * K + 1, 6))
     rows[1, 0] = 0.0  # there is no sin(0 theta)
     assert_allclose(_split_rows(synthesize_rows(rows, trig), trig), rows, rtol=0, atol=1e-13)
@@ -403,7 +404,6 @@ def test_cold_and_warm_calls_give_the_same_bits(two_mode_run, n_aux):
     }
     for name, call in calls.items():
         pressure._aux_basis.cache_clear()
-        pressure._aux_mids.cache_clear()
         cold = call()
         hits = pressure._aux_basis.cache_info().hits
         warm = call()
@@ -411,9 +411,13 @@ def test_cold_and_warm_calls_give_the_same_bits(two_mode_run, n_aux):
         np.testing.assert_array_equal(warm, cold, err_msg=name)
 
 
-@pytest.mark.parametrize("n_aux", [128, 256])
-def test_cli_pattern_builds_the_profiles_once_per_point_set(two_mode_run, monkeypatch, n_aux):
-    # diskvort pressure: one residual, then one recovery, same n_aux
+@pytest.mark.parametrize(
+    "n_aux, recovery_first",
+    [pytest.param(128, False, id="128"), pytest.param(256, False, id="256"), pytest.param(256, True, id="recovery-first")],
+)
+def test_cli_pattern_builds_the_profiles_once_per_point_set(two_mode_run, monkeypatch, n_aux, recovery_first):
+    # diskvort pressure: one residual, then one recovery, same n_aux; in
+    # either order the first call builds the one basis and the second none
     cfg, ctx, traj = two_mode_run
     sizes = []
 
@@ -423,10 +427,15 @@ def test_cli_pattern_builds_the_profiles_once_per_point_set(two_mode_run, monkey
 
     monkeypatch.setattr(pressure, "radial_profiles", counted)
     pressure._aux_basis.cache_clear()
-    pressure._aux_mids.cache_clear()
-    momentum_residual(traj, len(traj) // 2, cfg.nu, ctx.grid, n_aux=n_aux)
-    recover_pressure(traj.states[-1], cfg.nu, ctx.grid, n_aux)
+    calls = [
+        lambda: momentum_residual(traj, len(traj) // 2, cfg.nu, ctx.grid, n_aux=n_aux),
+        lambda: recover_pressure(traj.states[-1], cfg.nu, ctx.grid, n_aux),
+    ]
+    first, second = calls[::-1] if recovery_first else calls
+    first()
     assert sizes == [4 * n_aux, n_aux]  # the quadrature points, then the midpoints
+    second()
+    assert sizes == [4 * n_aux, n_aux]
 
 
 def test_warm_recovery_evaluates_no_bessel_function(two_mode_run, monkeypatch):
@@ -450,8 +459,8 @@ def test_warm_recovery_evaluates_no_bessel_function(two_mode_run, monkeypatch):
 
 def test_basis_arrays_are_read_only():
     table = build_table(2, 3)
-    mesh, qpts_stream, trig = pressure._aux_basis(table, 8)
-    for a in (*mesh, qpts_stream, *pressure._aux_mids(table, 8), trig):
+    mesh, qpts_stream, trig, mids = pressure._aux_basis(table, 8)
+    for a in (*mesh, qpts_stream, trig, *mids):
         assert not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0.0
@@ -487,9 +496,10 @@ def test_basis_is_keyed_on_the_table_and_one_is_held():
     assert pressure._aux_basis.cache_info().currsize == 1
 
     # bit-equal to fresh profiles of the second table at the same radii
-    (nodes, qpts, _), qpts_stream, _ = fresh
-    r, stream, vort, harm = pressure._aux_mids(second, 16)
+    (nodes, qpts, _), qpts_stream, trig, (r, stream, vort, harm) = fresh
     np.testing.assert_array_equal(qpts_stream, fresh_stream(second, qpts))
+    n = 4 * second.K + 4  # wavenumbers 0..2K, the band of the convective term
+    np.testing.assert_array_equal(trig, trig_table(2 * second.K, 2.0 * np.pi * np.arange(n) / n))
     prof, want_harm = radial_profiles(second, r)
     np.testing.assert_array_equal(stream, fresh_stream(second, r))
     np.testing.assert_array_equal(vort, prof[:, 0])
@@ -524,6 +534,6 @@ def test_basis_chunks_give_the_same_bits(monkeypatch, chunk):
     monkeypatch.setattr(pressure, "_PROFILE_CHUNK", chunk)
     pressure._aux_basis.cache_clear()
     table = build_table(4, 4)
-    (_, qpts, _), qpts_stream, _ = pressure._aux_basis(table, 16)
+    (_, qpts, _), qpts_stream, _, _ = pressure._aux_basis(table, 16)
     pressure._aux_basis.cache_clear()
     np.testing.assert_array_equal(qpts_stream, fresh_stream(table, qpts))

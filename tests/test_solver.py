@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from config_oracle import init_mode_messages
@@ -889,9 +889,12 @@ TWO_TRACK_STATE = pytest.mark.xfail(
 @pytest.mark.parametrize(
     "nu", [1e-1, 1e-4, pytest.param(1e-8, marks=TWO_TRACK_STATE), pytest.param(1e-12, marks=TWO_TRACK_STATE)]
 )
-# a seed has nothing to shrink to: a failing one is reported as drawn
+# a seed has nothing to shrink to: a failing one is reported as drawn.
+# Seed 0, the first one drawn, is an explicit example, so the strict
+# xfails fail on it before any draw and Hypothesis writes no patch
 @settings(max_examples=5, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(seed=st.integers(0, 2**32 - 1))
+@example(seed=0)
 def test_energy_inequality(nu, seed):
     # unit-enstrophy init at dt = 1e-3: CFL numbers up to 0.005 (0.17 as
     # the nu = 1e-12 runs blow up), and the run's guard refuses any step
