@@ -12,9 +12,11 @@ Usage:
 """
 
 import argparse
+import dataclasses
 
+from diskvort.fields import write_csv
 from diskvort.semigroup import fit_decay_rate
-from diskvort.solver import RunConfig, run
+from diskvort.solver import DiagnosticsRow, RunConfig, run
 from diskvort.spectrum import build_table
 
 
@@ -55,7 +57,8 @@ def main():
     print(f"\nmax harmonic-moment drift over the run: {drift:.2e}")
 
     if args.csv:
-        traj.to_csv(args.csv)
+        header = [field.name for field in dataclasses.fields(DiagnosticsRow)]
+        write_csv(args.csv, header, (vars(row).values() for row in traj.diagnostics))
         print(f"diagnostics written to {args.csv}")
 
 

@@ -42,7 +42,9 @@ work (status "running") and rewrites it on success (status "completed",
 wall clock, file list), so a crashed run is recognizable by its
 unfinished manifest.  A solver abort, in any subcommand, rewrites it
 with status "failed" and ``failure`` {type, message, step, t}, the step
-count and time of the last accepted state.  Manifests and reports are
+count and time of the last accepted state, and lists the files written
+before it: ``ns`` and ``stokes`` write each row of ``trajectory.csv``
+and each due snapshot as the run makes it.  Manifests and reports are
 written to a temporary file first, which replaces the old one in one
 rename.  All other emitted files are listed in the manifest; numeric
 CSV fields carry 17 significant digits.
@@ -98,6 +100,7 @@ class RunManifest:
     failure: dict | None = None
 
     def write(self) -> None:
+        self.files.sort()
         _write_json(Path(self.outdir) / "manifest.json", dataclasses.asdict(self))
 
 
@@ -117,9 +120,9 @@ def _recorded(subcommand, parameters, outdir, seed=None, config_path=None):
     runs and yielded to it; the body lists its outputs in ``man.files``.
 
     When the body returns, the manifest is rewritten "completed" with the
-    wall clock and the sorted file list.  A solver abort rewrites it
-    "failed" with a ``failure`` record and propagates; any other error
-    leaves it "running".
+    wall clock.  A solver abort rewrites it "failed" with a ``failure``
+    record and propagates; any other error leaves it "running".  Each
+    write lists the files written so far, sorted.
     """
     from . import __version__
     from .solver import SolverAbort
@@ -145,7 +148,6 @@ def _recorded(subcommand, parameters, outdir, seed=None, config_path=None):
         raise
     man.status = "completed"
     man.wall_clock_s = time.monotonic() - t0
-    man.files = sorted(man.files)
     man.write()
 
 
@@ -315,27 +317,6 @@ def _load_run(path, subcommand: str):
 
 
 # ---------------------------------------------------------------------------
-# artifact writers
-
-
-def _write_snapshots(traj, outdir: Path, every: int) -> list[str]:
-    from .fields import write_csv
-
-    if every <= 0:
-        return []
-    snapdir = outdir / "snapshots"
-    snapdir.mkdir(exist_ok=True)
-    files = []
-    for idx in range(0, len(traj), every):
-        state = traj.states[idx]
-        name = f"snapshots/state_{idx:06d}.csv"
-        rows = ((m.k, m.j, m.parity, c) for m, c in zip(state.table.modes, state.coeffs))
-        write_csv(outdir / name, ("k", "j", "parity", "coeff"), rows)
-        files.append(name)
-    return files
-
-
-# ---------------------------------------------------------------------------
 # subcommand handlers
 
 
@@ -370,11 +351,28 @@ def _cmd_biot_savart_check(args) -> int:
     return 0 if all(r.passed for r in results) else 3
 
 
+def _snapshots(rows, outdir: Path, every: int, files: list):
+    """The run's rows passed on as they are made, the state of every
+    ``every``-th (none for 0) first written to ``snapshots/`` and listed
+    in ``files``."""
+    from .fields import write_csv
+
+    for idx, (t, state, row) in enumerate(rows):
+        if every > 0 and idx % every == 0:
+            name = f"snapshots/state_{idx:06d}.csv"
+            (outdir / "snapshots").mkdir(exist_ok=True)
+            files.append(name)
+            coeffs = ((m.k, m.j, m.parity, c) for m, c in zip(state.table.modes, state.coeffs))
+            write_csv(outdir / name, ("k", "j", "parity", "coeff"), coeffs)
+        yield t, state, row
+
+
 def _cmd_run(args) -> int:
     """``ns``, ``stokes`` and ``pressure``: the run of a config file and
     its snapshots, with its trajectory or, for ``pressure``, the momentum
     defect along it and the pressure of its final state."""
-    from .solver import run, stokes_run
+    from .fields import write_csv
+    from .solver import DiagnosticsRow, run_rows, stokes_rows
 
     name = args.subcommand
     if name == "pressure" and args.n_aux < 1:
@@ -382,11 +380,13 @@ def _cmd_run(args) -> int:
     resolved, cfg, ctx, state = _load_run(args.config, name)
     outdir = Path(args.outdir)
     with _recorded(name, resolved, outdir, resolved["init"]["seed"], args.config) as man:
-        traj = stokes_run(cfg, ctx=ctx) if state is None else run(cfg, ctx, state)
-        man.files = _write_snapshots(traj, outdir, resolved["output"]["snapshot_every"])
+        made = stokes_rows(cfg, ctx=ctx) if state is None else run_rows(cfg, ctx, state)
+        rows = _snapshots(made, outdir, resolved["output"]["snapshot_every"], man.files)
         if name == "pressure":
             from .pressure import momentum_residual, recover_pressure
+            from .semigroup import Trajectory
 
+            traj = Trajectory(*zip(*rows))
             index = (len(traj) - 1) // 2
             resid = momentum_residual(traj, index, cfg.nu, ctx.grid, n_aux=args.n_aux)
             p = recover_pressure(traj.states[-1], cfg.nu, ctx.grid, n_aux=args.n_aux)
@@ -404,11 +404,13 @@ def _cmd_run(args) -> int:
                 f"field on the final state written to {outdir / 'pressure.csv'}"
             )
         else:
-            traj.to_csv(outdir / "trajectory.csv")
             man.files.append("trajectory.csv")
-            last = traj.diagnostics[-1]
+            header = [field.name for field in dataclasses.fields(DiagnosticsRow)]
+            # the last row stays bound for the summary line
+            values = (vars(last := row).values() for _, _, row in rows)
+            n_rows = write_csv(outdir / "trajectory.csv", header, values)
             summary = (
-                f"{name}: {len(traj)} output rows to {outdir / 'trajectory.csv'}; "
+                f"{name}: {n_rows} output rows to {outdir / 'trajectory.csv'}; "
                 f"final t={last.t:g} energy={last.energy:.6e} enstrophy={last.enstrophy:.6e}"
             )
     print(summary)

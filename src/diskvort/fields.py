@@ -181,13 +181,16 @@ def split_rows(values, trig) -> np.ndarray:
     return np.moveaxis(rows * weight, -3, -1)
 
 
-def write_csv(path, header, rows) -> None:
-    """One comma-separated line for ``header`` and for each row; strings
-    are written as they are, numbers with 17 significant digits."""
+def write_csv(path, header, rows) -> int:
+    """One comma-separated line for ``header`` and for each row, written
+    as the row comes; strings as they are, numbers with 17 significant
+    digits.  Returns the number of rows."""
     with open(path, "w", newline="") as f:
         f.write(",".join(header) + "\n")
-        for row in rows:
+        n = 0
+        for n, row in enumerate(rows, 1):
             f.write(",".join(v if isinstance(v, str) else f"{v:.17g}" for v in row) + "\n")
+    return n
 
 
 def grid_size_problems(K, J, n_radial, n_angular) -> list[str]:

@@ -21,13 +21,11 @@ and the linear run alike.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from scipy.special import exprel
-
-from .fields import write_csv
 
 __all__ = [
     "Trajectory",
@@ -78,7 +76,7 @@ def duhamel_step(w, f0, stage2, exp_factor, phi1_dt, phi2_dt):
 
 @dataclass
 class Trajectory:
-    """Time-ordered states with aligned diagnostics rows."""
+    """Time-ordered states with aligned diagnostics rows: a run's rows, collected."""
 
     times: np.ndarray
     states: tuple
@@ -97,11 +95,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return self.times.size
-
-    def to_csv(self, path) -> None:
-        """The diagnostics rows, one CSV column per field."""
-        names = [fld.name for fld in fields(self.diagnostics[0])]
-        write_csv(path, names, ([getattr(row, n) for n in names] for row in self.diagnostics))
 
 
 @dataclass(frozen=True)

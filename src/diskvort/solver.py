@@ -28,19 +28,21 @@ Both stages are the one ETD2RK update, ``semigroup.duhamel_step``; the
 linear ``stokes_run`` has no omega_B and takes it with a given forcing
 in place of advection, or, unforced, its exact value e^{-nu lambda dt}
 times the state, and shares with ``run`` the one loop, which
-alone turns blocks into eigen-sorted fields, once per output row.  A
-row gathers the total's blocks into eigen order once; one ``vecdot`` of
-the squares against the lambda-weight table (lambda^-1, 1, lambda) built
-in ``prepare`` gives its three norms as ``fields.norm_at`` takes each,
-and ``norm_at`` is the row's oracle in the tests.
+alone turns blocks into eigen-sorted fields, once per output row, and
+yields each row as it is made (``run_rows``, ``stokes_rows``), which
+``run`` and ``stokes_run`` collect.  A row gathers the total's blocks
+into eigen order once; one ``vecdot`` of the squares against the
+lambda-weight table (lambda^-1, 1, lambda) built in ``prepare`` gives
+its three norms as ``fields.norm_at`` takes each, and ``norm_at`` is
+the row's oracle in the tests.
 
 Every object in the loop lives in the eigen-span, so the harmonic
 moments of the total vorticity are conserved structurally; the solver
 still measures them each step, as max |M c| for the quadrature moment
 map M built in ``prepare``, and aborts loudly if they ever exceed 10x
 ``MOMENT_TOL``.  A state whose speed, moments or new
-coefficients are not finite aborts too, and so does a run, ``run`` or
-``stokes_run``, whose output row is not finite.
+coefficients are not finite aborts too, and so does a run whose output
+row is not finite.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -71,7 +73,9 @@ __all__ = [
     "prepare",
     "initial_state",
     "step",
+    "run_rows",
     "run",
+    "stokes_rows",
     "stokes_run",
     "measure_moment_drift",
 ]
@@ -373,20 +377,21 @@ def step(state: SolverState, cfg: RunConfig, ctx: RunContext) -> SolverState:
     return SolverState(state.steps + 1, new0, wb_new)
 
 
-def _integrate(cfg: RunConfig, ctx: RunContext, state: SolverState, advance) -> Trajectory:
+def _integrate(cfg: RunConfig, ctx: RunContext, state: SolverState, advance) -> Iterator[tuple]:
     """Map ``state`` to the next by ``advance`` once per step up to t_final,
-    recording the total vorticity and its diagnostics row at the start,
-    every ``output_every`` steps and at the end.  A ``SolverAbort`` leaves
-    with the step count and time of the last accepted state, or of the
-    row, if a row to record is not finite (``NonFiniteState``)."""
+    yielding ``(t, total vorticity, diagnostics row)`` as each is made: at
+    the start, every ``output_every`` steps and at the end; a row whose
+    time does not rise, or a last row short of t_final, is a ``ValueError``.
+    A ``SolverAbort`` leaves with the step count and time of the last
+    accepted state, or of the row, if a row to yield is not finite
+    (``NonFiniteState``)."""
     given = {name: getattr(cfg, name) for name in ctx.prepared_for}
     if given != ctx.prepared_for:
         raise ValueError(f"context prepared for {ctx.prepared_for}, not {given}")
     n_steps = int(round(cfg.t_final / cfg.dt))
     table = ctx.table
-    times, states, rows = [], [], []
 
-    def record(state: SolverState) -> None:
+    def record(state: SolverState) -> tuple:
         t = state.steps * cfg.dt
         w = state.w0 if state.wb is None else state.w0 + state.wb  # the linear run has no omega_B
         c = table.from_blocks(w)
@@ -399,11 +404,10 @@ def _integrate(cfg: RunConfig, ctx: RunContext, state: SolverState, advance) -> 
             err = NonFiniteState(f"output row at t={t:.6g} is not finite: {', '.join(bad)}")
             err.step, err.t = state.steps, t
             raise err
-        times.append(t)
-        states.append(SpectralField(table, c, "vorticity"))
-        rows.append(row)
+        return t, SpectralField(table, c, "vorticity"), row
 
-    record(state)
+    yield record(state)
+    shown = state.steps  # the step count of the last row
     for _ in range(state.steps, n_steps):
         try:
             state = advance(state)
@@ -411,29 +415,38 @@ def _integrate(cfg: RunConfig, ctx: RunContext, state: SolverState, advance) -> 
             e.step, e.t = state.steps, state.steps * cfg.dt
             raise
         if state.steps % cfg.output_every == 0 or state.steps == n_steps:
-            record(state)
-    return Trajectory(times=np.array(times), states=tuple(states), diagnostics=tuple(rows))
+            if state.steps <= shown:
+                raise ValueError("times must be strictly increasing")
+            yield record(state)
+            shown = state.steps
+    if shown < n_steps:  # an advance stuck between two rows
+        raise ValueError(f"the step count stopped at {state.steps} of {n_steps}")
+
+
+def run_rows(cfg: RunConfig, ctx: RunContext, state: SolverState) -> Iterator[tuple]:
+    """The rows of a run to t_final from ``state``, as ``_integrate`` yields them."""
+    return _integrate(cfg, ctx, state, lambda state: step(state, cfg, ctx))
 
 
 def run(cfg: RunConfig, ctx: Optional[RunContext] = None, state: Optional[SolverState] = None) -> Trajectory:
     """Integrate to t_final from ``state``, by default ``initial_state``
-    on ``ctx``, recording diagnostics at the cadence."""
+    on ``ctx``: the trajectory of ``run_rows``, made before it returns."""
     if ctx is None:
         ctx = prepare(cfg)
     if state is None:
         state = initial_state(cfg, ctx)
-    return _integrate(cfg, ctx, state, lambda state: step(state, cfg, ctx))
+    return Trajectory(*zip(*run_rows(cfg, ctx, state)))
 
 
-def stokes_run(
+def stokes_rows(
     cfg: RunConfig,
     forcing: Optional[Callable[[float], SpectralField]] = None,
     ctx: Optional[RunContext] = None,
-) -> Trajectory:
-    """Linear evolution only: the ETD2RK update of ``step`` with the
-    forcing, a function of t or none, in place of advection, and no
-    elliptic track.  Step i takes the forcing at i dt and (i+1) dt, one
-    call per time point; unforced, it is e^{-nu lambda dt} times w."""
+) -> Iterator[tuple]:
+    """The rows of the linear evolution: the ETD2RK update of ``step``
+    with the forcing, a function of t or none, in place of advection,
+    and no elliptic track.  Step i takes the forcing at i dt and (i+1)
+    dt, one call per time point; unforced, it is e^{-nu lambda dt} w."""
     if ctx is None:
         ctx = prepare(cfg)
     if forcing is None:
@@ -458,3 +471,12 @@ def stokes_run(
             return SolverState(state.steps + 1, duhamel_step(state.w0, f0, lambda a: f1, *factors))
 
     return _integrate(cfg, ctx, SolverState(0, _initial_field(cfg, ctx.table)), advance)
+
+
+def stokes_run(
+    cfg: RunConfig,
+    forcing: Optional[Callable[[float], SpectralField]] = None,
+    ctx: Optional[RunContext] = None,
+) -> Trajectory:
+    """The trajectory of ``stokes_rows``, every row made before it returns."""
+    return Trajectory(*zip(*stokes_rows(cfg, forcing, ctx)))

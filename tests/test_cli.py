@@ -572,9 +572,12 @@ class TestRunArtifacts:
         assert sorted(f for f in man["files"] if f.startswith("snapshots/")) == [
             f"snapshots/state_{idx:06d}.csv" for idx in snaps
         ]
-        # the summary line reads the last row of the trajectory
-        last = (out / "trajectory.csv").read_text().splitlines()[-1].split(",")
-        assert f"final t={float(last[0]):g} energy={float(last[1]):.6e} enstrophy={float(last[2]):.6e}" in capsys.readouterr().out
+        # the summary line reads the row count and the last row of the trajectory
+        lines = (out / "trajectory.csv").read_text().splitlines()
+        last = lines[-1].split(",")
+        summary = capsys.readouterr().out
+        assert f"ns: {len(lines) - 1} output rows to " in summary
+        assert f"final t={float(last[0]):g} energy={float(last[1]):.6e} enstrophy={float(last[2]):.6e}" in summary
 
     def test_crashed_run_leaves_running_manifest(self, tmp_path, monkeypatch):
         import diskvort.solver
@@ -582,7 +585,7 @@ class TestRunArtifacts:
         def boom(*args, **kwargs):
             raise RuntimeError("induced failure")
 
-        monkeypatch.setattr(diskvort.solver, "run", boom)
+        monkeypatch.setattr(diskvort.solver, "run_rows", boom)
         cfg = write(tmp_path, SMALL_RUN)
         out = tmp_path / "out"
         with pytest.raises(RuntimeError, match="induced"):
@@ -590,6 +593,28 @@ class TestRunArtifacts:
         man = json.loads((out / "manifest.json").read_text())
         assert man["status"] == "running"
         assert man["wall_clock_s"] is None
+
+    @pytest.mark.parametrize("subcommand, made", [("ns", "run_rows"), ("stokes", "stokes_rows")])
+    def test_rows_are_written_as_they_are_made(self, tmp_path, monkeypatch, subcommand, made):
+        # when the run makes a row, at most the field of the row before it
+        # is still held: the CLI writes each row and its snapshot as it
+        # passes.  A pass over a finished trajectory would hold them all
+        import weakref
+
+        import diskvort.solver
+
+        rows, refs, alive = getattr(diskvort.solver, made), [], []
+
+        def watched(*args, **kwargs):
+            for t, field, row in rows(*args, **kwargs):
+                alive.append(sum(ref() is not None for ref in refs))
+                refs.append(weakref.ref(field.coeffs))  # a field has slots and no weakref; its array has
+                yield t, field, row
+
+        monkeypatch.setattr(diskvort.solver, made, watched)
+        cfg = write(tmp_path, SMALL_RUN.replace("every = 2", "every = 1\nsnapshot_every = 1"))
+        assert dispatch([subcommand, "--config", str(cfg), "--outdir", str(tmp_path / "out")]) == 0
+        assert len(alive) == 11 and max(alive) == 1, alive
 
     def test_manifest_replaced_atomically(self, tmp_path, monkeypatch):
         renames = []
@@ -633,9 +658,20 @@ class TestRunArtifacts:
             "step": 3,
             "t": 3 * 0.005,
         }
-        assert man["wall_clock_s"] is None and man["files"] == []
+        assert man["wall_clock_s"] is None
         assert f"{abort}: induced {abort}" in capsys.readouterr().err
-        assert outdir_files(out) == {"manifest.json"}
+        assert outdir_files(out) == set(man["files"]) | {"manifest.json"}
+        if subcommand == "pressure":  # its rows are collected, and no snapshot is due
+            assert man["files"] == []
+        else:
+            # the rows up to the last accepted state's, at step 3, each
+            # written as it was made: the first lines of a completed run
+            monkeypatch.setattr(diskvort.solver, "step", step)
+            whole = tmp_path / "whole"
+            assert dispatch([subcommand, "--config", str(cfg), "--outdir", str(whole)]) == 0
+            written = (out / "trajectory.csv").read_bytes()
+            assert man["files"] == ["trajectory.csv"] and written.count(b"\n") == 1 + 4
+            assert (whole / "trajectory.csv").read_bytes().startswith(written)
 
     def test_abort_in_accept_reference_run_recorded(self, tmp_path, monkeypatch, capsys):
         import functools
@@ -686,7 +722,12 @@ class TestRunArtifacts:
             assert man["failure"]["message"].startswith("output row at t=0 is not finite: energy=inf")
             assert (man["failure"]["step"], man["failure"]["t"]) == (0, 0.0)
             assert "run aborted: NonFiniteState: output row at t=0" in capsys.readouterr().err
-            assert outdir_files(out) == {"manifest.json"}
+            # an abort at the first row leaves the trajectory's header alone, listed
+            assert man["files"] == ["trajectory.csv"]
+            assert outdir_files(out) == {"manifest.json", "trajectory.csv"}
+            assert (out / "trajectory.csv").read_text() == (
+                "t,energy,enstrophy,palinstrophy_norm,moment_drift,correction_norm\n"
+            )
 
     def test_stokes_runs_without_cfl_guard(self, tmp_path):
         # linear runs take any dt; the advective bound applies to ns only
@@ -916,11 +957,12 @@ def dispatched(subcommand, text, workdir):
 @given(text=config_texts())
 def test_every_config_completes_or_is_refused_with_its_cause(text):
     """Each of ``ns``, ``stokes`` and ``pressure`` ends a drawn config in
-    one of three ways: exit 0 with a "completed" manifest and finite
-    numbers in every file it lists; exit 2 with ``config error:`` lines
-    and no manifest; exit 4 with a "failed" manifest naming the solver
-    guard and its message, the one line it prints.  None raises, prints
-    a warning or exits otherwise.
+    one of three ways: exit 0 with a "completed" manifest; exit 2 with
+    ``config error:`` lines and no manifest; exit 4 with a "failed"
+    manifest naming the solver guard and its message, the one line it
+    prints.  On exit 0 and 4 the output directory holds the manifest and
+    the files it lists, no more, with finite numbers in every one.  None
+    raises, prints a warning or exits otherwise.
 
     Out of scope are the two open rules of a config's size: step counts
     too large to run (dt = 1e-300 with t_final = 0.02 validates) and
@@ -942,8 +984,10 @@ def test_every_config_completes_or_is_refused_with_its_cause(text):
                 assert man["status"] == "failed"
                 assert failure["type"] in ("CFLViolation", "MomentDriftError", "NonFiniteState")
                 assert err == [f"run aborted: {failure['type']}: {failure['message']}"]
-                continue
-            assert (code, err, man["status"]) == (0, [], "completed"), (subcommand, code, err)
+            else:
+                assert (code, err, man["status"]) == (0, [], "completed"), (subcommand, code, err)
+            # an abort leaves the files written before it, the refused row never among them
+            assert outdir_files(out) == set(man["files"]) | {"manifest.json"}, (subcommand, code)
             for name in man["files"]:
                 content = (out / name).read_text()
                 cells = json.loads(content).values() if name.endswith(".json") else content.replace("\n", ",").split(",")

@@ -730,6 +730,15 @@ def test_grid_field_csv_round_trip(table, tmp_path):
     np.testing.assert_array_equal(back.values, gf.values)
 
 
+def test_write_csv_counts_the_rows_it_writes(tmp_path):
+    # a header alone for no rows; strings as they are, numbers to 17 digits
+    path = tmp_path / "rows.csv"
+    assert fields.write_csv(path, ("name", "value"), iter([])) == 0
+    assert path.read_text() == "name,value\n"
+    assert fields.write_csv(path, ("name", "value"), iter([("a", 0.1), ("b", 2)])) == 2
+    assert path.read_text() == "name,value\na,0.10000000000000001\nb,2\n"
+
+
 def test_grid_reports_every_refusal(table):
     # one message per bad count, in PolarGrid's order; None is the default
     assert fields.grid_size_problems(5, 5, None, None) == fields.grid_size_problems(5, 5, 7, 16) == []

@@ -321,25 +321,3 @@ def test_trajectory_validation(table):
     tr = Trajectory(times=[0.0, 1.0], states=[f, propagate(f, 0.1, 1.0)], diagnostics=rows)
     assert len(tr) == 2
     assert norm_at(tr.states[0], 0) > norm_at(tr.states[1], 0)
-
-
-def test_trajectory_csv(tmp_path, table):
-    f = random_field(table, 4)
-    tr = Trajectory(
-        times=[0.0, 0.5],
-        states=[f, propagate(f, 0.1, 0.5)],
-        diagnostics=[Row(0.0, 1.0), Row(0.5, 0.8)],
-    )
-    path = tmp_path / "traj.csv"
-    tr.to_csv(path)
-    text = path.read_text().splitlines()
-    assert text[0] == "t,energy"
-    assert len(text) == 3
-    assert float(text[2].split(",")[1]) == 0.8
-
-
-def test_trajectory_csv_of_one_row(tmp_path, table):
-    # the header comes from the first row, which may be the only one
-    tr = Trajectory(times=[0.0], states=[random_field(table, 4)], diagnostics=[Row(0.0, 1.0)])
-    tr.to_csv(tmp_path / "traj.csv")
-    assert (tmp_path / "traj.csv").read_text().splitlines() == ["t,energy", "0,1"]

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from config_oracle import init_mode_messages
 from diskvort import solver
+from diskvort.cli import dispatch
 from diskvort.fields import SpectralField, grid_size_problems, norm_at
 from diskvort.semigroup import fit_decay_rate
 from diskvort.solver import _initial_field as solver_initial_field
@@ -559,7 +560,7 @@ def test_non_finite_update_aborts_at_its_step():
     bad = dataclasses.replace(ctx, elliptic_map=np.full_like(ctx.elliptic_map, np.inf))
     message = "^step from t=0 produced non-finite coefficients$"
     with np.errstate(all="ignore"), pytest.raises(NonFiniteState, match=message) as exc:
-        solver._integrate(cfg, bad, initial_state(cfg, ctx), lambda state: step(state, cfg, bad))
+        list(solver._integrate(cfg, bad, initial_state(cfg, ctx), lambda state: step(state, cfg, bad)))
     assert (exc.value.step, exc.value.t) == (0, 0.0)
 
 
@@ -716,24 +717,56 @@ def test_row_times_are_step_counts_times_dt(runner, kw):
     np.testing.assert_array_equal([r.t for r in tr.diagnostics], want)
 
 
-@pytest.mark.parametrize("shift", [0, -1], ids=["stuck", "steps-minus-1"])
-def test_integrate_is_bounded_by_its_step_count(shift):
-    # an advance whose step count does not rise makes n_steps calls and a
-    # trajectory that refuses its repeated or falling times; the counter
-    # stops a loop that trusts the count to rise, which would never end
-    cfg = small_cfg(t_final=0.05)
-    ctx = prepare(cfg)
+@pytest.mark.parametrize(
+    "shift, path",
+    [(0, "integrate"), (-1, "integrate"), (0, "cli"), (-1, "cli")],
+    ids=["stuck", "steps-minus-1", "stuck-cli", "steps-minus-1-cli"],
+)
+def test_integrate_is_bounded_by_its_step_count(tmp_path, monkeypatch, shift, path):
+    # an advance whose step count does not rise makes the stream refuse
+    # the first due row at or before the last one: after one stuck step,
+    # or 10 steps below the start at output_every = 10.  The counter stops
+    # a loop that trusts the count to rise, which would never end.  The
+    # CLI's run, under a stuck ``step``, writes the rows before it only
+    cfg = small_cfg(t_final=0.05, output_every=10)
     n_steps, calls = round(cfg.t_final / cfg.dt), []
 
-    def advance(state):
+    def advance(state, *_):
         calls.append(state.steps)
         if len(calls) > 2 * n_steps:
             raise RuntimeError(f"{len(calls)} advances for {n_steps} steps")
         return SolverState(state.steps + shift, state.w0, state.wb)
 
     with pytest.raises(ValueError, match="^times must be strictly increasing$"):
-        solver._integrate(cfg, ctx, initial_state(cfg, ctx), advance)
-    assert len(calls) == n_steps == 25
+        if path == "integrate":
+            ctx = prepare(cfg)
+            list(solver._integrate(cfg, ctx, initial_state(cfg, ctx), advance))
+        else:
+            monkeypatch.setattr(solver, "step", advance)
+            ini = tmp_path / "run.ini"
+            ini.write_text(
+                "[domain]\nK = 4\nJ = 4\n[solver]\nnu = 0.1\ndt = 2e-3\nt_final = 0.05\n"
+                "[init]\nkind = random\nseed = 1\n[output]\nevery = 10\n"
+            )
+            dispatch(["ns", "--config", str(ini), "--outdir", str(tmp_path / "out")])
+    assert len(calls) == {0: 1, -1: 10}[shift]
+    if path == "cli":
+        rows = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["0"]
+
+
+def test_integrate_refuses_a_stream_that_stops_short():
+    # an advance stuck between two rows, at step 3 of 25 with rows every 10
+    # steps, makes 25 calls and no row after the first; the loop used to
+    # end there without its last row, and a run returned one row at t = 0
+    cfg = small_cfg(t_final=0.05, output_every=10)
+    ctx = prepare(cfg)
+    rows = solver._integrate(
+        cfg, ctx, initial_state(cfg, ctx), lambda state: SolverState(min(state.steps + 1, 3), state.w0, state.wb)
+    )
+    assert next(rows)[0] == 0.0
+    with pytest.raises(ValueError, match="^the step count stopped at 3 of 25$"):
+        next(rows)
 
 
 PAD_RUNNERS = {

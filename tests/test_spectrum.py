@@ -298,6 +298,41 @@ def test_radial_profiles_match_mpmath(name, K, J, r):
                     assert err <= 1e-14 * np.abs(row).max(), (name, order, kind, k, j, i)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 7: the k = 30 d_r rows read 1.0766e-14 at node 65 (x = 72.94, j index 13) "
+    "and 1.0337e-14 at node 51 (j index 22) of the row max, against 1e-14",
+)
+def test_radial_profiles_match_mpmath_at_every_radius():
+    # the weakest rows of the every-radius sweep on the (32, 24) grid:
+    # value and d_r of both kinds at k = 30, 0-based radial indices 13
+    # and 22, within 1e-14 of each row's max, against mpmath at 30 digits
+    big, k = build_table(32, 24), 30
+    r = PolarGrid(big).r
+    prof, _ = radial_profiles(big, r)
+    worst = []
+    for j in (13, 22):
+        pos = big.perm[0, k, j]
+        a, c = mpmath.mpf(big.alpha[pos]), mpmath.mpf(big.norm[pos])
+        lift = mpmath.besselj(k, a)
+        for i, ri in enumerate(map(mpmath.mpf, r)):
+            jk = mpmath.besselj(k, a * ri)
+            djk = mpmath.besselj(k - 1, a * ri) - k / (a * ri) * jk
+            want = {
+                (0, 0): c * jk,
+                (1, 0): c * a * djk,
+                (0, 1): c * (jk - lift * ri**k),
+                (1, 1): c * (a * djk - k * lift * ri ** (k - 1)),
+            }
+            for (order, kind), w in want.items():
+                row = prof[order, kind, k, j]
+                err = abs(row[i] - float(w)) / np.abs(row).max()
+                if err > 1e-14:
+                    worst.append((err, order, kind, j, i))
+    assert worst == [], max(worst)
+
+
 @pytest.mark.parametrize("K,J", [(8, 8), (63, 3)])
 def test_table_lift_is_norm_times_bessel_at_the_zero(K, J):
     # the table's exact lift coefficient, sign from the interlacing of the
