@@ -16,7 +16,8 @@ Lambda is their product on the grid, with no division, and one
 the elliptic correction): cos/sin rows (2, K+1) against the unit
 harmonics c_k r^k, like every harmonic part in the package.  The same
 samples give the largest speed |u| = |grad psi|, so the CFL guard needs
-no transform of its own.  Because the stream dictionary is clamped at the boundary,
+no transform of its own; a step's second stage, which the guard does
+not read, asks the kernel not to form it.  Because the stream dictionary is clamped at the boundary,
 u.n = 0 holds exactly and the classical identities survive
 discretization: radial fields are steady, the pairing with the stream
 vanishes, and the disk mean of Lambda is zero.
@@ -65,11 +66,12 @@ class AdvectionResult:
     umax: float
 
 
-def _advect(w, grid: PolarGrid):
+def _advect(w, grid: PolarGrid, *, speed=True):
     """The advection kernel on coefficient blocks (2, K+1, J).
 
     Returns the projected blocks, the harmonic moments (2, K+1), the
-    largest grid speed |u| and the samples of Lambda.
+    largest grid speed |u| (None if ``speed`` is false: the step's
+    second stage reads only the blocks) and the samples of Lambda.
     """
     # rows (order, field, (k, parity), n_r), order in (value / r, d_r), field in (omega, psi)
     radial = np.matmul(w.swapaxes(0, 1), grid.kernel_rows).reshape(2, 2, -1, grid.n_radial)
@@ -77,7 +79,7 @@ def _advect(w, grid: PolarGrid):
     # dom_t and dpsi_t are d_theta omega / r and d_theta psi / r
     lam_vals = dpsi_r * dom_t - dpsi_t * dom_r
     # u_r = -d_theta psi / r, u_theta = d_r psi
-    umax = math.sqrt((dpsi_t * dpsi_t + dpsi_r * dpsi_r).max())
+    umax = math.sqrt((dpsi_t * dpsi_t + dpsi_r * dpsi_r).max()) if speed else None
     projected, moments = grid.analyze(lam_vals)
     return projected, moments, umax, lam_vals
 

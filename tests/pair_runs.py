@@ -1,16 +1,16 @@
 """Parent-versus-change runs of the benchmark, and the verdict on a claim.
 
-    python3 tests/pair_runs.py --seed SEED --claim verify:annulus_s:0.20 --out BENCH_<n>.json
+    python3 tests/pair_runs.py --seed SEED --claim verify:annulus_s:0.20 --control 5 --out BENCH_<n>.json
     python3 tests/pair_runs.py --numbers
     python3 tests/pair_runs.py --probe
 
 Run from anywhere in a git checkout.  The parent side is ``git archive``
-of ``--parent`` (default HEAD); the change side is the working tree,
-its tracked and untracked files that git does not ignore.  Each is
-copied into its own directory under ``--workdir`` (a new temporary
-directory by default), so each runs its own ``perfbench/run.py`` on its
-own sources and its own ``perfbench/reference.json``.  Nothing under
-``perfbench/`` is changed.
+of ``--parent`` (default HEAD); the change side is ``git archive`` of
+``--change`` if given, else the working tree, its tracked and untracked
+files that git does not ignore.  Each is copied into its own directory
+under ``--workdir`` (a new temporary directory by default), so each
+runs its own ``perfbench/run.py`` on its own sources and its own
+``perfbench/reference.json``.  Nothing under ``perfbench/`` is changed.
 
 Pair mode runs ``perfbench/run.py --workload W --seed S --seconds T
 --trace 0``, T the ``run_seconds`` of ``BENCHMARK.json``, once per side
@@ -18,7 +18,8 @@ and pair; pair i runs the parent first when i is odd and the change
 first when it is even.  It writes the keys the
 ``BENCH_*.json`` files share: ``command``, ``seed``, ``pairs``,
 ``claim``, ``claim_result``, ``note``, ``environment``, ``summary``,
-``parent`` and ``change``, then ``digest`` and ``sessions``.  The
+``parent`` and ``change``, then ``digest`` and ``sessions``, and
+``control`` with ``--control``.  The
 summary gives, per workload and end-to-end metric of ``BENCHMARK.json``,
 both medians and quartiles, each side's runs sorted (a bimodal side
 shows as a gap), the relative move of the medians, the pairs the change
@@ -34,6 +35,16 @@ median moves between sessions.  A claim ``W:METRIC:SIZE``
 median) is met when there are at least 10 pairs, the change wins at
 least 9 in 10 of them, the medians differ by more than the parent's
 interquartile distance, and the move is at least SIZE.
+
+``--control N`` adds, per workload, N pairs of the parent against a
+second ``git archive`` of the parent (the control side), spread evenly
+among the workload's pairs on the same seed; control pair j runs the
+parent first when j is odd.  Two copies of one code differ only by
+noise, so the largest |relative move| of any control pair is the
+control move of each metric, and a claim is met only if its move
+exceeds the control move too.  The ``control`` block holds the control
+pairs' runs, the control tree's digest and, per workload and metric,
+each pair's move, both medians and the control move.
 
 ``--numbers`` runs ``ns`` and ``stokes`` on a K = J = 8, seed-2024
 config, ``pressure`` on check 10's two-mode run, ``annulus-verify`` and
@@ -203,11 +214,33 @@ def summarize(parent: list, change: list, spec: dict) -> dict:
     return out
 
 
-def claim_verdict(parent: list, change: list, metric: str, unit: str, better: str, size: float) -> dict:
+def control_summary(parent: list, control: list, spec: dict) -> dict:
+    """Per metric of ``spec`` that both sides report, over the control
+    pairs (the parent against a second copy of itself): each pair's
+    relative move, both medians, and the control move, the largest
+    |relative move| of any pair."""
+    out = {}
+    for name in spec:
+        if not all(name in run["metrics"] for run in parent + control):
+            continue
+        p, c = _values(parent, name), _values(control, name)
+        moves = (c - p) / p
+        out[name] = {
+            "parent_median": _stats(p)[0],
+            "control_median": _stats(c)[0],
+            "pair_moves": moves.tolist(),
+            "control_move": float(np.max(np.abs(moves))),
+        }
+    return out
+
+
+def claim_verdict(parent: list, change: list, metric: str, unit: str, better: str, size: float,
+                  control_move=None) -> dict:
     """The claim that ``metric`` improves by at least ``size``: met when the
     change wins at least 9 of 10 pairs (of at least 10), the medians
     differ by more than the parent's interquartile distance, and the
-    relative move reaches ``size``."""
+    relative move reaches ``size`` and exceeds ``control_move``, if
+    given (``control_summary``)."""
     p, c = _values(parent, metric), _values(change, metric)
     (pm, pq), (cm, cq) = _stats(p), _stats(c)
     wins = int(np.sum(_better(c, p, better)))
@@ -220,6 +253,8 @@ def claim_verdict(parent: list, change: list, metric: str, unit: str, better: st
         reasons.append("the medians do not differ by more than the parent's interquartile distance")
     if gain < size:
         reasons.append(f"the move {gain:.1%} is below the claimed {size:.0%}")
+    if control_move is not None and not gain > control_move:
+        reasons.append(f"the move {gain:.1%} does not exceed the control move {control_move:.1%}")
     return {
         "metric": f"{metric} ({unit})",
         "parent": {"median": pm, "quartiles": pq},
@@ -228,6 +263,7 @@ def claim_verdict(parent: list, change: list, metric: str, unit: str, better: st
         "change_wins": f"{wins} of {len(p)} pairs",
         "median_difference": abs(cm - pm),
         "parent_interquartile_distance": iqr,
+        "control_move": control_move,
         "verdict": "met" if not reasons else "not met: " + "; ".join(reasons),
     }
 
@@ -241,7 +277,8 @@ def describe(summary: dict, claim_result, all_correct: bool) -> str:
             f"claim {cr['verdict']}: {cr['metric']} {cr['relative']:+.1%} median against median "
             f"({cr['parent']['median']:.6g} -> {cr['change']['median']:.6g}), the change won "
             f"{cr['change_wins']}; the medians differ by {cr['median_difference']:.6g} against a parent "
-            f"interquartile distance of {cr['parent_interquartile_distance']:.6g}."
+            f"interquartile distance of {cr['parent_interquartile_distance']:.6g}"
+            + ("." if cr["control_move"] is None else f", and the control move is {cr['control_move']:.1%}.")
         )
     for workload, metrics in summary.items():
         moves = ", ".join(
@@ -318,17 +355,22 @@ def copy_working_tree(dest: Path) -> None:
             shutil.copy2(source, target)
 
 
-def make_trees(parent_rev: str, workdir: Path) -> dict:
-    """``git archive`` of the parent revision and a copy of the working
-    tree, under ``workdir``: {"parent": path, "change": path}."""
-    trees = {"parent": workdir / "parent", "change": workdir / "change"}
-    for path in trees.values():
+def make_trees(parent_rev: str, workdir: Path, change_rev=None, control=False) -> dict:
+    """``git archive`` of the parent revision, and of the change revision
+    or else a copy of the working tree, under ``workdir``: {"parent":
+    path, "change": path}, and "control", a second archive of the
+    parent, if ``control``."""
+    revs = {"parent": parent_rev, "change": change_rev, **({"control": parent_rev} if control else {})}
+    trees = {side: workdir / side for side in revs}
+    for side, path in trees.items():
         if path.exists():
             shutil.rmtree(path)
         path.mkdir(parents=True)
-    archive = subprocess.run(["git", "archive", parent_rev], cwd=ROOT, check=True, capture_output=True).stdout
-    subprocess.run(["tar", "-x", "-C", str(trees["parent"])], input=archive, check=True)
-    copy_working_tree(trees["change"])
+        if revs[side] is None:
+            copy_working_tree(path)
+            continue
+        archive = subprocess.run(["git", "archive", revs[side]], cwd=ROOT, check=True, capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(path)], input=archive, check=True)
     return trees
 
 
@@ -370,20 +412,34 @@ def bench_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return run
 
 
-def run_pairs(trees: dict, plan: dict, seed: int, seconds: float) -> tuple:
+def run_order(count: int, control: int) -> list:
+    """One workload's pairs in run order: ("change", i) for i in 1..count
+    and ("control", j) for j in 1..control, the control pairs spread
+    evenly among the others."""
+    keyed = [(i / (count + 1), 0, "change", i) for i in range(1, count + 1)]
+    keyed += [(j / (control + 1), 1, "control", j) for j in range(1, control + 1)]
+    return [(other, i) for *_, other, i in sorted(keyed)]
+
+
+def run_pairs(trees: dict, plan: dict, seed: int, seconds: float, control: int = 0) -> tuple:
+    """Runs by side and workload: {"parent", "change"} for the pairs and
+    {"parent", "control"} for the control pairs, and the environment."""
     sides = {"parent": {}, "change": {}}
+    controls = {"parent": {}, "control": {}}
     environment = None
     for workload, count in plan.items():
-        for pair in range(1, count + 1):
-            order = ("parent", "change") if pair % 2 else ("change", "parent")
+        for other, pair in run_order(count, control):
+            order = ("parent", other) if pair % 2 else (other, "parent")
+            record = sides if other == "change" else controls
             for side in order:
                 run = bench_once(trees[side], workload, seed, seconds)
                 environment = run.pop("environment", None) or environment
-                sides[side].setdefault(workload, []).append({"pair": pair, **run})
-                print(f"{workload} pair {pair} {side}: correct {run['correct']}, "
+                record[side].setdefault(workload, []).append({"pair": pair, **run})
+                print(f"{workload} {'pair' if other == 'change' else 'control pair'} {pair} {side}: "
+                      f"correct {run['correct']}, "
                       + ", ".join(f"{k} {v['value']:.6g}" for k, v in run["metrics"].items()),
                       file=sys.stderr, flush=True)
-    return sides, environment
+    return sides, controls, environment
 
 
 def pairs_record(args, trees: dict) -> dict:
@@ -391,20 +447,35 @@ def pairs_record(args, trees: dict) -> dict:
     bench = json.loads((trees["change"] / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
     spec = {entry["name"]: entry for entry in bench["end_to_end"]}
-    digest = {side: code_digest(tree) for side, tree in trees.items()}
-    sides, environment = run_pairs(trees, plan, args.seed, seconds)
+    digest = {side: code_digest(tree) for side, tree in trees.items() if side != "control"}
+    sides, controls, environment = run_pairs(trees, plan, args.seed, seconds, args.control)
     summary = {w: summarize(sides["parent"][w], sides["change"][w], spec) for w in plan}
+    control = None
+    if args.control:
+        control = {
+            "pairs": f"{args.control} pairs per workload of the parent against a second git archive of "
+                     f"{_git('rev-parse', '--short', args.parent).strip()}, spread evenly among the "
+                     "workload's pairs; control pair j ran the parent first when j is odd",
+            "digest": code_digest(trees["control"]),
+            "summary": {w: control_summary(controls["parent"][w], controls["control"][w], spec) for w in plan},
+            **controls,
+        }
     claim, claim_result = "none", None
     if args.claim:
         workload, metric, size = args.claim.split(":")
         entry = spec[metric]
         claim = (f"{workload} {metric} {'falls' if entry['better'] == 'lower' else 'rises'} by at least "
-                 f"{float(size):.0%}, median against median, winning at least 9 of 10 pairs")
+                 f"{float(size):.0%}, median against median, winning at least 9 of 10 pairs"
+                 + (", and by more than the control move" if control else ""))
         claim_result = claim_verdict(sides["parent"][workload], sides["change"][workload], metric,
-                                     entry["unit"], entry["better"], float(size))
+                                     entry["unit"], entry["better"], float(size),
+                                     control and control["summary"][workload][metric]["control_move"])
         claim_result["metric"] = f"{workload} {claim_result['metric']}"
-    all_correct = all(run["correct"] for side in sides.values() for runs in side.values() for run in runs)
+    all_correct = all(run["correct"] for record in (sides, controls) for side in record.values()
+                      for runs in side.values() for run in runs)
     workloads = ",".join(plan)
+    change_side = (f"git archive of {_git('rev-parse', '--short', args.change).strip()}" if args.change
+                   else "the working tree")
     return {
         "command": f"python3 perfbench/run.py --workload {{{workloads}}} --seed {args.seed} "
                    f"--seconds {seconds:g} --trace 0",
@@ -412,7 +483,7 @@ def pairs_record(args, trees: dict) -> dict:
         "pairs": "pair i ran the parent first when i is odd, the change first when i is even; "
                  + ", then ".join(f"{n} pairs on {w}" for w, n in plan.items())
                  + f"; the parent side was git archive of {_git('rev-parse', '--short', args.parent).strip()}, "
-                 "the change side the working tree, "
+                 f"the change side {change_side}, "
                  "each run from its own copy with its own perfbench/reference.json",
         "claim": claim,
         "claim_result": claim_result,
@@ -423,6 +494,7 @@ def pairs_record(args, trees: dict) -> dict:
         "change": sides["change"],
         "digest": digest,
         "sessions": session_spread(summary, digest["parent"], earlier_records(args.out)),
+        **({"control": control} if control else {}),
     }
 
 
@@ -516,6 +588,7 @@ def numbers_report(trees: dict, workdir: Path) -> list:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", default="HEAD", help="git revision of the parent side")
+    ap.add_argument("--change", help="git revision of the change side (default: the working tree)")
     ap.add_argument("--workdir", type=Path, help="where the two trees go (default: a new temporary directory)")
     ap.add_argument("--numbers", action="store_true", help="compare the outputs of both trees")
     ap.add_argument("--probe", action="store_true", help="page faults and time of the probe in both trees")
@@ -523,11 +596,13 @@ def main(argv=None) -> int:
                     help="WORKLOAD=COUNT of pairs, in run order")
     ap.add_argument("--seed", type=int, default=2024)
     ap.add_argument("--claim", help="WORKLOAD:METRIC:SIZE, the fraction by which METRIC improves")
+    ap.add_argument("--control", type=int, default=0, metavar="N",
+                    help="N pairs per workload of the parent against a second copy of itself")
     ap.add_argument("--out", type=Path, help="the BENCH_<n>.json to write")
     args = ap.parse_args(argv)
 
     workdir = args.workdir or Path(tempfile.mkdtemp(prefix="pair_runs-"))
-    trees = make_trees(args.parent, workdir)
+    trees = make_trees(args.parent, workdir, args.change, control=args.control > 0)
     if args.numbers:
         print("\n".join(numbers_report(trees, workdir)))
         return 0

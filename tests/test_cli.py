@@ -815,9 +815,9 @@ def test_run_starts_from_the_state_the_loader_checked(tmp_path, monkeypatch, sub
     calls = {"_advect": 0, "_initial_field": 0}
 
     def counted(fn):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls[fn.__name__] += 1
-            return fn(*args)
+            return fn(*args, **kwargs)
 
         return wrapper
 

@@ -167,6 +167,20 @@ def test_advection_matches_group_oracle_at_run_sizes(K, J):
     test_advection_matches_group_oracle(big, PolarGrid(big))
 
 
+@pytest.mark.parametrize("K,J", [(8, 8), (4, 12)])
+def test_advect_without_speed_returns_the_same_blocks_and_moments(K, J):
+    # the step's second stage: every output it reads is the same bits,
+    # and the speed it does not read is not formed
+    big = build_table(K, J)
+    grid = PolarGrid(big)
+    w = big.to_blocks(random_v0_field(big, 61).coeffs)
+    blocks, moments, umax, lam_vals = _advect(w, grid)
+    got = _advect(w, grid, speed=False)
+    assert umax > 0.0 and got[2] is None
+    for a, b in zip((blocks, moments, lam_vals), (got[0], got[1], got[3])):
+        assert np.array_equal(a, b)
+
+
 # ---------------------------------------------------------------------------
 # elliptic correction
 

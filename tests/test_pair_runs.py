@@ -6,11 +6,14 @@ import pytest
 
 from pair_runs import (
     PROBE_SCRIPT,
+    ROOT,
     claim_verdict,
     code_digest,
+    control_summary,
     describe,
     parse_run,
     probe_lines,
+    run_order,
     session_lines,
     session_spread,
     summarize,
@@ -82,6 +85,44 @@ def test_claim_refused_inside_the_parent_spread_below_its_size_or_on_few_pairs()
     # nine pairs, every one won by far
     result = claim_verdict(runs(PARENT[:9]), runs(FASTER[:9]), "annulus_s", "s", "lower", 0.20)
     assert result["verdict"] == "not met: 9 pairs are fewer than 10"
+
+
+def test_claim_refused_when_every_pair_wins_inside_the_control_move():
+    # the change wins 10 of 10 pairs by 3%, past the parent's interquartile
+    # distance and the claimed 1%, but one control pair of the parent
+    # against itself moved 3.5%
+    change = [0.97 * v for v in PARENT]
+    control = control_summary(runs(PARENT[:5]), runs([0.965 * PARENT[0], *PARENT[1:5]]), SPEC)["annulus_s"]
+    assert control["control_move"] == pytest.approx(0.035)
+    assert control["pair_moves"][1:] == [0.0] * 4
+    result = claim_verdict(runs(PARENT), runs(change), "annulus_s", "s", "lower", 0.01, control["control_move"])
+    assert result["change_wins"] == "10 of 10 pairs"
+    assert result["median_difference"] > result["parent_interquartile_distance"]
+    assert result["verdict"] == "not met: the move 3.0% does not exceed the control move 3.5%"
+    assert claim_verdict(runs(PARENT), runs(change), "annulus_s", "s", "lower", 0.01, 0.029)["verdict"] == "met"
+
+
+def test_bench_35_claim_still_met_against_a_control_of_its_own_parent_runs():
+    # verify stokes_s -34%: the parent's ten runs, paired with each other,
+    # stand in for five control pairs
+    record = json.loads((ROOT / "BENCH_35.json").read_text())
+    parent, change = record["parent"]["verify"], record["change"]["verify"]
+    control = control_summary(parent[0::2], parent[1::2], SPEC | {"stokes_s": SPEC["annulus_s"]})["stokes_s"]
+    assert 0.0 < control["control_move"] < 0.05
+    result = claim_verdict(parent, change, "stokes_s", "s", "lower", 0.20, control["control_move"])
+    assert result["relative"] == pytest.approx(-0.3415, abs=1e-4)
+    assert result["verdict"] == "met"
+    assert describe({}, result, True).startswith("claim met: stokes_s (s) -34.2% median against median")
+    assert f"the control move is {control['control_move']:.1%}." in describe({}, result, True)
+
+
+def test_run_order_spreads_the_control_pairs_among_the_others():
+    assert run_order(10, 5) == [
+        ("change", 1), ("control", 1), ("change", 2), ("change", 3), ("control", 2),
+        ("change", 4), ("change", 5), ("control", 3), ("change", 6), ("change", 7),
+        ("control", 4), ("change", 8), ("change", 9), ("control", 5), ("change", 10),
+    ]
+    assert run_order(3, 0) == [("change", 1), ("change", 2), ("change", 3)]
 
 
 def test_summary_counts_wins_in_each_metrics_direction_and_checks_the_bound():

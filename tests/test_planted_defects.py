@@ -473,6 +473,19 @@ def test_carried_work_defect_fails_its_test(monkeypatch, defect):
         detector()
 
 
+# the step's one finiteness scan is of the new omega_0, which omega_B's new
+# blocks reach through the forcing; a scan of those blocks alone misses the
+# overflow that a finite 1e308 moment makes in the step
+FINITENESS_SCAN = "np.isfinite(new0).all()"
+
+
+def test_finiteness_scan_of_omega_b_alone_fails_the_injection_test(monkeypatch):
+    plant(monkeypatch, solver.step, FINITENESS_SCAN, FINITENESS_SCAN.replace("new0", "wb_new"))
+    monkeypatch.setattr(test_solver, "step", solver.step)  # the test's own binding
+    with pytest.raises(pytest.fail.Exception, match="DID NOT RAISE"):
+        test_solver.test_non_finite_carried_moments_abort_the_step(0.1)
+
+
 # the one path from config to run: the loader's initial state, whose
 # |u|max the load-time CFL check reads and the run starts from.  No
 # acceptance check runs the CLI.  (function, old, new, the test that
@@ -532,6 +545,7 @@ ANCHORS = {
     **{name: (fn, old) for name, (fn, old, *_) in LOAD_PATH_DEFECTS.items()},
     "detuned-zeros": (spectrum.build_table, ZEROS),
     "advection-kernel": (nonlinear._advect, JACOBIAN),
+    "finiteness-scan": (solver.step, FINITENESS_SCAN),
     "stream-scale": (PolarGrid.__init__, STREAM_SCALE),
     "power-table": (fields._log_potential, POWER_TABLE),
     "rule-weight": (specfun._unit_rule, RULE_WEIGHT),

@@ -593,8 +593,16 @@ def test_run_matches_unscaled_kernel_oracle(monkeypatch, nu):
     cfg = RunConfig(nu=nu, K=4, J=12, dt=0.002, t_final=0.5,
                     init_modes=(((0, 1, "cos"), 0.4), ((2, 1, "cos"), 0.25)), output_every=5)
     got = run(cfg)
-    monkeypatch.setattr(solver, "_advect", advect_reference)
+    calls = []
+
+    def oracle(*args, speed=True):
+        calls.append(speed)
+        return advect_reference(*args, speed=speed)
+
+    monkeypatch.setattr(solver, "_advect", oracle)
     want = run(cfg)
+    # the oracle ran both stages of every step; initial_state's call is the first step's first
+    assert calls.count(True) == calls.count(False) == round(cfg.t_final / cfg.dt)
     for name in ("energy", "enstrophy", "palinstrophy_norm", "correction_norm"):
         a, b = (np.array([getattr(row, name) for row in t.diagnostics]) for t in (got, want))
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=0, err_msg=name)
@@ -618,18 +626,20 @@ def test_run_equals_iterated_steps():
 @pytest.mark.parametrize("nu", [0.1, 0.01])
 def test_run_advects_twice_per_step_less_the_carried_first_stage(monkeypatch, nu):
     # initial_state advects the requested field for omega_B(0) and hands
-    # that advection to the first step as its first stage: 2n over n steps
+    # that advection to the first step as its first stage: 2n over n steps,
+    # of which the n second stages form no speed
     calls = []
 
-    def counting(*args):
-        calls.append(1)
-        return advect(*args)
+    def counting(*args, speed=True):
+        calls.append(speed)
+        return advect(*args, speed=speed)
 
     advect = solver._advect
     monkeypatch.setattr(solver, "_advect", counting)
     cfg = small_cfg(nu=nu, t_final=0.02)
     run(cfg)
-    assert len(calls) == 2 * round(cfg.t_final / cfg.dt)
+    n = round(cfg.t_final / cfg.dt)
+    assert len(calls) == 2 * n and calls.count(False) == n
 
 
 def test_first_step_on_carried_advection_equals_a_fresh_one():
@@ -644,6 +654,34 @@ def test_first_step_on_carried_advection_equals_a_fresh_one():
     assert got.advected is None
     for a, b in ((got.w0, want.w0), (got.wb, want.wb)):
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-14 * np.abs(b).max())
+
+
+# the k = 0 cosine, the k = 0 sine pad, and two more moment slots
+INJECTED_SLOTS = ((0, 0), (1, 0), (0, 2), (1, 4))
+
+
+@pytest.mark.parametrize("nu", [0.1, 0.01])
+def test_non_finite_carried_moments_abort_the_step(nu):
+    # inf, -inf, nan or an overflowing 1e308 in one harmonic moment of the
+    # carried first-stage advection makes omega_B's new blocks E h / nu, or
+    # their rate, not finite; the step's one scan, of the new omega_0,
+    # sees it through the forcing.  In the sine pad E is 0, which leaves
+    # 1e308 harmless; a non-finite pad moment still aborts
+    cfg = small_cfg(nu=nu)
+    ctx = prepare(cfg)
+    state = initial_state(cfg, ctx)
+    projected, moments, umax = state.advected
+    for slot in INJECTED_SLOTS:
+        for value in (math.inf, -math.inf, math.nan, 1e308):
+            h = moments.copy()
+            h[slot] = value
+            injected = dataclasses.replace(state, advected=(projected, h, umax))
+            with np.errstate(all="ignore"):
+                if slot == (1, 0) and value == 1e308:
+                    assert np.isfinite(step(injected, cfg, ctx).w0).all()
+                    continue
+                with pytest.raises(NonFiniteState, match=r"^step from t=0 produced non-finite coefficients$"):
+                    step(injected, cfg, ctx)
 
 
 def oracle_row(t, omega, omega_b, ctx):

@@ -112,12 +112,13 @@ def analyze_two_matmuls(grid, values):
     return blocks, moments
 
 
-def advect_reference(w, grid):
+def advect_reference(w, grid, *, speed=True):
     """The advection kernel on blocks w (2, K+1, J) from the unscaled
     profiles: psi's blocks scaled by -1/lambda, one radial and one
     angular matmul, Lambda = (d_r psi d_theta omega - d_theta psi d_r
-    omega) / r and |u| with its own 1/r, then ``analyze_two_matmuls``.
-    Returns what ``nonlinear._advect`` returns."""
+    omega) / r and |u| with its own 1/r (None if ``speed`` is false),
+    then ``analyze_two_matmuls``.  Returns what ``nonlinear._advect``
+    returns."""
     table = grid.table
     K, n_r, n_t = table.K, grid.n_radial, grid.n_angular
     prof, _ = _unscaled_profiles(grid)
@@ -132,7 +133,7 @@ def advect_reference(w, grid):
     jacobian_trig = np.stack([d_trig, trig])
     (dom_t, dpsi_t), (dom_r, dpsi_r) = np.matmul(rows, jacobian_trig).reshape(2, 2, n_r, n_t)
     lam_vals = (dpsi_r * dom_t - dpsi_t * dom_r) / grid.r[:, None]
-    umax = math.sqrt(((dpsi_t / grid.r[:, None]) ** 2 + dpsi_r**2).max())
+    umax = math.sqrt(((dpsi_t / grid.r[:, None]) ** 2 + dpsi_r**2).max()) if speed else None
     projected, moments = analyze_two_matmuls(grid, lam_vals)
     return projected, moments, umax, lam_vals
 
