@@ -41,7 +41,13 @@ degree, node) of values, first and second derivatives at the Gauss
 nodes, and the wall values ``ends`` (order, wall, degree), wall 0 at
 r = R and wall 1 at r = 1: ``_constraint_rows`` picks both solvers'
 pinned walls, and slices are the circulation and flux rows.  The
-circulation run is modal at degree ``CIRCULATION_DEGREE``.
+circulation run is modal at degree ``CIRCULATION_DEGREE``.  Both
+solvers call LAPACK directly, ``_eigh`` (dsygvd) for each pencil and
+``_null_space`` (dgesdd) for each constraint null space: the call that
+``scipy.linalg.eigh(a, b)`` and ``null_space(a)`` make, with the same
+arguments and so the same bits, without their per-call validation,
+routine lookup and driver choice, about 15 us of a 50-60 us pencil at
+n = 20-26 and 17 us of a 35 us null space.
 """
 
 from __future__ import annotations
@@ -51,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.polyutils import mapparms
-from scipy.linalg import eigh, null_space
+from scipy.linalg import get_lapack_funcs
 from scipy.special import exprel
 
 from .fields import _log_potential, split_rows, synthesize_points, trig_table, write_csv
@@ -398,6 +404,48 @@ def check_limits(values: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
+# the two LAPACK routines of the dense solvers, called directly
+
+_SYGVD = get_lapack_funcs("sygvd", dtype=np.float64)
+_GESDD, _GESDD_LWORK = get_lapack_funcs(("gesdd", "gesdd_lwork"), dtype=np.float64, ilp64="preferred")
+
+
+def _check_finite(*arrays) -> None:
+    """scipy's ``check_finite``: a NaN or an inf would hang or corrupt LAPACK."""
+    for a in arrays:
+        if not np.isfinite(a).all():
+            raise ValueError("array must not contain infs or NaNs")
+
+
+def _eigh(a, b, eigvals_only=False):
+    """``scipy.linalg.eigh(a, b)``, by the one LAPACK call it makes: dsygvd,
+    itype 1 (a v = w b v), the lower triangles of a and of the positive
+    definite b.  The eigenvalues come ascending; with them, unless
+    ``eigvals_only``, the b-orthonormal eigenvectors as columns."""
+    _check_finite(a, b)
+    w, v, info = _SYGVD(a, b, itype=1, jobz="N" if eigvals_only else "V", uplo="L")
+    if info:
+        raise np.linalg.LinAlgError(f"dsygvd failed with info = {info}")
+    return w if eigvals_only else (w, v)
+
+
+def _null_space(a):
+    """``scipy.linalg.null_space(a)``, by the one LAPACK call it makes:
+    dgesdd with full matrices, in the workspace dgesdd_lwork asks for
+    (should the query fail, the lwork it leaves is illegal, and gesdd's
+    info says so).  The columns are the right singular vectors whose
+    singular value is at most max(s) max(m, n) eps."""
+    _check_finite(a)
+    m, n = a.shape
+    work, _ = _GESDD_LWORK(m, n)
+    _, s, vt, info = _GESDD(a, lwork=int(work))
+    if info:
+        raise np.linalg.LinAlgError(f"dgesdd failed with info = {info}")
+    tol = s.max() * (np.finfo(s.dtype).eps * max(m, n))
+    return vt[np.count_nonzero(s > tol):].T
+
+
+# ---------------------------------------------------------------------------
 # dense Galerkin spectra
 
 
@@ -476,18 +524,18 @@ def galerkin_spectra(geom: AnnulusGeometry, n_poly: int = 24, k_max: int = 4) ->
         try:
             # the constraint rows read k only as k >= 1: k = 1's null spaces serve every later k
             if k < 2:
-                N_S, N_Z, N_V = (null_space(_constraint_rows(ends, kind, k)) for kind in "SZV")
+                N_S, N_Z, N_V = (_null_space(_constraint_rows(ends, kind, k)) for kind in "SZV")
             # S: pencil (D, G) on the clamped space, Z the same under the weaker
             # constraints; n_poly >= 6 leaves >= 3 trials under <= 4 constraint rows
             for N, per in ((N_S, per_S), (N_Z, per_Z)):
-                per[k] = np.sort(eigh(N.T @ D @ N, N.T @ G @ N, eigvals_only=True))[:_N_EIGS]
+                per[k] = _eigh(N.T @ D @ N, N.T @ G @ N, eigvals_only=True)[:_N_EIGS]
 
             # V: pencil (G, projected mass), inverted: the projected mass is semidefinite only approximately
             hs = [np.ones_like(rq)] if k == 0 else [rq**k, rq ** (-k)]
             Hh = np.array([[float(np.sum(grad_w * a * b)) for b in hs] for a in hs])
             Ch = np.array([(T0 * grad_w) @ h for h in hs]).T  # (n+1, nh)
             MP = M2 - Ch @ np.linalg.solve(Hh, Ch.T)
-            mu = np.sort(eigh(N_V.T @ MP @ N_V, N_V.T @ G @ N_V, eigvals_only=True))
+            mu = _eigh(N_V.T @ MP @ N_V, N_V.T @ G @ N_V, eigvals_only=True)
             per_V[k] = np.sort(1.0 / mu[mu > 0][-_N_EIGS:])
         except np.linalg.LinAlgError as exc:
             raise RuntimeError(f"Galerkin assembly failed at mode {k}: {exc}") from exc
@@ -522,9 +570,10 @@ def _cumulative_moment(geom: AnnulusGeometry, omega0, targets: np.ndarray) -> np
 
 def _modal_readout(M, S, b, rows, nu_t):
     """rows @ c, (times, rows), at each viscous time nu t of ``nu_t`` for
-    c = exp(-nu t M^-1 S) M^-1 b.  V = eigh(S, M) has V^T M V = I and V^T S
-    V = diag(mu), so c = V e^{-nu t mu} a with a = V^T b: no solve."""
-    mu, V = eigh(S, M)
+    c = exp(-nu t M^-1 S) M^-1 b.  The pencil's one dsygvd, ``_eigh(S,
+    M)``, gives V with V^T M V = I and V^T S V = diag(mu), so c = V e^{-nu
+    t mu} a with a = V^T b: no solve."""
+    mu, V = _eigh(S, M)
     return (np.exp(-np.outer(nu_t, mu)) * (V.T @ b)) @ (rows @ V).T
 
 
@@ -592,7 +641,7 @@ def annulus_stokes_circulation(
     rq, wq, (T0, T1, T2), ends = _legendre_tables(CIRCULATION_DEGREE, R)
 
     # the outer value is pinned, and without circulation the inner one too
-    N = null_space(_constraint_rows(ends, "V", int(gamma0 == 0.0)))
+    N = _null_space(_constraint_rows(ends, "V", int(gamma0 == 0.0)))
     rw = wq * rq
     omega_t = T1 + T0 / rq  # vorticity of each trial
     M = N.T @ ((T0 * rw) @ T0.T) @ N

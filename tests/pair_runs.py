@@ -23,7 +23,12 @@ first when it is even.  It writes the keys the
 summary gives, per workload and end-to-end metric of ``BENCHMARK.json``,
 both medians and quartiles, each side's runs sorted (a bimodal side
 shows as a gap), the relative move of the medians, the pairs the change
-won and whether the move stays within the metric's bound.
+won and whether the move stays within the metric's bound.  Each run's
+record also holds ``rusage``, what the run used by the delta of
+``resource.getrusage(RUSAGE_CHILDREN)`` across it (minor and major page
+faults, voluntary and involuntary context switches, user + system
+seconds), and ``affinity``, the CPUs the run may use.  Which CPU a run
+ran on only the run's own process can read, so it is not recorded.
 
 ``digest`` is a sha256 per side of its files under ``src/`` and
 ``perfbench/`` (``code_digest``), taken before any run.  ``sessions``
@@ -74,6 +79,7 @@ import json
 import math
 import os
 import re
+import resource
 import shutil
 import subprocess
 import sys
@@ -128,6 +134,9 @@ NUMBERS_RUNS = {
 SECONDS_FIELD = re.compile(r"\(\d+\.\d+ s\)")
 
 PROBE_JOBS = ("battery", "ns-k8", "ns-k32")
+
+# the counters of ``resource.getrusage`` each run records
+RUSAGE_FIELDS = ("ru_minflt", "ru_majflt", "ru_nvcsw", "ru_nivcsw")
 
 # run in a tree's root as: python -c PROBE_SCRIPT JOB SEED; prints one JSON line
 PROBE_SCRIPT = """
@@ -399,17 +408,30 @@ def probe_once(tree: Path, job: str, seed: int) -> dict:
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
+def usage_delta(before, after) -> dict:
+    """The ``RUSAGE_FIELDS`` counts and the user + system seconds between
+    two ``resource.getrusage`` readings."""
+    delta = {name: getattr(after, name) - getattr(before, name) for name in RUSAGE_FIELDS}
+    delta["cpu_s"] = (after.ru_utime + after.ru_stime) - (before.ru_utime + before.ru_stime)
+    return delta
+
+
 def bench_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One run's final line, with its ``rusage`` (what the run's process
+    and its waited-for children used, ``usage_delta``) and the CPUs this
+    process may run on, which the run inherits (``affinity``)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", f"{seconds:g}", "--trace", "0"]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, env=_env(tree))
+    usage = usage_delta(before, resource.getrusage(resource.RUSAGE_CHILDREN))
     try:
         run = parse_run(done.stdout)
     except json.JSONDecodeError:
         run = {"correct": False, "attempted": 0, "failed": 1, "metrics": {}}
     if done.returncode != 0:
         run["correct"] = False
-    return run
+    return {**run, "rusage": usage, "affinity": sorted(os.sched_getaffinity(0))}
 
 
 def run_order(count: int, control: int) -> list:

@@ -8,6 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial.polyutils import mapparms
+from scipy.linalg import eigh, null_space
 from scipy.optimize import brentq
 
 from diskvort import annulus
@@ -731,8 +732,8 @@ class TestGalerkinSpectra:
         # one per space (S, Z, V) for k = 0 and one for every k >= 1, where
         # a null space per (space, k) takes 3 (k_max + 1)
         calls = []
-        real = annulus.null_space
-        monkeypatch.setattr(annulus, "null_space", lambda rows: calls.append(rows.shape) or real(rows))
+        real = annulus._null_space
+        monkeypatch.setattr(annulus, "_null_space", lambda rows: calls.append(rows.shape) or real(rows))
         galerkin_spectra(geom, n_poly=8, k_max=k_max)
         assert len(calls) == 6, calls
 
@@ -746,7 +747,7 @@ class TestGalerkinSpectra:
 
     @pytest.mark.parametrize(
         "name, failing_call, mode",
-        [("null_space", 1, 0), ("null_space", 5, 1), ("eigh", 1, 0), ("eigh", 10, 3)],
+        [("_null_space", 1, 0), ("_null_space", 5, 1), ("_eigh", 1, 0), ("_eigh", 10, 3)],
         ids=["null-space-k0", "null-space-shared", "eigh-k0", "eigh-k3"],
     )
     def test_linalg_failure_names_the_mode(self, geom, monkeypatch, name, failing_call, mode):
@@ -762,6 +763,81 @@ class TestGalerkinSpectra:
         monkeypatch.setattr(annulus, name, failing)
         with pytest.raises(RuntimeError, match=f"^Galerkin assembly failed at mode {mode}: planted failure$"):
             galerkin_spectra(geom, n_poly=8, k_max=4)
+
+
+def symmetric_definite_pencil(rng, n):
+    x, y = rng.standard_normal((2, n, n))
+    return x + x.T, y @ y.T + n * np.eye(n)
+
+
+def assert_same_eigh(a, b, eigvals_only=False):
+    got = annulus._eigh(a, b, eigvals_only=eigvals_only)
+    want = eigh(a, b, eigvals_only=eigvals_only)
+    if eigvals_only:
+        got, want = (got,), (want,)
+    for g, w in zip(got, want, strict=True):
+        np.testing.assert_array_equal(g, w)
+
+
+class TestLapackHelpers:
+    """``annulus._eigh`` and ``annulus._null_space`` make the one LAPACK call
+    that ``scipy.linalg.eigh(a, b)`` and ``null_space(a)`` make, so each
+    returns scipy's arrays bit for bit."""
+
+    @pytest.mark.parametrize("n", [6, 7, 13, 20, 26, 30])
+    @pytest.mark.parametrize("eigvals_only", [True, False], ids=["values", "vectors"])
+    def test_eigh_is_scipys_on_seeded_pencils(self, n, eigvals_only):
+        rng = np.random.default_rng(n)
+        for _ in range(4):
+            assert_same_eigh(*symmetric_definite_pencil(rng, n), eigvals_only=eigvals_only)
+
+    @pytest.mark.parametrize("rows", [2, 3, 4, 5])
+    def test_null_space_is_scipys_on_seeded_constraint_blocks(self, rows):
+        rng = np.random.default_rng(rows)
+        for n in (6, 13, 25, 30):
+            block = rng.standard_normal((rows, n))
+            # the last row repeated: one singular value at rounding, which the rank cut drops
+            for a in (block, np.vstack([block[:-1], block[-2:-1]])):
+                np.testing.assert_array_equal(annulus._null_space(a), null_space(a))
+
+    @pytest.mark.parametrize("r_inner", [0.05, 0.1, 0.3, 0.5, 0.7, 0.8, 0.95])
+    def test_helpers_are_scipys_on_every_pencil_of_the_solvers(self, monkeypatch, r_inner):
+        # galerkin_spectra's 15 pencils and 6 null spaces, and the
+        # circulation run's pencil and null space with and without circulation
+        calls = {"_eigh": [], "_null_space": []}
+        for name, seen in calls.items():
+            real = getattr(annulus, name)
+            monkeypatch.setattr(annulus, name, lambda *a, real=real, seen=seen, **kw: seen.append((a, kw)) or real(*a, **kw))
+        geo = AnnulusGeometry(r_inner)
+        galerkin_spectra(geo)
+        for gamma0 in (1.0, 0.0):
+            annulus_stokes_circulation(geo, gamma0, 0.1, 2.0)
+        assert [len(seen) for seen in calls.values()] == [17, 8]
+        monkeypatch.undo()
+        for (a, b), kw in calls["_eigh"]:
+            assert_same_eigh(a, b, **kw)
+        for (a,), _ in calls["_null_space"]:
+            np.testing.assert_array_equal(annulus._null_space(a), null_space(a))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_is_scipys_value_error(self, bad):
+        a, b = symmetric_definite_pencil(np.random.default_rng(0), 8)
+        for helper, scipys, args in ((annulus._eigh, eigh, (a, b)), (annulus._null_space, null_space, (a[:3],))):
+            for i in range(len(args)):
+                planted = [x.copy() for x in args]
+                planted[i][2, 1] = bad
+                for fn in (helper, scipys):
+                    with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
+                        fn(*planted)
+
+    @pytest.mark.parametrize("eigvals_only", [True, False], ids=["values", "vectors"])
+    def test_indefinite_b_is_a_linalg_error(self, eigvals_only):
+        a, b = symmetric_definite_pencil(np.random.default_rng(1), 8)
+        b[5, 5] = -b[5, 5]
+        with pytest.raises(np.linalg.LinAlgError, match="dsygvd failed with info = 14$"):
+            annulus._eigh(a, b, eigvals_only=eigvals_only)
+        with pytest.raises(np.linalg.LinAlgError, match="leading minor of order 6 of B"):
+            eigh(a, b, eigvals_only=eigvals_only)
 
 
 class TestCirculation:

@@ -1,10 +1,17 @@
 """The pair runner's summary and claim verdict, on canned benchmark lines."""
 
 import json
+import os
+import resource
+import subprocess
+from types import SimpleNamespace
 
 import pytest
 
+import pair_runs
 from pair_runs import (
+    RUSAGE_FIELDS,
+    bench_once,
     PROBE_SCRIPT,
     ROOT,
     claim_verdict,
@@ -210,3 +217,30 @@ def test_session_spread_gathers_the_same_codes_medians():
         "BENCH_1.json change 0.0125, BENCH_2.json parent 0.011"
     ]
     assert session_spread({"verify": summary}, "unseen", earlier) == {}
+
+
+def test_bench_once_records_the_runs_own_counters_and_affinity(monkeypatch, tmp_path):
+    # two getrusage readings around one stubbed run: the record holds their
+    # difference, not either reading, and the CPUs the runner may use
+    readings = iter([
+        SimpleNamespace(ru_minflt=1000, ru_majflt=2, ru_nvcsw=50, ru_nivcsw=7, ru_utime=1.5, ru_stime=0.25),
+        SimpleNamespace(ru_minflt=4500, ru_majflt=3, ru_nvcsw=80, ru_nivcsw=19, ru_utime=9.0, ru_stime=0.75),
+    ])
+    whose = []
+    monkeypatch.setattr(pair_runs.resource, "getrusage", lambda who: whose.append(who) or next(readings))
+    commands = []
+
+    def run(cmd, **kwargs):
+        commands.append(cmd)
+        return subprocess.CompletedProcess(cmd, 0, stdout=run_line(0.007), stderr="")
+
+    monkeypatch.setattr(pair_runs.subprocess, "run", run)
+    record = bench_once(tmp_path, "verify", 4848, 9.0)
+    assert commands[0][1:] == ["perfbench/run.py", "--workload", "verify", "--seed", "4848", "--seconds", "9",
+                               "--trace", "0"]
+    assert record["correct"] and record["metrics"]["annulus_s"]["value"] == 0.007
+    assert record["rusage"] == {"ru_minflt": 3500, "ru_majflt": 1, "ru_nvcsw": 30, "ru_nivcsw": 12, "cpu_s": 8.0}
+    assert list(record["rusage"]) == [*RUSAGE_FIELDS, "cpu_s"]
+    assert record["affinity"] == sorted(os.sched_getaffinity(0))
+    assert whose == [resource.RUSAGE_CHILDREN] * 2
+

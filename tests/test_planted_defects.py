@@ -5,7 +5,9 @@ acceptance check sees, a test.
 A defective copy of a kernel is built from the shipped source by one
 textual substitution, so it tracks the kernel as it changes; the
 substitution must match exactly once, or the test fails before it
-plants anything.
+plants anything.  One defect is written out instead,
+``elliptic_map_on_16_nodes``, and held bit-equal to the shipped kernel
+where the two rules agree.
 """
 
 import inspect
@@ -23,7 +25,8 @@ import test_specfun
 from diskvort import acceptance, annulus, cli, fields, nonlinear, pressure, solver, specfun, spectrum
 from diskvort.annulus import AnnulusGeometry
 from diskvort.fields import PolarGrid
-from diskvort.spectrum import build_table
+from diskvort.specfun import gauss_legendre
+from diskvort.spectrum import build_table, radial_profiles
 
 JACOBIAN = "lam_vals = dpsi_r * dom_t - dpsi_t * dom_r"
 ELLIPTIC = "elliptic_map=elliptic_map(grid) / cfg.nu,"
@@ -333,6 +336,30 @@ def test_rotation_relation_catches_per_parity_elliptic_map(monkeypatch):
     plant(monkeypatch, solver.prepare, ELLIPTIC, sin_short)
     with pytest.raises(AssertionError):
         test_solver.assert_rotation_commutes(solver.run, test_solver.SCALING_MODES, 3)
+
+
+def elliptic_map_on_16_nodes(grid):
+    """``nonlinear.elliptic_map`` with its quadrature on a fixed 16-node
+    radial rule in place of the grid's, written out: the one defect here
+    that is not a textual substitution, since a 16-node ``PolarGrid``
+    refuses J > 14."""
+    r, w = gauss_legendre(16, 0.0, 1.0)
+    prof, harm = radial_profiles(grid.table, r)
+    k = np.arange(grid.table.K + 1)[:, None]
+    psi_b = harm[0] * (r**2 - 1.0) / (4.0 * k + 4.0)
+    return grid._trig_norm[:, :, None] * np.einsum("kjr,kr->kj", prof[0, 0] * (w * r), psi_b)
+
+
+def test_spatial_order_test_catches_16_node_elliptic_map(monkeypatch):
+    # the shipped map, bit for bit, where the grid has 16 radial nodes; in
+    # prepare its error does not fall with J, and the reference-free order
+    # test reads negative orders.  accept passes it with every line unchanged
+    grid = PolarGrid(build_table(4, 8), 16)
+    np.testing.assert_array_equal(elliptic_map_on_16_nodes(grid), nonlinear.elliptic_map(grid))
+    monkeypatch.setattr(solver, "elliptic_map", elliptic_map_on_16_nodes)
+    for nu in test_solver.ORDER_LEAST:
+        with pytest.raises(AssertionError):
+            test_solver.test_spatial_orders_in_j_without_a_reference(nu)
 
 
 # the Gauss weights with (1 - x^2) P_n' taken as n P_{n-1}, dropping the
